@@ -158,6 +158,10 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
         config = json.loads(reader.take(config_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"config block is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ContainerError(
+            f"config block is a JSON {type(config).__name__}, not an object"
+        )
 
     n_stats = reader.u32()
     norm_means = np.frombuffer(reader.take(8 * n_stats), dtype="<f8").copy()
@@ -167,7 +171,10 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
     n_arrays = reader.u32()
     for _ in range(n_arrays):
         name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"array name is not valid UTF-8: {exc}") from exc
         code = reader.u8()
         if code not in _CODE_DTYPES:
             raise ContainerError(f"unknown dtype code {code} for array '{name}'")

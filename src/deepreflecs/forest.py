@@ -292,6 +292,31 @@ def serialize(forest: ForestModel) -> bytes:
     return container.write_container(MAGIC, config, None, arrays)
 
 
+def _check_tree(t: int, tree: Tree, n_classes: int) -> None:
+    """Reject node arrays that Tree.predict_one could not walk to a leaf.
+
+    _grow_tree numbers both children after their parent, so requiring that
+    of every internal node rules out cycles: each walk ends at a leaf.
+    """
+    n = tree.feature.size
+    index_arrays = (tree.feature, tree.left, tree.right)
+    if (
+        n == 0
+        or any(a.shape != (n,) for a in (*index_arrays, tree.threshold))
+        or tree.counts.shape != (n, n_classes)
+    ):
+        problem = "node arrays do not share one node count"
+    elif not all(np.issubdtype(a.dtype, np.integer) for a in (*index_arrays, tree.counts)):
+        problem = "feature, child or count array is not integer"
+    else:
+        internal = np.flatnonzero(tree.feature >= 0)
+        left, right = tree.left[internal], tree.right[internal]
+        if ((left > internal) & (right > internal) & (left < n) & (right < n)).all():
+            return
+        problem = "a child pointer does not lead to a later node"
+    raise container.ContainerError(f"tree {t}: {problem}")
+
+
 def deserialize(data: bytes) -> ForestModel:
     parsed = container.read_container(data, MAGIC)
     cfg = parsed.config
@@ -299,18 +324,18 @@ def deserialize(data: bytes) -> ForestModel:
     oob = cfg.get("oob", [0] * cfg["n_trees"])
     for t in range(cfg["n_trees"]):
         try:
-            trees.append(
-                Tree(
-                    feature=parsed.arrays[f"tree{t}.feature"],
-                    threshold=parsed.arrays[f"tree{t}.threshold"],
-                    left=parsed.arrays[f"tree{t}.left"],
-                    right=parsed.arrays[f"tree{t}.right"],
-                    counts=parsed.arrays[f"tree{t}.counts"],
-                    n_oob=int(oob[t]),
-                )
+            tree = Tree(
+                feature=parsed.arrays[f"tree{t}.feature"],
+                threshold=parsed.arrays[f"tree{t}.threshold"],
+                left=parsed.arrays[f"tree{t}.left"],
+                right=parsed.arrays[f"tree{t}.right"],
+                counts=parsed.arrays[f"tree{t}.counts"],
+                n_oob=int(oob[t]),
             )
         except KeyError as exc:
             raise container.ContainerError(f"missing tree block {exc}") from exc
+        _check_tree(t, tree, cfg["n_classes"])
+        trees.append(tree)
     return ForestModel(
         trees=trees,
         feature_config=FeatureConfig(

@@ -450,6 +450,11 @@ def serialize(model: GridCnnModel) -> bytes:
 
 def deserialize(data: bytes) -> GridCnnModel:
     parsed = container.read_container(data, MAGIC)
+    if set(parsed.config) != {"dropout", "n_classes"}:
+        raise container.ContainerError(
+            f"grid-CNN config has keys {sorted(parsed.config)}, "
+            "expected ['dropout', 'n_classes']"
+        )
     model = build_gridcnn(seed=0, dropout=parsed.config["dropout"])
     expected = {name: p.shape for name, p in model.params().items()}
     for name, shape in expected.items():

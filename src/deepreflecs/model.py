@@ -2,14 +2,16 @@
 
 Pipeline (per sample): row-wise linear + ReLU on each reflection's five
 features, optional global context layer, a second row-wise linear + ReLU,
-global max pooling over the (unmasked) reflection list, and a dense
-softmax head. The two pooling-style layers have no learnable parameters;
-with the default widths the whole network has exactly 1,284 of them.
+global max pooling over the reflection list, and a dense softmax head.
+The two pooling-style layers have no learnable parameters; with the
+default widths the whole network has exactly 1,284 of them.
 
-Only the real reflection rows are ever evaluated: the forward pass
-compacts the padded buffer down to its unmasked rows first, which makes
-the output bitwise independent of the pad length and of whatever values
-sit in padding rows.
+Batches are ragged: the real reflection rows of all samples are
+concatenated into one matrix, with segment offsets marking where each
+sample starts, and every layer runs once over the whole batch. A single
+sample is a batch of one segment. Padding rows are dropped before the
+first layer, which makes the output bitwise independent of the pad
+length and of whatever values sit in padding rows.
 """
 
 from __future__ import annotations
@@ -139,41 +141,52 @@ def count_params(model: ReflectNetModel) -> int:
     return model.conv1.size() + model.conv2.size() + model.head.size()
 
 
-def _compact(inp: PaddedInput, dtype) -> np.ndarray:
-    mask = np.asarray(inp.mask, dtype=bool)
-    if not mask.any():
-        raise nn.EmptyPoolError("input has no unmasked reflections")
-    return np.ascontiguousarray(inp.features[mask]).astype(dtype, copy=False)
+def pack(inputs: Sequence[PaddedInput], dtype) -> Tuple[np.ndarray, nn.Segments]:
+    """Concatenate the real rows of every input into one ragged batch.
+
+    This is where padding rows are dropped, so the network never sees them.
+    """
+    if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
+        rows = inputs[0].features[np.asarray(inputs[0].mask, dtype=bool)]
+        return rows.astype(dtype, copy=False), nn.Segments.single(rows.shape[0])
+    pad_lengths = [len(inp.mask) for inp in inputs]
+    if pad_lengths != [len(inp.features) for inp in inputs]:
+        raise nn.ShapeError("an input's mask and feature rows differ in length")
+    if min(pad_lengths) < 1:  # reduceat below would misread an empty input
+        raise nn.EmptyPoolError("an input has no rows at all")
+    mask = np.concatenate([inp.mask for inp in inputs]).astype(bool, copy=False)
+    rows = np.concatenate([inp.features for inp in inputs])[mask]
+    pad_starts = np.cumsum(pad_lengths) - pad_lengths
+    lengths = np.add.reduceat(mask, pad_starts, dtype=np.intp)
+    return rows.astype(dtype, copy=False), nn.Segments.from_lengths(lengths)
+
+
+def forward_rows(
+    model: ReflectNetModel, x: np.ndarray, segments: nn.Segments, keep_cache: bool = False
+):
+    """Class probabilities (B, n_classes) for the ragged batch (x, segments).
+
+    With keep_cache, returns (probabilities, activations) for the
+    backward pass.
+    """
+    z1 = nn.rowwise_linear(x, model.conv1)
+    h1 = nn.relu(z1)
+    h = nn.segment_context_layer(h1, segments) if model.config.use_gcl else h1
+    z2 = nn.rowwise_linear(h, model.conv2)
+    h2 = nn.relu(z2)
+    pooled = nn.segment_max_pool(h2, segments)
+    probs = nn.softmax(nn.rowwise_linear(pooled, model.head))
+    if not keep_cache:
+        return probs
+    return probs, {
+        "x": x, "z1": z1, "h1": h1, "h": h, "z2": z2, "h2": h2, "pooled": pooled,
+    }
 
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
     """Class probabilities for one padded input."""
-    x = _compact(inp, model.conv1.weights.dtype)
-    all_rows = np.ones(x.shape[0], dtype=bool)
-    h1 = nn.relu(nn.rowwise_linear(x, model.conv1))
-    h = nn.global_context_layer(h1, all_rows) if model.config.use_gcl else h1
-    h2 = nn.relu(nn.rowwise_linear(h, model.conv2))
-    pooled = nn.masked_global_max_pool(h2, all_rows)
-    logits = nn.dense(pooled, model.head)
-    probs = nn.softmax(logits)
+    probs = forward_rows(model, *pack([inp], model.conv1.weights.dtype))[0]
     return ClassDistribution(probabilities=probs, predicted=int(np.argmax(probs)))
-
-
-def _forward_cache(model: ReflectNetModel, inp: PaddedInput) -> dict:
-    x = _compact(inp, model.conv1.weights.dtype)
-    all_rows = np.ones(x.shape[0], dtype=bool)
-    z1 = nn.rowwise_linear(x, model.conv1)
-    h1 = nn.relu(z1)
-    h = nn.global_context_layer(h1, all_rows) if model.config.use_gcl else h1
-    z2 = nn.rowwise_linear(h, model.conv2)
-    h2 = nn.relu(z2)
-    pooled = nn.masked_global_max_pool(h2, all_rows)
-    logits = nn.dense(pooled, model.head)
-    probs = nn.softmax(logits)
-    return {
-        "x": x, "mask": all_rows, "z1": z1, "h1": h1, "h": h,
-        "z2": z2, "h2": h2, "pooled": pooled, "probs": probs,
-    }
 
 
 def loss_and_grads(
@@ -185,31 +198,28 @@ def loss_and_grads(
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     dtype = model.conv1.weights.dtype
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    total_loss = 0.0
-    scale = 1.0 / len(batch)
-    w1 = model.config.width1
-    for inp, label in zip(batch, labels):
-        cache = _forward_cache(model, inp)
-        total_loss += nn.cross_entropy(cache["probs"], label)
-        d_logits = (nn.softmax_cross_entropy_grad(cache["probs"], label) * scale).astype(dtype)
-        d_pooled, d_hw, d_hb = nn.dense_backward(cache["pooled"], model.head, d_logits)
-        grads["head.weights"] += d_hw
-        grads["head.bias"] += d_hb
-        d_h2 = nn.masked_global_max_pool_backward(cache["h2"], cache["mask"], d_pooled)
-        d_z2 = nn.relu_backward(cache["z2"], d_h2)
-        d_h, d_w2, d_b2 = nn.rowwise_linear_backward(cache["h"], model.conv2, d_z2)
-        grads["conv2.weights"] += d_w2
-        grads["conv2.bias"] += d_b2
-        if model.config.use_gcl:
-            d_h1 = nn.global_context_layer_backward(cache["h1"], cache["mask"], d_h)
-        else:
-            d_h1 = d_h
-        d_z1 = nn.relu_backward(cache["z1"], d_h1)
-        _, d_w1, d_b1 = nn.rowwise_linear_backward(cache["x"], model.conv1, d_z1)
-        grads["conv1.weights"] += d_w1
-        grads["conv1.bias"] += d_b1
-    return total_loss * scale, grads
+    x, segments = pack(batch, dtype)
+    probs, cache = forward_rows(model, x, segments, keep_cache=True)
+    labels = np.asarray(labels, dtype=np.intp)
+    d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * (1.0 / len(batch))).astype(dtype)
+    d_pooled, d_hw, d_hb = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits)
+    d_h2 = nn.segment_max_pool_backward(cache["h2"], segments, d_pooled, cache["pooled"])
+    d_z2 = nn.relu_backward(cache["z2"], d_h2)
+    d_h, d_w2, d_b2 = nn.rowwise_linear_backward(cache["h"], model.conv2, d_z2)
+    if model.config.use_gcl:
+        # the global half of a segment's first row is that segment's pooled h1
+        g = cache["h"][segments.starts, model.config.width1:]
+        d_h1 = nn.segment_context_layer_backward(cache["h1"], segments, d_h, g)
+    else:
+        d_h1 = d_h
+    d_z1 = nn.relu_backward(cache["z1"], d_h1)
+    _, d_w1, d_b1 = nn.rowwise_linear_backward(x, model.conv1, d_z1)
+    grads = {
+        "conv1.weights": d_w1, "conv1.bias": d_b1,
+        "conv2.weights": d_w2, "conv2.bias": d_b2,
+        "head.weights": d_hw, "head.bias": d_hb,
+    }
+    return nn.mean_cross_entropy(probs, labels), grads
 
 
 def train_step(
@@ -256,7 +266,7 @@ def kink_margin(model: ReflectNetModel, inp: PaddedInput) -> float:
     difference step, otherwise the perturbed losses straddle a kink.
     """
     wide = model.astype(np.float64)
-    cache = _forward_cache(wide, inp)
+    _, cache = forward_rows(wide, *pack([inp], np.float64), keep_cache=True)
     margins = [np.abs(cache["z1"]).min(), np.abs(cache["z2"]).min()]
     if model.config.use_gcl:
         margins.append(_pool_tie_margin(cache["h1"]))
@@ -342,7 +352,10 @@ def serialize(model: ReflectNetModel) -> bytes:
 
 def deserialize(data: bytes) -> ReflectNetModel:
     parsed = container.read_container(data, MAGIC)
-    cfg = ReflectNetConfig(**parsed.config)
+    try:
+        cfg = ReflectNetConfig(**parsed.config)
+    except (TypeError, ValueError) as exc:
+        raise container.ContainerError(f"invalid network config: {exc}") from exc
     model = build_model(cfg, seed=0)
     expected = {name: p.shape for name, p in model.params().items()}
     for name, shape in expected.items():

@@ -1,21 +1,24 @@
 """Minimal neural-network kernel built on numpy.
 
-Row-wise linear maps (weight sharing across list entries), masked global
-max pooling, the global context layer, softmax cross-entropy, two
-optimizers, and a central-difference gradient checker. Every operation is
-a pure function of its inputs; backward passes take the forward inputs and
-the upstream gradient and return downstream gradients.
+Row-wise linear maps (weight sharing across list entries), per-segment
+and masked global max pooling, the global context layer, softmax
+cross-entropy, two optimizers, and a central-difference gradient checker.
+Every operation is a pure function of its inputs; backward passes take
+the forward inputs and the upstream gradient and return downstream
+gradients.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
-feature); masks are 1-D boolean arrays (True = real entry, False =
-padding). Forward code is precision-agnostic: run it on float32 arrays for
-speed or float64 for gradient checks.
+feature). A batch of lists is one matrix of all their rows plus Segments
+(where each list starts); a single padded list is a matrix plus a 1-D
+boolean mask (True = real entry, False = padding). Forward code is
+precision-agnostic: run it on float32 arrays for speed or float64 for
+gradient checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -111,6 +114,85 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
+class Segments(NamedTuple):
+    """A batch of lists stored as consecutive row ranges of one matrix.
+
+    Segment b covers rows starts[b] up to (not including) starts[b + 1],
+    the last one runs to the final row; ids[r] is the segment of row r.
+    Every segment holds at least one row.
+    """
+
+    starts: np.ndarray  # (B,) intp, starts[0] == 0, strictly increasing
+    ids: np.ndarray     # (R,) intp
+
+    @classmethod
+    def from_lengths(cls, lengths) -> "Segments":
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or lengths.size == 0:
+            raise ShapeError("need a 1-D, non-empty list of segment lengths")
+        if lengths.min() < 1:
+            raise EmptyPoolError("cannot pool a segment with no rows")
+        return cls(np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths))
+
+    @classmethod
+    def single(cls, n_rows: int) -> "Segments":
+        """All n_rows rows as one segment (cheaper than from_lengths([n_rows]))."""
+        if n_rows < 1:
+            raise EmptyPoolError("cannot pool a segment with no rows")
+        return cls(np.zeros(1, dtype=np.intp), np.zeros(n_rows, dtype=np.intp))
+
+
+def segment_max_pool(x: np.ndarray, segments: Segments) -> np.ndarray:
+    """Per-feature maximum over each segment's rows: (R, N) -> (B, N).
+
+    Segments never mix, so the rows of one list cannot leak into the
+    result of another.
+    """
+    return np.maximum.reduceat(x, segments.starts, axis=0)
+
+
+def segment_max_pool_backward(
+    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray | None = None
+) -> np.ndarray:
+    """Route each segment's feature gradient to its first (lowest-index) winning row.
+
+    pooled is the forward result; pass it to save recomputing it.
+    """
+    if pooled is None:
+        pooled = segment_max_pool(x, segments)
+    n_rows = x.shape[0]
+    # rows below their segment's maximum can never win; the lowest row
+    # index among the others is the first winner
+    candidates = np.where(x < pooled[segments.ids], n_rows, np.arange(n_rows)[:, None])
+    winners = np.minimum.reduceat(candidates, segments.starts, axis=0)
+    grad_x = np.zeros_like(x)
+    grad_x[winners, np.arange(x.shape[1])] = grad_out
+    return grad_x
+
+
+def segment_context_layer(x: np.ndarray, segments: Segments) -> np.ndarray:
+    """Append each segment's pooled feature vector to every row of that segment.
+
+    Row r of the output is concat(x[r], g[ids[r]]) with g the per-segment
+    max pool of x. Output shape (R, 2N).
+    """
+    g = segment_max_pool(x, segments)
+    return np.concatenate([x, g[segments.ids]], axis=1)
+
+
+def segment_context_layer_backward(
+    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray | None = None
+) -> np.ndarray:
+    """Identity path for the local half plus pooled path for the global half.
+
+    The global-half gradients of each segment's rows are summed and pushed
+    through that segment's pooling backward (pooled as there).
+    """
+    n = x.shape[1]
+    grad_global = np.add.reduceat(grad_out[:, n:], segments.starts, axis=0)
+    return grad_out[:, :n] + segment_max_pool_backward(x, segments, grad_global, pooled)
+
+
 def _valid_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (x.shape[0],):
@@ -128,19 +210,19 @@ def masked_global_max_pool(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Only valid rows participate in the reduction; padded rows are never
     touched, so their content cannot leak into the result.
     """
-    mask = _valid_rows(x, mask)
-    return x[mask].max(axis=0)
+    valid = x[_valid_rows(x, mask)]
+    return segment_max_pool(valid, Segments.single(valid.shape[0]))[0]
 
 
 def masked_global_max_pool_backward(
     x: np.ndarray, mask: np.ndarray, grad_out: np.ndarray
 ) -> np.ndarray:
     """Route each feature's gradient to the first (lowest-index) winning row."""
-    mask = _valid_rows(x, mask)
-    rows = np.flatnonzero(mask)
-    winners = rows[np.argmax(x[rows], axis=0)]
+    rows = np.flatnonzero(_valid_rows(x, mask))
     grad_x = np.zeros_like(x)
-    grad_x[winners, np.arange(x.shape[1])] = grad_out
+    grad_x[rows] = segment_max_pool_backward(
+        x[rows], Segments.single(rows.size), np.asarray(grad_out)[None]
+    )
     return grad_x
 
 
@@ -188,14 +270,15 @@ def dense_backward(
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax, computed in float64.
+    """Numerically stable softmax over the last axis, computed in float64.
 
-    The max-shift keeps exp() in range for logits up to ~1e3 either way;
-    the result sums to 1 within 1e-12.
+    A 2-D input is a batch of logit rows. The max-shift keeps exp() in
+    range for logits up to ~1e3 either way; each result sums to 1 within
+    1e-12.
     """
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(p: np.ndarray, label: int) -> float:
@@ -203,11 +286,19 @@ def cross_entropy(p: np.ndarray, label: int) -> float:
     return float(-np.log(p[label] + CROSS_ENTROPY_EPS))
 
 
-def softmax_cross_entropy_grad(p: np.ndarray, label: int) -> np.ndarray:
-    """Gradient of cross_entropy(softmax(z), label) w.r.t. the logits z."""
-    grad = np.asarray(p, dtype=np.float64).copy()
-    grad[label] -= 1.0
-    return grad
+def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """cross_entropy averaged over a batch of probability rows."""
+    picked = probs[np.arange(probs.shape[0]), labels]
+    return float(-np.log(picked + CROSS_ENTROPY_EPS).mean())
+
+
+def softmax_cross_entropy_grad(p: np.ndarray, label) -> np.ndarray:
+    """Gradient of cross_entropy(softmax(z), label) w.r.t. the logits z.
+
+    Also takes a batch: probability rows p with one label per row.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    return p - np.eye(p.shape[-1])[label]
 
 
 def _check_finite_grads(grads: Dict[str, np.ndarray]) -> None:

@@ -239,6 +239,11 @@ def trackwise_split(
         assigned[0].extend(tracks[:b1])
         assigned[1].extend(tracks[b1:b2])
         assigned[2].extend(tracks[b2:])
+    for name, track_ids in zip(("train", "validation", "test"), assigned):
+        if not track_ids:
+            raise DatasetError(
+                f"the {name} split is empty; ratios {ratios} leave it no tracks"
+            )
 
     def collect(track_ids: List[str]) -> List[ObjectSample]:
         out: List[ObjectSample] = []

@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary model container."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -75,3 +76,22 @@ def test_empty_norm_block():
     parsed = container.read_container(blob, b"TEST")
     assert parsed.norm_means.size == 0
     assert parsed.arrays == {}
+
+
+def with_fresh_crc(blob: bytes) -> bytes:
+    """Re-seal an edited payload so only the edit itself is wrong."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def test_config_that_is_not_an_object_is_container_error():
+    blob = container.write_container(b"TEST", [1, 2], None, [])
+    with pytest.raises(container.ContainerError, match="not an object"):
+        container.read_container(blob, b"TEST")
+
+
+def test_non_utf8_array_name_is_container_error():
+    blob = container.write_container(b"TEST", {}, None, [("ab", np.zeros(2))])
+    at = blob.index(b"ab")
+    blob = with_fresh_crc(blob[:at] + b"\xff\xfe" + blob[at + 2 :])
+    with pytest.raises(container.ContainerError, match="UTF-8"):
+        container.read_container(blob, b"TEST")

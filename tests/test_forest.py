@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deepreflecs import forest
+from deepreflecs import container, forest
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
 
 
@@ -207,3 +207,27 @@ class TestForestSerialization:
         np.testing.assert_array_equal(
             fitted.predict_batch(x), restored.predict_batch(x)
         )
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("left", lambda a: np.where(np.arange(a.size) == 0, 0, a)),
+            ("right", lambda a: np.where(a > 0, a.size, a)),
+            ("counts", lambda a: a[:, :-1]),
+            ("counts", lambda a: a.astype(np.float64)),
+            ("feature", lambda a: a.astype(np.float64)),
+            ("threshold", lambda a: a[:-1]),
+        ],
+        ids=["child-points-back", "child-past-end", "counts-shape", "counts-dtype",
+             "feature-dtype", "threshold-shape"],
+    )
+    def test_malformed_tree_is_container_error(self, name, edit):
+        x = np.arange(6, dtype=np.float64)[:, None]
+        fitted = forest.fit_forest(x, np.array([0, 1, 2, 0, 1, 2]), n_trees=1, seed=0)
+        parsed = container.read_container(forest.serialize(fitted), forest.MAGIC)
+        assert parsed.arrays["tree0.feature"][0] >= 0  # the root must be internal
+        arrays = dict(parsed.arrays)
+        arrays[f"tree0.{name}"] = edit(arrays[f"tree0.{name}"])
+        blob = container.write_container(forest.MAGIC, parsed.config, None, list(arrays.items()))
+        with pytest.raises(container.ContainerError, match="tree 0"):
+            forest.deserialize(blob)

@@ -215,6 +215,21 @@ class TestGridCnnSerialization:
         np.testing.assert_array_equal(restored.channel_stds, net.channel_stds)
         assert restored.dropout == net.dropout
 
+    @pytest.mark.parametrize(
+        "config", [{"dropout": 0.5, "n_classes": 4, "bogus": 1}, [0.5, 4]],
+        ids=["unknown-key", "json-list"],
+    )
+    def test_bad_config_is_container_error(self, config):
+        parsed = container.read_container(
+            gridcnn.serialize(gridcnn.build_gridcnn()), gridcnn.MAGIC
+        )
+        blob = container.write_container(
+            gridcnn.MAGIC, config, (parsed.norm_means, parsed.norm_stds),
+            list(parsed.arrays.items()),
+        )
+        with pytest.raises(container.ContainerError):
+            gridcnn.deserialize(blob)
+
     def test_distinct_magic(self):
         from deepreflecs import model as reflectnet
 

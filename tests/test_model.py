@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepreflecs import container, model, nn
 from deepreflecs.preprocess import NormStats, PaddedInput
@@ -177,6 +179,98 @@ class TestTrainStep:
         assert len(report.per_parameter_errors) == model.count_params(net)
 
 
+@st.composite
+def ragged_batches(draw):
+    """1-6 samples of 1-64 reflections each, padded and shuffled among garbage rows.
+
+    Duplicated rows put exact max-pool ties inside a sample and across the
+    edge between consecutive samples.
+    """
+    lengths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs, labels, previous_last = [], [], None
+    for m in lengths:
+        rows = rng.standard_normal((m, 5))
+        if m > 1 and draw(st.booleans()):
+            i, j = rng.choice(m, size=2, replace=False)
+            rows[j] = rows[i]
+        if previous_last is not None and draw(st.booleans()):
+            rows[0] = previous_last
+        previous_last = rows[-1]
+        pad = m + draw(st.integers(0, 8))
+        features = rng.standard_normal((pad, 5)) * 1e3
+        real = np.sort(rng.choice(pad, size=m, replace=False))
+        features[real] = rows
+        mask = np.zeros(pad, dtype=bool)
+        mask[real] = True
+        inputs.append(PaddedInput(features, mask, m))
+        labels.append(draw(st.integers(0, 3)))
+    return inputs, labels
+
+
+class TestRaggedBatch:
+    """The batched pass against the per-sample reference, sample by sample."""
+
+    # float32 sums over all rows of the batch at once; observed error was
+    # below 1e-6 of each tensor's largest gradient, float64 below 2e-15
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+    @given(batch=ragged_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_loss_and_grads_equal_mean_of_single_samples(self, dtype, tol, batch):
+        inputs, labels = batch
+        net = model.build_model(seed=3, dtype=dtype)
+        loss, grads = model.loss_and_grads(net, inputs, labels)
+        singles = [model.loss_and_grads(net, [inp], [y]) for inp, y in zip(inputs, labels)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
+        for name, grad in grads.items():
+            assert grad.dtype == dtype
+            reference = np.mean([g[name].astype(np.float64) for _, g in singles], axis=0)
+            np.testing.assert_allclose(
+                grad, reference, rtol=tol, atol=tol * np.abs(reference).max()
+            )
+
+    @given(batch=ragged_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_batched_probabilities_match_single_forward(self, batch):
+        # not bitwise: BLAS may take another kernel for a one-row product
+        inputs, _ = batch
+        net = model.build_model(seed=4)
+        probs = model.forward_rows(net, *model.pack(inputs, np.float32))
+        single = np.stack([model.forward(net, inp).probabilities for inp in inputs])
+        np.testing.assert_allclose(probs, single, rtol=1e-5)
+
+    def test_gradcheck_mean_loss_of_three_sample_batch(self):
+        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
+        wide = net.astype(np.float64)
+        rng = np.random.default_rng(15)
+        inputs, labels = zip(*(model.random_safe_sample(net, rng) for _ in range(3)))
+        assert len({inp.m_real for inp in inputs}) > 1  # a ragged batch
+        _, analytic = model.loss_and_grads(wide, inputs, labels)
+
+        def mean_loss(_params):
+            probs = model.forward_rows(wide, *model.pack(inputs, np.float64))
+            return nn.mean_cross_entropy(probs, np.array(labels))
+
+        report = nn.finite_diff_gradcheck(mean_loss, wide.params(), analytic)
+        assert report.max_relative_error < 1e-4
+        assert len(report.per_parameter_errors) == model.count_params(net)
+
+    @pytest.mark.parametrize("pad", [4, 0])
+    def test_empty_sample_in_batch_is_an_error(self, pad):
+        rng = np.random.default_rng(16)
+        empty = PaddedInput(np.zeros((pad, 5)), np.zeros(pad, dtype=bool), 0)
+        with pytest.raises(nn.EmptyPoolError):
+            model.loss_and_grads(
+                model.build_model(), [random_input(rng), empty, random_input(rng)], [0, 1, 2]
+            )
+
+    def test_mask_and_features_of_different_length_is_an_error(self):
+        rng = np.random.default_rng(17)
+        bad = PaddedInput(np.zeros((4, 5)), np.ones(3, dtype=bool), 3)
+        with pytest.raises(nn.ShapeError):
+            model.loss_and_grads(model.build_model(), [random_input(rng), bad], [0, 1])
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self):
         net = model.build_model(seed=20)
@@ -217,6 +311,19 @@ class TestSerialization:
         with pytest.raises(container.VersionError) as err:
             model.deserialize(bytes(blob))
         assert "9" in str(err.value) and "1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "config", [{"width1": 16, "bogus": 1}, [16, 32], {"width1": 0}],
+        ids=["unknown-key", "json-list", "invalid-width"],
+    )
+    def test_bad_config_is_container_error(self, config):
+        parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
+        blob = container.write_container(
+            model.MAGIC, config, (parsed.norm_means, parsed.norm_stds),
+            list(parsed.arrays.items()),
+        )
+        with pytest.raises(container.ContainerError):
+            model.deserialize(blob)
 
     def test_save_load_files(self, tmp_path):
         net = model.build_model(seed=22)

@@ -189,6 +189,94 @@ class TestGlobalContextLayer:
         np.testing.assert_array_equal(grad, [[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 
 
+def per_segment_oracle(x, lengths, grad_out):
+    """Independent oracle: pool and first-winner routing one segment at a time."""
+    pooled, grad_x, start = [], np.zeros_like(x), 0
+    for b, m in enumerate(lengths):
+        rows = x[start : start + m]
+        pooled.append(rows.max(axis=0))
+        winners = start + np.argmax(rows, axis=0)  # argmax picks the first maximum
+        grad_x[winners, np.arange(x.shape[1])] = grad_out[b]
+        start += m
+    return np.array(pooled), grad_x
+
+
+@st.composite
+def segmented_rows(draw, n_features=3):
+    """Rows on a coarse integer grid, so ties inside and across segments are common."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n_rows = sum(lengths)
+    x = draw(arrays(np.float64, (n_rows, n_features), elements=st.integers(-2, 2).map(float)))
+    grad = draw(
+        arrays(np.float64, (len(lengths), n_features), elements=st.integers(-3, 3).map(float))
+    )
+    return x, lengths, grad
+
+
+class TestSegments:
+    def test_starts_and_ids(self):
+        seg = nn.Segments.from_lengths([2, 1, 3])
+        np.testing.assert_array_equal(seg.starts, [0, 2, 3])
+        np.testing.assert_array_equal(seg.ids, [0, 0, 1, 2, 2, 2])
+
+    def test_single_matches_from_lengths(self):
+        a, b = nn.Segments.single(4), nn.Segments.from_lengths([4])
+        assert np.array_equal(a.starts, b.starts) and np.array_equal(a.ids, b.ids)
+
+    @pytest.mark.parametrize("lengths", [[2, 0, 1], [0]])
+    def test_empty_segment_is_an_error(self, lengths):
+        with pytest.raises(nn.EmptyPoolError):
+            nn.Segments.from_lengths(lengths)
+
+    def test_no_segments_is_an_error(self):
+        with pytest.raises(nn.ShapeError):
+            nn.Segments.from_lengths([])
+
+    def test_pool_keeps_segments_apart(self):
+        x = np.array([[1.0, 5.0], [3.0, 2.0], [0.0, -1.0]])
+        seg = nn.Segments.from_lengths([2, 1])
+        np.testing.assert_array_equal(nn.segment_max_pool(x, seg), [[3.0, 5.0], [0.0, -1.0]])
+
+    def test_backward_routes_to_first_winner_per_segment(self):
+        # equal rows 1 and 2 sit on either side of the segment edge
+        x = np.array([[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [0.0, 2.0]])
+        seg = nn.Segments.from_lengths([2, 2])
+        grad = nn.segment_max_pool_backward(x, seg, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(
+            grad, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
+        )
+
+    @given(segmented_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_pool_and_backward_match_per_segment_oracle(self, case):
+        x, lengths, grad_out = case
+        seg = nn.Segments.from_lengths(lengths)
+        pooled, grad_x = per_segment_oracle(x, lengths, grad_out)
+        assert np.array_equal(nn.segment_max_pool(x, seg), pooled)
+        assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out), grad_x)
+        assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out, pooled), grad_x)
+
+    @given(segmented_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_context_layer_matches_masked_layer_per_segment(self, case, data):
+        x, lengths, _ = case
+        seg = nn.Segments.from_lengths(lengths)
+        grad_out = data.draw(
+            arrays(np.float64, (x.shape[0], 6), elements=st.integers(-3, 3).map(float))
+        )
+        out = nn.segment_context_layer(x, seg)
+        grad = nn.segment_context_layer_backward(x, seg, grad_out)
+        start = 0
+        for m in lengths:
+            part = slice(start, start + m)
+            every_row = np.ones(m, dtype=bool)
+            assert np.array_equal(out[part], nn.global_context_layer(x[part], every_row))
+            assert np.array_equal(
+                grad[part], nn.global_context_layer_backward(x[part], every_row, grad_out[part])
+            )
+            start += m
+
+
 class TestDense:
     def test_identity(self):
         out = nn.dense(np.array([1.0, 0.0]), linear(np.eye(2), [0.0, 0.0]))
@@ -236,6 +324,21 @@ class TestSoftmax:
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
+    @given(z=arrays(np.float32, 7, elements=st.floats(-100, 100, width=32)))
+    @settings(max_examples=100, deadline=None)
+    def test_vector_result_is_the_plain_formula_bitwise(self, z):
+        wide = z.astype(np.float64)
+        e = np.exp(wide - wide.max())
+        assert np.array_equal(nn.softmax(z), e / e.sum())
+
+    @given(z=arrays(np.float32, (5, 4), elements=st.floats(-100, 100, width=32)))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_independent_bitwise(self, z):
+        batched = nn.softmax(z)
+        for i, row in enumerate(z):
+            assert np.array_equal(batched[i], nn.softmax(row))
+
+
 class TestCrossEntropy:
     def test_confident_correct_is_zero(self):
         assert abs(nn.cross_entropy(np.array([1.0, 0.0, 0.0, 0.0]), 0)) < 1e-9
@@ -250,6 +353,16 @@ class TestCrossEntropy:
         np.testing.assert_allclose(
             nn.softmax_cross_entropy_grad(p, 2), [0.25, 0.25, -0.75, 0.25]
         )
+
+
+    def test_batched_gradient_and_mean_match_rows(self):
+        p = nn.softmax(np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 0.0, -1.0]]))
+        labels = np.array([3, 0])
+        grad = nn.softmax_cross_entropy_grad(p, labels)
+        for i, label in enumerate(labels):
+            assert np.array_equal(grad[i], nn.softmax_cross_entropy_grad(p[i], label))
+        expected = np.mean([nn.cross_entropy(p[i], y) for i, y in enumerate(labels)])
+        assert nn.mean_cross_entropy(p, labels) == pytest.approx(expected, rel=1e-15)
 
 
 class TestOptimizers:

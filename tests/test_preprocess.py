@@ -241,6 +241,12 @@ class TestTrackwiseSplit:
         with pytest.raises(DatasetError, match="cyclist"):
             preprocess.trackwise_split(samples)
 
+    def test_three_tracks_per_class_names_empty_validation_split(self):
+        # 3 tracks round to 2/0/1, which would leave nothing to validate on
+        samples = build_tracked_dataset(3)
+        with pytest.raises(DatasetError, match="validation split is empty"):
+            preprocess.trackwise_split(samples)
+
     def test_ratio_tolerance(self):
         for n in (5, 8, 13, 20):
             samples = build_tracked_dataset(n)
