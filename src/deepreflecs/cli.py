@@ -158,11 +158,12 @@ def cmd_eval(args) -> int:
             preprocess.prepare_input(s, net.config.pad_length, net.norm_stats)
             for s in samples
         ]
-        y_pred = [net.predict(inp).predicted for inp in inputs]
+        y_pred = [dist.predicted for dist in net.predict_batch(inputs)]
         n_classes = net.config.n_classes
     elif magic == gridcnn.MAGIC:
         net = gridcnn.deserialize(blob)
-        y_pred = [net.predict(gridcnn.rasterize(s)).predicted for s in samples]
+        grids = [gridcnn.rasterize(s) for s in samples]
+        y_pred = [dist.predicted for dist in net.predict_batch(grids)]
         n_classes = 4
     elif magic == forest.MAGIC:
         fitted = forest.deserialize(blob)

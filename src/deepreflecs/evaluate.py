@@ -137,7 +137,7 @@ def _eval_deepreflecs(net: reflectnet.ReflectNetModel, samples) -> Tuple[Metrics
         preprocess.prepare_input(s, net.config.pad_length, net.norm_stats)
         for s in samples
     ]
-    predictions = [net.predict(inp).predicted for inp in inputs]
+    predictions = [dist.predicted for dist in net.predict_batch(inputs)]
     metrics = MetricsReport.from_predictions(
         _labels(samples), predictions, net.config.n_classes
     )
@@ -166,7 +166,7 @@ def _train_gridcnn(
 
 def _eval_gridcnn(net: gridcnn.GridCnnModel, samples) -> Tuple[MetricsReport, float]:
     grids = [gridcnn.rasterize(s) for s in samples]
-    predictions = [net.predict(g).predicted for g in grids]
+    predictions = [dist.predicted for dist in net.predict_batch(grids)]
     metrics = MetricsReport.from_predictions(_labels(samples), predictions, 4)
     took = _median_predict_time(net.predict, grids)
     return metrics, took

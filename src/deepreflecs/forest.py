@@ -317,9 +317,35 @@ def _check_tree(t: int, tree: Tree, n_classes: int) -> None:
     raise container.ContainerError(f"tree {t}: {problem}")
 
 
+_CONFIG_KEYS = ("n_classes", "n_trees", "seed", "velocity_resolution", "stationary_threshold")
+
+
+def _check_config(cfg: dict) -> None:
+    """Reject a config deserialize could not read: missing keys, bad counts, short oob."""
+    missing = [key for key in _CONFIG_KEYS if key not in cfg]
+    if missing:
+        raise container.ContainerError(f"forest config lacks keys {missing}")
+    for key in ("n_classes", "n_trees"):
+        value = cfg[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise container.ContainerError(
+                f"forest config '{key}' is {value!r}, expected a positive integer"
+            )
+    oob = cfg.get("oob")
+    if oob is not None and not (
+        isinstance(oob, list)
+        and len(oob) == cfg["n_trees"]
+        and all(isinstance(n, int) for n in oob)
+    ):
+        raise container.ContainerError(
+            f"forest config 'oob' is not a list of {cfg['n_trees']} integer counts"
+        )
+
+
 def deserialize(data: bytes) -> ForestModel:
     parsed = container.read_container(data, MAGIC)
     cfg = parsed.config
+    _check_config(cfg)
     trees: List[Tree] = []
     oob = cfg.get("oob", [0] * cfg["n_trees"])
     for t in range(cfg["n_trees"]):

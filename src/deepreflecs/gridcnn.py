@@ -7,20 +7,24 @@ reflections in the cell (0 where empty). The classifier is three
 same-padded 3x3 convolutions (16, 32, 64 channels, ReLU), one 2x2 max
 pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout on the two
 hidden dense layers during training. 232,628 learnable parameters.
+
+A batch is a stack of normalized grids (B, 11, 11, 2) that forward_grids
+runs through every layer at once; training and batch prediction feed it
+_CHUNK grids at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 from . import nn
-from .model import ClassDistribution
+from .model import ClassDistribution, distributions
 from .preprocess import ObjectSample, to_object_frame
 
 MAGIC = b"GCNN"
@@ -134,6 +138,9 @@ class GridCnnModel:
     def predict(self, grid: Grid):
         return forward(self, grid)
 
+    def predict_batch(self, grids: Sequence[Grid]) -> List[ClassDistribution]:
+        return predict_batch(self, grids)
+
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
 
@@ -178,110 +185,193 @@ def count_params(model: GridCnnModel) -> int:
     )
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(H, W, C) -> (H*W, 9*C) patches of the same-padded input."""
-    h, w, c = x.shape
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    windows = sliding_window_view(padded, (3, 3), axis=(0, 1))  # (H, W, C, 3, 3)
-    return windows.transpose(0, 1, 3, 4, 2).reshape(h * w, 9 * c)
+# Grids per forward/backward pass. It bounds a step's scratch memory: a
+# float32 batch of 64 peaks at 3.8 MB of allocations in chunks of 4, 5.7 MB
+# in chunks of 8 and 31 MB all at once, while larger chunks save under 10%
+# of the step time, since each chunk's patch matrices already fill a GEMM.
+_CHUNK = 4
+
+# 2x2 pool window offsets in first-winner order, the tie rule of an argmax
+# over the flattened window
+_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _col2im(grad_cols: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter patch gradients back onto the input."""
-    g = grad_cols.reshape(h, w, 3, 3, c)
-    padded = np.zeros((h + 2, w + 2, c), dtype=grad_cols.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            padded[ki : ki + h, kj : kj + w] += g[:, :, ki, kj, :]
-    return padded[1 : h + 1, 1 : w + 1]
+def _patches(x: np.ndarray) -> np.ndarray:
+    """(B, H, W, C) -> (B*H*W, 9*C) 3x3 patches of the same-padded input.
+
+    Column (ki*3 + kj)*C + c holds tap (ki, kj) of channel c, matching a
+    (3, 3, C, out) kernel reshaped to (9*C, out).
+    """
+    b, h, w, c = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded[:, 1 : h + 1, 1 : w + 1] = x
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
+    # one copy; at chunk size it is 1.2-1.6x faster than nine slice copies
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
 
 
-def _conv_forward(x: np.ndarray, params: ConvParams) -> Tuple[np.ndarray, np.ndarray]:
-    h, w, cin = x.shape
+def _conv(x: np.ndarray, params: ConvParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Same-padded 3x3 convolution of a grid stack; returns (output, patches)."""
+    b, h, w, cin = x.shape
     cout = params.bias.shape[0]
-    cols = _im2col(x)
+    cols = _patches(x)
     out = cols @ params.weights.reshape(9 * cin, cout) + params.bias
-    return out.reshape(h, w, cout), cols
+    return out.reshape(b, h, w, cout), cols
 
 
-def _conv_backward(
-    cols: np.ndarray, params: ConvParams, grad_out: np.ndarray, in_shape
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h, w, cin = in_shape
+def _conv_grads(
+    cols: np.ndarray, params: ConvParams, grad_out: np.ndarray, need_input_grad: bool = True
+) -> Tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. the input (or None), the kernel and the bias.
+
+    The input gradient is the same-padded convolution of grad_out with the
+    kernel rotated by 180 degrees and its channel axes swapped.
+    """
     cout = params.bias.shape[0]
-    g = grad_out.reshape(h * w, cout)
-    grad_w = (cols.T @ g).reshape(3, 3, cin, cout)
+    g = grad_out.reshape(-1, cout)
+    grad_w = (cols.T @ g).reshape(params.weights.shape)
     grad_b = g.sum(axis=0)
-    grad_cols = g @ params.weights.reshape(9 * cin, cout).T
-    return _col2im(grad_cols, h, w, cin), grad_w, grad_b
+    del cols  # the caller passes its last reference: free it before more patches
+    if not need_input_grad:
+        return None, grad_w, grad_b
+    flipped = params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
+    grad_x = _patches(grad_out) @ flipped
+    return grad_x.reshape(*grad_out.shape[:3], -1), grad_w, grad_b
 
 
-def _pool_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """2x2 max pool, stride 2, floor; 11x11 -> 5x5 (last row/col unused)."""
-    c = x.shape[2]
-    windows = x[:10, :10].reshape(5, 2, 5, 2, c).transpose(0, 2, 4, 1, 3).reshape(5, 5, c, 4)
-    winners = np.argmax(windows, axis=3)  # first winner on ties
-    out = np.take_along_axis(windows, winners[..., None], axis=3)[..., 0]
-    return out, winners
+def _pool_windows(x: np.ndarray):
+    """The four strided (B, 5, 5, C) views of the 2x2 windows, first-winner order."""
+    return [x[:, di:10:2, dj:10:2] for di, dj in _POOL_OFFSETS]
 
 
-def _pool_backward(winners: np.ndarray, grad_out: np.ndarray, in_shape) -> np.ndarray:
-    h, w, c = in_shape
-    grad_windows = np.zeros((5, 5, c, 4), dtype=grad_out.dtype)
-    np.put_along_axis(grad_windows, winners[..., None], grad_out[..., None], axis=3)
-    grad = np.zeros((h, w, c), dtype=grad_out.dtype)
-    grad[:10, :10] = grad_windows.reshape(5, 5, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(10, 10, c)
+def _pool(x: np.ndarray) -> np.ndarray:
+    """2x2 max pool, stride 2, floor; (B, 11, 11, C) -> (B, 5, 5, C), last row/col unused."""
+    a, b, c, d = _pool_windows(x)
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
+
+
+def _pool_grads(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Send each window's gradient to its first winner (ties: see _POOL_OFFSETS)."""
+    grad = np.zeros_like(x)
+    free = np.ones(pooled.shape, dtype=bool)
+    for (di, dj), window in zip(_POOL_OFFSETS, _pool_windows(x)):
+        wins = free & (window == pooled)
+        grad[:, di:10:2, dj:10:2] = np.where(wins, grad_out, 0)
+        free &= ~wins
     return grad
 
 
-def _normalize(model: GridCnnModel, grid: Grid, dtype) -> np.ndarray:
-    x = (grid.cells - model.channel_means) / model.channel_stds
-    return x.astype(dtype, copy=False)
+def _stack(model: GridCnnModel, grids: Sequence[Grid]) -> np.ndarray:
+    """Normalized cells of the grids as one (B, 11, 11, 2) array at model precision."""
+    cells = np.stack([g.cells for g in grids])
+    x = (cells - model.channel_means) / model.channel_stds
+    return x.astype(model.conv1.weights.dtype, copy=False)
 
 
-def _forward_cache(
+def forward_grids(
     model: GridCnnModel,
-    grid: Grid,
+    x: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> dict:
-    dtype = model.conv1.weights.dtype
-    x = _normalize(model, grid, dtype)
-    cache: dict = {"x": x}
-    z1, cache["cols1"] = _conv_forward(x, model.conv1)
+    keep_cache: bool = False,
+):
+    """Class probabilities (B, 4) for a stack of normalized grids x (B, 11, 11, 2).
+
+    In training, dropout draws rng.random((B, 160)): per grid the 128
+    dense1 values, then the 32 dense2 values, as a grid-by-grid loop would.
+    With keep_cache, returns (probabilities, activations) for the backward
+    pass.
+    """
+    if training and rng is None:
+        raise ValueError("training-mode forward needs an rng for dropout")
+    z1, cols1 = _conv(x, model.conv1)
     a1 = nn.relu(z1)
-    z2, cache["cols2"] = _conv_forward(a1, model.conv2)
+    z2, cols2 = _conv(a1, model.conv2)
     a2 = nn.relu(z2)
-    z3, cache["cols3"] = _conv_forward(a2, model.conv3)
+    z3, cols3 = _conv(a2, model.conv3)
     a3 = nn.relu(z3)
-    pooled, cache["winners"] = _pool_forward(a3)
-    flat = pooled.reshape(-1)
-    zd1 = nn.dense(flat, model.dense1)
+    pooled = _pool(a3)
+    flat = pooled.reshape(x.shape[0], FLAT_SIZE)
+    zd1 = nn.rowwise_linear(flat, model.dense1)
     ad1 = nn.relu(zd1)
+    cache: dict = {}
     if training:
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
         keep = 1.0 - model.dropout
-        cache["drop1"] = (rng.random(ad1.shape) < keep).astype(dtype) / keep
+        draws = rng.random((x.shape[0], sum(DENSE_WIDTHS)))
+        masks = (draws < keep).astype(x.dtype) / keep
+        cache["drop1"], cache["drop2"] = np.split(masks, [DENSE_WIDTHS[0]], axis=1)
         ad1 = ad1 * cache["drop1"]
-    zd2 = nn.dense(ad1, model.dense2)
+    zd2 = nn.rowwise_linear(ad1, model.dense2)
     ad2 = nn.relu(zd2)
     if training:
-        keep = 1.0 - model.dropout
-        cache["drop2"] = (rng.random(ad2.shape) < keep).astype(dtype) / keep
         ad2 = ad2 * cache["drop2"]
-    logits = nn.dense(ad2, model.head)
+    probs = nn.softmax(nn.rowwise_linear(ad2, model.head))
+    if not keep_cache:
+        return probs
     cache.update(
-        z1=z1, a1=a1, z2=z2, a2=a2, z3=z3, a3=a3, flat=flat,
-        zd1=zd1, ad1=ad1, zd2=zd2, ad2=ad2, probs=nn.softmax(logits),
+        cols1=cols1, z1=z1, cols2=cols2, z2=z2, cols3=cols3, z3=z3, a3=a3,
+        pooled=pooled, flat=flat, zd1=zd1, ad1=ad1, zd2=zd2, ad2=ad2,
     )
-    return cache
+    return probs, cache
 
 
 def forward(model: GridCnnModel, grid: Grid) -> ClassDistribution:
     """Inference (dropout disabled)."""
-    probs = _forward_cache(model, grid, training=False)["probs"]
+    probs = forward_grids(model, _stack(model, [grid]))[0]
     return ClassDistribution(probabilities=probs, predicted=int(np.argmax(probs)))
+
+
+def predict_batch(model: GridCnnModel, grids: Sequence[Grid]) -> List[ClassDistribution]:
+    """forward for every grid, run a chunk of grids at a time."""
+    if len(grids) == 0:
+        return []
+    probs = np.concatenate([
+        forward_grids(model, _stack(model, grids[start : start + _CHUNK]))
+        for start in range(0, len(grids), _CHUNK)
+    ])
+    return distributions(probs)
+
+
+def _backward(
+    model: GridCnnModel, cache: dict, d_logits: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """Parameter gradients of one chunk, given the logit gradients.
+
+    Takes each activation out of the cache at its last use, so a layer's
+    patch matrix is freed before the next layer's gradients are built.
+    """
+    take = cache.pop
+    grads: Dict[str, np.ndarray] = {}
+    d_ad2, grads["head.weights"], grads["head.bias"] = nn.rowwise_linear_backward(
+        take("ad2"), model.head, d_logits
+    )
+    if "drop2" in cache:
+        d_ad2 = d_ad2 * take("drop2")
+    d_zd2 = nn.relu_backward(take("zd2"), d_ad2)
+    d_ad1, grads["dense2.weights"], grads["dense2.bias"] = nn.rowwise_linear_backward(
+        take("ad1"), model.dense2, d_zd2
+    )
+    if "drop1" in cache:
+        d_ad1 = d_ad1 * take("drop1")
+    d_zd1 = nn.relu_backward(take("zd1"), d_ad1)
+    d_flat, grads["dense1.weights"], grads["dense1.bias"] = nn.rowwise_linear_backward(
+        take("flat"), model.dense1, d_zd1
+    )
+    pooled = take("pooled")
+    d_a3 = _pool_grads(take("a3"), pooled, d_flat.reshape(pooled.shape))
+    d_z3 = nn.relu_backward(take("z3"), d_a3)
+    d_a2, grads["conv3.weights"], grads["conv3.bias"] = _conv_grads(
+        take("cols3"), model.conv3, d_z3
+    )
+    d_z2 = nn.relu_backward(take("z2"), d_a2)
+    d_a1, grads["conv2.weights"], grads["conv2.bias"] = _conv_grads(
+        take("cols2"), model.conv2, d_z2
+    )
+    d_z1 = nn.relu_backward(take("z1"), d_a1)
+    _, grads["conv1.weights"], grads["conv1.bias"] = _conv_grads(
+        take("cols1"), model.conv1, d_z1, need_input_grad=False
+    )
+    return grads
 
 
 def loss_and_grads(
@@ -295,43 +385,23 @@ def loss_and_grads(
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     dtype = model.conv1.weights.dtype
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    total_loss = 0.0
+    labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)
-    for grid, label in zip(batch, labels):
-        cache = _forward_cache(model, grid, training=training, rng=rng)
-        total_loss += nn.cross_entropy(cache["probs"], label)
-        d_logits = (nn.softmax_cross_entropy_grad(cache["probs"], label) * scale).astype(dtype)
-        d_ad2, d_hw, d_hb = nn.dense_backward(cache["ad2"], model.head, d_logits)
-        grads["head.weights"] += d_hw
-        grads["head.bias"] += d_hb
-        if training:
-            d_ad2 = d_ad2 * cache["drop2"]
-        d_zd2 = nn.relu_backward(cache["zd2"], d_ad2)
-        d_ad1, d_w, d_b = nn.dense_backward(cache["ad1"], model.dense2, d_zd2)
-        grads["dense2.weights"] += d_w
-        grads["dense2.bias"] += d_b
-        if training:
-            d_ad1 = d_ad1 * cache["drop1"]
-        d_zd1 = nn.relu_backward(cache["zd1"], d_ad1)
-        d_flat, d_w, d_b = nn.dense_backward(cache["flat"], model.dense1, d_zd1)
-        grads["dense1.weights"] += d_w
-        grads["dense1.bias"] += d_b
-        d_pooled = d_flat.reshape(5, 5, CONV_CHANNELS[-1])
-        d_a3 = _pool_backward(cache["winners"], d_pooled, cache["a3"].shape)
-        d_z3 = nn.relu_backward(cache["z3"], d_a3)
-        d_a2, d_w, d_b = _conv_backward(cache["cols3"], model.conv3, d_z3, cache["a2"].shape)
-        grads["conv3.weights"] += d_w
-        grads["conv3.bias"] += d_b
-        d_z2 = nn.relu_backward(cache["z2"], d_a2)
-        d_a1, d_w, d_b = _conv_backward(cache["cols2"], model.conv2, d_z2, cache["a1"].shape)
-        grads["conv2.weights"] += d_w
-        grads["conv2.bias"] += d_b
-        d_z1 = nn.relu_backward(cache["z1"], d_a1)
-        _, d_w, d_b = _conv_backward(cache["cols1"], model.conv1, d_z1, cache["x"].shape)
-        grads["conv1.weights"] += d_w
-        grads["conv1.bias"] += d_b
-    return total_loss * scale, grads
+    grads: Dict[str, np.ndarray] = {}
+    probs = []
+    for start in range(0, len(batch), _CHUNK):
+        stop = start + _CHUNK
+        p, cache = forward_grids(
+            model, _stack(model, batch[start:stop]), training, rng, keep_cache=True
+        )
+        probs.append(p)
+        d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
+        for name, g in _backward(model, cache, d_logits).items():
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
+    return nn.mean_cross_entropy(np.concatenate(probs), labels), grads
 
 
 def train_step(
@@ -358,14 +428,12 @@ def train_step(
 def kink_margin(model: GridCnnModel, grid: Grid) -> float:
     """Distance of one grid's (dropout-off) forward pass from ReLU/max kinks."""
     wide = model.astype(np.float64)
-    cache = _forward_cache(wide, grid, training=False)
+    _, cache = forward_grids(wide, _stack(wide, [grid]), keep_cache=True)
     margins = [
         np.abs(cache[z]).min() for z in ("z1", "z2", "z3", "zd1", "zd2")
     ]
-    windows = cache["a3"][:10, :10].reshape(5, 2, 5, 2, -1)
-    windows = windows.transpose(0, 2, 4, 1, 3).reshape(5, 5, -1, 4)
-    part = np.partition(windows, 2, axis=3)
-    top1, top2 = part[..., 3], part[..., 2]
+    windows = np.sort(np.stack(_pool_windows(cache["a3"]), axis=-1), axis=-1)
+    top1, top2 = windows[..., 3], windows[..., 2]
     positive = top1 > 0
     if np.any(positive):
         margins.append(float((top1 - top2)[positive].min()))
@@ -374,19 +442,20 @@ def kink_margin(model: GridCnnModel, grid: Grid) -> float:
 
 def gradcheck(
     model: GridCnnModel,
-    grid: Grid,
-    label: int,
+    grids: Sequence[Grid],
+    labels: Sequence[int],
     h: float = 1e-5,
     max_checks_per_tensor: int | None = None,
     seed: int = 0,
 ) -> nn.GradCheckReport:
-    """Central-difference check with dropout disabled, in float64."""
+    """Central-difference check of the mean batch loss, dropout disabled, in float64."""
     wide = model.astype(np.float64)
-    _, analytic = loss_and_grads(wide, [grid], [label], training=False)
+    _, analytic = loss_and_grads(wide, grids, labels, training=False)
+    x = _stack(wide, grids)
+    labels = np.asarray(labels, dtype=np.intp)
 
     def loss_fn(_params):
-        probs = _forward_cache(wide, grid, training=False)["probs"]
-        return nn.cross_entropy(probs, label)
+        return nn.mean_cross_entropy(forward_grids(wide, x), labels)
 
     return nn.finite_diff_gradcheck(
         loss_fn, wide.params(), analytic, h=h,
@@ -420,12 +489,16 @@ def gradcheck_random_sample(
     h: float = 1e-5,
     max_checks_per_tensor: int | None = 64,
 ) -> nn.GradCheckReport:
-    """Seeded model, seeded kink-safe grid, subsampled parameter check."""
+    """Seeded model, seeded batch of 3 kink-safe grids, subsampled parameter check.
+
+    A batch of several grids also checks that the batched backward pass
+    keeps the grids apart.
+    """
     net = build_gridcnn(seed=seed)
     rng = np.random.default_rng([seed, 1])
-    grid, label = random_safe_grid(net, rng)
+    grids, labels = zip(*(random_safe_grid(net, rng) for _ in range(3)))
     return gradcheck(
-        net, grid, label, h=h, max_checks_per_tensor=max_checks_per_tensor, seed=seed
+        net, grids, labels, h=h, max_checks_per_tensor=max_checks_per_tensor, seed=seed
     )
 
 

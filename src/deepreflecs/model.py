@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,14 @@ class ClassDistribution:
 
     probabilities: np.ndarray
     predicted: int
+
+
+def distributions(probs: np.ndarray) -> List[ClassDistribution]:
+    """One ClassDistribution per row of a (B, n_classes) probability matrix."""
+    return [
+        ClassDistribution(probabilities=p, predicted=int(k))
+        for p, k in zip(probs, probs.argmax(axis=1))
+    ]
 
 
 @dataclass
@@ -105,6 +113,9 @@ class ReflectNetModel:
     # convenience delegates so generic training code can stay model-agnostic
     def predict(self, inp: PaddedInput) -> ClassDistribution:
         return forward(self, inp)
+
+    def predict_batch(self, inputs: Sequence[PaddedInput]) -> List[ClassDistribution]:
+        return predict_batch(self, inputs)
 
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
         return train_step(self, batch, labels, lr, opt_state, optimizer=optimizer)
@@ -187,6 +198,15 @@ def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
     """Class probabilities for one padded input."""
     probs = forward_rows(model, *pack([inp], model.conv1.weights.dtype))[0]
     return ClassDistribution(probabilities=probs, predicted=int(np.argmax(probs)))
+
+
+def predict_batch(
+    model: ReflectNetModel, inputs: Sequence[PaddedInput]
+) -> List[ClassDistribution]:
+    """forward for every input, run as one ragged batch."""
+    if len(inputs) == 0:
+        return []
+    return distributions(forward_rows(model, *pack(inputs, model.conv1.weights.dtype)))
 
 
 def loss_and_grads(

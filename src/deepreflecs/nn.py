@@ -355,11 +355,21 @@ def adam_step(
     new_v: Dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # p - lr * m_hat / (sqrt(v_hat) + eps), bit for bit, computed in
+        # place: three scratch arrays per tensor instead of eleven
+        m = beta1 * state.m[name]
+        m += (1.0 - beta1) * g
+        v = (1.0 - beta2) * g
+        v *= g
+        v += beta2 * state.v[name]
+        denom = v / (1.0 - beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / (1.0 - beta1**t)
+        step *= lr
+        step /= denom
+        del denom
+        new_params[name] = np.subtract(p, step, out=step)
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(new_m, new_v, t)

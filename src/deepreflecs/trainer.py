@@ -1,6 +1,6 @@
 """Training loop: geometric LR schedule, class re-sampling, best-epoch pick.
 
-Works with any model exposing copy()/train_step()/predict() (the
+Works with any model exposing copy()/train_step()/predict_batch() (the
 reflection network and the grid CNN both do). The learning rate decays
 geometrically from lr_start to lr_end across epochs, the training set is
 re-balanced by integer duplication factors per class, and the returned
@@ -98,10 +98,8 @@ def resample_indices(
 
 
 def _accuracy(model, inputs, labels: np.ndarray) -> float:
-    correct = sum(
-        1 for inp, label in zip(inputs, labels) if model.predict(inp).predicted == label
-    )
-    return correct / len(labels)
+    predicted = np.array([dist.predicted for dist in model.predict_batch(inputs)])
+    return int(np.count_nonzero(predicted == labels)) / len(labels)
 
 
 def train(

@@ -231,3 +231,24 @@ class TestForestSerialization:
         blob = container.write_container(forest.MAGIC, parsed.config, None, list(arrays.items()))
         with pytest.raises(container.ContainerError, match="tree 0"):
             forest.deserialize(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: {},
+            lambda cfg: {k: v for k, v in cfg.items() if k != "seed"},
+            lambda cfg: {**cfg, "n_trees": "2"},
+            lambda cfg: {**cfg, "n_trees": 1.5},
+            lambda cfg: {**cfg, "oob": cfg["oob"][:1]},
+        ],
+        ids=["empty-config", "missing-seed", "n-trees-string", "n-trees-float", "oob-short"],
+    )
+    def test_bad_config_is_container_error(self, edit):
+        x = np.arange(6, dtype=np.float64)[:, None]
+        fitted = forest.fit_forest(x, np.array([0, 1, 2, 0, 1, 2]), n_trees=2, seed=0)
+        parsed = container.read_container(forest.serialize(fitted), forest.MAGIC)
+        blob = container.write_container(
+            forest.MAGIC, edit(dict(parsed.config)), None, list(parsed.arrays.items())
+        )
+        with pytest.raises(container.ContainerError):
+            forest.deserialize(blob)

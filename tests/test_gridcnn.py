@@ -1,11 +1,12 @@
 """Tests for the grid rasterizer and the 2-D CNN baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from deepreflecs import container, gridcnn, nn
+from deepreflecs import container, datagen, gridcnn, nn
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
 
 
@@ -97,11 +98,12 @@ class TestArchitecture:
 
     def test_same_padding_shape_law(self):
         net = gridcnn.build_gridcnn().astype(np.float64)
-        x = np.random.default_rng(0).normal(size=(11, 11, 2))
-        out, _ = gridcnn._conv_forward(x, net.conv1)
-        assert out.shape == (11, 11, 16)
-        pooled, _ = gridcnn._pool_forward(nn.relu(out))
-        assert pooled.shape == (5, 5, 16)
+        x = np.random.default_rng(0).normal(size=(3, 11, 11, 2))
+        out, cols = gridcnn._conv(x, net.conv1)
+        assert out.shape == (3, 11, 11, 16)
+        assert cols.shape == (3 * 11 * 11, 9 * 2)
+        pooled = gridcnn._pool(nn.relu(out))
+        assert pooled.shape == (3, 5, 5, 16)
 
     def test_build_deterministic(self):
         a = gridcnn.build_gridcnn(seed=3)
@@ -110,28 +112,87 @@ class TestArchitecture:
             assert np.array_equal(p, b.params()[name])
 
 
+def direct_convolution(x, w, b):
+    """Independent oracle: a loop over output positions and taps of one grid."""
+    h, w_, cin = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.zeros((h, w_, w.shape[3]))
+    for i in range(h):
+        for j in range(w_):
+            for o in range(w.shape[3]):
+                acc = 0.0
+                for ki in range(3):
+                    for kj in range(3):
+                        for c in range(cin):
+                            acc += padded[i + ki, j + kj, c] * w[ki, kj, c, o]
+                out[i, j, o] = acc + b[o]
+    return out
+
+
 class TestConvOracle:
     def test_against_direct_convolution(self):
-        # independent oracle: quadruple loop over output positions and taps
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 5, 2))
-        w = rng.normal(size=(3, 3, 2, 4))
-        b = rng.normal(size=4)
-        padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-        expected = np.zeros((5, 5, 4))
+        x = rng.normal(size=(3, 5, 5, 2))
+        params = gridcnn.ConvParams(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
+        out, _ = gridcnn._conv(x, params)
+        for k in range(3):
+            np.testing.assert_allclose(
+                out[k], direct_convolution(x[k], params.weights, params.bias), atol=1e-12
+            )
+
+    def test_input_gradient_is_the_adjoint(self):
+        # with zero bias the convolution is linear, so <conv(x), g> = <x, dL/dx>
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 11, 11, 3))
+        g = rng.normal(size=(2, 11, 11, 5))
+        params = gridcnn.ConvParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
+        out, cols = gridcnn._conv(x, params)
+        grad_x, grad_w, grad_b = gridcnn._conv_grads(cols, params, g)
+        assert grad_x.shape == x.shape
+        assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
+        np.testing.assert_allclose(grad_b, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+        # dL/dw is linear in x as well: <dL/dw, w> = <conv(x), g>
+        assert np.sum(grad_w * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
+        assert gridcnn._conv_grads(cols, params, g, need_input_grad=False)[0] is None
+
+
+def window_argmax_oracle(x):
+    """2x2 pool by an argmax over each flattened window, one window at a time."""
+    b, _, _, c = x.shape
+    pooled = np.zeros((b, 5, 5, c), dtype=x.dtype)
+    winner = np.zeros((b, 5, 5, c, 2), dtype=np.intp)
+    for k in range(b):
         for i in range(5):
             for j in range(5):
-                for o in range(4):
-                    acc = 0.0
-                    for ki in range(3):
-                        for kj in range(3):
-                            for c in range(2):
-                                acc += padded[i + ki, j + kj, c] * w[ki, kj, c, o]
-                    expected[i, j, o] = acc + b[o]
-        h, w_ = x.shape[:2]
-        cols = gridcnn._im2col(x)
-        out = (cols @ w.reshape(18, 4) + b).reshape(h, w_, 4)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+                for ch in range(c):
+                    window = x[k, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, ch].reshape(-1)
+                    first = int(np.argmax(window))  # lowest flat index among ties
+                    pooled[k, i, j, ch] = window[first]
+                    winner[k, i, j, ch] = (2 * i + first // 2, 2 * j + first % 2)
+    return pooled, winner
+
+
+class TestPool:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_winner_on_ties(self, seed):
+        # values in {0, 1, 2} make ties within most windows
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, size=(3, 11, 11, 4)).astype(np.float64)
+        grad_out = rng.normal(size=(3, 5, 5, 4))
+        pooled = gridcnn._pool(x)
+        expected, winner = window_argmax_oracle(x)
+        np.testing.assert_array_equal(pooled, expected)
+        expected_grad = np.zeros_like(x)
+        for k, i, j, ch in np.ndindex(grad_out.shape):
+            r, c = winner[k, i, j, ch]
+            expected_grad[k, r, c, ch] = grad_out[k, i, j, ch]
+        np.testing.assert_array_equal(gridcnn._pool_grads(x, pooled, grad_out), expected_grad)
+
+    def test_last_row_and_column_get_no_gradient(self):
+        x = np.ones((1, 11, 11, 2))
+        grad = gridcnn._pool_grads(x, gridcnn._pool(x), np.ones((1, 5, 5, 2)))
+        assert grad[:, 10].sum() == 0 and grad[:, :, 10].sum() == 0
+        assert grad.sum() == 5 * 5 * 2  # exactly one winner per window
 
 
 class TestForwardAndTraining:
@@ -196,11 +257,91 @@ class TestForwardAndTraining:
             occupancy=np.ones((11, 11), dtype=np.int64),
         )
         wide = net.astype(np.float64)
-        train_a = gridcnn._forward_cache(wide, grid, training=True, rng=np.random.default_rng(1))
-        train_b = gridcnn._forward_cache(wide, grid, training=True, rng=np.random.default_rng(2))
-        assert not np.array_equal(train_a["probs"], train_b["probs"])
+        x = gridcnn._stack(wide, [grid, grid])
+        train_a = gridcnn.forward_grids(wide, x, training=True, rng=np.random.default_rng(1))
+        train_b = gridcnn.forward_grids(wide, x, training=True, rng=np.random.default_rng(2))
+        assert not np.array_equal(train_a, train_b)
+        assert not np.array_equal(train_a[0], train_a[1])  # each grid has its own masks
+        infer = gridcnn.forward_grids(wide, x)
+        np.testing.assert_array_equal(infer[0], infer[1])
+        np.testing.assert_allclose(
+            infer[0], gridcnn.forward(wide, grid).probabilities, rtol=1e-12
+        )
         with pytest.raises(ValueError):
-            gridcnn._forward_cache(wide, grid, training=True, rng=None)
+            gridcnn.forward_grids(wide, x, training=True, rng=None)
+
+
+def random_grids(n, seed):
+    rng = np.random.default_rng(seed)
+    grids = [
+        gridcnn.Grid(
+            cells=rng.normal(size=(11, 11, 2)), occupancy=np.ones((11, 11), dtype=np.int64)
+        )
+        for _ in range(n)
+    ]
+    return grids, rng.integers(0, 4, size=n)
+
+
+class TestBatched:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17])  # 9 and 17 span chunks
+    def test_loss_and_grads_match_mean_of_single_grids(self, n, dtype):
+        net = gridcnn.build_gridcnn(seed=n).astype(dtype)
+        net.dropout = 0.3
+        grids, labels = random_grids(n, seed=100 + n)
+        loss, grads = gridcnn.loss_and_grads(
+            net, grids, labels, rng=np.random.default_rng(n)
+        )
+        # one generator drawn grid by grid gives the same dropout masks
+        rng = np.random.default_rng(n)
+        singles = [gridcnn.loss_and_grads(net, [g], [y], rng=rng) for g, y in zip(grids, labels)]
+        tol = 1e-5 if dtype == np.float32 else 1e-10
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
+        for name, g in grads.items():
+            assert g.dtype == dtype
+            expected = np.mean([s[name] for _, s in singles], axis=0)
+            np.testing.assert_allclose(
+                g, expected, rtol=tol, atol=tol * np.abs(expected).max(), err_msg=name
+            )
+
+    def test_gradcheck_three_grid_batch(self):
+        net = gridcnn.build_gridcnn(seed=2)
+        rng = np.random.default_rng(3)
+        grids, labels = zip(*(gridcnn.random_safe_grid(net, rng) for _ in range(3)))
+        report = gridcnn.gradcheck(net, grids, labels, max_checks_per_tensor=24, seed=1)
+        assert len(report.per_parameter_errors) == 24 * 10 + 16 + 4  # conv1/head bias whole
+        assert report.max_relative_error < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 8, 19])
+    def test_predict_batch_matches_forward(self, n):
+        net = gridcnn.build_gridcnn(seed=9)
+        grids, _ = random_grids(n, seed=n)
+        batched = net.predict_batch(grids)
+        assert len(batched) == n
+        for grid, dist in zip(grids, batched):
+            single = gridcnn.forward(net, grid)
+            assert dist.predicted == single.predicted
+            np.testing.assert_allclose(dist.probabilities, single.probabilities, atol=1e-6)
+
+    def test_predict_batch_of_nothing(self):
+        assert gridcnn.predict_batch(gridcnn.build_gridcnn(), []) == []
+
+    def test_peak_allocation_of_a_batch_64_step(self):
+        # chunks of 4 peak at 3.8 MB, chunks of 8 at 5.7 MB, the whole batch at
+        # once at 31 MB; every MB here raises the process's peak RSS
+        samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))[:64]
+        grids = [gridcnn.rasterize(s) for s in samples]
+        net = gridcnn.build_gridcnn(seed=0)
+        gridcnn.set_channel_stats(net, grids)
+        labels = [s.class_index for s in samples]
+        gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))  # warm
+        tracemalloc.start()
+        try:
+            gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestGridCnnSerialization:

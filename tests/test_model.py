@@ -239,6 +239,23 @@ class TestRaggedBatch:
         single = np.stack([model.forward(net, inp).probabilities for inp in inputs])
         np.testing.assert_allclose(probs, single, rtol=1e-5)
 
+    @given(batch=ragged_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_predict_batch_matches_predict(self, batch):
+        inputs, _ = batch
+        net = model.build_model(seed=5)
+        batched = net.predict_batch(inputs)
+        assert len(batched) == len(inputs)
+        for inp, dist in zip(inputs, batched):
+            single = net.predict(inp)
+            np.testing.assert_allclose(dist.probabilities, single.probabilities, atol=1e-6)
+            assert dist.predicted == int(np.argmax(dist.probabilities))
+            if np.sort(single.probabilities)[-2] < single.probabilities.max() - 1e-5:
+                assert dist.predicted == single.predicted  # no near-tie to flip
+
+    def test_predict_batch_of_nothing(self):
+        assert model.build_model().predict_batch([]) == []
+
     def test_gradcheck_mean_loss_of_three_sample_batch(self):
         net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
         wide = net.astype(np.float64)
