@@ -11,11 +11,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Dict, List
+from typing import List
 
-import numpy as np
-
-from . import container, datagen, evaluate, forest, gridcnn
+from . import datagen, evaluate, gridcnn
 from . import model as reflectnet
 from . import preprocess, trainer
 
@@ -90,57 +88,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, model_overrides = _load_config(args.config)
+    config, model_config = _load_config(args.config)
+    method = evaluate.BY_NAME[args.method]
+    method.check_model_config(model_config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     seed = config.seed
     samples = preprocess.read_dataset(args.data)
     splits = preprocess.trackwise_split(samples, seed=seed)
-    summary: Dict[str, object] = {"method": args.method, "out": args.out, "seed": seed}
-
-    if args.method == "deepreflecs":
-        net_config = reflectnet.ReflectNetConfig(**model_overrides)
-        stats = preprocess.compute_norm_stats(splits[0])
-        net = reflectnet.build_model(net_config, seed=seed)
-        net.norm_stats = stats
-        inputs = lambda ss: [
-            preprocess.prepare_input(s, net_config.pad_length, stats) for s in ss
-        ]
-        labels = lambda ss: np.array([s.class_index for s in ss])
-        best, report = trainer.train(
-            net,
-            inputs(splits[0]), labels(splits[0]),
-            [s.class_label for s in splits[0]],
-            inputs(splits[1]), labels(splits[1]),
-            config,
-        )
-        reflectnet.save_model(best, args.out)
-        summary["param_count"] = reflectnet.count_params(best)
+    trained, report = method.train(splits, seed, config, model_config)
+    with open(args.out, "wb") as fh:
+        fh.write(method.serialize(trained))
+    summary = {"method": args.method, "out": args.out, "seed": seed}
+    summary.update(method.complexity(trained))
+    if report is not None:
         summary["train_report"] = report.to_json_dict()
-    elif args.method == "gridcnn":
-        net = gridcnn.build_gridcnn(seed=seed)
-        train_grids = [gridcnn.rasterize(s) for s in splits[0]]
-        gridcnn.set_channel_stats(net, train_grids)
-        labels = lambda ss: np.array([s.class_index for s in ss])
-        best, report = trainer.train(
-            net,
-            train_grids, labels(splits[0]),
-            [s.class_label for s in splits[0]],
-            [gridcnn.rasterize(s) for s in splits[1]], labels(splits[1]),
-            config,
-        )
-        gridcnn.save_model(best, args.out)
-        summary["param_count"] = gridcnn.count_params(best)
-        summary["train_report"] = report.to_json_dict()
-    elif args.method == "forest":
-        features = forest.extract_features(splits[0])
-        labels = np.array([s.class_index for s in splits[0]])
-        fitted = forest.fit_forest(features, labels, seed=seed)
-        forest.save_forest(fitted, args.out)
-        summary["node_count"] = forest.count_nodes(fitted)
-    else:
-        raise ValueError(f"unknown method '{args.method}'")
-
     _write_json(summary, None)
     return 0
 
@@ -148,32 +110,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.model, "rb") as fh:
         blob = fh.read()
-    magic = container.peek_magic(blob)
+    method = evaluate.method_for(blob)
     samples = preprocess.read_dataset(args.data)
-    y_true = [s.class_index for s in samples]
-
-    if magic == reflectnet.MAGIC:
-        net = reflectnet.deserialize(blob)
-        inputs = [
-            preprocess.prepare_input(s, net.config.pad_length, net.norm_stats)
-            for s in samples
-        ]
-        y_pred = [dist.predicted for dist in net.predict_batch(inputs)]
-        n_classes = net.config.n_classes
-    elif magic == gridcnn.MAGIC:
-        net = gridcnn.deserialize(blob)
-        grids = [gridcnn.rasterize(s) for s in samples]
-        y_pred = [dist.predicted for dist in net.predict_batch(grids)]
-        n_classes = 4
-    elif magic == forest.MAGIC:
-        fitted = forest.deserialize(blob)
-        features = forest.extract_features(samples, fitted.feature_config)
-        y_pred = list(fitted.predict_batch(features))
-        n_classes = fitted.n_classes
-    else:
-        raise container.MagicError(f"unrecognized model magic {magic!r}")
-
-    metrics = evaluate.MetricsReport.from_predictions(y_true, y_pred, n_classes)
+    metrics, _ = evaluate.evaluate_model(method, method.deserialize(blob), samples)
     _write_json(metrics.to_json_dict(), args.json)
     return 0
 
@@ -231,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one method on a dataset")
-    p.add_argument("--method", required=True, choices=["deepreflecs", "gridcnn", "forest"])
+    p.add_argument("--method", required=True, choices=list(evaluate.BY_NAME))
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON with optional 'train'/'model' sections")
     p.add_argument("--out", required=True)

@@ -22,10 +22,11 @@ handed back.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -121,21 +122,32 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Advance past n bytes; returns the offset they start at."""
         if n < 0 or self.pos + n > len(self.data):
             raise TruncationError(
                 f"file ends at byte {len(self.data)} but {n} more bytes were "
                 f"declared at offset {self.pos}"
             )
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.data[start : self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
+
+    def array(self, dtype: np.dtype, shape: Tuple[int, ...]) -> np.ndarray:
+        """The next array of this dtype and shape, copied out of the file once."""
+        count = math.prod(shape)
+        start = self.skip(count * dtype.itemsize)
+        little = np.frombuffer(self.data, dtype.newbyteorder("<"), count, start)
+        return little.reshape(shape).astype(dtype)
 
 
 def read_container(data: bytes, expected_magic: bytes) -> Container:
@@ -164,8 +176,8 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
         )
 
     n_stats = reader.u32()
-    norm_means = np.frombuffer(reader.take(8 * n_stats), dtype="<f8").copy()
-    norm_stds = np.frombuffer(reader.take(8 * n_stats), dtype="<f8").copy()
+    norm_means = reader.array(np.dtype(np.float64), (n_stats,))
+    norm_stds = reader.array(np.dtype(np.float64), (n_stats,))
 
     arrays: Dict[str, np.ndarray] = {}
     n_arrays = reader.u32()
@@ -183,18 +195,14 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
         if ndim > 8:
             raise ContainerError(f"implausible rank {ndim} for array '{name}'")
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw = reader.take(count * dtype.itemsize)
-        arrays[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(
-            shape
-        ).astype(dtype)
+        arrays[name] = reader.array(dtype, shape)
 
     stored_crc = reader.u32()
     if reader.pos != len(data):
         raise ContainerError(
             f"{len(data) - reader.pos} trailing bytes after the checksum"
         )
-    actual_crc = zlib.crc32(data[: reader.pos - 4])
+    actual_crc = zlib.crc32(memoryview(data)[: reader.pos - 4])
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"stored checksum {stored_crc:#010x} != computed {actual_crc:#010x}"
@@ -207,6 +215,49 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
         norm_stds=norm_stds,
         arrays=arrays,
     )
+
+
+# an expected array block: (shape, dtype kind), kind "f" float or "i" integer
+ArraySpec = Tuple[Tuple[int, ...], str]
+
+
+def check_contents(
+    parsed: Container,
+    expected: Dict[str, ArraySpec],
+    n_stats: int,
+    label: Callable[[str], str] = lambda name: f"array '{name}'",
+) -> None:
+    """Reject a parsed file whose blocks do not fit the model its config declares.
+
+    The file must hold exactly the expected arrays, each with its shape,
+    dtype kind and only finite values, plus a norm-stats block of n_stats
+    finite means and positive, finite stds. label(name) names an array in
+    the error message.
+    """
+    means, stds = parsed.norm_means, parsed.norm_stds
+    if means.size != n_stats:
+        raise ContainerError(f"norm-stats block has {means.size} entries, expected {n_stats}")
+    if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds > 0).all()):
+        raise ContainerError(
+            "norm-stats block holds a mean that is not finite or a std that is "
+            "not positive and finite"
+        )
+    unexpected = sorted(set(parsed.arrays) - set(expected))
+    if unexpected:
+        raise ContainerError(f"unexpected array blocks {unexpected[:3]}")
+    for name, (shape, kind) in expected.items():
+        array = parsed.arrays.get(name)
+        if array is None:
+            problem = "is missing"
+        elif array.shape != shape:
+            problem = f"has shape {array.shape}, expected {shape}"
+        elif array.dtype.kind != kind:
+            problem = f"has dtype {array.dtype}, expected dtype kind '{kind}'"
+        elif kind == "f" and not np.isfinite(array).all():
+            problem = "holds a value that is not finite"
+        else:
+            continue
+        raise ContainerError(f"{label(name)} {problem}")
 
 
 def peek_magic(data: bytes) -> bytes:

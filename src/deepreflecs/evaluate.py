@@ -1,4 +1,4 @@
-"""Metrics, the three-method benchmark, and the context-layer ablation.
+"""Metrics, the method table, the three-method benchmark, and the ablation.
 
 Per-class accuracy is class recall: of all test samples whose true class
 is c, the fraction predicted as c. Everything downstream of (dataset
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from . import forest, gridcnn, model as reflectnet, preprocess, trainer
-
-METHODS = ("deepreflecs", "craftedforest", "gridcnn")
+from . import container, forest, gridcnn, model as reflectnet, preprocess, trainer
 
 
 @dataclass
@@ -106,86 +104,128 @@ class MethodResult:
     extra: dict = field(default_factory=dict)
 
 
-def _train_deepreflecs(
-    splits, seed: int, config: trainer.TrainConfig, use_gcl: bool = True
-) -> Tuple[reflectnet.ReflectNetModel, dict]:
-    train_samples, val_samples, _ = splits
-    stats = preprocess.compute_norm_stats(train_samples)
-    net_config = reflectnet.ReflectNetConfig(use_gcl=use_gcl)
-    net = reflectnet.build_model(net_config, seed=seed)
-    net.norm_stats = stats
+class ConfigError(ValueError):
+    """A 'model' config section that the chosen method does not accept."""
 
-    def inputs(samples):
-        return [
-            preprocess.prepare_input(s, net_config.pad_length, stats) for s in samples
-        ]
 
-    best, report = trainer.train(
-        net,
-        inputs(train_samples),
-        _labels(train_samples),
-        [s.class_label for s in train_samples],
-        inputs(val_samples),
-        _labels(val_samples),
-        replace(config, seed=seed),
+@dataclass(frozen=True)
+class Method:
+    """One classification method, as both the CLI and the benchmark run it."""
+
+    name: str                    # `deepreflecs train --method` name
+    key: str                     # key in benchmark reports
+    magic: bytes                 # model file magic
+    model_keys: Tuple[str, ...]  # the 'model' config keys it accepts
+    # (splits, seed, train config, model config) -> (model, TrainReport or None)
+    train: Callable
+    featurize: Callable          # (model, samples) -> inputs for predict_batch
+    predict_batch: Callable      # (model, inputs) -> predicted class indices
+    n_classes: Callable          # model -> class count
+    complexity: Callable         # model -> {"param_count" or "node_count": n}
+    serialize: Callable
+    deserialize: Callable
+
+    def check_model_config(self, model_config: dict) -> None:
+        unknown = sorted(set(model_config) - set(self.model_keys))
+        if unknown:
+            raise ConfigError(
+                f"method '{self.name}' does not take 'model' config keys {unknown} "
+                f"(it takes {list(self.model_keys) or 'none'})"
+            )
+
+
+def _fit_network(net, train_inputs, splits, seed, config, featurize):
+    train, val, _ = splits
+    return trainer.train(
+        net, train_inputs, _labels(train), [s.class_label for s in train],
+        featurize(net, val), _labels(val), replace(config, seed=seed),
     )
-    return best, {"best_epoch": report.best_epoch}
 
 
-def _eval_deepreflecs(net: reflectnet.ReflectNetModel, samples) -> Tuple[MetricsReport, float]:
-    inputs = [
-        preprocess.prepare_input(s, net.config.pad_length, net.norm_stats)
-        for s in samples
-    ]
-    predictions = [dist.predicted for dist in net.predict_batch(inputs)]
-    metrics = MetricsReport.from_predictions(
-        _labels(samples), predictions, net.config.n_classes
-    )
-    took = _median_predict_time(net.predict, inputs)
-    return metrics, took
+def _prepare_inputs(net, samples) -> list:
+    return [preprocess.prepare_input(s, net.config.pad_length, net.norm_stats) for s in samples]
 
 
-def _train_gridcnn(
-    splits, seed: int, config: trainer.TrainConfig
-) -> Tuple[gridcnn.GridCnnModel, dict]:
-    train_samples, val_samples, _ = splits
+def _reflectnet_trained(splits, seed, config, model_config):
+    net = reflectnet.build_model(reflectnet.ReflectNetConfig(**model_config), seed=seed)
+    net.norm_stats = preprocess.compute_norm_stats(splits[0])
+    inputs = _prepare_inputs(net, splits[0])
+    return _fit_network(net, inputs, splits, seed, config, _prepare_inputs)
+
+
+def _rasterize(net, samples) -> list:
+    return [gridcnn.rasterize(s) for s in samples]
+
+
+def _gridcnn_trained(splits, seed, config, model_config):
     net = gridcnn.build_gridcnn(seed=seed)
-    train_grids = [gridcnn.rasterize(s) for s in train_samples]
-    gridcnn.set_channel_stats(net, train_grids)
-    best, report = trainer.train(
-        net,
-        train_grids,
-        _labels(train_samples),
-        [s.class_label for s in train_samples],
-        [gridcnn.rasterize(s) for s in val_samples],
-        _labels(val_samples),
-        replace(config, seed=seed),
-    )
-    return best, {"best_epoch": report.best_epoch}
+    grids = _rasterize(net, splits[0])
+    gridcnn.set_channel_stats(net, grids)
+    return _fit_network(net, grids, splits, seed, config, _rasterize)
 
 
-def _eval_gridcnn(net: gridcnn.GridCnnModel, samples) -> Tuple[MetricsReport, float]:
-    grids = [gridcnn.rasterize(s) for s in samples]
-    predictions = [dist.predicted for dist in net.predict_batch(grids)]
-    metrics = MetricsReport.from_predictions(_labels(samples), predictions, 4)
-    took = _median_predict_time(net.predict, grids)
-    return metrics, took
+def _forest_trained(splits, seed, config, model_config):
+    features = forest.extract_features(splits[0])
+    return forest.fit_forest(features, _labels(splits[0]), seed=seed), None
 
 
-def _train_forest(splits, seed: int) -> forest.ForestModel:
-    train_samples, _, _ = splits
-    features = forest.extract_features(train_samples)
-    return forest.fit_forest(features, _labels(train_samples), seed=seed)
+def _predicted(net, inputs) -> list:
+    return [dist.predicted for dist in net.predict_batch(inputs)]
 
 
-def _eval_forest(fitted: forest.ForestModel, samples) -> Tuple[MetricsReport, float]:
-    features = forest.extract_features(samples, fitted.feature_config)
-    predictions = fitted.predict_batch(features)
-    metrics = MetricsReport.from_predictions(
-        _labels(samples), predictions, fitted.n_classes
-    )
-    took = _median_predict_time(fitted.predict, list(features))
-    return metrics, took
+TABLE = (  # in benchmark report order
+    Method(
+        name="deepreflecs", key="deepreflecs", magic=reflectnet.MAGIC,
+        model_keys=tuple(f.name for f in fields(reflectnet.ReflectNetConfig)),
+        train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
+        n_classes=lambda net: net.config.n_classes,
+        complexity=lambda net: {"param_count": reflectnet.count_params(net)},
+        serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
+    ),
+    Method(
+        name="forest", key="craftedforest", magic=forest.MAGIC, model_keys=(),
+        train=_forest_trained,
+        featurize=lambda fitted, samples: forest.extract_features(samples, fitted.feature_config),
+        predict_batch=lambda fitted, features: fitted.predict_batch(features),
+        n_classes=lambda fitted: fitted.n_classes,
+        complexity=lambda fitted: {"node_count": forest.count_nodes(fitted)},
+        serialize=forest.serialize, deserialize=forest.deserialize,
+    ),
+    Method(
+        name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_keys=(),
+        train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
+        n_classes=lambda net: gridcnn.N_CLASSES,
+        complexity=lambda net: {"param_count": gridcnn.count_params(net)},
+        serialize=gridcnn.serialize, deserialize=gridcnn.deserialize,
+    ),
+)
+METHODS = tuple(method.key for method in TABLE)
+BY_NAME = {method.name: method for method in TABLE}
+
+
+def method_for(blob: bytes) -> Method:
+    """The method whose model file this is, by its magic."""
+    magic = container.peek_magic(blob)
+    for method in TABLE:
+        if method.magic == magic:
+            return method
+    raise container.MagicError(f"unrecognized model magic {magic!r}")
+
+
+def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Sequence]:
+    """Metrics of a model on samples, plus the featurized inputs it predicted."""
+    inputs = method.featurize(model, samples)
+    predictions = method.predict_batch(model, inputs)
+    n_classes = method.n_classes(model)
+    return MetricsReport.from_predictions(_labels(samples), predictions, n_classes), inputs
+
+
+def _train_and_test(method: Method, splits, seed, config, model_config) -> MethodResult:
+    model, report = method.train(splits, seed, config, model_config)
+    metrics, inputs = evaluate_model(method, model, splits[2])
+    extra = {} if report is None else {"best_epoch": report.best_epoch}
+    took = _median_predict_time(model.predict, inputs)
+    return MethodResult(metrics, method.complexity(model), took, extra)
 
 
 @dataclass
@@ -230,33 +270,16 @@ def run_benchmark(
     config = config or trainer.TrainConfig()
     samples = preprocess.read_dataset(data_path)
     splits = preprocess.trackwise_split(samples, seed=seed)
-    test_samples = splits[2]
-
-    results: Dict[str, MethodResult] = {}
-    if "deepreflecs" in methods:
-        net, extra = _train_deepreflecs(splits, seed, config)
-        metrics, took = _eval_deepreflecs(net, test_samples)
-        results["deepreflecs"] = MethodResult(
-            metrics, {"param_count": reflectnet.count_params(net)}, took, extra
-        )
-    if "craftedforest" in methods:
-        fitted = _train_forest(splits, seed)
-        metrics, took = _eval_forest(fitted, test_samples)
-        results["craftedforest"] = MethodResult(
-            metrics, {"node_count": forest.count_nodes(fitted)}, took
-        )
-    if "gridcnn" in methods:
-        net, extra = _train_gridcnn(splits, seed, config)
-        metrics, took = _eval_gridcnn(net, test_samples)
-        results["gridcnn"] = MethodResult(
-            metrics, {"param_count": gridcnn.count_params(net)}, took, extra
-        )
-
+    results = {
+        method.key: _train_and_test(method, splits, seed, config, {})
+        for method in TABLE
+        if method.key in methods
+    }
     return BenchmarkReport(
         seed=seed,
         dataset_sha256=_dataset_sha256(data_path),
         split_sizes={
-            "train": len(splits[0]), "val": len(splits[1]), "test": len(test_samples)
+            "train": len(splits[0]), "val": len(splits[1]), "test": len(splits[2])
         },
         results=results,
     )
@@ -304,15 +327,12 @@ def run_ablation(
     config = config or trainer.TrainConfig()
     samples = preprocess.read_dataset(data_path)
     splits = preprocess.trackwise_split(samples, seed=seed)
-    test_samples = splits[2]
-
-    variants = {}
-    for use_gcl in (True, False):
-        net, extra = _train_deepreflecs(splits, seed, config, use_gcl=use_gcl)
-        metrics, took = _eval_deepreflecs(net, test_samples)
-        variants[use_gcl] = MethodResult(
-            metrics, {"param_count": reflectnet.count_params(net)}, took, extra
+    variants = {
+        use_gcl: _train_and_test(
+            BY_NAME["deepreflecs"], splits, seed, config, {"use_gcl": use_gcl}
         )
+        for use_gcl in (True, False)
+    }
     return AblationReport(
         seed=seed,
         dataset_sha256=_dataset_sha256(data_path),

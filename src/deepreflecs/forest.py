@@ -16,6 +16,7 @@ the lowest class index.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -292,76 +293,95 @@ def serialize(forest: ForestModel) -> bytes:
     return container.write_container(MAGIC, config, None, arrays)
 
 
-def _check_tree(t: int, tree: Tree, n_classes: int) -> None:
-    """Reject node arrays that Tree.predict_one could not walk to a leaf.
-
-    _grow_tree numbers both children after their parent, so requiring that
-    of every internal node rules out cycles: each walk ends at a leaf.
-    """
-    n = tree.feature.size
-    index_arrays = (tree.feature, tree.left, tree.right)
-    if (
-        n == 0
-        or any(a.shape != (n,) for a in (*index_arrays, tree.threshold))
-        or tree.counts.shape != (n, n_classes)
-    ):
-        problem = "node arrays do not share one node count"
-    elif not all(np.issubdtype(a.dtype, np.integer) for a in (*index_arrays, tree.counts)):
-        problem = "feature, child or count array is not integer"
-    else:
-        internal = np.flatnonzero(tree.feature >= 0)
-        left, right = tree.left[internal], tree.right[internal]
-        if ((left > internal) & (right > internal) & (left < n) & (right < n)).all():
-            return
-        problem = "a child pointer does not lead to a later node"
-    raise container.ContainerError(f"tree {t}: {problem}")
-
-
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")  # Tree field order
 _CONFIG_KEYS = ("n_classes", "n_trees", "seed", "velocity_resolution", "stationary_threshold")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_config(cfg: dict) -> None:
-    """Reject a config deserialize could not read: missing keys, bad counts, short oob."""
+    """Reject a config deserialize could not read: missing keys, bad counts,
+    sensor constants that are not finite numbers, or a bad oob list."""
     missing = [key for key in _CONFIG_KEYS if key not in cfg]
     if missing:
         raise container.ContainerError(f"forest config lacks keys {missing}")
     for key in ("n_classes", "n_trees"):
-        value = cfg[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(cfg[key]) or cfg[key] < 1:
             raise container.ContainerError(
-                f"forest config '{key}' is {value!r}, expected a positive integer"
+                f"forest config '{key}' is {cfg[key]!r}, expected a positive integer"
             )
-    oob = cfg.get("oob")
-    if oob is not None and not (
-        isinstance(oob, list)
-        and len(oob) == cfg["n_trees"]
-        and all(isinstance(n, int) for n in oob)
+    for key in ("velocity_resolution", "stationary_threshold"):
+        value = cfg[key]
+        number = _is_int(value) or isinstance(value, float)
+        # false for NaN, infinities and JSON integers too large for a float
+        if not (number and abs(value) <= sys.float_info.max):
+            raise container.ContainerError(
+                f"forest config '{key}' is {value!r}, expected a finite number"
+            )
+    oob = cfg.get("oob", [])
+    if "oob" in cfg and not (
+        isinstance(oob, list) and len(oob) == cfg["n_trees"] and all(map(_is_int, oob))
     ):
         raise container.ContainerError(
             f"forest config 'oob' is not a list of {cfg['n_trees']} integer counts"
         )
 
 
+def _check_nodes(trees: List[Tree]) -> None:
+    """Reject node arrays that Tree.predict_one could not walk to a leaf.
+
+    One vectorized pass over the nodes of all trees. _grow_tree numbers both
+    children after their parent, so requiring that of every internal node
+    rules out cycles: each walk ends at a leaf. Every split must also read
+    one of the N_HANDCRAFTED features.
+    """
+    sizes = np.array([tree.n_nodes() for tree in trees])
+    if (sizes == 0).any():
+        raise container.ContainerError(f"tree {np.argmin(sizes)}: the tree has no nodes")
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    ends = sizes[tree_of]
+    node = np.arange(tree_of.size) - (np.cumsum(sizes) - sizes)[tree_of]
+    feature, left, right = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "left", "right")
+    )
+    internal = feature >= 0
+    later = (left > node) & (right > node) & (left < ends) & (right < ends)
+    for bad, problem in (
+        (feature >= N_HANDCRAFTED, f"a split reads a feature index >= {N_HANDCRAFTED}"),
+        (internal & ~later, "a child pointer does not lead to a later node"),
+    ):
+        if bad.any():
+            raise container.ContainerError(f"tree {tree_of[np.argmax(bad)]}: {problem}")
+
+
 def deserialize(data: bytes) -> ForestModel:
     parsed = container.read_container(data, MAGIC)
     cfg = parsed.config
     _check_config(cfg)
-    trees: List[Tree] = []
-    oob = cfg.get("oob", [0] * cfg["n_trees"])
-    for t in range(cfg["n_trees"]):
-        try:
-            tree = Tree(
-                feature=parsed.arrays[f"tree{t}.feature"],
-                threshold=parsed.arrays[f"tree{t}.threshold"],
-                left=parsed.arrays[f"tree{t}.left"],
-                right=parsed.arrays[f"tree{t}.right"],
-                counts=parsed.arrays[f"tree{t}.counts"],
-                n_oob=int(oob[t]),
-            )
-        except KeyError as exc:
-            raise container.ContainerError(f"missing tree block {exc}") from exc
-        _check_tree(t, tree, cfg["n_classes"])
-        trees.append(tree)
+    n_trees, arrays = cfg["n_trees"], parsed.arrays
+    if len(arrays) != len(_TREE_ARRAYS) * n_trees:
+        raise container.ContainerError(
+            f"file holds {len(arrays)} arrays, expected {len(_TREE_ARRAYS)} "
+            f"for each of {n_trees} trees"
+        )
+    expected = {}
+    for t in range(n_trees):
+        n = np.size(arrays.get(f"tree{t}.feature", []))
+        specs = zip([(n,)] * 4 + [(n, cfg["n_classes"])], "ifiii")
+        expected.update({f"tree{t}.{name}": spec for name, spec in zip(_TREE_ARRAYS, specs)})
+    container.check_contents(
+        parsed, expected, n_stats=0,
+        label=lambda name: f"tree {name[4 : name.index('.')]}: array '{name}'",
+    )
+    oob = cfg.get("oob", [0] * n_trees)
+    trees = [
+        Tree(*(arrays[f"tree{t}.{name}"] for name in _TREE_ARRAYS), n_oob=oob[t])
+        for t in range(n_trees)
+    ]
+    _check_nodes(trees)
     return ForestModel(
         trees=trees,
         feature_config=FeatureConfig(
@@ -371,13 +391,3 @@ def deserialize(data: bytes) -> ForestModel:
         n_classes=cfg["n_classes"],
         seed=cfg["seed"],
     )
-
-
-def save_forest(forest: ForestModel, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(forest))
-
-
-def load_forest(path: str) -> ForestModel:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())

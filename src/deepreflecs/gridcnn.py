@@ -35,7 +35,17 @@ CELL_SIZE = GRID_EXTENT / GRID_CELLS
 CONV_CHANNELS = (16, 32, 64)
 DENSE_WIDTHS = (128, 32)
 FLAT_SIZE = 5 * 5 * CONV_CHANNELS[-1]  # 11 same-padded -> 2x2 pool (floor) -> 5x5
+N_CLASSES = 4
 
+# weight shape of each layer, in initialization order; conv kernels are 3x3
+_WEIGHT_SHAPES = {
+    "conv1": (3, 3, 2, CONV_CHANNELS[0]),
+    "conv2": (3, 3, *CONV_CHANNELS[0:2]),
+    "conv3": (3, 3, *CONV_CHANNELS[1:3]),
+    "dense1": (FLAT_SIZE, DENSE_WIDTHS[0]),
+    "dense2": DENSE_WIDTHS,
+    "head": (DENSE_WIDTHS[1], N_CLASSES),
+}
 
 @dataclass
 class Grid:
@@ -101,21 +111,13 @@ class GridCnnModel:
 
     def params(self) -> Dict[str, np.ndarray]:
         return {
-            "conv1.weights": self.conv1.weights, "conv1.bias": self.conv1.bias,
-            "conv2.weights": self.conv2.weights, "conv2.bias": self.conv2.bias,
-            "conv3.weights": self.conv3.weights, "conv3.bias": self.conv3.bias,
-            "dense1.weights": self.dense1.weights, "dense1.bias": self.dense1.bias,
-            "dense2.weights": self.dense2.weights, "dense2.bias": self.dense2.bias,
-            "head.weights": self.head.weights, "head.bias": self.head.bias,
+            f"{layer}.{part}": getattr(getattr(self, layer), part)
+            for layer in _WEIGHT_SHAPES for part in ("weights", "bias")
         }
 
     def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        self.conv1 = ConvParams(params["conv1.weights"], params["conv1.bias"])
-        self.conv2 = ConvParams(params["conv2.weights"], params["conv2.bias"])
-        self.conv3 = ConvParams(params["conv3.weights"], params["conv3.bias"])
-        self.dense1 = nn.LinearParams(params["dense1.weights"], params["dense1.bias"])
-        self.dense2 = nn.LinearParams(params["dense2.weights"], params["dense2.bias"])
-        self.head = nn.LinearParams(params["head.weights"], params["head.bias"])
+        for layer, layer_params in _layers(params).items():
+            setattr(self, layer, layer_params)
 
     def copy(self) -> "GridCnnModel":
         return GridCnnModel(
@@ -145,44 +147,31 @@ class GridCnnModel:
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
 
 
+def _layers(params: Dict[str, np.ndarray]) -> dict:
+    """Each layer's parameters from its '<layer>.weights' and '<layer>.bias' arrays."""
+    return {
+        layer: (ConvParams if len(shape) == 4 else nn.LinearParams)(
+            params[f"{layer}.weights"], params[f"{layer}.bias"]
+        )
+        for layer, shape in _WEIGHT_SHAPES.items()
+    }
+
+
 def build_gridcnn(seed: int = 0, dropout: float = 0.5, dtype=np.float32) -> GridCnnModel:
     rng = np.random.default_rng(seed)
-
-    def conv(cin: int, cout: int) -> ConvParams:
-        fan_in, fan_out = 9 * cin, 9 * cout
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return ConvParams(
-            rng.uniform(-limit, limit, size=(3, 3, cin, cout)).astype(dtype),
-            np.zeros(cout, dtype=dtype),
-        )
-
-    def dense(cin: int, cout: int) -> nn.LinearParams:
-        limit = math.sqrt(6.0 / (cin + cout))
-        return nn.LinearParams(
-            rng.uniform(-limit, limit, size=(cin, cout)).astype(dtype),
-            np.zeros(cout, dtype=dtype),
-        )
-
-    c1, c2, c3 = CONV_CHANNELS
-    d1, d2 = DENSE_WIDTHS
+    params = {}
+    for layer, shape in _WEIGHT_SHAPES.items():
+        # fan_in + fan_out: the kernel's cells times its in- plus out-channels
+        limit = math.sqrt(6.0 / (math.prod(shape[:-2]) * sum(shape[-2:])))
+        params[f"{layer}.weights"] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        params[f"{layer}.bias"] = np.zeros(shape[-1], dtype=dtype)
     return GridCnnModel(
-        conv1=conv(2, c1),
-        conv2=conv(c1, c2),
-        conv3=conv(c2, c3),
-        dense1=dense(FLAT_SIZE, d1),
-        dense2=dense(d1, d2),
-        head=dense(d2, 4),
-        channel_means=np.zeros(2, dtype=np.float64),
-        channel_stds=np.ones(2, dtype=np.float64),
-        dropout=dropout,
+        **_layers(params), channel_means=np.zeros(2), channel_stds=np.ones(2), dropout=dropout
     )
 
 
 def count_params(model: GridCnnModel) -> int:
-    return (
-        model.conv1.size() + model.conv2.size() + model.conv3.size()
-        + model.dense1.size() + model.dense2.size() + model.head.size()
-    )
+    return sum(p.size for p in model.params().values())
 
 
 # Grids per forward/backward pass. It bounds a step's scratch memory: a
@@ -512,7 +501,7 @@ def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:
 
 
 def serialize(model: GridCnnModel) -> bytes:
-    config = {"dropout": model.dropout, "n_classes": 4}
+    config = {"dropout": model.dropout, "n_classes": N_CLASSES}
     arrays = [
         (name, np.asarray(p, dtype=np.float32)) for name, p in model.params().items()
     ]
@@ -523,31 +512,21 @@ def serialize(model: GridCnnModel) -> bytes:
 
 def deserialize(data: bytes) -> GridCnnModel:
     parsed = container.read_container(data, MAGIC)
-    if set(parsed.config) != {"dropout", "n_classes"}:
+    cfg = parsed.config
+    if set(cfg) != {"dropout", "n_classes"} or cfg["n_classes"] != N_CLASSES:
         raise container.ContainerError(
-            f"grid-CNN config has keys {sorted(parsed.config)}, "
-            "expected ['dropout', 'n_classes']"
+            f"grid-CNN config is {cfg}, expected keys 'dropout' and 'n_classes' = {N_CLASSES}"
         )
-    model = build_gridcnn(seed=0, dropout=parsed.config["dropout"])
-    expected = {name: p.shape for name, p in model.params().items()}
-    for name, shape in expected.items():
-        if name not in parsed.arrays:
-            raise container.ContainerError(f"missing parameter block '{name}'")
-        if parsed.arrays[name].shape != shape:
-            raise container.ContainerError(
-                f"parameter '{name}' has shape {parsed.arrays[name].shape}, expected {shape}"
-            )
-    model.set_params({name: parsed.arrays[name] for name in expected})
-    model.channel_means = parsed.norm_means
-    model.channel_stds = parsed.norm_stds
-    return model
-
-
-def save_model(model: GridCnnModel, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(model))
-
-
-def load_model(path: str) -> GridCnnModel:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    dropout = cfg["dropout"]
+    if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0 <= dropout < 1:
+        raise container.ContainerError(
+            f"grid-CNN dropout is {dropout!r}, expected a number in [0, 1)"
+        )
+    expected = {}
+    for layer, shape in _WEIGHT_SHAPES.items():
+        expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
+    container.check_contents(parsed, expected, n_stats=2)
+    return GridCnnModel(
+        **_layers(parsed.arrays), channel_means=parsed.norm_means,
+        channel_stds=parsed.norm_stds, dropout=dropout,
+    )

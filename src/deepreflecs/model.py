@@ -28,6 +28,9 @@ from .preprocess import NormStats, PaddedInput
 
 MAGIC = b"RFLN"
 
+# largest accepted pad length: prepare_input allocates pad_length rows per sample
+MAX_PAD_LENGTH = 4096
+
 
 @dataclass(frozen=True)
 class ReflectNetConfig:
@@ -42,13 +45,28 @@ class ReflectNetConfig:
 
     def __post_init__(self):
         for name in ("n_features", "width1", "width2", "n_classes", "pad_length"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.pad_length > MAX_PAD_LENGTH:
+            raise ValueError(f"pad_length must be <= {MAX_PAD_LENGTH}")
+        if not isinstance(self.use_gcl, bool):
+            raise ValueError(f"use_gcl must be true or false, not {self.use_gcl!r}")
 
     @property
     def conv2_in(self) -> int:
         # the global context layer doubles the feature width it feeds into
         return 2 * self.width1 if self.use_gcl else self.width1
+
+    def layers(self) -> Dict[str, Tuple[int, int]]:
+        """(fan_in, fan_out) weight shape of each linear layer, in field order."""
+        return {
+            "conv1": (self.n_features, self.width1),
+            "conv2": (self.conv2_in, self.width2),
+            "head": (self.width2, self.n_classes),
+        }
 
 
 @dataclass
@@ -135,15 +153,13 @@ def build_model(
 ) -> ReflectNetModel:
     """Seeded uniform fan-in/fan-out init; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    conv1 = _init_linear(rng, config.n_features, config.width1, dtype)
-    conv2 = _init_linear(rng, config.conv2_in, config.width2, dtype)
-    head = _init_linear(rng, config.width2, config.n_classes, dtype)
     return ReflectNetModel(
         config=config,
-        conv1=conv1,
-        conv2=conv2,
-        head=head,
         norm_stats=NormStats.identity(config.n_features),
+        **{
+            layer: _init_linear(rng, fan_in, fan_out, dtype)
+            for layer, (fan_in, fan_out) in config.layers().items()
+        },
     )
 
 
@@ -376,31 +392,13 @@ def deserialize(data: bytes) -> ReflectNetModel:
         cfg = ReflectNetConfig(**parsed.config)
     except (TypeError, ValueError) as exc:
         raise container.ContainerError(f"invalid network config: {exc}") from exc
-    model = build_model(cfg, seed=0)
-    expected = {name: p.shape for name, p in model.params().items()}
-    for name, shape in expected.items():
-        if name not in parsed.arrays:
-            raise container.ContainerError(f"missing parameter block '{name}'")
-        if parsed.arrays[name].shape != shape:
-            raise container.ContainerError(
-                f"parameter '{name}' has shape {parsed.arrays[name].shape}, "
-                f"expected {shape}"
-            )
-    if parsed.norm_means.size != cfg.n_features:
-        raise container.ContainerError(
-            f"norm-stats block has {parsed.norm_means.size} entries, "
-            f"expected {cfg.n_features}"
-        )
-    model.set_params({name: parsed.arrays[name] for name in expected})
-    model.norm_stats = NormStats(parsed.norm_means, parsed.norm_stds)
-    return model
-
-
-def save_model(model: ReflectNetModel, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(model))
-
-
-def load_model(path: str) -> ReflectNetModel:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    expected = {}
+    for layer, shape in cfg.layers().items():
+        expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
+    container.check_contents(parsed, expected, n_stats=cfg.n_features)
+    arrays = parsed.arrays
+    return ReflectNetModel(
+        cfg,
+        *(nn.LinearParams(arrays[f"{n}.weights"], arrays[f"{n}.bias"]) for n in cfg.layers()),
+        NormStats(parsed.norm_means, parsed.norm_stds),
+    )

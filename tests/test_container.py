@@ -95,3 +95,38 @@ def test_non_utf8_array_name_is_container_error():
     blob = with_fresh_crc(blob[:at] + b"\xff\xfe" + blob[at + 2 :])
     with pytest.raises(container.ContainerError, match="UTF-8"):
         container.read_container(blob, b"TEST")
+
+
+def test_arrays_are_owned_writeable_and_bitwise():
+    arrays = [
+        ("f32", np.array([[1.5, -0.0], [np.pi, 1e-40]], dtype=np.float32)),
+        ("f64", np.array([np.e, -1e300, 5e-324])),
+        ("i32", np.array([-(2**31), 2**31 - 1, 0], dtype=np.int32)),
+        ("i64", np.array([-(2**63)], dtype=np.int64)),
+        ("empty", np.zeros((0, 3), dtype=np.float32)),
+    ]
+    means, stds = np.array([0.25, -3.0]), np.array([1.0, 1e-9])
+    parsed = container.read_container(
+        container.write_container(b"TEST", {}, (means, stds), arrays), b"TEST"
+    )
+    for original, read in [(means, parsed.norm_means), (stds, parsed.norm_stds)] + [
+        (array, parsed.arrays[name]) for name, array in arrays
+    ]:
+        assert read.flags.writeable and read.flags.owndata
+        assert read.dtype == original.dtype and read.shape == original.shape
+        assert read.tobytes() == original.tobytes()
+
+
+def test_read_copies_each_array_once():
+    import tracemalloc
+
+    weights = np.arange(2**20, dtype=np.float32)  # 4 MiB
+    blob = container.write_container(b"TEST", {}, None, [("w", weights)])
+    tracemalloc.start()
+    try:
+        parsed = container.read_container(blob, b"TEST")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(parsed.arrays["w"], weights)
+    assert peak < 1.5 * weights.nbytes

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deepreflecs import container, forest
+from deepreflecs import container, evaluate, forest
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
 
 
@@ -198,12 +198,14 @@ class TestForestSerialization:
         )
 
     def test_file_round_trip(self, tmp_path):
+        # a model file is read back by the magic dispatch of `deepreflecs eval`
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 1])
         fitted = forest.fit_forest(x, y, n_trees=3, seed=0, n_classes=2)
         path = tmp_path / "forest.frst"
-        forest.save_forest(fitted, str(path))
-        restored = forest.load_forest(str(path))
+        path.write_bytes(forest.serialize(fitted))
+        blob = path.read_bytes()
+        restored = evaluate.method_for(blob).deserialize(blob)
         np.testing.assert_array_equal(
             fitted.predict_batch(x), restored.predict_batch(x)
         )
@@ -217,9 +219,11 @@ class TestForestSerialization:
             ("counts", lambda a: a.astype(np.float64)),
             ("feature", lambda a: a.astype(np.float64)),
             ("threshold", lambda a: a[:-1]),
+            ("feature", lambda a: np.where(a >= 0, forest.N_HANDCRAFTED, a)),
+            ("threshold", lambda a: np.full_like(a, np.nan)),
         ],
         ids=["child-points-back", "child-past-end", "counts-shape", "counts-dtype",
-             "feature-dtype", "threshold-shape"],
+             "feature-dtype", "threshold-shape", "feature-index-13", "nan-threshold"],
     )
     def test_malformed_tree_is_container_error(self, name, edit):
         x = np.arange(6, dtype=np.float64)[:, None]
@@ -240,8 +244,17 @@ class TestForestSerialization:
             lambda cfg: {**cfg, "n_trees": "2"},
             lambda cfg: {**cfg, "n_trees": 1.5},
             lambda cfg: {**cfg, "oob": cfg["oob"][:1]},
+            lambda cfg: {**cfg, "oob": None},
+            lambda cfg: {**cfg, "velocity_resolution": "x"},
+            lambda cfg: {**cfg, "velocity_resolution": []},
+            lambda cfg: {**cfg, "stationary_threshold": "x"},
+            lambda cfg: {**cfg, "stationary_threshold": []},
+            lambda cfg: {**cfg, "velocity_resolution": 10**400},
         ],
-        ids=["empty-config", "missing-seed", "n-trees-string", "n-trees-float", "oob-short"],
+        ids=["empty-config", "missing-seed", "n-trees-string", "n-trees-float", "oob-short",
+             "oob-null", "velocity-resolution-string", "velocity-resolution-list",
+             "stationary-threshold-string", "stationary-threshold-list",
+             "velocity-resolution-huge-int"],
     )
     def test_bad_config_is_container_error(self, edit):
         x = np.arange(6, dtype=np.float64)[:, None]

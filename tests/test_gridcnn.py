@@ -357,8 +357,14 @@ class TestGridCnnSerialization:
         assert restored.dropout == net.dropout
 
     @pytest.mark.parametrize(
-        "config", [{"dropout": 0.5, "n_classes": 4, "bogus": 1}, [0.5, 4]],
-        ids=["unknown-key", "json-list"],
+        "config",
+        [
+            {"dropout": 0.5, "n_classes": 4, "bogus": 1}, [0.5, 4],
+            {"dropout": "x", "n_classes": 4}, {"dropout": 1.5, "n_classes": 4},
+            {"dropout": 0.5, "n_classes": 7},
+        ],
+        ids=["unknown-key", "json-list", "dropout-string", "dropout-above-one",
+             "n-classes-7"],
     )
     def test_bad_config_is_container_error(self, config):
         parsed = container.read_container(
@@ -367,6 +373,29 @@ class TestGridCnnSerialization:
         blob = container.write_container(
             gridcnn.MAGIC, config, (parsed.norm_means, parsed.norm_stds),
             list(parsed.arrays.items()),
+        )
+        with pytest.raises(container.ContainerError):
+            gridcnn.deserialize(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda parsed: (None, parsed.arrays),
+            lambda parsed: ((parsed.norm_means, np.array([1.0, 0.0])), parsed.arrays),
+            lambda parsed: (
+                (parsed.norm_means, parsed.norm_stds),
+                {**parsed.arrays, "dense1.weights": np.full((1600, 128), np.nan, np.float32)},
+            ),
+        ],
+        ids=["no-norm-stats", "zero-channel-std", "nan-weight"],
+    )
+    def test_bad_blocks_are_container_error(self, edit):
+        parsed = container.read_container(
+            gridcnn.serialize(gridcnn.build_gridcnn()), gridcnn.MAGIC
+        )
+        norm_stats, arrays = edit(parsed)
+        blob = container.write_container(
+            gridcnn.MAGIC, parsed.config, norm_stats, list(arrays.items())
         )
         with pytest.raises(container.ContainerError):
             gridcnn.deserialize(blob)

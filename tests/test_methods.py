@@ -1,0 +1,204 @@
+"""The method table: one train/eval/load path per method, shared by the CLI,
+the benchmark and the perf harness, and a loader whose models can predict."""
+
+import ast
+import json
+import struct
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import deepreflecs
+from deepreflecs import cli, container, datagen, evaluate, forest, gridcnn
+from deepreflecs import model as reflectnet
+from deepreflecs import preprocess, trainer
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TINY_TRAIN = {"epochs": 2, "steps_per_epoch": 3, "batch_size": 8}
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "tiny.jsonl"
+    spec = datagen.GenSpec(
+        tracks_per_class={c: 5 for c in preprocess.CLASSES}, samples_per_track=(2, 3), seed=4
+    )
+    preprocess.write_dataset(datagen.generate_dataset(spec), str(path))
+    return str(path)
+
+
+def write_config(tmp_path, config: dict) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def run_cli(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured
+
+
+@pytest.mark.parametrize("method", evaluate.TABLE, ids=lambda m: m.name)
+def test_cli_train_writes_the_benchmark_model(method, dataset, tmp_path, capsys):
+    out = tmp_path / "model.bin"
+    code, _ = run_cli(
+        ["train", "--method", method.name, "--data", dataset, "--seed", "3",
+         "--config", write_config(tmp_path, {"train": TINY_TRAIN}), "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    splits = preprocess.trackwise_split(preprocess.read_dataset(dataset), seed=3)
+    trained, _ = method.train(splits, 3, trainer.TrainConfig(**TINY_TRAIN), {})
+    assert out.read_bytes() == method.serialize(trained)
+    assert evaluate.method_for(out.read_bytes()) is method
+
+
+@pytest.mark.parametrize(
+    "name, model_config",
+    [("gridcnn", {"dropout": 0.3}), ("forest", {"n_trees": 5}), ("deepreflecs", {"bogus": 1})],
+)
+def test_model_config_a_method_does_not_take_is_named_error(
+    name, model_config, dataset, tmp_path, capsys
+):
+    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
+    code, captured = run_cli(
+        ["train", "--method", name, "--data", dataset, "--config", config,
+         "--out", str(tmp_path / "model.bin")],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ConfigError"
+    assert list(model_config)[0] in error["message"]
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_model_config_reaches_the_network(dataset, tmp_path, capsys):
+    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": {"use_gcl": False}})
+    code, captured = run_cli(
+        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
+         "--out", str(tmp_path / "model.bin")],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(captured.out)["param_count"] == 772
+
+
+def test_unknown_magic_is_magic_error():
+    with pytest.raises(container.MagicError):
+        evaluate.method_for(b"NOPE" + bytes(16))
+
+
+# --- the names the perf harness drives must keep resolving -------------------
+
+
+def test_traced_layers_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    for owner, attr in layers.LAYERS:
+        assert callable(getattr(owner, attr, None)), layers.layer_name(owner, attr)
+
+
+def deepreflecs_names(path: Path):
+    """Every dotted name rooted at a deepreflecs module that a file reads."""
+    tree = ast.parse(path.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "deepreflecs":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: "" for a in node.names if a.name == "deepreflecs"})
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            yield [modules[node.id]] + chain if modules[node.id] else chain
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_perfbench_names_resolve(path):
+    for chain in deepreflecs_names(path):
+        owner = deepreflecs
+        for attr in chain:
+            if not hasattr(owner, attr):  # a submodule not imported yet
+                __import__(f"{owner.__name__}.{attr}")
+            owner = getattr(owner, attr)
+
+
+# --- loader fuzz property ----------------------------------------------------
+
+
+def small_models():
+    rng = np.random.default_rng(0)
+    net = reflectnet.build_model(seed=1)
+    net.norm_stats = preprocess.NormStats(rng.normal(size=5), rng.uniform(0.5, 2.0, size=5))
+    cnn = gridcnn.build_gridcnn(seed=1)
+    cnn.channel_means, cnn.channel_stds = np.array([0.5, -0.1]), np.array([2.0, 0.7])
+    features = rng.normal(size=(40, forest.N_HANDCRAFTED))
+    trees = forest.fit_forest(features, rng.integers(0, 4, size=40), n_trees=3, seed=0)
+    return {"RFLN": net, "GCNN": cnn, "FRST": trees}
+
+
+MODELS = small_models()
+BLOBS = {magic: evaluate.method_for(magic.encode()).serialize(m) for magic, m in MODELS.items()}
+SAMPLE = datagen.generate_dataset(
+    datagen.GenSpec(tracks_per_class={"car": 1}, samples_per_track=(1, 1), seed=2)
+)[0]
+FUZZ = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def positions(size: int):
+    # the header and config sit in the first bytes; bias some draws there
+    return st.one_of(st.integers(0, min(size - 1, 256)), st.integers(0, size - 1))
+
+
+@pytest.mark.parametrize("magic", sorted(BLOBS))
+@FUZZ
+@given(data=st.data())
+def test_any_byte_change_or_truncation_is_container_error(magic, data):
+    blob = BLOBS[magic]
+    method = evaluate.method_for(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        changed = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        at = data.draw(positions(len(blob)), label="at")
+        delta = data.draw(st.integers(1, 255), label="xor")
+        changed = blob[:at] + bytes([blob[at] ^ delta]) + blob[at + 1 :]
+    with pytest.raises(container.ContainerError):
+        method.deserialize(changed)
+
+
+# A finite but extreme norm stat or weight still loads and can overflow
+# float32 to NaN probabilities, so only the shape and the class are checked.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("magic", sorted(BLOBS))
+@FUZZ
+@given(data=st.data())
+def test_resealed_byte_change_gives_a_predicting_model_or_container_error(magic, data):
+    blob = BLOBS[magic]
+    method = evaluate.method_for(blob)
+    at = data.draw(positions(len(blob) - 4), label="at")
+    delta = data.draw(st.integers(1, 255), label="xor")
+    payload = blob[:at] + bytes([blob[at] ^ delta]) + blob[at + 1 : -4]
+    try:
+        loaded = method.deserialize(payload + struct.pack("<I", zlib.crc32(payload)))
+    except container.ContainerError:
+        return
+    n_classes = method.n_classes(loaded)
+    predicted = loaded.predict(method.featurize(loaded, [SAMPLE])[0])
+    if magic == "FRST":
+        assert 0 <= predicted < n_classes
+        return
+    assert predicted.probabilities.shape == (n_classes,)
+    assert 0 <= predicted.predicted < n_classes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepreflecs import container, model, nn
+from deepreflecs import container, evaluate, model, nn
 from deepreflecs.preprocess import NormStats, PaddedInput
 
 
@@ -330,8 +330,13 @@ class TestSerialization:
         assert "9" in str(err.value) and "1" in str(err.value)
 
     @pytest.mark.parametrize(
-        "config", [{"width1": 16, "bogus": 1}, [16, 32], {"width1": 0}],
-        ids=["unknown-key", "json-list", "invalid-width"],
+        "config",
+        [
+            {"width1": 16, "bogus": 1}, [16, 32], {"width1": 0}, {"n_classes": 10**12},
+            {"n_classes": 1.5}, {"use_gcl": "no"}, {"pad_length": 10**9},
+        ],
+        ids=["unknown-key", "json-list", "invalid-width", "n-classes-huge",
+             "n-classes-float", "use-gcl-string", "pad-length-huge"],
     )
     def test_bad_config_is_container_error(self, config):
         parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
@@ -342,9 +347,30 @@ class TestSerialization:
         with pytest.raises(container.ContainerError):
             model.deserialize(blob)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda means, stds, arrays: stds.__setitem__(2, 0.0),
+            lambda means, stds, arrays: means.__setitem__(0, np.nan),
+            lambda means, stds, arrays: arrays["conv2.weights"].__setitem__((3, 1), np.nan),
+        ],
+        ids=["zero-norm-std", "nan-norm-mean", "nan-weight"],
+    )
+    def test_bad_numbers_are_container_error(self, edit):
+        parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
+        edit(parsed.norm_means, parsed.norm_stds, parsed.arrays)
+        blob = container.write_container(
+            model.MAGIC, parsed.config, (parsed.norm_means, parsed.norm_stds),
+            list(parsed.arrays.items()),
+        )
+        with pytest.raises(container.ContainerError):
+            model.deserialize(blob)
+
     def test_save_load_files(self, tmp_path):
+        # a model file is read back by the magic dispatch of `deepreflecs eval`
         net = model.build_model(seed=22)
         path = tmp_path / "net.rfln"
-        model.save_model(net, str(path))
-        restored = model.load_model(str(path))
+        path.write_bytes(model.serialize(net))
+        blob = path.read_bytes()
+        restored = evaluate.method_for(blob).deserialize(blob)
         assert np.array_equal(restored.conv1.weights, net.conv1.weights)
