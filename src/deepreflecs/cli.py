@@ -30,19 +30,51 @@ def _write_json(obj: dict, path: str | None) -> None:
     sys.stdout.write(text)
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise evaluate.ConfigError(
+            f"{what} must be a JSON object, not {type(value).__name__}"
+        )
+    return dict(value)
+
+
+def _unknown_keys(given: dict, known, what: str) -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise evaluate.ConfigError(
+            f"unknown {what} keys {unknown} (it takes {sorted(known)})"
+        )
+
+
 def _load_config(path: str | None) -> tuple[trainer.TrainConfig, dict]:
     """Read {'train': {...}, 'model': {...}} (both sections optional)."""
     if path is None:
         return trainer.TrainConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    train_section = dict(raw.get("train", {}))
+        raw = _json_object(json.load(fh), "the config")
+    _unknown_keys(raw, ("train", "model"), "config")
+    train_section = _json_object(raw.get("train", {}), "the 'train' section")
+    _unknown_keys(
+        train_section,
+        [f.name for f in dataclasses.fields(trainer.TrainConfig)],
+        "'train' config",
+    )
     if "resample_factors" in train_section:
-        factors = dict(trainer.DEFAULT_RESAMPLE)
-        factors.update(train_section["resample_factors"])
-        train_section["resample_factors"] = factors
+        given = _json_object(train_section["resample_factors"], "'resample_factors'")
+        _unknown_keys(given, preprocess.CLASSES, "'resample_factors'")
+        train_section["resample_factors"] = {**trainer.DEFAULT_RESAMPLE, **given}
     config = dataclasses.replace(trainer.TrainConfig(), **train_section)
-    return config, dict(raw.get("model", {}))
+    return config, _json_object(raw.get("model", {}), "the 'model' section")
+
+
+def _train_config_only(path: str | None, command: str) -> trainer.TrainConfig:
+    """The train config of a command that trains each method's default model."""
+    config, model_config = _load_config(path)
+    if model_config:
+        raise evaluate.ConfigError(
+            f"'{command}' takes no 'model' config keys, got {sorted(model_config)}"
+        )
+    return config
 
 
 def _genspec_from_args(args) -> datagen.GenSpec:
@@ -118,7 +150,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config, _ = _load_config(args.config)
+    config = _train_config_only(args.config, "benchmark")
     methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
     report = evaluate.run_benchmark(args.data, args.seed, config, methods)
     _write_json(report.to_json_dict(), args.json)
@@ -131,7 +163,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, _ = _load_config(args.config)
+    config = _train_config_only(args.config, "ablate")
     report = evaluate.run_ablation(args.data, args.seed, config)
     _write_json(report.to_json_dict(), args.json)
     return 0

@@ -105,7 +105,7 @@ class MethodResult:
 
 
 class ConfigError(ValueError):
-    """A 'model' config section that the chosen method does not accept."""
+    """A config file, section or key that the command or method does not accept."""
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,8 @@ def method_for(blob: bytes) -> Method:
 
 def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Sequence]:
     """Metrics of a model on samples, plus the featurized inputs it predicted."""
+    if len(samples) == 0:
+        raise preprocess.DatasetError("no samples to evaluate")
     inputs = method.featurize(model, samples)
     predictions = method.predict_batch(model, inputs)
     n_classes = method.n_classes(model)

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import container
-from .preprocess import CLASSES, ObjectSample, to_object_frame
+from .preprocess import CLASSES, ObjectSample, reflection_table
 
 MAGIC = b"FRST"
 
@@ -58,40 +58,31 @@ def extract_handcrafted(
     sample: ObjectSample, config: FeatureConfig = FeatureConfig()
 ) -> np.ndarray:
     """13-vector of handcrafted features for one sample (see FEATURE_NAMES)."""
-    obj_xy = np.array(
-        [to_object_frame(r, sample.pose) for r in sample.reflections]
-    )
-    rcs = np.array([r.rcs for r in sample.reflections])
-    ranges = np.array([r.range_m for r in sample.reflections])
-    vr = np.array([r.vr for r in sample.reflections])
-    azimuth = np.array([r.azimuth for r in sample.reflections])
-
-    def spread(values: np.ndarray) -> Tuple[float, float, float]:
-        interval = float(values.max() - values.min())
-        variance = float(values.var())  # population convention
-        return interval, variance, math.sqrt(variance)
-
-    range_interval, range_variance, range_std = spread(ranges)
-    vr_interval, vr_variance, vr_std = spread(vr)
-    extent_sum = float(
-        (obj_xy[:, 0].max() - obj_xy[:, 0].min())
-        + (obj_xy[:, 1].max() - obj_xy[:, 1].min())
-    )
+    # one contiguous row per column [x_obj, y_obj, rcs, range, vr, azimuth]:
+    # each reduction then sums a row in the same pairwise order as a 1-D array
+    columns = np.ascontiguousarray(reflection_table(sample).T)
+    high = columns.max(axis=1)
+    low = columns.min(axis=1)
+    mean = columns.mean(axis=1)
+    variance = columns.var(axis=1)  # population convention
+    interval = high - low
+    range_variance = float(variance[3])
+    vr_variance = float(variance[4])
     return np.array(
         [
             config.velocity_resolution,
             float(len(sample.reflections)),
-            1.0 if np.any(np.abs(vr) < config.stationary_threshold) else 0.0,
-            float(azimuth.mean()),  # signed mean
-            float(rcs.mean()),
-            float(ranges.mean()),
-            extent_sum,
-            range_interval,
+            1.0 if np.any(np.abs(columns[4]) < config.stationary_threshold) else 0.0,
+            float(mean[5]),  # signed mean azimuth
+            float(mean[2]),
+            float(mean[3]),
+            float(interval[0] + interval[1]),
+            float(interval[3]),
             range_variance,
-            range_std,
-            vr_interval,
+            math.sqrt(range_variance),
+            float(interval[4]),
             vr_variance,
-            vr_std,
+            math.sqrt(vr_variance),
         ]
     )
 
@@ -99,7 +90,9 @@ def extract_handcrafted(
 def extract_features(
     samples: Sequence[ObjectSample], config: FeatureConfig = FeatureConfig()
 ) -> np.ndarray:
-    return np.stack([extract_handcrafted(s, config) for s in samples])
+    """(N, 13) handcrafted features; (0, 13) for no samples."""
+    rows = [extract_handcrafted(s, config) for s in samples]
+    return np.stack(rows) if rows else np.empty((0, N_HANDCRAFTED))
 
 
 @dataclass

@@ -128,11 +128,27 @@ def build_feature_vector(refl: Reflection, pose: ObjectPose) -> np.ndarray:
     return np.array([x_obj, y_obj, refl.rcs, refl.range_m, refl.vr], dtype=np.float64)
 
 
+def reflection_table(sample: ObjectSample) -> np.ndarray:
+    """All reflections of one sample as an (M, 6) float64 table.
+
+    Columns: [x_obj, y_obj, rcs, range, vr, azimuth]. One Python loop with
+    the heading's cos/sin taken once gives the same floats, bit for bit,
+    as to_object_frame and build_feature_vector per reflection.
+    """
+    pose = sample.pose
+    c = math.cos(pose.heading)
+    s = math.sin(pose.heading)
+    rows = []
+    for r in sample.reflections:
+        dx = r.x - pose.x
+        dy = r.y - pose.y
+        rows.append((c * dx + s * dy, -s * dx + c * dy, r.rcs, r.range_m, r.vr, r.azimuth))
+    return np.array(rows, dtype=np.float64)
+
+
 def sample_feature_rows(sample: ObjectSample) -> np.ndarray:
-    """Stack the feature vectors of all reflections of one sample, (M, 5)."""
-    return np.stack(
-        [build_feature_vector(r, sample.pose) for r in sample.reflections]
-    )
+    """The network features of all reflections of one sample, (M, 5)."""
+    return reflection_table(sample)[:, :N_FEATURES]
 
 
 def compute_norm_stats(samples: Iterable[ObjectSample]) -> NormStats:

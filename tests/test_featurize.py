@@ -1,0 +1,160 @@
+"""The one-pass featurization against a per-reflection oracle, bit for bit.
+
+`preprocess.reflection_table` builds every reflection row of an object in
+one loop; `sample_feature_rows`, `prepare_input`, `compute_norm_stats` and
+the forest's handcrafted features all read it. The oracles below build the
+same values the per-reflection way, from `to_object_frame` and one numpy
+array per reflection or per column, and every output must match them in
+every bit: numpy's pairwise summation groups terms in blocks of 8 and 128,
+so a reduction over differently laid-out memory could round differently.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deepreflecs import datagen, forest, preprocess
+from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
+
+PAD_LENGTH = 64
+
+
+def oracle_rows(sample):
+    """(M, 5) network features, one numpy array per reflection."""
+    return np.stack([
+        np.array([*preprocess.to_object_frame(r, sample.pose), r.rcs, r.range_m, r.vr])
+        for r in sample.reflections
+    ])
+
+
+def oracle_norm_stats(samples):
+    stacked = np.concatenate([oracle_rows(s) for s in samples], axis=0)
+    std = np.maximum(stacked.std(axis=0), preprocess.STD_FLOOR)
+    return preprocess.NormStats(stacked.mean(axis=0), std)
+
+
+def oracle_handcrafted(sample, config=forest.FeatureConfig()):
+    """The 13 features from one numpy array per column."""
+    refls = sample.reflections
+    obj_xy = np.array([preprocess.to_object_frame(r, sample.pose) for r in refls])
+    rcs = np.array([r.rcs for r in refls])
+    ranges = np.array([r.range_m for r in refls])
+    vr = np.array([r.vr for r in refls])
+    azimuth = np.array([r.azimuth for r in refls])
+
+    def spread(values):
+        variance = float(values.var())
+        return float(values.max() - values.min()), variance, math.sqrt(variance)
+
+    extent_sum = float(
+        (obj_xy[:, 0].max() - obj_xy[:, 0].min()) + (obj_xy[:, 1].max() - obj_xy[:, 1].min())
+    )
+    return np.array([
+        config.velocity_resolution,
+        float(len(refls)),
+        1.0 if np.any(np.abs(vr) < config.stationary_threshold) else 0.0,
+        float(azimuth.mean()),
+        float(rcs.mean()),
+        float(ranges.mean()),
+        extent_sum,
+        *spread(ranges),
+        *spread(vr),
+    ])
+
+
+def assert_same_bits(actual, expected):
+    actual = np.asarray(actual)
+    expected = np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def assert_featurization_matches_oracle(samples):
+    stats = preprocess.compute_norm_stats(samples)
+    expected_stats = oracle_norm_stats(samples)
+    assert_same_bits(stats.mean, expected_stats.mean)
+    assert_same_bits(stats.std, expected_stats.std)
+    for sample in samples:
+        rows = oracle_rows(sample)
+        assert_same_bits(preprocess.sample_feature_rows(sample), rows)
+        padded = preprocess.prepare_input(sample, PAD_LENGTH, stats)
+        expected = preprocess.pad_and_mask(rows, PAD_LENGTH, expected_stats)
+        assert_same_bits(padded.features, expected.features)
+        assert_same_bits(padded.mask, expected.mask)
+        assert padded.m_real == expected.m_real
+        assert_same_bits(forest.extract_handcrafted(sample), oracle_handcrafted(sample))
+    assert_same_bits(
+        forest.extract_features(samples),
+        np.stack([oracle_handcrafted(s) for s in samples]),
+    )
+
+
+# counts at and around numpy's pairwise-summation blocks (8, 128) and the
+# 64-row pad, where more reflections than fit are cut to the highest-RCS ones
+EDGE_COUNTS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 400)
+
+
+@st.composite
+def objects(draw):
+    m = draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 400)))
+    heading = draw(st.floats(-7.0, 7.0))
+    px, py = draw(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
+    # one scale per column [x, y, rcs, range, vr, azimuth], from 1e-3 to 1e3
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(m, 6)) * scales
+    values[:, 0] += px
+    values[:, 1] += py
+    values[:, 3] = np.abs(values[:, 3])
+    return ObjectSample(
+        track_id="t0",
+        class_label="car",
+        pose=ObjectPose(px, py, heading),
+        reflections=[Reflection(*map(float, row)) for row in values],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(objects(), min_size=1, max_size=3))
+def test_random_objects_match_the_oracle(samples):
+    assert_featurization_matches_oracle(samples)
+
+
+def test_desk_objects_match_the_oracle():
+    samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
+    assert len(samples) == 1407
+    assert_featurization_matches_oracle(samples)
+
+
+def test_reflection_table_columns():
+    sample = ObjectSample(
+        track_id="t0",
+        class_label="car",
+        pose=ObjectPose(10.0, 0.0, math.pi / 2),
+        reflections=[Reflection(x=10.0, y=2.0, rcs=3.0, range_m=4.0, vr=5.0, azimuth=6.0)],
+    )
+    table = preprocess.reflection_table(sample)
+    assert table.shape == (1, 6) and table.dtype == np.float64
+    np.testing.assert_allclose(table[0], [2.0, 0.0, 3.0, 4.0, 5.0, 6.0], atol=1e-12)
+
+
+def test_no_samples_give_an_empty_feature_matrix():
+    features = forest.extract_features([])
+    assert features.shape == (0, forest.N_HANDCRAFTED)
+    assert features.dtype == np.float64
+
+
+@pytest.mark.parametrize("config", [
+    forest.FeatureConfig(velocity_resolution=0.25, stationary_threshold=2.0),
+    forest.FeatureConfig(stationary_threshold=0.0),
+])
+def test_feature_config_reaches_the_features(config):
+    samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))[:50]
+    assert_same_bits(
+        forest.extract_features(samples, config),
+        np.stack([oracle_handcrafted(s, config) for s in samples]),
+    )

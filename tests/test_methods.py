@@ -78,6 +78,55 @@ def test_model_config_a_method_does_not_take_is_named_error(
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"train": {"bogus": 1}}, "bogus"),
+        ({"train": {"epochs": 2, "lr": 0.1}}, "lr"),
+        ({"train": [1]}, "'train'"),
+        ({"train": None}, "'train'"),
+        ({"train": {"resample_factors": [1]}}, "resample_factors"),
+        ({"train": {**TINY_TRAIN, "resample_factors": {"pedestrain": 2}}}, "pedestrain"),
+        ({"model": [1]}, "'model'"),
+        ({"train": TINY_TRAIN, "trian": {"epochs": 2}}, "trian"),
+        ([{"train": {}}], "config"),
+    ],
+    ids=["unknown-key", "unknown-key-beside-known", "train-list", "train-null",
+         "resample-factors-list", "resample-factors-unknown-class", "model-list",
+         "unknown-section", "config-list"],
+)
+@pytest.mark.parametrize("command", ["train", "benchmark", "ablate"])
+def test_malformed_config_is_named_error(command, config, named, dataset, tmp_path, capsys):
+    argv = [command, "--data", dataset, "--config", write_config(tmp_path, config)]
+    if command == "train":
+        argv += ["--method", "forest", "--out", str(tmp_path / "model.bin")]
+    code, captured = run_cli(argv, capsys)
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ConfigError"
+    assert named in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["benchmark", "--methods", "craftedforest"], ["benchmark"], ["ablate"]],
+    ids=["benchmark-forest", "benchmark", "ablate"],
+)
+@pytest.mark.parametrize(
+    "model_config", [{"bogus": 1}, {"use_gcl": False}], ids=["bogus", "use-gcl"]
+)
+def test_benchmark_and_ablate_refuse_a_model_section(
+    argv, model_config, dataset, tmp_path, capsys
+):
+    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
+    code, captured = run_cli(argv + ["--data", dataset, "--config", config], capsys)
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ConfigError"
+    assert list(model_config)[0] in error["message"]
+    assert captured.out == ""
+
+
 def test_model_config_reaches_the_network(dataset, tmp_path, capsys):
     config = write_config(tmp_path, {"train": TINY_TRAIN, "model": {"use_gcl": False}})
     code, captured = run_cli(
@@ -150,6 +199,22 @@ def small_models():
 
 MODELS = small_models()
 BLOBS = {magic: evaluate.method_for(magic.encode()).serialize(m) for magic, m in MODELS.items()}
+
+
+@pytest.mark.parametrize("magic", sorted(BLOBS))
+def test_evaluating_no_samples_is_dataset_error(magic, tmp_path, capsys):
+    model_path, data_path = tmp_path / "model.bin", tmp_path / "empty.jsonl"
+    model_path.write_bytes(BLOBS[magic])
+    data_path.write_text("")
+    with pytest.raises(preprocess.DatasetError, match="no samples to evaluate"):
+        evaluate.evaluate_model(evaluate.method_for(BLOBS[magic]), MODELS[magic], [])
+    code, captured = run_cli(["eval", "--model", str(model_path), "--data", str(data_path)], capsys)
+    assert code == 1
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "DatasetError", "message": "no samples to evaluate"
+    }
+
+
 SAMPLE = datagen.generate_dataset(
     datagen.GenSpec(tracks_per_class={"car": 1}, samples_per_track=(1, 1), seed=2)
 )[0]
