@@ -63,7 +63,10 @@ def _load_config(path: str | None) -> tuple[trainer.TrainConfig, dict]:
         given = _json_object(train_section["resample_factors"], "'resample_factors'")
         _unknown_keys(given, preprocess.CLASSES, "'resample_factors'")
         train_section["resample_factors"] = {**trainer.DEFAULT_RESAMPLE, **given}
-    config = dataclasses.replace(trainer.TrainConfig(), **train_section)
+    try:
+        config = dataclasses.replace(trainer.TrainConfig(), **train_section)
+    except ValueError as exc:
+        raise evaluate.ConfigError(f"bad 'train' config: {exc}") from exc
     return config, _json_object(raw.get("model", {}), "the 'model' section")
 
 

@@ -15,12 +15,12 @@ _CHUNK grids at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 from . import nn
@@ -185,18 +185,30 @@ _CHUNK = 4
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+@functools.lru_cache(maxsize=None)  # one entry per grid shape; the model uses 11x11
+def _tap_index(h: int, w: int) -> np.ndarray:
+    """(H*W*9,) read-only index into the flattened (H+2)*(W+2) padded cells.
+
+    Entry ((i*W + j)*3 + ki)*3 + kj is the padded cell under tap (ki, kj)
+    of output cell (i, j).
+    """
+    i, j, ki, kj = np.ix_(range(h), range(w), range(3), range(3))
+    index = ((i + ki) * (w + 2) + j + kj).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _patches(x: np.ndarray) -> np.ndarray:
     """(B, H, W, C) -> (B*H*W, 9*C) 3x3 patches of the same-padded input.
 
     Column (ki*3 + kj)*C + c holds tap (ki, kj) of channel c, matching a
-    (3, 3, C, out) kernel reshaped to (9*C, out).
+    (3, 3, C, out) kernel reshaped to (9*C, out). The patches are one take
+    of the zero-padded stack over the cached tap index of its (H, W).
     """
     b, h, w, c = x.shape
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
-    padded[:, 1 : h + 1, 1 : w + 1] = x
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    # one copy; at chunk size it is 1.2-1.6x faster than nine slice copies
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+    padded = np.zeros((b, (h + 2) * (w + 2), c), dtype=x.dtype)
+    padded.reshape(b, h + 2, w + 2, c)[:, 1 : h + 1, 1 : w + 1] = x
+    return np.take(padded, _tap_index(h, w), axis=1).reshape(b * h * w, 9 * c)
 
 
 def _conv(x: np.ndarray, params: ConvParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -306,8 +318,7 @@ def forward_grids(
 
 def forward(model: GridCnnModel, grid: Grid) -> ClassDistribution:
     """Inference (dropout disabled)."""
-    probs = forward_grids(model, _stack(model, [grid]))[0]
-    return ClassDistribution(probabilities=probs, predicted=int(np.argmax(probs)))
+    return distributions(forward_grids(model, _stack(model, [grid])))[0]
 
 
 def predict_batch(model: GridCnnModel, grids: Sequence[Grid]) -> List[ClassDistribution]:

@@ -78,7 +78,14 @@ class ClassDistribution:
 
 
 def distributions(probs: np.ndarray) -> List[ClassDistribution]:
-    """One ClassDistribution per row of a (B, n_classes) probability matrix."""
+    """One ClassDistribution per row of a (B, n_classes) probability matrix.
+
+    A finite but extreme weight or norm statistic can overflow a forward
+    pass; such a matrix raises nn.NonFiniteError rather than being read.
+    """
+    if not np.isfinite(probs).all():
+        bad = np.count_nonzero(~np.isfinite(probs).all(axis=1))
+        raise nn.NonFiniteError(f"{bad} of {len(probs)} class distributions are not finite")
     return [
         ClassDistribution(probabilities=p, predicted=int(k))
         for p, k in zip(probs, probs.argmax(axis=1))
@@ -212,8 +219,7 @@ def forward_rows(
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
     """Class probabilities for one padded input."""
-    probs = forward_rows(model, *pack([inp], model.conv1.weights.dtype))[0]
-    return ClassDistribution(probabilities=probs, predicted=int(np.argmax(probs)))
+    return distributions(forward_rows(model, *pack([inp], model.conv1.weights.dtype)))[0]
 
 
 def predict_batch(

@@ -38,6 +38,10 @@ class TrainingError(RuntimeError):
     """Optimization cannot continue (non-finite loss or gradient)."""
 
 
+class NonFiniteError(ArithmeticError):
+    """A forward pass gave a class probability that is inf or NaN."""
+
+
 @dataclass
 class LinearParams:
     """Weights and bias of a linear map, shared across all list entries.

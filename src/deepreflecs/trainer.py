@@ -10,6 +10,7 @@ accuracy (earliest epoch wins ties).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -23,6 +24,10 @@ DEFAULT_RESAMPLE = {"car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4}
 
 # full-scale reference settings: 256 epochs x 1024 steps x batch 512
 PAPER_EPOCHS, PAPER_STEPS, PAPER_BATCH = 256, 1024, 512
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,33 @@ class TrainConfig:
     steps_are_total: bool = False
 
     def __post_init__(self):
-        if not (self.lr_start > self.lr_end > 0):
-            raise ValueError("need lr_start > lr_end > 0")
+        for name in ("epochs", "steps_per_epoch", "batch_size", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if min(self.epochs, self.steps_per_epoch, self.batch_size) < 1:
             raise ValueError("epochs, steps and batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
+        for name in ("lr_start", "lr_end"):
+            value = getattr(self, name)
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not is_number or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+        if not (self.lr_start > self.lr_end > 0):
+            raise ValueError("need lr_start > lr_end > 0")
+        factors = self.resample_factors
+        if not isinstance(factors, dict) or not all(
+            isinstance(k, str) and _is_int(v) and v >= 0 for k, v in factors.items()
+        ):
+            raise ValueError(
+                f"resample_factors must map class names to integers >= 0, not {factors!r}"
+            )
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be 'adam' or 'sgd', not {self.optimizer!r}")
+        if not isinstance(self.steps_are_total, bool):
+            raise ValueError(
+                f"steps_are_total must be true or false, not {self.steps_are_total!r}"
+            )
 
     def steps_in_epoch(self) -> int:
         if self.steps_are_total:
@@ -120,6 +148,11 @@ def train(
     model = model.copy()
     rng = np.random.default_rng(config.seed)
     multiset = resample_indices(train_class_labels, config.resample_factors)
+    if multiset.size == 0:
+        raise nn.TrainingError(
+            f"resample_factors {config.resample_factors} leave no training samples "
+            f"of the classes {sorted(set(train_class_labels))}"
+        )
     train_labels = np.asarray(train_labels, dtype=np.int64)
     val_labels = np.asarray(val_labels, dtype=np.int64)
 

@@ -1,10 +1,15 @@
 """CLI surface tests (in-process via cli.main)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepreflecs
 from deepreflecs import cli, datagen, preprocess
 
 TINY_TRAIN = {"train": {"epochs": 2, "steps_per_epoch": 4, "batch_size": 8}}
@@ -45,6 +50,26 @@ class TestGenerate:
         assert cli.main(["generate", "--seed", "1", "--out", str(out)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["tracks"] == datagen.DESK_TRACKS
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # the package's parent directory, so a source checkout needs no install
+        src = str(Path(deepreflecs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        out = tmp_path / "desk.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "deepreflecs", "generate", "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout)
+        assert summary == {
+            "out": str(out), "seed": 0, "samples": len(preprocess.read_dataset(str(out))),
+            "tracks": datagen.DESK_TRACKS,
+        }
 
 
 class TestTrainEval:

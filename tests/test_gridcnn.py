@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from deepreflecs import container, datagen, gridcnn, nn
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
@@ -154,6 +155,87 @@ class TestConvOracle:
         # dL/dw is linear in x as well: <dL/dw, w> = <conv(x), g>
         assert np.sum(grad_w * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
         assert gridcnn._conv_grads(cols, params, g, need_input_grad=False)[0] is None
+
+
+def sliding_window_patches(x):
+    """Oracle im2col: one copy of a transposed 3x3 sliding-window view."""
+    b, h, w, c = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded[:, 1 : h + 1, 1 : w + 1] = x
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+
+
+class TestPatches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 16, 64])
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 7), (5, 5), (11, 11)])
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_bitwise_equal_to_sliding_window_oracle(self, b, hw, c, dtype):
+        rng = np.random.default_rng([b, *hw, c])
+        x = rng.normal(size=(b, *hw, c)).astype(dtype)
+        got = gridcnn._patches(x)
+        expected = sliding_window_patches(x)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tap_index_is_cached_and_read_only(self):
+        index = gridcnn._tap_index(11, 11)
+        assert gridcnn._tap_index(11, 11) is index
+        assert index.shape == (11 * 11 * 9,) and not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
+def desk_grids(n=17):
+    samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))[:n]
+    return [gridcnn.rasterize(s) for s in samples], [s.class_index for s in samples]
+
+
+class TestPatchesInTheNetwork:
+    """Every network output is bitwise the same with the oracle im2col."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        grids, labels = desk_grids()
+        net = gridcnn.build_gridcnn(seed=0)
+        gridcnn.set_channel_stats(net, grids)
+        return net, grids, labels
+
+    def both(self, monkeypatch, run):
+        """run() with the cached-index _patches, then with the oracle."""
+        got = run()
+        with monkeypatch.context() as patched:
+            patched.setattr(gridcnn, "_patches", sliding_window_patches)
+            expected = run()
+        return got, expected
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_forward_grids(self, desk, monkeypatch, training):
+        net, grids, _ = desk
+        x = gridcnn._stack(net, grids)
+        got, expected = self.both(monkeypatch, lambda: gridcnn.forward_grids(
+            net, x, training=training, rng=np.random.default_rng(0)
+        ))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_predict_batch(self, desk, monkeypatch):
+        net, grids, _ = desk
+        got, expected = self.both(monkeypatch, lambda: np.stack(
+            [d.probabilities for d in gridcnn.predict_batch(net, grids)]
+        ))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_loss_and_grads(self, desk, monkeypatch):
+        net, grids, labels = desk
+        (loss, grads), (expected_loss, expected_grads) = self.both(
+            monkeypatch,
+            lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0)),
+        )
+        assert loss == expected_loss
+        assert grads.keys() == expected_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == expected_grads[name].tobytes(), name
 
 
 def window_argmax_oracle(x):

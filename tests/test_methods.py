@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deepreflecs
-from deepreflecs import cli, container, datagen, evaluate, forest, gridcnn
+from deepreflecs import cli, container, datagen, evaluate, forest, gridcnn, nn
 from deepreflecs import model as reflectnet
 from deepreflecs import preprocess, trainer
 
@@ -90,10 +90,22 @@ def test_model_config_a_method_does_not_take_is_named_error(
         ({"model": [1]}, "'model'"),
         ({"train": TINY_TRAIN, "trian": {"epochs": 2}}, "trian"),
         ([{"train": {}}], "config"),
+        ({"train": {"epochs": "2"}}, "epochs"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
+        ({"train": {"epochs": True}}, "epochs"),
+        ({"train": {"seed": "0"}}, "seed"),
+        ({"train": {"lr_start": "0.01"}}, "lr_start"),
+        ({"train": {"lr_start": float("inf")}}, "lr_start"),
+        ({"train": {"steps_are_total": 1}}, "steps_are_total"),
+        ({"train": {"optimizer": "adagrad"}}, "optimizer"),
+        ({"train": {"resample_factors": {"car": -1}}}, "resample_factors"),
+        ({"train": {"resample_factors": {"car": 1.5}}}, "resample_factors"),
     ],
     ids=["unknown-key", "unknown-key-beside-known", "train-list", "train-null",
          "resample-factors-list", "resample-factors-unknown-class", "model-list",
-         "unknown-section", "config-list"],
+         "unknown-section", "config-list", "epochs-string", "batch-size-float",
+         "epochs-bool", "seed-string", "lr-string", "lr-infinite", "steps-are-total-int",
+         "optimizer-unknown", "resample-factor-negative", "resample-factor-float"],
 )
 @pytest.mark.parametrize("command", ["train", "benchmark", "ablate"])
 def test_malformed_config_is_named_error(command, config, named, dataset, tmp_path, capsys):
@@ -125,6 +137,21 @@ def test_benchmark_and_ablate_refuse_a_model_section(
     assert error["error"] == "ConfigError"
     assert list(model_config)[0] in error["message"]
     assert captured.out == ""
+
+
+def test_resample_factors_leaving_no_samples_is_training_error(dataset, tmp_path, capsys):
+    zero = {c: 0 for c in preprocess.CLASSES}
+    config = write_config(tmp_path, {"train": {**TINY_TRAIN, "resample_factors": zero}})
+    code, captured = run_cli(
+        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
+         "--out", str(tmp_path / "model.bin")],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "TrainingError"
+    assert "resample_factors" in error["message"] and str(zero) in error["message"]
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_model_config_reaches_the_network(dataset, tmp_path, capsys):
@@ -244,8 +271,32 @@ def test_any_byte_change_or_truncation_is_container_error(magic, data):
         method.deserialize(changed)
 
 
-# A finite but extreme norm stat or weight still loads and can overflow
-# float32 to NaN probabilities, so only the shape and the class are checked.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("magic", ["GCNN", "RFLN"])
+def test_non_finite_probabilities_are_named_error(magic, dataset, tmp_path, capsys):
+    # a tiny std passes the loader's checks, then overflows normalization
+    model = MODELS[magic].copy()
+    if magic == "GCNN":
+        model.channel_stds = np.array([1e-300, 1.0])
+    else:
+        model.norm_stats = preprocess.NormStats(np.zeros(5), np.array([1e-300] + [1.0] * 4))
+    method = evaluate.method_for(magic.encode())
+    loaded = method.deserialize(method.serialize(model))
+    inputs = method.featurize(loaded, preprocess.read_dataset(dataset))
+    with pytest.raises(nn.NonFiniteError):
+        loaded.predict(inputs[0])
+    with pytest.raises(nn.NonFiniteError):
+        loaded.predict_batch(inputs)
+    model_path = tmp_path / "model.bin"
+    model_path.write_bytes(method.serialize(model))
+    code, captured = run_cli(["eval", "--model", str(model_path), "--data", dataset], capsys)
+    assert code == 1
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "NonFiniteError"
+    assert captured.out == ""
+
+
+# A finite but extreme norm stat or weight can still load; its forward pass
+# then overflows, which predict reports as NonFiniteError.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("magic", sorted(BLOBS))
 @FUZZ
@@ -261,9 +312,14 @@ def test_resealed_byte_change_gives_a_predicting_model_or_container_error(magic,
     except container.ContainerError:
         return
     n_classes = method.n_classes(loaded)
-    predicted = loaded.predict(method.featurize(loaded, [SAMPLE])[0])
+    try:
+        predicted = loaded.predict(method.featurize(loaded, [SAMPLE])[0])
+    except nn.NonFiniteError:
+        assert magic != "FRST"
+        return
     if magic == "FRST":
         assert 0 <= predicted < n_classes
         return
     assert predicted.probabilities.shape == (n_classes,)
+    assert np.isfinite(predicted.probabilities).all()
     assert 0 <= predicted.predicted < n_classes

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deepreflecs import model, trainer
+from deepreflecs import model, nn, trainer
 from deepreflecs.preprocess import PaddedInput
 
 
@@ -69,6 +69,29 @@ class TestResample:
         }
 
 
+class TestTrainConfigChecks:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", "2"), ("epochs", True), ("epochs", 2.0),
+            ("steps_per_epoch", None), ("batch_size", 2.5), ("seed", "0"),
+            ("seed", False), ("seed", -1),
+            ("lr_start", "0.01"), ("lr_start", True), ("lr_start", float("inf")),
+            ("lr_end", float("nan")),
+            ("steps_are_total", 1), ("optimizer", "adagrad"), ("optimizer", None),
+            ("resample_factors", [1]), ("resample_factors", {"car": -1}),
+            ("resample_factors", {"car": 1.5}), ("resample_factors", {"car": True}),
+        ],
+    )
+    def test_bad_value_is_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            trainer.TrainConfig(**{field: value})
+
+    def test_integral_learning_rates_and_zero_factors_are_accepted(self):
+        config = trainer.TrainConfig(lr_start=1, lr_end=0.5, resample_factors={"car": 0})
+        assert config.lr_start == 1 and config.resample_factors == {"car": 0}
+
+
 class TestTrainLoop:
     def make_config(self, **kw):
         defaults = dict(epochs=3, steps_per_epoch=8, batch_size=8, seed=0)
@@ -126,6 +149,19 @@ class TestTrainLoop:
                 )
         for name, p in best.params().items():
             assert np.array_equal(p, replay.params()[name])
+
+    @pytest.mark.parametrize(
+        "factors",
+        [{"car": 0, "pedestrian": 0}, {"car": 0, "pedestrian": 0, "cyclist": 3}],
+        ids=["all-zero", "zero-for-the-classes-present"],
+    )
+    def test_empty_resampled_set_is_training_error(self, factors):
+        inputs, labels, classes = toy_data(np.random.default_rng(5))
+        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=5)
+        config = self.make_config(resample_factors=factors)
+        with pytest.raises(nn.TrainingError, match="resample_factors") as caught:
+            trainer.train(net, inputs, labels, classes, inputs, labels, config)
+        assert str(factors) in str(caught.value)
 
     def test_toy_problem_learns(self):
         rng = np.random.default_rng(4)
