@@ -8,14 +8,14 @@ single --seed argument.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import replace
 from typing import List
 
 from . import datagen, evaluate, gridcnn
 from . import model as reflectnet
-from . import preprocess, trainer
+from . import preprocess, schema, trainer
 
 
 def _dump(obj: dict) -> str:
@@ -30,81 +30,40 @@ def _write_json(obj: dict, path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise evaluate.ConfigError(
-            f"{what} must be a JSON object, not {type(value).__name__}"
-        )
-    return dict(value)
-
-
-def _unknown_keys(given: dict, known, what: str) -> None:
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise evaluate.ConfigError(
-            f"unknown {what} keys {unknown} (it takes {sorted(known)})"
-        )
-
-
-def _load_config(path: str | None) -> tuple[trainer.TrainConfig, dict]:
-    """Read {'train': {...}, 'model': {...}} (both sections optional)."""
-    if path is None:
-        return trainer.TrainConfig(), {}
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = _json_object(json.load(fh), "the config")
-    _unknown_keys(raw, ("train", "model"), "config")
-    train_section = _json_object(raw.get("train", {}), "the 'train' section")
-    _unknown_keys(
-        train_section,
-        [f.name for f in dataclasses.fields(trainer.TrainConfig)],
-        "'train' config",
-    )
-    if "resample_factors" in train_section:
-        given = _json_object(train_section["resample_factors"], "'resample_factors'")
-        _unknown_keys(given, preprocess.CLASSES, "'resample_factors'")
-        train_section["resample_factors"] = {**trainer.DEFAULT_RESAMPLE, **given}
-    try:
-        config = dataclasses.replace(trainer.TrainConfig(), **train_section)
-    except ValueError as exc:
-        raise evaluate.ConfigError(f"bad 'train' config: {exc}") from exc
-    return config, _json_object(raw.get("model", {}), "the 'model' section")
+        return json.load(fh)
 
 
-def _train_config_only(path: str | None, command: str) -> trainer.TrainConfig:
-    """The train config of a command that trains each method's default model."""
-    config, model_config = _load_config(path)
-    if model_config:
-        raise evaluate.ConfigError(
-            f"'{command}' takes no 'model' config keys, got {sorted(model_config)}"
-        )
-    return config
+def _load_config(path: str | None, model_config, who: str):
+    """The checked 'train' and 'model' sections of a config file, both optional;
+    with no `model_config` to build, `who` takes no 'model' keys."""
+    raw = {} if path is None else _read_json(path)
+    sections = schema.mapping(raw, ("train", "model"), "the config")
+    config = schema.build(trainer.TrainConfig, sections.get("train", {}), "the 'train' config")
+    # a partial resample_factors object updates the default factors
+    factors = {**trainer.DEFAULT_RESAMPLE, **config.resample_factors}
+    config = replace(config, resample_factors=factors)
+    model_section = sections.get("model", {})
+    if model_config is None:
+        schema.mapping(model_section, (), f"the 'model' config of {who}")
+        return config, None
+    return config, schema.build(model_config, model_section, "the 'model' config")
 
 
-def _genspec_from_args(args) -> datagen.GenSpec:
-    if args.spec is None:
-        return datagen.desk_genspec(seed=args.seed)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    profiles = dict(datagen.DEFAULT_PROFILES)
-    for label, fields in raw.get("profiles", {}).items():
-        base = dataclasses.asdict(profiles[label])
-        base.update(fields)
-        base["length_range"] = tuple(base["length_range"])
-        base["width_range"] = tuple(base["width_range"])
-        base["reflections_range"] = tuple(base["reflections_range"])
-        profiles[label] = datagen.ClassProfile(**base)
-    return datagen.GenSpec(
-        tracks_per_class=raw.get("tracks_per_class", dict(datagen.DESK_TRACKS)),
-        samples_per_track=tuple(raw.get("samples_per_track", (5, 10))),
-        start_range=raw.get("start_range", 70.0),
-        stop_range=raw.get("stop_range", 5.0),
-        seed=args.seed,
-        profiles=profiles,
-    )
+def seed(text: str) -> int:
+    """The argparse type of every --seed: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
 
 
 def cmd_generate(args) -> int:
-    spec = _genspec_from_args(args)
+    spec = datagen.desk_genspec(seed=args.seed)
+    if args.spec is not None:
+        raw = _read_json(args.spec)
+        spec = schema.build(datagen.GenSpec, raw, "the generation spec", base=spec, fixed=("seed",))
     samples = datagen.generate_dataset(spec)
     preprocess.write_dataset(samples, args.out)
     _write_json(
@@ -123,11 +82,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, model_config = _load_config(args.config)
     method = evaluate.BY_NAME[args.method]
-    method.check_model_config(model_config)
+    who = f"method '{method.name}'"
+    config, model_config = _load_config(args.config, method.model_config, who)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     seed = config.seed
     samples = preprocess.read_dataset(args.data)
     splits = preprocess.trackwise_split(samples, seed=seed)
@@ -153,8 +112,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config = _train_config_only(args.config, "benchmark")
-    methods = args.methods.split(",") if args.methods else list(evaluate.METHODS)
+    config, _ = _load_config(args.config, None, "'benchmark'")
+    methods = evaluate.METHODS if args.methods is None else args.methods.split(",")
     report = evaluate.run_benchmark(args.data, args.seed, config, methods)
     _write_json(report.to_json_dict(), args.json)
     if args.timing_json:
@@ -166,7 +125,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _train_config_only(args.config, "ablate")
+    config, _ = _load_config(args.config, None, "'ablate'")
     report = evaluate.run_ablation(args.data, args.seed, config)
     _write_json(report.to_json_dict(), args.json)
     return 0
@@ -200,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--spec", help="generation spec JSON (default: desk-scale spec)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -209,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON with optional 'train'/'model' sections")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -220,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="train and compare all methods")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--config")
     p.add_argument("--json")
     p.add_argument("--methods", help="comma-separated subset of methods")
@@ -229,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="compare with/without the global context layer")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--config")
     p.add_argument("--json")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--json")
     p.set_defaults(func=cmd_gradcheck)
 

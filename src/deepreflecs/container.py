@@ -165,10 +165,10 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
             f"(this build reads version {FORMAT_VERSION})"
         )
 
-    config_len = reader.u32()
+    config_bytes = reader.take(reader.u32())
     try:
-        config = json.loads(reader.take(config_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        config = json.loads(config_bytes.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to read
         raise ContainerError(f"config block is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ContainerError(

@@ -20,11 +20,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Annotated, Dict, List, Literal, Tuple
 
 import numpy as np
 
+from . import schema
 from .preprocess import CLASSES, ObjectPose, ObjectSample, Reflection
+from .schema import ClassName, Range
+
+Span = Annotated[Tuple[float, float], Range(0)]  # an ordered (low, high) pair, both >= 0
 
 
 @dataclass(frozen=True)
@@ -41,45 +45,36 @@ class ClassProfile:
     structure tells movers apart.
     """
 
-    class_label: str
-    shape: str                       # rectangle | cluster | ellipse
-    length_range: Tuple[float, float]   # object-frame x extent, meters
-    width_range: Tuple[float, float]    # object-frame y extent, meters
-    reflections_range: Tuple[int, int]
+    shape: Literal["rectangle", "cluster", "ellipse"]
+    length_range: Span               # object-frame x extent, meters
+    width_range: Span                # object-frame y extent, meters
+    reflections_range: Annotated[Tuple[int, int], Range(1)]
     rcs_mean: float                  # dBsm
-    rcs_spread: float
+    rcs_spread: Annotated[float, Range(0)]
     mover: bool                      # tangentially moving target
-    vr_sigma_range: Tuple[float, float] = (0.0, 0.0)  # movers only
-    vr_pattern: str = "random"       # movers: random | limbs | wheels
-    vr_corr: float = 0.0             # wheels pattern: x-coupling, in [0, 1]
-    vr_limb_range: Tuple[float, float] = (0.4, 1.35)  # limbs: |vr|/sigma band
-    vr_noise: float = 0.0            # stationary targets: gaussian vr noise
+    vr_sigma_range: Span = (0.0, 0.0)  # movers only
+    vr_pattern: Literal["random", "limbs", "wheels"] = "random"
+    vr_corr: Annotated[float, Range(0, 1)] = 0.0  # wheels pattern: x-coupling
+    vr_limb_range: Span = (0.4, 1.35)  # limbs: |vr|/sigma band
+    vr_noise: Annotated[float, Range(0)] = 0.0  # stationary targets: gaussian vr noise
     # minority subpopulation with atypical size (bulky pedestrians, small
     # bikes); same signal statistics, different footprint
-    alt_fraction: float = 0.0
-    alt_length_range: Tuple[float, float] | None = None
-    alt_width_range: Tuple[float, float] | None = None
+    alt_fraction: Annotated[float, Range(0, 1)] = 0.0
+    alt_length_range: Span | None = None
+    alt_width_range: Span | None = None
 
     def __post_init__(self):
-        if self.reflections_range[0] < 1:
-            raise ValueError("reflection count range must start at >= 1")
-        if self.length_range[0] > self.length_range[1]:
-            raise ValueError("bad length range")
-        if not 0.0 <= self.vr_corr <= 1.0:
-            raise ValueError("vr_corr must lie in [0, 1]")
-        if self.vr_pattern not in ("random", "limbs", "wheels"):
-            raise ValueError(f"unknown vr_pattern '{self.vr_pattern}'")
+        schema.check(self)
         if self.alt_fraction > 0.0 and (
             self.alt_length_range is None or self.alt_width_range is None
         ):
-            raise ValueError("alt_fraction needs alt length/width ranges")
+            raise schema.ConfigError("alt_fraction needs alt length/width ranges")
 
 
 POSITION_NOISE = 0.05  # meters, measurement jitter on reflection positions
 
 DEFAULT_PROFILES: Dict[str, ClassProfile] = {
     "car": ClassProfile(
-        class_label="car",
         shape="rectangle",
         length_range=(4.2, 4.8),
         width_range=(1.7, 1.9),
@@ -90,7 +85,6 @@ DEFAULT_PROFILES: Dict[str, ClassProfile] = {
         vr_noise=0.04,
     ),
     "pedestrian": ClassProfile(
-        class_label="pedestrian",
         shape="cluster",
         length_range=(0.35, 0.95),
         width_range=(0.35, 0.95),
@@ -103,7 +97,6 @@ DEFAULT_PROFILES: Dict[str, ClassProfile] = {
         vr_limb_range=(0.5, 1.3),
     ),
     "cyclist": ClassProfile(
-        class_label="cyclist",
         shape="ellipse",
         length_range=(1.0, 2.1),
         width_range=(0.4, 0.85),
@@ -116,7 +109,6 @@ DEFAULT_PROFILES: Dict[str, ClassProfile] = {
         vr_corr=0.75,
     ),
     "non_obstacle": ClassProfile(
-        class_label="non_obstacle",
         shape="cluster",
         length_range=(0.2, 0.4),
         width_range=(0.1, 0.2),
@@ -136,16 +128,23 @@ DESK_TRACKS = {"car": 57, "pedestrian": 34, "cyclist": 27, "non_obstacle": 70}
 class GenSpec:
     """What to generate: how many tracks per class, approach geometry, seed."""
 
-    tracks_per_class: Dict[str, int] = field(
+    tracks_per_class: Annotated[Dict[ClassName, int], Range(0)] = field(
         default_factory=lambda: dict(DESK_TRACKS)
     )
-    samples_per_track: Tuple[int, int] = (5, 10)
+    samples_per_track: Annotated[Tuple[int, int], Range(1)] = (5, 10)
     start_range: float = 70.0
-    stop_range: float = 5.0
-    seed: int = 0
-    profiles: Dict[str, ClassProfile] = field(
+    stop_range: Annotated[float, Range(0)] = 5.0
+    seed: Annotated[int, Range(0)] = 0
+    profiles: Dict[ClassName, ClassProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)
     )
+
+    def __post_init__(self):
+        schema.check(self)
+        if not any(self.tracks_per_class.values()):
+            raise schema.ConfigError("tracks_per_class must give some class a track")
+        if not self.start_range > self.stop_range:
+            raise schema.ConfigError("need start_range > stop_range")
 
 
 def desk_genspec(seed: int = 0) -> GenSpec:
@@ -184,11 +183,9 @@ def _object_points(
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
         pts[:, 0] = half_l * radius * np.cos(angle)
         pts[:, 1] = half_w * radius * np.sin(angle)
-    elif profile.shape == "cluster":
+    else:  # cluster; ClassProfile admits no other shape
         pts[:, 0] = rng.uniform(-half_l, half_l, size=n)
         pts[:, 1] = rng.uniform(-half_w, half_w, size=n)
-    else:
-        raise ValueError(f"unknown shape '{profile.shape}'")
     return pts
 
 

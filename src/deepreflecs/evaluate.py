@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import container, forest, gridcnn, model as reflectnet, preprocess, trainer
+from . import container, forest, gridcnn, model as reflectnet, preprocess, schema, trainer
 
 
 @dataclass
@@ -104,10 +104,6 @@ class MethodResult:
     extra: dict = field(default_factory=dict)
 
 
-class ConfigError(ValueError):
-    """A config file, section or key that the command or method does not accept."""
-
-
 @dataclass(frozen=True)
 class Method:
     """One classification method, as both the CLI and the benchmark run it."""
@@ -115,8 +111,8 @@ class Method:
     name: str                    # `deepreflecs train --method` name
     key: str                     # key in benchmark reports
     magic: bytes                 # model file magic
-    model_keys: Tuple[str, ...]  # the 'model' config keys it accepts
-    # (splits, seed, train config, model config) -> (model, TrainReport or None)
+    model_config: Optional[type]  # the dataclass of its 'model' config, or None
+    # (splits, seed, train config, model config or None) -> (model, TrainReport or None)
     train: Callable
     featurize: Callable          # (model, samples) -> inputs for predict_batch
     predict_batch: Callable      # (model, inputs) -> predicted class indices
@@ -124,14 +120,6 @@ class Method:
     complexity: Callable         # model -> {"param_count" or "node_count": n}
     serialize: Callable
     deserialize: Callable
-
-    def check_model_config(self, model_config: dict) -> None:
-        unknown = sorted(set(model_config) - set(self.model_keys))
-        if unknown:
-            raise ConfigError(
-                f"method '{self.name}' does not take 'model' config keys {unknown} "
-                f"(it takes {list(self.model_keys) or 'none'})"
-            )
 
 
 def _fit_network(net, train_inputs, splits, seed, config, featurize):
@@ -147,7 +135,7 @@ def _prepare_inputs(net, samples) -> list:
 
 
 def _reflectnet_trained(splits, seed, config, model_config):
-    net = reflectnet.build_model(reflectnet.ReflectNetConfig(**model_config), seed=seed)
+    net = reflectnet.build_model(model_config or reflectnet.ReflectNetConfig(), seed=seed)
     net.norm_stats = preprocess.compute_norm_stats(splits[0])
     inputs = _prepare_inputs(net, splits[0])
     return _fit_network(net, inputs, splits, seed, config, _prepare_inputs)
@@ -176,14 +164,14 @@ def _predicted(net, inputs) -> list:
 TABLE = (  # in benchmark report order
     Method(
         name="deepreflecs", key="deepreflecs", magic=reflectnet.MAGIC,
-        model_keys=tuple(f.name for f in fields(reflectnet.ReflectNetConfig)),
+        model_config=reflectnet.ReflectNetConfig,
         train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
         n_classes=lambda net: net.config.n_classes,
         complexity=lambda net: {"param_count": reflectnet.count_params(net)},
         serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
     ),
     Method(
-        name="forest", key="craftedforest", magic=forest.MAGIC, model_keys=(),
+        name="forest", key="craftedforest", magic=forest.MAGIC, model_config=None,
         train=_forest_trained,
         featurize=lambda fitted, samples: forest.extract_features(samples, fitted.feature_config),
         predict_batch=lambda fitted, features: fitted.predict_batch(features),
@@ -192,7 +180,7 @@ TABLE = (  # in benchmark report order
         serialize=forest.serialize, deserialize=forest.deserialize,
     ),
     Method(
-        name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_keys=(),
+        name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_config=None,
         train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
         n_classes=lambda net: gridcnn.N_CLASSES,
         complexity=lambda net: {"param_count": gridcnn.count_params(net)},
@@ -268,12 +256,12 @@ def run_benchmark(
     """Split once, train every requested method on the same splits, test once."""
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method '{m}' (choose from {METHODS})")
+            raise schema.ConfigError(f"unknown method {m!r} (the report keys are {list(METHODS)})")
     config = config or trainer.TrainConfig()
     samples = preprocess.read_dataset(data_path)
     splits = preprocess.trackwise_split(samples, seed=seed)
     results = {
-        method.key: _train_and_test(method, splits, seed, config, {})
+        method.key: _train_and_test(method, splits, seed, config, None)
         for method in TABLE
         if method.key in methods
     }
@@ -331,7 +319,8 @@ def run_ablation(
     splits = preprocess.trackwise_split(samples, seed=seed)
     variants = {
         use_gcl: _train_and_test(
-            BY_NAME["deepreflecs"], splits, seed, config, {"use_gcl": use_gcl}
+            BY_NAME["deepreflecs"], splits, seed, config,
+            reflectnet.ReflectNetConfig(use_gcl=use_gcl),
         )
         for use_gcl in (True, False)
     }

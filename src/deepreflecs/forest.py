@@ -16,14 +16,13 @@ the lowest class index.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Annotated, List, Sequence, Tuple
 
 import numpy as np
 
-from . import container
+from . import container, schema
 from .preprocess import CLASSES, ObjectSample, reflection_table
 
 MAGIC = b"FRST"
@@ -267,59 +266,37 @@ def count_nodes(forest: ForestModel) -> int:
     return sum(tree.n_nodes() for tree in forest.trees)
 
 
-def serialize(forest: ForestModel) -> bytes:
-    config = {
-        "velocity_resolution": forest.feature_config.velocity_resolution,
-        "stationary_threshold": forest.feature_config.stationary_threshold,
-        "n_classes": forest.n_classes,
-        "n_trees": len(forest.trees),
-        "seed": forest.seed,
-        "oob": [tree.n_oob for tree in forest.trees],
-    }
-    arrays: List[Tuple[str, np.ndarray]] = []
-    for t, tree in enumerate(forest.trees):
-        arrays.append((f"tree{t}.feature", tree.feature))
-        arrays.append((f"tree{t}.threshold", tree.threshold))
-        arrays.append((f"tree{t}.left", tree.left))
-        arrays.append((f"tree{t}.right", tree.right))
-        arrays.append((f"tree{t}.counts", tree.counts))
-    return container.write_container(MAGIC, config, None, arrays)
-
-
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")  # Tree field order
-_CONFIG_KEYS = ("n_classes", "n_trees", "seed", "velocity_resolution", "stationary_threshold")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class FileConfig:
+    """The config block of a forest model file."""
+
+    velocity_resolution: float
+    stationary_threshold: float
+    n_classes: Annotated[int, schema.Range(1)]
+    n_trees: Annotated[int, schema.Range(1)]
+    seed: Annotated[int, schema.Range(0)]
+    # out-of-bag sample count of each tree; empty reads as zeros
+    oob: Annotated[Tuple[int, ...], schema.Range(0)] = ()
+
+    def __post_init__(self):
+        schema.check(self)
+        if len(self.oob) not in (0, self.n_trees):
+            raise schema.ConfigError(f"oob holds {len(self.oob)} counts for {self.n_trees} trees")
 
 
-def _check_config(cfg: dict) -> None:
-    """Reject a config deserialize could not read: missing keys, bad counts,
-    sensor constants that are not finite numbers, or a bad oob list."""
-    missing = [key for key in _CONFIG_KEYS if key not in cfg]
-    if missing:
-        raise container.ContainerError(f"forest config lacks keys {missing}")
-    for key in ("n_classes", "n_trees"):
-        if not _is_int(cfg[key]) or cfg[key] < 1:
-            raise container.ContainerError(
-                f"forest config '{key}' is {cfg[key]!r}, expected a positive integer"
-            )
-    for key in ("velocity_resolution", "stationary_threshold"):
-        value = cfg[key]
-        number = _is_int(value) or isinstance(value, float)
-        # false for NaN, infinities and JSON integers too large for a float
-        if not (number and abs(value) <= sys.float_info.max):
-            raise container.ContainerError(
-                f"forest config '{key}' is {value!r}, expected a finite number"
-            )
-    oob = cfg.get("oob", [])
-    if "oob" in cfg and not (
-        isinstance(oob, list) and len(oob) == cfg["n_trees"] and all(map(_is_int, oob))
-    ):
-        raise container.ContainerError(
-            f"forest config 'oob' is not a list of {cfg['n_trees']} integer counts"
-        )
+def serialize(forest: ForestModel) -> bytes:
+    config = FileConfig(
+        forest.feature_config.velocity_resolution, forest.feature_config.stationary_threshold,
+        forest.n_classes, len(forest.trees), forest.seed, tuple(t.n_oob for t in forest.trees),
+    )
+    arrays = [
+        (f"tree{t}.{name}", getattr(tree, name))
+        for t, tree in enumerate(forest.trees) for name in _TREE_ARRAYS
+    ]
+    return container.write_container(MAGIC, asdict(config), None, arrays)
 
 
 def _check_nodes(trees: List[Tree]) -> None:
@@ -352,9 +329,8 @@ def _check_nodes(trees: List[Tree]) -> None:
 
 def deserialize(data: bytes) -> ForestModel:
     parsed = container.read_container(data, MAGIC)
-    cfg = parsed.config
-    _check_config(cfg)
-    n_trees, arrays = cfg["n_trees"], parsed.arrays
+    cfg = schema.build(FileConfig, parsed.config, "forest config", error=container.ContainerError)
+    n_trees, arrays = cfg.n_trees, parsed.arrays
     if len(arrays) != len(_TREE_ARRAYS) * n_trees:
         raise container.ContainerError(
             f"file holds {len(arrays)} arrays, expected {len(_TREE_ARRAYS)} "
@@ -363,13 +339,13 @@ def deserialize(data: bytes) -> ForestModel:
     expected = {}
     for t in range(n_trees):
         n = np.size(arrays.get(f"tree{t}.feature", []))
-        specs = zip([(n,)] * 4 + [(n, cfg["n_classes"])], "ifiii")
+        specs = zip([(n,)] * 4 + [(n, cfg.n_classes)], "ifiii")
         expected.update({f"tree{t}.{name}": spec for name, spec in zip(_TREE_ARRAYS, specs)})
     container.check_contents(
         parsed, expected, n_stats=0,
         label=lambda name: f"tree {name[4 : name.index('.')]}: array '{name}'",
     )
-    oob = cfg.get("oob", [0] * n_trees)
+    oob = cfg.oob or (0,) * n_trees
     trees = [
         Tree(*(arrays[f"tree{t}.{name}"] for name in _TREE_ARRAYS), n_oob=oob[t])
         for t in range(n_trees)
@@ -377,10 +353,7 @@ def deserialize(data: bytes) -> ForestModel:
     _check_nodes(trees)
     return ForestModel(
         trees=trees,
-        feature_config=FeatureConfig(
-            velocity_resolution=cfg["velocity_resolution"],
-            stationary_threshold=cfg["stationary_threshold"],
-        ),
-        n_classes=cfg["n_classes"],
-        seed=cfg["seed"],
+        feature_config=FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold),
+        n_classes=cfg.n_classes,
+        seed=cfg.seed,
     )

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Annotated, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import container
-from . import nn
+from . import container, nn, schema
 from .model import ClassDistribution, distributions
 from .preprocess import ObjectSample, to_object_frame
 
@@ -511,8 +510,19 @@ def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:
     model.channel_stds = stds
 
 
+@dataclass(frozen=True)
+class FileConfig:
+    """The config block of a grid-CNN model file."""
+
+    dropout: Annotated[float, schema.Range(0, 1, high_open=True)]
+    n_classes: Annotated[int, schema.Range(N_CLASSES, N_CLASSES)]
+
+    def __post_init__(self):
+        schema.check(self)
+
+
 def serialize(model: GridCnnModel) -> bytes:
-    config = {"dropout": model.dropout, "n_classes": N_CLASSES}
+    config = asdict(FileConfig(model.dropout, N_CLASSES))
     arrays = [
         (name, np.asarray(p, dtype=np.float32)) for name, p in model.params().items()
     ]
@@ -523,21 +533,12 @@ def serialize(model: GridCnnModel) -> bytes:
 
 def deserialize(data: bytes) -> GridCnnModel:
     parsed = container.read_container(data, MAGIC)
-    cfg = parsed.config
-    if set(cfg) != {"dropout", "n_classes"} or cfg["n_classes"] != N_CLASSES:
-        raise container.ContainerError(
-            f"grid-CNN config is {cfg}, expected keys 'dropout' and 'n_classes' = {N_CLASSES}"
-        )
-    dropout = cfg["dropout"]
-    if isinstance(dropout, bool) or not isinstance(dropout, (int, float)) or not 0 <= dropout < 1:
-        raise container.ContainerError(
-            f"grid-CNN dropout is {dropout!r}, expected a number in [0, 1)"
-        )
+    cfg = schema.build(FileConfig, parsed.config, "grid-CNN config", error=container.ContainerError)
     expected = {}
     for layer, shape in _WEIGHT_SHAPES.items():
         expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
     container.check_contents(parsed, expected, n_stats=2)
     return GridCnnModel(
         **_layers(parsed.arrays), channel_means=parsed.norm_means,
-        channel_stds=parsed.norm_stds, dropout=dropout,
+        channel_stds=parsed.norm_stds, dropout=cfg.dropout,
     )

@@ -17,13 +17,12 @@ length and of whatever values sit in padding rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Annotated, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import container
-from . import nn
+from . import container, nn, schema
 from .preprocess import NormStats, PaddedInput
 
 MAGIC = b"RFLN"
@@ -36,24 +35,15 @@ MAX_PAD_LENGTH = 4096
 class ReflectNetConfig:
     """Architecture knobs; defaults give the 1,284-parameter build."""
 
-    n_features: int = 5
-    width1: int = 16
-    width2: int = 32
-    n_classes: int = 4
-    pad_length: int = 64
+    n_features: Annotated[int, schema.Range(1)] = 5
+    width1: Annotated[int, schema.Range(1)] = 16
+    width2: Annotated[int, schema.Range(1)] = 32
+    n_classes: Annotated[int, schema.Range(1)] = 4
+    pad_length: Annotated[int, schema.Range(1, MAX_PAD_LENGTH)] = 64
     use_gcl: bool = True  # the ablation switch
 
     def __post_init__(self):
-        for name in ("n_features", "width1", "width2", "n_classes", "pad_length"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.pad_length > MAX_PAD_LENGTH:
-            raise ValueError(f"pad_length must be <= {MAX_PAD_LENGTH}")
-        if not isinstance(self.use_gcl, bool):
-            raise ValueError(f"use_gcl must be true or false, not {self.use_gcl!r}")
+        schema.check(self)
 
     @property
     def conv2_in(self) -> int:
@@ -375,29 +365,19 @@ def gradcheck_random_sample(
 
 def serialize(model: ReflectNetModel) -> bytes:
     """Versioned binary blob; parameters as 32-bit floats, stats as float64."""
-    cfg = model.config
-    config_dict = {
-        "n_features": cfg.n_features,
-        "width1": cfg.width1,
-        "width2": cfg.width2,
-        "n_classes": cfg.n_classes,
-        "pad_length": cfg.pad_length,
-        "use_gcl": cfg.use_gcl,
-    }
     arrays = [
         (name, np.asarray(p, dtype=np.float32)) for name, p in model.params().items()
     ]
     return container.write_container(
-        MAGIC, config_dict, (model.norm_stats.mean, model.norm_stats.std), arrays
+        MAGIC, asdict(model.config), (model.norm_stats.mean, model.norm_stats.std), arrays
     )
 
 
 def deserialize(data: bytes) -> ReflectNetModel:
     parsed = container.read_container(data, MAGIC)
-    try:
-        cfg = ReflectNetConfig(**parsed.config)
-    except (TypeError, ValueError) as exc:
-        raise container.ContainerError(f"invalid network config: {exc}") from exc
+    cfg = schema.build(
+        ReflectNetConfig, parsed.config, "network config", error=container.ContainerError
+    )
     expected = {}
     for layer, shape in cfg.layers().items():
         expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})

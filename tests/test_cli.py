@@ -52,6 +52,38 @@ class TestGenerate:
         assert printed["tracks"] == datagen.DESK_TRACKS
 
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"profiles": {"truck": {}}}, "truck"),
+            ({"profiles": {"car": {"bogus": 1}}}, "bogus"),
+            ({"samples_per_track": [10, 5]}, "samples_per_track"),
+            ([1, 2], "spec"),
+            ({"tracks_per_class": {"car": "3"}}, "tracks_per_class"),
+            ({"start_range": "70"}, "start_range"),
+            ({"profiles": {"car": {"length_range": [1]}}}, "length_range"),
+            ({"bogus_top": 1}, "bogus_top"),
+            ({"tracks_per_class": {"truck": 3}}, "truck"),
+            ({"tracks_per_class": {c: 0 for c in preprocess.CLASSES}}, "tracks_per_class"),
+            ({"samples_per_track": [0, 0]}, "samples_per_track"),
+            ({"stop_range": 100}, "stop_range"),
+            ({"seed": 1}, "seed"),
+        ],
+        ids=["profile-unknown-class", "profile-unknown-key", "samples-reversed", "spec-list",
+             "tracks-string", "start-range-string", "length-range-short", "unknown-key",
+             "tracks-unknown-class", "tracks-all-zero", "samples-zero", "stop-beyond-start",
+             "seed-key"],
+    )
+    def test_bad_spec_is_named_error(self, spec, named, tmp_path, capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "data.jsonl"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["generate", "--spec", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError"
+        assert named in error["message"]
+        assert not out.exists()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         # the package's parent directory, so a source checkout needs no install
@@ -171,6 +203,37 @@ class TestGradcheckCli:
 
 
 class TestErrorSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--out", "out"],
+         ["train", "--method", "forest", "--data", "nope", "--out", "out"],
+         ["benchmark", "--data", "nope", "--json", "out"],
+         ["ablate", "--data", "nope", "--json", "out"],
+         ["gradcheck", "--json", "out"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_refused_at_parse_time(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--seed", "-1"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("methods", ["", "forest", "craftedforest,"])
+    def test_bad_methods_is_config_error_before_reading_data(self, methods, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = cli.main([
+            "benchmark", "--data", str(tmp_path / "nope.jsonl"), "--methods", methods,
+            "--json", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError"
+        assert all(key in error["message"] for key in ("deepreflecs", "craftedforest", "gridcnn"))
+        assert captured.out == "" and not out.exists()
+
     def test_missing_file_emits_json_error(self, capsys):
         code = cli.main(["eval", "--model", "/nonexistent.rfln", "--data", "/nope"])
         assert code == 1

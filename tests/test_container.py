@@ -89,6 +89,16 @@ def test_config_that_is_not_an_object_is_container_error():
         container.read_container(blob, b"TEST")
 
 
+def test_config_with_an_integer_too_long_to_read_is_container_error():
+    # json.loads refuses an integer of more than 4,300 digits with a bare ValueError
+    blob = container.write_container(b"TEST", {"a": 1}, None, [])
+    at = blob.index(b'{"a": 1}')
+    config = b'{"a": ' + b"1" * 5000 + b"}"
+    blob = blob[: at - 4] + struct.pack("<I", len(config)) + config + blob[at + 8 :]
+    with pytest.raises(container.ContainerError, match="not valid JSON"):
+        container.read_container(with_fresh_crc(blob), b"TEST")
+
+
 def test_non_utf8_array_name_is_container_error():
     blob = container.write_container(b"TEST", {}, None, [("ab", np.zeros(2))])
     at = blob.index(b"ab")

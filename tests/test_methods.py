@@ -120,6 +120,27 @@ def test_malformed_config_is_named_error(command, config, named, dataset, tmp_pa
 
 
 @pytest.mark.parametrize(
+    "model_config, named",
+    [({"width1": "16"}, "width1"), ({"use_gcl": 1}, "use_gcl"), ({"pad_length": 0}, "pad_length")],
+    ids=["width-string", "use-gcl-int", "pad-length-zero"],
+)
+def test_bad_model_value_is_config_error_before_reading_data(
+    model_config, named, tmp_path, capsys
+):
+    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
+    code, captured = run_cli(
+        ["train", "--method", "deepreflecs", "--data", str(tmp_path / "nope.jsonl"),
+         "--config", config, "--out", str(tmp_path / "model.bin")],
+        capsys,
+    )
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ConfigError"
+    assert named in error["message"]
+    assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["benchmark", "--methods", "craftedforest"], ["benchmark"], ["ablate"]],
     ids=["benchmark-forest", "benchmark", "ablate"],
