@@ -32,7 +32,10 @@ def _write_json(obj: dict, path: str | None) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+            raise schema.ConfigError(f"{path} is not readable JSON: {exc}") from exc
 
 
 def _load_config(path: str | None, model_config, who: str):

@@ -10,7 +10,8 @@ hidden dense layers during training. 232,628 learnable parameters.
 
 A batch is a stack of normalized grids (B, 11, 11, 2) that forward_grids
 runs through every layer at once; training and batch prediction feed it
-_CHUNK grids at a time.
+_CHUNK grids at a time. A training run stages its grids as one such
+stack up front and draws each batch from it by index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, List, Sequence, Tuple
+from typing import Annotated, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,8 +140,11 @@ class GridCnnModel:
     def predict(self, grid: Grid):
         return forward(self, grid)
 
-    def predict_batch(self, grids: Sequence[Grid]) -> List[ClassDistribution]:
+    def predict_batch(self, grids: Grids) -> List[ClassDistribution]:
         return predict_batch(self, grids)
+
+    def stage(self, grids: Sequence[Grid]) -> np.ndarray:
+        return _stack(self, grids)
 
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
@@ -261,8 +265,18 @@ def _pool_grads(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.n
     return grad
 
 
-def _stack(model: GridCnnModel, grids: Sequence[Grid]) -> np.ndarray:
-    """Normalized cells of the grids as one (B, 11, 11, 2) array at model precision."""
+# what predict_batch, loss_and_grads and train_step take: grids, or a stack
+# of them that _stack has already normalized
+Grids = Union[Sequence[Grid], np.ndarray]
+
+
+def _stack(model: GridCnnModel, grids: Grids) -> np.ndarray:
+    """Normalized cells of the grids as one (B, 11, 11, 2) array at model precision.
+
+    A stack that is already staged is returned as it is.
+    """
+    if isinstance(grids, np.ndarray):
+        return grids
     cells = np.stack([g.cells for g in grids])
     x = (cells - model.channel_means) / model.channel_stds
     return x.astype(model.conv1.weights.dtype, copy=False)
@@ -320,7 +334,7 @@ def forward(model: GridCnnModel, grid: Grid) -> ClassDistribution:
     return distributions(forward_grids(model, _stack(model, [grid])))[0]
 
 
-def predict_batch(model: GridCnnModel, grids: Sequence[Grid]) -> List[ClassDistribution]:
+def predict_batch(model: GridCnnModel, grids: Grids) -> List[ClassDistribution]:
     """forward for every grid, run a chunk of grids at a time."""
     if len(grids) == 0:
         return []
@@ -375,7 +389,7 @@ def _backward(
 
 def loss_and_grads(
     model: GridCnnModel,
-    batch: Sequence[Grid],
+    batch: Grids,
     labels: Sequence[int],
     training: bool = True,
     rng: np.random.Generator | None = None,
@@ -386,13 +400,12 @@ def loss_and_grads(
     dtype = model.conv1.weights.dtype
     labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)
+    x = _stack(model, batch)
     grads: Dict[str, np.ndarray] = {}
     probs = []
     for start in range(0, len(batch), _CHUNK):
         stop = start + _CHUNK
-        p, cache = forward_grids(
-            model, _stack(model, batch[start:stop]), training, rng, keep_cache=True
-        )
+        p, cache = forward_grids(model, x[start:stop], training, rng, keep_cache=True)
         probs.append(p)
         d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
         for name, g in _backward(model, cache, d_logits).items():
@@ -405,7 +418,7 @@ def loss_and_grads(
 
 def train_step(
     model: GridCnnModel,
-    batch: Sequence[Grid],
+    batch: Grids,
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,

@@ -11,14 +11,16 @@ concatenated into one matrix, with segment offsets marking where each
 sample starts, and every layer runs once over the whole batch. A single
 sample is a batch of one segment. Padding rows are dropped before the
 first layer, which makes the output bitwise independent of the pad
-length and of whatever values sit in padding rows.
+length and of whatever values sit in padding rows. A training run packs
+its inputs once into a Staged table and gathers each batch from it by
+index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, List, Sequence, Tuple
+from typing import Annotated, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -129,8 +131,11 @@ class ReflectNetModel:
     def predict(self, inp: PaddedInput) -> ClassDistribution:
         return forward(self, inp)
 
-    def predict_batch(self, inputs: Sequence[PaddedInput]) -> List[ClassDistribution]:
+    def predict_batch(self, inputs: Inputs) -> List[ClassDistribution]:
         return predict_batch(self, inputs)
+
+    def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
+        return stage(self, inputs)
 
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
         return train_step(self, batch, labels, lr, opt_state, optimizer=optimizer)
@@ -185,6 +190,49 @@ def pack(inputs: Sequence[PaddedInput], dtype) -> Tuple[np.ndarray, nn.Segments]
     return rows.astype(dtype, copy=False), nn.Segments.from_lengths(lengths)
 
 
+@dataclass(frozen=True)
+class Staged:
+    """A set of inputs packed once into one ragged table, for repeated use.
+
+    Input b is rows[segments.starts[b] : segments.starts[b] + lengths[b]],
+    at the precision of the model that staged it. Indexing with an array
+    of input indices (repeats allowed) gathers those inputs, in that
+    order, into a new table: a training step draws its batch with one row
+    gather instead of packing the padded inputs again.
+    """
+
+    rows: np.ndarray
+    segments: nn.Segments
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, indices) -> "Staged":
+        indices = np.asarray(indices, dtype=np.intp)
+        lengths = self.lengths[indices]
+        segments = nn.Segments.from_lengths(lengths)
+        shift = self.segments.starts[indices] - segments.starts
+        rows = self.rows[shift[segments.ids] + np.arange(segments.ids.size)]
+        return Staged(rows, segments, lengths)
+
+
+# what predict_batch, loss_and_grads and train_step take
+Inputs = Union[Sequence[PaddedInput], Staged]
+
+
+def stage(model: ReflectNetModel, inputs: Sequence[PaddedInput]) -> Staged:
+    """pack at model precision, keeping each input's row count."""
+    rows, segments = pack(inputs, model.conv1.weights.dtype)
+    return Staged(rows, segments, np.diff(segments.starts, append=rows.shape[0]))
+
+
+def _rows(model: ReflectNetModel, inputs: Inputs) -> Tuple[np.ndarray, nn.Segments]:
+    if isinstance(inputs, Staged):
+        return inputs.rows, inputs.segments
+    return pack(inputs, model.conv1.weights.dtype)
+
+
 def forward_rows(
     model: ReflectNetModel, x: np.ndarray, segments: nn.Segments, keep_cache: bool = False
 ):
@@ -212,25 +260,23 @@ def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
     return distributions(forward_rows(model, *pack([inp], model.conv1.weights.dtype)))[0]
 
 
-def predict_batch(
-    model: ReflectNetModel, inputs: Sequence[PaddedInput]
-) -> List[ClassDistribution]:
+def predict_batch(model: ReflectNetModel, inputs: Inputs) -> List[ClassDistribution]:
     """forward for every input, run as one ragged batch."""
     if len(inputs) == 0:
         return []
-    return distributions(forward_rows(model, *pack(inputs, model.conv1.weights.dtype)))
+    return distributions(forward_rows(model, *_rows(model, inputs)))
 
 
 def loss_and_grads(
     model: ReflectNetModel,
-    batch: Sequence[PaddedInput],
+    batch: Inputs,
     labels: Sequence[int],
 ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and its parameter gradients."""
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     dtype = model.conv1.weights.dtype
-    x, segments = pack(batch, dtype)
+    x, segments = _rows(model, batch)
     probs, cache = forward_rows(model, x, segments, keep_cache=True)
     labels = np.asarray(labels, dtype=np.intp)
     d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * (1.0 / len(batch))).astype(dtype)
@@ -256,17 +302,21 @@ def loss_and_grads(
 
 def train_step(
     model: ReflectNetModel,
-    batch: Sequence[PaddedInput],
+    batch: Inputs,
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean batch loss; returns the pre-step loss."""
+    """One optimizer step on the mean batch loss; returns the pre-step loss.
+
+    The six small tensors take one flat update, so opt_state is the flat
+    state of an earlier call.
+    """
     loss, grads = loss_and_grads(model, batch, labels)
     if not np.isfinite(loss):
         raise nn.TrainingError(f"non-finite training loss {loss}")
-    new_params, opt_state = nn.optimizer_step(
+    new_params, opt_state = nn.flat_optimizer_step(
         model.params(), grads, lr, opt_state, strategy=optimizer
     )
     model.set_params(new_params)

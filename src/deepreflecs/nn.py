@@ -394,6 +394,34 @@ def optimizer_step(
     raise ValueError(f"unknown optimizer strategy '{strategy}'")
 
 
+def flat_optimizer_step(
+    params: Dict[str, np.ndarray],
+    grads: Dict[str, np.ndarray],
+    lr: float,
+    state: AdamState | None = None,
+    strategy: str = "adam",
+) -> Tuple[Dict[str, np.ndarray], AdamState | None]:
+    """optimizer_step over all tensors joined into one flat vector.
+
+    Both updates are elementwise, so the new parameters are bitwise those
+    of optimizer_step tensor by tensor, at a fixed number of numpy calls
+    however many tensors there are. The returned parameters are views
+    into one vector; the state keeps its moments under the single key
+    'flat', so it only continues a run of flat steps.
+    """
+    flat_grad = np.concatenate([grads[name].ravel() for name in params])
+    if not np.isfinite(flat_grad).all():
+        _check_finite_grads(grads)  # raises, naming the tensor
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    new, state = optimizer_step({"flat": flat}, {"flat": flat_grad}, lr, state, strategy)
+    out: Dict[str, np.ndarray] = {}
+    offset = 0
+    for name, p in params.items():
+        out[name] = new["flat"][offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    return out, state
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of a central-difference gradient check."""

@@ -358,7 +358,7 @@ def read_dataset(
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 raise DatasetError(f"invalid JSON: {exc}", lineno) from exc
             sample = _record_to_sample(record, lineno)
             if range_cutoff is not None:

@@ -1,7 +1,11 @@
 """Training loop: geometric LR schedule, class re-sampling, best-epoch pick.
 
-Works with any model exposing copy()/train_step()/predict_batch() (the
-reflection network and the grid CNN both do). The learning rate decays
+Works with any model exposing copy()/stage()/train_step()/predict_batch()
+(the reflection network and the grid CNN both do). A run stages its
+training and validation inputs once: stage() packs a list of inputs into
+the model's batch form, indexing the staged set with an index array
+gives a batch of those inputs, and train_step and predict_batch take
+both forms. The learning rate decays
 geometrically from lr_start to lr_end across epochs, the training set is
 re-balanced by integer duplication factors per class, and the returned
 model is the parameter snapshot of the epoch with the best validation
@@ -86,16 +90,29 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 def resample_indices(
     class_labels: Sequence[str], factors: Dict[str, int]
 ) -> np.ndarray:
-    """Index multiset where sample i of class c appears factors[c] times."""
-    out: List[int] = []
-    for i, label in enumerate(class_labels):
-        out.extend([i] * int(factors.get(label, 1)))
-    return np.array(out, dtype=np.int64)
+    """Index multiset where sample i of class c appears factors[c] times, in order."""
+    counts = [int(factors.get(label, 1)) for label in class_labels]
+    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
 def _accuracy(model, inputs, labels: np.ndarray) -> float:
     predicted = np.array([dist.predicted for dist in model.predict_batch(inputs)])
     return int(np.count_nonzero(predicted == labels)) / len(labels)
+
+
+def _check_splits(train_inputs, train_labels, train_class_labels, val_inputs, val_labels):
+    lengths = (len(train_inputs), len(train_labels), len(train_class_labels))
+    if len(set(lengths)) != 1:
+        raise nn.TrainingError(
+            "training inputs, labels and class labels differ in length: %d, %d and %d"
+            % lengths
+        )
+    if len(val_inputs) == 0:
+        raise nn.TrainingError("empty validation set")
+    if len(val_inputs) != len(val_labels):
+        raise nn.TrainingError(
+            f"{len(val_inputs)} validation inputs but {len(val_labels)} validation labels"
+        )
 
 
 def train(
@@ -113,6 +130,7 @@ def train(
     The validation set is evaluated after every epoch and never re-sampled.
     """
     started = time.perf_counter()
+    _check_splits(train_inputs, train_labels, train_class_labels, val_inputs, val_labels)
     model = model.copy()
     rng = np.random.default_rng(config.seed)
     multiset = resample_indices(train_class_labels, config.resample_factors)
@@ -123,6 +141,8 @@ def train(
         )
     train_labels = np.asarray(train_labels, dtype=np.int64)
     val_labels = np.asarray(val_labels, dtype=np.int64)
+    train_set = model.stage(train_inputs)
+    val_set = model.stage(val_inputs)
 
     opt_state = None
     epoch_losses: List[float] = []
@@ -136,10 +156,9 @@ def train(
         losses = []
         for step in range(steps):
             draw = multiset[rng.integers(0, multiset.size, size=config.batch_size)]
-            batch = [train_inputs[i] for i in draw]
             try:
                 loss, opt_state = model.train_step(
-                    batch, train_labels[draw], lr, opt_state, rng=rng,
+                    train_set[draw], train_labels[draw], lr, opt_state, rng=rng,
                     optimizer=config.optimizer,
                 )
             except nn.TrainingError as exc:
@@ -148,7 +167,7 @@ def train(
                 ) from exc
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
-        accuracy = _accuracy(model, val_inputs, val_labels)
+        accuracy = _accuracy(model, val_set, val_labels)
         val_accuracies.append(accuracy)
         if accuracy > best_accuracy:  # strict: ties keep the earliest epoch
             best_accuracy = accuracy

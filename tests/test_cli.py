@@ -234,6 +234,27 @@ class TestErrorSurface:
         assert all(key in error["message"] for key in ("deepreflecs", "craftedforest", "gridcnn"))
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"train": {"epochs": 2', b'{"seed": ' + b"9" * 5000 + b"}", b'\xff{"train": {}}'],
+        ids=["truncated", "integer-too-long", "not-utf8"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--spec", "file", "--out", "out"],
+         ["train", "--method", "forest", "--data", "nope", "--config", "file", "--out", "out"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unreadable_json_file_is_config_error_naming_it(self, argv, content, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        argv = [str(path) if a == "file" else str(tmp_path / a) if a == "out" else a for a in argv]
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError"
+        assert str(path) in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_emits_json_error(self, capsys):
         code = cli.main(["eval", "--model", "/nonexistent.rfln", "--data", "/nope"])
         assert code == 1

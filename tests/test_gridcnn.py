@@ -426,6 +426,40 @@ class TestBatched:
         assert peak < 5 * 2**20
 
 
+class TestStaged:
+    """Batches drawn from a staged stack against stacking the same grids again."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        grids, labels = desk_grids(6)
+        net = gridcnn.build_gridcnn(seed=1)
+        net.dropout = 0.3
+        gridcnn.set_channel_stats(net, grids)
+        return net, grids, np.array(labels), net.stage(grids)
+
+    @pytest.mark.parametrize(
+        "draw", [[0], [2, 2, 2], [5, 0, 5, 1, 0, 3]],
+        ids=["one", "one-grid-thrice", "repeats-across-chunks"],
+    )
+    def test_batch_gives_bitwise_the_loss_and_grads_of_its_list(self, desk, draw):
+        net, grids, labels, staged = desk
+        loss, grads = gridcnn.loss_and_grads(
+            net, staged[draw], labels[draw], rng=np.random.default_rng(0)
+        )
+        expected_loss, expected = gridcnn.loss_and_grads(
+            net, [grids[i] for i in draw], labels[draw], rng=np.random.default_rng(0)
+        )
+        assert loss == expected_loss
+        for name, g in grads.items():
+            assert g.tobytes() == expected[name].tobytes(), name
+
+    def test_staged_stack_predicts_bitwise_as_its_list(self, desk):
+        net, grids, _, staged = desk
+        assert staged.shape == (6, 11, 11, 2) and staged.dtype == np.float32
+        for a, b in zip(net.predict_batch(staged), net.predict_batch(grids), strict=True):
+            assert a.probabilities.tobytes() == b.probabilities.tobytes()
+
+
 class TestGridCnnSerialization:
     def test_round_trip_bitwise(self):
         net = gridcnn.build_gridcnn(seed=8)

@@ -256,6 +256,71 @@ class TestRaggedBatch:
     def test_predict_batch_of_nothing(self):
         assert model.build_model().predict_batch([]) == []
 
+
+class TestStaged:
+    """Batches drawn from a staged set against packing the same inputs again."""
+
+    @staticmethod
+    def staged_set(dtype):
+        rng = np.random.default_rng(7)
+        # input 3 fills all pad_length rows
+        inputs = [random_input(rng, pad_length=8, m=m) for m in (1, 5, 2, 8, 3)]
+        labels = np.array([0, 1, 2, 3, 1])
+        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=7, dtype=dtype)
+        return net, inputs, labels, net.stage(inputs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "draw",
+        [[0], [3], [2, 2, 2], [4, 0, 4, 1, 0, 3, 3], [3, 1, 0, 2, 4]],
+        ids=["one-row-alone", "full-pad-alone", "one-input-thrice", "repeats", "all"],
+    )
+    def test_batch_gives_bitwise_the_loss_and_grads_of_its_list(self, dtype, draw):
+        net, inputs, labels, staged = self.staged_set(dtype)
+        batch = staged[np.array(draw)]
+        assert len(batch) == len(draw)
+        loss, grads = model.loss_and_grads(net, batch, labels[draw])
+        expected_loss, expected = model.loss_and_grads(
+            net, [inputs[i] for i in draw], labels[draw]
+        )
+        assert loss == expected_loss
+        for name, g in grads.items():
+            assert g.dtype == dtype
+            assert g.tobytes() == expected[name].tobytes(), name
+
+    def test_batch_predicts_bitwise_as_its_list(self):
+        net, inputs, _, staged = self.staged_set(np.float32)
+        draw = [4, 3, 3, 0]
+        got = net.predict_batch(staged[draw])
+        expected = net.predict_batch([inputs[i] for i in draw])
+        for a, b in zip(got, expected, strict=True):
+            assert a.probabilities.tobytes() == b.probabilities.tobytes()
+            assert a.predicted == b.predicted
+
+    def test_staged_set_is_the_packed_table(self):
+        net, inputs, _, staged = self.staged_set(np.float32)
+        rows, segments = model.pack(inputs, np.float32)
+        assert staged.rows.tobytes() == rows.tobytes()
+        np.testing.assert_array_equal(staged.segments.starts, segments.starts)
+        np.testing.assert_array_equal(staged.lengths, [1, 5, 2, 8, 3])
+
+    @given(batch=ragged_batches(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_draw_gives_bitwise_the_train_step_of_its_list(self, batch, data):
+        inputs, labels = batch
+        draw = data.draw(st.lists(st.integers(0, len(inputs) - 1), min_size=1, max_size=12))
+        labels = np.array(labels)
+        staged_net, list_net = model.build_model(seed=2), model.build_model(seed=2)
+        staged = staged_net.stage(inputs)
+        loss, state = staged_net.train_step(staged[draw], labels[draw], 0.01, None)
+        expected_loss, expected_state = list_net.train_step(
+            [inputs[i] for i in draw], labels[draw], 0.01, None
+        )
+        assert loss == expected_loss
+        for name, p in staged_net.params().items():
+            assert p.tobytes() == list_net.params()[name].tobytes(), name
+        assert state.m["flat"].tobytes() == expected_state.m["flat"].tobytes()
+
     def test_gradcheck_mean_loss_of_three_sample_batch(self):
         net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
         wide = net.astype(np.float64)

@@ -406,6 +406,61 @@ class TestOptimizers:
             nn.optimizer_step({}, {}, 0.1, strategy="momentum")
 
 
+# the reflection network's six tensors at the default widths
+NETWORK_SHAPES = {
+    "conv1.weights": (5, 16), "conv1.bias": (16,),
+    "conv2.weights": (32, 32), "conv2.bias": (32,),
+    "head.weights": (32, 4), "head.bias": (4,),
+}
+
+
+def random_tensors(rng, dtype, scale=1.0):
+    return {
+        name: (scale * rng.standard_normal(shape)).astype(dtype)
+        for name, shape in NETWORK_SHAPES.items()
+    }
+
+
+class TestFlatOptimizerStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_is_bitwise_six_per_tensor_steps(self, dtype):
+        rng = np.random.default_rng(0)
+        flat = random_tensors(rng, dtype)
+        per_tensor = dict(flat)
+        flat_state, states = None, dict.fromkeys(NETWORK_SHAPES)
+        for step in range(5):
+            grads = random_tensors(rng, dtype, scale=10.0 ** (step - 2))
+            lr = 0.01 / (step + 1)
+            flat, flat_state = nn.flat_optimizer_step(flat, grads, lr, flat_state)
+            for name in NETWORK_SHAPES:
+                new, states[name] = nn.adam_step(
+                    {name: per_tensor[name]}, {name: grads[name]}, lr, states[name]
+                )
+                per_tensor[name] = new[name]
+            assert flat_state.t == step + 1
+            for name, p in flat.items():
+                assert p.dtype == dtype and p.shape == NETWORK_SHAPES[name]
+                assert p.tobytes() == per_tensor[name].tobytes(), (step, name)
+
+    def test_sgd_is_bitwise_the_per_tensor_step(self):
+        rng = np.random.default_rng(1)
+        params, grads = random_tensors(rng, np.float32), random_tensors(rng, np.float32)
+        flat, state = nn.flat_optimizer_step(params, grads, 0.1, strategy="sgd")
+        assert state is None
+        expected = nn.sgd_step(params, grads, 0.1)
+        for name, p in flat.items():
+            assert p.tobytes() == expected[name].tobytes()
+
+    @pytest.mark.parametrize("name", list(NETWORK_SHAPES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_names_its_tensor(self, name, bad):
+        rng = np.random.default_rng(2)
+        params, grads = random_tensors(rng, np.float32), random_tensors(rng, np.float32)
+        grads[name].reshape(-1)[-1] = bad
+        with pytest.raises(nn.TrainingError, match=f"'{name}'"):
+            nn.flat_optimizer_step(params, grads, 0.1)
+
+
 class TestGradCheck:
     def test_single_linear_softmax_cross_entropy(self):
         rng = np.random.default_rng(0)

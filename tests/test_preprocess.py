@@ -296,6 +296,13 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 1"):
             preprocess.read_dataset(str(path))
 
+    def test_integer_too_long_to_convert_reports_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        preprocess.write_dataset([one_sample()], str(path))
+        path.write_text(path.read_text() + '{"track_id": ' + "9" * 5000 + "}\n")
+        with pytest.raises(DatasetError, match="line 2"):
+            preprocess.read_dataset(str(path))
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"track_id": "a", "class": "car", "pose": {"x": 0, "y": 0, "heading": 0}}\n')

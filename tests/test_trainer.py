@@ -63,6 +63,20 @@ class TestResample:
         multiset = trainer.resample_indices(labels, {"car": 1, "cyclist": 1})
         np.testing.assert_array_equal(multiset, [0, 1, 2])
 
+    def test_order_matches_per_sample_loop(self):
+        labels = ["cyclist", "car", "non_obstacle", "pedestrian", "truck", "car"]
+        factors = {"car": 3, "cyclist": 0, "non_obstacle": 2, "pedestrian": 1}
+        reference = []
+        for i, label in enumerate(labels):
+            reference.extend([i] * factors.get(label, 1))
+        multiset = trainer.resample_indices(labels, factors)
+        assert multiset.dtype == np.int64
+        np.testing.assert_array_equal(multiset, reference)
+
+    def test_no_labels_give_an_empty_multiset(self):
+        multiset = trainer.resample_indices([], {"car": 2})
+        assert multiset.dtype == np.int64 and multiset.size == 0
+
     def test_default_factors(self):
         assert trainer.DEFAULT_RESAMPLE == {
             "car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4
@@ -162,6 +176,42 @@ class TestTrainLoop:
         with pytest.raises(nn.TrainingError, match="resample_factors") as caught:
             trainer.train(net, inputs, labels, classes, inputs, labels, config)
         assert str(factors) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (dict(val_inputs=0, val_labels=0), "empty validation set"),
+            (dict(val_labels=-1), "validation labels"),
+            (dict(val_inputs=-1), "validation labels"),
+            (dict(train_labels=-1), "differ in length"),
+            (dict(train_class_labels=-1), "differ in length"),
+            (dict(train_inputs=-1), "differ in length"),
+        ],
+        ids=["empty-val", "val-labels-short", "val-inputs-short", "train-labels-short",
+             "class-labels-short", "train-inputs-short"],
+    )
+    def test_bad_split_is_training_error_before_any_step(self, cut, message, monkeypatch):
+        inputs, labels, classes = toy_data(np.random.default_rng(6))
+        split = dict(
+            train_inputs=inputs, train_labels=labels, train_class_labels=classes,
+            val_inputs=inputs, val_labels=labels,
+        )
+        split.update({name: split[name][:stop] for name, stop in cut.items()})
+        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=6)
+        monkeypatch.setattr(model, "train_step", None)  # no step may run
+        with pytest.raises(nn.TrainingError, match=message):
+            trainer.train(net, config=self.make_config(), **split)
+
+    @pytest.mark.parametrize("epochs, steps", [(1, 1), (3, 5)])
+    def test_inputs_are_packed_once_per_run(self, epochs, steps, monkeypatch):
+        inputs, labels, classes = toy_data(np.random.default_rng(7))
+        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=7)
+        calls = []
+        pack = model.pack
+        monkeypatch.setattr(model, "pack", lambda *a: calls.append(1) or pack(*a))
+        config = self.make_config(epochs=epochs, steps_per_epoch=steps)
+        trainer.train(net, inputs, labels, classes, inputs[:5], labels[:5], config)
+        assert len(calls) == 2  # the training set and the validation set
 
     def test_toy_problem_learns(self):
         rng = np.random.default_rng(4)
