@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import container, forest, gridcnn, model as reflectnet, preprocess, schema, trainer
+from . import container, forest, gridcnn, model as reflectnet, nn, preprocess, schema, trainer
 
 
 @dataclass
@@ -167,7 +167,7 @@ TABLE = (  # in benchmark report order
         model_config=reflectnet.ReflectNetConfig,
         train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
         n_classes=lambda net: net.config.n_classes,
-        complexity=lambda net: {"param_count": reflectnet.count_params(net)},
+        complexity=lambda net: {"param_count": nn.count_params(net)},
         serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
     ),
     Method(
@@ -183,7 +183,7 @@ TABLE = (  # in benchmark report order
         name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_config=None,
         train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
         n_classes=lambda net: gridcnn.N_CLASSES,
-        complexity=lambda net: {"param_count": gridcnn.count_params(net)},
+        complexity=lambda net: {"param_count": nn.count_params(net)},
         serialize=gridcnn.serialize, deserialize=gridcnn.deserialize,
     ),
 )
@@ -202,11 +202,15 @@ def method_for(blob: bytes) -> Method:
 
 def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Sequence]:
     """Metrics of a model on samples, plus the featurized inputs it predicted."""
+    n_classes = method.n_classes(model)
+    if n_classes != len(preprocess.CLASSES):  # a forest file may declare any count
+        raise container.ContainerError(
+            f"the model predicts {n_classes} classes, not the dataset's {list(preprocess.CLASSES)}"
+        )
     if len(samples) == 0:
         raise preprocess.DatasetError("no samples to evaluate")
     inputs = method.featurize(model, samples)
     predictions = method.predict_batch(model, inputs)
-    n_classes = method.n_classes(model)
     return MetricsReport.from_predictions(_labels(samples), predictions, n_classes), inputs
 
 

@@ -12,6 +12,10 @@ A batch is a stack of normalized grids (B, 11, 11, 2) that forward_grids
 runs through every layer at once; training and batch prediction feed it
 _CHUNK grids at a time. A training run stages its grids as one such
 stack up front and draws each batch from it by index.
+
+The model is an nn.Network over the layer table _WEIGHT_SHAPES (a 3x3
+kernel is a (3, 3, in, out) nn.LinearParams), with the channel
+statistics as its norm_stats.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from typing import Annotated, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import container, nn, schema
+from . import nn, schema
 from .model import ClassDistribution, distributions
-from .preprocess import ObjectSample, to_object_frame
+from .preprocess import NormStats, ObjectSample, to_object_frame
 
 MAGIC = b"GCNN"
 
@@ -81,60 +85,37 @@ def rasterize(sample: ObjectSample) -> Grid:
 
 
 @dataclass
-class ConvParams:
-    """3x3 convolution kernel (3, 3, in_channels, out_channels) plus bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def size(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def astype(self, dtype) -> "ConvParams":
-        return ConvParams(self.weights.astype(dtype), self.bias.astype(dtype))
-
-    def copy(self) -> "ConvParams":
-        return ConvParams(self.weights.copy(), self.bias.copy())
-
-
-@dataclass
-class GridCnnModel:
-    conv1: ConvParams
-    conv2: ConvParams
-    conv3: ConvParams
+class GridCnnModel(nn.Network):
+    conv1: nn.LinearParams
+    conv2: nn.LinearParams
+    conv3: nn.LinearParams
     dense1: nn.LinearParams
     dense2: nn.LinearParams
     head: nn.LinearParams
-    channel_means: np.ndarray  # (2,) float64
-    channel_stds: np.ndarray   # (2,) float64
+    norm_stats: NormStats  # per channel: RCS sum, mean vr
     dropout: float = 0.5
 
-    def params(self) -> Dict[str, np.ndarray]:
-        return {
-            f"{layer}.{part}": getattr(getattr(self, layer), part)
-            for layer in _WEIGHT_SHAPES for part in ("weights", "bias")
-        }
+    # With ~12k convolutional pre-activations the least distance to a ReLU
+    # kink is small by sheer count, so a gradient-check grid is only
+    # refused for near-exact hits; whether a checked parameter couples to
+    # a near-kink unit is decided empirically by the seeded checks.
+    safe_margin = 1e-6
 
-    def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        for layer, layer_params in _layers(params).items():
-            setattr(self, layer, layer_params)
+    def layer_shapes(self) -> nn.LayerShapes:
+        return _WEIGHT_SHAPES
 
-    def copy(self) -> "GridCnnModel":
-        return GridCnnModel(
-            conv1=self.conv1.copy(), conv2=self.conv2.copy(), conv3=self.conv3.copy(),
-            dense1=self.dense1.copy(), dense2=self.dense2.copy(), head=self.head.copy(),
-            channel_means=self.channel_means.copy(),
-            channel_stds=self.channel_stds.copy(),
-            dropout=self.dropout,
-        )
+    def random_input(self, rng: np.random.Generator) -> Grid:
+        """A grid of standard-normal cells, all occupied, for gradient checks."""
+        cells = rng.standard_normal((GRID_CELLS, GRID_CELLS, 2))
+        return Grid(cells=cells, occupancy=np.ones((GRID_CELLS, GRID_CELLS), dtype=np.int64))
 
-    def astype(self, dtype) -> "GridCnnModel":
-        return GridCnnModel(
-            conv1=self.conv1.astype(dtype), conv2=self.conv2.astype(dtype),
-            conv3=self.conv3.astype(dtype), dense1=self.dense1.astype(dtype),
-            dense2=self.dense2.astype(dtype), head=self.head.astype(dtype),
-            channel_means=self.channel_means, channel_stds=self.channel_stds,
-            dropout=self.dropout,
+    def kink_margin(self, grid: Grid) -> float:
+        """nn.kink_margin of one grid's float64, dropout-off forward pass."""
+        wide = self.astype(np.float64)
+        _, cache = forward_grids(wide, _stack(wide, [grid]), keep_cache=True)
+        return nn.kink_margin(
+            [cache[z] for z in ("z1", "z2", "z3", "zd1", "zd2")],
+            [np.stack(_pool_windows(cache["a3"]))],
         )
 
     def predict(self, grid: Grid):
@@ -150,31 +131,11 @@ class GridCnnModel:
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
 
 
-def _layers(params: Dict[str, np.ndarray]) -> dict:
-    """Each layer's parameters from its '<layer>.weights' and '<layer>.bias' arrays."""
-    return {
-        layer: (ConvParams if len(shape) == 4 else nn.LinearParams)(
-            params[f"{layer}.weights"], params[f"{layer}.bias"]
-        )
-        for layer, shape in _WEIGHT_SHAPES.items()
-    }
-
-
 def build_gridcnn(seed: int = 0, dropout: float = 0.5, dtype=np.float32) -> GridCnnModel:
-    rng = np.random.default_rng(seed)
-    params = {}
-    for layer, shape in _WEIGHT_SHAPES.items():
-        # fan_in + fan_out: the kernel's cells times its in- plus out-channels
-        limit = math.sqrt(6.0 / (math.prod(shape[:-2]) * sum(shape[-2:])))
-        params[f"{layer}.weights"] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        params[f"{layer}.bias"] = np.zeros(shape[-1], dtype=dtype)
     return GridCnnModel(
-        **_layers(params), channel_means=np.zeros(2), channel_stds=np.ones(2), dropout=dropout
+        **nn.init_layers(_WEIGHT_SHAPES, seed, dtype),
+        norm_stats=NormStats.identity(2), dropout=dropout,
     )
-
-
-def count_params(model: GridCnnModel) -> int:
-    return sum(p.size for p in model.params().values())
 
 
 # Grids per forward/backward pass. It bounds a step's scratch memory: a
@@ -214,7 +175,7 @@ def _patches(x: np.ndarray) -> np.ndarray:
     return np.take(padded, _tap_index(h, w), axis=1).reshape(b * h * w, 9 * c)
 
 
-def _conv(x: np.ndarray, params: ConvParams) -> Tuple[np.ndarray, np.ndarray]:
+def _conv(x: np.ndarray, params: nn.LinearParams) -> Tuple[np.ndarray, np.ndarray]:
     """Same-padded 3x3 convolution of a grid stack; returns (output, patches)."""
     b, h, w, cin = x.shape
     cout = params.bias.shape[0]
@@ -224,7 +185,7 @@ def _conv(x: np.ndarray, params: ConvParams) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _conv_grads(
-    cols: np.ndarray, params: ConvParams, grad_out: np.ndarray, need_input_grad: bool = True
+    cols: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, need_input_grad: bool = True
 ) -> Tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. the input (or None), the kernel and the bias.
 
@@ -278,26 +239,24 @@ def _stack(model: GridCnnModel, grids: Grids) -> np.ndarray:
     if isinstance(grids, np.ndarray):
         return grids
     cells = np.stack([g.cells for g in grids])
-    x = (cells - model.channel_means) / model.channel_stds
+    x = (cells - model.norm_stats.mean) / model.norm_stats.std
     return x.astype(model.conv1.weights.dtype, copy=False)
 
 
 def forward_grids(
     model: GridCnnModel,
     x: np.ndarray,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
 ):
     """Class probabilities (B, 4) for a stack of normalized grids x (B, 11, 11, 2).
 
-    In training, dropout draws rng.random((B, 160)): per grid the 128
-    dense1 values, then the 32 dense2 values, as a grid-by-grid loop would.
-    With keep_cache, returns (probabilities, activations) for the backward
-    pass.
+    Given an rng (training), dropout draws rng.random((B, 160)): per grid
+    the 128 dense1 values, then the 32 dense2 values, as a grid-by-grid
+    loop would. With keep_cache, returns (probabilities, activations) for
+    the backward pass.
     """
-    if training and rng is None:
-        raise ValueError("training-mode forward needs an rng for dropout")
+    training = rng is not None
     z1, cols1 = _conv(x, model.conv1)
     a1 = nn.relu(z1)
     z2, cols2 = _conv(a1, model.conv2)
@@ -391,10 +350,12 @@ def loss_and_grads(
     model: GridCnnModel,
     batch: Grids,
     labels: Sequence[int],
-    training: bool = True,
     rng: np.random.Generator | None = None,
 ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean cross-entropy and parameter gradients over a batch of grids."""
+    """Mean cross-entropy and parameter gradients over a batch of grids.
+
+    Dropout is on, drawn from rng, when an rng is given.
+    """
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     dtype = model.conv1.weights.dtype
@@ -405,7 +366,7 @@ def loss_and_grads(
     probs = []
     for start in range(0, len(batch), _CHUNK):
         stop = start + _CHUNK
-        p, cache = forward_grids(model, x[start:stop], training, rng, keep_cache=True)
+        p, cache = forward_grids(model, x[start:stop], rng, keep_cache=True)
         probs.append(p)
         d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
         for name, g in _backward(model, cache, d_logits).items():
@@ -425,81 +386,14 @@ def train_step(
     rng: np.random.Generator | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
+    """One optimizer step on the mean batch loss, with dropout drawn from rng."""
     if rng is None:
         rng = np.random.default_rng(0)
-    loss, grads = loss_and_grads(model, batch, labels, training=True, rng=rng)
-    if not np.isfinite(loss):
-        raise nn.TrainingError(f"non-finite training loss {loss}")
-    new_params, opt_state = nn.optimizer_step(
-        model.params(), grads, lr, opt_state, strategy=optimizer
-    )
-    model.set_params(new_params)
-    return loss, opt_state
-
-
-def kink_margin(model: GridCnnModel, grid: Grid) -> float:
-    """Distance of one grid's (dropout-off) forward pass from ReLU/max kinks."""
-    wide = model.astype(np.float64)
-    _, cache = forward_grids(wide, _stack(wide, [grid]), keep_cache=True)
-    margins = [
-        np.abs(cache[z]).min() for z in ("z1", "z2", "z3", "zd1", "zd2")
-    ]
-    windows = np.sort(np.stack(_pool_windows(cache["a3"]), axis=-1), axis=-1)
-    top1, top2 = windows[..., 3], windows[..., 2]
-    positive = top1 > 0
-    if np.any(positive):
-        margins.append(float((top1 - top2)[positive].min()))
-    return float(min(margins))
-
-
-def gradcheck(
-    model: GridCnnModel,
-    grids: Sequence[Grid],
-    labels: Sequence[int],
-    h: float = 1e-5,
-    max_checks_per_tensor: int | None = None,
-    seed: int = 0,
-) -> nn.GradCheckReport:
-    """Central-difference check of the mean batch loss, dropout disabled, in float64."""
-    wide = model.astype(np.float64)
-    _, analytic = loss_and_grads(wide, grids, labels, training=False)
-    x = _stack(wide, grids)
-    labels = np.asarray(labels, dtype=np.intp)
-
-    def loss_fn(_params):
-        return nn.mean_cross_entropy(forward_grids(wide, x), labels)
-
-    return nn.finite_diff_gradcheck(
-        loss_fn, wide.params(), analytic, h=h,
-        max_checks_per_tensor=max_checks_per_tensor, seed=seed,
-    )
-
-
-def random_safe_grid(
-    model: GridCnnModel,
-    rng: np.random.Generator,
-    margin: float = 1e-6,
-    max_tries: int = 200,
-) -> Tuple[Grid, int]:
-    """Random dense grid whose forward pass stays clear of every kink.
-
-    With ~12k convolutional pre-activations the global minimum distance to
-    a ReLU kink is small by sheer count, so the guard only rejects
-    near-exact hits; whether a checked parameter actually couples to a
-    near-kink unit is decided empirically by the seeded checks.
-    """
-    for _ in range(max_tries):
-        cells = rng.standard_normal((GRID_CELLS, GRID_CELLS, 2))
-        grid = Grid(cells=cells, occupancy=np.ones((GRID_CELLS, GRID_CELLS), dtype=np.int64))
-        if kink_margin(model, grid) > margin:
-            return grid, int(rng.integers(0, 4))
-    raise RuntimeError(f"no kink-safe grid found in {max_tries} tries")
+    return model.update(*loss_and_grads(model, batch, labels, rng=rng), lr, opt_state, optimizer)
 
 
 def gradcheck_random_sample(
-    seed: int = 0,
-    h: float = 1e-5,
-    max_checks_per_tensor: int | None = 64,
+    seed: int = 0, h: float = 1e-5, max_checks_per_tensor: int | None = 64,
 ) -> nn.GradCheckReport:
     """Seeded model, seeded batch of 3 kink-safe grids, subsampled parameter check.
 
@@ -507,20 +401,12 @@ def gradcheck_random_sample(
     keeps the grids apart.
     """
     net = build_gridcnn(seed=seed)
-    rng = np.random.default_rng([seed, 1])
-    grids, labels = zip(*(random_safe_grid(net, rng) for _ in range(3)))
-    return gradcheck(
-        net, grids, labels, h=h, max_checks_per_tensor=max_checks_per_tensor, seed=seed
-    )
+    return nn.gradcheck_random_batch(net, 3, loss_and_grads, seed, h, max_checks_per_tensor)
 
 
 def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:
     """Per-channel mean/std over all cells of the given (training) grids."""
-    stacked = np.stack([g.cells for g in grids])
-    means = stacked.reshape(-1, 2).mean(axis=0)
-    stds = np.maximum(stacked.reshape(-1, 2).std(axis=0), 1e-6)
-    model.channel_means = means
-    model.channel_stds = stds
+    model.norm_stats = NormStats.of(np.stack([g.cells for g in grids]).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -535,23 +421,11 @@ class FileConfig:
 
 
 def serialize(model: GridCnnModel) -> bytes:
-    config = asdict(FileConfig(model.dropout, N_CLASSES))
-    arrays = [
-        (name, np.asarray(p, dtype=np.float32)) for name, p in model.params().items()
-    ]
-    return container.write_container(
-        MAGIC, config, (model.channel_means, model.channel_stds), arrays
-    )
+    return nn.write_network(model, MAGIC, asdict(FileConfig(model.dropout, N_CLASSES)))
 
 
 def deserialize(data: bytes) -> GridCnnModel:
-    parsed = container.read_container(data, MAGIC)
-    cfg = schema.build(FileConfig, parsed.config, "grid-CNN config", error=container.ContainerError)
-    expected = {}
-    for layer, shape in _WEIGHT_SHAPES.items():
-        expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
-    container.check_contents(parsed, expected, n_stats=2)
-    return GridCnnModel(
-        **_layers(parsed.arrays), channel_means=parsed.norm_means,
-        channel_stds=parsed.norm_stds, dropout=cfg.dropout,
+    cfg, layers, stats = nn.read_network(
+        data, MAGIC, FileConfig, "grid-CNN config", lambda _: _WEIGHT_SHAPES
     )
+    return GridCnnModel(**layers, norm_stats=stats, dropout=cfg.dropout)

@@ -14,18 +14,19 @@ first layer, which makes the output bitwise independent of the pad
 length and of whatever values sit in padding rows. A training run packs
 its inputs once into a Staged table and gathers each batch from it by
 index.
+
+The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Annotated, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import container, nn, schema
-from .preprocess import NormStats, PaddedInput
+from . import nn, schema
+from .preprocess import CLASSES, N_FEATURES, NormStats, PaddedInput, pad_and_mask
 
 MAGIC = b"RFLN"
 
@@ -37,26 +38,23 @@ MAX_PAD_LENGTH = 4096
 class ReflectNetConfig:
     """Architecture knobs; defaults give the 1,284-parameter build."""
 
-    n_features: Annotated[int, schema.Range(1)] = 5
+    # the five reflection features and the four classes, each its only value
+    n_features: Annotated[int, schema.Range(N_FEATURES, N_FEATURES)] = N_FEATURES
     width1: Annotated[int, schema.Range(1)] = 16
     width2: Annotated[int, schema.Range(1)] = 32
-    n_classes: Annotated[int, schema.Range(1)] = 4
+    n_classes: Annotated[int, schema.Range(len(CLASSES), len(CLASSES))] = len(CLASSES)
     pad_length: Annotated[int, schema.Range(1, MAX_PAD_LENGTH)] = 64
     use_gcl: bool = True  # the ablation switch
 
     def __post_init__(self):
         schema.check(self)
 
-    @property
-    def conv2_in(self) -> int:
-        # the global context layer doubles the feature width it feeds into
-        return 2 * self.width1 if self.use_gcl else self.width1
-
     def layers(self) -> Dict[str, Tuple[int, int]]:
         """(fan_in, fan_out) weight shape of each linear layer, in field order."""
         return {
             "conv1": (self.n_features, self.width1),
-            "conv2": (self.conv2_in, self.width2),
+            # the global context layer doubles the width it feeds into conv2
+            "conv2": (2 * self.width1 if self.use_gcl else self.width1, self.width2),
             "head": (self.width2, self.n_classes),
         }
 
@@ -85,47 +83,30 @@ def distributions(probs: np.ndarray) -> List[ClassDistribution]:
 
 
 @dataclass
-class ReflectNetModel:
+class ReflectNetModel(nn.Network):
     config: ReflectNetConfig
     conv1: nn.LinearParams
     conv2: nn.LinearParams
     head: nn.LinearParams
     norm_stats: NormStats
 
-    def params(self) -> Dict[str, np.ndarray]:
-        """Live views of all learnable tensors, keyed by stable names."""
-        return {
-            "conv1.weights": self.conv1.weights,
-            "conv1.bias": self.conv1.bias,
-            "conv2.weights": self.conv2.weights,
-            "conv2.bias": self.conv2.bias,
-            "head.weights": self.head.weights,
-            "head.bias": self.head.bias,
-        }
+    safe_margin = 1e-4  # least kink margin of a gradient-check sample
 
-    def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        self.conv1 = nn.LinearParams(params["conv1.weights"], params["conv1.bias"])
-        self.conv2 = nn.LinearParams(params["conv2.weights"], params["conv2.bias"])
-        self.head = nn.LinearParams(params["head.weights"], params["head.bias"])
+    def layer_shapes(self) -> nn.LayerShapes:
+        return self.config.layers()
 
-    def copy(self) -> "ReflectNetModel":
-        return ReflectNetModel(
-            config=self.config,
-            conv1=self.conv1.copy(),
-            conv2=self.conv2.copy(),
-            head=self.head.copy(),
-            norm_stats=NormStats(self.norm_stats.mean.copy(), self.norm_stats.std.copy()),
-        )
+    def random_input(self, rng: np.random.Generator) -> PaddedInput:
+        """2 to pad_length standard-normal reflections, for gradient checks."""
+        m = int(rng.integers(2, self.config.pad_length + 1))
+        rows = rng.standard_normal((m, self.config.n_features))
+        return pad_and_mask(rows, self.config.pad_length, NormStats.identity())
 
-    def astype(self, dtype) -> "ReflectNetModel":
-        """Same model at a different parameter precision (e.g. float64)."""
-        return ReflectNetModel(
-            config=self.config,
-            conv1=self.conv1.astype(dtype),
-            conv2=self.conv2.astype(dtype),
-            head=self.head.astype(dtype),
-            norm_stats=self.norm_stats,
-        )
+    def kink_margin(self, inp: PaddedInput) -> float:
+        """nn.kink_margin of one sample's float64 forward pass."""
+        wide = self.astype(np.float64)
+        _, cache = forward_rows(wide, *pack([inp], np.float64), keep_cache=True)
+        pools = [cache["h1"], cache["h2"]] if self.config.use_gcl else [cache["h2"]]
+        return nn.kink_margin([cache["z1"], cache["z2"]], pools)
 
     # convenience delegates so generic training code can stay model-agnostic
     def predict(self, inp: PaddedInput) -> ClassDistribution:
@@ -141,33 +122,17 @@ class ReflectNetModel:
         return train_step(self, batch, labels, lr, opt_state, optimizer=optimizer)
 
 
-def _init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> nn.LinearParams:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    weights = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-    bias = np.zeros(fan_out, dtype=dtype)
-    return nn.LinearParams(weights, bias)
-
-
 def build_model(
     config: ReflectNetConfig = ReflectNetConfig(),
     seed: int = 0,
     dtype=np.float32,
 ) -> ReflectNetModel:
     """Seeded uniform fan-in/fan-out init; deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
     return ReflectNetModel(
         config=config,
         norm_stats=NormStats.identity(config.n_features),
-        **{
-            layer: _init_linear(rng, fan_in, fan_out, dtype)
-            for layer, (fan_in, fan_out) in config.layers().items()
-        },
+        **nn.init_layers(config.layers(), seed, dtype),
     )
-
-
-def count_params(model: ReflectNetModel) -> int:
-    """Learnable scalars over all linear layers; pooling layers add none."""
-    return model.conv1.size() + model.conv2.size() + model.head.size()
 
 
 def pack(inputs: Sequence[PaddedInput], dtype) -> Tuple[np.ndarray, nn.Segments]:
@@ -308,133 +273,25 @@ def train_step(
     opt_state: nn.AdamState | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean batch loss; returns the pre-step loss.
-
-    The six small tensors take one flat update, so opt_state is the flat
-    state of an earlier call.
-    """
-    loss, grads = loss_and_grads(model, batch, labels)
-    if not np.isfinite(loss):
-        raise nn.TrainingError(f"non-finite training loss {loss}")
-    new_params, opt_state = nn.flat_optimizer_step(
-        model.params(), grads, lr, opt_state, strategy=optimizer
-    )
-    model.set_params(new_params)
-    return loss, opt_state
-
-
-def _pool_tie_margin(activations: np.ndarray) -> float:
-    """Smallest gap between a column's two largest positive values.
-
-    Columns pinned at zero by the ReLU are safe (covered by the
-    pre-activation margin) and ignored; an exact tie between positive
-    values returns 0.
-    """
-    if activations.shape[0] < 2:
-        return np.inf
-    part = np.partition(activations, activations.shape[0] - 2, axis=0)
-    top1, top2 = part[-1], part[-2]
-    gaps = top1 - top2
-    positive = top1 > 0
-    if not np.any(positive):
-        return np.inf
-    return float(gaps[positive].min())
-
-
-def kink_margin(model: ReflectNetModel, inp: PaddedInput) -> float:
-    """Distance of one sample's forward pass from every ReLU/max kink.
-
-    Gradient checks need this to be comfortably larger than the finite
-    difference step, otherwise the perturbed losses straddle a kink.
-    """
-    wide = model.astype(np.float64)
-    _, cache = forward_rows(wide, *pack([inp], np.float64), keep_cache=True)
-    margins = [np.abs(cache["z1"]).min(), np.abs(cache["z2"]).min()]
-    if model.config.use_gcl:
-        margins.append(_pool_tie_margin(cache["h1"]))
-    margins.append(_pool_tie_margin(cache["h2"]))
-    return float(min(margins))
-
-
-def gradcheck(
-    model: ReflectNetModel,
-    inp: PaddedInput,
-    label: int,
-    h: float = 1e-5,
-    max_checks_per_tensor: int | None = None,
-    seed: int = 0,
-) -> nn.GradCheckReport:
-    """End-to-end central-difference check of every layer, in float64."""
-    wide = model.astype(np.float64)
-    _, analytic = loss_and_grads(wide, [inp], [label])
-
-    def loss_fn(_params):
-        return nn.cross_entropy(forward(wide, inp).probabilities, label)
-
-    return nn.finite_diff_gradcheck(
-        loss_fn, wide.params(), analytic, h=h,
-        max_checks_per_tensor=max_checks_per_tensor, seed=seed,
-    )
-
-
-def random_safe_sample(
-    model: ReflectNetModel,
-    rng: np.random.Generator,
-    margin: float = 1e-4,
-    max_tries: int = 200,
-) -> Tuple[PaddedInput, int]:
-    """Random input whose forward pass stays clear of ReLU/max kinks."""
-    cfg = model.config
-    for _ in range(max_tries):
-        m = int(rng.integers(2, cfg.pad_length + 1))
-        features = np.zeros((cfg.pad_length, cfg.n_features))
-        features[:m] = rng.standard_normal((m, cfg.n_features))
-        mask = np.zeros(cfg.pad_length, dtype=bool)
-        mask[:m] = True
-        inp = PaddedInput(features=features, mask=mask, m_real=m)
-        if kink_margin(model, inp) > margin:
-            return inp, int(rng.integers(0, cfg.n_classes))
-    raise RuntimeError(f"no kink-safe sample found in {max_tries} tries")
+    """One optimizer step on the mean batch loss; returns the pre-step loss."""
+    return model.update(*loss_and_grads(model, batch, labels), lr, opt_state, optimizer)
 
 
 def gradcheck_random_sample(
-    seed: int = 0,
-    h: float = 1e-5,
-    max_checks_per_tensor: int | None = None,
-    config: ReflectNetConfig | None = None,
+    seed: int = 0, h: float = 1e-5, max_checks_per_tensor: int | None = None,
 ) -> nn.GradCheckReport:
-    """Convenience wrapper: seeded model, seeded kink-safe sample, full check."""
-    config = config or ReflectNetConfig(pad_length=8)
-    net = build_model(config, seed=seed)
-    rng = np.random.default_rng([seed, 1])
-    inp, label = random_safe_sample(net, rng)
-    return gradcheck(
-        net, inp, label, h=h, max_checks_per_tensor=max_checks_per_tensor, seed=seed
-    )
+    """Seeded model of pad length 8, one seeded kink-safe sample, full check."""
+    net = build_model(ReflectNetConfig(pad_length=8), seed=seed)
+    return nn.gradcheck_random_batch(net, 1, loss_and_grads, seed, h, max_checks_per_tensor)
 
 
 def serialize(model: ReflectNetModel) -> bytes:
     """Versioned binary blob; parameters as 32-bit floats, stats as float64."""
-    arrays = [
-        (name, np.asarray(p, dtype=np.float32)) for name, p in model.params().items()
-    ]
-    return container.write_container(
-        MAGIC, asdict(model.config), (model.norm_stats.mean, model.norm_stats.std), arrays
-    )
+    return nn.write_network(model, MAGIC, asdict(model.config))
 
 
 def deserialize(data: bytes) -> ReflectNetModel:
-    parsed = container.read_container(data, MAGIC)
-    cfg = schema.build(
-        ReflectNetConfig, parsed.config, "network config", error=container.ContainerError
+    cfg, layers, stats = nn.read_network(
+        data, MAGIC, ReflectNetConfig, "network config", ReflectNetConfig.layers
     )
-    expected = {}
-    for layer, shape in cfg.layers().items():
-        expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
-    container.check_contents(parsed, expected, n_stats=cfg.n_features)
-    arrays = parsed.arrays
-    return ReflectNetModel(
-        cfg,
-        *(nn.LinearParams(arrays[f"{n}.weights"], arrays[f"{n}.bias"]) for n in cfg.layers()),
-        NormStats(parsed.norm_means, parsed.norm_stds),
-    )
+    return ReflectNetModel(cfg, norm_stats=stats, **layers)

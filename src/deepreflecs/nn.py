@@ -1,4 +1,4 @@
-"""Minimal neural-network kernel built on numpy.
+"""Minimal neural-network kernel built on numpy, and the skeleton both networks share.
 
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
@@ -13,14 +13,23 @@ feature). A batch of lists is one matrix of all their rows plus Segments
 boolean mask (True = real entry, False = padding). Forward code is
 precision-agnostic: run it on float32 arrays for speed or float64 for
 gradient checks.
+
+Network is the skeleton of the reflection network and the grid CNN, driven
+by each one's layer table: parameter store, seeded init, train-step
+update (one flat optimizer step), float64 gradient check of the mean
+batch loss with its kink-safe sample search, and model-file layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Tuple
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
+
+from . import container, schema
+from .preprocess import NormStats
 
 CROSS_ENTROPY_EPS = 1e-12
 GRADCHECK_EPS = 1e-8
@@ -46,7 +55,9 @@ class NonFiniteError(ArithmeticError):
 class LinearParams:
     """Weights and bias of a linear map, shared across all list entries.
 
-    weights has shape (in_features, out_features), bias (out_features,).
+    weights has shape (..., in_features, out_features), bias
+    (out_features,): (in, out) for a row-wise or dense layer, (3, 3, in,
+    out) for a 3x3 convolution kernel.
     """
 
     weights: np.ndarray
@@ -55,21 +66,21 @@ class LinearParams:
     def __post_init__(self):
         self.weights = np.asarray(self.weights)
         self.bias = np.asarray(self.bias)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("weights must be 2-D and bias 1-D")
-        if self.weights.shape[1] != self.bias.shape[0]:
+        if self.weights.ndim < 2 or self.bias.ndim != 1:
+            raise ShapeError("weights must be at least 2-D and bias 1-D")
+        if self.weights.shape[-1] != self.bias.shape[0]:
             raise ShapeError(
                 f"bias length {self.bias.shape[0]} does not match "
-                f"{self.weights.shape[1]} output features"
+                f"{self.weights.shape[-1]} output features"
             )
 
     @property
     def in_features(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def out_features(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def size(self) -> int:
         """Number of learnable scalars (weight elements plus bias elements)."""
@@ -379,21 +390,6 @@ def adam_step(
     return new_params, AdamState(new_m, new_v, t)
 
 
-def optimizer_step(
-    params: Dict[str, np.ndarray],
-    grads: Dict[str, np.ndarray],
-    lr: float,
-    state: AdamState | None = None,
-    strategy: str = "adam",
-) -> Tuple[Dict[str, np.ndarray], AdamState | None]:
-    """Dispatch to one of the two update strategies ('adam' or 'sgd')."""
-    if strategy == "adam":
-        return adam_step(params, grads, lr, state)
-    if strategy == "sgd":
-        return sgd_step(params, grads, lr), None
-    raise ValueError(f"unknown optimizer strategy '{strategy}'")
-
-
 def flat_optimizer_step(
     params: Dict[str, np.ndarray],
     grads: Dict[str, np.ndarray],
@@ -401,25 +397,111 @@ def flat_optimizer_step(
     state: AdamState | None = None,
     strategy: str = "adam",
 ) -> Tuple[Dict[str, np.ndarray], AdamState | None]:
-    """optimizer_step over all tensors joined into one flat vector.
+    """One update, strategy 'adam' or 'sgd', of all tensors joined into one flat vector.
 
     Both updates are elementwise, so the new parameters are bitwise those
-    of optimizer_step tensor by tensor, at a fixed number of numpy calls
-    however many tensors there are. The returned parameters are views
-    into one vector; the state keeps its moments under the single key
-    'flat', so it only continues a run of flat steps.
+    of adam_step or sgd_step tensor by tensor, at a fixed number of numpy
+    calls however many tensors there are. The returned parameters are
+    views into one vector; the state keeps its moments under the single
+    key 'flat', so it only continues a run of flat steps.
     """
+    if strategy not in ("adam", "sgd"):
+        raise ValueError(f"unknown optimizer strategy '{strategy}'")
     flat_grad = np.concatenate([grads[name].ravel() for name in params])
     if not np.isfinite(flat_grad).all():
         _check_finite_grads(grads)  # raises, naming the tensor
-    flat = np.concatenate([p.ravel() for p in params.values()])
-    new, state = optimizer_step({"flat": flat}, {"flat": flat_grad}, lr, state, strategy)
+    flat = {"flat": np.concatenate([p.ravel() for p in params.values()])}
+    if strategy == "adam":
+        new, state = adam_step(flat, {"flat": flat_grad}, lr, state)
+    else:
+        new, state = sgd_step(flat, {"flat": flat_grad}, lr), None
     out: Dict[str, np.ndarray] = {}
     offset = 0
     for name, p in params.items():
         out[name] = new["flat"][offset : offset + p.size].reshape(p.shape)
         offset += p.size
     return out, state
+
+
+# the weight shape of each layer, in order: (fan_in, fan_out) for a linear
+# map, (3, 3, in_channels, out_channels) for a 3x3 convolution
+LayerShapes = Dict[str, Tuple[int, ...]]
+
+
+class Network:
+    """The parameter store and train-step update of a network.
+
+    A network is a dataclass with one LinearParams field per layer of its
+    layer table, layer_shapes(), and a norm_stats field normalizing the
+    first layer's input features. The table fixes the parameter names
+    ('<layer>.weights', '<layer>.bias') and their order: in params(), in
+    the flat optimizer vector and in the model file. For gradient checks
+    a network also has stage(), predict_batch(), random_input(rng),
+    kink_margin(input) and safe_margin (see random_safe_sample).
+    """
+
+    def layer_shapes(self) -> LayerShapes:
+        raise NotImplementedError
+
+    def params(self) -> Dict[str, np.ndarray]:
+        """Live views of all learnable tensors, keyed by stable names."""
+        return {
+            f"{layer}.{part}": getattr(getattr(self, layer), part)
+            for layer in self.layer_shapes() for part in ("weights", "bias")
+        }
+
+    def set_params(self, params: Dict[str, np.ndarray]) -> None:
+        for layer in self.layer_shapes():
+            setattr(self, layer, LinearParams(params[f"{layer}.weights"], params[f"{layer}.bias"]))
+
+    def _map_layers(self, fn: Callable[[LinearParams], LinearParams], **fields):
+        layers = {layer: fn(getattr(self, layer)) for layer in self.layer_shapes()}
+        return replace(self, **layers, **fields)
+
+    def copy(self):
+        """A copy sharing no array with this network."""
+        stats = NormStats(self.norm_stats.mean.copy(), self.norm_stats.std.copy())
+        return self._map_layers(LinearParams.copy, norm_stats=stats)
+
+    def astype(self, dtype):
+        """Same network at a different parameter precision (e.g. float64)."""
+        return self._map_layers(lambda p: p.astype(dtype))
+
+    def update(
+        self, loss: float, grads: Dict[str, np.ndarray], lr: float,
+        opt_state: AdamState | None, optimizer: str,
+    ) -> Tuple[float, AdamState | None]:
+        """A train step after its loss and gradients; returns (loss, new opt_state).
+
+        A non-finite loss or gradient raises TrainingError; otherwise all
+        tensors take one flat_optimizer_step.
+        """
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite training loss {loss}")
+        new_params, opt_state = flat_optimizer_step(
+            self.params(), grads, lr, opt_state, strategy=optimizer
+        )
+        self.set_params(new_params)
+        return loss, opt_state
+
+
+def count_params(net: Network) -> int:
+    """Learnable scalars over all layers; pooling layers add none."""
+    return sum(p.size for p in net.params().values())
+
+
+def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams]:
+    """Seeded uniform fan-in/fan-out init of each layer in table order, zero biases.
+
+    A 3x3 kernel's fans are its nine cells times its in- and out-channels.
+    """
+    rng = np.random.default_rng(seed)
+    layers = {}
+    for layer, shape in shapes.items():
+        limit = math.sqrt(6.0 / (math.prod(shape[:-2]) * sum(shape[-2:])))
+        weights = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        layers[layer] = LinearParams(weights, np.zeros(shape[-1], dtype=dtype))
+    return layers
 
 
 @dataclass
@@ -431,9 +513,6 @@ class GradCheckReport:
         default_factory=list
     )
     kink_retries: int = 0
-
-    def worst(self, k: int = 10) -> List[Tuple[str, float, float, float]]:
-        return sorted(self.per_parameter_errors, key=lambda e: -e[3])[:k]
 
 
 def finite_diff_gradcheck(
@@ -508,3 +587,112 @@ def finite_diff_gradcheck(
         per_parameter_errors=errors,
         kink_retries=retries_used,
     )
+
+
+def _pool_tie_margin(activations: np.ndarray) -> float:
+    """Smallest gap between the two largest positive values along axis 0.
+
+    Positions pinned at zero by the ReLU are safe (covered by the
+    pre-activation margin) and ignored; an exact tie between positive
+    values returns 0.
+    """
+    if activations.shape[0] < 2:
+        return np.inf
+    part = np.partition(activations, activations.shape[0] - 2, axis=0)
+    top1, top2 = part[-1], part[-2]
+    gaps = top1 - top2
+    positive = top1 > 0
+    if not np.any(positive):
+        return np.inf
+    return float(gaps[positive].min())
+
+
+def kink_margin(pre_activations: Sequence[np.ndarray], pool_inputs: Sequence[np.ndarray]) -> float:
+    """Least |pre-activation| of any ReLU and tie margin of any pool (its values on axis 0).
+
+    Gradient checks need this distance from the nearest kink to be well above
+    the finite-difference step, or the perturbed losses straddle a kink.
+    """
+    margins = [np.abs(z).min() for z in pre_activations]
+    margins += [_pool_tie_margin(a) for a in pool_inputs]
+    return float(min(margins))
+
+
+def random_safe_sample(net: Network, rng: np.random.Generator, max_tries: int = 200) -> tuple:
+    """(input, label): the first net.random_input(rng) clear of every kink.
+
+    Clear means net.kink_margin(input) > net.safe_margin. The label,
+    uniform over the classes (the last layer's width), is drawn after it.
+    """
+    for _ in range(max_tries):
+        inp = net.random_input(rng)
+        if net.kink_margin(inp) > net.safe_margin:
+            n_classes = list(net.layer_shapes().values())[-1][-1]
+            return inp, int(rng.integers(0, n_classes))
+    raise RuntimeError(f"no kink-safe sample found in {max_tries} tries")
+
+
+def gradcheck(
+    net: Network, batch: Sequence, labels: Sequence[int], loss_and_grads: Callable,
+    h: float = 1e-5, max_checks_per_tensor: int | None = None, seed: int = 0,
+) -> GradCheckReport:
+    """Central-difference check of a network's mean batch loss, in float64.
+
+    loss_and_grads(net, staged batch, labels) gives the analytic gradients
+    (with dropout off); the loss is differenced through net.predict_batch
+    on the same staged batch.
+    """
+    wide = net.astype(np.float64)
+    staged = wide.stage(batch)
+    _, analytic = loss_and_grads(wide, staged, labels)
+    labels = np.asarray(labels, dtype=np.intp)
+
+    def loss_fn(_params):
+        probs = np.stack([d.probabilities for d in wide.predict_batch(staged)])
+        return mean_cross_entropy(probs, labels)
+
+    return finite_diff_gradcheck(
+        loss_fn, wide.params(), analytic, h=h,
+        max_checks_per_tensor=max_checks_per_tensor, seed=seed,
+    )
+
+
+def gradcheck_random_batch(
+    net: Network, n_samples: int, loss_and_grads: Callable, seed: int = 0,
+    h: float = 1e-5, max_checks_per_tensor: int | None = None,
+) -> GradCheckReport:
+    """gradcheck on n_samples random_safe_sample draws from an rng seeded [seed, 1]."""
+    rng = np.random.default_rng([seed, 1])
+    batch, labels = zip(*(random_safe_sample(net, rng) for _ in range(n_samples)))
+    return gradcheck(net, batch, labels, loss_and_grads, h, max_checks_per_tensor, seed)
+
+
+def write_network(net: Network, magic: bytes, config: dict) -> bytes:
+    """A network's model file: config, float64 norm stats, float32 parameters."""
+    arrays = [(name, np.asarray(p, dtype=np.float32)) for name, p in net.params().items()]
+    return container.write_container(
+        magic, config, (net.norm_stats.mean, net.norm_stats.std), arrays
+    )
+
+
+def read_network(
+    data: bytes, magic: bytes, config_cls: type, what: str, layer_shapes: Callable
+) -> Tuple[object, Dict[str, LinearParams], NormStats]:
+    """(config, layers, norm stats) of a model file; container.ContainerError if it is bad.
+
+    The config block is a config_cls (named what in errors), the arrays
+    those of the table layer_shapes(config), the norm stats one per input
+    feature of the first layer.
+    """
+    parsed = container.read_container(data, magic)
+    config = schema.build(config_cls, parsed.config, what, error=container.ContainerError)
+    shapes = layer_shapes(config)
+    expected = {}
+    for layer, shape in shapes.items():
+        expected.update({f"{layer}.weights": (shape, "f"), f"{layer}.bias": (shape[-1:], "f")})
+    container.check_contents(parsed, expected, n_stats=next(iter(shapes.values()))[-2])
+    arrays = parsed.arrays
+    layers = {
+        layer: LinearParams(arrays[f"{layer}.weights"], arrays[f"{layer}.bias"]) for layer in shapes
+    }
+    return config, layers, NormStats(parsed.norm_means, parsed.norm_stds)

@@ -99,6 +99,12 @@ class NormStats:
     def identity(cls, n: int = N_FEATURES) -> "NormStats":
         return cls(np.zeros(n), np.ones(n))
 
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "NormStats":
+        """Per-column mean and population (1/M) std of rows, the std floored
+        at STD_FLOOR so constant columns stay usable."""
+        return cls(rows.mean(axis=0), np.maximum(rows.std(axis=0), STD_FLOOR))
+
 
 @dataclass
 class PaddedInput:
@@ -154,17 +160,13 @@ def sample_feature_rows(sample: ObjectSample) -> np.ndarray:
 def compute_norm_stats(samples: Iterable[ObjectSample]) -> NormStats:
     """Per-feature mean/std over all real reflections of the given samples.
 
-    Uses the population (1/M) variance convention; std is floored at 1e-6
-    so constant features stay usable. Compute this on the training split
-    only and reuse the result for validation and test.
+    NormStats.of their rows. Compute this on the training split only and
+    reuse the result for validation and test.
     """
     rows = [sample_feature_rows(s) for s in samples]
     if not rows:
         raise DatasetError("cannot compute normalization stats from an empty set")
-    stacked = np.concatenate(rows, axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)  # numpy default ddof=0 = population convention
-    return NormStats(mean, np.maximum(std, STD_FLOOR))
+    return NormStats.of(np.concatenate(rows, axis=0))
 
 
 _overflow_count = 0
@@ -351,14 +353,14 @@ def read_dataset(
     offending line number.
     """
     samples: List[ObjectSample] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                record = json.loads(raw)
-            except ValueError as exc:  # also an integer too long to convert
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+            except ValueError as exc:  # also bad UTF-8 or an integer too long to convert
                 raise DatasetError(f"invalid JSON: {exc}", lineno) from exc
             sample = _record_to_sample(record, lineno)
             if range_cutoff is not None:

@@ -50,13 +50,13 @@ def random_padded(rng, pad_length=64):
 def test_criterion_1_parameter_counts():
     """Exact learnable-parameter counts for all three builds."""
     start = time.perf_counter()
-    assert reflectnet.count_params(reflectnet.build_model()) == 1284
+    assert nn.count_params(reflectnet.build_model()) == 1284
     # ablated build: removing the context layer halves conv2's input width
     # (16 instead of 32) with every other width fixed, so the element-count
     # oracle gives 96 + 544 + 132
     ablated = reflectnet.build_model(reflectnet.ReflectNetConfig(use_gcl=False))
-    assert reflectnet.count_params(ablated) == 96 + (16 * 32 + 32) + 132 == 772
-    assert gridcnn.count_params(gridcnn.build_gridcnn()) == 232628
+    assert nn.count_params(ablated) == 96 + (16 * 32 + 32) + 132 == 772
+    assert nn.count_params(gridcnn.build_gridcnn()) == 232628
     report(
         "criterion 1: parameter counts",
         f"1284 with context layer, 772 ablated, 232628 grid CNN "
@@ -110,8 +110,8 @@ def test_criterion_4_gradient_fidelity():
     net = reflectnet.build_model(reflectnet.ReflectNetConfig(pad_length=8), seed=3)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        inp, label = reflectnet.random_safe_sample(net, rng)
-        rep = reflectnet.gradcheck(net, inp, label, h=1e-5)
+        inp, label = nn.random_safe_sample(net, rng)
+        rep = nn.gradcheck(net, [inp], [label], reflectnet.loss_and_grads, h=1e-5)
         assert len(rep.per_parameter_errors) == 1284  # every parameter checked
         worst_net = max(worst_net, rep.max_relative_error)
     assert worst_net < 1e-4

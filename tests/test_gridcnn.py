@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from deepreflecs import container, datagen, gridcnn, nn
-from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
+from deepreflecs.preprocess import NormStats, ObjectPose, ObjectSample, Reflection
 
 
 def sample_at(points, pose=ObjectPose(0, 0, 0), rcs=None, vr=None):
@@ -86,7 +86,7 @@ class TestRasterize:
 
 class TestArchitecture:
     def test_total_parameter_count(self):
-        assert gridcnn.count_params(gridcnn.build_gridcnn()) == 232628
+        assert nn.count_params(gridcnn.build_gridcnn()) == 232628
 
     def test_conv1_parameter_count(self):
         net = gridcnn.build_gridcnn()
@@ -134,7 +134,7 @@ class TestConvOracle:
     def test_against_direct_convolution(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 5, 5, 2))
-        params = gridcnn.ConvParams(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
+        params = nn.LinearParams(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
         out, _ = gridcnn._conv(x, params)
         for k in range(3):
             np.testing.assert_allclose(
@@ -146,7 +146,7 @@ class TestConvOracle:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 11, 11, 3))
         g = rng.normal(size=(2, 11, 11, 5))
-        params = gridcnn.ConvParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
+        params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
         out, cols = gridcnn._conv(x, params)
         grad_x, grad_w, grad_b = gridcnn._conv_grads(cols, params, g)
         assert grad_x.shape == x.shape
@@ -215,7 +215,7 @@ class TestPatchesInTheNetwork:
         net, grids, _ = desk
         x = gridcnn._stack(net, grids)
         got, expected = self.both(monkeypatch, lambda: gridcnn.forward_grids(
-            net, x, training=training, rng=np.random.default_rng(0)
+            net, x, rng=np.random.default_rng(0) if training else None
         ))
         assert got.tobytes() == expected.tobytes()
 
@@ -269,6 +269,17 @@ class TestPool:
             r, c = winner[k, i, j, ch]
             expected_grad[k, r, c, ch] = grad_out[k, i, j, ch]
         np.testing.assert_array_equal(gridcnn._pool_grads(x, pooled, grad_out), expected_grad)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_margin_of_the_stacked_windows(self, seed):
+        # relu of one-decimal values: ties, zero windows and positive gaps
+        rng = np.random.default_rng(seed)
+        x = np.maximum(np.round(rng.normal(size=(2, 11, 11, 3)), 1), 0)
+        windows = np.sort(np.stack(gridcnn._pool_windows(x), axis=-1), axis=-1)
+        top1, top2 = windows[..., 3], windows[..., 2]
+        expected = (top1 - top2)[top1 > 0].min()
+        assert nn._pool_tie_margin(np.stack(gridcnn._pool_windows(x))) == expected
+        assert nn._pool_tie_margin(np.stack(gridcnn._pool_windows(0 * x))) == np.inf
 
     def test_last_row_and_column_get_no_gradient(self):
         x = np.ones((1, 11, 11, 2))
@@ -331,6 +342,21 @@ class TestForwardAndTraining:
             gridcnn.forward(net, g).predicted == y for g, y in zip(grids, labels)
         )
 
+    def test_train_step_is_bitwise_per_tensor_adam(self):
+        grids, labels = random_grids(6, seed=11)
+        net, per_tensor = gridcnn.build_gridcnn(seed=3), gridcnn.build_gridcnn(seed=3)
+        rng, per_tensor_rng = np.random.default_rng(4), np.random.default_rng(4)
+        state = per_tensor_state = None
+        for step in range(5):
+            lr = 0.01 / (step + 1)
+            loss, state = gridcnn.train_step(net, grids, labels, lr, state, rng=rng)
+            expected, grads = gridcnn.loss_and_grads(per_tensor, grids, labels, rng=per_tensor_rng)
+            new, per_tensor_state = nn.adam_step(per_tensor.params(), grads, lr, per_tensor_state)
+            per_tensor.set_params(new)
+            assert loss == expected
+            for name, p in net.params().items():
+                assert p.tobytes() == per_tensor.params()[name].tobytes(), (step, name)
+
     def test_dropout_only_in_training(self):
         net = gridcnn.build_gridcnn(seed=6)
         rng = np.random.default_rng(7)
@@ -340,8 +366,8 @@ class TestForwardAndTraining:
         )
         wide = net.astype(np.float64)
         x = gridcnn._stack(wide, [grid, grid])
-        train_a = gridcnn.forward_grids(wide, x, training=True, rng=np.random.default_rng(1))
-        train_b = gridcnn.forward_grids(wide, x, training=True, rng=np.random.default_rng(2))
+        train_a = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(1))
+        train_b = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(2))
         assert not np.array_equal(train_a, train_b)
         assert not np.array_equal(train_a[0], train_a[1])  # each grid has its own masks
         infer = gridcnn.forward_grids(wide, x)
@@ -349,8 +375,9 @@ class TestForwardAndTraining:
         np.testing.assert_allclose(
             infer[0], gridcnn.forward(wide, grid).probabilities, rtol=1e-12
         )
-        with pytest.raises(ValueError):
-            gridcnn.forward_grids(wide, x, training=True, rng=None)
+        # without an rng the loss is the inference loss: no dropout
+        loss, _ = gridcnn.loss_and_grads(wide, x, [0, 1])
+        assert loss == nn.mean_cross_entropy(infer, np.array([0, 1]))
 
 
 def random_grids(n, seed):
@@ -389,8 +416,10 @@ class TestBatched:
     def test_gradcheck_three_grid_batch(self):
         net = gridcnn.build_gridcnn(seed=2)
         rng = np.random.default_rng(3)
-        grids, labels = zip(*(gridcnn.random_safe_grid(net, rng) for _ in range(3)))
-        report = gridcnn.gradcheck(net, grids, labels, max_checks_per_tensor=24, seed=1)
+        grids, labels = zip(*(nn.random_safe_sample(net, rng) for _ in range(3)))
+        report = nn.gradcheck(
+            net, grids, labels, gridcnn.loss_and_grads, max_checks_per_tensor=24, seed=1
+        )
         assert len(report.per_parameter_errors) == 24 * 10 + 16 + 4  # conv1/head bias whole
         assert report.max_relative_error < 1e-4
 
@@ -463,13 +492,12 @@ class TestStaged:
 class TestGridCnnSerialization:
     def test_round_trip_bitwise(self):
         net = gridcnn.build_gridcnn(seed=8)
-        net.channel_means = np.array([1.5, -0.25])
-        net.channel_stds = np.array([3.0, 0.5])
+        net.norm_stats = NormStats(np.array([1.5, -0.25]), np.array([3.0, 0.5]))
         restored = gridcnn.deserialize(gridcnn.serialize(net))
         for name, p in net.params().items():
             assert np.array_equal(p, restored.params()[name])
-        np.testing.assert_array_equal(restored.channel_means, net.channel_means)
-        np.testing.assert_array_equal(restored.channel_stds, net.channel_stds)
+        np.testing.assert_array_equal(restored.norm_stats.mean, net.norm_stats.mean)
+        np.testing.assert_array_equal(restored.norm_stats.std, net.norm_stats.std)
         assert restored.dropout == net.dropout
 
     @pytest.mark.parametrize(

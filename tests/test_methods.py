@@ -202,6 +202,32 @@ def test_traced_layers_resolve(monkeypatch):
         assert callable(getattr(owner, attr, None)), layers.layer_name(owner, attr)
 
 
+BENCHMARK_WORKLOADS = [
+    w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_perfbench_workload_drives_the_package(name, dataset, monkeypatch):
+    # the calls perfbench/run.py makes, on a tiny dataset
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    method = workloads.WORKLOADS[name]
+    train, val, test = preprocess.trackwise_split(preprocess.read_dataset(dataset), seed=0)
+    prep = method.prepare(train, val, 0)
+    method.warm_up(prep)
+    trained = method.train(prep)
+    blob = method.serialize(trained)
+    loaded, predictions, _ = workloads.eval_from_bytes(
+        method, blob, test, workloads.labels_of(test)
+    )
+    assert method.serialize(loaded) == blob
+    assert method.samples_per_train(prep) > 0
+    predicted, _ = method.classify(loaded, test[0])
+    assert predicted == predictions[0]
+
+
 def deepreflecs_names(path: Path):
     """Every dotted name rooted at a deepreflecs module that a file reads."""
     tree = ast.parse(path.read_text())
@@ -239,7 +265,7 @@ def small_models():
     net = reflectnet.build_model(seed=1)
     net.norm_stats = preprocess.NormStats(rng.normal(size=5), rng.uniform(0.5, 2.0, size=5))
     cnn = gridcnn.build_gridcnn(seed=1)
-    cnn.channel_means, cnn.channel_stds = np.array([0.5, -0.1]), np.array([2.0, 0.7])
+    cnn.norm_stats = preprocess.NormStats(np.array([0.5, -0.1]), np.array([2.0, 0.7]))
     features = rng.normal(size=(40, forest.N_HANDCRAFTED))
     trees = forest.fit_forest(features, rng.integers(0, 4, size=40), n_trees=3, seed=0)
     return {"RFLN": net, "GCNN": cnn, "FRST": trees}
@@ -261,6 +287,23 @@ def test_evaluating_no_samples_is_dataset_error(magic, tmp_path, capsys):
     assert json.loads(captured.err.strip().splitlines()[-1]) == {
         "error": "DatasetError", "message": "no samples to evaluate"
     }
+
+
+@pytest.mark.parametrize("n_classes", [2, 5])
+def test_model_of_another_class_count_is_named_error(n_classes, dataset, tmp_path, capsys):
+    rng = np.random.default_rng(n_classes)
+    fitted = forest.fit_forest(
+        rng.normal(size=(20, forest.N_HANDCRAFTED)), np.arange(20) % n_classes,
+        n_trees=2, n_classes=n_classes,
+    )
+    model_path = tmp_path / "model.bin"
+    model_path.write_bytes(forest.serialize(fitted))
+    code, captured = run_cli(["eval", "--model", str(model_path), "--data", dataset], capsys)
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ContainerError"
+    assert f"predicts {n_classes} classes" in error["message"]
+    assert captured.out == ""
 
 
 SAMPLE = datagen.generate_dataset(
@@ -298,7 +341,7 @@ def test_non_finite_probabilities_are_named_error(magic, dataset, tmp_path, caps
     # a tiny std passes the loader's checks, then overflows normalization
     model = MODELS[magic].copy()
     if magic == "GCNN":
-        model.channel_stds = np.array([1e-300, 1.0])
+        model.norm_stats = preprocess.NormStats(model.norm_stats.mean, np.array([1e-300, 1.0]))
     else:
         model.norm_stats = preprocess.NormStats(np.zeros(5), np.array([1e-300] + [1.0] * 4))
     method = evaluate.method_for(magic.encode())

@@ -32,21 +32,21 @@ def random_input(rng, pad_length=64, m=None, n_features=5):
 class TestParameterCounts:
     def test_default_build_is_1284(self):
         net = model.build_model()
-        assert model.count_params(net) == 1284
+        assert nn.count_params(net) == 1284
         assert element_count_oracle(net) == 1284
 
     def test_small_config_matches_oracle(self):
         cfg = model.ReflectNetConfig(n_features=5, width1=8, width2=16, n_classes=4)
         net = model.build_model(cfg)
         # 5*8+8 + 16*16+16 + 16*4+4
-        assert model.count_params(net) == 388
+        assert nn.count_params(net) == 388
         assert element_count_oracle(net) == 388
 
     def test_ablated_build_matches_oracle(self):
         # removing the context layer halves conv2's input width (16 instead
         # of 32), all other widths fixed: 96 + 544 + 132
         net = model.build_model(model.ReflectNetConfig(use_gcl=False))
-        assert model.count_params(net) == element_count_oracle(net) == 772
+        assert nn.count_params(net) == element_count_oracle(net) == 772
 
     def test_single_linear_params(self):
         params = nn.LinearParams(np.zeros((3, 2)), np.zeros(2))
@@ -173,10 +173,10 @@ class TestTrainStep:
         cfg = model.ReflectNetConfig(pad_length=3)
         net = model.build_model(cfg, seed=7)
         rng = np.random.default_rng(13)
-        inp, label = model.random_safe_sample(net, rng)
-        report = model.gradcheck(net, inp, label)
+        inp, label = nn.random_safe_sample(net, rng)
+        report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
         assert report.max_relative_error < 1e-4
-        assert len(report.per_parameter_errors) == model.count_params(net)
+        assert len(report.per_parameter_errors) == nn.count_params(net)
 
 
 @st.composite
@@ -325,7 +325,7 @@ class TestStaged:
         net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
         wide = net.astype(np.float64)
         rng = np.random.default_rng(15)
-        inputs, labels = zip(*(model.random_safe_sample(net, rng) for _ in range(3)))
+        inputs, labels = zip(*(nn.random_safe_sample(net, rng) for _ in range(3)))
         assert len({inp.m_real for inp in inputs}) > 1  # a ragged batch
         _, analytic = model.loss_and_grads(wide, inputs, labels)
 
@@ -335,7 +335,7 @@ class TestStaged:
 
         report = nn.finite_diff_gradcheck(mean_loss, wide.params(), analytic)
         assert report.max_relative_error < 1e-4
-        assert len(report.per_parameter_errors) == model.count_params(net)
+        assert len(report.per_parameter_errors) == nn.count_params(net)
 
     @pytest.mark.parametrize("pad", [4, 0])
     def test_empty_sample_in_batch_is_an_error(self, pad):
@@ -399,9 +399,11 @@ class TestSerialization:
         [
             {"width1": 16, "bogus": 1}, [16, 32], {"width1": 0}, {"n_classes": 10**12},
             {"n_classes": 1.5}, {"use_gcl": "no"}, {"pad_length": 10**9},
+            {"n_classes": 3}, {"n_classes": 5}, {"n_features": 3},
         ],
         ids=["unknown-key", "json-list", "invalid-width", "n-classes-huge",
-             "n-classes-float", "use-gcl-string", "pad-length-huge"],
+             "n-classes-float", "use-gcl-string", "pad-length-huge",
+             "n-classes-3", "n-classes-5", "n-features-3"],
     )
     def test_bad_config_is_container_error(self, config):
         parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from deepreflecs import nn
+from deepreflecs import gridcnn, model, nn
 
 
 def naive_matmul(x, w, b):
@@ -69,6 +69,21 @@ class TestRowwiseLinear:
         direct = nn.rowwise_linear(x, params)[perm]
         permuted = nn.rowwise_linear(x[perm], params)
         assert np.array_equal(direct, permuted)
+
+
+class TestLinearParams:
+    def test_kernel_of_any_rank_with_bias_on_the_last_axis(self):
+        kernel = nn.LinearParams(np.zeros((3, 3, 2, 16)), np.zeros(16))
+        assert (kernel.in_features, kernel.out_features, kernel.size()) == (2, 16, 304)
+        assert kernel.astype(np.float32).copy().weights.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "weights, bias", [((4,), (4,)), ((3, 3, 2, 16), (2,)), ((2, 3), (3, 1))],
+        ids=["1-d-weights", "bias-not-last-axis", "2-d-bias"],
+    )
+    def test_bad_shapes_are_shape_error(self, weights, bias):
+        with pytest.raises(nn.ShapeError):
+            nn.LinearParams(np.zeros(weights), np.zeros(bias))
 
 
 class TestRelu:
@@ -395,7 +410,7 @@ class TestOptimizers:
 
     def test_non_finite_gradient_names_parameter(self):
         with pytest.raises(nn.TrainingError, match="conv1.weights"):
-            nn.optimizer_step(
+            nn.adam_step(
                 {"conv1.weights": np.array([1.0])},
                 {"conv1.weights": np.array([np.nan])},
                 0.1,
@@ -403,7 +418,7 @@ class TestOptimizers:
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            nn.optimizer_step({}, {}, 0.1, strategy="momentum")
+            nn.flat_optimizer_step({}, {}, 0.1, strategy="momentum")
 
 
 # the reflection network's six tensors at the default widths
@@ -516,3 +531,37 @@ class TestGradCheck:
         assert len(report.per_parameter_errors) == 2
         names = [e[0] for e in report.per_parameter_errors]
         assert names == ["b[0]", "b[1]"]
+
+
+NETWORKS = {
+    "reflectnet": lambda: model.build_model(seed=1),
+    "gridcnn": lambda: gridcnn.build_gridcnn(seed=1),
+}
+
+
+@pytest.mark.parametrize("build", NETWORKS.values(), ids=NETWORKS.keys())
+class TestNetwork:
+    def test_params_follow_the_layer_table(self, build):
+        net = build()
+        shapes = net.layer_shapes()
+        params = net.params()
+        names = [f"{layer}.{part}" for layer in shapes for part in ("weights", "bias")]
+        assert list(params) == names
+        for layer, shape in shapes.items():
+            assert params[f"{layer}.weights"].shape == tuple(shape)
+            assert params[f"{layer}.bias"].shape == tuple(shape[-1:])
+        assert nn.count_params(net) == sum(math.prod(s) + s[-1] for s in shapes.values())
+
+    def test_copy_shares_no_array(self, build):
+        net = build()
+        twin = net.copy()
+        for p in [*twin.params().values(), twin.norm_stats.mean, twin.norm_stats.std]:
+            p[...] = 7
+        for p in [*net.params().values(), net.norm_stats.mean, net.norm_stats.std]:
+            assert not (p == 7).any()
+
+    def test_astype_then_set_params_keeps_the_precision(self, build):
+        wide = build().astype(np.float64)
+        assert all(p.dtype == np.float64 for p in wide.params().values())
+        wide.set_params({name: p + 1 for name, p in wide.params().items()})
+        assert all(p.dtype == np.float64 for p in wide.params().values())

@@ -303,6 +303,15 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 2"):
             preprocess.read_dataset(str(path))
 
+    @pytest.mark.parametrize("lines", [[b"\xff{}"], [None, b'{"track_id": "\xe9"}']])
+    def test_non_utf8_bytes_report_line(self, tmp_path, lines):
+        path = tmp_path / "data.jsonl"
+        preprocess.write_dataset([one_sample()], str(path))
+        valid = path.read_bytes().rstrip(b"\n")
+        path.write_bytes(b"\n".join(valid if line is None else line for line in lines) + b"\n")
+        with pytest.raises(DatasetError, match=f"line {len(lines)}"):
+            preprocess.read_dataset(str(path))
+
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"track_id": "a", "class": "car", "pose": {"x": 0, "y": 0, "heading": 0}}\n')

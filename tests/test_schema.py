@@ -142,6 +142,11 @@ def test_missing_key_is_container_error(key):
         ("gridcnn-file", "dropout", 0, 1),
         ("gridcnn-file", "n_classes", 4, 5),
         ("ReflectNetConfig-file", "pad_length", reflectnet.MAX_PAD_LENGTH, 4097),
+        ("ReflectNetConfig", "n_features", 5, 3),
+        ("ReflectNetConfig", "n_classes", 4, 3),
+        ("ReflectNetConfig", "n_classes", 4, 5),
+        ("ReflectNetConfig-file", "n_features", 5, 6),
+        ("ReflectNetConfig-file", "n_classes", 4, 5),
         ("TrainConfig", "epochs", 1, 0),
         ("ClassProfile", "vr_corr", 1, 1.0000001),
         ("ClassProfile", "reflections_range", [1, 1], [0, 1]),
