@@ -229,14 +229,13 @@ class BenchmarkReport:
     split_sizes: Dict[str, int]
     results: Dict[str, MethodResult]
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
+        """The canonical report; it leaves out timing, see timing_dict."""
         methods = {}
         for name, result in self.results.items():
             entry = dict(result.complexity)
             entry.update(result.metrics.to_json_dict())
             entry.update(result.extra)
-            if include_timing:
-                entry["inference_time_per_sample_s"] = result.inference_time_s
             methods[name] = entry
         return {
             "seed": self.seed,

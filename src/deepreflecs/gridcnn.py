@@ -386,9 +386,7 @@ def train_step(
     rng: np.random.Generator | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean batch loss, with dropout drawn from rng."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """One optimizer step on the mean batch loss, with dropout drawn from rng if one is given."""
     return model.update(*loss_and_grads(model, batch, labels, rng=rng), lr, opt_state, optimizer)
 
 

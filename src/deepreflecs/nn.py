@@ -3,9 +3,10 @@
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
 cross-entropy, two optimizers, and a central-difference gradient checker.
-Every operation is a pure function of its inputs; backward passes take
-the forward inputs and the upstream gradient and return downstream
-gradients.
+Every layer operation is a pure function of its inputs; backward passes
+take the forward inputs and the upstream gradient and return downstream
+gradients. The two optimizer steps instead update a parameter vector
+(and Adam's state) in place.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
 feature). A batch of lists is one matrix of all their rows plus Segments
@@ -15,9 +16,10 @@ precision-agnostic: run it on float32 arrays for speed or float64 for
 gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
-by each one's layer table: parameter store, seeded init, train-step
-update (one flat optimizer step), float64 gradient check of the mean
-batch loss with its kink-safe sample search, and model-file layout.
+by each one's layer table: one parameter vector that every layer's tensors
+view, seeded init, train-step update (one in-place optimizer step of that
+vector), float64 gradient check of the mean batch loss with its kink-safe
+sample search, and model-file layout.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class LinearParams:
 
     def astype(self, dtype) -> "LinearParams":
         return LinearParams(self.weights.astype(dtype), self.bias.astype(dtype))
-
-    def copy(self) -> "LinearParams":
-        return LinearParams(self.weights.copy(), self.bias.copy())
 
 
 def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
@@ -316,111 +315,49 @@ def softmax_cross_entropy_grad(p: np.ndarray, label) -> np.ndarray:
     return p - np.eye(p.shape[-1])[label]
 
 
-def _check_finite_grads(grads: Dict[str, np.ndarray]) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter '{name}'")
-
-
-def sgd_step(
-    params: Dict[str, np.ndarray], grads: Dict[str, np.ndarray], lr: float
-) -> Dict[str, np.ndarray]:
-    """Plain gradient descent: p <- p - lr * g."""
-    _check_finite_grads(grads)
-    return {name: p - lr * grads[name] for name, p in params.items()}
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Plain gradient descent in place: params <- params - lr * grad."""
+    params -= lr * grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter."""
+    """First/second moment accumulators, shaped like the parameters, and step counter."""
 
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: Dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(p) for name, p in params.items()},
-            v={name: np.zeros_like(p) for name, p in params.items()},
-            t=0,
-        )
 
 
 def adam_step(
-    params: Dict[str, np.ndarray],
-    grads: Dict[str, np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     lr: float,
-    state: AdamState | None = None,
+    state: AdamState,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> Tuple[Dict[str, np.ndarray], AdamState]:
-    """Adaptive moment estimation with bias correction.
+) -> None:
+    """Adaptive moment estimation with bias correction, in place.
 
-    Returns the updated parameters and the new optimizer state; the inputs
-    are left untouched, so the update is deterministic and replayable.
+    Updates params and state to p - lr * m_hat / (sqrt(v_hat) + eps). The
+    update is elementwise, so one call on several tensors joined into one
+    vector is bitwise one call per tensor.
     """
-    _check_finite_grads(grads)
-    if state is None:
-        state = AdamState.zeros_like(params)
-    t = state.t + 1
-    new_params: Dict[str, np.ndarray] = {}
-    new_m: Dict[str, np.ndarray] = {}
-    new_v: Dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        # p - lr * m_hat / (sqrt(v_hat) + eps), bit for bit, computed in
-        # place: three scratch arrays per tensor instead of eleven
-        m = beta1 * state.m[name]
-        m += (1.0 - beta1) * g
-        v = (1.0 - beta2) * g
-        v *= g
-        v += beta2 * state.v[name]
-        denom = v / (1.0 - beta2**t)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step = m / (1.0 - beta1**t)
-        step *= lr
-        step /= denom
-        del denom
-        new_params[name] = np.subtract(p, step, out=step)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t)
-
-
-def flat_optimizer_step(
-    params: Dict[str, np.ndarray],
-    grads: Dict[str, np.ndarray],
-    lr: float,
-    state: AdamState | None = None,
-    strategy: str = "adam",
-) -> Tuple[Dict[str, np.ndarray], AdamState | None]:
-    """One update, strategy 'adam' or 'sgd', of all tensors joined into one flat vector.
-
-    Both updates are elementwise, so the new parameters are bitwise those
-    of adam_step or sgd_step tensor by tensor, at a fixed number of numpy
-    calls however many tensors there are. The returned parameters are
-    views into one vector; the state keeps its moments under the single
-    key 'flat', so it only continues a run of flat steps.
-    """
-    if strategy not in ("adam", "sgd"):
-        raise ValueError(f"unknown optimizer strategy '{strategy}'")
-    flat_grad = np.concatenate([grads[name].ravel() for name in params])
-    if not np.isfinite(flat_grad).all():
-        _check_finite_grads(grads)  # raises, naming the tensor
-    flat = {"flat": np.concatenate([p.ravel() for p in params.values()])}
-    if strategy == "adam":
-        new, state = adam_step(flat, {"flat": flat_grad}, lr, state)
-    else:
-        new, state = sgd_step(flat, {"flat": flat_grad}, lr), None
-    out: Dict[str, np.ndarray] = {}
-    offset = 0
-    for name, p in params.items():
-        out[name] = new["flat"][offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-    return out, state
+    state.t += 1
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    scratch = (1.0 - beta2) * grad
+    scratch *= grad
+    state.v *= beta2
+    state.v += scratch
+    denom = np.divide(state.v, 1.0 - beta2**state.t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = state.m / (1.0 - beta1**state.t)
+    step *= lr
+    step /= denom
+    params -= step
 
 
 # the weight shape of each layer, in order: (fan_in, fan_out) for a linear
@@ -429,16 +366,27 @@ LayerShapes = Dict[str, Tuple[int, ...]]
 
 
 class Network:
-    """The parameter store and train-step update of a network.
+    """The parameter vector and train-step update of a network.
 
     A network is a dataclass with one LinearParams field per layer of its
     layer table, layer_shapes(), and a norm_stats field normalizing the
     first layer's input features. The table fixes the parameter names
     ('<layer>.weights', '<layer>.bias') and their order: in params(), in
-    the flat optimizer vector and in the model file. For gradient checks
-    a network also has stage(), predict_batch(), random_input(rng),
-    kink_margin(input) and safe_margin (see random_safe_sample).
+    the parameter vector and in the model file. Every construction, copy
+    and astype included, moves the layers' tensors into one new 1-D
+    vector and makes them views of it, so the optimizer updates all of
+    them in place with one step. For gradient checks a network also has
+    stage(), predict_batch(), random_input(rng), kink_margin(input) and
+    safe_margin (see random_safe_sample).
     """
+
+    def __post_init__(self):
+        tensors = list(self.params().values())
+        self.vector = np.concatenate([t.ravel() for t in tensors])
+        pieces = np.split(self.vector, np.cumsum([t.size for t in tensors[:-1]]))
+        views = iter(piece.reshape(t.shape) for piece, t in zip(pieces, tensors))
+        for layer in self.layer_shapes():
+            setattr(self, layer, LinearParams(next(views), next(views)))
 
     def layer_shapes(self) -> LayerShapes:
         raise NotImplementedError
@@ -450,22 +398,15 @@ class Network:
             for layer in self.layer_shapes() for part in ("weights", "bias")
         }
 
-    def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        for layer in self.layer_shapes():
-            setattr(self, layer, LinearParams(params[f"{layer}.weights"], params[f"{layer}.bias"]))
-
-    def _map_layers(self, fn: Callable[[LinearParams], LinearParams], **fields):
-        layers = {layer: fn(getattr(self, layer)) for layer in self.layer_shapes()}
-        return replace(self, **layers, **fields)
-
     def copy(self):
         """A copy sharing no array with this network."""
         stats = NormStats(self.norm_stats.mean.copy(), self.norm_stats.std.copy())
-        return self._map_layers(LinearParams.copy, norm_stats=stats)
+        return replace(self, norm_stats=stats)
 
     def astype(self, dtype):
         """Same network at a different parameter precision (e.g. float64)."""
-        return self._map_layers(lambda p: p.astype(dtype))
+        layers = {layer: getattr(self, layer).astype(dtype) for layer in self.layer_shapes()}
+        return replace(self, **layers)
 
     def update(
         self, loss: float, grads: Dict[str, np.ndarray], lr: float,
@@ -473,21 +414,31 @@ class Network:
     ) -> Tuple[float, AdamState | None]:
         """A train step after its loss and gradients; returns (loss, new opt_state).
 
-        A non-finite loss or gradient raises TrainingError; otherwise all
-        tensors take one flat_optimizer_step.
+        A non-finite loss or gradient raises TrainingError; otherwise the
+        gradients, joined in parameter-vector order, take one adam_step or
+        sgd_step of the vector in place.
         """
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss {loss}")
-        new_params, opt_state = flat_optimizer_step(
-            self.params(), grads, lr, opt_state, strategy=optimizer
-        )
-        self.set_params(new_params)
+        if optimizer not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer strategy '{optimizer}'")
+        names = self.params()
+        grad = np.concatenate([grads[name].ravel() for name in names])
+        if not np.isfinite(grad).all():
+            bad = next(name for name in names if not np.isfinite(grads[name]).all())
+            raise TrainingError(f"non-finite gradient for parameter '{bad}'")
+        if optimizer == "sgd":
+            sgd_step(self.vector, grad, lr)
+            return loss, None
+        if opt_state is None:
+            opt_state = AdamState(np.zeros_like(self.vector), np.zeros_like(self.vector))
+        adam_step(self.vector, grad, lr, opt_state)
         return loss, opt_state
 
 
 def count_params(net: Network) -> int:
     """Learnable scalars over all layers; pooling layers add none."""
-    return sum(p.size for p in net.params().values())
+    return net.vector.size
 
 
 def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams]:

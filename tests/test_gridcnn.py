@@ -346,13 +346,17 @@ class TestForwardAndTraining:
         grids, labels = random_grids(6, seed=11)
         net, per_tensor = gridcnn.build_gridcnn(seed=3), gridcnn.build_gridcnn(seed=3)
         rng, per_tensor_rng = np.random.default_rng(4), np.random.default_rng(4)
-        state = per_tensor_state = None
+        state = None
+        per_tensor_states = {
+            name: nn.AdamState(np.zeros_like(p), np.zeros_like(p))
+            for name, p in per_tensor.params().items()
+        }
         for step in range(5):
             lr = 0.01 / (step + 1)
             loss, state = gridcnn.train_step(net, grids, labels, lr, state, rng=rng)
             expected, grads = gridcnn.loss_and_grads(per_tensor, grids, labels, rng=per_tensor_rng)
-            new, per_tensor_state = nn.adam_step(per_tensor.params(), grads, lr, per_tensor_state)
-            per_tensor.set_params(new)
+            for name, p in per_tensor.params().items():
+                nn.adam_step(p, grads[name], lr, per_tensor_states[name])
             assert loss == expected
             for name, p in net.params().items():
                 assert p.tobytes() == per_tensor.params()[name].tobytes(), (step, name)
@@ -378,6 +382,13 @@ class TestForwardAndTraining:
         # without an rng the loss is the inference loss: no dropout
         loss, _ = gridcnn.loss_and_grads(wide, x, [0, 1])
         assert loss == nn.mean_cross_entropy(infer, np.array([0, 1]))
+
+    def test_train_step_without_rng_has_no_dropout(self):
+        grids, labels = random_grids(5, seed=12)
+        net = gridcnn.build_gridcnn(seed=8)
+        expected, _ = gridcnn.loss_and_grads(net, grids, labels)
+        loss, _ = gridcnn.train_step(net, grids, labels, 0.01, None)
+        assert loss == expected
 
 
 def random_grids(n, seed):
@@ -440,19 +451,38 @@ class TestBatched:
     def test_peak_allocation_of_a_batch_64_step(self):
         # chunks of 4 peak at 3.8 MB, chunks of 8 at 5.7 MB, the whole batch at
         # once at 31 MB; every MB here raises the process's peak RSS
-        samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))[:64]
-        grids = [gridcnn.rasterize(s) for s in samples]
-        net = gridcnn.build_gridcnn(seed=0)
-        gridcnn.set_channel_stats(net, grids)
-        labels = [s.class_index for s in samples]
+        net, grids, labels = desk_batch_64()
         gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))  # warm
-        tracemalloc.start()
-        try:
-            gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))
+        )
         assert peak < 5 * 2**20
+
+    def test_peak_allocation_of_a_steady_batch_64_train_step(self):
+        # the optimizer steps the parameter vector in place, so a whole step
+        # allocates little beyond loss_and_grads and one joined gradient
+        net, grids, labels = desk_batch_64()
+        rng = np.random.default_rng(0)
+        _, state = gridcnn.train_step(net, grids, labels, 0.001, None, rng=rng)  # warm
+        peak = traced_peak(lambda: gridcnn.train_step(net, grids, labels, 0.001, state, rng=rng))
+        assert peak < 5 * 2**20
+
+
+def desk_batch_64():
+    grids, labels = desk_grids(64)
+    net = gridcnn.build_gridcnn(seed=0)
+    gridcnn.set_channel_stats(net, grids)
+    return net, grids, labels
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestStaged:

@@ -319,7 +319,8 @@ class TestStaged:
         assert loss == expected_loss
         for name, p in staged_net.params().items():
             assert p.tobytes() == list_net.params()[name].tobytes(), name
-        assert state.m["flat"].tobytes() == expected_state.m["flat"].tobytes()
+        assert state.m.tobytes() == expected_state.m.tobytes()
+        assert state.v.tobytes() == expected_state.v.tobytes()
 
     def test_gradcheck_mean_loss_of_three_sample_batch(self):
         net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)

@@ -75,7 +75,7 @@ class TestLinearParams:
     def test_kernel_of_any_rank_with_bias_on_the_last_axis(self):
         kernel = nn.LinearParams(np.zeros((3, 3, 2, 16)), np.zeros(16))
         assert (kernel.in_features, kernel.out_features, kernel.size()) == (2, 16, 304)
-        assert kernel.astype(np.float32).copy().weights.dtype == np.float32
+        assert kernel.astype(np.float32).weights.dtype == np.float32
 
     @pytest.mark.parametrize(
         "weights, bias", [((4,), (4,)), ((3, 3, 2, 16), (2,)), ((2, 3), (3, 1))],
@@ -382,43 +382,49 @@ class TestCrossEntropy:
 
 class TestOptimizers:
     def test_sgd_example(self):
-        out = nn.sgd_step({"p": np.array([1.0])}, {"p": np.array([0.5])}, 0.1)
-        np.testing.assert_allclose(out["p"], [0.95])
+        p = np.array([1.0])
+        nn.sgd_step(p, np.array([0.5]), 0.1)
+        np.testing.assert_allclose(p, [0.95])
 
     def test_sgd_zero_gradient_is_identity(self):
-        out = nn.sgd_step({"p": np.array([1.0, -2.0])}, {"p": np.zeros(2)}, 0.1)
-        np.testing.assert_array_equal(out["p"], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        nn.sgd_step(p, np.zeros(2), 0.1)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_adam_first_step_closed_form(self):
         # first-step oracle: p - lr * g / (sqrt(g^2) + eps)
         p, g, lr, eps = 1.0, 0.5, 0.1, 1e-8
         expected = p - lr * g / (math.sqrt(g * g) + eps)
-        out, state = nn.adam_step({"p": np.array([p])}, {"p": np.array([g])}, lr)
-        np.testing.assert_allclose(out["p"], [expected], rtol=1e-12)
+        out, state = np.array([p]), nn.AdamState(np.zeros(1), np.zeros(1))
+        nn.adam_step(out, np.array([g]), lr, state)
+        np.testing.assert_allclose(out, [expected], rtol=1e-12)
         assert abs(expected - 0.9) < 1e-7
         assert state.t == 1
 
     def test_adam_determinism(self):
-        params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
-        grads = {"a": np.array([0.1, -0.2]), "b": np.array([[0.3]])}
-        out1, st1 = nn.adam_step(params, grads, 0.01)
-        out1b, _ = nn.adam_step(out1, grads, 0.01, st1)
-        out2, st2 = nn.adam_step(params, grads, 0.01)
-        out2b, _ = nn.adam_step(out2, grads, 0.01, st2)
-        for k in params:
-            assert np.array_equal(out1b[k], out2b[k])
+        grad = np.array([0.1, -0.2, 0.3])
+        runs = []
+        for _ in range(2):
+            params, state = np.array([1.0, 2.0, 3.0]), nn.AdamState(np.zeros(3), np.zeros(3))
+            for _ in range(2):
+                nn.adam_step(params, grad, 0.01, state)
+            runs.append((params, state))
+        (p1, s1), (p2, s2) = runs
+        assert p1.tobytes() == p2.tobytes()
+        assert (s1.m.tobytes(), s1.v.tobytes(), s1.t) == (s2.m.tobytes(), s2.v.tobytes(), s2.t)
 
     def test_non_finite_gradient_names_parameter(self):
+        net = model.build_model(seed=0)
+        grads = {name: np.zeros_like(p) for name, p in net.params().items()}
+        grads["conv1.weights"][0, 0] = np.nan
         with pytest.raises(nn.TrainingError, match="conv1.weights"):
-            nn.adam_step(
-                {"conv1.weights": np.array([1.0])},
-                {"conv1.weights": np.array([np.nan])},
-                0.1,
-            )
+            net.update(0.0, grads, 0.1, None, "adam")
 
     def test_unknown_strategy(self):
+        net = model.build_model(seed=0)
+        grads = {name: np.zeros_like(p) for name, p in net.params().items()}
         with pytest.raises(ValueError):
-            nn.flat_optimizer_step({}, {}, 0.1, strategy="momentum")
+            net.update(0.0, grads, 0.1, None, "momentum")
 
 
 # the reflection network's six tensors at the default widths
@@ -436,44 +442,52 @@ def random_tensors(rng, dtype, scale=1.0):
     }
 
 
-class TestFlatOptimizerStep:
+class TestVectorStep:
+    """Network.update steps the parameter vector in place, bitwise as per tensor."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adam_is_bitwise_six_per_tensor_steps(self, dtype):
         rng = np.random.default_rng(0)
-        flat = random_tensors(rng, dtype)
-        per_tensor = dict(flat)
-        flat_state, states = None, dict.fromkeys(NETWORK_SHAPES)
+        net = model.build_model(seed=0, dtype=dtype)
+        per_tensor = {name: p.copy() for name, p in net.params().items()}
+        states = {
+            name: nn.AdamState(np.zeros_like(p), np.zeros_like(p))
+            for name, p in per_tensor.items()
+        }
+        state = None
         for step in range(5):
             grads = random_tensors(rng, dtype, scale=10.0 ** (step - 2))
             lr = 0.01 / (step + 1)
-            flat, flat_state = nn.flat_optimizer_step(flat, grads, lr, flat_state)
+            _, state = net.update(0.0, grads, lr, state, "adam")
             for name in NETWORK_SHAPES:
-                new, states[name] = nn.adam_step(
-                    {name: per_tensor[name]}, {name: grads[name]}, lr, states[name]
-                )
-                per_tensor[name] = new[name]
-            assert flat_state.t == step + 1
-            for name, p in flat.items():
+                nn.adam_step(per_tensor[name], grads[name], lr, states[name])
+            assert state.t == step + 1
+            for name, p in net.params().items():
                 assert p.dtype == dtype and p.shape == NETWORK_SHAPES[name]
                 assert p.tobytes() == per_tensor[name].tobytes(), (step, name)
 
     def test_sgd_is_bitwise_the_per_tensor_step(self):
         rng = np.random.default_rng(1)
-        params, grads = random_tensors(rng, np.float32), random_tensors(rng, np.float32)
-        flat, state = nn.flat_optimizer_step(params, grads, 0.1, strategy="sgd")
+        net = model.build_model(seed=1)
+        expected = {name: p.copy() for name, p in net.params().items()}
+        grads = random_tensors(rng, np.float32)
+        _, state = net.update(0.0, grads, 0.1, None, "sgd")
         assert state is None
-        expected = nn.sgd_step(params, grads, 0.1)
-        for name, p in flat.items():
+        for name, p in net.params().items():
+            nn.sgd_step(expected[name], grads[name], 0.1)
             assert p.tobytes() == expected[name].tobytes()
 
     @pytest.mark.parametrize("name", list(NETWORK_SHAPES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_names_its_tensor(self, name, bad):
         rng = np.random.default_rng(2)
-        params, grads = random_tensors(rng, np.float32), random_tensors(rng, np.float32)
+        net = model.build_model(seed=2)
+        before = net.vector.copy()
+        grads = random_tensors(rng, np.float32)
         grads[name].reshape(-1)[-1] = bad
         with pytest.raises(nn.TrainingError, match=f"'{name}'"):
-            nn.flat_optimizer_step(params, grads, 0.1)
+            net.update(0.0, grads, 0.1, None, "adam")
+        assert net.vector.tobytes() == before.tobytes()
 
 
 class TestGradCheck:
@@ -539,6 +553,20 @@ NETWORKS = {
 }
 
 
+def file_round_trip(net):
+    codec = model if isinstance(net, model.ReflectNetModel) else gridcnn
+    return codec.deserialize(codec.serialize(net))
+
+
+# the ways a network comes about: its build, and each remake of a built one
+REMAKES = {
+    "build": lambda net: net,
+    "copy": lambda net: net.copy(),
+    "astype-float64": lambda net: net.astype(np.float64),
+    "file": file_round_trip,
+}
+
+
 @pytest.mark.parametrize("build", NETWORKS.values(), ids=NETWORKS.keys())
 class TestNetwork:
     def test_params_follow_the_layer_table(self, build):
@@ -560,8 +588,44 @@ class TestNetwork:
         for p in [*net.params().values(), net.norm_stats.mean, net.norm_stats.std]:
             assert not (p == 7).any()
 
-    def test_astype_then_set_params_keeps_the_precision(self, build):
+    def test_astype_then_update_keeps_the_precision(self, build):
         wide = build().astype(np.float64)
         assert all(p.dtype == np.float64 for p in wide.params().values())
-        wide.set_params({name: p + 1 for name, p in wide.params().items()})
+        before = wide.vector.copy()
+        grads = {name: np.ones_like(p) for name, p in wide.params().items()}
+        wide.update(0.0, grads, 0.5, None, "sgd")
         assert all(p.dtype == np.float64 for p in wide.params().values())
+        np.testing.assert_array_equal(wide.vector, before - 0.5)
+
+    @pytest.mark.parametrize("make", list(REMAKES.values()), ids=list(REMAKES))
+    def test_params_view_the_one_vector_in_table_order(self, build, make):
+        net = build()
+        made = make(net)
+        vector = made.vector
+        assert vector.ndim == 1 and vector.flags.c_contiguous
+        start = vector.__array_interface__["data"][0]
+        offset = 0
+        for name, p in made.params().items():
+            assert p.dtype == vector.dtype and p.flags.c_contiguous, name
+            assert p.__array_interface__["data"][0] == start + offset * vector.itemsize, name
+            offset += p.size
+        assert offset == vector.size
+        if made is not net:
+            assert not np.shares_memory(vector, net.vector)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_train_step_takes_one_optimizer_step(self, build, optimizer, monkeypatch):
+        calls = {"adam": 0, "sgd": 0}
+        for strategy in calls:
+            step = getattr(nn, f"{strategy}_step")
+
+            def counted(*args, strategy=strategy, step=step, **kwargs):
+                calls[strategy] += 1
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(nn, f"{strategy}_step", counted)
+        net = build()
+        rng = np.random.default_rng(0)
+        inputs = [net.random_input(rng) for _ in range(3)]
+        net.train_step(inputs, [0, 1, 2], 0.01, None, rng=rng, optimizer=optimizer)
+        assert calls == {"adam": int(optimizer == "adam"), "sgd": int(optimizer == "sgd")}
