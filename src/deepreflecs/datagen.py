@@ -57,18 +57,9 @@ class ClassProfile:
     vr_corr: Annotated[float, Range(0, 1)] = 0.0  # wheels pattern: x-coupling
     vr_limb_range: Span = (0.4, 1.35)  # limbs: |vr|/sigma band
     vr_noise: Annotated[float, Range(0)] = 0.0  # stationary targets: gaussian vr noise
-    # minority subpopulation with atypical size (bulky pedestrians, small
-    # bikes); same signal statistics, different footprint
-    alt_fraction: Annotated[float, Range(0, 1)] = 0.0
-    alt_length_range: Span | None = None
-    alt_width_range: Span | None = None
 
     def __post_init__(self):
         schema.check(self)
-        if self.alt_fraction > 0.0 and (
-            self.alt_length_range is None or self.alt_width_range is None
-        ):
-            raise schema.ConfigError("alt_fraction needs alt length/width ranges")
 
 
 POSITION_NOISE = 0.05  # meters, measurement jitter on reflection positions
@@ -203,25 +194,15 @@ def _reflection_count(
     return int(np.clip(round(expected), lo, hi))
 
 
-def generate_track(
-    class_label: str,
-    track_id: str,
-    seed: int,
-    spec: GenSpec | None = None,
-) -> List[ObjectSample]:
-    """All samples of one approach track; deterministic in (class, id, seed)."""
-    spec = spec or GenSpec(seed=seed)
+def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[ObjectSample]:
+    """All samples of one approach track; deterministic in (class, id, spec)."""
     profile = spec.profiles[class_label]
-    rng = _track_rng(seed, track_id)
+    rng = _track_rng(spec.seed, track_id)
 
     heading = rng.uniform(-math.pi, math.pi)
     bearing = rng.uniform(-0.25, 0.25)
-    if profile.alt_fraction > 0.0 and rng.uniform() < profile.alt_fraction:
-        length = rng.uniform(*profile.alt_length_range)
-        width = rng.uniform(*profile.alt_width_range)
-    else:
-        length = rng.uniform(*profile.length_range)
-        width = rng.uniform(*profile.width_range)
+    length = rng.uniform(*profile.length_range)
+    width = rng.uniform(*profile.width_range)
     vr_direction = 1.0 if rng.uniform() < 0.5 else -1.0
     vr_sigma = rng.uniform(*profile.vr_sigma_range) if profile.mover else 0.0
     # structure/noise split keeps the marginal vr std at exactly vr_sigma
@@ -291,5 +272,5 @@ def generate_dataset(spec: GenSpec) -> List[ObjectSample]:
         count = spec.tracks_per_class.get(class_label, 0)
         for i in range(count):
             track_id = f"{class_label}-{i:04d}"
-            samples.extend(generate_track(class_label, track_id, spec.seed, spec))
+            samples.extend(generate_track(class_label, track_id, spec))
     return samples

@@ -33,9 +33,6 @@ class ConfusionMatrix:
             counts[t, p] += 1
         return cls(counts)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def accuracies(cm: ConfusionMatrix) -> Tuple[float, np.ndarray]:
     """(total accuracy, per-class recall); empty classes report NaN."""
@@ -85,8 +82,8 @@ def _labels(samples: Sequence[preprocess.ObjectSample]) -> np.ndarray:
     return np.array([s.class_index for s in samples], dtype=np.int64)
 
 
-def _median_predict_time(predict: Callable, inputs: Sequence, min_runs: int = 100) -> float:
-    runs = max(min_runs, len(inputs))
+def _median_predict_time(predict: Callable, inputs: Sequence) -> float:
+    runs = max(100, len(inputs))  # at least 100 timed calls, cycling through the inputs
     times = []
     for i in range(runs):
         inp = inputs[i % len(inputs)]
@@ -157,8 +154,8 @@ def _forest_trained(splits, seed, config, model_config):
     return forest.fit_forest(features, _labels(splits[0]), seed=seed), None
 
 
-def _predicted(net, inputs) -> list:
-    return [dist.predicted for dist in net.predict_batch(inputs)]
+def _predicted(net, inputs) -> np.ndarray:
+    return net.predict_batch(inputs).argmax(axis=1)
 
 
 TABLE = (  # in benchmark report order

@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, List, Sequence, Tuple, Union
+from typing import Annotated, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import nn, schema
-from .model import ClassDistribution, distributions
+from .model import ClassDistribution, distribution, finite
 from .preprocess import NormStats, ObjectSample, to_object_frame
 
 MAGIC = b"GCNN"
@@ -118,10 +118,10 @@ class GridCnnModel(nn.Network):
             [np.stack(_pool_windows(cache["a3"]))],
         )
 
-    def predict(self, grid: Grid):
+    def predict(self, grid: Grid) -> ClassDistribution:
         return forward(self, grid)
 
-    def predict_batch(self, grids: Grids) -> List[ClassDistribution]:
+    def predict_batch(self, grids: Grids) -> np.ndarray:
         return predict_batch(self, grids)
 
     def stage(self, grids: Sequence[Grid]) -> np.ndarray:
@@ -131,10 +131,10 @@ class GridCnnModel(nn.Network):
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
 
 
-def build_gridcnn(seed: int = 0, dropout: float = 0.5, dtype=np.float32) -> GridCnnModel:
+def build_gridcnn(seed: int = 0) -> GridCnnModel:
+    """Seeded float32 init with dropout 0.5; deterministic for a given seed."""
     return GridCnnModel(
-        **nn.init_layers(_WEIGHT_SHAPES, seed, dtype),
-        norm_stats=NormStats.identity(2), dropout=dropout,
+        **nn.init_layers(_WEIGHT_SHAPES, seed, np.float32), norm_stats=NormStats.identity(2)
     )
 
 
@@ -290,18 +290,21 @@ def forward_grids(
 
 def forward(model: GridCnnModel, grid: Grid) -> ClassDistribution:
     """Inference (dropout disabled)."""
-    return distributions(forward_grids(model, _stack(model, [grid])))[0]
+    return distribution(forward_grids(model, _stack(model, [grid])))
 
 
-def predict_batch(model: GridCnnModel, grids: Grids) -> List[ClassDistribution]:
-    """forward for every grid, run a chunk of grids at a time."""
+def predict_batch(model: GridCnnModel, grids: Grids) -> np.ndarray:
+    """The float64 (B, 4) probabilities of every grid, run a chunk of grids at a time.
+
+    Row b holds grid b's probabilities and its argmax (ties -> lowest index)
+    is the predicted class, as forward gives them up to float rounding.
+    """
     if len(grids) == 0:
-        return []
-    probs = np.concatenate([
+        return np.zeros((0, N_CLASSES))
+    return finite(np.concatenate([
         forward_grids(model, _stack(model, grids[start : start + _CHUNK]))
         for start in range(0, len(grids), _CHUNK)
-    ])
-    return distributions(probs)
+    ]))
 
 
 def _backward(
@@ -391,7 +394,7 @@ def train_step(
 
 
 def gradcheck_random_sample(
-    seed: int = 0, h: float = 1e-5, max_checks_per_tensor: int | None = 64,
+    seed: int = 0, max_checks_per_tensor: int | None = 64,
 ) -> nn.GradCheckReport:
     """Seeded model, seeded batch of 3 kink-safe grids, subsampled parameter check.
 
@@ -399,7 +402,7 @@ def gradcheck_random_sample(
     keeps the grids apart.
     """
     net = build_gridcnn(seed=seed)
-    return nn.gradcheck_random_batch(net, 3, loss_and_grads, seed, h, max_checks_per_tensor)
+    return nn.gradcheck_random_batch(net, 3, loss_and_grads, seed, max_checks_per_tensor)
 
 
 def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:

@@ -21,7 +21,7 @@ The model is an nn.Network over the layer table ReflectNetConfig.layers().
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, List, Sequence, Tuple, Union
+from typing import Annotated, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class ClassDistribution:
     predicted: int
 
 
-def distributions(probs: np.ndarray) -> List[ClassDistribution]:
-    """One ClassDistribution per row of a (B, n_classes) probability matrix.
+def finite(probs: np.ndarray) -> np.ndarray:
+    """A (B, n_classes) probability matrix, once it is checked to be finite.
 
     A finite but extreme weight or norm statistic can overflow a forward
     pass; such a matrix raises nn.NonFiniteError rather than being read.
@@ -76,10 +76,13 @@ def distributions(probs: np.ndarray) -> List[ClassDistribution]:
     if not np.isfinite(probs).all():
         bad = np.count_nonzero(~np.isfinite(probs).all(axis=1))
         raise nn.NonFiniteError(f"{bad} of {len(probs)} class distributions are not finite")
-    return [
-        ClassDistribution(probabilities=p, predicted=int(k))
-        for p, k in zip(probs, probs.argmax(axis=1))
-    ]
+    return probs
+
+
+def distribution(probs: np.ndarray) -> ClassDistribution:
+    """The ClassDistribution of a one-row probability matrix."""
+    p = finite(probs)[0]
+    return ClassDistribution(probabilities=p, predicted=int(p.argmax()))
 
 
 @dataclass
@@ -112,7 +115,7 @@ class ReflectNetModel(nn.Network):
     def predict(self, inp: PaddedInput) -> ClassDistribution:
         return forward(self, inp)
 
-    def predict_batch(self, inputs: Inputs) -> List[ClassDistribution]:
+    def predict_batch(self, inputs: Inputs) -> np.ndarray:
         return predict_batch(self, inputs)
 
     def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
@@ -222,14 +225,19 @@ def forward_rows(
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
     """Class probabilities for one padded input."""
-    return distributions(forward_rows(model, *pack([inp], model.conv1.weights.dtype)))[0]
+    return distribution(forward_rows(model, *pack([inp], model.conv1.weights.dtype)))
 
 
-def predict_batch(model: ReflectNetModel, inputs: Inputs) -> List[ClassDistribution]:
-    """forward for every input, run as one ragged batch."""
+def predict_batch(model: ReflectNetModel, inputs: Inputs) -> np.ndarray:
+    """The float64 (B, n_classes) probabilities of every input, run as one ragged batch.
+
+    Row b holds input b's probabilities and its argmax (ties -> lowest
+    index) is the predicted class, as forward gives them up to float
+    rounding: BLAS may sum a one-input batch in another order.
+    """
     if len(inputs) == 0:
-        return []
-    return distributions(forward_rows(model, *_rows(model, inputs)))
+        return np.zeros((0, model.config.n_classes))
+    return finite(forward_rows(model, *_rows(model, inputs)))
 
 
 def loss_and_grads(
@@ -278,11 +286,11 @@ def train_step(
 
 
 def gradcheck_random_sample(
-    seed: int = 0, h: float = 1e-5, max_checks_per_tensor: int | None = None,
+    seed: int = 0, max_checks_per_tensor: int | None = None,
 ) -> nn.GradCheckReport:
     """Seeded model of pad length 8, one seeded kink-safe sample, full check."""
     net = build_model(ReflectNetConfig(pad_length=8), seed=seed)
-    return nn.gradcheck_random_batch(net, 1, loss_and_grads, seed, h, max_checks_per_tensor)
+    return nn.gradcheck_random_batch(net, 1, loss_and_grads, seed, max_checks_per_tensor)
 
 
 def serialize(model: ReflectNetModel) -> bytes:

@@ -34,7 +34,15 @@ from . import container, schema
 from .preprocess import NormStats
 
 CROSS_ENTROPY_EPS = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 GRADCHECK_EPS = 1e-8
+# central-difference step; an element whose relative error stays above
+# GRADCHECK_RETRY_ABOVE is re-checked with the step shrunk 8x, at most
+# GRADCHECK_RETRIES times
+GRADCHECK_STEP = 1e-5
+GRADCHECK_RETRY_ABOVE = 1e-4
+GRADCHECK_RETRIES = 2
+SAFE_SAMPLE_TRIES = 200
 
 
 class ShapeError(ValueError):
@@ -83,10 +91,6 @@ class LinearParams:
     @property
     def out_features(self) -> int:
         return self.weights.shape[-1]
-
-    def size(self) -> int:
-        """Number of learnable scalars (weight elements plus bias elements)."""
-        return self.weights.size + self.bias.size
 
     def astype(self, dtype) -> "LinearParams":
         return LinearParams(self.weights.astype(dtype), self.bias.astype(dtype))
@@ -329,32 +333,25 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    state: AdamState,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState) -> None:
     """Adaptive moment estimation with bias correction, in place.
 
-    Updates params and state to p - lr * m_hat / (sqrt(v_hat) + eps). The
-    update is elementwise, so one call on several tensors joined into one
-    vector is bitwise one call per tensor.
+    Updates params and state to p - lr * m_hat / (sqrt(v_hat) + ADAM_EPS),
+    with moment decays ADAM_BETA1 and ADAM_BETA2. The update is
+    elementwise, so one call on several tensors joined into one vector is
+    bitwise one call per tensor.
     """
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    scratch = (1.0 - beta2) * grad
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    scratch = (1.0 - ADAM_BETA2) * grad
     scratch *= grad
-    state.v *= beta2
+    state.v *= ADAM_BETA2
     state.v += scratch
-    denom = np.divide(state.v, 1.0 - beta2**state.t, out=scratch)
+    denom = np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=scratch)
     np.sqrt(denom, out=denom)
-    denom += eps
-    step = state.m / (1.0 - beta1**state.t)
+    denom += ADAM_EPS
+    step = state.m / (1.0 - ADAM_BETA1**state.t)
     step *= lr
     step /= denom
     params -= step
@@ -376,7 +373,8 @@ class Network:
     and astype included, moves the layers' tensors into one new 1-D
     vector and makes them views of it, so the optimizer updates all of
     them in place with one step. For gradient checks a network also has
-    stage(), predict_batch(), random_input(rng), kink_margin(input) and
+    stage(), predict_batch() (the float64 (B, n_classes) probability
+    matrix of a staged batch), random_input(rng), kink_margin(input) and
     safe_margin (see random_safe_sample).
     """
 
@@ -470,23 +468,20 @@ def finite_diff_gradcheck(
     loss_fn: Callable[[Dict[str, np.ndarray]], float],
     params: Dict[str, np.ndarray],
     analytic_grads: Dict[str, np.ndarray],
-    h: float = 1e-5,
     max_checks_per_tensor: int | None = None,
     seed: int = 0,
-    retry_threshold: float = 1e-4,
-    max_retries: int = 2,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     loss_fn maps the parameter dict to a scalar loss and is re-evaluated
-    with each checked element nudged by +/- h. Parameters should be
-    float64; relative error is |a - n| / max(|a|, |n|, 1e-8).
+    with each checked element nudged by +/- h = GRADCHECK_STEP. Parameters
+    should be float64; relative error is |a - n| / max(|a|, |n|, 1e-8).
 
     Central differencing is only valid where the loss is smooth on
-    [p-h, p+h]. When an element's error exceeds retry_threshold, the step
-    is shrunk (8x, up to max_retries) to clear any ReLU/max kink inside
-    the interval: a straddled kink converges away under smaller h, a wrong
-    analytic gradient does not.
+    [p-h, p+h]. When an element's error exceeds GRADCHECK_RETRY_ABOVE, the
+    step is shrunk (8x, up to GRADCHECK_RETRIES times) to clear any
+    ReLU/max kink inside the interval: a straddled kink converges away
+    under smaller h, a wrong analytic gradient does not.
 
     Args:
         max_checks_per_tensor: if set, check only a seeded random subset of
@@ -520,11 +515,11 @@ def finite_diff_gradcheck(
             indices = np.arange(flat.size)
         for i in indices:
             analytic = float(analytic_flat[i])
-            step = h
+            step = GRADCHECK_STEP
             numeric = central(flat, i, step)
             rel = rel_error(analytic, numeric)
-            for _ in range(max_retries):
-                if rel <= retry_threshold:
+            for _ in range(GRADCHECK_RETRIES):
+                if rel <= GRADCHECK_RETRY_ABOVE:
                     break
                 step /= 8.0
                 numeric = central(flat, i, step)
@@ -569,23 +564,24 @@ def kink_margin(pre_activations: Sequence[np.ndarray], pool_inputs: Sequence[np.
     return float(min(margins))
 
 
-def random_safe_sample(net: Network, rng: np.random.Generator, max_tries: int = 200) -> tuple:
+def random_safe_sample(net: Network, rng: np.random.Generator) -> tuple:
     """(input, label): the first net.random_input(rng) clear of every kink.
 
-    Clear means net.kink_margin(input) > net.safe_margin. The label,
-    uniform over the classes (the last layer's width), is drawn after it.
+    Clear means net.kink_margin(input) > net.safe_margin; RuntimeError after
+    SAFE_SAMPLE_TRIES inputs that are not. The label, uniform over the
+    classes (the last layer's width), is drawn after it.
     """
-    for _ in range(max_tries):
+    for _ in range(SAFE_SAMPLE_TRIES):
         inp = net.random_input(rng)
         if net.kink_margin(inp) > net.safe_margin:
             n_classes = list(net.layer_shapes().values())[-1][-1]
             return inp, int(rng.integers(0, n_classes))
-    raise RuntimeError(f"no kink-safe sample found in {max_tries} tries")
+    raise RuntimeError(f"no kink-safe sample found in {SAFE_SAMPLE_TRIES} tries")
 
 
 def gradcheck(
     net: Network, batch: Sequence, labels: Sequence[int], loss_and_grads: Callable,
-    h: float = 1e-5, max_checks_per_tensor: int | None = None, seed: int = 0,
+    max_checks_per_tensor: int | None = None, seed: int = 0,
 ) -> GradCheckReport:
     """Central-difference check of a network's mean batch loss, in float64.
 
@@ -599,23 +595,19 @@ def gradcheck(
     labels = np.asarray(labels, dtype=np.intp)
 
     def loss_fn(_params):
-        probs = np.stack([d.probabilities for d in wide.predict_batch(staged)])
-        return mean_cross_entropy(probs, labels)
+        return mean_cross_entropy(wide.predict_batch(staged), labels)
 
-    return finite_diff_gradcheck(
-        loss_fn, wide.params(), analytic, h=h,
-        max_checks_per_tensor=max_checks_per_tensor, seed=seed,
-    )
+    return finite_diff_gradcheck(loss_fn, wide.params(), analytic, max_checks_per_tensor, seed)
 
 
 def gradcheck_random_batch(
     net: Network, n_samples: int, loss_and_grads: Callable, seed: int = 0,
-    h: float = 1e-5, max_checks_per_tensor: int | None = None,
+    max_checks_per_tensor: int | None = None,
 ) -> GradCheckReport:
     """gradcheck on n_samples random_safe_sample draws from an rng seeded [seed, 1]."""
     rng = np.random.default_rng([seed, 1])
     batch, labels = zip(*(random_safe_sample(net, rng) for _ in range(n_samples)))
-    return gradcheck(net, batch, labels, loss_and_grads, h, max_checks_per_tensor, seed)
+    return gradcheck(net, batch, labels, loss_and_grads, max_checks_per_tensor, seed)
 
 
 def write_network(net: Network, magic: bytes, config: dict) -> bytes:

@@ -128,18 +128,12 @@ def to_object_frame(refl: Reflection, pose: ObjectPose) -> Tuple[float, float]:
     return c * dx + s * dy, -s * dx + c * dy
 
 
-def build_feature_vector(refl: Reflection, pose: ObjectPose) -> np.ndarray:
-    """The five per-reflection network features: [x_obj, y_obj, rcs, range, vr]."""
-    x_obj, y_obj = to_object_frame(refl, pose)
-    return np.array([x_obj, y_obj, refl.rcs, refl.range_m, refl.vr], dtype=np.float64)
-
-
 def reflection_table(sample: ObjectSample) -> np.ndarray:
     """All reflections of one sample as an (M, 6) float64 table.
 
     Columns: [x_obj, y_obj, rcs, range, vr, azimuth]. One Python loop with
     the heading's cos/sin taken once gives the same floats, bit for bit,
-    as to_object_frame and build_feature_vector per reflection.
+    as to_object_frame per reflection.
     """
     pose = sample.pose
     c = math.cos(pose.heading)
@@ -175,11 +169,6 @@ _overflow_count = 0
 def overflow_count() -> int:
     """Number of pad_and_mask calls that had to drop reflections so far."""
     return _overflow_count
-
-
-def reset_overflow_count() -> None:
-    global _overflow_count
-    _overflow_count = 0
 
 
 def pad_and_mask(

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import types
 import typing
 from dataclasses import dataclass
-from typing import Annotated, Literal, Union
+from typing import Annotated, Literal
 
 from .preprocess import CLASSES
 
@@ -45,25 +44,16 @@ class Range:
 
 
 def _parts(hint, bound: Range | None = None):
-    """(bare type, its origin, its args, its bound, whether None is allowed)."""
-    optional = typing.get_origin(hint) in (Union, types.UnionType)
-    if optional:
-        inner = [a for a in typing.get_args(hint) if a is not type(None)]
-        if len(inner) != 1:
-            raise TypeError(f"no check for a union other than T | None: {hint!r}")
-        hint = inner[0]
+    """(bare type, its origin, its args, its bound)."""
     if typing.get_origin(hint) is Annotated:
         hint, bound = hint.__origin__, hint.__metadata__[0]
-    return hint, typing.get_origin(hint), typing.get_args(hint), bound, optional
+    return hint, typing.get_origin(hint), typing.get_args(hint), bound
 
 
 def checker(hint, bound: Range | None = None):
     """(what a field of this annotation takes, a test of a value); TypeError
     for an annotation the schema has no check for."""
-    hint, origin, args, bound, optional = _parts(hint, bound)
-    if optional:
-        text, test = checker(hint, bound)
-        return f"{text} or null", lambda v: v is None or test(v)
+    hint, origin, args, bound = _parts(hint, bound)
     if origin is Literal:
         return f"one of {list(args)}", lambda v: v in args
     if origin is tuple and (args[1:] == (...,) or args == (args[0],) * 2):
@@ -114,7 +104,7 @@ def mapping(raw, known, what: str, error=ConfigError) -> dict:
 def _from_json(value, hint, default, name: str):
     """`value` as `check` expects it: a list becomes a tuple, and an object for
     a mapping of dataclasses updates `default`, each entry built over its own."""
-    _, origin, args, _, _ = _parts(hint)
+    _, origin, args, _ = _parts(hint)
     if origin is tuple and isinstance(value, list):
         return tuple(value)
     if origin is dict and dataclasses.is_dataclass(args[1]) and isinstance(value, dict):

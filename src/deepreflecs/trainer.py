@@ -5,7 +5,8 @@ Works with any model exposing copy()/stage()/train_step()/predict_batch()
 training and validation inputs once: stage() packs a list of inputs into
 the model's batch form, indexing the staged set with an index array
 gives a batch of those inputs, and train_step and predict_batch take
-both forms. The learning rate decays
+both forms; predict_batch returns the (B, n_classes) probability matrix,
+whose row argmax is the predicted class. The learning rate decays
 geometrically from lr_start to lr_end across epochs, the training set is
 re-balanced by integer duplication factors per class, and the returned
 model is the parameter snapshot of the epoch with the best validation
@@ -40,8 +41,6 @@ class TrainConfig:
     )
     seed: Annotated[int, schema.Range(0)] = 0
     optimizer: Literal["adam", "sgd"] = "adam"
-    # when True, steps_per_epoch is read as a total budget spread over epochs
-    steps_are_total: bool = False
 
     def __post_init__(self):
         schema.check(self)
@@ -49,8 +48,7 @@ class TrainConfig:
             raise schema.ConfigError("need lr_start > lr_end > 0")
 
     def steps_in_epoch(self) -> int:
-        if self.steps_are_total:
-            return max(1, self.steps_per_epoch // self.epochs)
+        """steps_per_epoch; perfbench/ counts a run's steps through this name."""
         return self.steps_per_epoch
 
 
@@ -96,7 +94,7 @@ def resample_indices(
 
 
 def _accuracy(model, inputs, labels: np.ndarray) -> float:
-    predicted = np.array([dist.predicted for dist in model.predict_batch(inputs)])
+    predicted = model.predict_batch(inputs).argmax(axis=1)
     return int(np.count_nonzero(predicted == labels)) / len(labels)
 
 

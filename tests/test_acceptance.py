@@ -105,20 +105,21 @@ def test_criterion_3_padding_invariance():
 
 def test_criterion_4_gradient_fidelity():
     """Central differences (float64, h=1e-5) within 1e-4 on 10 samples each."""
+    assert nn.GRADCHECK_STEP == 1e-5
     start = time.perf_counter()
     worst_net = 0.0
     net = reflectnet.build_model(reflectnet.ReflectNetConfig(pad_length=8), seed=3)
     rng = np.random.default_rng(11)
     for _ in range(10):
         inp, label = nn.random_safe_sample(net, rng)
-        rep = nn.gradcheck(net, [inp], [label], reflectnet.loss_and_grads, h=1e-5)
+        rep = nn.gradcheck(net, [inp], [label], reflectnet.loss_and_grads)
         assert len(rep.per_parameter_errors) == 1284  # every parameter checked
         worst_net = max(worst_net, rep.max_relative_error)
     assert worst_net < 1e-4
 
     worst_grid = 0.0
     for seed in range(10):
-        rep = gridcnn.gradcheck_random_sample(seed=seed, h=1e-5, max_checks_per_tensor=48)
+        rep = gridcnn.gradcheck_random_sample(seed=seed, max_checks_per_tensor=48)
         worst_grid = max(worst_grid, rep.max_relative_error)
     assert worst_grid < 1e-4
     elapsed = time.perf_counter() - start

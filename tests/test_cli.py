@@ -68,11 +68,12 @@ class TestGenerate:
             ({"samples_per_track": [0, 0]}, "samples_per_track"),
             ({"stop_range": 100}, "stop_range"),
             ({"seed": 1}, "seed"),
+            ({"profiles": {"pedestrian": {"alt_fraction": 0.1}}}, "alt_fraction"),
         ],
         ids=["profile-unknown-class", "profile-unknown-key", "samples-reversed", "spec-list",
              "tracks-string", "start-range-string", "length-range-short", "unknown-key",
              "tracks-unknown-class", "tracks-all-zero", "samples-zero", "stop-beyond-start",
-             "seed-key"],
+             "seed-key", "profile-alt-fraction"],
     )
     def test_bad_spec_is_named_error(self, spec, named, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "data.jsonl"

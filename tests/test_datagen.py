@@ -16,29 +16,34 @@ def object_frame_extents(sample):
 class TestGenerateTrack:
     def test_car_x_extent_dominates(self):
         for seed in range(5):
-            for sample in datagen.generate_track("car", f"car-{seed}", seed):
+            for sample in datagen.generate_track("car", f"car-{seed}", datagen.GenSpec(seed=seed)):
                 x_ext, y_ext = object_frame_extents(sample)
                 assert x_ext >= y_ext
 
     def test_non_obstacle_velocities_tiny(self):
-        for sample in datagen.generate_track("non_obstacle", "n-0", 1):
+        for sample in datagen.generate_track("non_obstacle", "n-0", datagen.GenSpec(seed=1)):
             for r in sample.reflections:
                 assert abs(r.vr) < 0.2
 
     def test_deterministic(self):
-        a = datagen.generate_track("cyclist", "c-7", 42)
-        b = datagen.generate_track("cyclist", "c-7", 42)
+        a = datagen.generate_track("cyclist", "c-7", datagen.GenSpec(seed=42))
+        b = datagen.generate_track("cyclist", "c-7", datagen.GenSpec(seed=42))
         assert a == b
 
+    def test_seed_comes_from_the_spec(self):
+        one = datagen.generate_track("cyclist", "c-7", datagen.GenSpec(seed=1))
+        two = datagen.generate_track("cyclist", "c-7", datagen.GenSpec(seed=2))
+        assert one != two
+
     def test_ranges_decrease(self):
-        track = datagen.generate_track("pedestrian", "p-3", 0)
+        track = datagen.generate_track("pedestrian", "p-3", datagen.GenSpec(seed=0))
         ranges = [np.hypot(s.pose.x, s.pose.y) for s in track]
         assert all(r1 > r2 for r1, r2 in zip(ranges, ranges[1:]))
 
     def test_reflection_counts_respect_profile(self):
         profile = datagen.DEFAULT_PROFILES["car"]
         lo, hi = profile.reflections_range
-        for sample in datagen.generate_track("car", "car-x", 9):
+        for sample in datagen.generate_track("car", "car-x", datagen.GenSpec(seed=9)):
             assert lo <= len(sample.reflections) <= hi
 
 

@@ -56,7 +56,7 @@ class TestAccuracies:
         y_true = [0, 1, 2, 3, 0, 1]
         y_pred = [0, 2, 2, 3, 1, 1]
         cm = evaluate.ConfusionMatrix.from_predictions(y_true, y_pred, 4)
-        assert cm.total() == 6
+        assert cm.counts.sum() == 6
         total, per_class = evaluate.accuracies(cm)
         recomputed = np.trace(cm.counts) / cm.counts.sum()
         assert total == recomputed

@@ -4,7 +4,7 @@ byte-identical to the one pinned in golden.json.
 The list runs through `cli.main` in one subprocess with one BLAS thread:
 the seed-0 desk dataset; a model of each method, plus an SGD-trained
 reflection network, on a short schedule; the eval report of each
-network; the benchmark and ablation reports; and the gradient check.
+method; the benchmark and ablation reports; and the gradient check.
 Model files and report JSONs are hashed; train summaries (wall time) and
 timing output are not.
 
@@ -32,7 +32,7 @@ from deepreflecs import cli
 GOLDEN = Path(__file__).with_name("golden.json")
 CONFIG = {"train": {"epochs": 2, "steps_per_epoch": 8}}
 SGD_CONFIG = {"train": {**CONFIG["train"], "optimizer": "sgd"}}
-NETWORKS = ("deepreflecs", "forest", "gridcnn")
+METHODS = ("deepreflecs", "forest", "gridcnn")
 
 
 def versions() -> dict:
@@ -45,13 +45,13 @@ def versions() -> dict:
 def commands() -> list:
     """(argv, the output files it writes that are hashed)."""
     runs = [(["generate", "--seed", "0", "--out", "desk.jsonl"], ["desk.jsonl"])]
-    trains = [(m, m, "config.json") for m in NETWORKS]
+    trains = [(m, m, "config.json") for m in METHODS]
     trains.append(("deepreflecs", "deepreflecs_sgd", "sgd.json"))
     for method, name, config in trains:
         argv = ["train", "--method", method, "--data", "desk.jsonl", "--seed", "0",
                 "--config", config, "--out", f"{name}.model"]
         runs.append((argv, [f"{name}.model"]))
-    for name in NETWORKS:
+    for name in METHODS:
         argv = ["eval", "--model", f"{name}.model", "--data", "desk.jsonl",
                 "--json", f"eval_{name}.json"]
         runs.append((argv, [f"eval_{name}.json"]))

@@ -90,7 +90,7 @@ class TestArchitecture:
 
     def test_conv1_parameter_count(self):
         net = gridcnn.build_gridcnn()
-        assert net.conv1.size() == 3 * 3 * 2 * 16 + 16 == 304
+        assert net.conv1.weights.size + net.conv1.bias.size == 3 * 3 * 2 * 16 + 16 == 304
 
     def test_flatten_size(self):
         assert gridcnn.FLAT_SIZE == 1600
@@ -221,9 +221,7 @@ class TestPatchesInTheNetwork:
 
     def test_predict_batch(self, desk, monkeypatch):
         net, grids, _ = desk
-        got, expected = self.both(monkeypatch, lambda: np.stack(
-            [d.probabilities for d in gridcnn.predict_batch(net, grids)]
-        ))
+        got, expected = self.both(monkeypatch, lambda: gridcnn.predict_batch(net, grids))
         assert got.tobytes() == expected.tobytes()
 
     def test_loss_and_grads(self, desk, monkeypatch):
@@ -439,14 +437,18 @@ class TestBatched:
         net = gridcnn.build_gridcnn(seed=9)
         grids, _ = random_grids(n, seed=n)
         batched = net.predict_batch(grids)
-        assert len(batched) == n
-        for grid, dist in zip(grids, batched):
+        assert batched.shape == (n, 4) and batched.dtype == np.float64
+        for grid, row in zip(grids, batched):
             single = gridcnn.forward(net, grid)
-            assert dist.predicted == single.predicted
-            np.testing.assert_allclose(dist.probabilities, single.probabilities, atol=1e-6)
+            assert row.argmax() == single.predicted
+            np.testing.assert_allclose(row, single.probabilities, atol=1e-6)
+        chunks = [gridcnn.forward_grids(net, gridcnn._stack(net, grids[i : i + gridcnn._CHUNK]))
+                  for i in range(0, n, gridcnn._CHUNK)]
+        assert batched.tobytes() == np.concatenate(chunks).tobytes()
 
     def test_predict_batch_of_nothing(self):
-        assert gridcnn.predict_batch(gridcnn.build_gridcnn(), []) == []
+        out = gridcnn.predict_batch(gridcnn.build_gridcnn(), [])
+        assert out.shape == (0, 4) and out.dtype == np.float64
 
     def test_peak_allocation_of_a_batch_64_step(self):
         # chunks of 4 peak at 3.8 MB, chunks of 8 at 5.7 MB, the whole batch at
@@ -515,8 +517,9 @@ class TestStaged:
     def test_staged_stack_predicts_bitwise_as_its_list(self, desk):
         net, grids, _, staged = desk
         assert staged.shape == (6, 11, 11, 2) and staged.dtype == np.float32
-        for a, b in zip(net.predict_batch(staged), net.predict_batch(grids), strict=True):
-            assert a.probabilities.tobytes() == b.probabilities.tobytes()
+        got, expected = net.predict_batch(staged), net.predict_batch(grids)
+        assert got.shape == expected.shape == (6, 4)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestGridCnnSerialization:

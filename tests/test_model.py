@@ -50,7 +50,7 @@ class TestParameterCounts:
 
     def test_single_linear_params(self):
         params = nn.LinearParams(np.zeros((3, 2)), np.zeros(2))
-        assert params.size() == 8
+        assert params.weights.size + params.bias.size == 8
 
     def test_same_seed_bitwise_identical(self):
         a = model.build_model(seed=11)
@@ -245,16 +245,26 @@ class TestRaggedBatch:
         inputs, _ = batch
         net = model.build_model(seed=5)
         batched = net.predict_batch(inputs)
-        assert len(batched) == len(inputs)
-        for inp, dist in zip(inputs, batched):
+        assert batched.shape == (len(inputs), 4) and batched.dtype == np.float64
+        for inp, row in zip(inputs, batched):
             single = net.predict(inp)
-            np.testing.assert_allclose(dist.probabilities, single.probabilities, atol=1e-6)
-            assert dist.predicted == int(np.argmax(dist.probabilities))
+            np.testing.assert_allclose(row, single.probabilities, atol=1e-6)
             if np.sort(single.probabilities)[-2] < single.probabilities.max() - 1e-5:
-                assert dist.predicted == single.predicted  # no near-tie to flip
+                assert row.argmax() == single.predicted  # no near-tie to flip
+
+    @given(batch=ragged_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_predict_batch_is_the_checked_forward_matrix(self, batch):
+        inputs, _ = batch
+        net = model.build_model(seed=6)
+        batched = net.predict_batch(inputs)
+        assert batched.shape == (len(inputs), 4) and batched.dtype == np.float64
+        expected = model.forward_rows(net, *model.pack(inputs, np.float32))
+        assert batched.tobytes() == expected.tobytes()
 
     def test_predict_batch_of_nothing(self):
-        assert model.build_model().predict_batch([]) == []
+        out = model.build_model().predict_batch([])
+        assert out.shape == (0, 4) and out.dtype == np.float64
 
 
 class TestStaged:
@@ -293,9 +303,8 @@ class TestStaged:
         draw = [4, 3, 3, 0]
         got = net.predict_batch(staged[draw])
         expected = net.predict_batch([inputs[i] for i in draw])
-        for a, b in zip(got, expected, strict=True):
-            assert a.probabilities.tobytes() == b.probabilities.tobytes()
-            assert a.predicted == b.predicted
+        assert got.shape == expected.shape == (len(draw), 4)
+        assert got.tobytes() == expected.tobytes()
 
     def test_staged_set_is_the_packed_table(self):
         net, inputs, _, staged = self.staged_set(np.float32)

@@ -74,7 +74,8 @@ class TestRowwiseLinear:
 class TestLinearParams:
     def test_kernel_of_any_rank_with_bias_on_the_last_axis(self):
         kernel = nn.LinearParams(np.zeros((3, 3, 2, 16)), np.zeros(16))
-        assert (kernel.in_features, kernel.out_features, kernel.size()) == (2, 16, 304)
+        size = kernel.weights.size + kernel.bias.size
+        assert (kernel.in_features, kernel.out_features, size) == (2, 16, 304)
         assert kernel.astype(np.float32).weights.dtype == np.float32
 
     @pytest.mark.parametrize(

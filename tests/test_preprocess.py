@@ -67,20 +67,27 @@ class TestObjectFrame:
                 assert abs(before - after) < 1e-9
 
 
+def table_row(r: Reflection, pose: ObjectPose) -> np.ndarray:
+    """reflection_table of a sample holding only r."""
+    sample = ObjectSample(track_id="t", class_label="car", pose=pose, reflections=[r])
+    return preprocess.reflection_table(sample)[0]
+
+
 class TestFeatureVector:
     def test_assembly_order(self):
         r = refl(x=1, y=2, rcs=5, range_m=10, vr=-1, azimuth=0.1)
-        out = preprocess.build_feature_vector(r, ObjectPose(0, 0, 0))
-        np.testing.assert_allclose(out, [1, 2, 5, 10, -1])
+        np.testing.assert_allclose(table_row(r, ObjectPose(0, 0, 0)), [1, 2, 5, 10, -1, 0.1])
 
     def test_azimuth_not_a_feature(self):
-        out = preprocess.build_feature_vector(refl(azimuth=2.7), ObjectPose(0, 0, 0))
-        assert out.shape == (5,)
+        r = refl(x=1, y=2, rcs=5, range_m=10, vr=-1, azimuth=2.7)
+        sample = ObjectSample(track_id="t", class_label="car", pose=ObjectPose(0, 0, 0),
+                              reflections=[r])
+        np.testing.assert_array_equal(preprocess.sample_feature_rows(sample), [[1, 2, 5, 10, -1]])
 
     def test_pose_shift_only_moves_positions(self):
         r = refl(x=1, y=2, rcs=5, range_m=10, vr=-1)
-        a = preprocess.build_feature_vector(r, ObjectPose(0, 0, 0))
-        b = preprocess.build_feature_vector(r, ObjectPose(1, 0, 0))
+        a = table_row(r, ObjectPose(0, 0, 0))
+        b = table_row(r, ObjectPose(1, 0, 0))
         assert not np.array_equal(a[:2], b[:2])
         np.testing.assert_array_equal(a[2:], b[2:])
 
@@ -151,12 +158,12 @@ class TestPadAndMask:
         np.testing.assert_array_equal(out.features[3:], 0.0)
 
     def test_overflow_keeps_highest_rcs(self):
-        preprocess.reset_overflow_count()
+        before = preprocess.overflow_count()
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((70, 5))
         out = preprocess.pad_and_mask(rows, 64, NormStats.identity())
         assert out.m_real == 64
-        assert preprocess.overflow_count() == 1
+        assert preprocess.overflow_count() - before == 1
         kept_rcs = np.sort(out.features[:, 2])
         expected = np.sort(rows[:, 2])[-64:]
         np.testing.assert_allclose(kept_rcs, expected)

@@ -92,7 +92,7 @@ class TestTrainConfigChecks:
             ("seed", False), ("seed", -1),
             ("lr_start", "0.01"), ("lr_start", True), ("lr_start", float("inf")),
             ("lr_end", float("nan")),
-            ("steps_are_total", 1), ("optimizer", "adagrad"), ("optimizer", None),
+            ("optimizer", "adagrad"), ("optimizer", None),
             ("resample_factors", [1]), ("resample_factors", {"car": -1}),
             ("resample_factors", {"car": 1.5}), ("resample_factors", {"car": True}),
         ],
@@ -228,9 +228,3 @@ class TestTrainLoop:
         report = trainer.TrainReport([1.0], [0.5], 0, 12.5)
         assert "wall_time_s" not in report.core()
         assert report.to_json_dict()["wall_time_s"] == 12.5
-
-    def test_steps_are_total_interpretation(self):
-        config = trainer.TrainConfig(
-            epochs=4, steps_per_epoch=32, steps_are_total=True
-        )
-        assert config.steps_in_epoch() == 8
