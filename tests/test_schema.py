@@ -68,7 +68,14 @@ TABLE = {
     "gridcnn-file": (gridcnn.FileConfig, GRIDCNN_CONFIG, LOAD_GRIDCNN, container.ContainerError),
 }
 
-WRONG = ["x", True, 1.5, None, ["x"], {"x": 1}, float("nan"), float("inf"), -float("inf")]
+# 2**1024 is the least integer too large for a float; JSON parses it exactly.
+WRONG = [
+    "x", True, 1.5, None, ["x"], {"x": 1}, float("nan"), float("inf"), -float("inf"), 2**1024,
+]
+
+
+def label(value) -> str:
+    return "2**1024" if value == 2**1024 else repr(value)
 
 
 def hints(cls) -> dict:
@@ -86,7 +93,7 @@ def accepts(hint, value) -> bool:
 
 
 CASES = [
-    pytest.param(key, name, value, id=f"{key}-{name}-{value!r}")
+    pytest.param(key, name, value, id=f"{key}-{name}-{label(value)}")
     for key, (cls, _, _, _) in TABLE.items()
     for name, hint in hints(cls).items()
     for value in WRONG
@@ -122,6 +129,22 @@ def test_unknown_key_is_named_error(key, extra):
     _, valid, load, error = TABLE[key]
     with pytest.raises(error, match=list(extra)[0]):
         load({**valid, **extra})
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        ("TrainConfig", "steps_are_total"),
+        ("ClassProfile", "alt_fraction"),
+        ("ClassProfile", "alt_length_range"),
+        ("ClassProfile", "alt_width_range"),
+    ],
+)
+def test_a_removed_key_is_named_error(key, name):
+    cls, valid, load, error = TABLE[key]
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(error, match=name):
+        load({**valid, name: 0})
 
 
 @pytest.mark.parametrize("key", ["forest-file", "gridcnn-file"])
