@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import container, forest, gridcnn, model as reflectnet, nn, preprocess, schema, trainer
+from . import container, forest, gridcnn, model as reflectnet, preprocess, schema, trainer
 
 
 @dataclass
@@ -100,6 +100,10 @@ class MethodResult:
     inference_time_s: float
     extra: dict = field(default_factory=dict)
 
+    def to_json_dict(self) -> dict:
+        """Its report entry: complexity and metrics, leaving extra to the report."""
+        return {**self.complexity, **self.metrics.to_json_dict()}
+
 
 @dataclass(frozen=True)
 class Method:
@@ -164,7 +168,7 @@ TABLE = (  # in benchmark report order
         model_config=reflectnet.ReflectNetConfig,
         train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
         n_classes=lambda net: net.config.n_classes,
-        complexity=lambda net: {"param_count": nn.count_params(net)},
+        complexity=lambda net: {"param_count": net.vector.size},
         serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
     ),
     Method(
@@ -180,7 +184,7 @@ TABLE = (  # in benchmark report order
         name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_config=None,
         train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
         n_classes=lambda net: gridcnn.N_CLASSES,
-        complexity=lambda net: {"param_count": nn.count_params(net)},
+        complexity=lambda net: {"param_count": net.vector.size},
         serialize=gridcnn.serialize, deserialize=gridcnn.deserialize,
     ),
 )
@@ -228,17 +232,14 @@ class BenchmarkReport:
 
     def to_json_dict(self) -> dict:
         """The canonical report; it leaves out timing, see timing_dict."""
-        methods = {}
-        for name, result in self.results.items():
-            entry = dict(result.complexity)
-            entry.update(result.metrics.to_json_dict())
-            entry.update(result.extra)
-            methods[name] = entry
         return {
             "seed": self.seed,
             "dataset_sha256": self.dataset_sha256,
             "split_sizes": dict(self.split_sizes),
-            "methods": methods,
+            "methods": {
+                name: {**result.to_json_dict(), **result.extra}
+                for name, result in self.results.items()
+            },
         }
 
     def timing_dict(self) -> dict:
@@ -283,10 +284,6 @@ class AblationReport:
     without_gcl: MethodResult
 
     def to_json_dict(self) -> dict:
-        with_d = dict(self.with_gcl.complexity)
-        with_d.update(self.with_gcl.metrics.to_json_dict())
-        without_d = dict(self.without_gcl.complexity)
-        without_d.update(self.without_gcl.metrics.to_json_dict())
         per_class_delta = {}
         for name, a, b in zip(
             preprocess.CLASSES,
@@ -299,7 +296,10 @@ class AblationReport:
         return {
             "seed": self.seed,
             "dataset_sha256": self.dataset_sha256,
-            "variants": {"with_gcl": with_d, "without_gcl": without_d},
+            "variants": {
+                "with_gcl": self.with_gcl.to_json_dict(),
+                "without_gcl": self.without_gcl.to_json_dict(),
+            },
             "delta": {
                 "total": self.with_gcl.metrics.total_accuracy
                 - self.without_gcl.metrics.total_accuracy,

@@ -139,8 +139,8 @@ def build_gridcnn(seed: int = 0) -> GridCnnModel:
 
 
 # Grids per forward/backward pass. It bounds a step's scratch memory: a
-# float32 batch of 64 peaks at 3.8 MB of allocations in chunks of 4, 5.7 MB
-# in chunks of 8 and 31 MB all at once, while larger chunks save under 10%
+# float32 batch of 64 peaks at 2.9 MiB of allocations in chunks of 4, 4.8 MiB
+# in chunks of 8 and 31 MiB all at once, while larger chunks save under 10%
 # of the step time, since each chunk's patch matrices already fill a GEMM.
 _CHUNK = 4
 
@@ -185,23 +185,24 @@ def _conv(x: np.ndarray, params: nn.LinearParams) -> Tuple[np.ndarray, np.ndarra
 
 
 def _conv_grads(
-    cols: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, need_input_grad: bool = True
-) -> Tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. the input (or None), the kernel and the bias.
+    cols: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, grad: nn.LinearParams,
+    need_input_grad: bool = True,
+) -> np.ndarray | None:
+    """Gradient w.r.t. the input (or None); adds the kernel and bias gradients into grad.
 
     The input gradient is the same-padded convolution of grad_out with the
     kernel rotated by 180 degrees and its channel axes swapped.
     """
     cout = params.bias.shape[0]
     g = grad_out.reshape(-1, cout)
-    grad_w = (cols.T @ g).reshape(params.weights.shape)
-    grad_b = g.sum(axis=0)
+    grad.weights += (cols.T @ g).reshape(params.weights.shape)
+    grad.bias += g.sum(axis=0)
     del cols  # the caller passes its last reference: free it before more patches
     if not need_input_grad:
-        return None, grad_w, grad_b
+        return None
     flipped = params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
     grad_x = _patches(grad_out) @ flipped
-    return grad_x.reshape(*grad_out.shape[:3], -1), grad_w, grad_b
+    return grad_x.reshape(*grad_out.shape[:3], -1)
 
 
 def _pool_windows(x: np.ndarray):
@@ -308,45 +309,31 @@ def predict_batch(model: GridCnnModel, grids: Grids) -> np.ndarray:
 
 
 def _backward(
-    model: GridCnnModel, cache: dict, d_logits: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Parameter gradients of one chunk, given the logit gradients.
+    model: GridCnnModel, cache: dict, d_logits: np.ndarray, slot: Dict[str, nn.LinearParams]
+) -> None:
+    """Add one chunk's parameter gradients, given its logit gradients, into slot.
 
     Takes each activation out of the cache at its last use, so a layer's
     patch matrix is freed before the next layer's gradients are built.
     """
     take = cache.pop
-    grads: Dict[str, np.ndarray] = {}
-    d_ad2, grads["head.weights"], grads["head.bias"] = nn.rowwise_linear_backward(
-        take("ad2"), model.head, d_logits
-    )
+    d_ad2 = nn.rowwise_linear_backward(take("ad2"), model.head, d_logits, slot["head"])
     if "drop2" in cache:
         d_ad2 = d_ad2 * take("drop2")
     d_zd2 = nn.relu_backward(take("zd2"), d_ad2)
-    d_ad1, grads["dense2.weights"], grads["dense2.bias"] = nn.rowwise_linear_backward(
-        take("ad1"), model.dense2, d_zd2
-    )
+    d_ad1 = nn.rowwise_linear_backward(take("ad1"), model.dense2, d_zd2, slot["dense2"])
     if "drop1" in cache:
         d_ad1 = d_ad1 * take("drop1")
     d_zd1 = nn.relu_backward(take("zd1"), d_ad1)
-    d_flat, grads["dense1.weights"], grads["dense1.bias"] = nn.rowwise_linear_backward(
-        take("flat"), model.dense1, d_zd1
-    )
+    d_flat = nn.rowwise_linear_backward(take("flat"), model.dense1, d_zd1, slot["dense1"])
     pooled = take("pooled")
     d_a3 = _pool_grads(take("a3"), pooled, d_flat.reshape(pooled.shape))
     d_z3 = nn.relu_backward(take("z3"), d_a3)
-    d_a2, grads["conv3.weights"], grads["conv3.bias"] = _conv_grads(
-        take("cols3"), model.conv3, d_z3
-    )
+    d_a2 = _conv_grads(take("cols3"), model.conv3, d_z3, slot["conv3"])
     d_z2 = nn.relu_backward(take("z2"), d_a2)
-    d_a1, grads["conv2.weights"], grads["conv2.bias"] = _conv_grads(
-        take("cols2"), model.conv2, d_z2
-    )
+    d_a1 = _conv_grads(take("cols2"), model.conv2, d_z2, slot["conv2"])
     d_z1 = nn.relu_backward(take("z1"), d_a1)
-    _, grads["conv1.weights"], grads["conv1.bias"] = _conv_grads(
-        take("cols1"), model.conv1, d_z1, need_input_grad=False
-    )
-    return grads
+    _conv_grads(take("cols1"), model.conv1, d_z1, slot["conv1"], need_input_grad=False)
 
 
 def loss_and_grads(
@@ -354,10 +341,11 @@ def loss_and_grads(
     batch: Grids,
     labels: Sequence[int],
     rng: np.random.Generator | None = None,
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean cross-entropy and parameter gradients over a batch of grids.
+) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch of grids and its gradient, laid out like model.vector.
 
-    Dropout is on, drawn from rng, when an rng is given.
+    Dropout is on, drawn from rng, when an rng is given. Each chunk adds
+    its gradients into the one vector, in chunk order.
     """
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
@@ -365,19 +353,16 @@ def loss_and_grads(
     labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)
     x = _stack(model, batch)
-    grads: Dict[str, np.ndarray] = {}
+    grad = np.zeros_like(model.vector)
+    slot = model.layers_of(grad)
     probs = []
     for start in range(0, len(batch), _CHUNK):
         stop = start + _CHUNK
         p, cache = forward_grids(model, x[start:stop], rng, keep_cache=True)
         probs.append(p)
         d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
-        for name, g in _backward(model, cache, d_logits).items():
-            if name in grads:
-                grads[name] += g
-            else:
-                grads[name] = g
-    return nn.mean_cross_entropy(np.concatenate(probs), labels), grads
+        _backward(model, cache, d_logits, slot)
+    return nn.mean_cross_entropy(np.concatenate(probs), labels), grad
 
 
 def train_step(

@@ -244,8 +244,8 @@ def loss_and_grads(
     model: ReflectNetModel,
     batch: Inputs,
     labels: Sequence[int],
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch and its parameter gradients."""
+) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient, laid out like model.vector."""
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     dtype = model.conv1.weights.dtype
@@ -253,10 +253,12 @@ def loss_and_grads(
     probs, cache = forward_rows(model, x, segments, keep_cache=True)
     labels = np.asarray(labels, dtype=np.intp)
     d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * (1.0 / len(batch))).astype(dtype)
-    d_pooled, d_hw, d_hb = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits)
+    grad = np.zeros_like(model.vector)
+    slot = model.layers_of(grad)
+    d_pooled = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits, slot["head"])
     d_h2 = nn.segment_max_pool_backward(cache["h2"], segments, d_pooled, cache["pooled"])
     d_z2 = nn.relu_backward(cache["z2"], d_h2)
-    d_h, d_w2, d_b2 = nn.rowwise_linear_backward(cache["h"], model.conv2, d_z2)
+    d_h = nn.rowwise_linear_backward(cache["h"], model.conv2, d_z2, slot["conv2"])
     if model.config.use_gcl:
         # the global half of a segment's first row is that segment's pooled h1
         g = cache["h"][segments.starts, model.config.width1:]
@@ -264,13 +266,8 @@ def loss_and_grads(
     else:
         d_h1 = d_h
     d_z1 = nn.relu_backward(cache["z1"], d_h1)
-    _, d_w1, d_b1 = nn.rowwise_linear_backward(x, model.conv1, d_z1)
-    grads = {
-        "conv1.weights": d_w1, "conv1.bias": d_b1,
-        "conv2.weights": d_w2, "conv2.bias": d_b2,
-        "head.weights": d_hw, "head.bias": d_hb,
-    }
-    return nn.mean_cross_entropy(probs, labels), grads
+    nn.rowwise_linear_backward(x, model.conv1, d_z1, slot["conv1"])
+    return nn.mean_cross_entropy(probs, labels), grad
 
 
 def train_step(

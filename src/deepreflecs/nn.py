@@ -3,10 +3,11 @@
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
 cross-entropy, two optimizers, and a central-difference gradient checker.
-Every layer operation is a pure function of its inputs; backward passes
-take the forward inputs and the upstream gradient and return downstream
-gradients. The two optimizer steps instead update a parameter vector
-(and Adam's state) in place.
+Every forward layer operation is a pure function of its inputs; backward
+passes take the forward inputs and the upstream gradient and return the
+input gradient. A backward pass with parameters adds their gradients into
+the layer's slot of a gradient vector instead of returning them, and the
+two optimizer steps update a parameter vector (and Adam's state) in place.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
 feature). A batch of lists is one matrix of all their rows plus Segments
@@ -17,9 +18,9 @@ gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
-view, seeded init, train-step update (one in-place optimizer step of that
-vector), float64 gradient check of the mean batch loss with its kink-safe
-sample search, and model-file layout.
+view, gradients laid out like it, seeded init, train-step update (one
+in-place optimizer step of that vector), float64 gradient check of the mean
+batch loss with its kink-safe sample search, and model-file layout.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ class LinearParams:
     def in_features(self) -> int:
         return self.weights.shape[-2]
 
-    @property
-    def out_features(self) -> int:
-        return self.weights.shape[-1]
-
-    def astype(self, dtype) -> "LinearParams":
-        return LinearParams(self.weights.astype(dtype), self.bias.astype(dtype))
-
 
 def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
     """Apply the same linear map to every row of x.
@@ -113,13 +107,16 @@ def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
 
 
 def rowwise_linear_backward(
-    x: np.ndarray, params: LinearParams, grad_out: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of rowwise_linear w.r.t. input, weights and bias."""
-    grad_x = grad_out @ params.weights.T
-    grad_w = x.T @ grad_out
-    grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w, grad_b
+    x: np.ndarray, params: LinearParams, grad_out: np.ndarray, grad: LinearParams
+) -> np.ndarray:
+    """Gradient of rowwise_linear w.r.t. its input.
+
+    The weight and bias gradients are added into grad, the layer's slot of
+    a gradient vector.
+    """
+    grad.weights += x.T @ grad_out
+    grad.bias += grad_out.sum(axis=0)
+    return grad_out @ params.weights.T
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -369,30 +366,43 @@ class Network:
     layer table, layer_shapes(), and a norm_stats field normalizing the
     first layer's input features. The table fixes the parameter names
     ('<layer>.weights', '<layer>.bias') and their order: in params(), in
-    the parameter vector and in the model file. Every construction, copy
-    and astype included, moves the layers' tensors into one new 1-D
-    vector and makes them views of it, so the optimizer updates all of
-    them in place with one step. For gradient checks a network also has
-    stage(), predict_batch() (the float64 (B, n_classes) probability
+    the parameter vector, in a gradient vector and in the model file. Every
+    construction, copy and astype included, moves the layers' tensors into
+    one new 1-D vector and makes them views of it, so the optimizer updates
+    all of them in place with one step. For gradient checks a network also
+    has stage(), predict_batch() (the float64 (B, n_classes) probability
     matrix of a staged batch), random_input(rng), kink_margin(input) and
     safe_margin (see random_safe_sample).
     """
 
     def __post_init__(self):
-        tensors = list(self.params().values())
-        self.vector = np.concatenate([t.ravel() for t in tensors])
-        pieces = np.split(self.vector, np.cumsum([t.size for t in tensors[:-1]]))
-        views = iter(piece.reshape(t.shape) for piece, t in zip(pieces, tensors))
-        for layer in self.layer_shapes():
-            setattr(self, layer, LinearParams(next(views), next(views)))
+        self.vector = np.concatenate([t.ravel() for t in self.params().values()])
+        for layer, views in self.layers_of(self.vector).items():
+            setattr(self, layer, views)
 
     def layer_shapes(self) -> LayerShapes:
         raise NotImplementedError
 
-    def params(self) -> Dict[str, np.ndarray]:
-        """Live views of all learnable tensors, keyed by stable names."""
+    def layers_of(self, vector: np.ndarray) -> Dict[str, LinearParams]:
+        """Views of a vector in the parameter layout, one LinearParams per layer."""
+        layers, start = {}, 0
+        for layer, shape in self.layer_shapes().items():
+            stop = start + math.prod(shape)
+            layers[layer] = LinearParams(
+                vector[start:stop].reshape(shape), vector[stop : stop + shape[-1]]
+            )
+            start = stop + shape[-1]
+        return layers
+
+    def params(self, vector: np.ndarray | None = None) -> Dict[str, np.ndarray]:
+        """Live views of all learnable tensors, keyed by stable names.
+
+        Given a vector in the parameter layout (a gradient), the views are
+        of that vector instead.
+        """
+        layers = vars(self) if vector is None else self.layers_of(vector)
         return {
-            f"{layer}.{part}": getattr(getattr(self, layer), part)
+            f"{layer}.{part}": getattr(layers[layer], part)
             for layer in self.layer_shapes() for part in ("weights", "bias")
         }
 
@@ -403,27 +413,24 @@ class Network:
 
     def astype(self, dtype):
         """Same network at a different parameter precision (e.g. float64)."""
-        layers = {layer: getattr(self, layer).astype(dtype) for layer in self.layer_shapes()}
-        return replace(self, **layers)
+        return replace(self, **self.layers_of(self.vector.astype(dtype)))
 
     def update(
-        self, loss: float, grads: Dict[str, np.ndarray], lr: float,
+        self, loss: float, grad: np.ndarray, lr: float,
         opt_state: AdamState | None, optimizer: str,
     ) -> Tuple[float, AdamState | None]:
-        """A train step after its loss and gradients; returns (loss, new opt_state).
+        """A train step after its loss and gradient vector; returns (loss, new opt_state).
 
-        A non-finite loss or gradient raises TrainingError; otherwise the
-        gradients, joined in parameter-vector order, take one adam_step or
-        sgd_step of the vector in place.
+        A non-finite loss or gradient raises TrainingError, which names the
+        first tensor in table order holding a non-finite gradient; otherwise
+        the gradient takes one adam_step or sgd_step of the vector in place.
         """
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss {loss}")
         if optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer strategy '{optimizer}'")
-        names = self.params()
-        grad = np.concatenate([grads[name].ravel() for name in names])
         if not np.isfinite(grad).all():
-            bad = next(name for name in names if not np.isfinite(grads[name]).all())
+            bad = next(name for name, g in self.params(grad).items() if not np.isfinite(g).all())
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
         if optimizer == "sgd":
             sgd_step(self.vector, grad, lr)
@@ -432,11 +439,6 @@ class Network:
             opt_state = AdamState(np.zeros_like(self.vector), np.zeros_like(self.vector))
         adam_step(self.vector, grad, lr, opt_state)
         return loss, opt_state
-
-
-def count_params(net: Network) -> int:
-    """Learnable scalars over all layers; pooling layers add none."""
-    return net.vector.size
 
 
 def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams]:
@@ -585,13 +587,13 @@ def gradcheck(
 ) -> GradCheckReport:
     """Central-difference check of a network's mean batch loss, in float64.
 
-    loss_and_grads(net, staged batch, labels) gives the analytic gradients
-    (with dropout off); the loss is differenced through net.predict_batch
-    on the same staged batch.
+    loss_and_grads(net, staged batch, labels) gives the analytic gradient
+    vector (with dropout off); the loss is differenced through
+    net.predict_batch on the same staged batch.
     """
     wide = net.astype(np.float64)
     staged = wide.stage(batch)
-    _, analytic = loss_and_grads(wide, staged, labels)
+    analytic = wide.params(loss_and_grads(wide, staged, labels)[1])
     labels = np.asarray(labels, dtype=np.intp)
 
     def loss_fn(_params):

@@ -50,13 +50,13 @@ def random_padded(rng, pad_length=64):
 def test_criterion_1_parameter_counts():
     """Exact learnable-parameter counts for all three builds."""
     start = time.perf_counter()
-    assert nn.count_params(reflectnet.build_model()) == 1284
+    assert reflectnet.build_model().vector.size == 1284
     # ablated build: removing the context layer halves conv2's input width
     # (16 instead of 32) with every other width fixed, so the element-count
     # oracle gives 96 + 544 + 132
     ablated = reflectnet.build_model(reflectnet.ReflectNetConfig(use_gcl=False))
-    assert nn.count_params(ablated) == 96 + (16 * 32 + 32) + 132 == 772
-    assert nn.count_params(gridcnn.build_gridcnn()) == 232628
+    assert ablated.vector.size == 96 + (16 * 32 + 32) + 132 == 772
+    assert gridcnn.build_gridcnn().vector.size == 232628
     report(
         "criterion 1: parameter counts",
         f"1284 with context layer, 772 ablated, 232628 grid CNN "

@@ -151,7 +151,7 @@ def test_no_samples_give_an_empty_feature_matrix():
 @pytest.mark.parametrize("config", [
     forest.FeatureConfig(velocity_resolution=0.25, stationary_threshold=2.0),
     forest.FeatureConfig(stationary_threshold=0.0),
-])
+], ids=["coarse-velocity-high-threshold", "zero-threshold"])
 def test_feature_config_reaches_the_features(config):
     samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))[:50]
     assert_same_bits(

@@ -86,7 +86,7 @@ class TestRasterize:
 
 class TestArchitecture:
     def test_total_parameter_count(self):
-        assert nn.count_params(gridcnn.build_gridcnn()) == 232628
+        assert gridcnn.build_gridcnn().vector.size == 232628
 
     def test_conv1_parameter_count(self):
         net = gridcnn.build_gridcnn()
@@ -148,13 +148,18 @@ class TestConvOracle:
         g = rng.normal(size=(2, 11, 11, 5))
         params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
         out, cols = gridcnn._conv(x, params)
-        grad_x, grad_w, grad_b = gridcnn._conv_grads(cols, params, g)
+        grad = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
+        grad_x = gridcnn._conv_grads(cols, params, g, grad)
         assert grad_x.shape == x.shape
         assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
-        np.testing.assert_allclose(grad_b, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(grad.bias, g.sum(axis=(0, 1, 2)), rtol=1e-12)
         # dL/dw is linear in x as well: <dL/dw, w> = <conv(x), g>
-        assert np.sum(grad_w * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
-        assert gridcnn._conv_grads(cols, params, g, need_input_grad=False)[0] is None
+        assert np.sum(grad.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
+        # a second call adds its kernel and bias gradients to the first
+        first = nn.LinearParams(grad.weights.copy(), grad.bias.copy())
+        assert gridcnn._conv_grads(cols, params, g, grad, need_input_grad=False) is None
+        np.testing.assert_array_equal(grad.weights, 2 * first.weights)
+        np.testing.assert_array_equal(grad.bias, 2 * first.bias)
 
 
 def sliding_window_patches(x):
@@ -226,14 +231,12 @@ class TestPatchesInTheNetwork:
 
     def test_loss_and_grads(self, desk, monkeypatch):
         net, grids, labels = desk
-        (loss, grads), (expected_loss, expected_grads) = self.both(
+        (loss, grad), (expected_loss, expected_grad) = self.both(
             monkeypatch,
             lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0)),
         )
         assert loss == expected_loss
-        assert grads.keys() == expected_grads.keys()
-        for name, g in grads.items():
-            assert g.tobytes() == expected_grads[name].tobytes(), name
+        assert grad.tobytes() == expected_grad.tobytes()
 
 
 def window_argmax_oracle(x):
@@ -352,7 +355,8 @@ class TestForwardAndTraining:
         for step in range(5):
             lr = 0.01 / (step + 1)
             loss, state = gridcnn.train_step(net, grids, labels, lr, state, rng=rng)
-            expected, grads = gridcnn.loss_and_grads(per_tensor, grids, labels, rng=per_tensor_rng)
+            expected, grad = gridcnn.loss_and_grads(per_tensor, grids, labels, rng=per_tensor_rng)
+            grads = per_tensor.params(grad)
             for name, p in per_tensor.params().items():
                 nn.adam_step(p, grads[name], lr, per_tensor_states[name])
             assert loss == expected
@@ -407,7 +411,7 @@ class TestBatched:
         net = gridcnn.build_gridcnn(seed=n).astype(dtype)
         net.dropout = 0.3
         grids, labels = random_grids(n, seed=100 + n)
-        loss, grads = gridcnn.loss_and_grads(
+        loss, grad = gridcnn.loss_and_grads(
             net, grids, labels, rng=np.random.default_rng(n)
         )
         # one generator drawn grid by grid gives the same dropout masks
@@ -415,9 +419,10 @@ class TestBatched:
         singles = [gridcnn.loss_and_grads(net, [g], [y], rng=rng) for g, y in zip(grids, labels)]
         tol = 1e-5 if dtype == np.float32 else 1e-10
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
-        for name, g in grads.items():
-            assert g.dtype == dtype
-            expected = np.mean([s[name] for _, s in singles], axis=0)
+        assert grad.dtype == dtype and grad.shape == net.vector.shape
+        mean = net.params(np.mean([s for _, s in singles], axis=0))
+        for name, g in net.params(grad).items():
+            expected = mean[name]
             np.testing.assert_allclose(
                 g, expected, rtol=tol, atol=tol * np.abs(expected).max(), err_msg=name
             )
@@ -451,23 +456,24 @@ class TestBatched:
         assert out.shape == (0, 4) and out.dtype == np.float64
 
     def test_peak_allocation_of_a_batch_64_step(self):
-        # chunks of 4 peak at 3.8 MB, chunks of 8 at 5.7 MB, the whole batch at
-        # once at 31 MB; every MB here raises the process's peak RSS
+        # chunks of 4 peak at 2.9 MiB, chunks of 8 at 4.8 MiB, the whole batch
+        # at once at 31 MiB; every MiB here raises the process's peak RSS
         net, grids, labels = desk_batch_64()
         gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))  # warm
         peak = traced_peak(
             lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))
         )
-        assert peak < 5 * 2**20
+        assert peak < 3.5 * 2**20
 
     def test_peak_allocation_of_a_steady_batch_64_train_step(self):
-        # the optimizer steps the parameter vector in place, so a whole step
-        # allocates little beyond loss_and_grads and one joined gradient
+        # the optimizer steps the parameter vector in place with the gradient
+        # vector loss_and_grads returns, so a whole step allocates little
+        # beyond loss_and_grads
         net, grids, labels = desk_batch_64()
         rng = np.random.default_rng(0)
         _, state = gridcnn.train_step(net, grids, labels, 0.001, None, rng=rng)  # warm
         peak = traced_peak(lambda: gridcnn.train_step(net, grids, labels, 0.001, state, rng=rng))
-        assert peak < 5 * 2**20
+        assert peak < 3.5 * 2**20
 
 
 def desk_batch_64():
@@ -504,15 +510,14 @@ class TestStaged:
     )
     def test_batch_gives_bitwise_the_loss_and_grads_of_its_list(self, desk, draw):
         net, grids, labels, staged = desk
-        loss, grads = gridcnn.loss_and_grads(
+        loss, grad = gridcnn.loss_and_grads(
             net, staged[draw], labels[draw], rng=np.random.default_rng(0)
         )
         expected_loss, expected = gridcnn.loss_and_grads(
             net, [grids[i] for i in draw], labels[draw], rng=np.random.default_rng(0)
         )
         assert loss == expected_loss
-        for name, g in grads.items():
-            assert g.tobytes() == expected[name].tobytes(), name
+        assert grad.tobytes() == expected.tobytes()
 
     def test_staged_stack_predicts_bitwise_as_its_list(self, desk):
         net, grids, _, staged = desk

@@ -61,6 +61,7 @@ def test_cli_train_writes_the_benchmark_model(method, dataset, tmp_path, capsys)
 @pytest.mark.parametrize(
     "name, model_config",
     [("gridcnn", {"dropout": 0.3}), ("forest", {"n_trees": 5}), ("deepreflecs", {"bogus": 1})],
+    ids=["gridcnn-dropout", "forest-n_trees", "deepreflecs-bogus"],
 )
 def test_model_config_a_method_does_not_take_is_named_error(
     name, model_config, dataset, tmp_path, capsys

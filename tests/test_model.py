@@ -32,21 +32,21 @@ def random_input(rng, pad_length=64, m=None, n_features=5):
 class TestParameterCounts:
     def test_default_build_is_1284(self):
         net = model.build_model()
-        assert nn.count_params(net) == 1284
+        assert net.vector.size == 1284
         assert element_count_oracle(net) == 1284
 
     def test_small_config_matches_oracle(self):
         cfg = model.ReflectNetConfig(n_features=5, width1=8, width2=16, n_classes=4)
         net = model.build_model(cfg)
         # 5*8+8 + 16*16+16 + 16*4+4
-        assert nn.count_params(net) == 388
+        assert net.vector.size == 388
         assert element_count_oracle(net) == 388
 
     def test_ablated_build_matches_oracle(self):
         # removing the context layer halves conv2's input width (16 instead
         # of 32), all other widths fixed: 96 + 544 + 132
         net = model.build_model(model.ReflectNetConfig(use_gcl=False))
-        assert nn.count_params(net) == element_count_oracle(net) == 772
+        assert net.vector.size == element_count_oracle(net) == 772
 
     def test_single_linear_params(self):
         params = nn.LinearParams(np.zeros((3, 2)), np.zeros(2))
@@ -176,7 +176,7 @@ class TestTrainStep:
         inp, label = nn.random_safe_sample(net, rng)
         report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
         assert report.max_relative_error < 1e-4
-        assert len(report.per_parameter_errors) == nn.count_params(net)
+        assert len(report.per_parameter_errors) == net.vector.size
 
 
 @st.composite
@@ -219,14 +219,15 @@ class TestRaggedBatch:
     def test_loss_and_grads_equal_mean_of_single_samples(self, dtype, tol, batch):
         inputs, labels = batch
         net = model.build_model(seed=3, dtype=dtype)
-        loss, grads = model.loss_and_grads(net, inputs, labels)
+        loss, grad = model.loss_and_grads(net, inputs, labels)
         singles = [model.loss_and_grads(net, [inp], [y]) for inp, y in zip(inputs, labels)]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
-        for name, grad in grads.items():
-            assert grad.dtype == dtype
-            reference = np.mean([g[name].astype(np.float64) for _, g in singles], axis=0)
+        assert grad.dtype == dtype and grad.shape == net.vector.shape
+        mean = net.params(np.mean([g.astype(np.float64) for _, g in singles], axis=0))
+        for name, g in net.params(grad).items():
+            reference = mean[name]
             np.testing.assert_allclose(
-                grad, reference, rtol=tol, atol=tol * np.abs(reference).max()
+                g, reference, rtol=tol, atol=tol * np.abs(reference).max()
             )
 
     @given(batch=ragged_batches())
@@ -289,14 +290,13 @@ class TestStaged:
         net, inputs, labels, staged = self.staged_set(dtype)
         batch = staged[np.array(draw)]
         assert len(batch) == len(draw)
-        loss, grads = model.loss_and_grads(net, batch, labels[draw])
+        loss, grad = model.loss_and_grads(net, batch, labels[draw])
         expected_loss, expected = model.loss_and_grads(
             net, [inputs[i] for i in draw], labels[draw]
         )
         assert loss == expected_loss
-        for name, g in grads.items():
-            assert g.dtype == dtype
-            assert g.tobytes() == expected[name].tobytes(), name
+        assert grad.dtype == dtype and grad.shape == net.vector.shape
+        assert grad.tobytes() == expected.tobytes()
 
     def test_batch_predicts_bitwise_as_its_list(self):
         net, inputs, _, staged = self.staged_set(np.float32)
@@ -343,9 +343,9 @@ class TestStaged:
             probs = model.forward_rows(wide, *model.pack(inputs, np.float64))
             return nn.mean_cross_entropy(probs, np.array(labels))
 
-        report = nn.finite_diff_gradcheck(mean_loss, wide.params(), analytic)
+        report = nn.finite_diff_gradcheck(mean_loss, wide.params(), wide.params(analytic))
         assert report.max_relative_error < 1e-4
-        assert len(report.per_parameter_errors) == nn.count_params(net)
+        assert len(report.per_parameter_errors) == net.vector.size
 
     @pytest.mark.parametrize("pad", [4, 0])
     def test_empty_sample_in_batch_is_an_error(self, pad):

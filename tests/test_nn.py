@@ -54,6 +54,19 @@ class TestRowwiseLinear:
         with pytest.raises(nn.ShapeError):
             nn.rowwise_linear(np.ones((2, 3)), linear(np.eye(2), [0, 0]))
 
+    def test_backward_adds_into_the_gradient_slot(self):
+        rng = np.random.default_rng(3)
+        x, grad_out = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+        params = nn.LinearParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
+        start = nn.LinearParams(rng.standard_normal((4, 3)), rng.standard_normal(3))
+        grad = nn.LinearParams(start.weights.copy(), start.bias.copy())
+        grad_x = nn.rowwise_linear_backward(x, params, grad_out, grad)
+        np.testing.assert_allclose(grad_x, naive_matmul(grad_out, params.weights.T, np.zeros(4)))
+        np.testing.assert_allclose(
+            grad.weights, start.weights + naive_matmul(x.T, grad_out, np.zeros(3))
+        )
+        np.testing.assert_allclose(grad.bias, start.bias + grad_out.sum(axis=0))
+
     @given(
         x=arrays(np.float32, (7, 4), elements=st.floats(-10, 10, width=32)),
         perm=st.permutations(range(7)),
@@ -75,8 +88,7 @@ class TestLinearParams:
     def test_kernel_of_any_rank_with_bias_on_the_last_axis(self):
         kernel = nn.LinearParams(np.zeros((3, 3, 2, 16)), np.zeros(16))
         size = kernel.weights.size + kernel.bias.size
-        assert (kernel.in_features, kernel.out_features, size) == (2, 16, 304)
-        assert kernel.astype(np.float32).weights.dtype == np.float32
+        assert (kernel.in_features, size) == (2, 304)
 
     @pytest.mark.parametrize(
         "weights, bias", [((4,), (4,)), ((3, 3, 2, 16), (2,)), ((2, 3), (3, 1))],
@@ -416,16 +428,17 @@ class TestOptimizers:
 
     def test_non_finite_gradient_names_parameter(self):
         net = model.build_model(seed=0)
-        grads = {name: np.zeros_like(p) for name, p in net.params().items()}
-        grads["conv1.weights"][0, 0] = np.nan
+        grad = np.zeros_like(net.vector)
+        net.params(grad)["conv1.weights"][0, 0] = np.nan
         with pytest.raises(nn.TrainingError, match="conv1.weights"):
-            net.update(0.0, grads, 0.1, None, "adam")
+            net.update(0.0, grad, 0.1, None, "adam")
 
     def test_unknown_strategy(self):
         net = model.build_model(seed=0)
-        grads = {name: np.zeros_like(p) for name, p in net.params().items()}
-        with pytest.raises(ValueError):
-            net.update(0.0, grads, 0.1, None, "momentum")
+        before = net.vector.copy()
+        with pytest.raises(ValueError, match="momentum"):
+            net.update(0.0, np.zeros_like(net.vector), 0.1, None, "momentum")
+        assert net.vector.tobytes() == before.tobytes()
 
 
 # the reflection network's six tensors at the default widths
@@ -436,11 +449,12 @@ NETWORK_SHAPES = {
 }
 
 
-def random_tensors(rng, dtype, scale=1.0):
-    return {
-        name: (scale * rng.standard_normal(shape)).astype(dtype)
-        for name, shape in NETWORK_SHAPES.items()
-    }
+def random_gradient(net, rng, scale=1.0):
+    """A gradient vector of net, drawn tensor by tensor in NETWORK_SHAPES order."""
+    grad = np.zeros_like(net.vector)
+    for name, g in net.params(grad).items():
+        g[...] = scale * rng.standard_normal(NETWORK_SHAPES[name])
+    return grad
 
 
 class TestVectorStep:
@@ -457,11 +471,11 @@ class TestVectorStep:
         }
         state = None
         for step in range(5):
-            grads = random_tensors(rng, dtype, scale=10.0 ** (step - 2))
+            grad = random_gradient(net, rng, scale=10.0 ** (step - 2))
             lr = 0.01 / (step + 1)
-            _, state = net.update(0.0, grads, lr, state, "adam")
-            for name in NETWORK_SHAPES:
-                nn.adam_step(per_tensor[name], grads[name], lr, states[name])
+            _, state = net.update(0.0, grad, lr, state, "adam")
+            for name, g in net.params(grad).items():
+                nn.adam_step(per_tensor[name], g, lr, states[name])
             assert state.t == step + 1
             for name, p in net.params().items():
                 assert p.dtype == dtype and p.shape == NETWORK_SHAPES[name]
@@ -471,11 +485,11 @@ class TestVectorStep:
         rng = np.random.default_rng(1)
         net = model.build_model(seed=1)
         expected = {name: p.copy() for name, p in net.params().items()}
-        grads = random_tensors(rng, np.float32)
-        _, state = net.update(0.0, grads, 0.1, None, "sgd")
+        grad = random_gradient(net, rng)
+        _, state = net.update(0.0, grad, 0.1, None, "sgd")
         assert state is None
         for name, p in net.params().items():
-            nn.sgd_step(expected[name], grads[name], 0.1)
+            nn.sgd_step(expected[name], net.params(grad)[name], 0.1)
             assert p.tobytes() == expected[name].tobytes()
 
     @pytest.mark.parametrize("name", list(NETWORK_SHAPES))
@@ -484,10 +498,10 @@ class TestVectorStep:
         rng = np.random.default_rng(2)
         net = model.build_model(seed=2)
         before = net.vector.copy()
-        grads = random_tensors(rng, np.float32)
-        grads[name].reshape(-1)[-1] = bad
+        grad = random_gradient(net, rng)
+        net.params(grad)[name].reshape(-1)[-1] = bad
         with pytest.raises(nn.TrainingError, match=f"'{name}'"):
-            net.update(0.0, grads, 0.1, None, "adam")
+            net.update(0.0, grad, 0.1, None, "adam")
         assert net.vector.tobytes() == before.tobytes()
 
 
@@ -514,9 +528,10 @@ class TestGradCheck:
         probs = nn.softmax(pooled)
         d_pool = nn.softmax_cross_entropy_grad(probs, label)
         d_out = nn.masked_global_max_pool_backward(out, mask, d_pool)
-        _, dw, db = nn.rowwise_linear_backward(x, lp, d_out)
+        grad = nn.LinearParams(np.zeros((4, 3)), np.zeros(3))
+        nn.rowwise_linear_backward(x, lp, d_out, grad)
 
-        report = nn.finite_diff_gradcheck(loss_fn, params, {"w": dw, "b": db})
+        report = nn.finite_diff_gradcheck(loss_fn, params, {"w": grad.weights, "b": grad.bias})
         assert report.max_relative_error < 1e-4
 
     def test_zero_weight_symmetric_input(self):
@@ -579,7 +594,16 @@ class TestNetwork:
         for layer, shape in shapes.items():
             assert params[f"{layer}.weights"].shape == tuple(shape)
             assert params[f"{layer}.bias"].shape == tuple(shape[-1:])
-        assert nn.count_params(net) == sum(math.prod(s) + s[-1] for s in shapes.values())
+        assert net.vector.size == sum(math.prod(s) + s[-1] for s in shapes.values())
+
+    def test_params_of_a_vector_view_it_in_the_parameter_layout(self, build):
+        net = build()
+        grad = np.arange(net.vector.size, dtype=net.vector.dtype)
+        views = net.params(grad)
+        shapes = [(name, p.shape) for name, p in net.params().items()]
+        assert [(name, v.shape) for name, v in views.items()] == shapes
+        assert all(np.shares_memory(v, grad) for v in views.values())
+        assert np.concatenate([v.ravel() for v in views.values()]).tobytes() == grad.tobytes()
 
     def test_copy_shares_no_array(self, build):
         net = build()
@@ -593,8 +617,7 @@ class TestNetwork:
         wide = build().astype(np.float64)
         assert all(p.dtype == np.float64 for p in wide.params().values())
         before = wide.vector.copy()
-        grads = {name: np.ones_like(p) for name, p in wide.params().items()}
-        wide.update(0.0, grads, 0.5, None, "sgd")
+        wide.update(0.0, np.ones_like(wide.vector), 0.5, None, "sgd")
         assert all(p.dtype == np.float64 for p in wide.params().values())
         np.testing.assert_array_equal(wide.vector, before - 0.5)
 

@@ -310,7 +310,9 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="line 2"):
             preprocess.read_dataset(str(path))
 
-    @pytest.mark.parametrize("lines", [[b"\xff{}"], [None, b'{"track_id": "\xe9"}']])
+    @pytest.mark.parametrize(
+        "lines", [[b"\xff{}"], [None, b'{"track_id": "\xe9"}']], ids=["line-1", "line-2"]
+    )
     def test_non_utf8_bytes_report_line(self, tmp_path, lines):
         path = tmp_path / "data.jsonl"
         preprocess.write_dataset([one_sample()], str(path))

@@ -124,7 +124,7 @@ def test_valid_json_loads(key):
 
 
 @pytest.mark.parametrize("key", ["TrainConfig", "GenSpec", "ClassProfile"])
-@pytest.mark.parametrize("extra", [{"bogus": 1}, {"Seed": 0}])
+@pytest.mark.parametrize("extra", [{"bogus": 1}, {"Seed": 0}], ids=["bogus", "Seed"])
 def test_unknown_key_is_named_error(key, extra):
     _, valid, load, error = TABLE[key]
     with pytest.raises(error, match=list(extra)[0]):

@@ -93,8 +93,11 @@ class TestTrainConfigChecks:
             ("lr_start", "0.01"), ("lr_start", True), ("lr_start", float("inf")),
             ("lr_end", float("nan")),
             ("optimizer", "adagrad"), ("optimizer", None),
-            ("resample_factors", [1]), ("resample_factors", {"car": -1}),
-            ("resample_factors", {"car": 1.5}), ("resample_factors", {"car": True}),
+            # a list or dict value gets no id of its own, only its position
+            pytest.param("resample_factors", [1], id="resample_factors-list"),
+            pytest.param("resample_factors", {"car": -1}, id="resample_factors-negative"),
+            pytest.param("resample_factors", {"car": 1.5}, id="resample_factors-fraction"),
+            pytest.param("resample_factors", {"car": True}, id="resample_factors-bool"),
         ],
     )
     def test_bad_value_is_value_error_naming_the_field(self, field, value):
