@@ -159,7 +159,7 @@ def _forest_trained(splits, seed, config, model_config):
 
 
 def _predicted(net, inputs) -> np.ndarray:
-    return net.predict_batch(inputs).argmax(axis=1)
+    return net.predict_batch(net.stage(inputs)).argmax(axis=1)
 
 
 TABLE = (  # in benchmark report order

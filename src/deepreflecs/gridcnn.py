@@ -8,10 +8,11 @@ same-padded 3x3 convolutions (16, 32, 64 channels, ReLU), one 2x2 max
 pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout on the two
 hidden dense layers during training. 232,628 learnable parameters.
 
-A batch is a stack of normalized grids (B, 11, 11, 2) that forward_grids
-runs through every layer at once; training and batch prediction feed it
-_CHUNK grids at a time. A training run stages its grids as one such
-stack up front and draws each batch from it by index.
+A batch is a stack of normalized grids (B, 11, 11, 2), made by
+GridCnnModel.stage, that forward_grids runs through every layer at once;
+predict_batch, loss_and_grads and train_step take only such a stack and
+feed it _CHUNK grids at a time. A training run stages its grids once and
+draws each batch from the stack by index.
 
 The model is an nn.Network over the layer table _WEIGHT_SHAPES (a 3x3
 kernel is a (3, 3, in, out) nn.LinearParams), with the channel
@@ -23,12 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, Sequence, Tuple, Union
+from typing import Annotated, Dict, Sequence, Tuple
 
 import numpy as np
 
 from . import nn, schema
-from .model import ClassDistribution, distribution, finite
 from .preprocess import NormStats, ObjectSample, to_object_frame
 
 MAGIC = b"GCNN"
@@ -112,22 +112,37 @@ class GridCnnModel(nn.Network):
     def kink_margin(self, grid: Grid) -> float:
         """nn.kink_margin of one grid's float64, dropout-off forward pass."""
         wide = self.astype(np.float64)
-        _, cache = forward_grids(wide, _stack(wide, [grid]), keep_cache=True)
+        _, cache = forward_grids(wide, wide.stage([grid]), keep_cache=True)
         return nn.kink_margin(
             [cache[z] for z in ("z1", "z2", "z3", "zd1", "zd2")],
             [np.stack(_pool_windows(cache["a3"]))],
         )
 
-    def predict(self, grid: Grid) -> ClassDistribution:
+    def predict(self, grid: Grid) -> nn.ClassDistribution:
         return forward(self, grid)
 
-    def predict_batch(self, grids: Grids) -> np.ndarray:
-        return predict_batch(self, grids)
-
     def stage(self, grids: Sequence[Grid]) -> np.ndarray:
-        return _stack(self, grids)
+        """Normalized cells of the grids as one (B, 11, 11, 2) stack at model precision."""
+        if len(grids) == 0:
+            raise nn.ShapeError("cannot stage an empty list of grids")
+        cells = np.stack([g.cells for g in grids])
+        x = (cells - self.norm_stats.mean) / self.norm_stats.std
+        return x.astype(self.conv1.weights.dtype, copy=False)
+
+    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        """The float64 (B, 4) probabilities of a staged stack, run a chunk of grids at a time.
+
+        Row b holds grid b's probabilities and its argmax (ties -> lowest index)
+        is the predicted class, as forward gives them up to float rounding.
+        """
+        return nn.finite(np.concatenate([
+            forward_grids(self, x[start : start + _CHUNK]) for start in range(0, len(x), _CHUNK)
+        ]))
 
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
+        """train_step on a staged stack, or on a list of grids staged first."""
+        if not isinstance(batch, np.ndarray):
+            batch = self.stage(batch)
         return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
 
 
@@ -227,23 +242,6 @@ def _pool_grads(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.n
     return grad
 
 
-# what predict_batch, loss_and_grads and train_step take: grids, or a stack
-# of them that _stack has already normalized
-Grids = Union[Sequence[Grid], np.ndarray]
-
-
-def _stack(model: GridCnnModel, grids: Grids) -> np.ndarray:
-    """Normalized cells of the grids as one (B, 11, 11, 2) array at model precision.
-
-    A stack that is already staged is returned as it is.
-    """
-    if isinstance(grids, np.ndarray):
-        return grids
-    cells = np.stack([g.cells for g in grids])
-    x = (cells - model.norm_stats.mean) / model.norm_stats.std
-    return x.astype(model.conv1.weights.dtype, copy=False)
-
-
 def forward_grids(
     model: GridCnnModel,
     x: np.ndarray,
@@ -289,23 +287,9 @@ def forward_grids(
     return probs, cache
 
 
-def forward(model: GridCnnModel, grid: Grid) -> ClassDistribution:
-    """Inference (dropout disabled)."""
-    return distribution(forward_grids(model, _stack(model, [grid])))
-
-
-def predict_batch(model: GridCnnModel, grids: Grids) -> np.ndarray:
-    """The float64 (B, 4) probabilities of every grid, run a chunk of grids at a time.
-
-    Row b holds grid b's probabilities and its argmax (ties -> lowest index)
-    is the predicted class, as forward gives them up to float rounding.
-    """
-    if len(grids) == 0:
-        return np.zeros((0, N_CLASSES))
-    return finite(np.concatenate([
-        forward_grids(model, _stack(model, grids[start : start + _CHUNK]))
-        for start in range(0, len(grids), _CHUNK)
-    ]))
+def forward(model: GridCnnModel, grid: Grid) -> nn.ClassDistribution:
+    """Inference (dropout disabled): predict_batch of a one-grid stack."""
+    return nn.distribution(model.predict_batch(model.stage([grid])))
 
 
 def _backward(
@@ -338,11 +322,11 @@ def _backward(
 
 def loss_and_grads(
     model: GridCnnModel,
-    batch: Grids,
+    batch: np.ndarray,
     labels: Sequence[int],
     rng: np.random.Generator | None = None,
 ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch of grids and its gradient, laid out like model.vector.
+    """Mean cross-entropy over a staged stack and its gradient, laid out like model.vector.
 
     Dropout is on, drawn from rng, when an rng is given. Each chunk adds
     its gradients into the one vector, in chunk order.
@@ -352,13 +336,12 @@ def loss_and_grads(
     dtype = model.conv1.weights.dtype
     labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)
-    x = _stack(model, batch)
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
     probs = []
     for start in range(0, len(batch), _CHUNK):
         stop = start + _CHUNK
-        p, cache = forward_grids(model, x[start:stop], rng, keep_cache=True)
+        p, cache = forward_grids(model, batch[start:stop], rng, keep_cache=True)
         probs.append(p)
         d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
         _backward(model, cache, d_logits, slot)
@@ -367,14 +350,14 @@ def loss_and_grads(
 
 def train_step(
     model: GridCnnModel,
-    batch: Grids,
+    batch: np.ndarray,
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,
     rng: np.random.Generator | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean batch loss, with dropout drawn from rng if one is given."""
+    """One optimizer step on the mean loss of a staged stack, with dropout if rng is given."""
     return model.update(*loss_and_grads(model, batch, labels, rng=rng), lr, opt_state, optimizer)
 
 

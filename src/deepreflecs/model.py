@@ -6,14 +6,14 @@ global max pooling over the reflection list, and a dense softmax head.
 The two pooling-style layers have no learnable parameters; with the
 default widths the whole network has exactly 1,284 of them.
 
-Batches are ragged: the real reflection rows of all samples are
-concatenated into one matrix, with segment offsets marking where each
-sample starts, and every layer runs once over the whole batch. A single
-sample is a batch of one segment. Padding rows are dropped before the
-first layer, which makes the output bitwise independent of the pad
-length and of whatever values sit in padding rows. A training run packs
-its inputs once into a Staged table and gathers each batch from it by
-index.
+Batches are ragged: ReflectNetModel.stage concatenates the real
+reflection rows of a list of inputs into one Staged table, with segment
+offsets marking where each sample starts, and every layer runs once over
+the whole batch. Staging drops the padding rows, which makes the output
+bitwise independent of the pad length and of whatever values sit in
+padding rows. predict_batch, loss_and_grads and train_step take only a
+Staged batch; a single sample is a batch of one segment, and a training
+run stages its inputs once and gathers each batch from it by index.
 
 The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
@@ -21,7 +21,7 @@ The model is an nn.Network over the layer table ReflectNetConfig.layers().
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, Sequence, Tuple, Union
+from typing import Annotated, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -60,32 +60,6 @@ class ReflectNetConfig:
 
 
 @dataclass
-class ClassDistribution:
-    """Class probabilities plus the argmax decision (ties -> lowest index)."""
-
-    probabilities: np.ndarray
-    predicted: int
-
-
-def finite(probs: np.ndarray) -> np.ndarray:
-    """A (B, n_classes) probability matrix, once it is checked to be finite.
-
-    A finite but extreme weight or norm statistic can overflow a forward
-    pass; such a matrix raises nn.NonFiniteError rather than being read.
-    """
-    if not np.isfinite(probs).all():
-        bad = np.count_nonzero(~np.isfinite(probs).all(axis=1))
-        raise nn.NonFiniteError(f"{bad} of {len(probs)} class distributions are not finite")
-    return probs
-
-
-def distribution(probs: np.ndarray) -> ClassDistribution:
-    """The ClassDistribution of a one-row probability matrix."""
-    p = finite(probs)[0]
-    return ClassDistribution(probabilities=p, predicted=int(p.argmax()))
-
-
-@dataclass
 class ReflectNetModel(nn.Network):
     config: ReflectNetConfig
     conv1: nn.LinearParams
@@ -107,21 +81,49 @@ class ReflectNetModel(nn.Network):
     def kink_margin(self, inp: PaddedInput) -> float:
         """nn.kink_margin of one sample's float64 forward pass."""
         wide = self.astype(np.float64)
-        _, cache = forward_rows(wide, *pack([inp], np.float64), keep_cache=True)
+        _, cache = forward_rows(wide, wide.stage([inp]), keep_cache=True)
         pools = [cache["h1"], cache["h2"]] if self.config.use_gcl else [cache["h2"]]
         return nn.kink_margin([cache["z1"], cache["z2"]], pools)
 
-    # convenience delegates so generic training code can stay model-agnostic
-    def predict(self, inp: PaddedInput) -> ClassDistribution:
+    def predict(self, inp: PaddedInput) -> nn.ClassDistribution:
         return forward(self, inp)
 
-    def predict_batch(self, inputs: Inputs) -> np.ndarray:
-        return predict_batch(self, inputs)
-
     def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
-        return stage(self, inputs)
+        """The real rows of every input as one ragged batch, at model precision.
+
+        This is where padding rows are dropped, so the network never sees them.
+        """
+        dtype = self.conv1.weights.dtype
+        if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
+            mask = np.asarray(inputs[0].mask, dtype=bool)
+            rows = inputs[0].features[mask].astype(dtype, copy=False)
+            return Staged(rows, nn.Segments.single(len(rows)), np.array([len(rows)]))
+        if len(inputs) == 0:
+            raise nn.ShapeError("cannot stage an empty list of inputs")
+        pad_lengths = [len(inp.mask) for inp in inputs]
+        if pad_lengths != [len(inp.features) for inp in inputs]:
+            raise nn.ShapeError("an input's mask and feature rows differ in length")
+        if min(pad_lengths) < 1:  # reduceat below would misread an empty input
+            raise nn.EmptyPoolError("an input has no rows at all")
+        mask = np.concatenate([inp.mask for inp in inputs]).astype(bool, copy=False)
+        rows = np.concatenate([inp.features for inp in inputs])[mask]
+        pad_starts = np.cumsum(pad_lengths) - pad_lengths
+        lengths = np.add.reduceat(mask, pad_starts, dtype=np.intp)
+        return Staged(rows.astype(dtype, copy=False), nn.Segments.from_lengths(lengths), lengths)
+
+    def predict_batch(self, staged: "Staged") -> np.ndarray:
+        """The float64 (B, n_classes) probabilities of a staged batch, run as one ragged batch.
+
+        Row b holds input b's probabilities and its argmax (ties -> lowest
+        index) is the predicted class, as forward gives them up to float
+        rounding: BLAS may sum a one-input batch in another order.
+        """
+        return nn.finite(forward_rows(self, staged))
 
     def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
+        """train_step on a Staged batch, or on a list of inputs staged first."""
+        if not isinstance(batch, Staged):
+            batch = self.stage(batch)
         return train_step(self, batch, labels, lr, opt_state, optimizer=optimizer)
 
 
@@ -138,35 +140,15 @@ def build_model(
     )
 
 
-def pack(inputs: Sequence[PaddedInput], dtype) -> Tuple[np.ndarray, nn.Segments]:
-    """Concatenate the real rows of every input into one ragged batch.
-
-    This is where padding rows are dropped, so the network never sees them.
-    """
-    if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
-        rows = inputs[0].features[np.asarray(inputs[0].mask, dtype=bool)]
-        return rows.astype(dtype, copy=False), nn.Segments.single(rows.shape[0])
-    pad_lengths = [len(inp.mask) for inp in inputs]
-    if pad_lengths != [len(inp.features) for inp in inputs]:
-        raise nn.ShapeError("an input's mask and feature rows differ in length")
-    if min(pad_lengths) < 1:  # reduceat below would misread an empty input
-        raise nn.EmptyPoolError("an input has no rows at all")
-    mask = np.concatenate([inp.mask for inp in inputs]).astype(bool, copy=False)
-    rows = np.concatenate([inp.features for inp in inputs])[mask]
-    pad_starts = np.cumsum(pad_lengths) - pad_lengths
-    lengths = np.add.reduceat(mask, pad_starts, dtype=np.intp)
-    return rows.astype(dtype, copy=False), nn.Segments.from_lengths(lengths)
-
-
 @dataclass(frozen=True)
 class Staged:
-    """A set of inputs packed once into one ragged table, for repeated use.
+    """A set of inputs staged once into one ragged table, for repeated use.
 
     Input b is rows[segments.starts[b] : segments.starts[b] + lengths[b]],
     at the precision of the model that staged it. Indexing with an array
     of input indices (repeats allowed) gathers those inputs, in that
     order, into a new table: a training step draws its batch with one row
-    gather instead of packing the padded inputs again.
+    gather instead of staging the padded inputs again.
     """
 
     rows: np.ndarray
@@ -185,31 +167,14 @@ class Staged:
         return Staged(rows, segments, lengths)
 
 
-# what predict_batch, loss_and_grads and train_step take
-Inputs = Union[Sequence[PaddedInput], Staged]
-
-
-def stage(model: ReflectNetModel, inputs: Sequence[PaddedInput]) -> Staged:
-    """pack at model precision, keeping each input's row count."""
-    rows, segments = pack(inputs, model.conv1.weights.dtype)
-    return Staged(rows, segments, np.diff(segments.starts, append=rows.shape[0]))
-
-
-def _rows(model: ReflectNetModel, inputs: Inputs) -> Tuple[np.ndarray, nn.Segments]:
-    if isinstance(inputs, Staged):
-        return inputs.rows, inputs.segments
-    return pack(inputs, model.conv1.weights.dtype)
-
-
-def forward_rows(
-    model: ReflectNetModel, x: np.ndarray, segments: nn.Segments, keep_cache: bool = False
-):
-    """Class probabilities (B, n_classes) for the ragged batch (x, segments).
+def forward_rows(model: ReflectNetModel, batch: Staged, keep_cache: bool = False):
+    """Class probabilities (B, n_classes) for a staged ragged batch.
 
     With keep_cache, returns (probabilities, activations) for the
     backward pass.
     """
-    z1 = nn.rowwise_linear(x, model.conv1)
+    segments = batch.segments
+    z1 = nn.rowwise_linear(batch.rows, model.conv1)
     h1 = nn.relu(z1)
     h = nn.segment_context_layer(h1, segments) if model.config.use_gcl else h1
     z2 = nn.rowwise_linear(h, model.conv2)
@@ -218,41 +183,25 @@ def forward_rows(
     probs = nn.softmax(nn.rowwise_linear(pooled, model.head))
     if not keep_cache:
         return probs
-    return probs, {
-        "x": x, "z1": z1, "h1": h1, "h": h, "z2": z2, "h2": h2, "pooled": pooled,
-    }
+    return probs, {"z1": z1, "h1": h1, "h": h, "z2": z2, "h2": h2, "pooled": pooled}
 
 
-def forward(model: ReflectNetModel, inp: PaddedInput) -> ClassDistribution:
-    """Class probabilities for one padded input."""
-    return distribution(forward_rows(model, *pack([inp], model.conv1.weights.dtype)))
-
-
-def predict_batch(model: ReflectNetModel, inputs: Inputs) -> np.ndarray:
-    """The float64 (B, n_classes) probabilities of every input, run as one ragged batch.
-
-    Row b holds input b's probabilities and its argmax (ties -> lowest
-    index) is the predicted class, as forward gives them up to float
-    rounding: BLAS may sum a one-input batch in another order.
-    """
-    if len(inputs) == 0:
-        return np.zeros((0, model.config.n_classes))
-    return finite(forward_rows(model, *_rows(model, inputs)))
+def forward(model: ReflectNetModel, inp: PaddedInput) -> nn.ClassDistribution:
+    """Class probabilities for one padded input: predict_batch of a one-input batch."""
+    return nn.distribution(model.predict_batch(model.stage([inp])))
 
 
 def loss_and_grads(
     model: ReflectNetModel,
-    batch: Inputs,
+    batch: Staged,
     labels: Sequence[int],
 ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient, laid out like model.vector."""
-    if len(batch) == 0:
-        raise nn.TrainingError("empty training batch")
-    dtype = model.conv1.weights.dtype
-    x, segments = _rows(model, batch)
-    probs, cache = forward_rows(model, x, segments, keep_cache=True)
+    """Mean cross-entropy over a staged batch and its gradient, laid out like model.vector."""
+    segments = batch.segments
+    probs, cache = forward_rows(model, batch, keep_cache=True)
     labels = np.asarray(labels, dtype=np.intp)
-    d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * (1.0 / len(batch))).astype(dtype)
+    scale = 1.0 / len(batch)  # stage refuses an empty batch, and so does indexing a Staged
+    d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * scale).astype(model.vector.dtype)
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
     d_pooled = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits, slot["head"])
@@ -266,19 +215,19 @@ def loss_and_grads(
     else:
         d_h1 = d_h
     d_z1 = nn.relu_backward(cache["z1"], d_h1)
-    nn.rowwise_linear_backward(x, model.conv1, d_z1, slot["conv1"])
+    nn.rowwise_linear_backward(batch.rows, model.conv1, d_z1, slot["conv1"], need_input_grad=False)
     return nn.mean_cross_entropy(probs, labels), grad
 
 
 def train_step(
     model: ReflectNetModel,
-    batch: Inputs,
+    batch: Staged,
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,
     optimizer: str = "adam",
 ) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean batch loss; returns the pre-step loss."""
+    """One optimizer step on the mean loss of a staged batch; returns the pre-step loss."""
     return model.update(*loss_and_grads(model, batch, labels), lr, opt_state, optimizer)
 
 

@@ -2,7 +2,8 @@
 
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
-cross-entropy, two optimizers, and a central-difference gradient checker.
+cross-entropy and the checked class distribution, two optimizers, and a
+central-difference gradient checker.
 Every forward layer operation is a pure function of its inputs; backward
 passes take the forward inputs and the upstream gradient and return the
 input gradient. A backward pass with parameters adds their gradients into
@@ -63,6 +64,31 @@ class NonFiniteError(ArithmeticError):
 
 
 @dataclass
+class ClassDistribution:
+    """Class probabilities plus the argmax decision (ties -> lowest index)."""
+
+    probabilities: np.ndarray
+    predicted: int
+
+
+def finite(probs: np.ndarray) -> np.ndarray:
+    """A (B, n_classes) probability matrix, once it is checked to be finite.
+
+    A finite but extreme weight or norm statistic can overflow a forward
+    pass; such a matrix raises NonFiniteError rather than being read.
+    """
+    if not np.isfinite(probs).all():
+        bad = np.count_nonzero(~np.isfinite(probs).all(axis=1))
+        raise NonFiniteError(f"{bad} of {len(probs)} class distributions are not finite")
+    return probs
+
+
+def distribution(probs: np.ndarray) -> ClassDistribution:
+    """The ClassDistribution of a one-row probability matrix that finite has checked."""
+    return ClassDistribution(probabilities=probs[0], predicted=int(probs[0].argmax()))
+
+
+@dataclass
 class LinearParams:
     """Weights and bias of a linear map, shared across all list entries.
 
@@ -107,15 +133,18 @@ def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
 
 
 def rowwise_linear_backward(
-    x: np.ndarray, params: LinearParams, grad_out: np.ndarray, grad: LinearParams
-) -> np.ndarray:
-    """Gradient of rowwise_linear w.r.t. its input.
+    x: np.ndarray, params: LinearParams, grad_out: np.ndarray, grad: LinearParams,
+    need_input_grad: bool = True,
+) -> np.ndarray | None:
+    """Gradient of rowwise_linear w.r.t. its input (or None).
 
     The weight and bias gradients are added into grad, the layer's slot of
     a gradient vector.
     """
     grad.weights += x.T @ grad_out
     grad.bias += grad_out.sum(axis=0)
+    if not need_input_grad:
+        return None
     return grad_out @ params.weights.T
 
 
@@ -369,10 +398,11 @@ class Network:
     the parameter vector, in a gradient vector and in the model file. Every
     construction, copy and astype included, moves the layers' tensors into
     one new 1-D vector and makes them views of it, so the optimizer updates
-    all of them in place with one step. For gradient checks a network also
-    has stage(), predict_batch() (the float64 (B, n_classes) probability
-    matrix of a staged batch), random_input(rng), kink_margin(input) and
-    safe_margin (see random_safe_sample).
+    all of them in place with one step. A network also has stage() (a
+    list of inputs -> the staged batch every batch function takes),
+    predict_batch() (the float64 (B, n_classes) probability matrix of a
+    staged batch) and, for gradient checks, random_input(rng),
+    kink_margin(input) and safe_margin (see random_safe_sample).
     """
 
     def __post_init__(self):

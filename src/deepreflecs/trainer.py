@@ -2,11 +2,11 @@
 
 Works with any model exposing copy()/stage()/train_step()/predict_batch()
 (the reflection network and the grid CNN both do). A run stages its
-training and validation inputs once: stage() packs a list of inputs into
-the model's batch form, indexing the staged set with an index array
+training and validation inputs once: stage() turns a list of inputs into
+the model's one batch form, indexing the staged set with an index array
 gives a batch of those inputs, and train_step and predict_batch take
-both forms; predict_batch returns the (B, n_classes) probability matrix,
-whose row argmax is the predicted class. The learning rate decays
+such a staged batch; predict_batch returns the (B, n_classes) probability
+matrix, whose row argmax is the predicted class. The learning rate decays
 geometrically from lr_start to lr_end across epochs, the training set is
 re-balanced by integer duplication factors per class, and the returned
 model is the parameter snapshot of the epoch with the best validation

@@ -289,7 +289,7 @@ def test_criterion_10_round_trips(tmp_path):
     net.norm_stats = NormStats(rng.standard_normal(5), np.abs(rng.standard_normal(5)) + 0.1)
     state = None
     for _ in range(3):
-        _, state = reflectnet.train_step(net, [random_padded(rng)], [1], 0.01, state)
+        _, state = reflectnet.train_step(net, net.stage([random_padded(rng)]), [1], 0.01, state)
     restored = reflectnet.deserialize(reflectnet.serialize(net))
     for name, p in net.params().items():
         assert np.array_equal(p, restored.params()[name])

@@ -174,7 +174,9 @@ def sliding_window_patches(x):
 class TestPatches:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 16, 64])
-    @pytest.mark.parametrize("hw", [(1, 1), (3, 7), (5, 5), (11, 11)])
+    @pytest.mark.parametrize(
+        "hw", [(1, 1), (3, 7), (5, 5), (11, 11)], ids=["1x1", "3x7", "5x5", "11x11"]
+    )
     @pytest.mark.parametrize("b", [1, 4])
     def test_bitwise_equal_to_sliding_window_oracle(self, b, hw, c, dtype):
         rng = np.random.default_rng([b, *hw, c])
@@ -218,7 +220,7 @@ class TestPatchesInTheNetwork:
     @pytest.mark.parametrize("training", [False, True])
     def test_forward_grids(self, desk, monkeypatch, training):
         net, grids, _ = desk
-        x = gridcnn._stack(net, grids)
+        x = net.stage(grids)
         got, expected = self.both(monkeypatch, lambda: gridcnn.forward_grids(
             net, x, rng=np.random.default_rng(0) if training else None
         ))
@@ -226,14 +228,16 @@ class TestPatchesInTheNetwork:
 
     def test_predict_batch(self, desk, monkeypatch):
         net, grids, _ = desk
-        got, expected = self.both(monkeypatch, lambda: gridcnn.predict_batch(net, grids))
+        got, expected = self.both(monkeypatch, lambda: net.predict_batch(net.stage(grids)))
         assert got.tobytes() == expected.tobytes()
 
     def test_loss_and_grads(self, desk, monkeypatch):
         net, grids, labels = desk
         (loss, grad), (expected_loss, expected_grad) = self.both(
             monkeypatch,
-            lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0)),
+            lambda: gridcnn.loss_and_grads(
+                net, net.stage(grids), labels, rng=np.random.default_rng(0)
+            ),
         )
         assert loss == expected_loss
         assert grad.tobytes() == expected_grad.tobytes()
@@ -334,9 +338,9 @@ class TestForwardAndTraining:
             ) / len(grids)
 
         before = inference_loss()
-        state = None
+        x, state = net.stage(grids), None
         for _ in range(60):
-            _, state = gridcnn.train_step(net, grids, labels, 0.005, state, rng=rng)
+            _, state = gridcnn.train_step(net, x, labels, 0.005, state, rng=rng)
         after = inference_loss()
         assert after < before * 0.2
         assert all(
@@ -354,8 +358,10 @@ class TestForwardAndTraining:
         }
         for step in range(5):
             lr = 0.01 / (step + 1)
-            loss, state = gridcnn.train_step(net, grids, labels, lr, state, rng=rng)
-            expected, grad = gridcnn.loss_and_grads(per_tensor, grids, labels, rng=per_tensor_rng)
+            loss, state = gridcnn.train_step(net, net.stage(grids), labels, lr, state, rng=rng)
+            expected, grad = gridcnn.loss_and_grads(
+                per_tensor, per_tensor.stage(grids), labels, rng=per_tensor_rng
+            )
             grads = per_tensor.params(grad)
             for name, p in per_tensor.params().items():
                 nn.adam_step(p, grads[name], lr, per_tensor_states[name])
@@ -371,7 +377,7 @@ class TestForwardAndTraining:
             occupancy=np.ones((11, 11), dtype=np.int64),
         )
         wide = net.astype(np.float64)
-        x = gridcnn._stack(wide, [grid, grid])
+        x = wide.stage([grid, grid])
         train_a = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(1))
         train_b = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(2))
         assert not np.array_equal(train_a, train_b)
@@ -388,8 +394,9 @@ class TestForwardAndTraining:
     def test_train_step_without_rng_has_no_dropout(self):
         grids, labels = random_grids(5, seed=12)
         net = gridcnn.build_gridcnn(seed=8)
-        expected, _ = gridcnn.loss_and_grads(net, grids, labels)
-        loss, _ = gridcnn.train_step(net, grids, labels, 0.01, None)
+        x = net.stage(grids)
+        expected, _ = gridcnn.loss_and_grads(net, x, labels)
+        loss, _ = gridcnn.train_step(net, x, labels, 0.01, None)
         assert loss == expected
 
 
@@ -412,11 +419,14 @@ class TestBatched:
         net.dropout = 0.3
         grids, labels = random_grids(n, seed=100 + n)
         loss, grad = gridcnn.loss_and_grads(
-            net, grids, labels, rng=np.random.default_rng(n)
+            net, net.stage(grids), labels, rng=np.random.default_rng(n)
         )
         # one generator drawn grid by grid gives the same dropout masks
         rng = np.random.default_rng(n)
-        singles = [gridcnn.loss_and_grads(net, [g], [y], rng=rng) for g, y in zip(grids, labels)]
+        singles = [
+            gridcnn.loss_and_grads(net, net.stage([g]), [y], rng=rng)
+            for g, y in zip(grids, labels)
+        ]
         tol = 1e-5 if dtype == np.float32 else 1e-10
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
         assert grad.dtype == dtype and grad.shape == net.vector.shape
@@ -441,27 +451,27 @@ class TestBatched:
     def test_predict_batch_matches_forward(self, n):
         net = gridcnn.build_gridcnn(seed=9)
         grids, _ = random_grids(n, seed=n)
-        batched = net.predict_batch(grids)
+        batched = net.predict_batch(net.stage(grids))
         assert batched.shape == (n, 4) and batched.dtype == np.float64
         for grid, row in zip(grids, batched):
             single = gridcnn.forward(net, grid)
             assert row.argmax() == single.predicted
             np.testing.assert_allclose(row, single.probabilities, atol=1e-6)
-        chunks = [gridcnn.forward_grids(net, gridcnn._stack(net, grids[i : i + gridcnn._CHUNK]))
+        chunks = [gridcnn.forward_grids(net, net.stage(grids[i : i + gridcnn._CHUNK]))
                   for i in range(0, n, gridcnn._CHUNK)]
         assert batched.tobytes() == np.concatenate(chunks).tobytes()
 
-    def test_predict_batch_of_nothing(self):
-        out = gridcnn.predict_batch(gridcnn.build_gridcnn(), [])
-        assert out.shape == (0, 4) and out.dtype == np.float64
+    def test_staging_nothing_is_shape_error(self):
+        with pytest.raises(nn.ShapeError, match="empty list"):
+            gridcnn.build_gridcnn().stage([])
 
     def test_peak_allocation_of_a_batch_64_step(self):
         # chunks of 4 peak at 2.9 MiB, chunks of 8 at 4.8 MiB, the whole batch
         # at once at 31 MiB; every MiB here raises the process's peak RSS
-        net, grids, labels = desk_batch_64()
-        gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))  # warm
+        net, x, labels = desk_batch_64()
+        gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(0))  # warm
         peak = traced_peak(
-            lambda: gridcnn.loss_and_grads(net, grids, labels, rng=np.random.default_rng(0))
+            lambda: gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(0))
         )
         assert peak < 3.5 * 2**20
 
@@ -469,18 +479,19 @@ class TestBatched:
         # the optimizer steps the parameter vector in place with the gradient
         # vector loss_and_grads returns, so a whole step allocates little
         # beyond loss_and_grads
-        net, grids, labels = desk_batch_64()
+        net, x, labels = desk_batch_64()
         rng = np.random.default_rng(0)
-        _, state = gridcnn.train_step(net, grids, labels, 0.001, None, rng=rng)  # warm
-        peak = traced_peak(lambda: gridcnn.train_step(net, grids, labels, 0.001, state, rng=rng))
+        _, state = gridcnn.train_step(net, x, labels, 0.001, None, rng=rng)  # warm
+        peak = traced_peak(lambda: gridcnn.train_step(net, x, labels, 0.001, state, rng=rng))
         assert peak < 3.5 * 2**20
 
 
 def desk_batch_64():
+    """A seed-0 net with the channel statistics of 64 desk grids, their staged stack, labels."""
     grids, labels = desk_grids(64)
     net = gridcnn.build_gridcnn(seed=0)
     gridcnn.set_channel_stats(net, grids)
-    return net, grids, labels
+    return net, net.stage(grids), labels
 
 
 def traced_peak(call):
@@ -514,7 +525,7 @@ class TestStaged:
             net, staged[draw], labels[draw], rng=np.random.default_rng(0)
         )
         expected_loss, expected = gridcnn.loss_and_grads(
-            net, [grids[i] for i in draw], labels[draw], rng=np.random.default_rng(0)
+            net, net.stage([grids[i] for i in draw]), labels[draw], rng=np.random.default_rng(0)
         )
         assert loss == expected_loss
         assert grad.tobytes() == expected.tobytes()
@@ -522,7 +533,9 @@ class TestStaged:
     def test_staged_stack_predicts_bitwise_as_its_list(self, desk):
         net, grids, _, staged = desk
         assert staged.shape == (6, 11, 11, 2) and staged.dtype == np.float32
-        got, expected = net.predict_batch(staged), net.predict_batch(grids)
+        draw = [5, 0, 5, 1, 0, 3]
+        got = net.predict_batch(staged[draw])
+        expected = net.predict_batch(net.stage([grids[i] for i in draw]))
         assert got.shape == expected.shape == (6, 4)
         assert got.tobytes() == expected.tobytes()
 

@@ -260,6 +260,31 @@ def test_perfbench_names_resolve(path):
             owner = getattr(owner, attr)
 
 
+@pytest.mark.parametrize(
+    "module, build", [(reflectnet, reflectnet.build_model), (gridcnn, gridcnn.build_gridcnn)],
+    ids=["deepreflecs", "gridcnn"],
+)
+def test_network_methods_reach_the_traced_module_functions(module, build, monkeypatch):
+    # perfbench/layers.py traces these module functions; a method that went
+    # around one would read 0 calls in the trace instead of failing here
+    calls = {}
+    for name in ("forward", "train_step", "loss_and_grads"):
+        def counted(*args, name=name, original=getattr(module, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    net = build(seed=0)
+    rng = np.random.default_rng(0)
+    inputs = [net.random_input(rng) for _ in range(3)]
+    net.predict(inputs[0])
+    assert calls == {"forward": 1}
+    for batch in (inputs, net.stage(inputs)):
+        calls.clear()
+        net.train_step(batch, [0, 1, 2], 0.01, None, rng=rng)
+        assert calls == {"train_step": 1, "loss_and_grads": 1}
+
+
 # --- loader fuzz property ----------------------------------------------------
 
 
@@ -353,7 +378,7 @@ def test_non_finite_probabilities_are_named_error(magic, dataset, tmp_path, caps
     with pytest.raises(nn.NonFiniteError):
         loaded.predict(inputs[0])
     with pytest.raises(nn.NonFiniteError):
-        loaded.predict_batch(inputs)
+        loaded.predict_batch(loaded.stage(inputs))
     model_path = tmp_path / "model.bin"
     model_path.write_bytes(method.serialize(model))
     code, captured = run_cli(["eval", "--model", str(model_path), "--data", dataset], capsys)

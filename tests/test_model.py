@@ -143,8 +143,8 @@ class TestTrainStep:
         inp = random_input(rng, m=3)
         a = model.build_model(seed=4)
         b = model.build_model(seed=4)
-        loss_a, _ = model.train_step(a, [inp], [1], 0.01, optimizer="sgd")
-        loss_b, _ = model.train_step(b, [inp] * 5, [1] * 5, 0.01, optimizer="sgd")
+        loss_a, _ = model.train_step(a, a.stage([inp]), [1], 0.01, optimizer="sgd")
+        loss_b, _ = model.train_step(b, b.stage([inp] * 5), [1] * 5, 0.01, optimizer="sgd")
         assert loss_a == pytest.approx(loss_b)
         for name, p in a.params().items():
             np.testing.assert_allclose(p, b.params()[name], rtol=1e-5, atol=1e-7)
@@ -153,7 +153,7 @@ class TestTrainStep:
         rng = np.random.default_rng(11)
         net = model.build_model(seed=5)
         before = {k: v.copy() for k, v in net.params().items()}
-        loss, _ = model.train_step(net, [random_input(rng)], [0], 0.0)
+        loss, _ = model.train_step(net, net.stage([random_input(rng)]), [0], 0.0)
         assert loss > 0
         for name, p in net.params().items():
             assert np.array_equal(p, before[name])
@@ -164,9 +164,9 @@ class TestTrainStep:
         net = model.build_model(cfg, seed=6)
         a = random_input(rng, pad_length=4, m=2)
         b = PaddedInput(a.features + 3.0, a.mask.copy(), a.m_real)
-        state = None
+        batch, state = net.stage([a, b]), None
         for _ in range(200):
-            loss, state = model.train_step(net, [a, b], [0, 1], 0.05, state)
+            loss, state = model.train_step(net, batch, [0, 1], 0.05, state)
         assert loss < 0.01
 
     def test_gradcheck_full_model_small_list(self):
@@ -219,8 +219,10 @@ class TestRaggedBatch:
     def test_loss_and_grads_equal_mean_of_single_samples(self, dtype, tol, batch):
         inputs, labels = batch
         net = model.build_model(seed=3, dtype=dtype)
-        loss, grad = model.loss_and_grads(net, inputs, labels)
-        singles = [model.loss_and_grads(net, [inp], [y]) for inp, y in zip(inputs, labels)]
+        loss, grad = model.loss_and_grads(net, net.stage(inputs), labels)
+        singles = [
+            model.loss_and_grads(net, net.stage([inp]), [y]) for inp, y in zip(inputs, labels)
+        ]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=tol)
         assert grad.dtype == dtype and grad.shape == net.vector.shape
         mean = net.params(np.mean([g.astype(np.float64) for _, g in singles], axis=0))
@@ -236,7 +238,7 @@ class TestRaggedBatch:
         # not bitwise: BLAS may take another kernel for a one-row product
         inputs, _ = batch
         net = model.build_model(seed=4)
-        probs = model.forward_rows(net, *model.pack(inputs, np.float32))
+        probs = model.forward_rows(net, net.stage(inputs))
         single = np.stack([model.forward(net, inp).probabilities for inp in inputs])
         np.testing.assert_allclose(probs, single, rtol=1e-5)
 
@@ -245,7 +247,7 @@ class TestRaggedBatch:
     def test_predict_batch_matches_predict(self, batch):
         inputs, _ = batch
         net = model.build_model(seed=5)
-        batched = net.predict_batch(inputs)
+        batched = net.predict_batch(net.stage(inputs))
         assert batched.shape == (len(inputs), 4) and batched.dtype == np.float64
         for inp, row in zip(inputs, batched):
             single = net.predict(inp)
@@ -258,18 +260,19 @@ class TestRaggedBatch:
     def test_predict_batch_is_the_checked_forward_matrix(self, batch):
         inputs, _ = batch
         net = model.build_model(seed=6)
-        batched = net.predict_batch(inputs)
+        staged = net.stage(inputs)
+        batched = net.predict_batch(staged)
         assert batched.shape == (len(inputs), 4) and batched.dtype == np.float64
-        expected = model.forward_rows(net, *model.pack(inputs, np.float32))
+        expected = model.forward_rows(net, staged)
         assert batched.tobytes() == expected.tobytes()
 
-    def test_predict_batch_of_nothing(self):
-        out = model.build_model().predict_batch([])
-        assert out.shape == (0, 4) and out.dtype == np.float64
+    def test_staging_nothing_is_shape_error(self):
+        with pytest.raises(nn.ShapeError, match="empty list"):
+            model.build_model().stage([])
 
 
 class TestStaged:
-    """Batches drawn from a staged set against packing the same inputs again."""
+    """Batches drawn from a staged set against staging the same inputs again."""
 
     @staticmethod
     def staged_set(dtype):
@@ -292,7 +295,7 @@ class TestStaged:
         assert len(batch) == len(draw)
         loss, grad = model.loss_and_grads(net, batch, labels[draw])
         expected_loss, expected = model.loss_and_grads(
-            net, [inputs[i] for i in draw], labels[draw]
+            net, net.stage([inputs[i] for i in draw]), labels[draw]
         )
         assert loss == expected_loss
         assert grad.dtype == dtype and grad.shape == net.vector.shape
@@ -302,15 +305,16 @@ class TestStaged:
         net, inputs, _, staged = self.staged_set(np.float32)
         draw = [4, 3, 3, 0]
         got = net.predict_batch(staged[draw])
-        expected = net.predict_batch([inputs[i] for i in draw])
+        expected = net.predict_batch(net.stage([inputs[i] for i in draw]))
         assert got.shape == expected.shape == (len(draw), 4)
         assert got.tobytes() == expected.tobytes()
 
     def test_staged_set_is_the_packed_table(self):
         net, inputs, _, staged = self.staged_set(np.float32)
-        rows, segments = model.pack(inputs, np.float32)
+        rows = np.concatenate([inp.features[inp.mask] for inp in inputs]).astype(np.float32)
         assert staged.rows.tobytes() == rows.tobytes()
-        np.testing.assert_array_equal(staged.segments.starts, segments.starts)
+        np.testing.assert_array_equal(staged.segments.starts, [0, 1, 6, 8, 16])
+        np.testing.assert_array_equal(staged.segments.ids, np.repeat(range(5), [1, 5, 2, 8, 3]))
         np.testing.assert_array_equal(staged.lengths, [1, 5, 2, 8, 3])
 
     @given(batch=ragged_batches(), data=st.data())
@@ -337,10 +341,11 @@ class TestStaged:
         rng = np.random.default_rng(15)
         inputs, labels = zip(*(nn.random_safe_sample(net, rng) for _ in range(3)))
         assert len({inp.m_real for inp in inputs}) > 1  # a ragged batch
-        _, analytic = model.loss_and_grads(wide, inputs, labels)
+        staged = wide.stage(inputs)
+        _, analytic = model.loss_and_grads(wide, staged, labels)
 
         def mean_loss(_params):
-            probs = model.forward_rows(wide, *model.pack(inputs, np.float64))
+            probs = model.forward_rows(wide, staged)
             return nn.mean_cross_entropy(probs, np.array(labels))
 
         report = nn.finite_diff_gradcheck(mean_loss, wide.params(), wide.params(analytic))
@@ -352,15 +357,13 @@ class TestStaged:
         rng = np.random.default_rng(16)
         empty = PaddedInput(np.zeros((pad, 5)), np.zeros(pad, dtype=bool), 0)
         with pytest.raises(nn.EmptyPoolError):
-            model.loss_and_grads(
-                model.build_model(), [random_input(rng), empty, random_input(rng)], [0, 1, 2]
-            )
+            model.build_model().stage([random_input(rng), empty, random_input(rng)])
 
     def test_mask_and_features_of_different_length_is_an_error(self):
         rng = np.random.default_rng(17)
         bad = PaddedInput(np.zeros((4, 5)), np.ones(3, dtype=bool), 3)
         with pytest.raises(nn.ShapeError):
-            model.loss_and_grads(model.build_model(), [random_input(rng), bad], [0, 1])
+            model.build_model().stage([random_input(rng), bad])
 
 
 class TestSerialization:
@@ -370,7 +373,7 @@ class TestSerialization:
         state = None
         rng = np.random.default_rng(1)
         for _ in range(3):
-            _, state = model.train_step(net, [random_input(rng)], [2], 0.01, state)
+            _, state = model.train_step(net, net.stage([random_input(rng)]), [2], 0.01, state)
         restored = model.deserialize(model.serialize(net))
         assert restored.config == net.config
         for name, p in net.params().items():

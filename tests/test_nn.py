@@ -66,6 +66,11 @@ class TestRowwiseLinear:
             grad.weights, start.weights + naive_matmul(x.T, grad_out, np.zeros(3))
         )
         np.testing.assert_allclose(grad.bias, start.bias + grad_out.sum(axis=0))
+        # without the input gradient a second call still adds the same slot gradients
+        first = nn.LinearParams(grad.weights.copy(), grad.bias.copy())
+        assert nn.rowwise_linear_backward(x, params, grad_out, grad, need_input_grad=False) is None
+        np.testing.assert_allclose(grad.weights, 2 * first.weights - start.weights)
+        np.testing.assert_allclose(grad.bias, 2 * first.bias - start.bias)
 
     @given(
         x=arrays(np.float32, (7, 4), elements=st.floats(-10, 10, width=32)),

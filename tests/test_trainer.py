@@ -210,8 +210,10 @@ class TestTrainLoop:
         inputs, labels, classes = toy_data(np.random.default_rng(7))
         net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=7)
         calls = []
-        pack = model.pack
-        monkeypatch.setattr(model, "pack", lambda *a: calls.append(1) or pack(*a))
+        stage = model.ReflectNetModel.stage
+        monkeypatch.setattr(
+            model.ReflectNetModel, "stage", lambda *a: calls.append(1) or stage(*a)
+        )
         config = self.make_config(epochs=epochs, steps_per_epoch=steps)
         trainer.train(net, inputs, labels, classes, inputs[:5], labels[:5], config)
         assert len(calls) == 2  # the training set and the validation set
