@@ -137,9 +137,7 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     tolerance = 1e-4
     refl_report = reflectnet.gradcheck_random_sample(seed=args.seed)
-    grid_report = gridcnn.gradcheck_random_sample(
-        seed=args.seed, max_checks_per_tensor=64
-    )
+    grid_report = gridcnn.gradcheck_random_sample(seed=args.seed)
     result = {
         "tolerance": tolerance,
         "deepreflecs_max_relative_error": refl_report.max_relative_error,

@@ -96,6 +96,8 @@ class ReflectNetModel(nn.Network):
         dtype = self.conv1.weights.dtype
         if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
             mask = np.asarray(inputs[0].mask, dtype=bool)
+            if len(mask) != len(inputs[0].features):
+                raise nn.ShapeError("an input's mask and feature rows differ in length")
             rows = inputs[0].features[mask].astype(dtype, copy=False)
             return Staged(rows, nn.Segments.single(len(rows)), np.array([len(rows)]))
         if len(inputs) == 0:

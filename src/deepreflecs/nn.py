@@ -2,8 +2,7 @@
 
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
-cross-entropy and the checked class distribution, two optimizers, and a
-central-difference gradient checker.
+cross-entropy and the checked class distribution, and two optimizers.
 Every forward layer operation is a pure function of its inputs; backward
 passes take the forward inputs and the upstream gradient and return the
 input gradient. A backward pass with parameters adds their gradients into
@@ -20,14 +19,16 @@ gradient checks.
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
 view, gradients laid out like it, seeded init, train-step update (one
-in-place optimizer step of that vector), float64 gradient check of the mean
-batch loss with its kink-safe sample search, and model-file layout.
+in-place optimizer step of that vector), the central-difference gradient
+check (gradcheck nudges the parameters of a float64 copy in place and
+differences its mean batch loss) with its kink-safe sample search, and
+model-file layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -487,84 +488,14 @@ def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams
 
 @dataclass
 class GradCheckReport:
-    """Outcome of a central-difference gradient check."""
+    """Outcome of a central-difference gradient check.
+
+    per_parameter_errors holds one (name, analytic, numeric, relative
+    error) entry per checked element, named '<layer>.<part>[i,j]'.
+    """
 
     max_relative_error: float
-    per_parameter_errors: List[Tuple[str, float, float, float]] = field(
-        default_factory=list
-    )
-    kink_retries: int = 0
-
-
-def finite_diff_gradcheck(
-    loss_fn: Callable[[Dict[str, np.ndarray]], float],
-    params: Dict[str, np.ndarray],
-    analytic_grads: Dict[str, np.ndarray],
-    max_checks_per_tensor: int | None = None,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn maps the parameter dict to a scalar loss and is re-evaluated
-    with each checked element nudged by +/- h = GRADCHECK_STEP. Parameters
-    should be float64; relative error is |a - n| / max(|a|, |n|, 1e-8).
-
-    Central differencing is only valid where the loss is smooth on
-    [p-h, p+h]. When an element's error exceeds GRADCHECK_RETRY_ABOVE, the
-    step is shrunk (8x, up to GRADCHECK_RETRIES times) to clear any
-    ReLU/max kink inside the interval: a straddled kink converges away
-    under smaller h, a wrong analytic gradient does not.
-
-    Args:
-        max_checks_per_tensor: if set, check only a seeded random subset of
-            each tensor's elements (for large models); None checks all.
-    """
-    rng = np.random.default_rng(seed)
-    errors: List[Tuple[str, float, float, float]] = []
-    retries_used = 0
-
-    def central(flat: np.ndarray, i: int, step: float) -> float:
-        original = flat[i]
-        flat[i] = original + step
-        loss_plus = loss_fn(params)
-        flat[i] = original - step
-        loss_minus = loss_fn(params)
-        flat[i] = original
-        return (loss_plus - loss_minus) / (2.0 * step)
-
-    def rel_error(analytic: float, numeric: float) -> float:
-        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRADCHECK_EPS)
-
-    for name in sorted(params):
-        p = params[name]
-        flat = p.reshape(-1)
-        analytic_flat = np.asarray(analytic_grads[name]).reshape(-1)
-        if max_checks_per_tensor is not None and flat.size > max_checks_per_tensor:
-            indices = np.sort(
-                rng.choice(flat.size, size=max_checks_per_tensor, replace=False)
-            )
-        else:
-            indices = np.arange(flat.size)
-        for i in indices:
-            analytic = float(analytic_flat[i])
-            step = GRADCHECK_STEP
-            numeric = central(flat, i, step)
-            rel = rel_error(analytic, numeric)
-            for _ in range(GRADCHECK_RETRIES):
-                if rel <= GRADCHECK_RETRY_ABOVE:
-                    break
-                step /= 8.0
-                numeric = central(flat, i, step)
-                rel = rel_error(analytic, numeric)
-                retries_used += 1
-            subscript = ",".join(str(d) for d in np.unravel_index(i, p.shape))
-            errors.append((f"{name}[{subscript}]", analytic, numeric, rel))
-    worst = max((e[3] for e in errors), default=0.0)
-    return GradCheckReport(
-        max_relative_error=worst,
-        per_parameter_errors=errors,
-        kink_retries=retries_used,
-    )
+    per_parameter_errors: List[Tuple[str, float, float, float]]
 
 
 def _pool_tie_margin(activations: np.ndarray) -> float:
@@ -618,18 +549,52 @@ def gradcheck(
     """Central-difference check of a network's mean batch loss, in float64.
 
     loss_and_grads(net, staged batch, labels) gives the analytic gradient
-    vector (with dropout off); the loss is differenced through
-    net.predict_batch on the same staged batch.
+    vector (with dropout off). Each checked element of a float64 copy of
+    net is nudged in place by +/- h = GRADCHECK_STEP, and the mean
+    cross-entropy of predict_batch on the same staged batch is differenced;
+    relative error is |a - n| / max(|a|, |n|, GRADCHECK_EPS).
+
+    Tensors are checked in sorted-name order. One larger than
+    max_checks_per_tensor checks only that many elements, drawn without
+    replacement from an rng seeded with seed and checked in index order;
+    None checks every element.
+
+    Central differencing is only valid where the loss is smooth on
+    [p-h, p+h]. When an element's error exceeds GRADCHECK_RETRY_ABOVE, the
+    step is shrunk (8x, up to GRADCHECK_RETRIES times) to clear any
+    ReLU/max kink inside the interval: a straddled kink converges away
+    under smaller h, a wrong analytic gradient does not.
     """
     wide = net.astype(np.float64)
     staged = wide.stage(batch)
     analytic = wide.params(loss_and_grads(wide, staged, labels)[1])
     labels = np.asarray(labels, dtype=np.intp)
+    rng = np.random.default_rng(seed)
 
-    def loss_fn(_params):
+    def nudged_loss(flat: np.ndarray, i: int, value: float) -> float:
+        flat[i] = value
         return mean_cross_entropy(wide.predict_batch(staged), labels)
 
-    return finite_diff_gradcheck(loss_fn, wide.params(), analytic, max_checks_per_tensor, seed)
+    errors = []
+    for name, p in sorted(wide.params().items()):
+        flat = p.reshape(-1)  # a view of wide.vector
+        indices = np.arange(flat.size)
+        if max_checks_per_tensor is not None and flat.size > max_checks_per_tensor:
+            indices = np.sort(rng.choice(flat.size, size=max_checks_per_tensor, replace=False))
+        for i in indices:
+            a = float(analytic[name].flat[i])
+            original, step = flat[i], GRADCHECK_STEP
+            for _ in range(1 + GRADCHECK_RETRIES):
+                loss_plus = nudged_loss(flat, i, original + step)
+                n = (loss_plus - nudged_loss(flat, i, original - step)) / (2.0 * step)
+                rel = abs(a - n) / max(abs(a), abs(n), GRADCHECK_EPS)
+                if rel <= GRADCHECK_RETRY_ABOVE:
+                    break
+                step /= 8.0
+            flat[i] = original
+            subscript = ",".join(str(d) for d in np.unravel_index(i, p.shape))
+            errors.append((f"{name}[{subscript}]", a, n, rel))
+    return GradCheckReport(max((e[3] for e in errors), default=0.0), errors)
 
 
 def gradcheck_random_batch(

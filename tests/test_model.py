@@ -337,18 +337,10 @@ class TestStaged:
 
     def test_gradcheck_mean_loss_of_three_sample_batch(self):
         net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
-        wide = net.astype(np.float64)
         rng = np.random.default_rng(15)
         inputs, labels = zip(*(nn.random_safe_sample(net, rng) for _ in range(3)))
         assert len({inp.m_real for inp in inputs}) > 1  # a ragged batch
-        staged = wide.stage(inputs)
-        _, analytic = model.loss_and_grads(wide, staged, labels)
-
-        def mean_loss(_params):
-            probs = model.forward_rows(wide, staged)
-            return nn.mean_cross_entropy(probs, np.array(labels))
-
-        report = nn.finite_diff_gradcheck(mean_loss, wide.params(), wide.params(analytic))
+        report = nn.gradcheck(net, inputs, labels, model.loss_and_grads)
         assert report.max_relative_error < 1e-4
         assert len(report.per_parameter_errors) == net.vector.size
 
@@ -359,11 +351,13 @@ class TestStaged:
         with pytest.raises(nn.EmptyPoolError):
             model.build_model().stage([random_input(rng), empty, random_input(rng)])
 
-    def test_mask_and_features_of_different_length_is_an_error(self):
+    @pytest.mark.parametrize("n_inputs", [1, 2])  # 1: the single-input (classify) branch
+    def test_mask_and_features_of_different_length_is_an_error(self, n_inputs):
         rng = np.random.default_rng(17)
         bad = PaddedInput(np.zeros((4, 5)), np.ones(3, dtype=bool), 3)
-        with pytest.raises(nn.ShapeError):
-            model.build_model().stage([random_input(rng), bad])
+        inputs = [random_input(rng) for _ in range(n_inputs - 1)] + [bad]
+        with pytest.raises(nn.ShapeError, match="differ in length"):
+            model.build_model().stage(inputs)
 
 
 class TestSerialization:

@@ -511,61 +511,42 @@ class TestVectorStep:
 
 
 class TestGradCheck:
-    def test_single_linear_softmax_cross_entropy(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((3, 4))
-        params = {
-            "w": rng.standard_normal((4, 3)),
-            "b": rng.standard_normal(3),
-        }
-        label = 1
-
-        def loss_fn(p):
-            out = nn.rowwise_linear(x, nn.LinearParams(p["w"], p["b"]))
-            pooled = nn.masked_global_max_pool(out, np.ones(3, dtype=bool))
-            return nn.cross_entropy(nn.softmax(pooled), label)
-
-        # analytic gradients assembled from the layer backward passes
-        lp = nn.LinearParams(params["w"], params["b"])
-        out = nn.rowwise_linear(x, lp)
-        mask = np.ones(3, dtype=bool)
-        pooled = nn.masked_global_max_pool(out, mask)
-        probs = nn.softmax(pooled)
-        d_pool = nn.softmax_cross_entropy_grad(probs, label)
-        d_out = nn.masked_global_max_pool_backward(out, mask, d_pool)
-        grad = nn.LinearParams(np.zeros((4, 3)), np.zeros(3))
-        nn.rowwise_linear_backward(x, lp, d_out, grad)
-
-        report = nn.finite_diff_gradcheck(loss_fn, params, {"w": grad.weights, "b": grad.bias})
+    def test_report_names_every_element_in_sorted_name_order(self):
+        net = model.build_model(model.ReflectNetConfig(width1=2, width2=3, pad_length=3), seed=3)
+        inp, label = nn.random_safe_sample(net, np.random.default_rng(4))
+        report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
+        names = [e[0] for e in report.per_parameter_errors]
+        expected = [
+            f"{name}[{','.join(map(str, index))}]"
+            for name, p in sorted(net.params().items()) for index in np.ndindex(p.shape)
+        ]
+        assert names == expected
+        assert names[:3] == ["conv1.bias[0]", "conv1.bias[1]", "conv1.weights[0,0]"]
+        assert len(names) == net.vector.size
         assert report.max_relative_error < 1e-4
 
-    def test_zero_weight_symmetric_input(self):
-        # with zero weights every logit is 0, so the logits gradient is
-        # exactly p - onehot and finite differences agree to rounding noise
-        x = np.array([[1.0, 1.0]])
-        params = {"b": np.zeros(4)}
-        label = 2
+    def test_head_bias_gradient_is_exact(self):
+        # the head bias gradient is p - onehot itself, with no kink behind it,
+        # so finite differences agree with it to rounding noise
+        net = model.build_model(model.ReflectNetConfig(pad_length=3), seed=7)
+        inp, label = nn.random_safe_sample(net, np.random.default_rng(13))
+        report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
+        head_bias = [e for e in report.per_parameter_errors if e[0].startswith("head.bias[")]
+        assert len(head_bias) == net.config.n_classes
+        assert max(e[3] for e in head_bias) < 1e-8
 
-        def loss_fn(p):
-            return nn.cross_entropy(nn.softmax(p["b"]), label)
+    def test_a_wrong_gradient_element_is_flagged_by_name(self):
+        def wrong_in_one_element(net, staged, labels):
+            loss, grad = model.loss_and_grads(net, staged, labels)
+            net.params(grad)["conv2.weights"][3, 5] += 0.01
+            return loss, grad
 
-        probs = nn.softmax(np.zeros(4))
-        analytic = nn.softmax_cross_entropy_grad(probs, label)
-        np.testing.assert_array_equal(analytic, [0.25, 0.25, -0.75, 0.25])
-        report = nn.finite_diff_gradcheck(loss_fn, params, {"b": analytic})
-        assert report.max_relative_error < 1e-8
-
-    def test_report_contains_per_parameter_entries(self):
-        params = {"b": np.zeros(2)}
-
-        def loss_fn(p):
-            return float(p["b"].sum() ** 2 + p["b"][0])
-
-        analytic = {"b": np.array([1.0, 0.0])}
-        report = nn.finite_diff_gradcheck(loss_fn, params, analytic)
-        assert len(report.per_parameter_errors) == 2
-        names = [e[0] for e in report.per_parameter_errors]
-        assert names == ["b[0]", "b[1]"]
+        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
+        report = nn.gradcheck_random_batch(net, 1, wrong_in_one_element)
+        flagged = [e for e in report.per_parameter_errors if e[3] > 1e-4]
+        assert [e[0] for e in flagged] == ["conv2.weights[3,5]"]
+        _, analytic, numeric, _ = flagged[0]
+        assert analytic - numeric == pytest.approx(0.01, rel=1e-3)
 
 
 NETWORKS = {
