@@ -30,6 +30,12 @@ from .schema import ClassName, Range
 
 Span = Annotated[Tuple[float, float], Range(0)]  # an ordered (low, high) pair, both >= 0
 
+# upper bounds of the size fields: each keeps the largest array its field
+# drives under 1 GiB, with the other settings at their defaults (README)
+MAX_TRACKS_PER_CLASS = 10_000
+MAX_SAMPLES_PER_TRACK = 1_000
+MAX_REFLECTIONS = 1_024
+
 
 @dataclass(frozen=True)
 class ClassProfile:
@@ -48,7 +54,7 @@ class ClassProfile:
     shape: Literal["rectangle", "cluster", "ellipse"]
     length_range: Span               # object-frame x extent, meters
     width_range: Span                # object-frame y extent, meters
-    reflections_range: Annotated[Tuple[int, int], Range(1)]
+    reflections_range: Annotated[Tuple[int, int], Range(1, MAX_REFLECTIONS)]
     rcs_mean: float                  # dBsm
     rcs_spread: Annotated[float, Range(0)]
     mover: bool                      # tangentially moving target
@@ -119,10 +125,10 @@ DESK_TRACKS = {"car": 57, "pedestrian": 34, "cyclist": 27, "non_obstacle": 70}
 class GenSpec:
     """What to generate: how many tracks per class, approach geometry, seed."""
 
-    tracks_per_class: Annotated[Dict[ClassName, int], Range(0)] = field(
+    tracks_per_class: Annotated[Dict[ClassName, int], Range(0, MAX_TRACKS_PER_CLASS)] = field(
         default_factory=lambda: dict(DESK_TRACKS)
     )
-    samples_per_track: Annotated[Tuple[int, int], Range(1)] = (5, 10)
+    samples_per_track: Annotated[Tuple[int, int], Range(1, MAX_SAMPLES_PER_TRACK)] = (5, 10)
     start_range: float = 70.0
     stop_range: Annotated[float, Range(0)] = 5.0
     seed: Annotated[int, Range(0)] = 0

@@ -232,7 +232,6 @@ def fit_forest(
     labels: np.ndarray,
     n_trees: int = 100,
     seed: int = 0,
-    feature_config: FeatureConfig = FeatureConfig(),
     n_classes: int = len(CLASSES),
 ) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed."""
@@ -256,9 +255,7 @@ def fit_forest(
         )
         tree.n_oob = int(n - np.unique(bootstrap).size)
         trees.append(tree)
-    return ForestModel(
-        trees=trees, feature_config=feature_config, n_classes=n_classes, seed=seed
-    )
+    return ForestModel(trees=trees, feature_config=FeatureConfig(), n_classes=n_classes, seed=seed)
 
 
 def count_nodes(forest: ForestModel) -> int:

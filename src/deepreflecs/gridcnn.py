@@ -29,7 +29,7 @@ from typing import Annotated, Dict, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
-from .preprocess import NormStats, ObjectSample, to_object_frame
+from .preprocess import NormStats, ObjectSample, reflection_table
 
 MAGIC = b"GCNN"
 
@@ -69,13 +69,12 @@ def rasterize(sample: ObjectSample) -> Grid:
     rcs_sum = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.float64)
     vr_sum = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.float64)
     occupancy = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.int64)
-    for refl in sample.reflections:
-        x_obj, y_obj = to_object_frame(refl, sample.pose)
+    for x_obj, y_obj, rcs, _, vr, _ in reflection_table(sample).tolist():
         ix = cell_index(x_obj)
         iy = cell_index(y_obj)
         if 0 <= ix < GRID_CELLS and 0 <= iy < GRID_CELLS:
-            rcs_sum[iy, ix] += refl.rcs
-            vr_sum[iy, ix] += refl.vr
+            rcs_sum[iy, ix] += rcs
+            vr_sum[iy, ix] += vr
             occupancy[iy, ix] += 1
     cells = np.zeros((GRID_CELLS, GRID_CELLS, 2), dtype=np.float64)
     cells[:, :, 0] = rcs_sum
@@ -139,17 +138,17 @@ class GridCnnModel(nn.Network):
             forward_grids(self, x[start : start + _CHUNK]) for start in range(0, len(x), _CHUNK)
         ]))
 
-    def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
+    def train_step(self, batch, labels, lr, opt_state, rng=None):
         """train_step on a staged stack, or on a list of grids staged first."""
         if not isinstance(batch, np.ndarray):
             batch = self.stage(batch)
-        return train_step(self, batch, labels, lr, opt_state, rng=rng, optimizer=optimizer)
+        return train_step(self, batch, labels, lr, opt_state, rng=rng)
 
 
 def build_gridcnn(seed: int = 0) -> GridCnnModel:
     """Seeded float32 init with dropout 0.5; deterministic for a given seed."""
     return GridCnnModel(
-        **nn.init_layers(_WEIGHT_SHAPES, seed, np.float32), norm_stats=NormStats.identity(2)
+        **nn.init_layers(_WEIGHT_SHAPES, seed), norm_stats=NormStats.identity(2)
     )
 
 
@@ -333,7 +332,6 @@ def loss_and_grads(
     """
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
-    dtype = model.conv1.weights.dtype
     labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)
     grad = np.zeros_like(model.vector)
@@ -343,7 +341,7 @@ def loss_and_grads(
         stop = start + _CHUNK
         p, cache = forward_grids(model, batch[start:stop], rng, keep_cache=True)
         probs.append(p)
-        d_logits = (nn.softmax_cross_entropy_grad(p, labels[start:stop]) * scale).astype(dtype)
+        d_logits = nn.logit_grads(p, labels[start:stop], scale, model.vector.dtype)
         _backward(model, cache, d_logits, slot)
     return nn.mean_cross_entropy(np.concatenate(probs), labels), grad
 
@@ -355,10 +353,9 @@ def train_step(
     lr: float,
     opt_state: nn.AdamState | None = None,
     rng: np.random.Generator | None = None,
-    optimizer: str = "adam",
-) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean loss of a staged stack, with dropout if rng is given."""
-    return model.update(*loss_and_grads(model, batch, labels, rng=rng), lr, opt_state, optimizer)
+) -> Tuple[float, nn.AdamState]:
+    """One Adam step on the mean loss of a staged stack, with dropout if rng is given."""
+    return model.update(*loss_and_grads(model, batch, labels, rng=rng), lr, opt_state)
 
 
 def gradcheck_random_sample(

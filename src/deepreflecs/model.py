@@ -32,6 +32,8 @@ MAGIC = b"RFLN"
 
 # largest accepted pad length: prepare_input allocates pad_length rows per sample
 MAX_PAD_LENGTH = 4096
+# largest accepted layer width; README gives the array each size bound limits
+MAX_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class ReflectNetConfig:
 
     # the five reflection features and the four classes, each its only value
     n_features: Annotated[int, schema.Range(N_FEATURES, N_FEATURES)] = N_FEATURES
-    width1: Annotated[int, schema.Range(1)] = 16
-    width2: Annotated[int, schema.Range(1)] = 32
+    width1: Annotated[int, schema.Range(1, MAX_WIDTH)] = 16
+    width2: Annotated[int, schema.Range(1, MAX_WIDTH)] = 32
     n_classes: Annotated[int, schema.Range(len(CLASSES), len(CLASSES))] = len(CLASSES)
     pad_length: Annotated[int, schema.Range(1, MAX_PAD_LENGTH)] = 64
     use_gcl: bool = True  # the ablation switch
@@ -122,23 +124,19 @@ class ReflectNetModel(nn.Network):
         """
         return nn.finite(forward_rows(self, staged))
 
-    def train_step(self, batch, labels, lr, opt_state, rng=None, optimizer="adam"):
+    def train_step(self, batch, labels, lr, opt_state, rng=None):
         """train_step on a Staged batch, or on a list of inputs staged first."""
         if not isinstance(batch, Staged):
             batch = self.stage(batch)
-        return train_step(self, batch, labels, lr, opt_state, optimizer=optimizer)
+        return train_step(self, batch, labels, lr, opt_state)
 
 
-def build_model(
-    config: ReflectNetConfig = ReflectNetConfig(),
-    seed: int = 0,
-    dtype=np.float32,
-) -> ReflectNetModel:
-    """Seeded uniform fan-in/fan-out init; deterministic for a given seed."""
+def build_model(config: ReflectNetConfig = ReflectNetConfig(), seed: int = 0) -> ReflectNetModel:
+    """Seeded float32 uniform fan-in/fan-out init; deterministic for a given seed."""
     return ReflectNetModel(
         config=config,
         norm_stats=NormStats.identity(config.n_features),
-        **nn.init_layers(config.layers(), seed, dtype),
+        **nn.init_layers(config.layers(), seed),
     )
 
 
@@ -203,7 +201,7 @@ def loss_and_grads(
     probs, cache = forward_rows(model, batch, keep_cache=True)
     labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)  # stage refuses an empty batch, and so does indexing a Staged
-    d_logits = (nn.softmax_cross_entropy_grad(probs, labels) * scale).astype(model.vector.dtype)
+    d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
     d_pooled = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits, slot["head"])
@@ -227,10 +225,9 @@ def train_step(
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,
-    optimizer: str = "adam",
-) -> Tuple[float, nn.AdamState | None]:
-    """One optimizer step on the mean loss of a staged batch; returns the pre-step loss."""
-    return model.update(*loss_and_grads(model, batch, labels), lr, opt_state, optimizer)
+) -> Tuple[float, nn.AdamState]:
+    """One Adam step on the mean loss of a staged batch; returns the pre-step loss."""
+    return model.update(*loss_and_grads(model, batch, labels), lr, opt_state)
 
 
 def gradcheck_random_sample(

@@ -2,12 +2,13 @@
 
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
-cross-entropy and the checked class distribution, and two optimizers.
-Every forward layer operation is a pure function of its inputs; backward
-passes take the forward inputs and the upstream gradient and return the
-input gradient. A backward pass with parameters adds their gradients into
-the layer's slot of a gradient vector instead of returning them, and the
-two optimizer steps update a parameter vector (and Adam's state) in place.
+cross-entropy with its flushed logit gradient, the checked class
+distribution, and Adam. Every forward layer operation is a pure function
+of its inputs; backward passes take the forward inputs and the upstream
+gradient and return the input gradient. A backward pass with parameters
+adds their gradients into the layer's slot of a gradient vector instead of
+returning them, and the Adam step updates a parameter vector and its own
+state in place.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
 feature). A batch of lists is one matrix of all their rows plus Segments
@@ -19,7 +20,7 @@ gradient checks.
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
 view, gradients laid out like it, seeded init, train-step update (one
-in-place optimizer step of that vector), the central-difference gradient
+in-place Adam step of that vector), the central-difference gradient
 check (gradcheck nudges the parameters of a float64 copy in place and
 differences its mean batch loss) with its kink-safe sample search, and
 model-file layout.
@@ -37,6 +38,9 @@ from . import container, schema
 from .preprocess import NormStats
 
 CROSS_ENTROPY_EPS = 1e-12
+# logit-gradient entries below this are zeroed: in float32 they would be
+# subnormal, and a product with subnormal operands can run 100x slower
+LOGIT_GRAD_FLUSH = 1e-20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 GRADCHECK_EPS = 1e-8
 # central-difference step; an element whose relative error stays above
@@ -346,9 +350,12 @@ def softmax_cross_entropy_grad(p: np.ndarray, label) -> np.ndarray:
     return p - np.eye(p.shape[-1])[label]
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-    """Plain gradient descent in place: params <- params - lr * grad."""
-    params -= lr * grad
+def logit_grads(probs: np.ndarray, labels: np.ndarray, scale: float, dtype) -> np.ndarray:
+    """scale * softmax_cross_entropy_grad of a batch, cast to dtype after
+    zeroing entries below LOGIT_GRAD_FLUSH in magnitude."""
+    grads = softmax_cross_entropy_grad(probs, labels) * scale
+    grads[np.abs(grads) < LOGIT_GRAD_FLUSH] = 0.0
+    return grads.astype(dtype)
 
 
 @dataclass
@@ -398,12 +405,12 @@ class Network:
     ('<layer>.weights', '<layer>.bias') and their order: in params(), in
     the parameter vector, in a gradient vector and in the model file. Every
     construction, copy and astype included, moves the layers' tensors into
-    one new 1-D vector and makes them views of it, so the optimizer updates
-    all of them in place with one step. A network also has stage() (a
-    list of inputs -> the staged batch every batch function takes),
-    predict_batch() (the float64 (B, n_classes) probability matrix of a
-    staged batch) and, for gradient checks, random_input(rng),
-    kink_margin(input) and safe_margin (see random_safe_sample).
+    one new 1-D vector and makes them views of it, so one Adam step updates
+    all of them in place. A network also has stage() (a list of inputs ->
+    the staged batch every batch function takes), predict_batch() (the
+    float64 (B, n_classes) probability matrix of a staged batch) and, for
+    gradient checks, random_input(rng), kink_margin(input) and safe_margin
+    (see random_safe_sample).
     """
 
     def __post_init__(self):
@@ -447,33 +454,28 @@ class Network:
         return replace(self, **self.layers_of(self.vector.astype(dtype)))
 
     def update(
-        self, loss: float, grad: np.ndarray, lr: float,
-        opt_state: AdamState | None, optimizer: str,
-    ) -> Tuple[float, AdamState | None]:
+        self, loss: float, grad: np.ndarray, lr: float, opt_state: AdamState | None,
+    ) -> Tuple[float, AdamState]:
         """A train step after its loss and gradient vector; returns (loss, new opt_state).
 
         A non-finite loss or gradient raises TrainingError, which names the
         first tensor in table order holding a non-finite gradient; otherwise
-        the gradient takes one adam_step or sgd_step of the vector in place.
+        the gradient takes one adam_step of the vector in place, from fresh
+        moments when opt_state is None.
         """
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite training loss {loss}")
-        if optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer strategy '{optimizer}'")
         if not np.isfinite(grad).all():
             bad = next(name for name, g in self.params(grad).items() if not np.isfinite(g).all())
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-        if optimizer == "sgd":
-            sgd_step(self.vector, grad, lr)
-            return loss, None
         if opt_state is None:
             opt_state = AdamState(np.zeros_like(self.vector), np.zeros_like(self.vector))
         adam_step(self.vector, grad, lr, opt_state)
         return loss, opt_state
 
 
-def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams]:
-    """Seeded uniform fan-in/fan-out init of each layer in table order, zero biases.
+def init_layers(shapes: LayerShapes, seed: int) -> Dict[str, LinearParams]:
+    """Seeded float32 uniform fan-in/fan-out init of each layer in table order, zero biases.
 
     A 3x3 kernel's fans are its nine cells times its in- and out-channels.
     """
@@ -481,8 +483,8 @@ def init_layers(shapes: LayerShapes, seed: int, dtype) -> Dict[str, LinearParams
     layers = {}
     for layer, shape in shapes.items():
         limit = math.sqrt(6.0 / (math.prod(shape[:-2]) * sum(shape[-2:])))
-        weights = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        layers[layer] = LinearParams(weights, np.zeros(shape[-1], dtype=dtype))
+        weights = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+        layers[layer] = LinearParams(weights, np.zeros(shape[-1], dtype=np.float32))
     return layers
 
 

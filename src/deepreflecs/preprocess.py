@@ -29,6 +29,8 @@ CLASS_TO_INDEX = {name: i for i, name in enumerate(CLASSES)}
 N_FEATURES = 5
 STD_FLOOR = 1e-6
 DEFAULT_RANGE_CUTOFF = 75.0
+# train/validation/test shares of each class's tracks
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 
 class DatasetError(ValueError):
@@ -115,25 +117,14 @@ class PaddedInput:
     m_real: int
 
 
-def to_object_frame(refl: Reflection, pose: ObjectPose) -> Tuple[float, float]:
-    """World position -> object coordinate system.
-
-    Subtract the object position, then rotate by -heading so the object's
-    heading axis becomes +x (length along +x, width along +y).
-    """
-    dx = refl.x - pose.x
-    dy = refl.y - pose.y
-    c = math.cos(pose.heading)
-    s = math.sin(pose.heading)
-    return c * dx + s * dy, -s * dx + c * dy
-
-
 def reflection_table(sample: ObjectSample) -> np.ndarray:
     """All reflections of one sample as an (M, 6) float64 table.
 
-    Columns: [x_obj, y_obj, rcs, range, vr, azimuth]. One Python loop with
-    the heading's cos/sin taken once gives the same floats, bit for bit,
-    as to_object_frame per reflection.
+    Columns: [x_obj, y_obj, rcs, range, vr, azimuth]. (x_obj, y_obj) is the
+    world position in the object's coordinate system: subtract the object
+    position, then rotate by -heading so the object's heading axis becomes
+    +x (length along +x, width along +y). One Python loop takes the
+    heading's cos/sin once.
     """
     pose = sample.pose
     c = math.cos(pose.heading)
@@ -209,17 +200,13 @@ def prepare_input(
 
 
 def trackwise_split(
-    samples: Sequence[ObjectSample],
-    ratios: Tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    samples: Sequence[ObjectSample], seed: int = 0
 ) -> Tuple[List[ObjectSample], List[ObjectSample], List[ObjectSample]]:
-    """Split at track granularity so no track's samples leak across splits.
+    """Split 60/20/20 at track granularity so no track's samples leak across splits.
 
     Tracks are shuffled per class with the seed and assigned by cumulative
-    track count nearest the ratios.
+    track count nearest SPLIT_RATIOS.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
     by_class: Dict[str, List[str]] = {c: [] for c in CLASSES}
     samples_by_track: Dict[str, List[ObjectSample]] = {}
     for s in samples:
@@ -241,15 +228,15 @@ def trackwise_split(
         tracks = list(tracks)
         rng.shuffle(tracks)
         n = len(tracks)
-        b1 = int(n * ratios[0] + 0.5)
-        b2 = int(n * (ratios[0] + ratios[1]) + 0.5)
+        b1 = int(n * SPLIT_RATIOS[0] + 0.5)
+        b2 = int(n * (SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) + 0.5)
         assigned[0].extend(tracks[:b1])
         assigned[1].extend(tracks[b1:b2])
         assigned[2].extend(tracks[b2:])
     for name, track_ids in zip(("train", "validation", "test"), assigned):
         if not track_ids:
             raise DatasetError(
-                f"the {name} split is empty; ratios {ratios} leave it no tracks"
+                f"the {name} split is empty; ratios {SPLIT_RATIOS} leave it no tracks"
             )
 
     def collect(track_ids: List[str]) -> List[ObjectSample]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Annotated, Dict, List, Literal, Sequence, Tuple
+from typing import Annotated, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from . import nn, schema
 # re-sampling factors balancing the class skew of the reference scenario mix
 DEFAULT_RESAMPLE = {"car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4}
 
+# upper bounds of the size fields: each keeps the largest array its field
+# drives under 1 GiB, with the other settings at their defaults (README)
+MAX_BATCH_SIZE = 2**15
+MAX_RESAMPLE_FACTOR = 1024
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,14 +38,15 @@ class TrainConfig:
 
     epochs: Annotated[int, schema.Range(1)] = 32
     steps_per_epoch: Annotated[int, schema.Range(1)] = 64
-    batch_size: Annotated[int, schema.Range(1)] = 64
+    batch_size: Annotated[int, schema.Range(1, MAX_BATCH_SIZE)] = 64
     lr_start: float = 0.01
     lr_end: float = 0.0001
-    resample_factors: Annotated[Dict[schema.ClassName, int], schema.Range(0)] = field(
+    resample_factors: Annotated[
+        Dict[schema.ClassName, int], schema.Range(0, MAX_RESAMPLE_FACTOR)
+    ] = field(
         default_factory=lambda: dict(DEFAULT_RESAMPLE)
     )
     seed: Annotated[int, schema.Range(0)] = 0
-    optimizer: Literal["adam", "sgd"] = "adam"
 
     def __post_init__(self):
         schema.check(self)
@@ -156,8 +162,7 @@ def train(
             draw = multiset[rng.integers(0, multiset.size, size=config.batch_size)]
             try:
                 loss, opt_state = model.train_step(
-                    train_set[draw], train_labels[draw], lr, opt_state, rng=rng,
-                    optimizer=config.optimizer,
+                    train_set[draw], train_labels[draw], lr, opt_state, rng=rng
                 )
             except nn.TrainingError as exc:
                 raise nn.TrainingError(

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from deepreflecs import datagen, forest, preprocess
+from oracles import to_object_frame
 
 
 def object_frame_extents(sample):
     xy = np.array(
-        [preprocess.to_object_frame(r, sample.pose) for r in sample.reflections]
+        [to_object_frame(r, sample.pose) for r in sample.reflections]
     )
     return xy[:, 0].max() - xy[:, 0].min(), xy[:, 1].max() - xy[:, 1].min()
 

@@ -3,8 +3,8 @@
 `preprocess.reflection_table` builds every reflection row of an object in
 one loop; `sample_feature_rows`, `prepare_input`, `compute_norm_stats` and
 the forest's handcrafted features all read it. The oracles below build the
-same values the per-reflection way, from `to_object_frame` and one numpy
-array per reflection or per column, and every output must match them in
+same values the per-reflection way, from `oracles.to_object_frame` and one
+numpy array per reflection or per column, and every output must match them in
 every bit: numpy's pairwise summation groups terms in blocks of 8 and 128,
 so a reduction over differently laid-out memory could round differently.
 """
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from deepreflecs import datagen, forest, preprocess
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
+from oracles import to_object_frame
 
 PAD_LENGTH = 64
 
@@ -25,7 +26,7 @@ PAD_LENGTH = 64
 def oracle_rows(sample):
     """(M, 5) network features, one numpy array per reflection."""
     return np.stack([
-        np.array([*preprocess.to_object_frame(r, sample.pose), r.rcs, r.range_m, r.vr])
+        np.array([*to_object_frame(r, sample.pose), r.rcs, r.range_m, r.vr])
         for r in sample.reflections
     ])
 
@@ -39,7 +40,7 @@ def oracle_norm_stats(samples):
 def oracle_handcrafted(sample, config=forest.FeatureConfig()):
     """The 13 features from one numpy array per column."""
     refls = sample.reflections
-    obj_xy = np.array([preprocess.to_object_frame(r, sample.pose) for r in refls])
+    obj_xy = np.array([to_object_frame(r, sample.pose) for r in refls])
     rcs = np.array([r.rcs for r in refls])
     ranges = np.array([r.range_m for r in refls])
     vr = np.array([r.vr for r in refls])

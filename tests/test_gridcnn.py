@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from deepreflecs import container, datagen, gridcnn, nn
 from deepreflecs.preprocess import NormStats, ObjectPose, ObjectSample, Reflection
+from oracles import to_object_frame
 
 
 def sample_at(points, pose=ObjectPose(0, 0, 0), rcs=None, vr=None):
@@ -82,6 +86,57 @@ class TestRasterize:
         sample = sample_at([(10.0, 0.0)], pose=pose)
         grid = gridcnn.rasterize(sample)
         assert grid.occupancy[5, 5] == 1
+
+
+def oracle_grid(sample):
+    """(cells, occupancy) binned one reflection at a time through to_object_frame."""
+    cells = np.zeros((gridcnn.GRID_CELLS, gridcnn.GRID_CELLS, 2))
+    vr_sum = np.zeros((gridcnn.GRID_CELLS, gridcnn.GRID_CELLS))
+    occupancy = np.zeros((gridcnn.GRID_CELLS, gridcnn.GRID_CELLS), dtype=np.int64)
+    for refl in sample.reflections:
+        ix, iy = map(gridcnn.cell_index, to_object_frame(refl, sample.pose))
+        if 0 <= ix < gridcnn.GRID_CELLS and 0 <= iy < gridcnn.GRID_CELLS:
+            cells[iy, ix, 0] += refl.rcs
+            vr_sum[iy, ix] += refl.vr
+            occupancy[iy, ix] += 1
+    occupied = occupancy > 0
+    cells[:, :, 1][occupied] = vr_sum[occupied] / occupancy[occupied]
+    return cells, occupancy
+
+
+def assert_rasterized_as_the_oracle(sample):
+    grid = gridcnn.rasterize(sample)
+    cells, occupancy = oracle_grid(sample)
+    assert grid.cells.dtype == cells.dtype and grid.cells.tobytes() == cells.tobytes()
+    assert grid.occupancy.dtype == occupancy.dtype
+    assert np.array_equal(grid.occupancy, occupancy)
+
+
+class TestRasterizeOracle:
+    """rasterize against binning each reflection through to_object_frame, bit for bit."""
+
+    def test_desk_objects(self):
+        samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
+        assert len(samples) == 1407
+        for sample in samples:
+            assert_rasterized_as_the_oracle(sample)
+
+    @given(
+        heading=st.floats(-7.0, 7.0),
+        position=st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+        offsets=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_objects(self, heading, position, offsets, seed):
+        # reflections within 3 m of the object: some land outside the 2 m window
+        rng = np.random.default_rng(seed)
+        rcs, vr = rng.normal(size=(2, len(offsets)))
+        sample = sample_at(
+            [(position[0] + dx, position[1] + dy) for dx, dy in offsets],
+            pose=ObjectPose(*position, heading), rcs=rcs.tolist(), vr=vr.tolist(),
+        )
+        assert_rasterized_as_the_oracle(sample)
 
 
 class TestArchitecture:

@@ -98,7 +98,7 @@ def test_model_config_a_method_does_not_take_is_named_error(
         ({"train": {"lr_start": "0.01"}}, "lr_start"),
         ({"train": {"lr_start": float("inf")}}, "lr_start"),
         ({"train": {"steps_are_total": 1}}, "steps_are_total"),
-        ({"train": {"optimizer": "adagrad"}}, "optimizer"),
+        ({"train": {"optimizer": "adam"}}, "optimizer"),
         ({"train": {"resample_factors": {"car": -1}}}, "resample_factors"),
         ({"train": {"resample_factors": {"car": 1.5}}}, "resample_factors"),
     ],
@@ -106,7 +106,7 @@ def test_model_config_a_method_does_not_take_is_named_error(
          "resample-factors-list", "resample-factors-unknown-class", "model-list",
          "unknown-section", "config-list", "epochs-string", "batch-size-float",
          "epochs-bool", "seed-string", "lr-string", "lr-infinite", "steps-are-total-int",
-         "optimizer-unknown", "resample-factor-negative", "resample-factor-float"],
+         "optimizer-removed", "resample-factor-negative", "resample-factor-float"],
 )
 @pytest.mark.parametrize("command", ["train", "benchmark", "ablate"])
 def test_malformed_config_is_named_error(command, config, named, dataset, tmp_path, capsys):

@@ -397,18 +397,22 @@ class TestCrossEntropy:
         expected = np.mean([nn.cross_entropy(p[i], y) for i, y in enumerate(labels)])
         assert nn.mean_cross_entropy(p, labels) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logit_grads_flush_only_negligible_entries(self, dtype):
+        # row 0 is certain of its label (its other probabilities are ~4e-44),
+        # row 1 is not, and row 2's other probabilities are 4x the flush
+        lead = -math.log(4 * nn.LOGIT_GRAD_FLUSH)
+        p = nn.softmax(np.array([[100.0, 0, 0, 0], [0, 1, 2, 3], [lead, 0, 0, 0]]))
+        labels = np.array([0, 3, 0])
+        plain = nn.softmax_cross_entropy_grad(p, labels) * 0.5
+        got = nn.logit_grads(p, labels, 0.5, dtype)
+        assert got.dtype == dtype
+        assert np.abs(plain[0]).max() < nn.LOGIT_GRAD_FLUSH and not got[0].any()
+        assert got[1:].tobytes() == plain[1:].astype(dtype).tobytes()
+        assert got[2, 1:].all()
+
 
 class TestOptimizers:
-    def test_sgd_example(self):
-        p = np.array([1.0])
-        nn.sgd_step(p, np.array([0.5]), 0.1)
-        np.testing.assert_allclose(p, [0.95])
-
-    def test_sgd_zero_gradient_is_identity(self):
-        p = np.array([1.0, -2.0])
-        nn.sgd_step(p, np.zeros(2), 0.1)
-        np.testing.assert_array_equal(p, [1.0, -2.0])
-
     def test_adam_first_step_closed_form(self):
         # first-step oracle: p - lr * g / (sqrt(g^2) + eps)
         p, g, lr, eps = 1.0, 0.5, 0.1, 1e-8
@@ -436,14 +440,7 @@ class TestOptimizers:
         grad = np.zeros_like(net.vector)
         net.params(grad)["conv1.weights"][0, 0] = np.nan
         with pytest.raises(nn.TrainingError, match="conv1.weights"):
-            net.update(0.0, grad, 0.1, None, "adam")
-
-    def test_unknown_strategy(self):
-        net = model.build_model(seed=0)
-        before = net.vector.copy()
-        with pytest.raises(ValueError, match="momentum"):
-            net.update(0.0, np.zeros_like(net.vector), 0.1, None, "momentum")
-        assert net.vector.tobytes() == before.tobytes()
+            net.update(0.0, grad, 0.1, None)
 
 
 # the reflection network's six tensors at the default widths
@@ -468,7 +465,7 @@ class TestVectorStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_adam_is_bitwise_six_per_tensor_steps(self, dtype):
         rng = np.random.default_rng(0)
-        net = model.build_model(seed=0, dtype=dtype)
+        net = model.build_model(seed=0).astype(dtype)
         per_tensor = {name: p.copy() for name, p in net.params().items()}
         states = {
             name: nn.AdamState(np.zeros_like(p), np.zeros_like(p))
@@ -478,24 +475,13 @@ class TestVectorStep:
         for step in range(5):
             grad = random_gradient(net, rng, scale=10.0 ** (step - 2))
             lr = 0.01 / (step + 1)
-            _, state = net.update(0.0, grad, lr, state, "adam")
+            _, state = net.update(0.0, grad, lr, state)
             for name, g in net.params(grad).items():
                 nn.adam_step(per_tensor[name], g, lr, states[name])
             assert state.t == step + 1
             for name, p in net.params().items():
                 assert p.dtype == dtype and p.shape == NETWORK_SHAPES[name]
                 assert p.tobytes() == per_tensor[name].tobytes(), (step, name)
-
-    def test_sgd_is_bitwise_the_per_tensor_step(self):
-        rng = np.random.default_rng(1)
-        net = model.build_model(seed=1)
-        expected = {name: p.copy() for name, p in net.params().items()}
-        grad = random_gradient(net, rng)
-        _, state = net.update(0.0, grad, 0.1, None, "sgd")
-        assert state is None
-        for name, p in net.params().items():
-            nn.sgd_step(expected[name], net.params(grad)[name], 0.1)
-            assert p.tobytes() == expected[name].tobytes()
 
     @pytest.mark.parametrize("name", list(NETWORK_SHAPES))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -506,7 +492,7 @@ class TestVectorStep:
         grad = random_gradient(net, rng)
         net.params(grad)[name].reshape(-1)[-1] = bad
         with pytest.raises(nn.TrainingError, match=f"'{name}'"):
-            net.update(0.0, grad, 0.1, None, "adam")
+            net.update(0.0, grad, 0.1, None)
         assert net.vector.tobytes() == before.tobytes()
 
 
@@ -602,10 +588,13 @@ class TestNetwork:
     def test_astype_then_update_keeps_the_precision(self, build):
         wide = build().astype(np.float64)
         assert all(p.dtype == np.float64 for p in wide.params().values())
-        before = wide.vector.copy()
-        wide.update(0.0, np.ones_like(wide.vector), 0.5, None, "sgd")
-        assert all(p.dtype == np.float64 for p in wide.params().values())
-        np.testing.assert_array_equal(wide.vector, before - 0.5)
+        expected = {name: p.copy() for name, p in wide.params().items()}
+        grad = np.ones_like(wide.vector)
+        wide.update(0.0, grad, 0.5, None)
+        for name, p in wide.params().items():
+            state = nn.AdamState(np.zeros_like(p), np.zeros_like(p))
+            nn.adam_step(expected[name], wide.params(grad)[name], 0.5, state)
+            assert p.dtype == np.float64 and p.tobytes() == expected[name].tobytes(), name
 
     @pytest.mark.parametrize("make", list(REMAKES.values()), ids=list(REMAKES))
     def test_params_view_the_one_vector_in_table_order(self, build, make):
@@ -623,19 +612,59 @@ class TestNetwork:
         if made is not net:
             assert not np.shares_memory(vector, net.vector)
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_train_step_takes_one_optimizer_step(self, build, optimizer, monkeypatch):
-        calls = {"adam": 0, "sgd": 0}
-        for strategy in calls:
-            step = getattr(nn, f"{strategy}_step")
+    def test_train_step_takes_one_optimizer_step(self, build, monkeypatch):
+        calls = []
+        step = nn.adam_step
 
-            def counted(*args, strategy=strategy, step=step, **kwargs):
-                calls[strategy] += 1
-                return step(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return step(*args, **kwargs)
 
-            monkeypatch.setattr(nn, f"{strategy}_step", counted)
+        monkeypatch.setattr(nn, "adam_step", counted)
         net = build()
         rng = np.random.default_rng(0)
         inputs = [net.random_input(rng) for _ in range(3)]
-        net.train_step(inputs, [0, 1, 2], 0.01, None, rng=rng, optimizer=optimizer)
-        assert calls == {"adam": int(optimizer == "adam"), "sgd": int(optimizer == "sgd")}
+        net.train_step(inputs, [0, 1, 2], 0.01, None, rng=rng)
+        assert calls == [net.vector.size]
+
+
+# the backward passes of both networks that get a layer's output gradient:
+# nn's serve both, gridcnn's only the grid CNN
+BACKWARD_PASSES = [
+    (nn, "rowwise_linear_backward"), (nn, "relu_backward"),
+    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"),
+]
+
+
+def subnormal_count(operand) -> int:
+    """Nonzero entries smaller than the least normal float of their dtype."""
+    if isinstance(operand, nn.LinearParams):
+        return subnormal_count(operand.weights) + subnormal_count(operand.bias)
+    if not (isinstance(operand, np.ndarray) and operand.dtype.kind == "f"):
+        return 0
+    tiny = np.finfo(operand.dtype).tiny
+    return int(np.count_nonzero((operand != 0) & (np.abs(operand) < tiny)))
+
+
+@pytest.mark.parametrize("build", NETWORKS.values(), ids=NETWORKS.keys())
+def test_a_confident_batch_gives_no_subnormal_backward_operand(build, monkeypatch):
+    net = build()
+    # every logit of class 0 leads by exactly 100: each other class gets a
+    # probability of about 4e-44, which is subnormal in float32
+    net.head.weights[...] = 0
+    net.head.bias[...] = [100.0, 0.0, 0.0, 0.0]
+    subnormal = {}  # per backward pass called, its subnormal operand entries
+    for owner, name in BACKWARD_PASSES:
+        def counted(*args, backward=getattr(owner, name), name=name, **kwargs):
+            found = sum(subnormal_count(a) for a in (*args, *kwargs.values()))
+            subnormal[name] = subnormal.get(name, 0) + found
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    rng = np.random.default_rng(0)
+    inputs = [net.random_input(rng) for _ in range(8)]
+    net.train_step(inputs, [0] * 8, 0.01, None, rng=rng)
+    expected = {"rowwise_linear_backward", "relu_backward"}
+    if isinstance(net, gridcnn.GridCnnModel):
+        expected |= {"_pool_grads", "_conv_grads"}
+    assert subnormal == dict.fromkeys(expected, 0)

@@ -29,23 +29,26 @@ def rotation_oracle(dx, dy, heading):
     return (r[0][0] * dx + r[0][1] * dy, r[1][0] * dx + r[1][1] * dy)
 
 
+def object_frame(r: Reflection, pose: ObjectPose):
+    """(x_obj, y_obj) of r, from reflection_table."""
+    return tuple(table_row(r, pose)[:2])
+
+
 class TestObjectFrame:
     def test_zero_heading_is_translation(self):
-        out = preprocess.to_object_frame(refl(x=11, y=1), ObjectPose(10, 0, 0))
+        out = object_frame(refl(x=11, y=1), ObjectPose(10, 0, 0))
         assert out == pytest.approx((1.0, 1.0))
 
     def test_quarter_turn_matches_rotation_oracle(self):
         pose = ObjectPose(0, 0, math.pi / 2)
         expected = rotation_oracle(1.0, 1.0, math.pi / 2)
         assert expected == pytest.approx((1.0, -1.0))
-        out = preprocess.to_object_frame(refl(x=1, y=1), pose)
+        out = object_frame(refl(x=1, y=1), pose)
         assert out == pytest.approx(expected)
 
     def test_reflection_at_pose_maps_to_origin(self):
         for heading in (0.0, 0.7, -2.1, math.pi):
-            out = preprocess.to_object_frame(
-                refl(x=3.5, y=-2.0), ObjectPose(3.5, -2.0, heading)
-            )
+            out = object_frame(refl(x=3.5, y=-2.0), ObjectPose(3.5, -2.0, heading))
             assert out == pytest.approx((0.0, 0.0), abs=1e-12)
 
     @given(
@@ -58,7 +61,7 @@ class TestObjectFrame:
     def test_isometry(self, heading, points):
         pose = ObjectPose(4.0, -7.0, heading)
         transformed = [
-            preprocess.to_object_frame(refl(x=p[0], y=p[1]), pose) for p in points
+            object_frame(refl(x=p[0], y=p[1]), pose) for p in points
         ]
         for i in range(len(points)):
             for j in range(i + 1, len(points)):

@@ -4,9 +4,13 @@ that names the field."""
 
 import dataclasses
 import importlib
+import itertools
 import json
+import math
 import pkgutil
+import re
 import typing
+from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -135,6 +139,7 @@ def test_unknown_key_is_named_error(key, extra):
     "key, name",
     [
         ("TrainConfig", "steps_are_total"),
+        ("TrainConfig", "optimizer"),
         ("ClassProfile", "alt_fraction"),
         ("ClassProfile", "alt_length_range"),
         ("ClassProfile", "alt_width_range"),
@@ -225,6 +230,113 @@ def test_every_checked_dataclass_is_in_the_table():
 def test_every_field_annotation_is_one_the_schema_checks(cls):
     for name, hint in hints(cls).items():
         assert schema.checker(hint), name
+
+
+# --- guard: every integer field has an upper bound ---------------------------
+
+# integer fields without an upper bound, each with the reason it needs none
+UNBOUNDED = {
+    # the run length: a step allocates the same whatever it is (README, Config files)
+    (trainer.TrainConfig, "epochs"),
+    (trainer.TrainConfig, "steps_per_epoch"),
+    # seeds size nothing
+    (trainer.TrainConfig, "seed"),
+    (datagen.GenSpec, "seed"),
+    (forest.FileConfig, "seed"),
+    # a forest file's counts must match the arrays the file holds
+    (forest.FileConfig, "n_classes"),
+    (forest.FileConfig, "n_trees"),
+    (forest.FileConfig, "oob"),
+}
+
+
+def int_bound(hint):
+    """(whether a field of this annotation holds integers, their Range or None)."""
+    bound = None
+    if typing.get_origin(hint) is typing.Annotated:
+        hint, bound = hint.__origin__, hint.__metadata__[0]
+    return hint is int or int in typing.get_args(hint), bound
+
+
+def upper_bound(hint):
+    holds_int, bound = int_bound(hint)
+    return bound.high if holds_int and bound is not None else None
+
+
+INT_FIELDS = sorted(
+    ((cls, name) for cls in checked_dataclasses() for name, hint in hints(cls).items()
+     if int_bound(hint)[0]),
+    key=lambda field: (field[0].__qualname__, field[0].__module__, field[1]),
+)
+
+
+@pytest.mark.parametrize(
+    "cls, name", INT_FIELDS, ids=[f"{c.__module__}.{c.__qualname__}.{n}" for c, n in INT_FIELDS]
+)
+def test_every_integer_field_has_an_upper_bound_or_an_exemption(cls, name):
+    high = upper_bound(hints(cls)[name])
+    assert (high is not None and math.isfinite(high)) != ((cls, name) in UNBOUNDED)
+
+
+def at_and_past(valid, high):
+    """A field's JSON value at its upper bound and one past it, from a valid value."""
+    if isinstance(valid, list):  # a [low, high] pair
+        return [valid[0], high], [valid[0], high + 1]
+    if isinstance(valid, dict):  # a class mapping
+        first = next(iter(valid))
+        return {**valid, first: high}, {**valid, first: high + 1}
+    return high, high + 1
+
+
+BOUNDED = [
+    pytest.param(key, name, id=f"{key}-{name}")
+    for key, (cls, _, _, _) in TABLE.items()
+    for name, hint in hints(cls).items()
+    if upper_bound(hint) is not None
+]
+
+
+@pytest.mark.parametrize("key, name", BOUNDED)
+def test_one_past_the_upper_bound_is_named_error(key, name):
+    cls, valid, load, error = TABLE[key]
+    at, past = at_and_past(valid[name], upper_bound(hints(cls)[name]))
+    if not key.endswith("-file"):  # a model file's arrays fit only its own config
+        load({**valid, name: at})
+    with pytest.raises(error, match=name):
+        load({**valid, name: past})
+    good = schema.build(cls, valid, "the config")
+    kwargs = {f.name: getattr(good, f.name) for f in dataclasses.fields(cls)}
+    with pytest.raises(schema.ConfigError, match=name):
+        cls(**{**kwargs, name: tuple(past) if isinstance(past, list) else past})
+
+
+# --- guard: the README's config tables name every key ------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table_keys(marker: str) -> set:
+    """The backticked keys in the first column of the README table after marker."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    after = lines[next(i for i, line in enumerate(lines) if marker in line):]
+    rows = itertools.dropwhile(lambda line: not line.startswith("|"), after)
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), rows))
+    return {key for row in table[2:] for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+
+
+@pytest.mark.parametrize(
+    "cls, marker, not_keys",
+    [
+        (trainer.TrainConfig, "`trainer.TrainConfig`", set()),
+        (reflectnet.ReflectNetConfig, "`model.ReflectNetConfig`", set()),
+        # generate takes the seed from --seed only
+        (datagen.GenSpec, "`datagen.GenSpec`", {"seed"}),
+    ],
+    ids=["TrainConfig", "ReflectNetConfig", "GenSpec"],
+)
+def test_the_readme_table_lists_exactly_the_config_keys(cls, marker, not_keys):
+    keys = {f.name for f in dataclasses.fields(cls)} - not_keys
+    assert readme_table_keys(marker) == keys
 
 
 @pytest.mark.parametrize(

@@ -92,7 +92,6 @@ class TestTrainConfigChecks:
             ("seed", False), ("seed", -1),
             ("lr_start", "0.01"), ("lr_start", True), ("lr_start", float("inf")),
             ("lr_end", float("nan")),
-            ("optimizer", "adagrad"), ("optimizer", None),
             # a list or dict value gets no id of its own, only its position
             pytest.param("resample_factors", [1], id="resample_factors-list"),
             pytest.param("resample_factors", {"car": -1}, id="resample_factors-negative"),
