@@ -16,7 +16,8 @@ Layout (all integers little-endian):
 Learnable parameters are stored as 32-bit floats; normalization statistics
 keep full float64 precision. Loading never returns a partial model: the
 whole payload is parsed and the checksum verified before anything is
-handed back.
+handed back. The arrays handed back are read-only views of the parsed
+bytes, not copies.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -143,11 +144,16 @@ class _Reader:
         return struct.unpack("<B", self.take(1))[0]
 
     def array(self, dtype: np.dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        """The next array of this dtype and shape, copied out of the file once."""
+        """The next array of this dtype and shape, a read-only view of the file.
+
+        Only a big-endian host copies, to swap the byte order.
+        """
         count = math.prod(shape)
         start = self.skip(count * dtype.itemsize)
         little = np.frombuffer(self.data, dtype.newbyteorder("<"), count, start)
-        return little.reshape(shape).astype(dtype)
+        array = little.reshape(shape).astype(dtype, copy=False)
+        array.flags.writeable = False
+        return array
 
 
 def read_container(data: bytes, expected_magic: bytes) -> Container:
@@ -225,14 +231,12 @@ def check_contents(
     parsed: Container,
     expected: Dict[str, ArraySpec],
     n_stats: int,
-    label: Callable[[str], str] = lambda name: f"array '{name}'",
 ) -> None:
     """Reject a parsed file whose blocks do not fit the model its config declares.
 
     The file must hold exactly the expected arrays, each with its shape,
     dtype kind and only finite values, plus a norm-stats block of n_stats
-    finite means and positive, finite stds. label(name) names an array in
-    the error message.
+    finite means and positive, finite stds.
     """
     means, stds = parsed.norm_means, parsed.norm_stds
     if means.size != n_stats:
@@ -244,7 +248,9 @@ def check_contents(
         )
     unexpected = sorted(set(parsed.arrays) - set(expected))
     if unexpected:
-        raise ContainerError(f"unexpected array blocks {unexpected[:3]}")
+        raise ContainerError(
+            f"unexpected array blocks {unexpected[:3]}; the model has exactly {list(expected)}"
+        )
     for name, (shape, kind) in expected.items():
         array = parsed.arrays.get(name)
         if array is None:
@@ -257,7 +263,7 @@ def check_contents(
             problem = "holds a value that is not finite"
         else:
             continue
-        raise ContainerError(f"{label(name)} {problem}")
+        raise ContainerError(f"array '{name}' {problem}")
 
 
 def peek_magic(data: bytes) -> bytes:

@@ -35,6 +35,11 @@ Span = Annotated[Tuple[float, float], Range(0)]  # an ordered (low, high) pair, 
 MAX_TRACKS_PER_CLASS = 10_000
 MAX_SAMPLES_PER_TRACK = 1_000
 MAX_REFLECTIONS = 1_024
+# together they must keep the generated dataset under 1 GiB at its worst case. tracemalloc
+# on 20,000 generated samples gives about 340 B per sample plus 280 B per reflection
+SAMPLE_BYTES = 400
+REFLECTION_BYTES = 300
+MAX_DATASET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,18 @@ class GenSpec:
             raise schema.ConfigError("tracks_per_class must give some class a track")
         if not self.start_range > self.stop_range:
             raise schema.ConfigError("need start_range > stop_range")
+        samples = {c: n * self.samples_per_track[1] for c, n in self.tracks_per_class.items() if n}
+        unprofiled = sorted(set(samples) - set(self.profiles))
+        if unprofiled:
+            raise schema.ConfigError(f"tracks_per_class: no profile for {unprofiled}")
+        reflections = sum(n * self.profiles[c].reflections_range[1] for c, n in samples.items())
+        worst = SAMPLE_BYTES * sum(samples.values()) + REFLECTION_BYTES * reflections
+        if worst > MAX_DATASET_BYTES:
+            raise schema.ConfigError(
+                f"tracks_per_class, samples_per_track and reflections_range allow up to "
+                f"{sum(samples.values()):,} samples of {reflections:,} reflections, about "
+                f"{worst / 2**30:.2f} GiB; the limit is {MAX_DATASET_BYTES / 2**30:g} GiB"
+            )
 
 
 def desk_genspec(seed: int = 0) -> GenSpec:

@@ -8,9 +8,9 @@ the population (1/M) convention and std is the square root of the
 variance.
 
 Trees split on Gini impurity over a random sqrt-sized feature subset per
-node, grow to purity, and are fitted on bootstrap draws; prediction is a
-majority vote of per-tree leaf-majority classes with ties broken toward
-the lowest class index.
+node, grow to purity on bootstrap draws, and are stacked into one node
+table; prediction walks all trees at once and takes a majority vote of
+per-tree leaf-majority classes, ties broken toward the lowest class index.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class Tree:
     counts: np.ndarray     # (n_nodes, n_classes) int64
     n_oob: int = 0         # out-of-bag sample count of the bootstrap draw
 
-    def n_nodes(self) -> int:
-        return int(self.feature.size)
-
     def predict_one(self, x: np.ndarray) -> int:
         node = 0
         while self.feature[node] >= 0:
@@ -122,21 +119,52 @@ class Tree:
         return int(np.argmax(self.counts[node]))  # ties -> lowest class index
 
 
+BLOCK = 256  # samples walked together; bounds the (block x n_trees) walk arrays
+_TABLE = ("roots", "feature", "threshold", "left", "right", "counts")  # ForestModel field order
+
+
 @dataclass
 class ForestModel:
-    trees: List[Tree]
+    """All trees as one table of Tree's node columns; tree t owns rows roots[t] to roots[t + 1]."""
+
+    roots: np.ndarray      # (n_trees,) int32
+    feature: np.ndarray    # (n_nodes,) int32, -1 at leaves
+    threshold: np.ndarray  # float64
+    left: np.ndarray       # int32, an absolute row
+    right: np.ndarray      # int32, an absolute row
+    counts: np.ndarray     # (n_nodes, n_classes) int64
+    n_oob: Tuple[int, ...]  # out-of-bag sample count of each tree
     feature_config: FeatureConfig
     n_classes: int
     seed: int
 
     def predict(self, x: np.ndarray) -> int:
-        votes = np.zeros(self.n_classes, dtype=np.int64)
-        for tree in self.trees:
-            votes[tree.predict_one(x)] += 1
-        return int(np.argmax(votes))
+        return int(self.predict_batch(np.asarray(x)[None])[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(x) for x in features], dtype=np.int64)
+        """Majority vote of the trees' leaf-majority classes, ties to the lowest class.
+
+        Each block of samples walks every tree at once, one depth level per
+        step; a walk that reaches a leaf stays there and drops out.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        n_trees, n_classes = self.roots.size, self.n_classes
+        out = np.empty(len(features), dtype=np.int64)
+        for start in range(0, len(features), BLOCK):
+            x = features[start : start + BLOCK]
+            node = np.tile(self.roots, len(x))  # walk i: sample i // n_trees, tree i % n_trees
+            walking = np.arange(node.size)
+            while walking.size:
+                at = node.take(walking)
+                feature = self.feature.take(at)
+                internal = feature >= 0
+                walking, at, feature = walking[internal], at[internal], feature[internal]
+                goes_left = x[walking // n_trees, feature] < self.threshold.take(at)  # NaN: right
+                node[walking] = np.where(goes_left, self.left.take(at), self.right.take(at))
+            votes = self.counts[node].argmax(axis=1) + np.arange(node.size) // n_trees * n_classes
+            tally = np.bincount(votes, minlength=len(x) * n_classes).reshape(len(x), n_classes)
+            out[start : start + len(x)] = tally.argmax(axis=1)
+        return out
 
 
 def _gini_split_score(
@@ -144,8 +172,7 @@ def _gini_split_score(
 ) -> Tuple[float, float] | None:
     """Best threshold on one feature by weighted Gini; None if unsplittable."""
     order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
+    v, y = values[order], labels[order]
     n = v.size
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
@@ -168,11 +195,8 @@ def _gini_split_score(
 
 
 def _grow_tree(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    rng: np.random.Generator,
-    n_candidates: int,
+    features: np.ndarray, labels: np.ndarray, n_classes: int,
+    rng: np.random.Generator, n_candidates: int,
 ) -> Tree:
     feature_col: List[int] = []
     threshold_col: List[float] = []
@@ -211,27 +235,20 @@ def _grow_tree(
         goes_left = features[idx, f] < threshold
         left = new_node(idx[goes_left])
         right = new_node(idx[~goes_left])
-        feature_col[node] = f
-        threshold_col[node] = threshold
-        left_col[node] = left
-        right_col[node] = right
+        feature_col[node], threshold_col[node] = f, threshold
+        left_col[node], right_col[node] = left, right
         stack.append((right, idx[~goes_left]))
         stack.append((left, idx[goes_left]))
 
     return Tree(
-        feature=np.array(feature_col, dtype=np.int32),
-        threshold=np.array(threshold_col, dtype=np.float64),
-        left=np.array(left_col, dtype=np.int32),
-        right=np.array(right_col, dtype=np.int32),
-        counts=np.stack(counts_col).astype(np.int64),
+        np.array(feature_col, dtype=np.int32), np.array(threshold_col, dtype=np.float64),
+        np.array(left_col, dtype=np.int32), np.array(right_col, dtype=np.int32),
+        np.stack(counts_col).astype(np.int64),
     )
 
 
 def fit_forest(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_trees: int = 100,
-    seed: int = 0,
+    features: np.ndarray, labels: np.ndarray, n_trees: int = 100, seed: int = 0,
     n_classes: int = len(CLASSES),
 ) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed."""
@@ -242,28 +259,36 @@ def fit_forest(
         raise ValueError("cannot fit a forest on an empty dataset")
     if np.unique(labels).size < 2:
         warnings.warn(
-            "training data has a single class; the forest will always predict it",
-            stacklevel=2,
+            "training data has a single class; the forest will always predict it", stacklevel=2
         )
     n_candidates = max(1, int(math.sqrt(features.shape[1])))
     trees: List[Tree] = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        tree = _grow_tree(
-            features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates
-        )
+        tree = _grow_tree(features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates)
         tree.n_oob = int(n - np.unique(bootstrap).size)
         trees.append(tree)
-    return ForestModel(trees=trees, feature_config=FeatureConfig(), n_classes=n_classes, seed=seed)
+    return stack_trees(trees, n_classes, seed)
+
+
+def stack_trees(trees: Sequence[Tree], n_classes: int, seed: int) -> ForestModel:
+    """The forest of these trees, their node arrays stacked into one table."""
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1]).astype(np.int32)
+    feature, threshold, left, right, counts = (
+        np.concatenate([getattr(tree, name) for tree in trees]) for name in _TABLE[1:]
+    )
+    shift = np.where(feature >= 0, np.repeat(roots, sizes), 0)  # a leaf keeps -1
+    return ForestModel(
+        roots, feature, threshold, left + shift, right + shift, counts,
+        tuple(tree.n_oob for tree in trees), FeatureConfig(), n_classes, seed,
+    )
 
 
 def count_nodes(forest: ForestModel) -> int:
     """Total internal plus leaf nodes across all trees, a complexity metric."""
-    return sum(tree.n_nodes() for tree in forest.trees)
-
-
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")  # Tree field order
+    return int(forest.feature.size)
 
 
 @dataclass(frozen=True)
@@ -287,70 +312,47 @@ class FileConfig:
 def serialize(forest: ForestModel) -> bytes:
     config = FileConfig(
         forest.feature_config.velocity_resolution, forest.feature_config.stationary_threshold,
-        forest.n_classes, len(forest.trees), forest.seed, tuple(t.n_oob for t in forest.trees),
+        forest.n_classes, forest.roots.size, forest.seed, forest.n_oob,
     )
-    arrays = [
-        (f"tree{t}.{name}", getattr(tree, name))
-        for t, tree in enumerate(forest.trees) for name in _TREE_ARRAYS
-    ]
+    arrays = [(name, getattr(forest, name)) for name in _TABLE]
     return container.write_container(MAGIC, asdict(config), None, arrays)
 
 
-def _check_nodes(trees: List[Tree]) -> None:
-    """Reject node arrays that Tree.predict_one could not walk to a leaf.
+def _check_nodes(forest: ForestModel) -> None:
+    """Reject a node table that predict_batch could not walk to a leaf.
 
-    One vectorized pass over the nodes of all trees. _grow_tree numbers both
-    children after their parent, so requiring that of every internal node
-    rules out cycles: each walk ends at a leaf. Every split must also read
+    Roots must start at row 0 and increase strictly, so every tree has
+    nodes. _grow_tree numbers both children after their parent, so
+    requiring that of every internal node, inside its own tree, rules out
+    cycles: each walk ends at a leaf. A node is a leaf (-1) or splits on
     one of the N_HANDCRAFTED features.
     """
-    sizes = np.array([tree.n_nodes() for tree in trees])
-    if (sizes == 0).any():
-        raise container.ContainerError(f"tree {np.argmin(sizes)}: the tree has no nodes")
-    tree_of = np.repeat(np.arange(len(trees)), sizes)
-    ends = sizes[tree_of]
-    node = np.arange(tree_of.size) - (np.cumsum(sizes) - sizes)[tree_of]
-    feature, left, right = (
-        np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("feature", "left", "right")
-    )
-    internal = feature >= 0
-    later = (left > node) & (right > node) & (left < ends) & (right < ends)
+    roots, feature, n = forest.roots, forest.feature, forest.feature.size
+    if roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+        raise container.ContainerError(f"tree roots must start at 0 and increase below {n}")
+    node = np.arange(n)
+    tree_of = np.searchsorted(roots, node, side="right") - 1
+    children = np.stack([forest.left, forest.right])
+    later = ((children > node) & (children < np.append(roots[1:], n)[tree_of])).all(axis=0)
     for bad, problem in (
-        (feature >= N_HANDCRAFTED, f"a split reads a feature index >= {N_HANDCRAFTED}"),
-        (internal & ~later, "a child pointer does not lead to a later node"),
+        ((feature < -1) | (feature >= N_HANDCRAFTED),
+         f"a feature index is outside [-1, {N_HANDCRAFTED})"),
+        ((feature >= 0) & ~later, "a child pointer does not lead to a later node of its tree"),
     ):
         if bad.any():
             raise container.ContainerError(f"tree {tree_of[np.argmax(bad)]}: {problem}")
 
 
 def deserialize(data: bytes) -> ForestModel:
+    """The forest of a model file; its arrays are read-only views of data."""
     parsed = container.read_container(data, MAGIC)
     cfg = schema.build(FileConfig, parsed.config, "forest config", error=container.ContainerError)
-    n_trees, arrays = cfg.n_trees, parsed.arrays
-    if len(arrays) != len(_TREE_ARRAYS) * n_trees:
-        raise container.ContainerError(
-            f"file holds {len(arrays)} arrays, expected {len(_TREE_ARRAYS)} "
-            f"for each of {n_trees} trees"
-        )
-    expected = {}
-    for t in range(n_trees):
-        n = np.size(arrays.get(f"tree{t}.feature", []))
-        specs = zip([(n,)] * 4 + [(n, cfg.n_classes)], "ifiii")
-        expected.update({f"tree{t}.{name}": spec for name, spec in zip(_TREE_ARRAYS, specs)})
-    container.check_contents(
-        parsed, expected, n_stats=0,
-        label=lambda name: f"tree {name[4 : name.index('.')]}: array '{name}'",
+    n = np.size(parsed.arrays.get("feature", []))
+    specs = [(cfg.n_trees,), (n,), (n,), (n,), (n,), (n, cfg.n_classes)]
+    container.check_contents(parsed, dict(zip(_TABLE, zip(specs, "iifiii"))), n_stats=0)
+    forest = ForestModel(
+        *(parsed.arrays[name] for name in _TABLE), cfg.oob or (0,) * cfg.n_trees,
+        FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold), cfg.n_classes, cfg.seed,
     )
-    oob = cfg.oob or (0,) * n_trees
-    trees = [
-        Tree(*(arrays[f"tree{t}.{name}"] for name in _TREE_ARRAYS), n_oob=oob[t])
-        for t in range(n_trees)
-    ]
-    _check_nodes(trees)
-    return ForestModel(
-        trees=trees,
-        feature_config=FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold),
-        n_classes=cfg.n_classes,
-        seed=cfg.seed,
-    )
+    _check_nodes(forest)
+    return forest

@@ -637,4 +637,5 @@ def read_network(
     layers = {
         layer: LinearParams(arrays[f"{layer}.weights"], arrays[f"{layer}.bias"]) for layer in shapes
     }
-    return config, layers, NormStats(parsed.norm_means, parsed.norm_stds)
+    # copies, so that the network keeps no view of the file bytes alive
+    return config, layers, NormStats(parsed.norm_means.copy(), parsed.norm_stds.copy())

@@ -305,10 +305,8 @@ def test_criterion_10_round_trips(tmp_path):
         rng.standard_normal((40, 13)), rng.integers(0, 4, size=40), n_trees=5, seed=1
     )
     forest_restored = forest.deserialize(forest.serialize(fitted))
-    for ta, tb in zip(fitted.trees, forest_restored.trees):
-        assert np.array_equal(ta.feature, tb.feature)
-        assert np.array_equal(ta.threshold, tb.threshold)
-        assert np.array_equal(ta.counts, tb.counts)
+    for name in ("roots", "feature", "threshold", "left", "right", "counts"):
+        assert np.array_equal(getattr(fitted, name), getattr(forest_restored, name))
 
     spec = datagen.GenSpec(
         tracks_per_class={c: 3 for c in preprocess.CLASSES},

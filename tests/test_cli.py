@@ -69,11 +69,13 @@ class TestGenerate:
             ({"stop_range": 100}, "stop_range"),
             ({"seed": 1}, "seed"),
             ({"profiles": {"pedestrian": {"alt_fraction": 0.1}}}, "alt_fraction"),
+            ({"tracks_per_class": {c: 10_000 for c in preprocess.CLASSES},
+              "samples_per_track": [1, 1000]}, "samples_per_track"),
         ],
         ids=["profile-unknown-class", "profile-unknown-key", "samples-reversed", "spec-list",
              "tracks-string", "start-range-string", "length-range-short", "unknown-key",
              "tracks-unknown-class", "tracks-all-zero", "samples-zero", "stop-beyond-start",
-             "seed-key", "profile-alt-fraction"],
+             "seed-key", "profile-alt-fraction", "worst-case-over-1-gib"],
     )
     def test_bad_spec_is_named_error(self, spec, named, tmp_path, capsys):
         path, out = tmp_path / "spec.json", tmp_path / "data.jsonl"

@@ -1,6 +1,7 @@
 """Round-trip and corruption tests for the binary model container."""
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -107,7 +108,8 @@ def test_non_utf8_array_name_is_container_error():
         container.read_container(blob, b"TEST")
 
 
-def test_arrays_are_owned_writeable_and_bitwise():
+@pytest.mark.skipif(sys.byteorder != "little", reason="a big-endian host swaps bytes in a copy")
+def test_arrays_are_read_only_bitwise_views_of_the_parsed_bytes():
     arrays = [
         ("f32", np.array([[1.5, -0.0], [np.pi, 1e-40]], dtype=np.float32)),
         ("f64", np.array([np.e, -1e300, 5e-324])),
@@ -116,18 +118,19 @@ def test_arrays_are_owned_writeable_and_bitwise():
         ("empty", np.zeros((0, 3), dtype=np.float32)),
     ]
     means, stds = np.array([0.25, -3.0]), np.array([1.0, 1e-9])
-    parsed = container.read_container(
-        container.write_container(b"TEST", {}, (means, stds), arrays), b"TEST"
-    )
+    blob = container.write_container(b"TEST", {}, (means, stds), arrays)
+    parsed = container.read_container(blob, b"TEST")
+    file_bytes = np.frombuffer(blob, dtype=np.uint8)
     for original, read in [(means, parsed.norm_means), (stds, parsed.norm_stds)] + [
         (array, parsed.arrays[name]) for name, array in arrays
     ]:
-        assert read.flags.writeable and read.flags.owndata
+        assert not read.flags.writeable
+        assert read.size == 0 or np.shares_memory(read, file_bytes)
         assert read.dtype == original.dtype and read.shape == original.shape
         assert read.tobytes() == original.tobytes()
 
 
-def test_read_copies_each_array_once():
+def test_read_copies_no_array():
     import tracemalloc
 
     weights = np.arange(2**20, dtype=np.float32)  # 4 MiB
@@ -139,4 +142,4 @@ def test_read_copies_each_array_once():
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(parsed.arrays["w"], weights)
-    assert peak < 1.5 * weights.nbytes
+    assert peak < 0.1 * weights.nbytes

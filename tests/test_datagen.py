@@ -1,9 +1,11 @@
 """Tests for the synthetic track generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deepreflecs import datagen, forest, preprocess
+from deepreflecs import datagen, forest, preprocess, schema
 from oracles import to_object_frame
 
 
@@ -116,3 +118,56 @@ class TestSeparabilityDesign:
             lo_p, hi_p = np.percentile(values["pedestrian"], [25, 75])
             lo_c, hi_c = np.percentile(values["cyclist"], [25, 75])
             assert max(lo_p, lo_c) < min(hi_p, hi_c)
+
+
+def worst_case_bytes(tracks, samples, reflections):
+    """The size model of car tracks of up to `samples` samples of up to `reflections` each."""
+    n_samples = tracks * samples
+    return n_samples * (datagen.SAMPLE_BYTES + reflections * datagen.REFLECTION_BYTES)
+
+
+def car_spec(tracks, samples, reflections):
+    """(JSON spec, constructor kwargs) of car tracks of these worst-case sizes."""
+    raw = {
+        "tracks_per_class": {"car": tracks},
+        "samples_per_track": [samples, samples],
+        "profiles": {"car": {"reflections_range": [1, reflections]}},
+    }
+    car = dataclasses.replace(datagen.DEFAULT_PROFILES["car"], reflections_range=(1, reflections))
+    kwargs = {"tracks_per_class": {"car": tracks}, "samples_per_track": (samples, samples),
+              "profiles": {**datagen.DEFAULT_PROFILES, "car": car}}
+    return raw, kwargs
+
+
+class TestWorstCaseSize:
+    """A spec whose worst-case dataset passes 1 GiB is a ConfigError naming its fields."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [lambda n: (n, 1000, 30), lambda n: (1000, n, 30), lambda n: (100, 1000, n)],
+        ids=["tracks", "samples", "reflections"],
+    )
+    def test_one_past_the_limit_is_named_error(self, sizes):
+        # the size is affine in n: the largest n that fits, from its value at 0 and 1
+        at_0 = worst_case_bytes(*sizes(0))
+        fits = (datagen.MAX_DATASET_BYTES - at_0) // (worst_case_bytes(*sizes(1)) - at_0)
+        raw, kwargs = car_spec(*sizes(fits))
+        assert schema.build(datagen.GenSpec, raw, "the spec") == datagen.GenSpec(**kwargs)
+        raw, kwargs = car_spec(*sizes(fits + 1))
+        with pytest.raises(schema.ConfigError, match="GiB") as err:
+            schema.build(datagen.GenSpec, raw, "the spec")
+        for name in ("tracks_per_class", "samples_per_track", "reflections_range"):
+            assert name in str(err.value)
+        with pytest.raises(schema.ConfigError, match="tracks_per_class, samples_per_track"):
+            datagen.GenSpec(**kwargs)
+
+    def test_fields_at_their_bounds_together_are_refused(self):
+        with pytest.raises(schema.ConfigError, match="GiB"):
+            datagen.GenSpec(
+                tracks_per_class={c: datagen.MAX_TRACKS_PER_CLASS for c in preprocess.CLASSES},
+                samples_per_track=(1, datagen.MAX_SAMPLES_PER_TRACK),
+            )
+
+    def test_a_class_without_a_profile_is_named_error(self):
+        with pytest.raises(schema.ConfigError, match="no profile for"):
+            datagen.GenSpec(tracks_per_class={"car": 1}, profiles={})

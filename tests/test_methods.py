@@ -317,6 +317,15 @@ def test_evaluating_no_samples_is_dataset_error(magic, tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("magic", ["GCNN", "RFLN"])
+def test_a_loaded_network_keeps_no_view_of_its_file(magic):
+    blob = BLOBS[magic]
+    loaded = evaluate.method_for(blob).deserialize(blob)
+    file_bytes = np.frombuffer(blob, dtype=np.uint8)
+    for array in (loaded.vector, loaded.norm_stats.mean, loaded.norm_stats.std):
+        assert not np.shares_memory(array, file_bytes)
+
+
 @pytest.mark.parametrize("n_classes", [2, 5])
 def test_model_of_another_class_count_is_named_error(n_classes, dataset, tmp_path, capsys):
     rng = np.random.default_rng(n_classes)

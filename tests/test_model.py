@@ -430,10 +430,12 @@ class TestSerialization:
     )
     def test_bad_numbers_are_container_error(self, edit):
         parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
-        edit(parsed.norm_means, parsed.norm_stds, parsed.arrays)
+        # parsed arrays are read-only views of the file: edit copies
+        means, stds = parsed.norm_means.copy(), parsed.norm_stds.copy()
+        arrays = {name: array.copy() for name, array in parsed.arrays.items()}
+        edit(means, stds, arrays)
         blob = container.write_container(
-            model.MAGIC, parsed.config, (parsed.norm_means, parsed.norm_stds),
-            list(parsed.arrays.items()),
+            model.MAGIC, parsed.config, (means, stds), list(arrays.items())
         )
         with pytest.raises(container.ContainerError):
             model.deserialize(blob)
