@@ -8,7 +8,12 @@ the population (1/M) convention and std is the square root of the
 variance.
 
 Trees split on Gini impurity over a random sqrt-sized feature subset per
-node, grow to purity on bootstrap draws, and are stacked into one node
+node and grow to purity on bootstrap draws. fit_forest grows them in
+blocks, the trees of a block in lockstep: each step takes the next
+depth-first node of every tree and scores all their candidate features in
+one numpy pass over columns sorted once per fit. The trees come out bit
+for bit as a grower of one tree and one node at a time makes them
+(tests/oracles.py keeps that grower). They are stacked into one node
 table; prediction walks all trees at once and takes a majority vote of
 per-tree leaf-majority classes, ties broken toward the lowest class index.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Annotated, List, Sequence, Tuple
+from typing import Annotated, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -167,108 +172,219 @@ class ForestModel:
         return out
 
 
-def _gini_split_score(
-    values: np.ndarray, labels: np.ndarray, n_classes: int
-) -> Tuple[float, float] | None:
-    """Best threshold on one feature by weighted Gini; None if unsplittable."""
-    order = np.argsort(values, kind="stable")
-    v, y = values[order], labels[order]
-    n = v.size
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-    left_counts = np.cumsum(onehot, axis=0)       # counts after taking i+1 items
-    total = left_counts[-1]
-    # candidate cut after position i only where the value actually changes
-    cuts = np.nonzero(v[:-1] < v[1:])[0]
-    if cuts.size == 0:
-        return None
-    nl = (cuts + 1).astype(np.float64)
-    nr = n - nl
-    lc = left_counts[cuts]
-    rc = total - lc
-    gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-    score = (nl * gini_l + nr * gini_r) / n
-    best = int(np.argmin(score))
-    threshold = 0.5 * (v[cuts[best]] + v[cuts[best] + 1])
-    return float(score[best]), threshold
+FIT_ELEMENTS = 1 << 15  # (tree, row, feature) elements grown in lockstep; bounds a block's trees
 
 
-def _grow_tree(
-    features: np.ndarray, labels: np.ndarray, n_classes: int,
-    rng: np.random.Generator, n_candidates: int,
-) -> Tree:
-    feature_col: List[int] = []
-    threshold_col: List[float] = []
-    left_col: List[int] = []
-    right_col: List[int] = []
-    counts_col: List[np.ndarray] = []
+def _check_fit_inputs(
+    features, labels, n_trees: int, n_classes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The float64 table and int64 labels fit_forest grows on; ValueError naming what is wrong."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise ValueError(f"features must be a (rows, columns) table, got shape {features.shape}")
+    raw = np.asarray(labels)
+    if raw.shape != (len(features),):
+        raise ValueError(f"labels have shape {raw.shape} for {len(features)} feature rows")
+    if len(features) == 0:
+        raise ValueError("cannot fit a forest on an empty dataset")
+    if raw.dtype.kind not in "biuf" or (
+        raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all()
+    ):
+        raise ValueError("labels must be integral class indices")
+    if (raw < 0).any() or (raw >= n_classes).any():
+        raise ValueError(f"labels must lie in [0, {n_classes}), got {raw.min()} to {raw.max()}")
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    return features, raw.astype(np.int64)
 
-    def new_node(idx: np.ndarray) -> int:
-        node = len(feature_col)
-        feature_col.append(-1)
-        threshold_col.append(0.0)
-        left_col.append(-1)
-        right_col.append(-1)
-        counts_col.append(np.bincount(labels[idx], minlength=n_classes))
-        return node
 
-    root = new_node(np.arange(labels.size))
-    stack: List[Tuple[int, np.ndarray]] = [(root, np.arange(labels.size))]
-    while stack:
-        node, idx = stack.pop()
-        node_labels = labels[idx]
-        if np.all(node_labels == node_labels[0]):
-            continue  # pure leaf
-        chosen = np.sort(rng.choice(features.shape[1], size=n_candidates, replace=False))
-        best: Tuple[float, int, float] | None = None
-        for f in chosen:
-            scored = _gini_split_score(features[idx, f], node_labels, n_classes)
-            if scored is None:
-                continue
-            score, threshold = scored
-            if best is None or score < best[0]:
-                best = (score, int(f), threshold)
-        if best is None:
-            continue  # candidate features constant; impure leaf by majority
-        _, f, threshold = best
-        goes_left = features[idx, f] < threshold
-        left = new_node(idx[goes_left])
-        right = new_node(idx[~goes_left])
-        feature_col[node], threshold_col[node] = f, threshold
-        left_col[node], right_col[node] = left, right
-        stack.append((right, idx[~goes_left]))
-        stack.append((left, idx[goes_left]))
+class _Columns(NamedTuple):
+    """Every feature column sorted by (value, row), NaN last, as flat (features, rows) tables.
 
-    return Tree(
-        np.array(feature_col, dtype=np.int32), np.array(threshold_col, dtype=np.float64),
-        np.array(left_col, dtype=np.int32), np.array(right_col, dtype=np.int32),
-        np.stack(counts_col).astype(np.int64),
-    )
+    Entry f * n + r of row and value is sorted place r of feature f; entry
+    f * n + i of place is the sorted place of row i in feature f.
+    """
+
+    row: np.ndarray    # int32
+    value: np.ndarray  # float64
+    place: np.ndarray  # int32, into row and value
+
+
+def _sort_columns(features: np.ndarray) -> _Columns:
+    order = np.argsort(features, axis=0, kind="stable").T
+    place = np.empty(order.shape, dtype=np.int32)
+    places = np.arange(order.size, dtype=np.int32).reshape(order.shape)
+    np.put_along_axis(place, order, places, axis=1)
+    value = np.take_along_axis(features.T, order, axis=1)
+    return _Columns(order.astype(np.int32).ravel(), value.ravel(), place.ravel())
+
+
+def _split_nodes(
+    columns: _Columns, labels: np.ndarray, members: np.ndarray, start: np.ndarray,
+    size: np.ndarray, chosen: np.ndarray, n_classes: int,
+) -> Tuple[np.ndarray, ...]:
+    """The best Gini split of every node, each scored on its own candidate features.
+
+    Node i owns members[start[i] : start[i] + size[i]] and draws the sorted
+    features chosen[i]. Each (node, feature) segment is put in sorted-column
+    order and scored where its value changes, with the per-node arithmetic:
+    class terms (count / size) ** 2 summed in class order, then
+    (nl * gini_l + nr * gini_r) / n. A node takes its first lowest score, in
+    candidate then cut order, and a threshold strictly above the value
+    before the cut and at most the value after it, so `x < threshold` sends
+    exactly the rows before the cut left. Returns, for the nodes that split,
+    their index, feature, threshold, left size and left and right class
+    counts, and rewrites each such node's members sorted on its feature.
+    """
+    n, k = labels.size, chosen.shape[1]
+    seg_size = np.repeat(size, k)  # segment j: node j // k on feature chosen.flat[j]
+    seg_end = np.cumsum(seg_size)
+    seg_start = seg_end - seg_size
+    rows = np.concatenate([
+        members[s : s + z] for s, z in zip(start.tolist(), size.tolist()) for _ in range(k)
+    ])
+    offset = np.repeat(np.arange(seg_size.size, dtype=np.int64) * columns.place.size, seg_size)
+    key = offset + columns.place.take(rows + np.repeat(chosen.ravel() * n, seg_size))
+    key.sort()  # by (segment, sorted place)
+    key -= offset
+    del offset
+    rows, values = columns.row.take(key), columns.value.take(key)
+    del key
+    change = values[:-1] < values[1:]
+    change[seg_end[:-1] - 1] = False  # no cut between segments
+    cut = np.flatnonzero(change)  # a cut after element cut[i]
+    del change
+    cut_seg = np.searchsorted(seg_end, cut, side="right")
+    at_start = seg_start.take(cut_seg)
+    before = np.zeros((n_classes, rows.size + 1), dtype=np.int32)  # class counts before each row
+    np.equal(labels.take(rows), np.arange(n_classes)[:, None], out=before[:, 1:], casting="unsafe")
+    np.cumsum(before, axis=1, out=before)
+    total = before.take(seg_end, axis=1) - before.take(seg_start, axis=1)
+    left = before.take(cut + 1, axis=1) - before.take(at_start, axis=1)
+    del before
+    nl = (cut + 1 - at_start).astype(np.float64)
+    n_all = seg_size.take(cut_seg).astype(np.float64)
+    nr = n_all - nl
+    del at_start
+    gini_l = 1.0 - ((left / nl) ** 2).sum(axis=0)  # (classes, cuts): added class by class
+    right = total.take(cut_seg, axis=1) - left
+    gini_r = 1.0 - ((right / nr) ** 2).sum(axis=0)
+    del right
+    score = (nl * gini_l + nr * gini_r) / n_all
+    del gini_l, gini_r, nr, n_all
+
+    first = np.searchsorted(cut, seg_start[::k])  # each node's first cut
+    end = np.append(first[1:], cut.size)
+    split = np.flatnonzero(first < end)  # the nodes with a cut
+    first, end = first[split], end[split]
+    lowest = np.minimum.reduceat(score, first) if split.size else score[:0]
+    at_min = np.flatnonzero(score == np.repeat(lowest, end - first))
+    best = at_min[np.searchsorted(at_min, first)]
+    best_seg, best_cut = cut_seg[best], cut[best]
+    below, above = values[best_cut], values[best_cut + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite values: above
+        mid = 0.5 * (below + above)
+    threshold = np.where((below < mid) & (mid <= above), mid, above)
+    left_counts = left[:, best].T.astype(np.int64)
+    right_counts = total[:, best_seg].T.astype(np.int64) - left_counts
+    for s, z, j in zip(start[split].tolist(), size[split].tolist(), seg_start[best_seg].tolist()):
+        members[s : s + z] = rows[j : j + z]
+    n_left = best_cut + 1 - seg_start[best_seg]
+    return split, chosen.ravel()[best_seg], threshold, n_left, left_counts, right_counts
+
+
+def _grow_block(
+    columns: _Columns, labels: np.ndarray, tree_ids: range, seed: int, n_classes: int,
+    n_candidates: int,
+) -> List[Tree]:
+    """Trees tree_ids grown in lockstep: each step splits the next depth-first node of every tree.
+
+    Tree t draws its bootstrap and, at each impure node, its candidate
+    features from default_rng([seed, t]), in the order growing it alone
+    would. members holds the bootstrap rows of tree b at [b * n, (b + 1) * n);
+    a node owns a contiguous range of it, its left child the head and its
+    right child the tail. A node's children are numbered when it splits.
+    """
+    n, n_trees = labels.size, len(tree_ids)
+    n_features = columns.row.size // n
+    rngs = [np.random.default_rng([seed, t]) for t in tree_ids]
+    members = np.empty(n_trees * n, dtype=np.int32)
+    n_oob, root_counts, stacks = [], [], []
+    for b, rng in enumerate(rngs):
+        bootstrap = rng.integers(0, n, size=n)
+        members[b * n : (b + 1) * n] = bootstrap
+        n_oob.append(int(n - np.count_nonzero(np.bincount(bootstrap, minlength=n))))
+        root_counts.append(np.bincount(labels[bootstrap], minlength=n_classes))
+        stacks.append([(0, b * n, n)] if np.count_nonzero(root_counts[-1]) > 1 else [])
+    n_nodes = [1] * n_trees
+    splits = []  # per step: (tree, node, feature, threshold, left child)
+    children = []  # per step: (tree, node, counts)
+    while popped := [(b, *stack.pop()) for b, stack in enumerate(stacks) if stack]:
+        chosen = np.sort([
+            rngs[b].choice(n_features, size=n_candidates, replace=False) for b, *_ in popped
+        ], axis=1)
+        tree, node, start, size = (np.array(column) for column in zip(*popped))
+        split, feature, threshold, n_left, left_counts, right_counts = _split_nodes(
+            columns, labels, members, start, size, chosen, n_classes
+        )
+        left = []
+        for i, taken, left_impure, right_impure in zip(
+            split.tolist(), n_left.tolist(),
+            (np.count_nonzero(left_counts, axis=1) > 1).tolist(),
+            (np.count_nonzero(right_counts, axis=1) > 1).tolist(),
+        ):
+            b, _, at, count = popped[i]
+            left.append(n_nodes[b])
+            n_nodes[b] += 2
+            if right_impure:
+                stacks[b].append((left[-1] + 1, at + taken, count - taken))
+            if left_impure:
+                stacks[b].append((left[-1], at, taken))
+        left = np.array(left, dtype=np.int64)
+        splits.append((tree[split], node[split], feature, threshold, left))
+        children.append((np.repeat(tree[split], 2), np.stack([left, left + 1], axis=1).ravel(),
+                         np.stack([left_counts, right_counts], axis=1).reshape(-1, n_classes)))
+    offset = np.cumsum(n_nodes) - n_nodes  # tree b's nodes at [offset[b], offset[b] + n_nodes[b])
+    feature = np.full(offset[-1] + n_nodes[-1], -1, dtype=np.int32)
+    threshold = np.zeros(feature.size)
+    left = np.full(feature.size, -1, dtype=np.int32)
+    right = left.copy()
+    counts = np.zeros((feature.size, n_classes), dtype=np.int64)
+    counts[offset] = root_counts
+    for b, at, feature_at, threshold_at, left_at in splits:
+        row = offset[b] + at
+        feature[row], threshold[row] = feature_at, threshold_at
+        left[row], right[row] = left_at, left_at + 1
+    for b, at, counts_at in children:
+        counts[offset[b] + at] = counts_at
+    return [
+        Tree(feature[o : o + k], threshold[o : o + k], left[o : o + k], right[o : o + k],
+             counts[o : o + k], n_oob[b])
+        for b, (o, k) in enumerate(zip(offset.tolist(), n_nodes))
+    ]
 
 
 def fit_forest(
     features: np.ndarray, labels: np.ndarray, n_trees: int = 100, seed: int = 0,
     n_classes: int = len(CLASSES),
 ) -> ForestModel:
-    """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
-    if n == 0:
-        raise ValueError("cannot fit a forest on an empty dataset")
-    if np.unique(labels).size < 2:
+    """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed.
+
+    Trees grow in blocks of FIT_ELEMENTS // features.size trees, at least
+    one, the trees of a block in lockstep.
+    """
+    features, labels = _check_fit_inputs(features, labels, n_trees, n_classes)
+    if np.count_nonzero(np.bincount(labels, minlength=n_classes)) < 2:
         warnings.warn(
             "training data has a single class; the forest will always predict it", stacklevel=2
         )
     n_candidates = max(1, int(math.sqrt(features.shape[1])))
+    columns = _sort_columns(features)
+    per_block = max(1, FIT_ELEMENTS // features.size)
     trees: List[Tree] = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        bootstrap = rng.integers(0, n, size=n)
-        tree = _grow_tree(features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates)
-        tree.n_oob = int(n - np.unique(bootstrap).size)
-        trees.append(tree)
+    for first in range(0, n_trees, per_block):
+        block = range(first, min(first + per_block, n_trees))
+        trees += _grow_block(columns, labels, block, seed, n_classes, n_candidates)
     return stack_trees(trees, n_classes, seed)
 
 
@@ -322,7 +438,7 @@ def _check_nodes(forest: ForestModel) -> None:
     """Reject a node table that predict_batch could not walk to a leaf.
 
     Roots must start at row 0 and increase strictly, so every tree has
-    nodes. _grow_tree numbers both children after their parent, so
+    nodes. fit_forest numbers both children after their parent, so
     requiring that of every internal node, inside its own tree, rules out
     cycles: each walk ends at a leaf. A node is a leaf (-1) or splits on
     one of the N_HANDCRAFTED features.

@@ -1,6 +1,15 @@
-"""Per-reflection reference computations that tests compare the package against."""
+"""Reference computations that tests compare the package against.
+
+The per-reflection object frame, and the forest grown one tree and one
+node at a time.
+"""
 
 import math
+
+import numpy as np
+
+from deepreflecs import forest
+from deepreflecs.preprocess import CLASSES
 
 
 def to_object_frame(refl, pose):
@@ -15,3 +24,100 @@ def to_object_frame(refl, pose):
     c = math.cos(pose.heading)
     s = math.sin(pose.heading)
     return c * dx + s * dy, -s * dx + c * dy
+
+
+def gini_split_score(values, labels, n_classes):
+    """Best (score, threshold) of one feature by weighted Gini; None if unsplittable.
+
+    The threshold is the midpoint of the two values around the cut, or the
+    upper value where the midpoint does not lie strictly above the lower
+    one and at most at the upper one (adjacent doubles, overflow).
+    """
+    order = np.argsort(values, kind="stable")
+    v, y = values[order], labels[order]
+    n = v.size
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    left_counts = np.cumsum(onehot, axis=0)       # counts after taking i+1 items
+    total = left_counts[-1]
+    # candidate cut after position i only where the value actually changes
+    cuts = np.nonzero(v[:-1] < v[1:])[0]
+    if cuts.size == 0:
+        return None
+    nl = (cuts + 1).astype(np.float64)
+    nr = n - nl
+    lc = left_counts[cuts]
+    rc = total - lc
+    gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+    score = (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmin(score))
+    below, above = v[cuts[best]], v[cuts[best] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = 0.5 * (below + above)
+    if not below < threshold <= above:
+        threshold = above
+    return float(score[best]), threshold
+
+
+def grow_tree(features, labels, n_classes, rng, n_candidates):
+    """One tree grown node by node, depth first, left child before right."""
+    feature_col, threshold_col, left_col, right_col, counts_col = [], [], [], [], []
+
+    def new_node(idx):
+        node = len(feature_col)
+        feature_col.append(-1)
+        threshold_col.append(0.0)
+        left_col.append(-1)
+        right_col.append(-1)
+        counts_col.append(np.bincount(labels[idx], minlength=n_classes))
+        return node
+
+    root = new_node(np.arange(labels.size))
+    stack = [(root, np.arange(labels.size))]
+    while stack:
+        node, idx = stack.pop()
+        node_labels = labels[idx]
+        if np.all(node_labels == node_labels[0]):
+            continue  # pure leaf
+        chosen = np.sort(rng.choice(features.shape[1], size=n_candidates, replace=False))
+        best = None
+        for f in chosen:
+            scored = gini_split_score(features[idx, f], node_labels, n_classes)
+            if scored is None:
+                continue
+            score, threshold = scored
+            if best is None or score < best[0]:
+                best = (score, int(f), threshold)
+        if best is None:
+            continue  # candidate features constant; impure leaf by majority
+        _, f, threshold = best
+        goes_left = features[idx, f] < threshold
+        left = new_node(idx[goes_left])
+        right = new_node(idx[~goes_left])
+        feature_col[node], threshold_col[node] = f, threshold
+        left_col[node], right_col[node] = left, right
+        stack.append((right, idx[~goes_left]))
+        stack.append((left, idx[goes_left]))
+
+    return forest.Tree(
+        np.array(feature_col, dtype=np.int32), np.array(threshold_col, dtype=np.float64),
+        np.array(left_col, dtype=np.int32), np.array(right_col, dtype=np.int32),
+        np.stack(counts_col).astype(np.int64),
+    )
+
+
+def fit_forest(features, labels, n_trees=100, seed=0, n_classes=len(CLASSES)):
+    """The forest forest.fit_forest must give bit for bit, one tree and one node at a time."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    n_candidates = max(1, int(math.sqrt(features.shape[1])))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        bootstrap = rng.integers(0, n, size=n)
+        tree = grow_tree(features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates)
+        tree.n_oob = int(n - np.unique(bootstrap).size)
+        trees.append(tree)
+    return forest.stack_trees(trees, n_classes, seed)

@@ -7,6 +7,7 @@ import pytest
 
 from deepreflecs import container, datagen, evaluate, forest, preprocess
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
+import oracles
 
 
 def make_sample(rows, label="car"):
@@ -342,15 +343,23 @@ class TestForestSerialization:
 
 
 @pytest.fixture(scope="module")
-def desk_forests():
-    """Per seed 0, 1 and 2: the desk forest of that seed and the features of every sample."""
+def desk_data():
+    """Per seed 0, 1 and 2: the features of every desk sample, and of the train split with labels."""
     out = {}
     for seed in (0, 1, 2):
         samples = datagen.generate_dataset(datagen.desk_genspec(seed))
         train = preprocess.trackwise_split(samples, seed=seed)[0]
-        labels = [sample.class_index for sample in train]
-        fitted = forest.fit_forest(forest.extract_features(train), labels, seed=seed)
-        out[seed] = fitted, forest.extract_features(samples)
+        labels = np.array([sample.class_index for sample in train])
+        out[seed] = forest.extract_features(samples), forest.extract_features(train), labels
+    return out
+
+
+@pytest.fixture(scope="module")
+def desk_forests(desk_data):
+    """Per seed 0, 1 and 2: the desk forest of that seed and the features of every sample."""
+    out = {}
+    for seed, (features, train_features, train_labels) in desk_data.items():
+        out[seed] = forest.fit_forest(train_features, train_labels, seed=seed), features
     return out
 
 
@@ -459,3 +468,126 @@ class TestStackedWalk:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         np.testing.assert_array_equal(got, fitted.predict_batch(rows))
+
+
+def awkward_table(seed, n_rows=60, n_features=5, n_classes=4):
+    """Ties, duplicate rows, NaN, +-inf, an integer-valued last column; with 3+ columns a constant."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_rows, n_features)).round(1)
+    x[:, -1] = rng.integers(0, 3, size=n_rows)
+    x[rng.random(x.shape) < 0.1] = np.nan
+    x[rng.random(x.shape) < 0.05] = np.inf
+    x[rng.random(x.shape) < 0.05] = -np.inf
+    if n_features > 2:
+        x[:, 0] = 2.5
+    x[n_rows // 2 : n_rows // 2 + 6] = x[:6]
+    return x, rng.integers(0, n_classes, size=n_rows)
+
+
+def assert_matches_reference(features, labels, **kwargs):
+    """fit_forest writes the file of the one-tree, one-node-at-a-time reference grower."""
+    fitted = forest.fit_forest(features, labels, **kwargs)
+    expected = oracles.fit_forest(features, labels, **kwargs)
+    assert forest.serialize(fitted) == forest.serialize(expected)
+    return fitted
+
+
+def assert_children_hold_rows(fitted):
+    """Every internal node's children both hold rows, and together hold the node's."""
+    internal = np.flatnonzero(fitted.feature >= 0)
+    left, right = fitted.counts[fitted.left[internal]], fitted.counts[fitted.right[internal]]
+    assert (left.sum(axis=1) > 0).all() and (right.sum(axis=1) > 0).all()
+    np.testing.assert_array_equal(left + right, fitted.counts[internal])
+
+
+class TestLockstepGrower:
+    """fit_forest grows blocks of trees in lockstep; oracles.fit_forest is its reference."""
+
+    def test_fitting_the_desk_train_split_peaks_under_4_mb(self, desk_data):
+        import tracemalloc
+
+        _, features, labels = desk_data[0]
+        tracemalloc.start()
+        try:
+            fitted = forest.fit_forest(features, labels, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert forest.count_nodes(fitted) == 5362
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_forest_matches_the_reference(self, desk_data, desk_forests, seed):
+        _, features, labels = desk_data[seed]
+        expected = oracles.fit_forest(features, labels, seed=seed)
+        assert forest.serialize(desk_forests[seed][0]) == forest.serialize(expected)
+        assert_children_hold_rows(desk_forests[seed][0])
+
+    @pytest.mark.parametrize("n_classes", [2, 4, 6])
+    @pytest.mark.parametrize("n_features", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_awkward_tables_match_the_reference(self, seed, n_features, n_classes):
+        x, y = awkward_table(seed, n_features=n_features, n_classes=n_classes)
+        fitted = assert_matches_reference(x, y, n_trees=6, seed=seed, n_classes=n_classes)
+        assert_children_hold_rows(fitted)
+
+    def test_one_and_two_rows_match_the_reference(self):
+        x = np.array([[0.0, 1.0], [1.0, 1.0]])
+        with pytest.warns(UserWarning, match="single class"):
+            assert_matches_reference(x[:1], [1], n_trees=4, seed=3)
+        assert_matches_reference(x, [0, 1], n_trees=4, seed=3)
+
+    def test_single_class_matches_the_reference_and_warns(self):
+        x, _ = awkward_table(4)
+        with pytest.warns(UserWarning, match="single class"):
+            assert_matches_reference(x, np.full(len(x), 3), n_trees=3, seed=0)
+
+    @pytest.mark.parametrize("per_block, n_trees", [(3, 1), (3, 3), (3, 4), (3, 7), (1, 3)])
+    def test_block_edges_match_the_reference(self, monkeypatch, per_block, n_trees):
+        x, y = awkward_table(5)
+        monkeypatch.setattr(forest, "FIT_ELEMENTS", per_block * x.size + x.size - 1)
+        fitted = assert_matches_reference(x, y, n_trees=n_trees, seed=2)
+        assert fitted.roots.size == n_trees
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308), (-np.inf, 0.0), (-np.inf, np.inf)],
+        ids=["adjacent-doubles", "midpoint-overflows", "minus-inf", "both-infinite"],
+    )
+    def test_threshold_parts_the_two_values(self, low, high):
+        # the midpoint of these rounds to low or leaves [low, high]; high is the threshold
+        x = np.array([[low], [low], [high], [high]]).repeat(3, axis=1)
+        y = np.array([0, 0, 1, 1])
+        fitted = assert_matches_reference(x, y, n_trees=5, seed=0, n_classes=2)
+        assert_children_hold_rows(fitted)
+        internal = fitted.feature >= 0
+        assert internal.any() and (fitted.threshold[internal] == high).all()
+        np.testing.assert_array_equal(fitted.predict_batch(x), y)
+
+
+@pytest.mark.parametrize(
+    "features, labels, match",
+    [
+        (np.arange(4.0), [0, 1, 0, 1], "features must be a \\(rows, columns\\) table"),
+        (np.zeros((4, 0)), [0, 1, 0, 1], "features must be a \\(rows, columns\\) table"),
+        (np.zeros((4, 2)), [0, 1, 0], "labels have shape \\(3,\\) for 4 feature rows"),
+        (np.zeros((4, 2)), [[0, 1, 0, 1]], "labels have shape \\(1, 4\\) for 4"),
+        (np.zeros((0, 2)), [], "empty dataset"),
+        (np.zeros((4, 2)), [0, 1, 2.5, 1], "labels must be integral"),
+        (np.zeros((4, 2)), [0, 1, np.nan, 1], "labels must be integral"),
+        (np.zeros((4, 2)), ["a", "b", "a", "b"], "labels must be integral"),
+        (np.zeros((4, 2)), [0, 1, 4, 1], "labels must lie in \\[0, 4\\), got 0 to 4"),
+        (np.zeros((4, 2)), [0, -1, 2, 1], "labels must lie in \\[0, 4\\), got -1 to 2"),
+    ],
+    ids=["one-dimensional", "no-columns", "fewer-labels", "label-table", "empty",
+         "fractional-label", "nan-label", "string-labels", "label-past-classes",
+         "negative-label"],
+)
+def test_bad_fit_input_is_value_error_naming_it(features, labels, match):
+    with pytest.raises(ValueError, match=match):
+        forest.fit_forest(features, labels, n_trees=2)
+
+
+def test_no_trees_is_value_error():
+    with pytest.raises(ValueError, match="n_trees must be at least 1"):
+        forest.fit_forest(np.zeros((4, 2)), [0, 1, 0, 1], n_trees=0)
