@@ -13,6 +13,13 @@ Layout (all integers little-endian):
                          raw element data
     checksum         u32 CRC-32 of every preceding byte
 
+Format version 2 puts 0-7 zero bytes before every data block (the norm
+means, the norm stds and each array's elements), so that each starts at a
+multiple of ALIGN bytes from the start of the file; the views handed back
+are then aligned, and numpy runs its fast loops on them. Version 1 files,
+written without padding, are still read by the same parse with pad length
+0. A nonzero pad byte is a ContainerError.
+
 Learnable parameters are stored as 32-bit floats; normalization statistics
 keep full float64 precision. Loading never returns a partial model: the
 whole payload is parsed and the checksum verified before anything is
@@ -31,7 +38,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # the version written
+READ_VERSIONS = (1, 2)
+ALIGN = 8  # data block alignment from version 2 on, in bytes
 
 _DTYPE_CODES = {
     np.dtype(np.float32): 0,
@@ -98,8 +107,8 @@ def write_container(
         means = np.asarray(norm_stats[0], dtype=np.float64)
         stds = np.asarray(norm_stats[1], dtype=np.float64)
     out += struct.pack("<I", means.size)
-    out += means.astype("<f8").tobytes()
-    out += stds.astype("<f8").tobytes()
+    _append_data(out, means.astype("<f8"))
+    _append_data(out, stds.astype("<f8"))
 
     out += struct.pack("<I", len(arrays))
     for name, array in arrays:
@@ -112,16 +121,23 @@ def write_container(
         out += struct.pack("<B", _DTYPE_CODES[array.dtype])
         out += struct.pack("<I", array.ndim)
         out += struct.pack(f"<{array.ndim}I", *array.shape)
-        out += array.astype(array.dtype.newbyteorder("<")).tobytes()
+        _append_data(out, array.astype(array.dtype.newbyteorder("<")))
 
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
+
+
+def _append_data(out: bytearray, array: np.ndarray) -> None:
+    """Zero bytes up to the next multiple of ALIGN, then the array's raw elements."""
+    out += bytes(-len(out) % ALIGN)
+    out += array.tobytes()
 
 
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.align = 1  # ALIGN once the version says the data blocks are padded
 
     def skip(self, n: int) -> int:
         """Advance past n bytes; returns the offset they start at."""
@@ -144,10 +160,13 @@ class _Reader:
         return struct.unpack("<B", self.take(1))[0]
 
     def array(self, dtype: np.dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        """The next array of this dtype and shape, a read-only view of the file.
+        """The next data block, past its padding, as a read-only view of the file.
 
         Only a big-endian host copies, to swap the byte order.
         """
+        pad_at = self.pos
+        if self.take(-pad_at % self.align).strip(b"\0"):
+            raise ContainerError(f"nonzero padding byte after offset {pad_at}")
         count = math.prod(shape)
         start = self.skip(count * dtype.itemsize)
         little = np.frombuffer(self.data, dtype.newbyteorder("<"), count, start)
@@ -165,11 +184,13 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
             f"expected magic {expected_magic!r}, found {magic!r}"
         )
     version = reader.u32()
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise VersionError(
             f"file format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions {' and '.join(map(str, READ_VERSIONS))})"
         )
+    if version >= 2:
+        reader.align = ALIGN
 
     config_bytes = reader.take(reader.u32())
     try:

@@ -5,7 +5,9 @@ resolution, reflection count, presence of a stationary reflection, mean
 azimuth/RCS/range, the summed object extent in object-frame x and y, and
 interval/variance/std of both range and radial velocity. Variances use
 the population (1/M) convention and std is the square root of the
-variance.
+variance. extract_features computes them in one numpy pass per group of
+objects with the same reflection count, bit for bit as for each object
+alone.
 
 Trees split on Gini impurity over a random sqrt-sized feature subset per
 node and grow to purity on bootstrap draws. fit_forest grows them in
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Annotated, List, NamedTuple, Sequence, Tuple
+from typing import Annotated, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -58,45 +60,60 @@ class FeatureConfig:
     stationary_threshold: float = 0.1
 
 
+def _group_features(tables: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """(G, 13) features of G objects with M reflections each, from their (G, M, 6) tables.
+
+    Each column [x_obj, y_obj, rcs, range, vr, azimuth] of each object
+    becomes one contiguous length-M row, so every sum adds a row in the
+    same pairwise order as a 1-D array of it. Mean and variance are
+    np.mean's and np.var's (population convention) steps: a sum over M,
+    then the squared deviations summed over M.
+    """
+    columns = np.ascontiguousarray(tables.transpose(0, 2, 1))
+    m = columns.shape[2]
+    interval = columns.max(axis=2)
+    interval -= columns.min(axis=2)
+    mean = columns.sum(axis=2, keepdims=True)
+    mean /= m
+    deviation = columns[:, 3:5] - mean[:, 3:5]  # range and vr
+    np.square(deviation, out=deviation)
+    variance = deviation.sum(axis=2)
+    variance /= m
+    out = np.empty((len(columns), N_HANDCRAFTED))
+    out[:, :2] = (config.velocity_resolution, m)
+    out[:, 2] = np.logical_or.reduce(np.abs(columns[:, 4]) < config.stationary_threshold, axis=1)
+    out[:, 3] = mean[:, 5, 0]  # signed mean azimuth
+    out[:, 4:6] = mean[:, 2:4, 0]  # rcs, range
+    out[:, 6] = interval[:, 0] + interval[:, 1]
+    spread = out[:, 7:].reshape(-1, 2, 3)  # [interval, variance, std] of range, then of vr
+    spread[:, :, 0] = interval[:, 3:5]
+    spread[:, :, 1] = variance
+    np.sqrt(variance, out=spread[:, :, 2])
+    return out
+
+
 def extract_handcrafted(
     sample: ObjectSample, config: FeatureConfig = FeatureConfig()
 ) -> np.ndarray:
     """13-vector of handcrafted features for one sample (see FEATURE_NAMES)."""
-    # one contiguous row per column [x_obj, y_obj, rcs, range, vr, azimuth]:
-    # each reduction then sums a row in the same pairwise order as a 1-D array
-    columns = np.ascontiguousarray(reflection_table(sample).T)
-    high = columns.max(axis=1)
-    low = columns.min(axis=1)
-    mean = columns.mean(axis=1)
-    variance = columns.var(axis=1)  # population convention
-    interval = high - low
-    range_variance = float(variance[3])
-    vr_variance = float(variance[4])
-    return np.array(
-        [
-            config.velocity_resolution,
-            float(len(sample.reflections)),
-            1.0 if np.any(np.abs(columns[4]) < config.stationary_threshold) else 0.0,
-            float(mean[5]),  # signed mean azimuth
-            float(mean[2]),
-            float(mean[3]),
-            float(interval[0] + interval[1]),
-            float(interval[3]),
-            range_variance,
-            math.sqrt(range_variance),
-            float(interval[4]),
-            vr_variance,
-            math.sqrt(vr_variance),
-        ]
-    )
+    return _group_features(reflection_table(sample)[None], config)[0]
 
 
 def extract_features(
     samples: Sequence[ObjectSample], config: FeatureConfig = FeatureConfig()
 ) -> np.ndarray:
-    """(N, 13) handcrafted features; (0, 13) for no samples."""
-    rows = [extract_handcrafted(s, config) for s in samples]
-    return np.stack(rows) if rows else np.empty((0, N_HANDCRAFTED))
+    """(N, 13) handcrafted features, one _group_features pass per reflection count.
+
+    Rows come back in input order; (0, 13) for no samples.
+    """
+    tables = [reflection_table(s) for s in samples]
+    groups: Dict[int, List[int]] = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(len(table), []).append(i)
+    out = np.empty((len(tables), N_HANDCRAFTED))
+    for rows in groups.values():
+        out[rows] = _group_features(np.stack([tables[i] for i in rows]), config)
+    return out
 
 
 @dataclass
@@ -153,6 +170,12 @@ class ForestModel:
         step; a walk that reaches a leaf stays there and drops out.
         """
         features = np.asarray(features, dtype=np.float64)
+        needed = int(self.feature.max(initial=-1)) + 1  # the forest splits on column needed - 1
+        if features.ndim != 2 or features.shape[1] < needed:
+            raise ValueError(
+                f"features have shape {features.shape}; this forest needs a "
+                f"(samples, columns) table of at least {needed} columns"
+            )
         n_trees, n_classes = self.roots.size, self.n_classes
         out = np.empty(len(features), dtype=np.int64)
         for start in range(0, len(features), BLOCK):

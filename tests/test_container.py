@@ -143,3 +143,60 @@ def test_read_copies_no_array():
         tracemalloc.stop()
     np.testing.assert_array_equal(parsed.arrays["w"], weights)
     assert peak < 0.1 * weights.nbytes
+
+
+def v1_blob():
+    """A version-1 file packed by hand: no padding before any data block."""
+    config = b'{"alpha": 1}'
+    arrays = [
+        ("w", 0, np.array([[1.5, -2.0, 0.25]], dtype=np.float32)),
+        ("ids", 3, np.array([7, -1], dtype=np.int64)),
+    ]
+    body = b"TEST" + struct.pack("<II", 1, len(config)) + config
+    body += struct.pack("<Idd", 1, 0.5, 2.0)
+    body += struct.pack("<I", len(arrays))
+    for name, code, array in arrays:
+        body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<BI", code, array.ndim)
+        body += struct.pack(f"<{array.ndim}I", *array.shape)
+        body += array.astype(array.dtype.newbyteorder("<")).tobytes()
+    return body + struct.pack("<I", zlib.crc32(body)), {name: array for name, _, array in arrays}
+
+
+def test_hand_built_version_1_file_still_loads():
+    blob, arrays = v1_blob()
+    # the norm means sit where a version-2 reader would expect padding
+    assert blob.index(struct.pack("<d", 0.5)) % container.ALIGN != 0
+    parsed = container.read_container(blob, b"TEST")
+    assert parsed.version == 1
+    assert parsed.config == {"alpha": 1}
+    assert parsed.norm_means.tolist() == [0.5] and parsed.norm_stds.tolist() == [2.0]
+    assert parsed.arrays.keys() == arrays.keys()
+    for name, array in arrays.items():
+        assert parsed.arrays[name].dtype == array.dtype
+        np.testing.assert_array_equal(parsed.arrays[name], array)
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_unknown_version_is_version_error(version):
+    blob = bytearray(sample_blob())
+    blob[4:8] = struct.pack("<I", version)
+    with pytest.raises(container.VersionError, match="reads versions 1 and 2"):
+        container.read_container(with_fresh_crc(bytes(blob)), b"TEST")
+
+
+def test_every_data_block_starts_at_an_aligned_offset():
+    blob = sample_blob()
+    parsed = container.read_container(blob, b"TEST")
+    start = np.frombuffer(blob, dtype=np.uint8).ctypes.data
+    for array in [parsed.norm_means, parsed.norm_stds, *parsed.arrays.values()]:
+        assert (array.ctypes.data - start) % container.ALIGN == 0
+        assert array.flags.aligned and not array.flags.writeable
+
+
+def test_nonzero_padding_byte_is_container_error():
+    blob = container.write_container(b"TEST", {}, (np.ones(1), np.ones(1)), [])
+    pad = 4 + 4 + 4 + len(b"{}") + 4  # the norm means start at the next multiple of 8
+    assert pad % container.ALIGN and blob[pad] == 0
+    blob = with_fresh_crc(blob[:pad] + b"\x01" + blob[pad + 1 :])
+    with pytest.raises(container.ContainerError, match="padding"):
+        container.read_container(blob, b"TEST")

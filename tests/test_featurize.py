@@ -100,8 +100,8 @@ EDGE_COUNTS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 400)
 
 
 @st.composite
-def objects(draw):
-    m = draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 400)))
+def objects(draw, counts=st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 400))):
+    m = draw(counts)
     heading = draw(st.floats(-7.0, 7.0))
     px, py = draw(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
     # one scale per column [x, y, rcs, range, vr, azimuth], from 1e-3 to 1e3
@@ -129,6 +129,62 @@ def test_desk_objects_match_the_oracle():
     samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
     assert len(samples) == 1407
     assert_featurization_matches_oracle(samples)
+
+
+@st.composite
+def shared_count_objects(draw):
+    """Up to 12 objects whose reflection counts come from a few shared values, shuffled."""
+    counts = draw(st.lists(
+        st.one_of(st.sampled_from((1, 8, 128, 129)), st.integers(1, 140)),
+        min_size=1, max_size=3, unique=True,
+    ))
+    samples = draw(st.lists(objects(st.sampled_from(counts)), min_size=1, max_size=12))
+    return draw(st.permutations(samples))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_count_objects())
+def test_objects_sharing_a_count_match_the_oracle_in_input_order(samples):
+    # extract_features reduces each group of equal counts as one stacked array
+    expected = np.stack([oracle_handcrafted(s) for s in samples])
+    assert_same_bits(forest.extract_features(samples), expected)
+    assert_same_bits(np.stack([forest.extract_handcrafted(s) for s in samples]), expected)
+
+
+def desk_samples():
+    return datagen.generate_dataset(datagen.desk_genspec(seed=0))
+
+
+def test_desk_featurization_runs_one_pass_per_reflection_count(monkeypatch):
+    samples = desk_samples()
+    passes = []
+    group_features = forest._group_features
+
+    def counted(tables, config):
+        passes.append(tables.shape)
+        return group_features(tables, config)
+
+    monkeypatch.setattr(forest, "_group_features", counted)
+    features = forest.extract_features(samples)
+    counts = {len(s.reflections) for s in samples}
+    assert len(counts) > 20
+    assert sorted(shape[1] for shape in passes) == sorted(counts)
+    assert sum(shape[0] for shape in passes) == len(samples)
+    assert features[:, 1].tolist() == [len(s.reflections) for s in samples]
+
+
+def test_featurizing_the_desk_set_peaks_under_2_mb():
+    import tracemalloc
+
+    samples = desk_samples()
+    tracemalloc.start()
+    try:
+        features = forest.extract_features(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (1407, forest.N_HANDCRAFTED)
+    assert peak < 2 * 2**20
 
 
 def test_reflection_table_columns():

@@ -1,6 +1,7 @@
 """Tests for the handcrafted features and the from-scratch random forest."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -447,6 +448,23 @@ class TestStackedWalk:
         queries[rng.random(queries.shape) < 0.1] = np.inf
         queries[rng.random(queries.shape) < 0.1] = -np.inf
         assert_walk_matches_reference(fitted, queries)
+
+    def test_malformed_feature_table_is_value_error_naming_it(self, desk_forests):
+        fitted, _ = desk_forests[0]
+        needed = int(fitted.feature.max()) + 1
+        assert needed > 5
+        for call, x in [
+            (fitted.predict, np.zeros(5)),  # predicted as the table (1, 5)
+            (fitted.predict_batch, np.zeros(needed)),
+            (fitted.predict_batch, np.zeros((4, needed - 1))),
+            (fitted.predict_batch, np.zeros((2, 1, needed))),
+        ]:
+            shape = np.shape(x) if call == fitted.predict_batch else (1, 5)
+            with pytest.raises(ValueError, match=re.escape(f"{shape}") + f".* {needed} columns"):
+                call(x)
+        wide = np.zeros((2, needed + 3))  # more columns than the forest splits on are fine
+        expected = fitted.predict_batch(wide[:, :needed])
+        np.testing.assert_array_equal(fitted.predict_batch(wide), expected)
 
     def test_empty_batch_is_an_empty_int64_array(self, desk_forests):
         fitted, _ = desk_forests[0]

@@ -317,6 +317,17 @@ def test_evaluating_no_samples_is_dataset_error(magic, tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("magic", sorted(BLOBS))
+def test_every_loaded_array_is_aligned_and_read_only(magic):
+    parsed = container.read_container(BLOBS[magic], magic.encode())
+    arrays = [parsed.norm_means, parsed.norm_stds, *parsed.arrays.values()]
+    if magic == "FRST":  # the forest keeps the parsed views themselves
+        loaded = forest.deserialize(BLOBS[magic])
+        arrays += [getattr(loaded, name) for name in forest._TABLE]
+    for array in arrays:
+        assert array.flags.aligned and not array.flags.writeable
+
+
 @pytest.mark.parametrize("magic", ["GCNN", "RFLN"])
 def test_a_loaded_network_keeps_no_view_of_its_file(magic):
     blob = BLOBS[magic]
