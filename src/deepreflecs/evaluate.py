@@ -28,10 +28,29 @@ class ConfusionMatrix:
     def from_predictions(
         cls, y_true: Sequence[int], y_pred: Sequence[int], n_classes: int
     ) -> "ConfusionMatrix":
-        counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for t, p in zip(y_true, y_pred):
-            counts[t, p] += 1
-        return cls(counts)
+        """One count per (label, prediction) pair, by one bincount.
+
+        Labels and predictions of different lengths, or a class index that
+        is not an integer in [0, n_classes), are a ValueError naming them.
+        """
+        pairs = []
+        for name, values in (("labels", y_true), ("predictions", y_pred)):
+            values = np.asarray(values)
+            if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+                raise ValueError(
+                    f"{name} must be a list of class indices, got shape {values.shape} "
+                    f"of {values.dtype}"
+                )
+            if values.size and (values.min() < 0 or values.max() >= n_classes):
+                raise ValueError(
+                    f"{name} must lie in [0, {n_classes}), got {values.min()} to {values.max()}"
+                )
+            pairs.append(values.astype(np.int64))
+        y_true, y_pred = pairs
+        if y_true.size != y_pred.size:
+            raise ValueError(f"{y_true.size} labels for {y_pred.size} predictions")
+        counts = np.bincount(y_true * n_classes + y_pred, minlength=n_classes * n_classes)
+        return cls(counts.reshape(n_classes, n_classes))
 
 
 def accuracies(cm: ConfusionMatrix) -> Tuple[float, np.ndarray]:

@@ -16,8 +16,10 @@ depth-first node of every tree and scores all their candidate features in
 one numpy pass over columns sorted once per fit. The trees come out bit
 for bit as a grower of one tree and one node at a time makes them
 (tests/oracles.py keeps that grower). They are stacked into one node
-table; prediction walks all trees at once and takes a majority vote of
-per-tree leaf-majority classes, ties broken toward the lowest class index.
+table. predict_batch walks blocks of samples through all trees at once,
+one depth level per step; predict walks one sample through a table of
+each node's next row. Both take a majority vote of per-tree
+leaf-majority classes, ties broken toward the lowest class index.
 """
 
 from __future__ import annotations
@@ -154,21 +156,15 @@ class ForestModel:
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32, an absolute row
     right: np.ndarray      # int32, an absolute row
-    counts: np.ndarray     # (n_nodes, n_classes) int64
+    counts: np.ndarray     # (n_nodes, n_classes) int32 (int64 in older files)
     n_oob: Tuple[int, ...]  # out-of-bag sample count of each tree
     feature_config: FeatureConfig
     n_classes: int
     seed: int
+    depth: int             # steps from a root to the deepest leaf, from a checked table
 
-    def predict(self, x: np.ndarray) -> int:
-        return int(self.predict_batch(np.asarray(x)[None])[0])
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        """Majority vote of the trees' leaf-majority classes, ties to the lowest class.
-
-        Each block of samples walks every tree at once, one depth level per
-        step; a walk that reaches a leaf stays there and drops out.
-        """
+    def _table(self, features) -> np.ndarray:
+        """features as a float64 (samples, columns) table with every column the forest splits on."""
         features = np.asarray(features, dtype=np.float64)
         needed = int(self.feature.max(initial=-1)) + 1  # the forest splits on column needed - 1
         if features.ndim != 2 or features.shape[1] < needed:
@@ -176,6 +172,31 @@ class ForestModel:
                 f"features have shape {features.shape}; this forest needs a "
                 f"(samples, columns) table of at least {needed} columns"
             )
+        return features
+
+    def predict(self, x: np.ndarray) -> int:
+        """predict_batch of the one row x, walked through a step table of its own.
+
+        step holds the row each node sends x to, -1 at a leaf. All trees
+        advance together depth times; a child is always a later row, so
+        the maximum with a leaf's -1 keeps a finished walk in place.
+        """
+        x = self._table(np.asarray(x)[None])[0]
+        node = self.roots
+        if self.depth:  # an all-leaf forest may be asked about a row of no columns
+            step = np.where(x.take(self.feature) < self.threshold, self.left, self.right)
+            for _ in range(self.depth):
+                node = np.maximum(node, step.take(node))
+        votes = self.counts.take(node, axis=0).argmax(axis=1)
+        return int(np.bincount(votes, minlength=self.n_classes).argmax())
+
+    def predict_batch(self, features: np.ndarray) -> np.ndarray:
+        """Majority vote of the trees' leaf-majority classes, ties to the lowest class.
+
+        Each block of samples walks every tree at once, one depth level per
+        step; a walk that reaches a leaf stays there and drops out.
+        """
+        features = self._table(features)
         n_trees, n_classes = self.roots.size, self.n_classes
         out = np.empty(len(features), dtype=np.int64)
         for start in range(0, len(features), BLOCK):
@@ -411,17 +432,31 @@ def fit_forest(
     return stack_trees(trees, n_classes, seed)
 
 
+def _depth(roots, feature, left, right) -> int:
+    """Steps from a root to the deepest leaf of a table whose children are later rows."""
+    level, depth = roots, 0
+    while (level := level[feature.take(level) >= 0]).size:
+        level = np.concatenate([left.take(level), right.take(level)])
+        depth += 1
+    return depth
+
+
 def stack_trees(trees: Sequence[Tree], n_classes: int, seed: int) -> ForestModel:
-    """The forest of these trees, their node arrays stacked into one table."""
+    """The forest of these trees, their node arrays stacked into one table.
+
+    Counts are stored as int32: none exceeds the training rows.
+    """
     sizes = [tree.feature.size for tree in trees]
     roots = np.cumsum([0] + sizes[:-1]).astype(np.int32)
     feature, threshold, left, right, counts = (
         np.concatenate([getattr(tree, name) for tree in trees]) for name in _TABLE[1:]
     )
     shift = np.where(feature >= 0, np.repeat(roots, sizes), 0)  # a leaf keeps -1
+    left, right = left + shift, right + shift
     return ForestModel(
-        roots, feature, threshold, left + shift, right + shift, counts,
+        roots, feature, threshold, left, right, counts.astype(np.int32),
         tuple(tree.n_oob for tree in trees), FeatureConfig(), n_classes, seed,
+        _depth(roots, feature, left, right),
     )
 
 
@@ -457,26 +492,29 @@ def serialize(forest: ForestModel) -> bytes:
     return container.write_container(MAGIC, asdict(config), None, arrays)
 
 
-def _check_nodes(forest: ForestModel) -> None:
-    """Reject a node table that predict_batch could not walk to a leaf.
+def _check_nodes(roots, feature, left, right) -> None:
+    """Reject a node table that predict or predict_batch could not walk to a leaf.
 
     Roots must start at row 0 and increase strictly, so every tree has
     nodes. fit_forest numbers both children after their parent, so
     requiring that of every internal node, inside its own tree, rules out
     cycles: each walk ends at a leaf. A node is a leaf (-1) or splits on
-    one of the N_HANDCRAFTED features.
+    one of the N_HANDCRAFTED features, and a leaf's child pointers are -1,
+    as predict's step table reads them.
     """
-    roots, feature, n = forest.roots, forest.feature, forest.feature.size
+    n = feature.size
     if roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
         raise container.ContainerError(f"tree roots must start at 0 and increase below {n}")
     node = np.arange(n)
     tree_of = np.searchsorted(roots, node, side="right") - 1
-    children = np.stack([forest.left, forest.right])
+    children = np.stack([left, right])
     later = ((children > node) & (children < np.append(roots[1:], n)[tree_of])).all(axis=0)
     for bad, problem in (
         ((feature < -1) | (feature >= N_HANDCRAFTED),
          f"a feature index is outside [-1, {N_HANDCRAFTED})"),
         ((feature >= 0) & ~later, "a child pointer does not lead to a later node of its tree"),
+        ((feature == -1) & (children != -1).any(axis=0),
+         "a leaf has a child pointer other than -1"),
     ):
         if bad.any():
             raise container.ContainerError(f"tree {tree_of[np.argmax(bad)]}: {problem}")
@@ -489,9 +527,10 @@ def deserialize(data: bytes) -> ForestModel:
     n = np.size(parsed.arrays.get("feature", []))
     specs = [(cfg.n_trees,), (n,), (n,), (n,), (n,), (n, cfg.n_classes)]
     container.check_contents(parsed, dict(zip(_TABLE, zip(specs, "iifiii"))), n_stats=0)
-    forest = ForestModel(
-        *(parsed.arrays[name] for name in _TABLE), cfg.oob or (0,) * cfg.n_trees,
+    roots, feature, threshold, left, right, counts = (parsed.arrays[name] for name in _TABLE)
+    _check_nodes(roots, feature, left, right)
+    return ForestModel(
+        roots, feature, threshold, left, right, counts, cfg.oob or (0,) * cfg.n_trees,
         FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold), cfg.n_classes, cfg.seed,
+        _depth(roots, feature, left, right),
     )
-    _check_nodes(forest)
-    return forest

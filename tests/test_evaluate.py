@@ -62,6 +62,41 @@ class TestAccuracies:
         assert total == recomputed
 
 
+class TestConfusionFromPredictions:
+    @pytest.mark.parametrize("n_classes", [1, 2, 4, 7])
+    def test_counts_equal_a_pair_by_pair_tally(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        y_true = rng.integers(0, n_classes, size=500)
+        y_pred = rng.integers(0, n_classes, size=500)
+        expected = np.zeros((n_classes, n_classes), dtype=np.int64)
+        for t, p in zip(y_true.tolist(), y_pred.tolist()):
+            expected[t, p] += 1
+        cm = evaluate.ConfusionMatrix.from_predictions(list(y_true), y_pred, n_classes)
+        assert cm.counts.dtype == np.int64
+        np.testing.assert_array_equal(cm.counts, expected)
+
+    def test_no_samples_give_a_zero_matrix(self):
+        cm = evaluate.ConfusionMatrix.from_predictions([], np.zeros(0, dtype=np.int64), 3)
+        np.testing.assert_array_equal(cm.counts, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, match",
+        [
+            ([0, 1, 2], [0, 1], "3 labels for 2 predictions"),
+            ([0, 1], [0, 1, 2], "2 labels for 3 predictions"),
+            ([0, 4, 1], [0, 1, 1], r"labels must lie in \[0, 4\), got 0 to 4"),
+            ([0, 1, 1], [0, -1, 1], r"predictions must lie in \[0, 4\), got -1 to 1"),
+            ([0, 1.0], [0, 1], "labels must be a list of class indices"),
+            ([0, 1], [[0, 1]], "predictions must be a list of class indices"),
+        ],
+        ids=["fewer-predictions", "fewer-labels", "label-past-classes", "negative-prediction",
+             "float-label", "prediction-table"],
+    )
+    def test_bad_pairs_are_value_error_naming_them(self, y_true, y_pred, match):
+        with pytest.raises(ValueError, match=match):
+            evaluate.ConfusionMatrix.from_predictions(y_true, y_pred, 4)
+
+
 class TestMetricsReport:
     def test_json_round_shape(self):
         report = evaluate.MetricsReport.from_predictions([0, 1, 2, 3], [0, 1, 2, 2], 4)

@@ -265,11 +265,14 @@ class TestForestSerialization:
             ("roots", lambda a, r: a[:1], "'roots' has shape"),
             ("right", lambda a, r: np.where(np.arange(a.size) == 0, r["roots"][1], a),
              "tree 0: a child"),
+            ("left", lambda a, r: np.where(a == -1, 0, a), "tree 0: a leaf has a child"),
+            ("right", lambda a, r: np.where(a == -1, a.size - 1, a), "tree 0: a leaf has a child"),
         ],
         ids=["child-points-back", "child-past-end", "counts-shape", "counts-dtype",
              "feature-dtype", "threshold-shape", "feature-index-13", "nan-threshold",
              "feature-index-below-leaf", "roots-not-from-0", "roots-not-increasing",
-             "root-past-the-table", "roots-size-not-n-trees", "child-in-next-tree"],
+             "root-past-the-table", "roots-size-not-n-trees", "child-in-next-tree",
+             "leaf-left-not-minus-1", "leaf-right-in-the-table"],
     )
     def test_malformed_tree_is_container_error(self, name, edit, match):
         x = np.arange(6, dtype=np.float64)[:, None]
@@ -282,6 +285,19 @@ class TestForestSerialization:
         blob = container.write_container(forest.MAGIC, parsed.config, None, list(arrays.items()))
         with pytest.raises(container.ContainerError, match=match):
             forest.deserialize(blob)
+
+    def test_int64_counts_file_loads_and_predicts_alike(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(80, 5))
+        fitted = forest.fit_forest(x, rng.integers(0, 4, size=80), n_trees=6, seed=1)
+        assert fitted.counts.dtype == np.int32
+        parsed = container.read_container(forest.serialize(fitted), forest.MAGIC)
+        arrays = {**parsed.arrays, "counts": parsed.arrays["counts"].astype(np.int64)}
+        blob = container.write_container(forest.MAGIC, parsed.config, None, list(arrays.items()))
+        loaded = forest.deserialize(blob)
+        assert loaded.counts.dtype == np.int64 and loaded.depth == fitted.depth
+        np.testing.assert_array_equal(loaded.counts, fitted.counts)
+        assert_walk_matches_reference(loaded, rng.normal(size=(100, 5)))
 
     def test_per_tree_layout_file_is_container_error_naming_the_table(self):
         x = np.arange(6, dtype=np.float64)[:, None]
@@ -374,8 +390,39 @@ def stump(feature, threshold, left_counts, right_counts):
     )
 
 
+def chain(depth):
+    """A chain of depth splits on column 0.
+
+    Split i sends x < i + 0.5 to a leaf of class i % 3; x past every split ends at class 2.
+    """
+    n = 2 * depth + 1
+    split = np.arange(0, n - 1, 2)
+    feature = np.full(n, -1, dtype=np.int32)
+    feature[split] = 0
+    threshold = np.zeros(n)
+    threshold[split] = np.arange(depth) + 0.5
+    left, right = np.full(n, -1, dtype=np.int32), np.full(n, -1, dtype=np.int32)
+    left[split], right[split] = split + 1, split + 2
+    counts = np.zeros((n, 3), dtype=np.int64)
+    counts[split + 1, np.arange(depth) % 3] = 1
+    counts[-1, -1] = 1
+    return forest.Tree(feature, threshold, left, right, counts)
+
+
+def leaf(counts):
+    return forest.Tree(
+        feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+        left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
+        counts=np.array([counts], dtype=np.int64),
+    )
+
+
 class TestStackedWalk:
-    """predict_batch walks every tree at once; Tree.predict_one is its per-sample reference."""
+    """predict_batch and predict against their per-sample reference, Tree.predict_one.
+
+    predict_batch walks blocks of rows through every tree at once, one level
+    per step; predict walks one row through a step table of each node's next row.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_desk_forest_matches_the_reference_on_every_sample(self, desk_forests, seed):
@@ -470,6 +517,63 @@ class TestStackedWalk:
         fitted, _ = desk_forests[0]
         got = fitted.predict_batch(np.empty((0, forest.N_HANDCRAFTED)))
         assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_tree_deeper_than_20_levels(self):
+        fitted = forest.stack_trees([chain(25), chain(3), chain(22)], n_classes=3, seed=0)
+        loaded = forest.deserialize(forest.serialize(fitted))
+        assert fitted.depth == loaded.depth == 25
+        queries = np.arange(-1.0, 27.0)[:, None] + np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
+        assert_walk_matches_reference(fitted, queries.reshape(-1, 1))
+
+    def test_all_leaf_forest_has_depth_0_and_takes_rows_of_no_columns(self):
+        fitted = forest.stack_trees(
+            [leaf([0, 2, 1]), leaf([1, 0, 3]), leaf([0, 4, 4])], n_classes=3, seed=0
+        )
+        loaded = forest.deserialize(forest.serialize(fitted))
+        for model in (fitted, loaded):
+            assert model.depth == 0
+            assert model.predict(np.zeros(0)) == 1
+            np.testing.assert_array_equal(model.predict_batch(np.zeros((2, 0))), [1, 1])
+        assert_walk_matches_reference(fitted, np.zeros((3, 2)))
+
+    def test_predict_does_not_call_predict_batch(self, desk_forests, monkeypatch):
+        fitted, features = desk_forests[0]
+        expected = fitted.predict_batch(features[:200])
+
+        def refuse(self, features):
+            raise AssertionError("predict_batch called")
+
+        monkeypatch.setattr(forest.ForestModel, "predict_batch", refuse)
+        assert [fitted.predict(x) for x in features[:200]] == expected.tolist()
+
+    def test_predict_keeps_no_memory_on_a_loaded_forest(self, desk_forests):
+        import tracemalloc
+
+        fitted, features = desk_forests[0]
+        blob = forest.serialize(fitted)
+        tracemalloc.start()
+        try:
+            loaded = forest.deserialize(blob)
+            got = [loaded.predict(x) for x in features[:20]]
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 16_000
+        assert got == fitted.predict_batch(features[:20]).tolist()
+
+    def test_predicting_one_desk_row_peaks_under_128_kib(self, desk_forests):
+        import tracemalloc
+
+        fitted, features = desk_forests[0]
+        loaded = forest.deserialize(forest.serialize(fitted))
+        tracemalloc.start()
+        try:
+            got = loaded.predict(features[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**10  # the step table of 5,362 nodes and its operands
+        assert got == fitted.predict_batch(features[:1])[0]
 
     def test_predicting_1400_rows_peaks_under_2_mb(self, desk_forests):
         import tracemalloc
