@@ -34,7 +34,7 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge integer, deep nesting
             raise schema.ConfigError(f"{path} is not readable JSON: {exc}") from exc
 
 

@@ -195,7 +195,7 @@ def read_container(data: bytes, expected_magic: bytes) -> Container:
     config_bytes = reader.take(reader.u32())
     try:
         config = json.loads(config_bytes.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge integer, deep nesting
         raise ContainerError(f"config block is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ContainerError(

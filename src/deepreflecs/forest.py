@@ -13,13 +13,14 @@ Trees split on Gini impurity over a random sqrt-sized feature subset per
 node and grow to purity on bootstrap draws. fit_forest grows them in
 blocks, the trees of a block in lockstep: each step takes the next
 depth-first node of every tree and scores all their candidate features in
-one numpy pass over columns sorted once per fit. The trees come out bit
-for bit as a grower of one tree and one node at a time makes them
-(tests/oracles.py keeps that grower). They are stacked into one node
-table. predict_batch walks blocks of samples through all trees at once,
-one depth level per step; predict walks one sample through a table of
-each node's next row. Both take a majority vote of per-tree
-leaf-majority classes, ties broken toward the lowest class index.
+one numpy pass over columns sorted once per fit, and the block writes its
+trees' rows of the forest's one node table. The trees come out bit for
+bit as a grower of one tree and one node at a time makes them
+(tests/oracles.py keeps that grower, and stack_trees for per-tree arrays).
+predict_batch walks blocks of samples through all trees at once, one
+depth level per step; predict walks one sample through a table of each
+node's next row. Both take a majority vote of per-tree leaf-majority
+classes, ties broken toward the lowest class index.
 """
 
 from __future__ import annotations
@@ -120,18 +121,18 @@ def extract_features(
 
 @dataclass
 class Tree:
-    """One decision tree as flat node arrays (node 0 is the root).
+    """One decision tree as flat node arrays (node 0 is the root); no package code builds one.
 
-    feature[i] == -1 marks a leaf; counts[i] holds the class histogram of
-    the training samples that reached node i.
+    predict_one is the per-tree reference walk tests compare ForestModel's
+    walks against, and a span perfbench traces. feature[i] == -1 marks a
+    leaf; counts[i] holds the class histogram of the samples that reached node i.
     """
 
     feature: np.ndarray    # int32
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32
     right: np.ndarray      # int32
-    counts: np.ndarray     # (n_nodes, n_classes) int64
-    n_oob: int = 0         # out-of-bag sample count of the bootstrap draw
+    counts: np.ndarray     # (n_nodes, n_classes)
 
     def predict_one(self, x: np.ndarray) -> int:
         node = 0
@@ -149,7 +150,7 @@ _TABLE = ("roots", "feature", "threshold", "left", "right", "counts")  # ForestM
 
 @dataclass
 class ForestModel:
-    """All trees as one table of Tree's node columns; tree t owns rows roots[t] to roots[t + 1]."""
+    """All trees as one node table; tree t owns rows roots[t] to roots[t + 1]."""
 
     roots: np.ndarray      # (n_trees,) int32
     feature: np.ndarray    # (n_nodes,) int32, -1 at leaves
@@ -198,6 +199,7 @@ class ForestModel:
         """
         features = self._table(features)
         n_trees, n_classes = self.roots.size, self.n_classes
+        leaf_class = self.counts.argmax(axis=1)  # ties -> lowest class index
         out = np.empty(len(features), dtype=np.int64)
         for start in range(0, len(features), BLOCK):
             x = features[start : start + BLOCK]
@@ -210,7 +212,7 @@ class ForestModel:
                 walking, at, feature = walking[internal], at[internal], feature[internal]
                 goes_left = x[walking // n_trees, feature] < self.threshold.take(at)  # NaN: right
                 node[walking] = np.where(goes_left, self.left.take(at), self.right.take(at))
-            votes = self.counts[node].argmax(axis=1) + np.arange(node.size) // n_trees * n_classes
+            votes = leaf_class.take(node) + np.arange(node.size) // n_trees * n_classes
             tally = np.bincount(votes, minlength=len(x) * n_classes).reshape(len(x), n_classes)
             out[start : start + len(x)] = tally.argmax(axis=1)
         return out
@@ -339,8 +341,8 @@ def _split_nodes(
 
 def _grow_block(
     columns: _Columns, labels: np.ndarray, tree_ids: range, seed: int, n_classes: int,
-    n_candidates: int,
-) -> List[Tree]:
+    n_candidates: int, first_row: int,
+) -> Tuple[np.ndarray, ...]:
     """Trees tree_ids grown in lockstep: each step splits the next depth-first node of every tree.
 
     Tree t draws its bootstrap and, at each impure node, its candidate
@@ -348,6 +350,8 @@ def _grow_block(
     would. members holds the bootstrap rows of tree b at [b * n, (b + 1) * n);
     a node owns a contiguous range of it, its left child the head and its
     right child the tail. A node's children are numbered when it splits.
+    Returns the block's rows of the forest table, _TABLE's columns with child
+    rows counted from the forest's first row, and each tree's out-of-bag count.
     """
     n, n_trees = labels.size, len(tree_ids)
     n_features = columns.row.size // n
@@ -391,21 +395,17 @@ def _grow_block(
     offset = np.cumsum(n_nodes) - n_nodes  # tree b's nodes at [offset[b], offset[b] + n_nodes[b])
     feature = np.full(offset[-1] + n_nodes[-1], -1, dtype=np.int32)
     threshold = np.zeros(feature.size)
-    left = np.full(feature.size, -1, dtype=np.int32)
-    right = left.copy()
-    counts = np.zeros((feature.size, n_classes), dtype=np.int64)
+    left, right = np.full((2, feature.size), -1, dtype=np.int32)
+    counts = np.zeros((feature.size, n_classes), dtype=np.int32)  # none exceeds the rows
     counts[offset] = root_counts
     for b, at, feature_at, threshold_at, left_at in splits:
-        row = offset[b] + at
+        row, child = offset[b] + at, first_row + offset[b] + left_at  # child: a forest row
         feature[row], threshold[row] = feature_at, threshold_at
-        left[row], right[row] = left_at, left_at + 1
+        left[row], right[row] = child, child + 1
     for b, at, counts_at in children:
         counts[offset[b] + at] = counts_at
-    return [
-        Tree(feature[o : o + k], threshold[o : o + k], left[o : o + k], right[o : o + k],
-             counts[o : o + k], n_oob[b])
-        for b, (o, k) in enumerate(zip(offset.tolist(), n_nodes))
-    ]
+    roots = (first_row + offset).astype(np.int32)
+    return roots, feature, threshold, left, right, counts, np.array(n_oob)
 
 
 def fit_forest(
@@ -415,7 +415,8 @@ def fit_forest(
     """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed.
 
     Trees grow in blocks of FIT_ELEMENTS // features.size trees, at least
-    one, the trees of a block in lockstep.
+    one, the trees of a block in lockstep. Each block writes its rows of
+    the forest's node table; the block tables are joined once at the end.
     """
     features, labels = _check_fit_inputs(features, labels, n_trees, n_classes)
     if np.count_nonzero(np.bincount(labels, minlength=n_classes)) < 2:
@@ -425,11 +426,14 @@ def fit_forest(
     n_candidates = max(1, int(math.sqrt(features.shape[1])))
     columns = _sort_columns(features)
     per_block = max(1, FIT_ELEMENTS // features.size)
-    trees: List[Tree] = []
+    blocks, n_rows = [], 0
     for first in range(0, n_trees, per_block):
         block = range(first, min(first + per_block, n_trees))
-        trees += _grow_block(columns, labels, block, seed, n_classes, n_candidates)
-    return stack_trees(trees, n_classes, seed)
+        blocks.append(_grow_block(columns, labels, block, seed, n_classes, n_candidates, n_rows))
+        n_rows += blocks[-1][1].size
+    roots, feature, threshold, left, right, counts, n_oob = map(np.concatenate, zip(*blocks))
+    return ForestModel(roots, feature, threshold, left, right, counts, tuple(n_oob.tolist()),
+                       FeatureConfig(), n_classes, seed, _depth(roots, feature, left, right))
 
 
 def _depth(roots, feature, left, right) -> int:
@@ -439,25 +443,6 @@ def _depth(roots, feature, left, right) -> int:
         level = np.concatenate([left.take(level), right.take(level)])
         depth += 1
     return depth
-
-
-def stack_trees(trees: Sequence[Tree], n_classes: int, seed: int) -> ForestModel:
-    """The forest of these trees, their node arrays stacked into one table.
-
-    Counts are stored as int32: none exceeds the training rows.
-    """
-    sizes = [tree.feature.size for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1]).astype(np.int32)
-    feature, threshold, left, right, counts = (
-        np.concatenate([getattr(tree, name) for tree in trees]) for name in _TABLE[1:]
-    )
-    shift = np.where(feature >= 0, np.repeat(roots, sizes), 0)  # a leaf keeps -1
-    left, right = left + shift, right + shift
-    return ForestModel(
-        roots, feature, threshold, left, right, counts.astype(np.int32),
-        tuple(tree.n_oob for tree in trees), FeatureConfig(), n_classes, seed,
-        _depth(roots, feature, left, right),
-    )
 
 
 def count_nodes(forest: ForestModel) -> int:

@@ -297,7 +297,7 @@ def _record_to_sample(record: dict, line: int) -> ObjectSample:
         )
     except KeyError as exc:
         raise DatasetError(f"missing field {exc}", line) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         if isinstance(exc, DatasetError):
             raise DatasetError(str(exc), line) from exc
         raise DatasetError(f"bad value: {exc}", line) from exc
@@ -336,7 +336,7 @@ def read_dataset(
                 if not line:
                     continue
                 record = json.loads(line)
-            except ValueError as exc:  # also bad UTF-8 or an integer too long to convert
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, a huge integer, deep nesting
                 raise DatasetError(f"invalid JSON: {exc}", lineno) from exc
             sample = _record_to_sample(record, lineno)
             if range_cutoff is not None:

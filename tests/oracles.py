@@ -1,7 +1,7 @@
 """Reference computations that tests compare the package against.
 
-The per-reflection object frame, and the forest grown one tree and one
-node at a time.
+The per-reflection object frame, the forest grown one tree and one node
+at a time, and the stacking of per-tree node arrays into a forest.
 """
 
 import math
@@ -113,11 +113,40 @@ def fit_forest(features, labels, n_trees=100, seed=0, n_classes=len(CLASSES)):
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
     n_candidates = max(1, int(math.sqrt(features.shape[1])))
-    trees = []
+    trees, n_oob = [], []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
         tree = grow_tree(features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates)
-        tree.n_oob = int(n - np.unique(bootstrap).size)
         trees.append(tree)
-    return forest.stack_trees(trees, n_classes, seed)
+        n_oob.append(int(n - np.unique(bootstrap).size))
+    return stack_trees(trees, n_classes, seed, n_oob)
+
+
+def tree_depth(tree):
+    """Steps from the root to the deepest leaf of a tree whose children follow their parent."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+def stack_trees(trees, n_classes, seed, n_oob=None):
+    """The forest of these trees, their node arrays stacked into one table.
+
+    Each tree's child rows shift by the row its root lands on, and a
+    leaf keeps -1. Counts are stored as int32, as fit_forest stores them;
+    n_oob defaults to zeros.
+    """
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1]).astype(np.int32)
+    feature, threshold, left, right, counts = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "counts")
+    )
+    shift = np.where(feature >= 0, np.repeat(roots, sizes), 0)
+    return forest.ForestModel(
+        roots, feature, threshold, left + shift, right + shift, counts.astype(np.int32),
+        tuple(n_oob or [0] * len(trees)), forest.FeatureConfig(), n_classes, seed,
+        max(tree_depth(tree) for tree in trees),
+    )

@@ -239,8 +239,9 @@ class TestErrorSurface:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"train": {"epochs": 2', b'{"seed": ' + b"9" * 5000 + b"}", b'\xff{"train": {}}'],
-        ids=["truncated", "integer-too-long", "not-utf8"],
+        [b'{"train": {"epochs": 2', b'{"seed": ' + b"9" * 5000 + b"}", b'\xff{"train": {}}',
+         b"[" * 200_000],
+        ids=["truncated", "integer-too-long", "not-utf8", "nested-too-deep"],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -264,6 +265,24 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 200_000, json.dumps({
+            "track_id": "t", "class": "car", "pose": {"x": 10**400, "y": 0, "heading": 0},
+            "reflections": [{"x": 1, "y": 0, "rcs": 0, "range": 1, "vr": 0, "azimuth": 0}],
+        })],
+        ids=["nested-too-deep", "number-too-large-for-a-float"],
+    )
+    def test_hostile_dataset_line_is_dataset_error_naming_it(self, line, dataset, capsys):
+        with open(dataset, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        n_lines = len(Path(dataset).read_text().splitlines())
+        assert cli.main(["benchmark", "--data", dataset, "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["error"] == "DatasetError"
+        assert f"line {n_lines}" in payload["message"]
 
     def test_bad_dataset_line_number_in_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

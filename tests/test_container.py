@@ -90,14 +90,25 @@ def test_config_that_is_not_an_object_is_container_error():
         container.read_container(blob, b"TEST")
 
 
-def test_config_with_an_integer_too_long_to_read_is_container_error():
-    # json.loads refuses an integer of more than 4,300 digits with a bare ValueError
+def with_config_block(config: bytes) -> bytes:
+    """A checksum-valid file whose config block holds these bytes."""
     blob = container.write_container(b"TEST", {"a": 1}, None, [])
     at = blob.index(b'{"a": 1}')
-    config = b'{"a": ' + b"1" * 5000 + b"}"
-    blob = blob[: at - 4] + struct.pack("<I", len(config)) + config + blob[at + 8 :]
+    return with_fresh_crc(blob[: at - 4] + struct.pack("<I", len(config)) + config + blob[at + 8 :])
+
+
+def test_config_with_an_integer_too_long_to_read_is_container_error():
+    # json.loads refuses an integer of more than 4,300 digits with a bare ValueError
+    blob = with_config_block(b'{"a": ' + b"1" * 5000 + b"}")
     with pytest.raises(container.ContainerError, match="not valid JSON"):
-        container.read_container(with_fresh_crc(blob), b"TEST")
+        container.read_container(blob, b"TEST")
+
+
+def test_deeply_nested_config_is_container_error():
+    # json.loads hits the interpreter's recursion limit on 200,000 nested arrays
+    blob = with_config_block(b'{"a": ' + b"[" * 200_000 + b"}")
+    with pytest.raises(container.ContainerError, match="not valid JSON"):
+        container.read_container(blob, b"TEST")
 
 
 def test_non_utf8_array_name_is_container_error():

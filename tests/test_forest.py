@@ -194,11 +194,11 @@ def make_stump():
 
 class TestCountNodes:
     def test_stump_has_three_nodes(self):
-        stump_forest = forest.stack_trees([make_stump()], n_classes=2, seed=0)
+        stump_forest = oracles.stack_trees([make_stump()], n_classes=2, seed=0)
         assert forest.count_nodes(stump_forest) == 3
 
     def test_hundred_stumps(self):
-        stump_forest = forest.stack_trees([make_stump() for _ in range(100)], n_classes=2, seed=0)
+        stump_forest = oracles.stack_trees([make_stump() for _ in range(100)], n_classes=2, seed=0)
         assert forest.count_nodes(stump_forest) == 300
         np.testing.assert_array_equal(stump_forest.roots, np.arange(0, 300, 3))
         np.testing.assert_array_equal(stump_forest.left[3:6], [4, -1, -1])
@@ -446,7 +446,7 @@ class TestStackedWalk:
     def test_tied_stumps(self):
         # x < 0.5: classes 2 and 1 tie; otherwise 0 and 2 tie; a leaf tied 2:2 votes class 1
         trees = [stump(0, 0.5, [0, 0, 3], [1, 0, 0]), stump(0, 0.5, [0, 3, 0], [0, 2, 2])]
-        fitted = forest.stack_trees(trees, n_classes=3, seed=0)
+        fitted = oracles.stack_trees(trees, n_classes=3, seed=0)
         x = np.array([[0.0], [1.0]])
         np.testing.assert_array_equal(fitted.predict_batch(x), [1, 0])
         assert_walk_matches_reference(fitted, x)
@@ -482,7 +482,7 @@ class TestStackedWalk:
         np.testing.assert_array_equal(fitted.predict_batch(queries), blockwise)
 
     def test_non_finite_features_go_right(self):
-        fitted = forest.stack_trees([stump(0, 0.5, [3, 0], [0, 3])], n_classes=2, seed=0)
+        fitted = oracles.stack_trees([stump(0, 0.5, [3, 0], [0, 3])], n_classes=2, seed=0)
         x = np.array([[np.nan], [np.inf], [-np.inf], [0.0], [0.5]])
         np.testing.assert_array_equal(fitted.predict_batch(x), [1, 1, 0, 0, 1])
         assert_walk_matches_reference(fitted, x)
@@ -519,14 +519,14 @@ class TestStackedWalk:
         assert got.shape == (0,) and got.dtype == np.int64
 
     def test_tree_deeper_than_20_levels(self):
-        fitted = forest.stack_trees([chain(25), chain(3), chain(22)], n_classes=3, seed=0)
+        fitted = oracles.stack_trees([chain(25), chain(3), chain(22)], n_classes=3, seed=0)
         loaded = forest.deserialize(forest.serialize(fitted))
         assert fitted.depth == loaded.depth == 25
         queries = np.arange(-1.0, 27.0)[:, None] + np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
         assert_walk_matches_reference(fitted, queries.reshape(-1, 1))
 
     def test_all_leaf_forest_has_depth_0_and_takes_rows_of_no_columns(self):
-        fitted = forest.stack_trees(
+        fitted = oracles.stack_trees(
             [leaf([0, 2, 1]), leaf([1, 0, 3]), leaf([0, 4, 4])], n_classes=3, seed=0
         )
         loaded = forest.deserialize(forest.serialize(fitted))

@@ -354,6 +354,22 @@ def test_model_of_another_class_count_is_named_error(n_classes, dataset, tmp_pat
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("magic", sorted(BLOBS))
+def test_model_with_a_deeply_nested_config_is_named_error(magic, dataset, tmp_path, capsys):
+    # a checksum-valid file whose config block nests 200,000 arrays
+    blob = BLOBS[magic]
+    config = b'{"a": ' + b"[" * 200_000 + b"}"
+    payload = blob[:8] + struct.pack("<I", len(config)) + config
+    payload += blob[12 + struct.unpack_from("<I", blob, 8)[0] : -4]
+    model_path = tmp_path / "model.bin"
+    model_path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    code, captured = run_cli(["eval", "--model", str(model_path), "--data", dataset], capsys)
+    assert code == 1
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "ContainerError" and "config block" in error["message"]
+    assert captured.out == ""
+
+
 SAMPLE = datagen.generate_dataset(
     datagen.GenSpec(tracks_per_class={"car": 1}, samples_per_track=(1, 1), seed=2)
 )[0]

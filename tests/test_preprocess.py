@@ -358,3 +358,75 @@ class TestDatasetIO:
         assert [s.track_id for s in kept] == ["near"]
         both = preprocess.read_dataset(str(path), range_cutoff=None)
         assert len(both) == 2
+
+    def test_deep_nesting_reports_line(self, tmp_path):
+        # json.loads hits the interpreter's recursion limit on 200,000 nested arrays
+        path = tmp_path / "data.jsonl"
+        preprocess.write_dataset([one_sample()], str(path))
+        path.write_text(path.read_text() + "[" * 200_000 + "\n")
+        with pytest.raises(DatasetError, match="line 2"):
+            preprocess.read_dataset(str(path))
+
+    @pytest.mark.parametrize("where", ["pose", "reflection"])
+    def test_number_too_large_for_a_float_reports_line(self, tmp_path, where):
+        # 10**400 reads as a Python int, and float() of it overflows
+        path = tmp_path / "data.jsonl"
+        preprocess.write_dataset([one_sample(), one_sample()], str(path))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        (record["pose"] if where == "pose" else record["reflections"][1])["x"] = 10**400
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 2"):
+            preprocess.read_dataset(str(path))
+
+
+HOSTILE_VALUES = [
+    None, True, 0, -1, 1.5, float("nan"), float("inf"), "", "car", "1.5", [], [1.5], {}, {"x": 1},
+    10**400, -(10**400),
+]
+
+
+def fuzzed_lines(line: bytes, rng):
+    """Edits of one valid dataset line: type swaps of every field, nesting, huge numbers, damage."""
+    record = json.loads(line)
+    reflections = record["reflections"]
+    fields = [(record, key) for key in record] + [(record["pose"], key) for key in record["pose"]]
+    for i, reflection in enumerate(reflections):
+        fields += [(reflections, i)] + [(reflection, key) for key in reflection]
+    for holder, key in fields:
+        kept = holder[key]
+        for value in HOSTILE_VALUES:
+            holder[key] = value
+            yield json.dumps(record).encode()
+        holder[key] = "@"
+        nested = ["[" * depth + "]" * depth for depth in (2, 50, 900, 5_000, 200_000)]
+        for text in nested + ["9" * 5_000, "1e400"]:  # an int too long to read; inf
+            yield json.dumps(record).replace('"@"', text).encode()
+        holder[key] = kept
+    for _ in range(100):
+        yield line[: rng.integers(len(line))]
+        flipped = bytearray(line)
+        for at in rng.integers(len(line), size=rng.integers(1, 4)):
+            flipped[at] ^= 1 << int(rng.integers(8))
+        yield bytes(flipped)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuzzed_dataset_lines_load_or_raise_dataset_error(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "data.jsonl"
+    preprocess.write_dataset([one_sample(track=f"t{seed}")], str(path))
+    valid = path.read_bytes().splitlines()[0]
+    outcomes = {"loaded": 0, "error": 0}
+    for edited in fuzzed_lines(valid, rng):
+        path.write_bytes(edited + b"\n" + valid + b"\n")
+        try:
+            samples = preprocess.read_dataset(str(path), range_cutoff=None)
+        except DatasetError as exc:
+            assert exc.line is not None
+            outcomes["error"] += 1
+        else:
+            assert all(isinstance(sample, ObjectSample) for sample in samples)
+            outcomes["loaded"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["error"] > 0
