@@ -25,7 +25,7 @@ from typing import Annotated, Dict, List, Literal, Tuple
 import numpy as np
 
 from . import schema
-from .preprocess import CLASSES, ObjectPose, ObjectSample, Reflection
+from .preprocess import CLASSES, ObjectPose, ObjectSample, reflection_list
 from .schema import ClassName, Range
 
 Span = Annotated[Tuple[float, float], Range(0)]  # an ordered (low, high) pair, both >= 0
@@ -179,19 +179,23 @@ def _object_points(
     pts = np.empty((n, 2))
     if profile.shape == "rectangle":
         # bumpers reflect reliably: the first two points sit at the x extremes
-        pts[0] = (-half_l, rng.uniform(-half_w, half_w))
-        if n > 1:
-            pts[1] = (half_l, rng.uniform(-half_w, half_w))
-        for i in range(min(n, 2), n):
-            t = rng.uniform(0.0, 2.0 * (length + width))
+        ends = min(n, 2)
+        pts[:ends, 0] = (-half_l, half_l)[:ends]
+        pts[:ends, 1] = rng.uniform(-half_w, half_w, size=ends)
+        # the rest lie at a perimeter distance t: right side, front, left side, rear
+        # (at these sizes a Python branch per point beats numpy's selects)
+        rows = []
+        for t in rng.uniform(0.0, 2.0 * (length + width), size=n - ends).tolist():
             if t < length:
-                pts[i] = (t - half_l, -half_w)
+                rows.append((t - half_l, -half_w))
             elif t < length + width:
-                pts[i] = (half_l, t - length - half_w)
+                rows.append((half_l, t - length - half_w))
             elif t < 2 * length + width:
-                pts[i] = (t - 2 * length - width + half_l, half_w)
+                rows.append((t - 2 * length - width + half_l, half_w))
             else:
-                pts[i] = (-half_l, t - 2 * length - 2 * width + half_w)
+                rows.append((-half_l, t - 2 * length - 2 * width + half_w))
+        if rows:
+            pts[ends:] = rows
     elif profile.shape == "ellipse":
         angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
@@ -214,11 +218,19 @@ def _reflection_count(
     lo, hi = profile.reflections_range
     closeness = (start - r) / max(start - stop, 1e-9)
     expected = lo + math.sqrt(max(closeness, 0.0)) * (hi - lo) * rng.uniform(0.7, 1.0)
-    return int(np.clip(round(expected), lo, hi))
+    return min(max(round(expected), lo), hi)
 
 
 def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[ObjectSample]:
-    """All samples of one approach track; deterministic in (class, id, spec)."""
+    """All samples of one approach track; deterministic in (class, id, spec).
+
+    Each sample draws whole arrays, the arithmetic then runs once over the
+    track's reflections. Where a reflection's RCS and vr are both Gaussian,
+    one (n, 2) standard-normal draw feeds both as `loc + scale * z`: the
+    numbers, in the order, numpy's scalar `normal` gives. Limbs and
+    noiseless stationary targets draw a uniform between two normals, whose
+    raw draw counts vary, so they draw one reflection at a time.
+    """
     profile = spec.profiles[class_label]
     rng = _track_rng(spec.seed, track_id)
 
@@ -232,59 +244,68 @@ def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[Objec
     # (object-frame x over the sampled geometries has variance ~ (L/2)^2 / 4)
     vr_gain = 2.0 * profile.vr_corr * vr_sigma
     vr_noise_sigma = vr_sigma * math.sqrt(max(1.0 - profile.vr_corr**2, 0.0))
+    wheels = profile.mover and profile.vr_pattern == "wheels"
+    # the scale of a Gaussian vr; None where a uniform draw gives vr
+    if profile.mover:
+        vr_scale = {"random": vr_sigma, "wheels": vr_noise_sigma}.get(profile.vr_pattern)
+    else:
+        vr_scale = profile.vr_noise or None
 
     n_samples = int(rng.integers(spec.samples_per_track[0], spec.samples_per_track[1] + 1))
     start = rng.uniform(0.85 * spec.start_range, spec.start_range)
     stop = rng.uniform(spec.stop_range, spec.stop_range + 4.0)
     ranges = np.linspace(start, stop, n_samples)
 
-    cos_h, sin_h = math.cos(heading), math.sin(heading)
-    samples: List[ObjectSample] = []
-    for r in ranges:
-        pose = ObjectPose(
-            x=r * math.cos(bearing), y=r * math.sin(bearing), heading=heading
-        )
+    counts: List[int] = []
+    points, normals = [], []
+    rcs: List[float] = []
+    vr: List[float] = []
+    for r in ranges.tolist():
         n = _reflection_count(rng, profile, r, spec.start_range, spec.stop_range)
         pts = _object_points(rng, profile, n, length, width)
         pts += rng.normal(0.0, POSITION_NOISE, size=pts.shape)
-
-        reflections: List[Reflection] = []
-        for x_obj, y_obj in pts:
-            # object frame -> world (rotate by +heading, then translate)
-            xw = pose.x + cos_h * x_obj - sin_h * y_obj
-            yw = pose.y + sin_h * x_obj + cos_h * y_obj
-            rcs = rng.normal(profile.rcs_mean, profile.rcs_spread)
+        counts.append(n)
+        points.append(pts)
+        if vr_scale is not None:
+            normals.append(rng.standard_normal((n, 2)))
+            continue
+        for _ in range(n):
+            rcs.append(rng.normal(profile.rcs_mean, profile.rcs_spread))
             if profile.mover:
-                if profile.vr_pattern == "wheels":
-                    vr = vr_direction * vr_gain * (x_obj / max(length / 2.0, 1e-6))
-                    vr += rng.normal(0.0, vr_noise_sigma)
-                elif profile.vr_pattern == "limbs":
-                    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-                    vr = sign * vr_sigma * rng.uniform(*profile.vr_limb_range)
-                else:
-                    vr = rng.normal(0.0, vr_sigma)
-            elif profile.vr_noise > 0.0:
-                vr = rng.normal(0.0, profile.vr_noise)
+                sign = 1.0 if rng.uniform() < 0.5 else -1.0
+                vr.append(sign * vr_sigma * rng.uniform(*profile.vr_limb_range))
             else:
-                vr = rng.uniform(-0.15, 0.15)
-            reflections.append(
-                Reflection(
-                    x=float(xw),
-                    y=float(yw),
-                    rcs=float(rcs),
-                    range_m=float(math.hypot(xw, yw)),
-                    vr=float(vr),
-                    azimuth=float(math.atan2(yw, xw)),
-                )
-            )
-        samples.append(
-            ObjectSample(
-                track_id=track_id,
-                class_label=class_label,
-                pose=pose,
-                reflections=reflections,
-            )
-        )
+                vr.append(rng.uniform(-0.15, 0.15))
+
+    # the rest is elementwise over the whole track's reflections
+    pts = np.concatenate(points)
+    if vr_scale is not None:
+        # numpy's normal(loc, scale) per column: (rcs, vr) = loc + scale * z
+        z = np.concatenate(normals)
+        signal = np.array([profile.rcs_mean, 0.0]) + np.array([profile.rcs_spread, vr_scale]) * z
+        if wheels:
+            signal[:, 1] += vr_direction * vr_gain * (pts[:, 0] / max(length / 2.0, 1e-6))
+        rcs, vr = signal.T.tolist()
+    # object frame -> world: rotate by +heading, then translate, as
+    # (center + x_obj * (cos, sin)) - y_obj * (sin, -cos)
+    centers = ranges[:, None] * (math.cos(bearing), math.sin(bearing))
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    world = (
+        np.repeat(centers, counts, axis=0)
+        + pts[:, :1] * np.array([cos_h, sin_h])
+        - pts[:, 1:] * np.array([sin_h, -cos_h])
+    )
+    xw, yw = world.T.tolist()
+    reflections = reflection_list(
+        zip(xw, yw, rcs, map(math.hypot, xw, yw), vr, map(math.atan2, yw, xw))
+    )
+
+    samples: List[ObjectSample] = []
+    first = 0
+    for center, n in zip(centers.tolist(), counts):
+        pose = ObjectPose(*center, heading)
+        samples.append(ObjectSample(track_id, class_label, pose, reflections[first:first + n]))
+        first += n
     return samples
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +44,8 @@ class DatasetError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """One radar detection, ego-motion compensated."""
+class Reflection(NamedTuple):
+    """One radar detection, ego-motion compensated; unpacks as a 6-tuple."""
 
     x: float
     y: float
@@ -53,6 +53,14 @@ class Reflection:
     range_m: float
     vr: float
     azimuth: float
+
+
+def reflection_list(rows: Iterable[Sequence[float]]) -> List[Reflection]:
+    """Reflections of (x, y, rcs, range_m, vr, azimuth) rows.
+
+    Builds each with `tuple.__new__`, in C: rows must have six values.
+    """
+    return list(map(tuple.__new__, repeat(Reflection), rows))
 
 
 @dataclass(frozen=True)
@@ -126,14 +134,14 @@ def reflection_table(sample: ObjectSample) -> np.ndarray:
     +x (length along +x, width along +y). One Python loop takes the
     heading's cos/sin once.
     """
-    pose = sample.pose
-    c = math.cos(pose.heading)
-    s = math.sin(pose.heading)
+    px, py, heading = sample.pose.x, sample.pose.y, sample.pose.heading
+    c = math.cos(heading)
+    s = math.sin(heading)
     rows = []
-    for r in sample.reflections:
-        dx = r.x - pose.x
-        dy = r.y - pose.y
-        rows.append((c * dx + s * dy, -s * dx + c * dy, r.rcs, r.range_m, r.vr, r.azimuth))
+    for x, y, rcs, range_m, vr, azimuth in sample.reflections:
+        dx = x - px
+        dy = y - py
+        rows.append((c * dx + s * dy, -s * dx + c * dy, rcs, range_m, vr, azimuth))
     return np.array(rows, dtype=np.float64)
 
 
@@ -248,6 +256,12 @@ def trackwise_split(
     return collect(assigned[0]), collect(assigned[1]), collect(assigned[2])
 
 
+# a reflection's JSON keys, in Reflection's field order
+_REFLECTION_KEYS = ("x", "y", "rcs", "range", "vr", "azimuth")
+# the types json.loads gives a number; a bool is neither
+_NUMBER_TYPES = frozenset((float, int))
+
+
 def _sample_to_record(sample: ObjectSample) -> dict:
     return {
         "track_id": sample.track_id,
@@ -258,57 +272,59 @@ def _sample_to_record(sample: ObjectSample) -> dict:
             "heading": sample.pose.heading,
         },
         "reflections": [
-            {
-                "x": r.x,
-                "y": r.y,
-                "rcs": r.rcs,
-                "range": r.range_m,
-                "vr": r.vr,
-                "azimuth": r.azimuth,
-            }
-            for r in sample.reflections
+            {"x": x, "y": y, "rcs": rcs, "range": range_m, "vr": vr, "azimuth": azimuth}
+            for x, y, rcs, range_m, vr, azimuth in sample.reflections
         ],
     }
 
 
+def _number_fault(record: dict) -> str:
+    """Names the first number field of a record that holds something else."""
+    fields = [(f"pose.{key}", record["pose"][key]) for key in ("x", "y", "heading")]
+    for i, r in enumerate(record["reflections"]):
+        fields += [(f"reflections[{i}].{key}", r[key]) for key in _REFLECTION_KEYS]
+    name, value = next((n, v) for n, v in fields if type(v) not in _NUMBER_TYPES)
+    return f"field '{name}' must be a number, not {type(value).__name__}"
+
+
 def _record_to_sample(record: dict, line: int) -> ObjectSample:
+    """One parsed line as a sample; a field of the wrong JSON type is a DatasetError.
+
+    Strings must be strings and numbers JSON numbers (integers load as
+    floats): no value is coerced.
+    """
     try:
-        pose = record["pose"]
-        reflections = [
-            Reflection(
-                x=float(r["x"]),
-                y=float(r["y"]),
-                rcs=float(r["rcs"]),
-                range_m=float(r["range"]),
-                vr=float(r["vr"]),
-                azimuth=float(r["azimuth"]),
-            )
-            for r in record["reflections"]
-        ]
-        sample = ObjectSample(
-            track_id=str(record["track_id"]),
-            class_label=record["class"],
-            pose=ObjectPose(
-                x=float(pose["x"]),
-                y=float(pose["y"]),
-                heading=float(pose["heading"]),
-            ),
-            reflections=reflections,
-        )
+        track_id, class_label, pose = record["track_id"], record["class"], record["pose"]
+        numbers = [pose["x"], pose["y"], pose["heading"]]
+        for r in record["reflections"]:
+            numbers += (r["x"], r["y"], r["rcs"], r["range"], r["vr"], r["azimuth"])
     except KeyError as exc:
         raise DatasetError(f"missing field {exc}", line) from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
-        if isinstance(exc, DatasetError):
-            raise DatasetError(str(exc), line) from exc
+    except TypeError as exc:  # a list, string or number where an object goes
         raise DatasetError(f"bad value: {exc}", line) from exc
-    values = [sample.pose.x, sample.pose.y, sample.pose.heading]
-    for r in sample.reflections:
-        if r.range_m < 0:
-            raise DatasetError(f"negative range {r.range_m}", line)
-        values.extend((r.x, r.y, r.rcs, r.range_m, r.vr, r.azimuth))
-    if not all(math.isfinite(v) for v in values):
+    for name, value in (("track_id", track_id), ("class", class_label)):
+        if type(value) is not str:
+            raise DatasetError(f"field '{name}' must be a string, not {type(value).__name__}", line)
+    types = set(map(type, numbers))
+    if types != {float}:
+        if not types <= _NUMBER_TYPES:
+            raise DatasetError(_number_fault(record), line)
+        try:
+            numbers = list(map(float, numbers))
+        except OverflowError as exc:  # float(10**400)
+            raise DatasetError(f"bad value: {exc}", line) from exc
+    if not all(map(math.isfinite, numbers)):
         raise DatasetError("non-finite value", line)
-    return sample
+    ranges = numbers[6::6]
+    if min(ranges, default=0.0) < 0:
+        raise DatasetError(f"negative range {next(v for v in ranges if v < 0)}", line)
+    rest = iter(numbers[3:])
+    # zip pulls six values at a time from one iterator: one row per reflection
+    reflections = reflection_list(zip(rest, rest, rest, rest, rest, rest))
+    try:
+        return ObjectSample(track_id, class_label, ObjectPose(*numbers[:3]), reflections)
+    except DatasetError as exc:  # an unknown class or no reflections
+        raise DatasetError(str(exc), line) from exc
 
 
 def write_dataset(samples: Iterable[ObjectSample], path: str) -> None:

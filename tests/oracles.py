@@ -1,15 +1,16 @@
 """Reference computations that tests compare the package against.
 
-The per-reflection object frame, the forest grown one tree and one node
-at a time, and the stacking of per-tree node arrays into a forest.
+The per-reflection object frame, the track generator drawing one
+reflection at a time, the forest grown one tree and one node at a time,
+and the stacking of per-tree node arrays into a forest.
 """
 
 import math
 
 import numpy as np
 
-from deepreflecs import forest
-from deepreflecs.preprocess import CLASSES
+from deepreflecs import datagen, forest
+from deepreflecs.preprocess import CLASSES, ObjectPose, ObjectSample, Reflection
 
 
 def to_object_frame(refl, pose):
@@ -24,6 +25,105 @@ def to_object_frame(refl, pose):
     c = math.cos(pose.heading)
     s = math.sin(pose.heading)
     return c * dx + s * dy, -s * dx + c * dy
+
+
+def object_points(rng, profile, n, length, width):
+    """n object-frame reflection positions, the rectangle perimeter one draw at a time."""
+    half_l, half_w = length / 2.0, width / 2.0
+    pts = np.empty((n, 2))
+    if profile.shape == "rectangle":
+        pts[0] = (-half_l, rng.uniform(-half_w, half_w))
+        if n > 1:
+            pts[1] = (half_l, rng.uniform(-half_w, half_w))
+        for i in range(min(n, 2), n):
+            t = rng.uniform(0.0, 2.0 * (length + width))
+            if t < length:
+                pts[i] = (t - half_l, -half_w)
+            elif t < length + width:
+                pts[i] = (half_l, t - length - half_w)
+            elif t < 2 * length + width:
+                pts[i] = (t - 2 * length - width + half_l, half_w)
+            else:
+                pts[i] = (-half_l, t - 2 * length - 2 * width + half_w)
+    elif profile.shape == "ellipse":
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
+        pts[:, 0] = half_l * radius * np.cos(angle)
+        pts[:, 1] = half_w * radius * np.sin(angle)
+    else:
+        pts[:, 0] = rng.uniform(-half_l, half_l, size=n)
+        pts[:, 1] = rng.uniform(-half_w, half_w, size=n)
+    return pts
+
+
+def reflection_count(rng, profile, r, start, stop):
+    """One sample's reflection count, clipped to reflections_range with np.clip."""
+    lo, hi = profile.reflections_range
+    closeness = (start - r) / max(start - stop, 1e-9)
+    expected = lo + math.sqrt(max(closeness, 0.0)) * (hi - lo) * rng.uniform(0.7, 1.0)
+    return int(np.clip(round(expected), lo, hi))
+
+
+def generate_track(class_label, track_id, spec):
+    """The samples datagen.generate_track must give bit for bit, one reflection at a time."""
+    profile = spec.profiles[class_label]
+    rng = datagen._track_rng(spec.seed, track_id)
+
+    heading = rng.uniform(-math.pi, math.pi)
+    bearing = rng.uniform(-0.25, 0.25)
+    length = rng.uniform(*profile.length_range)
+    width = rng.uniform(*profile.width_range)
+    vr_direction = 1.0 if rng.uniform() < 0.5 else -1.0
+    vr_sigma = rng.uniform(*profile.vr_sigma_range) if profile.mover else 0.0
+    vr_gain = 2.0 * profile.vr_corr * vr_sigma
+    vr_noise_sigma = vr_sigma * math.sqrt(max(1.0 - profile.vr_corr**2, 0.0))
+
+    n_samples = int(rng.integers(spec.samples_per_track[0], spec.samples_per_track[1] + 1))
+    start = rng.uniform(0.85 * spec.start_range, spec.start_range)
+    stop = rng.uniform(spec.stop_range, spec.stop_range + 4.0)
+    ranges = np.linspace(start, stop, n_samples)
+
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    samples = []
+    for r in ranges:
+        pose = ObjectPose(x=r * math.cos(bearing), y=r * math.sin(bearing), heading=heading)
+        n = reflection_count(rng, profile, r, spec.start_range, spec.stop_range)
+        pts = object_points(rng, profile, n, length, width)
+        pts += rng.normal(0.0, datagen.POSITION_NOISE, size=pts.shape)
+
+        reflections = []
+        for x_obj, y_obj in pts:
+            xw = pose.x + cos_h * x_obj - sin_h * y_obj
+            yw = pose.y + sin_h * x_obj + cos_h * y_obj
+            rcs = rng.normal(profile.rcs_mean, profile.rcs_spread)
+            if profile.mover:
+                if profile.vr_pattern == "wheels":
+                    vr = vr_direction * vr_gain * (x_obj / max(length / 2.0, 1e-6))
+                    vr += rng.normal(0.0, vr_noise_sigma)
+                elif profile.vr_pattern == "limbs":
+                    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+                    vr = sign * vr_sigma * rng.uniform(*profile.vr_limb_range)
+                else:
+                    vr = rng.normal(0.0, vr_sigma)
+            elif profile.vr_noise > 0.0:
+                vr = rng.normal(0.0, profile.vr_noise)
+            else:
+                vr = rng.uniform(-0.15, 0.15)
+            reflections.append(Reflection(
+                x=float(xw), y=float(yw), rcs=float(rcs), range_m=float(math.hypot(xw, yw)),
+                vr=float(vr), azimuth=float(math.atan2(yw, xw)),
+            ))
+        samples.append(ObjectSample(track_id, class_label, pose, reflections))
+    return samples
+
+
+def generate_dataset(spec):
+    """datagen.generate_dataset over the reference generate_track."""
+    samples = []
+    for class_label in CLASSES:
+        for i in range(spec.tracks_per_class.get(class_label, 0)):
+            samples.extend(generate_track(class_label, f"{class_label}-{i:04d}", spec))
+    return samples
 
 
 def gini_split_score(values, labels, n_classes):

@@ -1,10 +1,14 @@
 """Tests for the synthetic track generator."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from deepreflecs import datagen, forest, preprocess, schema
 from oracles import to_object_frame
 
@@ -85,6 +89,154 @@ class TestGenerateDataset:
         d2 = datagen.generate_dataset(spec2)
         assert {s.track_id for s in d1} == {s.track_id for s in d2}
         assert d1 != d2
+
+
+def dataset_bytes(samples, directory) -> bytes:
+    path = directory / "data.jsonl"
+    preprocess.write_dataset(samples, str(path))
+    return path.read_bytes()
+
+
+SPANS = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(lambda pair: tuple(sorted(pair)))
+REFLECTION_RANGES = st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]) | st.integers(1, 40).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo, 40))
+)
+# every way a profile draws vr: a mover's three patterns, a stationary target with and
+# without gaussian vr noise
+VR_BRANCHES = {
+    "random": dict(mover=True, vr_pattern="random"),
+    "limbs": dict(mover=True, vr_pattern="limbs"),
+    "wheels": dict(mover=True, vr_pattern="wheels"),
+    "vr-noise": dict(mover=False, vr_noise=0.04),
+    "no-vr-noise": dict(mover=False, vr_noise=0.0),
+}
+
+
+@st.composite
+def profiles(draw, shape, branch):
+    # a stationary target also draws a vr_pattern, which must change nothing
+    patterns = st.sampled_from(["random", "limbs", "wheels"])
+    fields = {"vr_pattern": draw(patterns), **VR_BRANCHES[branch]}
+    if fields["mover"]:
+        fields["vr_sigma_range"] = draw(st.just((0.0, 0.0)) | SPANS)
+        fields["vr_corr"] = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    elif fields["vr_noise"]:
+        fields["vr_noise"] = draw(st.floats(1e-3, 2.0))
+    return datagen.ClassProfile(
+        shape=shape,
+        length_range=draw(SPANS),
+        width_range=draw(SPANS),
+        reflections_range=draw(REFLECTION_RANGES),
+        rcs_mean=draw(st.just(0.0) | st.floats(-20.0, 20.0)),
+        rcs_spread=draw(st.just(0.0) | st.floats(0.0, 5.0)),
+        vr_limb_range=draw(SPANS),
+        **fields,
+    )
+
+
+class TestAgainstPerReflectionReference:
+    """generate_track draws whole arrays; oracles.generate_track one reflection at a time.
+    The two must write the same file bytes."""
+
+    @pytest.mark.parametrize("branch", sorted(VR_BRANCHES))
+    @pytest.mark.parametrize("shape", ["rectangle", "cluster", "ellipse"])
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+    def test_random_profiles_write_the_same_bytes(
+        self, tmp_path_factory, shape, branch, data, seed
+    ):
+        profile = data.draw(profiles(shape, branch))
+        stop = data.draw(st.floats(0.0, 20.0))
+        spec = datagen.GenSpec(
+            tracks_per_class={"car": 2},
+            samples_per_track=data.draw(st.sampled_from([(1, 1), (1, 4), (6, 12)])),
+            start_range=stop + data.draw(st.floats(0.5, 80.0)),
+            stop_range=stop,
+            seed=seed,
+            profiles={"car": profile},
+        )
+        directory = tmp_path_factory.mktemp("track")
+        got = dataset_bytes(datagen.generate_dataset(spec), directory)
+        assert got == dataset_bytes(oracles.generate_dataset(spec), directory)
+
+    @pytest.mark.parametrize("reflections", [(1, 1), (1, 2), (2, 2), (2, 3)])
+    def test_rectangles_of_one_and_two_points(self, tmp_path, reflections):
+        car = dataclasses.replace(datagen.DEFAULT_PROFILES["car"], reflections_range=reflections)
+        spec = datagen.GenSpec(
+            tracks_per_class={"car": 4}, profiles={**datagen.DEFAULT_PROFILES, "car": car}
+        )
+        samples = datagen.generate_dataset(spec)
+        lo, hi = reflections
+        assert {len(s.reflections) for s in samples} == set(range(lo, hi + 1))
+        assert dataset_bytes(samples, tmp_path) == dataset_bytes(
+            oracles.generate_dataset(spec), tmp_path
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_desk_sets_write_the_same_bytes(self, tmp_path, seed):
+        spec = datagen.desk_genspec(seed)
+        assert dataset_bytes(datagen.generate_dataset(spec), tmp_path) == dataset_bytes(
+            oracles.generate_dataset(spec), tmp_path
+        )
+
+
+class CountingRng:
+    """A Generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def rng_calls(generate, monkeypatch, spec):
+    """(RNG calls, samples, reflections) of one car track."""
+    rngs = []
+    track_rng = datagen._track_rng
+
+    def counting_track_rng(*args):
+        rngs.append(CountingRng(track_rng(*args)))
+        return rngs[-1]
+
+    monkeypatch.setattr(datagen, "_track_rng", counting_track_rng)
+    samples = generate("car", "car-0000", spec)
+    assert len(rngs) == 1
+    return rngs[0].calls, len(samples), sum(len(s.reflections) for s in samples)
+
+
+def test_a_car_track_draws_per_sample_not_per_reflection(monkeypatch):
+    spec = datagen.GenSpec(tracks_per_class={"car": 1}, samples_per_track=(200, 200))
+    calls, n_samples, n_reflections = rng_calls(datagen.generate_track, monkeypatch, spec)
+    assert n_samples == 200 and n_reflections > 10 * n_samples
+    # a few draws for the track, then a count, two perimeter draws, position noise and
+    # one (rcs, vr) normal draw per sample
+    assert calls <= 10 + 5 * n_samples
+    # the per-reflection reference draws rcs, vr and a perimeter point per reflection
+    reference, _, _ = rng_calls(oracles.generate_track, monkeypatch, spec)
+    assert reference > 2 * n_reflections
+
+
+def test_generating_2000_samples_stays_under_the_size_model():
+    spec = datagen.GenSpec(
+        tracks_per_class=dict.fromkeys(preprocess.CLASSES, 60), samples_per_track=(8, 9)
+    )
+    tracemalloc.start()
+    try:
+        samples = datagen.generate_dataset(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_reflections = sum(len(s.reflections) for s in samples)
+    assert 1900 < len(samples) < 2200
+    model = datagen.SAMPLE_BYTES * len(samples) + datagen.REFLECTION_BYTES * n_reflections
+    assert kept <= peak < model
 
 
 @pytest.fixture(scope="module")

@@ -430,3 +430,66 @@ def test_fuzzed_dataset_lines_load_or_raise_dataset_error(tmp_path, seed):
             assert all(isinstance(sample, ObjectSample) for sample in samples)
             outcomes["loaded"] += 1
     assert outcomes["loaded"] > 0 and outcomes["error"] > 0
+
+
+def field_swaps(line: bytes):
+    """(field as errors name it, value, edited line) for each field and HOSTILE_VALUES value."""
+    record = json.loads(line)
+    fields = [("track_id", record, "track_id"), ("class", record, "class")]
+    fields += [(f"pose.{key}", record["pose"], key) for key in record["pose"]]
+    for i, reflection in enumerate(record["reflections"]):
+        fields += [(f"reflections[{i}].{key}", reflection, key) for key in reflection]
+    for name, holder, key in fields:
+        kept = holder[key]
+        for value in HOSTILE_VALUES:
+            holder[key] = value
+            yield name, value, json.dumps(record).encode()
+        holder[key] = kept
+
+
+def test_every_wrongly_typed_field_is_a_dataset_error_naming_it(tmp_path):
+    # strings must be strings and numbers JSON numbers: null, a bool or "1.5" is not coerced
+    path = tmp_path / "data.jsonl"
+    preprocess.write_dataset([one_sample()], str(path))
+    valid = path.read_bytes().splitlines()[0]
+    refused = 0
+    for name, value, edited in field_swaps(valid):
+        if name in ("track_id", "class"):
+            wanted, wrong = "string", type(value) is not str
+        else:
+            wanted, wrong = "number", type(value) not in (int, float)
+        if not wrong:
+            continue
+        path.write_bytes(valid + b"\n" + edited + b"\n")
+        with pytest.raises(DatasetError) as err:
+            preprocess.read_dataset(str(path), range_cutoff=None)
+        assert err.value.line == 2
+        assert str(err.value) == (
+            f"line 2: field '{name}' must be a {wanted}, not {type(value).__name__}"
+        )
+        refused += 1
+    # 13 non-strings for each string field, 9 non-numbers (bools and strings among them)
+    # for each of 3 pose and 2 x 6 reflection numbers
+    assert refused == 2 * 13 + 15 * 9
+
+
+def test_json_integers_load_as_float_numbers(tmp_path):
+    record = {"track_id": "a", "class": "car", "pose": {"x": 1, "y": -2, "heading": 0},
+              "reflections": [{"x": 3, "y": 4, "rcs": -5, "range": 5, "vr": 0, "azimuth": 1}]}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    (sample,) = preprocess.read_dataset(str(path))
+    values = [sample.pose.x, sample.pose.y, sample.pose.heading, *sample.reflections[0]]
+    assert values == [1, -2, 0, 3, 4, -5, 5, 0, 1]
+    assert all(type(v) is float for v in values)
+
+
+def test_reflection_is_an_immutable_six_tuple():
+    r = Reflection(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    x, y, rcs, range_m, vr, azimuth = r
+    assert (x, y, rcs, range_m, vr, azimuth) == (r.x, r.y, r.rcs, r.range_m, r.vr, r.azimuth)
+    assert r == Reflection(x=1.0, y=2.0, rcs=3.0, range_m=4.0, vr=5.0, azimuth=6.0)
+    assert preprocess.reflection_list([(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]) == [r]
+    assert type(preprocess.reflection_list([tuple(r)])[0]) is Reflection
+    with pytest.raises(AttributeError):
+        r.x = 0.0
