@@ -118,7 +118,7 @@ def cmd_benchmark(args) -> int:
     config, _ = _load_config(args.config, None, "'benchmark'")
     methods = evaluate.METHODS if args.methods is None else args.methods.split(",")
     report = evaluate.run_benchmark(args.data, args.seed, config, methods)
-    _write_json(report.to_json_dict(), args.json)
+    _write_json(report.benchmark_json(), args.json)
     if args.timing_json:
         with open(args.timing_json, "w", encoding="utf-8") as fh:
             fh.write(_dump(report.timing_dict()))
@@ -129,8 +129,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, _ = _load_config(args.config, None, "'ablate'")
-    report = evaluate.run_ablation(args.data, args.seed, config)
-    _write_json(report.to_json_dict(), args.json)
+    _write_json(evaluate.run_ablation(args.data, args.seed, config).ablation_json(), args.json)
     return 0
 
 

@@ -1,9 +1,12 @@
-"""Metrics, the method table, the three-method benchmark, and the ablation.
+"""Metrics, the method table, and the one runner behind the benchmark and the ablation.
 
 Per-class accuracy is class recall: of all test samples whose true class
 is c, the fraction predicted as c. Everything downstream of (dataset
-bytes, seed) is deterministic; inference timing is measured but kept out
-of the canonical report so repeated runs stay byte-identical.
+bytes, seed) is deterministic at a fixed BLAS thread count; OpenBLAS sums
+some training products in a thread-dependent order, so a different thread
+count may train a different model (ROADMAP item 3). Inference timing is
+measured but kept out of the canonical reports so repeated runs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -19,19 +22,21 @@ from . import container, forest, gridcnn, model as reflectnet, preprocess, schem
 
 
 @dataclass
-class ConfusionMatrix:
-    """counts[true, predicted] over an evaluated sample set."""
+class MetricsReport:
+    """Confusion counts[true, predicted] plus total/per-class categorical accuracy."""
 
-    counts: np.ndarray
+    confusion: np.ndarray
+    total_accuracy: float
+    per_class_accuracy: np.ndarray
 
     @classmethod
-    def from_predictions(
-        cls, y_true: Sequence[int], y_pred: Sequence[int], n_classes: int
-    ) -> "ConfusionMatrix":
-        """One count per (label, prediction) pair, by one bincount.
+    def from_predictions(cls, y_true, y_pred, n_classes: int) -> "MetricsReport":
+        """One count per (label, prediction) pair, by one bincount; classes
+        with no samples report NaN.
 
         Labels and predictions of different lengths, or a class index that
-        is not an integer in [0, n_classes), are a ValueError naming them.
+        is not an integer in [0, n_classes), are a ValueError naming them,
+        and so is an empty set.
         """
         pairs = []
         for name, values in (("labels", y_true), ("predictions", y_pred)):
@@ -49,41 +54,19 @@ class ConfusionMatrix:
         y_true, y_pred = pairs
         if y_true.size != y_pred.size:
             raise ValueError(f"{y_true.size} labels for {y_pred.size} predictions")
+        if y_true.size == 0:
+            raise ValueError("confusion matrix is empty")
         counts = np.bincount(y_true * n_classes + y_pred, minlength=n_classes * n_classes)
-        return cls(counts.reshape(n_classes, n_classes))
-
-
-def accuracies(cm: ConfusionMatrix) -> Tuple[float, np.ndarray]:
-    """(total accuracy, per-class recall); empty classes report NaN."""
-    counts = cm.counts
-    total_count = counts.sum()
-    if total_count == 0:
-        raise ValueError("confusion matrix is empty")
-    total = float(np.trace(counts) / total_count)
-    row_sums = counts.sum(axis=1)
-    per_class = np.full(counts.shape[0], np.nan)
-    nonzero = row_sums > 0
-    per_class[nonzero] = counts.diagonal()[nonzero] / row_sums[nonzero]
-    return total, per_class
-
-
-@dataclass
-class MetricsReport:
-    """Confusion matrix plus total/per-class categorical accuracy."""
-
-    confusion: ConfusionMatrix
-    total_accuracy: float
-    per_class_accuracy: np.ndarray
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred, n_classes: int) -> "MetricsReport":
-        cm = ConfusionMatrix.from_predictions(y_true, y_pred, n_classes)
-        total, per_class = accuracies(cm)
-        return cls(confusion=cm, total_accuracy=total, per_class_accuracy=per_class)
+        counts = counts.reshape(n_classes, n_classes)
+        row_sums = counts.sum(axis=1)
+        per_class = np.full(n_classes, np.nan)
+        nonzero = row_sums > 0
+        per_class[nonzero] = counts.diagonal()[nonzero] / row_sums[nonzero]
+        return cls(counts, float(np.trace(counts) / counts.sum()), per_class)
 
     def to_json_dict(self) -> dict:
         return {
-            "confusion": self.confusion.counts.tolist(),
+            "confusion": self.confusion.tolist(),
             "total_accuracy": self.total_accuracy,
             "per_class_accuracy": {
                 name: (None if np.isnan(v) else float(v))
@@ -243,14 +226,16 @@ def _train_and_test(method: Method, splits, seed, config, model_config) -> Metho
 
 
 @dataclass
-class BenchmarkReport:
+class Report:
+    """The results of one split, trained and tested entry by entry."""
+
     seed: int
     dataset_sha256: str
     split_sizes: Dict[str, int]
-    results: Dict[str, MethodResult]
+    results: Dict[str, MethodResult]  # by report name
 
-    def to_json_dict(self) -> dict:
-        """The canonical report; it leaves out timing, see timing_dict."""
+    def benchmark_json(self) -> dict:
+        """The canonical benchmark report; it leaves out timing, see timing_dict."""
         return {
             "seed": self.seed,
             "dataset_sha256": self.dataset_sha256,
@@ -261,10 +246,40 @@ class BenchmarkReport:
             },
         }
 
-    def timing_dict(self) -> dict:
+    def ablation_json(self) -> dict:
+        """The canonical ablation report: both variants, and with minus without."""
+        with_gcl, without_gcl = (self.results[k].metrics for k in ("with_gcl", "without_gcl"))
+        per_class = with_gcl.per_class_accuracy - without_gcl.per_class_accuracy
         return {
-            name: result.inference_time_s for name, result in self.results.items()
+            "seed": self.seed,
+            "dataset_sha256": self.dataset_sha256,
+            "variants": {name: result.to_json_dict() for name, result in self.results.items()},
+            "delta": {
+                "total": with_gcl.total_accuracy - without_gcl.total_accuracy,
+                "per_class": {
+                    name: None if np.isnan(d) else float(d)
+                    for name, d in zip(preprocess.CLASSES, per_class)
+                },
+            },
         }
+
+    def timing_dict(self) -> dict:
+        return {name: result.inference_time_s for name, result in self.results.items()}
+
+
+def _run(data_path: str, seed: int, config, entries: Dict[str, Tuple[Method, object]]) -> Report:
+    """Split once, then train and test each (method, model config) entry on those splits."""
+    splits = preprocess.trackwise_split(preprocess.read_dataset(data_path), seed=seed)
+    config = config or trainer.TrainConfig()
+    return Report(
+        seed=seed,
+        dataset_sha256=_dataset_sha256(data_path),
+        split_sizes=dict(zip(("train", "val", "test"), map(len, splits))),
+        results={
+            key: _train_and_test(method, splits, seed, config, model_config)
+            for key, (method, model_config) in entries.items()
+        },
+    )
 
 
 def run_benchmark(
@@ -272,80 +287,19 @@ def run_benchmark(
     seed: int,
     config: trainer.TrainConfig | None = None,
     methods: Sequence[str] = METHODS,
-) -> BenchmarkReport:
-    """Split once, train every requested method on the same splits, test once."""
+) -> Report:
+    """Every requested method, under its report key, on the same splits."""
     for m in methods:
         if m not in METHODS:
             raise schema.ConfigError(f"unknown method {m!r} (the report keys are {list(METHODS)})")
-    config = config or trainer.TrainConfig()
-    samples = preprocess.read_dataset(data_path)
-    splits = preprocess.trackwise_split(samples, seed=seed)
-    results = {
-        method.key: _train_and_test(method, splits, seed, config, None)
-        for method in TABLE
-        if method.key in methods
-    }
-    return BenchmarkReport(
-        seed=seed,
-        dataset_sha256=_dataset_sha256(data_path),
-        split_sizes={
-            "train": len(splits[0]), "val": len(splits[1]), "test": len(splits[2])
-        },
-        results=results,
-    )
+    entries = {method.key: (method, None) for method in TABLE if method.key in methods}
+    return _run(data_path, seed, config, entries)
 
 
-@dataclass
-class AblationReport:
-    seed: int
-    dataset_sha256: str
-    with_gcl: MethodResult
-    without_gcl: MethodResult
-
-    def to_json_dict(self) -> dict:
-        per_class_delta = {}
-        for name, a, b in zip(
-            preprocess.CLASSES,
-            self.with_gcl.metrics.per_class_accuracy,
-            self.without_gcl.metrics.per_class_accuracy,
-        ):
-            per_class_delta[name] = (
-                None if (np.isnan(a) or np.isnan(b)) else float(a - b)
-            )
-        return {
-            "seed": self.seed,
-            "dataset_sha256": self.dataset_sha256,
-            "variants": {
-                "with_gcl": self.with_gcl.to_json_dict(),
-                "without_gcl": self.without_gcl.to_json_dict(),
-            },
-            "delta": {
-                "total": self.with_gcl.metrics.total_accuracy
-                - self.without_gcl.metrics.total_accuracy,
-                "per_class": per_class_delta,
-            },
-        }
-
-
-def run_ablation(
-    data_path: str,
-    seed: int,
-    config: trainer.TrainConfig | None = None,
-) -> AblationReport:
-    """Train with and without the global context layer on identical splits."""
-    config = config or trainer.TrainConfig()
-    samples = preprocess.read_dataset(data_path)
-    splits = preprocess.trackwise_split(samples, seed=seed)
-    variants = {
-        use_gcl: _train_and_test(
-            BY_NAME["deepreflecs"], splits, seed, config,
-            reflectnet.ReflectNetConfig(use_gcl=use_gcl),
-        )
-        for use_gcl in (True, False)
-    }
-    return AblationReport(
-        seed=seed,
-        dataset_sha256=_dataset_sha256(data_path),
-        with_gcl=variants[True],
-        without_gcl=variants[False],
-    )
+def run_ablation(data_path: str, seed: int, config: trainer.TrainConfig | None = None) -> Report:
+    """The network with and without the global context layer on the same splits."""
+    net = BY_NAME["deepreflecs"]
+    return _run(data_path, seed, config, {
+        "with_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=True)),
+        "without_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=False)),
+    })

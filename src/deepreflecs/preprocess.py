@@ -340,9 +340,9 @@ def read_dataset(
 ) -> List[ObjectSample]:
     """Read a JSON-lines dataset, validating every line.
 
-    Samples whose object range exceeds range_cutoff are dropped (pass
-    None to keep everything). Parse problems raise DatasetError with the
-    offending line number.
+    Samples whose object range is at or beyond range_cutoff are dropped
+    (pass None to keep everything). Parse problems raise DatasetError
+    with the offending line number.
     """
     samples: List[ObjectSample] = []
     with open(path, "rb") as fh:

@@ -176,7 +176,7 @@ def test_criterion_6_desk_benchmark(desk_datasets):
             desk_datasets[seed], seed=seed, config=config,
             methods=["deepreflecs", "craftedforest"],
         )
-        data = rep.to_json_dict()["methods"]
+        data = rep.benchmark_json()["methods"]
         net = data["deepreflecs"]["total_accuracy"]
         fr = data["craftedforest"]["total_accuracy"]
         ok = net >= 0.90 and net >= fr
@@ -201,10 +201,10 @@ def test_criterion_7_ablation_direction(desk_datasets):
     lines = []
     for seed in BENCH_SEEDS:
         rep = evaluate.run_ablation(desk_datasets[seed], seed=seed, config=config)
-        with_total = rep.with_gcl.metrics.total_accuracy
-        without_total = rep.without_gcl.metrics.total_accuracy
-        with_cyc = rep.with_gcl.metrics.per_class_accuracy[cyclist]
-        without_cyc = rep.without_gcl.metrics.per_class_accuracy[cyclist]
+        with_total = rep.results["with_gcl"].metrics.total_accuracy
+        without_total = rep.results["without_gcl"].metrics.total_accuracy
+        with_cyc = rep.results["with_gcl"].metrics.per_class_accuracy[cyclist]
+        without_cyc = rep.results["without_gcl"].metrics.per_class_accuracy[cyclist]
         ok = with_total >= without_total and with_cyc > without_cyc
         holds += ok
         lines.append(

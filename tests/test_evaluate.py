@@ -20,46 +20,51 @@ def tiny_dataset(tmp_path_factory):
     return str(path)
 
 
+def from_counts(counts) -> evaluate.MetricsReport:
+    """The metrics of label and prediction vectors whose confusion matrix is counts."""
+    counts = np.asarray(counts)
+    n_classes = counts.shape[0]
+    y_true, y_pred = np.divmod(np.repeat(np.arange(n_classes**2), counts.ravel()), n_classes)
+    report = evaluate.MetricsReport.from_predictions(y_true, y_pred, n_classes)
+    np.testing.assert_array_equal(report.confusion, counts)
+    return report
+
+
 class TestAccuracies:
     def test_perfect_diagonal(self):
-        cm = evaluate.ConfusionMatrix(np.diag([5, 3, 2, 7]))
-        total, per_class = evaluate.accuracies(cm)
-        assert total == 1.0
-        np.testing.assert_array_equal(per_class, 1.0)
+        report = from_counts(np.diag([5, 3, 2, 7]))
+        assert report.total_accuracy == 1.0
+        np.testing.assert_array_equal(report.per_class_accuracy, 1.0)
 
     def test_hand_arithmetic(self):
-        cm = evaluate.ConfusionMatrix(np.array([[8, 2], [4, 6]]))
-        total, per_class = evaluate.accuracies(cm)
-        assert total == pytest.approx(0.7)
-        np.testing.assert_allclose(per_class, [0.8, 0.6])
+        report = from_counts([[8, 2], [4, 6]])
+        assert report.total_accuracy == pytest.approx(0.7)
+        np.testing.assert_allclose(report.per_class_accuracy, [0.8, 0.6])
 
     def test_chance_level_for_uniform_predictions(self):
         rng = np.random.default_rng(0)
         n, c = 4000, 4
         y_true = np.repeat(np.arange(c), n // c)
         y_pred = rng.integers(0, c, size=n)
-        cm = evaluate.ConfusionMatrix.from_predictions(y_true, y_pred, c)
-        total, _ = evaluate.accuracies(cm)
-        assert total == pytest.approx(1.0 / c, abs=0.03)
+        report = evaluate.MetricsReport.from_predictions(y_true, y_pred, c)
+        assert report.total_accuracy == pytest.approx(1.0 / c, abs=0.03)
 
     def test_empty_matrix_is_error(self):
-        with pytest.raises(ValueError):
-            evaluate.accuracies(evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=np.int64)))
+        with pytest.raises(ValueError, match="confusion matrix is empty"):
+            from_counts(np.zeros((4, 4), dtype=np.int64))
 
     def test_missing_class_reports_nan(self):
-        cm = evaluate.ConfusionMatrix(np.array([[3, 0], [0, 0]]))
-        total, per_class = evaluate.accuracies(cm)
-        assert total == 1.0
-        assert per_class[0] == 1.0 and np.isnan(per_class[1])
+        report = from_counts([[3, 0], [0, 0]])
+        assert report.total_accuracy == 1.0
+        assert report.per_class_accuracy[0] == 1.0 and np.isnan(report.per_class_accuracy[1])
 
     def test_confusion_total_matches_sample_count(self):
         y_true = [0, 1, 2, 3, 0, 1]
         y_pred = [0, 2, 2, 3, 1, 1]
-        cm = evaluate.ConfusionMatrix.from_predictions(y_true, y_pred, 4)
-        assert cm.counts.sum() == 6
-        total, per_class = evaluate.accuracies(cm)
-        recomputed = np.trace(cm.counts) / cm.counts.sum()
-        assert total == recomputed
+        report = evaluate.MetricsReport.from_predictions(y_true, y_pred, 4)
+        assert report.confusion.sum() == 6
+        recomputed = np.trace(report.confusion) / report.confusion.sum()
+        assert report.total_accuracy == recomputed
 
 
 class TestConfusionFromPredictions:
@@ -71,13 +76,13 @@ class TestConfusionFromPredictions:
         expected = np.zeros((n_classes, n_classes), dtype=np.int64)
         for t, p in zip(y_true.tolist(), y_pred.tolist()):
             expected[t, p] += 1
-        cm = evaluate.ConfusionMatrix.from_predictions(list(y_true), y_pred, n_classes)
-        assert cm.counts.dtype == np.int64
-        np.testing.assert_array_equal(cm.counts, expected)
+        report = evaluate.MetricsReport.from_predictions(list(y_true), y_pred, n_classes)
+        assert report.confusion.dtype == np.int64
+        np.testing.assert_array_equal(report.confusion, expected)
 
-    def test_no_samples_give_a_zero_matrix(self):
-        cm = evaluate.ConfusionMatrix.from_predictions([], np.zeros(0, dtype=np.int64), 3)
-        np.testing.assert_array_equal(cm.counts, np.zeros((3, 3)))
+    def test_no_pairs_are_value_error(self):
+        with pytest.raises(ValueError, match="confusion matrix is empty"):
+            evaluate.MetricsReport.from_predictions([], np.zeros(0, dtype=np.int64), 3)
 
     @pytest.mark.parametrize(
         "y_true, y_pred, match",
@@ -94,7 +99,7 @@ class TestConfusionFromPredictions:
     )
     def test_bad_pairs_are_value_error_naming_them(self, y_true, y_pred, match):
         with pytest.raises(ValueError, match=match):
-            evaluate.ConfusionMatrix.from_predictions(y_true, y_pred, 4)
+            evaluate.MetricsReport.from_predictions(y_true, y_pred, 4)
 
 
 class TestMetricsReport:
@@ -109,14 +114,14 @@ class TestMetricsReport:
 class TestBenchmark:
     def test_report_contents_and_determinism(self, tiny_dataset):
         report = evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG)
-        data = report.to_json_dict()
+        data = report.benchmark_json()
         assert data["methods"]["deepreflecs"]["param_count"] == 1284
         assert data["methods"]["gridcnn"]["param_count"] == 232628
         assert data["methods"]["craftedforest"]["node_count"] > 0
         for method in evaluate.METHODS:
             assert 0.0 <= data["methods"][method]["total_accuracy"] <= 1.0
         again = evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG)
-        assert again.to_json_dict() == data
+        assert again.benchmark_json() == data
         assert report.timing_dict().keys() == {
             "deepreflecs", "craftedforest", "gridcnn"
         }
@@ -125,7 +130,7 @@ class TestBenchmark:
         report = evaluate.run_benchmark(
             tiny_dataset, seed=2, config=TINY_CONFIG, methods=["craftedforest"]
         )
-        data = report.to_json_dict()
+        data = report.benchmark_json()
         assert "inference_time_per_sample_s" not in data["methods"]["craftedforest"]
         assert report.timing_dict()["craftedforest"] > 0
 
@@ -143,7 +148,7 @@ class TestBenchmark:
 class TestAblation:
     def test_variant_param_counts_and_structure(self, tiny_dataset):
         report = evaluate.run_ablation(tiny_dataset, seed=1, config=TINY_CONFIG)
-        data = report.to_json_dict()
+        data = report.ablation_json()
         assert data["variants"]["with_gcl"]["param_count"] == 1284
         assert data["variants"]["without_gcl"]["param_count"] == 772
         assert data["delta"]["total"] == pytest.approx(
@@ -151,3 +156,15 @@ class TestAblation:
             - data["variants"]["without_gcl"]["total_accuracy"]
         )
         assert set(data["delta"]["per_class"]) == set(preprocess.CLASSES)
+
+    def test_with_gcl_arm_is_the_benchmark_network(self, tiny_dataset):
+        """Both commands share one split and one training path: the with-GCL
+        variant is the benchmark's deepreflecs entry without its best epoch."""
+        ablation = evaluate.run_ablation(tiny_dataset, seed=3, config=TINY_CONFIG)
+        benchmark = evaluate.run_benchmark(
+            tiny_dataset, seed=3, config=TINY_CONFIG, methods=["deepreflecs"]
+        )
+        entry = dict(benchmark.benchmark_json()["methods"]["deepreflecs"])
+        assert "best_epoch" in entry
+        del entry["best_epoch"]
+        assert ablation.ablation_json()["variants"]["with_gcl"] == entry
