@@ -5,8 +5,8 @@ is c, the fraction predicted as c. Everything downstream of (dataset
 bytes, seed) is deterministic at a fixed BLAS thread count; OpenBLAS sums
 some training products in a thread-dependent order, so a different thread
 count may train a different model (ROADMAP item 3). Inference timing is
-measured but kept out of the canonical reports so repeated runs stay
-byte-identical.
+measured only for the benchmark, which reports it apart from the canonical
+report so repeated runs stay byte-identical; the ablation never times.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _median_predict_time(predict: Callable, inputs: Sequence) -> float:
 class MethodResult:
     metrics: MetricsReport
     complexity: Dict[str, int]          # parameter or node counts
-    inference_time_s: float
+    inference_time_s: Optional[float]   # median single-object predict; None if untimed
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -217,11 +217,11 @@ def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Seque
     return MetricsReport.from_predictions(_labels(samples), predictions, n_classes), inputs
 
 
-def _train_and_test(method: Method, splits, seed, config, model_config) -> MethodResult:
+def _train_and_test(method: Method, splits, seed, config, model_config, timed) -> MethodResult:
     model, report = method.train(splits, seed, config, model_config)
     metrics, inputs = evaluate_model(method, model, splits[2])
     extra = {} if report is None else {"best_epoch": report.best_epoch}
-    took = _median_predict_time(model.predict, inputs)
+    took = _median_predict_time(model.predict, inputs) if timed else None
     return MethodResult(metrics, method.complexity(model), took, extra)
 
 
@@ -264,11 +264,17 @@ class Report:
         }
 
     def timing_dict(self) -> dict:
+        """Median single-object predict seconds by report name (None where untimed)."""
         return {name: result.inference_time_s for name, result in self.results.items()}
 
 
-def _run(data_path: str, seed: int, config, entries: Dict[str, Tuple[Method, object]]) -> Report:
-    """Split once, then train and test each (method, model config) entry on those splits."""
+def _run(
+    data_path: str, seed: int, config, entries: Dict[str, Tuple[Method, object]], timed: bool,
+) -> Report:
+    """Split once, then train and test each (method, model config) entry on those splits.
+
+    timed measures each entry's single-object predict time for timing_dict.
+    """
     splits = preprocess.trackwise_split(preprocess.read_dataset(data_path), seed=seed)
     config = config or trainer.TrainConfig()
     return Report(
@@ -276,7 +282,7 @@ def _run(data_path: str, seed: int, config, entries: Dict[str, Tuple[Method, obj
         dataset_sha256=_dataset_sha256(data_path),
         split_sizes=dict(zip(("train", "val", "test"), map(len, splits))),
         results={
-            key: _train_and_test(method, splits, seed, config, model_config)
+            key: _train_and_test(method, splits, seed, config, model_config, timed)
             for key, (method, model_config) in entries.items()
         },
     )
@@ -293,7 +299,7 @@ def run_benchmark(
         if m not in METHODS:
             raise schema.ConfigError(f"unknown method {m!r} (the report keys are {list(METHODS)})")
     entries = {method.key: (method, None) for method in TABLE if method.key in methods}
-    return _run(data_path, seed, config, entries)
+    return _run(data_path, seed, config, entries, timed=True)
 
 
 def run_ablation(data_path: str, seed: int, config: trainer.TrainConfig | None = None) -> Report:
@@ -302,4 +308,4 @@ def run_ablation(data_path: str, seed: int, config: trainer.TrainConfig | None =
     return _run(data_path, seed, config, {
         "with_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=True)),
         "without_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=False)),
-    })
+    }, timed=False)

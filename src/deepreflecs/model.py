@@ -6,6 +6,12 @@ global max pooling over the reflection list, and a dense softmax head.
 The two pooling-style layers have no learnable parameters; with the
 default widths the whole network has exactly 1,284 of them.
 
+Each max pool runs on pre-activations, with the ReLU after it: ReLU is
+monotone, so the outputs equal those of pooling after the ReLU bit for
+bit. Pre-activations almost never tie, so the backward pass routes each
+pooled gradient to its single winning row; on a tie it falls back to the
+first winner (nn.segment_max_pool_backward).
+
 Batches are ragged: ReflectNetModel.stage concatenates the real
 reflection rows of a list of inputs into one Staged table, with segment
 offsets marking where each sample starts, and every layer runs once over
@@ -84,7 +90,10 @@ class ReflectNetModel(nn.Network):
         """nn.kink_margin of one sample's float64 forward pass."""
         wide = self.astype(np.float64)
         _, cache = forward_rows(wide, wide.stage([inp]), keep_cache=True)
-        pools = [cache["h1"], cache["h2"]] if self.config.use_gcl else [cache["h2"]]
+        # the tie margins of the post-ReLU pool inputs: a tie at a positive
+        # maximum is a kink of either pool order
+        h2 = nn.relu(cache["z2"])
+        pools = [nn.relu(cache["z1"]), h2] if self.config.use_gcl else [h2]
         return nn.kink_margin([cache["z1"], cache["z2"]], pools)
 
     def predict(self, inp: PaddedInput) -> nn.ClassDistribution:
@@ -170,20 +179,21 @@ class Staged:
 def forward_rows(model: ReflectNetModel, batch: Staged, keep_cache: bool = False):
     """Class probabilities (B, n_classes) for a staged ragged batch.
 
-    With keep_cache, returns (probabilities, activations) for the
-    backward pass.
+    Each max pool takes pre-activations and the ReLU follows it, so
+    relu(max(z)) stands for max(relu(z)), bit for bit. With keep_cache,
+    returns (probabilities, activations) for the backward pass.
     """
     segments = batch.segments
     z1 = nn.rowwise_linear(batch.rows, model.conv1)
-    h1 = nn.relu(z1)
-    h = nn.segment_context_layer(h1, segments) if model.config.use_gcl else h1
+    c = nn.segment_context_layer(z1, segments) if model.config.use_gcl else z1
+    h = nn.relu(c)
     z2 = nn.rowwise_linear(h, model.conv2)
-    h2 = nn.relu(z2)
-    pooled = nn.segment_max_pool(h2, segments)
+    m2 = nn.segment_max_pool(z2, segments)
+    pooled = nn.relu(m2)
     probs = nn.softmax(nn.rowwise_linear(pooled, model.head))
     if not keep_cache:
         return probs
-    return probs, {"z1": z1, "h1": h1, "h": h, "z2": z2, "h2": h2, "pooled": pooled}
+    return probs, {"z1": z1, "c": c, "h": h, "z2": z2, "m2": m2, "pooled": pooled}
 
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> nn.ClassDistribution:
@@ -205,16 +215,16 @@ def loss_and_grads(
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
     d_pooled = nn.rowwise_linear_backward(cache["pooled"], model.head, d_logits, slot["head"])
-    d_h2 = nn.segment_max_pool_backward(cache["h2"], segments, d_pooled, cache["pooled"])
-    d_z2 = nn.relu_backward(cache["z2"], d_h2)
+    d_m2 = nn.relu_backward(cache["m2"], d_pooled)
+    d_z2 = nn.segment_max_pool_backward(cache["z2"], segments, d_m2, cache["m2"])
     d_h = nn.rowwise_linear_backward(cache["h"], model.conv2, d_z2, slot["conv2"])
+    d_c = nn.relu_backward(cache["c"], d_h)
     if model.config.use_gcl:
-        # the global half of a segment's first row is that segment's pooled h1
-        g = cache["h"][segments.starts, model.config.width1:]
-        d_h1 = nn.segment_context_layer_backward(cache["h1"], segments, d_h, g)
+        # the global half of a segment's first row is that segment's pooled z1
+        g = cache["c"][segments.starts, model.config.width1:]
+        d_z1 = nn.segment_context_layer_backward(cache["z1"], segments, d_c, g)
     else:
-        d_h1 = d_h
-    d_z1 = nn.relu_backward(cache["z1"], d_h1)
+        d_z1 = d_c
     nn.rowwise_linear_backward(batch.rows, model.conv1, d_z1, slot["conv1"], need_input_grad=False)
     return nn.mean_cross_entropy(probs, labels), grad
 

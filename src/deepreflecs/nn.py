@@ -3,12 +3,15 @@
 Row-wise linear maps (weight sharing across list entries), per-segment
 and masked global max pooling, the global context layer, softmax
 cross-entropy with its flushed logit gradient, the checked class
-distribution, and Adam. Every forward layer operation is a pure function
-of its inputs; backward passes take the forward inputs and the upstream
-gradient and return the input gradient. A backward pass with parameters
-adds their gradients into the layer's slot of a gradient vector instead of
-returning them, and the Adam step updates a parameter vector and its own
-state in place.
+distribution, and Adam. The reflection network pools pre-activations and
+applies the ReLU after the pool (equal outputs, since ReLU is monotone);
+the pool backward routes each pooled gradient to its single winning row,
+and falls back to the first winner on ties. Every forward layer operation
+is a pure function of its inputs; backward passes take the forward inputs
+and the upstream gradient and return the input gradient. A backward pass
+with parameters adds their gradients into the layer's slot of a gradient
+vector instead of returning them, and the Adam step updates a parameter
+vector and its own state in place.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
 feature). A batch of lists is one matrix of all their rows plus Segments
@@ -203,12 +206,26 @@ def segment_max_pool(x: np.ndarray, segments: Segments) -> np.ndarray:
 def segment_max_pool_backward(
     x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray | None = None
 ) -> np.ndarray:
-    """Route each segment's feature gradient to its first (lowest-index) winning row.
+    """Route each segment's feature gradient to its winning row, at x's precision.
 
-    pooled is the forward result; pass it to save recomputing it.
+    pooled is the forward result; pass it to save recomputing it. Where
+    every (segment, feature) maximum has a single winning row, as for
+    untied pre-activations, each gradient goes straight to it; on a tie
+    (or a NaN) it goes to the first (lowest-index) winner.
     """
     if pooled is None:
         pooled = segment_max_pool(x, segments)
+    wins = x == pooled[segments.ids]
+    # each non-NaN maximum has at least one winner, so one count shows there is exactly one
+    if np.count_nonzero(wins) == pooled.size and not np.isnan(pooled).any():
+        return np.where(wins, grad_out[segments.ids], 0).astype(x.dtype, copy=False)
+    return _first_winner_grad(x, segments, grad_out, pooled)
+
+
+def _first_winner_grad(
+    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray
+) -> np.ndarray:
+    """segment_max_pool_backward routing to the first winner of every maximum."""
     n_rows = x.shape[0]
     # rows below their segment's maximum can never win; the lowest row
     # index among the others is the first winner

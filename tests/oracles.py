@@ -2,14 +2,17 @@
 
 The per-reflection object frame, the track generator drawing one
 reflection at a time, the forest grown one tree and one node at a time,
-and the stacking of per-tree node arrays into a forest.
+the stacking of per-tree node arrays into a forest, the reflection
+network with each ReLU before its max pool, and a count of the pool
+backward's first-winner searches.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
-from deepreflecs import datagen, forest
+from deepreflecs import datagen, forest, nn
 from deepreflecs.preprocess import CLASSES, ObjectPose, ObjectSample, Reflection
 
 
@@ -250,3 +253,58 @@ def stack_trees(trees, n_classes, seed, n_oob=None):
         tuple(n_oob or [0] * len(trees)), forest.FeatureConfig(), n_classes, seed,
         max(tree_depth(tree) for tree in trees),
     )
+
+
+@contextlib.contextmanager
+def first_winner_searches():
+    """A list that gains one entry per first-winner search of a pool backward."""
+    calls, search = [], nn._first_winner_grad
+    nn._first_winner_grad = lambda *a: calls.append(1) or search(*a)
+    try:
+        yield calls
+    finally:
+        nn._first_winner_grad = search
+
+
+def reflectnet_forward_rows(net, batch, keep_cache=False):
+    """model.forward_rows with each ReLU applied before its max pool.
+
+    Max pools post-ReLU rows, so a segment whose pre-activations are all
+    at or below zero ties at zero and routes its gradient to its first row.
+    """
+    segments = batch.segments
+    z1 = nn.rowwise_linear(batch.rows, net.conv1)
+    h1 = nn.relu(z1)
+    h = nn.segment_context_layer(h1, segments) if net.config.use_gcl else h1
+    z2 = nn.rowwise_linear(h, net.conv2)
+    h2 = nn.relu(z2)
+    pooled = nn.segment_max_pool(h2, segments)
+    probs = nn.softmax(nn.rowwise_linear(pooled, net.head))
+    if not keep_cache:
+        return probs
+    return probs, {"z1": z1, "h1": h1, "h": h, "z2": z2, "h2": h2, "pooled": pooled}
+
+
+def reflectnet_loss_and_grads(net, batch, labels):
+    """model.loss_and_grads over reflectnet_forward_rows: ReLU backward after each pool's."""
+    segments = batch.segments
+    probs, cache = reflectnet_forward_rows(net, batch, keep_cache=True)
+    labels = np.asarray(labels, dtype=np.intp)
+    d_logits = nn.logit_grads(probs, labels, 1.0 / len(batch), net.vector.dtype)
+    grad = np.zeros_like(net.vector)
+    slot = net.layers_of(grad)
+    d_pooled = nn.rowwise_linear_backward(cache["pooled"], net.head, d_logits, slot["head"])
+    # the first-winner search for every pool, independent of the single-winner path
+    d_h2 = nn._first_winner_grad(cache["h2"], segments, d_pooled, cache["pooled"])
+    d_z2 = nn.relu_backward(cache["z2"], d_h2)
+    d_h = nn.rowwise_linear_backward(cache["h"], net.conv2, d_z2, slot["conv2"])
+    if net.config.use_gcl:
+        width = net.config.width1
+        g = cache["h"][segments.starts, width:]
+        d_global = np.add.reduceat(d_h[:, width:], segments.starts, axis=0)
+        d_h1 = d_h[:, :width] + nn._first_winner_grad(cache["h1"], segments, d_global, g)
+    else:
+        d_h1 = d_h
+    d_z1 = nn.relu_backward(cache["z1"], d_h1)
+    nn.rowwise_linear_backward(batch.rows, net.conv1, d_z1, slot["conv1"], need_input_grad=False)
+    return nn.mean_cross_entropy(probs, labels), grad

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deepreflecs import datagen, evaluate, preprocess, trainer
+from deepreflecs import datagen, evaluate, model, preprocess, trainer
 
 TINY_CONFIG = trainer.TrainConfig(epochs=2, steps_per_epoch=6, batch_size=8, seed=0)
 
@@ -156,6 +156,20 @@ class TestAblation:
             - data["variants"]["without_gcl"]["total_accuracy"]
         )
         assert set(data["delta"]["per_class"]) == set(preprocess.CLASSES)
+
+    def test_nothing_is_timed(self, tiny_dataset, monkeypatch):
+        """The ablation reports no timing, so it makes no timed single-object
+        predict call; the benchmark on the same data makes them."""
+        calls = []
+        predict = model.ReflectNetModel.predict
+        monkeypatch.setattr(
+            model.ReflectNetModel, "predict", lambda net, inp: calls.append(1) or predict(net, inp)
+        )
+        report = evaluate.run_ablation(tiny_dataset, seed=1, config=TINY_CONFIG)
+        assert calls == []
+        assert report.timing_dict() == {"with_gcl": None, "without_gcl": None}
+        evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG, methods=["deepreflecs"])
+        assert len(calls) >= 100
 
     def test_with_gcl_arm_is_the_benchmark_network(self, tiny_dataset):
         """Both commands share one split and one training path: the with-GCL

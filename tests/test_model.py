@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepreflecs import container, evaluate, model, nn
+import oracles
+from deepreflecs import container, datagen, evaluate, model, nn, preprocess, trainer
 from deepreflecs.preprocess import NormStats, PaddedInput
 
 
@@ -356,6 +357,152 @@ class TestStaged:
         inputs = [random_input(rng) for _ in range(n_inputs - 1)] + [bad]
         with pytest.raises(nn.ShapeError, match="differ in length"):
             model.build_model().stage(inputs)
+
+
+@pytest.fixture(scope="module")
+def desk_sets(tmp_path_factory):
+    """(norm stats, train inputs, labels, class labels, val inputs, labels) of
+    the seed 0-2 desk splits, read back from the written dataset as the CLI
+    reads it."""
+    sets = {}
+    for seed in range(3):
+        path = str(tmp_path_factory.mktemp("desk") / "desk.jsonl")
+        preprocess.write_dataset(datagen.generate_dataset(datagen.desk_genspec(seed=seed)), path)
+        train, val, _ = preprocess.trackwise_split(preprocess.read_dataset(path), seed=seed)
+        stats = preprocess.compute_norm_stats(train)
+        pad_length = model.ReflectNetConfig.pad_length
+        sets[seed] = (
+            stats,
+            [preprocess.prepare_input(s, pad_length, stats) for s in train],
+            np.array([s.class_index for s in train]),
+            [s.class_label for s in train],
+            [preprocess.prepare_input(s, pad_length, stats) for s in val],
+            np.array([s.class_index for s in val]),
+        )
+    return sets
+
+
+def assert_pools_as_relu_first(net, batch, labels):
+    """forward_rows and loss_and_grads against the ReLU-before-pool reference.
+
+    Probabilities and loss are bitwise equal; gradients are equal as numbers
+    (only the sign of a zero may differ). Returns the loss and gradient.
+    """
+    probs = model.forward_rows(net, batch)
+    assert probs.tobytes() == oracles.reflectnet_forward_rows(net, batch).tobytes()
+    loss, grad = model.loss_and_grads(net, batch, labels)
+    expected_loss, expected = oracles.reflectnet_loss_and_grads(net, batch, labels)
+    assert loss == expected_loss
+    assert grad.dtype == expected.dtype and np.array_equal(grad, expected)
+    return loss, grad
+
+
+def padded(rows, pad_length=8):
+    """Unnormalized feature rows as one padded input."""
+    return preprocess.pad_and_mask(np.asarray(rows), pad_length, NormStats.identity())
+
+
+class TestPoolBeforeRelu:
+    """Each max pool on pre-activations, ReLU after, against ReLU then pool."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_batches_fresh_and_after_adam_steps(self, desk_sets, seed, use_gcl, dtype):
+        stats, inputs, labels = desk_sets[seed][:3]
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=seed)
+        net.norm_stats = stats
+        net = net.astype(dtype)
+        staged = net.stage(inputs)
+        rng = np.random.default_rng(seed)
+        opt_state = None
+        for _ in range(6):  # the first batch meets the fresh network
+            draw = rng.integers(0, len(staged), size=64)
+            loss, grad = assert_pools_as_relu_first(net, staged[draw], labels[draw])
+            _, opt_state = net.update(loss, grad, 0.01, opt_state)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    def test_duplicated_rows_tie_and_take_the_first_winner(self, use_gcl, dtype):
+        rows = np.random.default_rng(12).standard_normal((3, 5))
+        # input 0 is one row three times, so every feature of both pools ties
+        inputs = [padded(rows[[0, 0, 0]]), padded(rows[[1, 2, 2, 0]]), padded(rows)]
+        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=12)
+        net = net.astype(dtype)
+        with oracles.first_winner_searches() as calls:
+            model.loss_and_grads(net, net.stage(inputs), [0, 1, 2])
+        assert len(calls) == (2 if use_gcl else 1)
+        assert_pools_as_relu_first(net, net.stage(inputs), [0, 1, 2])
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    def test_a_segment_of_negative_pre_activations_passes_no_gradient(self, use_gcl, dtype, tol):
+        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=13)
+        net.conv1.weights[:] = np.abs(net.conv1.weights)
+        net.conv2.bias[:] = -0.5
+        net = net.astype(dtype)
+        rng = np.random.default_rng(13)
+        positive = padded(np.abs(rng.standard_normal((4, 5))) + 0.1)
+        negative = padded(-np.abs(rng.standard_normal((3, 5))) - 0.1)
+        staged = net.stage([positive, negative])
+        _, cache = model.forward_rows(net, staged, keep_cache=True)
+        assert (cache["z1"][4:] < 0).all() and (cache["z2"][4:] < 0).all()
+        assert (cache["m2"][0] > 0).any()
+        _, grad = assert_pools_as_relu_first(net, staged, [1, 2])
+        # the negative segment adds nothing but its head-bias term to the sum,
+        # so the rest is half the gradient of the positive segment alone
+        _, alone = model.loss_and_grads(net, net.stage([positive]), [1])
+        got, expected = net.params(grad), net.params(alone)
+        for name in ("conv1.weights", "conv1.bias", "conv2.weights", "conv2.bias", "head.weights"):
+            assert np.abs(expected[name]).max() > 0
+            np.testing.assert_allclose(
+                2 * got[name], expected[name], rtol=tol, atol=tol * np.abs(expected[name]).max()
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    def test_single_row_segments_have_one_winner(self, use_gcl, dtype):
+        rows = np.random.default_rng(14).standard_normal((5, 5))
+        inputs = [padded(row[None]) for row in rows]
+        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=14)
+        net = net.astype(dtype)
+        with oracles.first_winner_searches() as calls:
+            model.loss_and_grads(net, net.stage(inputs), [0, 1, 2, 3, 0])
+        assert calls == []
+        assert_pools_as_relu_first(net, net.stage(inputs), [0, 1, 2, 3, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    def test_all_zero_feature_rows_fresh_and_after_adam_steps(self, use_gcl, dtype):
+        rng = np.random.default_rng(15)
+        inputs = [padded(np.zeros((3, 5))), padded(rng.standard_normal((4, 5))),
+                  padded(np.zeros((1, 5)))]
+        labels = [0, 1, 3]
+        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=15)
+        net = net.astype(dtype)
+        staged, opt_state = net.stage(inputs), None
+        for _ in range(4):  # fresh biases are zero, so zero rows give zero pre-activations
+            loss, grad = assert_pools_as_relu_first(net, staged, labels)
+            _, opt_state = net.update(loss, grad, 0.05, opt_state)
+
+    def test_every_pool_backward_of_a_desk_training_run_has_one_winner(
+        self, desk_sets, monkeypatch
+    ):
+        """The deepreflecs_desk perfbench schedule on the seed-0 desk data: no
+        pool backward falls back to the first-winner search."""
+        stats, inputs, labels, class_labels, val_inputs, val_labels = desk_sets[0]
+        net = model.build_model(seed=0)
+        net.norm_stats = stats
+        pool_calls = []
+        backward = nn.segment_max_pool_backward
+        monkeypatch.setattr(
+            nn, "segment_max_pool_backward", lambda *a: pool_calls.append(1) or backward(*a)
+        )
+        schedule = trainer.TrainConfig(epochs=4, steps_per_epoch=32, batch_size=64, seed=0)
+        with oracles.first_winner_searches() as searches:
+            trainer.train(net, inputs, labels, class_labels, val_inputs, val_labels, schedule)
+        assert len(pool_calls) == 4 * 32 * 2  # two pools per step with the GCL
+        assert searches == []
 
 
 class TestSerialization:

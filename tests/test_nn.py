@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from deepreflecs import gridcnn, model, nn
+from oracles import first_winner_searches
 
 
 def naive_matmul(x, w, b):
@@ -288,6 +289,57 @@ class TestSegments:
         assert np.array_equal(nn.segment_max_pool(x, seg), pooled)
         assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out), grad_x)
         assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out, pooled), grad_x)
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_untied_rows_take_the_single_winner_path(self, lengths, seed, dtype):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((sum(lengths), 3)).astype(dtype)
+        grad_out = rng.standard_normal((len(lengths), 3)).astype(dtype)
+        seg = nn.Segments.from_lengths(lengths)
+        assume(all(np.unique(col).size == col.size for col in x.T))  # no value twice: no tie
+        with first_winner_searches() as calls:
+            grad_x = nn.segment_max_pool_backward(x, seg, grad_out)
+        assert calls == []
+        assert grad_x.dtype == dtype
+        assert np.array_equal(grad_x, per_segment_oracle(x, lengths, grad_out)[1])
+
+    @given(segmented_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_tied_rows_take_the_first_winner_path(self, case):
+        x, lengths, grad_out = case
+        seg = nn.Segments.from_lengths(lengths)
+        pooled, expected = per_segment_oracle(x, lengths, grad_out)
+        tied = np.count_nonzero(x == pooled[seg.ids]) > pooled.size
+        with first_winner_searches() as calls:
+            grad_x = nn.segment_max_pool_backward(x, seg, grad_out, pooled)
+        assert len(calls) == int(tied)
+        assert np.array_equal(grad_x, expected)
+
+    @pytest.mark.parametrize("x", [
+        [[1.0, 2.0], [3.0, 0.0]],  # one winner per feature
+        [[1.0, 2.0], [1.0, 0.0]],  # a tie in feature 0
+    ], ids=["single-winner", "first-winner"])
+    def test_result_has_the_input_precision(self, x):
+        x = np.array(x, dtype=np.float32)
+        grad_out = np.array([[1.0 + 2.0**-40, -3.0]])  # not a float32 number
+        grad_x = nn.segment_max_pool_backward(x, nn.Segments.single(2), grad_out)
+        assert grad_x.dtype == np.float32
+        assert np.array_equal(grad_x, per_segment_oracle(x, [2], grad_out)[1])
+
+    def test_a_nan_maximum_beside_a_tie_takes_the_first_winner_path(self):
+        # feature 0 has no winner (NaN) and feature 1 two, so the count of
+        # winners alone would match one winner per maximum
+        x = np.array([[np.nan, 2.0], [1.0, 2.0]])
+        seg, grad_out = nn.Segments.single(2), np.array([[5.0, 7.0]])
+        with first_winner_searches() as calls:
+            grad_x = nn.segment_max_pool_backward(x, seg, grad_out)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(grad_x, [[5.0, 7.0], [0.0, 0.0]])
 
     @given(segmented_rows(), st.data())
     @settings(max_examples=100, deadline=None)
