@@ -14,6 +14,15 @@ predict_batch, loss_and_grads and train_step take only such a stack and
 feed it _CHUNK grids at a time. A training run stages its grids once and
 draws each batch from the stack by index.
 
+The pool reads rows and columns 0-9 of conv3's output, so conv3 is
+computed at those 10x10 cells only. The pool takes conv3's
+pre-activations and the ReLU follows it, which gives the same outputs,
+since ReLU is monotone. A training step sums its weight gradients in
+fixed blocks, so its bits do not depend on the BLAS thread count: a conv
+kernel's gradient is one product per grid, summed over the grids in
+order, and chunk after chunk; a dense layer's is one product over the
+whole batch, from inputs and output gradients kept in per-batch buffers.
+
 The model is an nn.Network over the layer table _WEIGHT_SHAPES (a 3x3
 kernel is a (3, 3, in, out) nn.LinearParams), with the channel
 statistics as its norm_stats.
@@ -114,7 +123,7 @@ class GridCnnModel(nn.Network):
         _, cache = forward_grids(wide, wide.stage([grid]), keep_cache=True)
         return nn.kink_margin(
             [cache[z] for z in ("z1", "z2", "z3", "zd1", "zd2")],
-            [np.stack(_pool_windows(cache["a3"]))],
+            [np.stack(_pool_windows(nn.relu(cache["z3"])))],
         )
 
     def predict(self, grid: Grid) -> nn.ClassDistribution:
@@ -153,8 +162,8 @@ def build_gridcnn(seed: int = 0) -> GridCnnModel:
 
 
 # Grids per forward/backward pass. It bounds a step's scratch memory: a
-# float32 batch of 64 peaks at 2.9 MiB of allocations in chunks of 4, 4.8 MiB
-# in chunks of 8 and 31 MiB all at once, while larger chunks save under 10%
+# float32 batch of 64 peaks at 3.3 MiB of allocations in chunks of 4, 5.1 MiB
+# in chunks of 8 and 30 MiB all at once, while larger chunks save under 10%
 # of the step time, since each chunk's patch matrices already fill a GEMM.
 _CHUNK = 4
 
@@ -162,61 +171,86 @@ _CHUNK = 4
 # over the flattened window
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# rows and columns of conv3's output the pool reads: the 11th of each never
+# reaches the loss
+_POOLED_CELLS = 10
 
-@functools.lru_cache(maxsize=None)  # one entry per grid shape; the model uses 11x11
-def _tap_index(h: int, w: int) -> np.ndarray:
-    """(H*W*9,) read-only index into the flattened (H+2)*(W+2) padded cells.
 
-    Entry ((i*W + j)*3 + ki)*3 + kj is the padded cell under tap (ki, kj)
-    of output cell (i, j).
+@functools.lru_cache(maxsize=None)  # one entry per grid shape and output window
+def _tap_index(h: int, w: int, rows: int, cols: int) -> np.ndarray:
+    """(rows*cols*9,) read-only index into the flattened (h+2)*(w+2) padded cells.
+
+    Entry ((i*cols + j)*3 + ki)*3 + kj is the padded cell under tap (ki, kj)
+    of output cell (i, j), for the output cells i < rows and j < cols.
     """
-    i, j, ki, kj = np.ix_(range(h), range(w), range(3), range(3))
+    i, j, ki, kj = np.ix_(range(rows), range(cols), range(3), range(3))
     index = ((i + ki) * (w + 2) + j + kj).reshape(-1)
     index.flags.writeable = False
     return index
 
 
-def _patches(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B*H*W, 9*C) 3x3 patches of the same-padded input.
+def _patches(x: np.ndarray, grid=None, cells=None) -> np.ndarray:
+    """(B, h, w, C) -> (B*rows*cols, 9*C) 3x3 patches of a same-padded grid stack.
 
-    Column (ki*3 + kj)*C + c holds tap (ki, kj) of channel c, matching a
+    The grids are (H, W) = grid (default (h, w)) with x as their top-left
+    cells and zeros elsewhere; the patches are those of the output cells
+    i < rows, j < cols, (rows, cols) = cells (default (H, W)). Column
+    (ki*3 + kj)*C + c holds tap (ki, kj) of channel c, matching a
     (3, 3, C, out) kernel reshaped to (9*C, out). The patches are one take
-    of the zero-padded stack over the cached tap index of its (H, W).
+    of the zero-padded stack over the cached tap index.
     """
     b, h, w, c = x.shape
-    padded = np.zeros((b, (h + 2) * (w + 2), c), dtype=x.dtype)
-    padded.reshape(b, h + 2, w + 2, c)[:, 1 : h + 1, 1 : w + 1] = x
-    return np.take(padded, _tap_index(h, w), axis=1).reshape(b * h * w, 9 * c)
+    gh, gw = grid or (h, w)
+    rows, cols = cells or (gh, gw)
+    padded = np.zeros((b, (gh + 2) * (gw + 2), c), dtype=x.dtype)
+    padded.reshape(b, gh + 2, gw + 2, c)[:, 1 : h + 1, 1 : w + 1] = x
+    return np.take(padded, _tap_index(gh, gw, rows, cols), axis=1).reshape(b * rows * cols, 9 * c)
 
 
-def _conv(x: np.ndarray, params: nn.LinearParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Same-padded 3x3 convolution of a grid stack; returns (output, patches)."""
+def _conv(x: np.ndarray, params: nn.LinearParams, cells=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Same-padded 3x3 convolution of a grid stack; returns (output, patches).
+
+    With cells = (rows, cols), only the output cells i < rows, j < cols
+    are computed.
+    """
     b, h, w, cin = x.shape
+    rows, cols = cells or (h, w)
     cout = params.bias.shape[0]
-    cols = _patches(x)
-    out = cols @ params.weights.reshape(9 * cin, cout) + params.bias
-    return out.reshape(b, h, w, cout), cols
+    patches = _patches(x, cells=cells)
+    out = patches @ params.weights.reshape(9 * cin, cout) + params.bias
+    return out.reshape(b, rows, cols, cout), patches
+
+
+def _flipped(params: nn.LinearParams) -> np.ndarray:
+    """The (9*out, in) kernel of a convolution's input gradient: rotated by
+    180 degrees, its channel axes swapped."""
+    cout = params.bias.shape[0]
+    return params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
 
 
 def _conv_grads(
-    cols: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, grad: nn.LinearParams,
-    need_input_grad: bool = True,
+    patches: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, grad: nn.LinearParams,
+    flipped: np.ndarray | None = None, grid=None,
 ) -> np.ndarray | None:
-    """Gradient w.r.t. the input (or None); adds the kernel and bias gradients into grad.
+    """Add the kernel and bias gradients into grad; given flipped, return the input gradient.
 
-    The input gradient is the same-padded convolution of grad_out with the
-    kernel rotated by 180 degrees and its channel axes swapped.
+    grad_out (B, rows, cols, out) holds the output gradient at the cells
+    the patches are of. The kernel gradient is one product per grid,
+    summed over the grids in order, so its bits do not depend on the BLAS
+    thread count. The input gradient, on (H, W) = grid (default (rows,
+    cols)), is the same-padded convolution of grad_out, zero beyond its
+    cells, with flipped (_flipped(params)).
     """
-    cout = params.bias.shape[0]
-    g = grad_out.reshape(-1, cout)
-    grad.weights += (cols.T @ g).reshape(params.weights.shape)
-    grad.bias += g.sum(axis=0)
-    del cols  # the caller passes its last reference: free it before more patches
-    if not need_input_grad:
+    b, rows, cols, cout = grad_out.shape
+    per_grid = patches.reshape(b, rows * cols, -1).transpose(0, 2, 1)
+    g = grad_out.reshape(b, rows * cols, cout)
+    grad.weights += np.matmul(per_grid, g).sum(axis=0).reshape(params.weights.shape)
+    grad.bias += g.reshape(-1, cout).sum(axis=0)
+    del patches, per_grid  # the caller passes its last reference: free it before more patches
+    if flipped is None:
         return None
-    flipped = params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
-    grad_x = _patches(grad_out) @ flipped
-    return grad_x.reshape(*grad_out.shape[:3], -1)
+    grid = grid or (rows, cols)
+    return (_patches(grad_out, grid=grid) @ flipped).reshape(b, *grid, -1)
 
 
 def _pool_windows(x: np.ndarray):
@@ -225,20 +259,30 @@ def _pool_windows(x: np.ndarray):
 
 
 def _pool(x: np.ndarray) -> np.ndarray:
-    """2x2 max pool, stride 2, floor; (B, 11, 11, C) -> (B, 5, 5, C), last row/col unused."""
+    """2x2 max pool, stride 2, floor; (B, 10 or 11, 10 or 11, C) -> (B, 5, 5, C).
+
+    An 11th row or column is not read.
+    """
     a, b, c, d = _pool_windows(x)
     return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
 def _pool_grads(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Send each window's gradient to its first winner (ties: see _POOL_OFFSETS)."""
-    grad = np.zeros_like(x)
-    free = np.ones(pooled.shape, dtype=bool)
-    for (di, dj), window in zip(_POOL_OFFSETS, _pool_windows(x)):
-        wins = free & (window == pooled)
-        grad[:, di:10:2, dj:10:2] = np.where(wins, grad_out, 0)
-        free &= ~wins
-    return grad
+    """Send each window's gradient to its first winner (ties: see _POOL_OFFSETS).
+
+    x is (B, 10, 10, C), so every cell lies in one window; the others get
+    grad_out * 0, as in nn.relu_backward. One comparison finds every
+    window's winners, and the later offsets drop a window's winners once
+    an earlier offset has won it.
+    """
+    b, _, _, c = x.shape
+    wins = x.reshape(b, 5, 2, 5, 2, c) == pooled[:, :, None, :, None]
+    taken = wins[:, :, 0, :, 0].copy()
+    for di, dj in _POOL_OFFSETS[1:]:
+        win = wins[:, :, di, :, dj]
+        win &= ~taken
+        taken |= win
+    return (grad_out[:, :, None, :, None] * wins).reshape(x.shape)
 
 
 def forward_grids(
@@ -249,20 +293,21 @@ def forward_grids(
 ):
     """Class probabilities (B, 4) for a stack of normalized grids x (B, 11, 11, 2).
 
-    Given an rng (training), dropout draws rng.random((B, 160)): per grid
-    the 128 dense1 values, then the 32 dense2 values, as a grid-by-grid
-    loop would. With keep_cache, returns (probabilities, activations) for
-    the backward pass.
+    conv3 is computed only at the 10x10 cells the pool reads, and the pool
+    takes its pre-activations, with the ReLU after it: relu(max(z)) stands
+    for max(relu(z)), bit for bit. Given an rng (training), dropout draws
+    rng.random((B, 160)): per grid the 128 dense1 values, then the 32
+    dense2 values, as a grid-by-grid loop would. With keep_cache, returns
+    (probabilities, activations) for the backward pass.
     """
     training = rng is not None
     z1, cols1 = _conv(x, model.conv1)
     a1 = nn.relu(z1)
     z2, cols2 = _conv(a1, model.conv2)
     a2 = nn.relu(z2)
-    z3, cols3 = _conv(a2, model.conv3)
-    a3 = nn.relu(z3)
-    pooled = _pool(a3)
-    flat = pooled.reshape(x.shape[0], FLAT_SIZE)
+    z3, cols3 = _conv(a2, model.conv3, cells=(_POOLED_CELLS, _POOLED_CELLS))
+    m3 = _pool(z3)
+    flat = nn.relu(m3).reshape(x.shape[0], FLAT_SIZE)
     zd1 = nn.rowwise_linear(flat, model.dense1)
     ad1 = nn.relu(zd1)
     cache: dict = {}
@@ -280,8 +325,8 @@ def forward_grids(
     if not keep_cache:
         return probs
     cache.update(
-        cols1=cols1, z1=z1, cols2=cols2, z2=z2, cols3=cols3, z3=z3, a3=a3,
-        pooled=pooled, flat=flat, zd1=zd1, ad1=ad1, zd2=zd2, ad2=ad2,
+        cols1=cols1, z1=z1, cols2=cols2, z2=z2, cols3=cols3, z3=z3, m3=m3,
+        flat=flat, zd1=zd1, ad1=ad1, zd2=zd2, ad2=ad2,
     )
     return probs, cache
 
@@ -291,32 +336,50 @@ def forward(model: GridCnnModel, grid: Grid) -> nn.ClassDistribution:
     return nn.distribution(model.predict_batch(model.stage([grid])))
 
 
-def _backward(
-    model: GridCnnModel, cache: dict, d_logits: np.ndarray, slot: Dict[str, nn.LinearParams]
-) -> None:
-    """Add one chunk's parameter gradients, given its logit gradients, into slot.
+def _dense_backward(
+    params: nn.LinearParams, x: np.ndarray, grad_out: np.ndarray,
+    kept: Tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """A dense layer's input gradient for one chunk.
 
+    x and grad_out go to kept, the chunk's rows of the batch's buffers for
+    the layer's one weight product (see loss_and_grads).
+    """
+    kept[0][...], kept[1][...] = x, grad_out
+    # W @ g.T runs at about twice the rate of g @ W.T for dense1
+    return (params.weights @ grad_out.T).T
+
+
+def _backward(
+    model: GridCnnModel, cache: dict, d_logits: np.ndarray, slot: Dict[str, nn.LinearParams],
+    flipped: Dict[str, np.ndarray], dense: Dict[str, Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Add one chunk's conv gradients, given its logit gradients, into slot.
+
+    dense[layer] is the chunk's rows of the dense layer's buffers (see
+    _dense_backward); flipped holds the _flipped conv2 and conv3 kernels.
     Takes each activation out of the cache at its last use, so a layer's
     patch matrix is freed before the next layer's gradients are built.
     """
     take = cache.pop
-    d_ad2 = nn.rowwise_linear_backward(take("ad2"), model.head, d_logits, slot["head"])
+    d_ad2 = _dense_backward(model.head, take("ad2"), d_logits, dense["head"])
     if "drop2" in cache:
         d_ad2 = d_ad2 * take("drop2")
     d_zd2 = nn.relu_backward(take("zd2"), d_ad2)
-    d_ad1 = nn.rowwise_linear_backward(take("ad1"), model.dense2, d_zd2, slot["dense2"])
+    d_ad1 = _dense_backward(model.dense2, take("ad1"), d_zd2, dense["dense2"])
     if "drop1" in cache:
         d_ad1 = d_ad1 * take("drop1")
     d_zd1 = nn.relu_backward(take("zd1"), d_ad1)
-    d_flat = nn.rowwise_linear_backward(take("flat"), model.dense1, d_zd1, slot["dense1"])
-    pooled = take("pooled")
-    d_a3 = _pool_grads(take("a3"), pooled, d_flat.reshape(pooled.shape))
-    d_z3 = nn.relu_backward(take("z3"), d_a3)
-    d_a2 = _conv_grads(take("cols3"), model.conv3, d_z3, slot["conv3"])
+    d_flat = _dense_backward(model.dense1, take("flat"), d_zd1, dense["dense1"])
+    m3 = take("m3")
+    d_m3 = nn.relu_backward(m3, d_flat.reshape(m3.shape))
+    d_z3 = _pool_grads(take("z3"), m3, d_m3)
+    grid = (GRID_CELLS, GRID_CELLS)
+    d_a2 = _conv_grads(take("cols3"), model.conv3, d_z3, slot["conv3"], flipped["conv3"], grid)
     d_z2 = nn.relu_backward(take("z2"), d_a2)
-    d_a1 = _conv_grads(take("cols2"), model.conv2, d_z2, slot["conv2"])
+    d_a1 = _conv_grads(take("cols2"), model.conv2, d_z2, slot["conv2"], flipped["conv2"])
     d_z1 = nn.relu_backward(take("z1"), d_a1)
-    _conv_grads(take("cols1"), model.conv1, d_z1, slot["conv1"], need_input_grad=False)
+    _conv_grads(take("cols1"), model.conv1, d_z1, slot["conv1"])
 
 
 def loss_and_grads(
@@ -328,22 +391,33 @@ def loss_and_grads(
     """Mean cross-entropy over a staged stack and its gradient, laid out like model.vector.
 
     Dropout is on, drawn from rng, when an rng is given. Each chunk adds
-    its gradients into the one vector, in chunk order.
+    its conv gradients into the one vector, in chunk order; each dense
+    layer's weight gradient is one product over the whole batch. No sum
+    depends on the BLAS thread count.
     """
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
     labels = np.asarray(labels, dtype=np.intp)
-    scale = 1.0 / len(batch)
+    n, dtype = len(batch), model.vector.dtype
+    scale = 1.0 / n
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
-    probs = []
-    for start in range(0, len(batch), _CHUNK):
-        stop = start + _CHUNK
-        p, cache = forward_grids(model, batch[start:stop], rng, keep_cache=True)
-        probs.append(p)
-        d_logits = nn.logit_grads(p, labels[start:stop], scale, model.vector.dtype)
-        _backward(model, cache, d_logits, slot)
-    return nn.mean_cross_entropy(np.concatenate(probs), labels), grad
+    flipped = {layer: _flipped(getattr(model, layer)) for layer in ("conv2", "conv3")}
+    dense = {  # each dense layer's inputs and output gradients
+        layer: tuple(np.empty((n, width), dtype) for width in _WEIGHT_SHAPES[layer])
+        for layer in ("dense1", "dense2", "head")
+    }
+    probs = np.empty((n, N_CLASSES))
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        probs[rows], cache = forward_grids(model, batch[rows], rng, keep_cache=True)
+        d_logits = nn.logit_grads(probs[rows], labels[rows], scale, dtype)
+        chunk = {layer: (inputs[rows], grads[rows]) for layer, (inputs, grads) in dense.items()}
+        _backward(model, cache, d_logits, slot, flipped, chunk)
+    for layer, (inputs, grads) in dense.items():
+        np.matmul(inputs.T, grads, out=slot[layer].weights)
+        grads.sum(axis=0, out=slot[layer].bias)
+    return nn.mean_cross_entropy(probs, labels), grad
 
 
 def train_step(

@@ -53,6 +53,14 @@ GRADCHECK_STEP = 1e-5
 GRADCHECK_RETRY_ABOVE = 1e-4
 GRADCHECK_RETRIES = 2
 SAFE_SAMPLE_TRIES = 200
+# Multiply-adds (rows x in x out) of one block of a row-wise weight
+# gradient. OpenBLAS 0.3.31 runs a product of at most 10**6 of them on one
+# thread; above that its sums can depend on the thread count (a sweep of
+# row counts found a 32 x 32 product first differing under 1 and 2
+# threads at 977 rows). 768 rows of the 32 x 32 conv2, so a desk batch of
+# 64 objects (196-535 rows on the seed-0 default schedule) stays one
+# block and keeps its bits.
+WEIGHT_GRAD_BLOCK = 768 * 32 * 32
 
 
 class ShapeError(ValueError):
@@ -147,9 +155,14 @@ def rowwise_linear_backward(
     """Gradient of rowwise_linear w.r.t. its input (or None).
 
     The weight and bias gradients are added into grad, the layer's slot of
-    a gradient vector.
+    a gradient vector. The weight gradient x.T @ grad_out is added one
+    block of rows at a time, in row order, each block at most
+    WEIGHT_GRAD_BLOCK multiply-adds, so its bits do not depend on the BLAS
+    thread count.
     """
-    grad.weights += x.T @ grad_out
+    rows = max(1, WEIGHT_GRAD_BLOCK // (x.shape[1] * grad_out.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        grad.weights += x[start : start + rows].T @ grad_out[start : start + rows]
     grad.bias += grad_out.sum(axis=0)
     if not need_input_grad:
         return None

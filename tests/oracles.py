@@ -3,8 +3,9 @@
 The per-reflection object frame, the track generator drawing one
 reflection at a time, the forest grown one tree and one node at a time,
 the stacking of per-tree node arrays into a forest, the reflection
-network with each ReLU before its max pool, and a count of the pool
-backward's first-winner searches.
+network with each ReLU before its max pool, a count of the pool
+backward's first-winner searches, and the grid CNN with its ReLU before
+the pool and every weight gradient summed chunk by chunk.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from deepreflecs import datagen, forest, nn
+from deepreflecs import datagen, forest, gridcnn, nn
 from deepreflecs.preprocess import CLASSES, ObjectPose, ObjectSample, Reflection
 
 
@@ -308,3 +309,123 @@ def reflectnet_loss_and_grads(net, batch, labels):
     d_z1 = nn.relu_backward(cache["z1"], d_h1)
     nn.rowwise_linear_backward(batch.rows, net.conv1, d_z1, slot["conv1"], need_input_grad=False)
     return nn.mean_cross_entropy(probs, labels), grad
+
+
+def gridcnn_forward_grids(net, x, rng=None, keep_cache=False, pool_first=False):
+    """gridcnn.forward_grids with each ReLU before the pool and conv3 at all 11x11 cells.
+
+    With pool_first, the pool takes conv3's pre-activations and the ReLU
+    follows it (gridcnn._pool either way), and nothing else changes.
+    """
+    def conv(inp, params):
+        b, h, w, cin = inp.shape
+        cols = gridcnn._patches(inp)
+        out = cols @ params.weights.reshape(9 * cin, -1) + params.bias
+        return out.reshape(b, h, w, -1), cols
+
+    z1, cols1 = conv(x, net.conv1)
+    z2, cols2 = conv(nn.relu(z1), net.conv2)
+    z3, cols3 = conv(nn.relu(z2), net.conv3)
+    a3 = z3 if pool_first else nn.relu(z3)
+    pooled = gridcnn._pool(a3)
+    flat = (nn.relu(pooled) if pool_first else pooled).reshape(x.shape[0], gridcnn.FLAT_SIZE)
+    zd1 = nn.rowwise_linear(flat, net.dense1)
+    ad1 = nn.relu(zd1)
+    cache = {}
+    if rng is not None:
+        keep = 1.0 - net.dropout
+        draws = rng.random((x.shape[0], sum(gridcnn.DENSE_WIDTHS)))
+        masks = (draws < keep).astype(x.dtype) / keep
+        cache["drop1"], cache["drop2"] = np.split(masks, [gridcnn.DENSE_WIDTHS[0]], axis=1)
+        ad1 = ad1 * cache["drop1"]
+    zd2 = nn.rowwise_linear(ad1, net.dense2)
+    ad2 = nn.relu(zd2)
+    if rng is not None:
+        ad2 = ad2 * cache["drop2"]
+    probs = nn.softmax(nn.rowwise_linear(ad2, net.head))
+    if not keep_cache:
+        return probs
+    cache.update(
+        cols1=cols1, z1=z1, cols2=cols2, z2=z2, cols3=cols3, z3=z3, a3=a3,
+        pooled=pooled, flat=flat, zd1=zd1, ad1=ad1, zd2=zd2, ad2=ad2,
+    )
+    return probs, cache
+
+
+def first_winner_pool_grads(x, pooled, grad_out):
+    """2x2 pool backward of an (B, 10 or 11, ..., C) stack, one window offset at a time.
+
+    Each window's gradient goes to its first winner in gridcnn._POOL_OFFSETS
+    order; a window with no winner (a NaN maximum) sends none.
+    """
+    grad = np.zeros_like(x)
+    free = np.ones(pooled.shape, dtype=bool)
+    for (di, dj), window in zip(gridcnn._POOL_OFFSETS, gridcnn._pool_windows(x)):
+        wins = free & (window == pooled)
+        grad[:, di:10:2, dj:10:2] = np.where(wins, grad_out, 0)
+        free &= ~wins
+    return grad
+
+
+def gridcnn_loss_and_grads(net, batch, labels, rng=None, pool_first=False):
+    """gridcnn.loss_and_grads over gridcnn_forward_grids, chunk by chunk.
+
+    Every layer's weight gradient is added per chunk (one x.T @ g
+    product), input gradients are g @ W.T and the flipped kernels are
+    made per chunk. With pool_first, the pool backward is
+    gridcnn._pool_grads on conv3's pre-activations, after the ReLU's;
+    otherwise first_winner_pool_grads after ReLU's.
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    scale = 1.0 / len(batch)
+    grad = np.zeros_like(net.vector)
+    slot = net.layers_of(grad)
+
+    def conv_grads(cols, params, grad_out, grad, need_input_grad=True):
+        cout = params.bias.shape[0]
+        g = grad_out.reshape(-1, cout)
+        grad.weights += (cols.T @ g).reshape(params.weights.shape)
+        grad.bias += g.sum(axis=0)
+        if not need_input_grad:
+            return None
+        flipped = params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
+        return (gridcnn._patches(grad_out) @ flipped).reshape(*grad_out.shape[:3], -1)
+
+    def dense_grads(x, params, grad_out, grad):
+        grad.weights += x.T @ grad_out
+        grad.bias += grad_out.sum(axis=0)
+        return grad_out @ params.weights.T
+
+    probs = []
+    for start in range(0, len(batch), gridcnn._CHUNK):
+        stop = start + gridcnn._CHUNK
+        p, cache = gridcnn_forward_grids(
+            net, batch[start:stop], rng, keep_cache=True, pool_first=pool_first
+        )
+        probs.append(p)
+        d_logits = nn.logit_grads(p, labels[start:stop], scale, net.vector.dtype)
+        d_ad2 = dense_grads(cache["ad2"], net.head, d_logits, slot["head"])
+        if "drop2" in cache:
+            d_ad2 = d_ad2 * cache["drop2"]
+        d_zd2 = nn.relu_backward(cache["zd2"], d_ad2)
+        d_ad1 = dense_grads(cache["ad1"], net.dense2, d_zd2, slot["dense2"])
+        if "drop1" in cache:
+            d_ad1 = d_ad1 * cache["drop1"]
+        d_zd1 = nn.relu_backward(cache["zd1"], d_ad1)
+        d_flat = dense_grads(cache["flat"], net.dense1, d_zd1, slot["dense1"])
+        d_flat = d_flat.reshape(cache["pooled"].shape)
+        if pool_first:
+            d_m3 = nn.relu_backward(cache["pooled"], d_flat)
+            d_z3 = np.zeros_like(cache["z3"])
+            d_z3[:, :10, :10] = gridcnn._pool_grads(
+                np.ascontiguousarray(cache["z3"][:, :10, :10]), cache["pooled"], d_m3
+            )
+        else:
+            d_a3 = first_winner_pool_grads(cache["a3"], cache["pooled"], d_flat)
+            d_z3 = nn.relu_backward(cache["z3"], d_a3)
+        d_a2 = conv_grads(cache["cols3"], net.conv3, d_z3, slot["conv3"])
+        d_z2 = nn.relu_backward(cache["z2"], d_a2)
+        d_a1 = conv_grads(cache["cols2"], net.conv2, d_z2, slot["conv2"])
+        d_z1 = nn.relu_backward(cache["z1"], d_a1)
+        conv_grads(cache["cols1"], net.conv1, d_z1, slot["conv1"], need_input_grad=False)
+    return nn.mean_cross_entropy(np.concatenate(probs), labels), grad

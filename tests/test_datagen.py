@@ -159,7 +159,9 @@ class TestAgainstPerReflectionReference:
         got = dataset_bytes(datagen.generate_dataset(spec), directory)
         assert got == dataset_bytes(oracles.generate_dataset(spec), directory)
 
-    @pytest.mark.parametrize("reflections", [(1, 1), (1, 2), (2, 2), (2, 3)])
+    @pytest.mark.parametrize(
+        "reflections", [(1, 1), (1, 2), (2, 2), (2, 3)], ids=["1-1", "1-2", "2-2", "2-3"]
+    )
     def test_rectangles_of_one_and_two_points(self, tmp_path, reflections):
         car = dataclasses.replace(datagen.DEFAULT_PROFILES["car"], reflections_range=reflections)
         spec = datagen.GenSpec(

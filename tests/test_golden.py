@@ -5,9 +5,8 @@ The list runs through `cli.main` in one subprocess with one BLAS thread:
 the seed-0 desk dataset; a model of each method on a short schedule;
 the eval report of each method; the benchmark and ablation reports; and the gradient check.
 Model files and report JSONs are hashed; train summaries (wall time) and
-timing output are not. The dataset and the reflection network's model
-file are also made by `deepreflecs` subprocesses under two BLAS threads,
-and must hash the same.
+timing output are not. The same list in a subprocess with two BLAS
+threads must give the same digests.
 
 The digests depend on the numpy and OpenBLAS builds, which the table
 records. To re-pin after a deliberate change, run this file as a script
@@ -105,35 +104,29 @@ def blas_env(threads: int) -> dict:
     ))
 
 
-def test_outputs_match_the_golden_digests():
-    pinned = pinned_table()
+def differing_outputs(threads: int) -> list:
+    """The hashed outputs whose digest under `threads` BLAS threads is not the pinned one."""
+    pinned = pinned_table()["sha256"]
     done = subprocess.run(
-        [sys.executable, __file__], capture_output=True, text=True, env=blas_env(1), timeout=600,
+        [sys.executable, __file__], capture_output=True, text=True, env=blas_env(threads),
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     got = json.loads(done.stdout)["sha256"]
-    differ = sorted(n for n in pinned["sha256"].keys() | got.keys()
-                    if pinned["sha256"].get(n) != got.get(n))
+    return sorted(n for n in pinned.keys() | got.keys() if pinned.get(n) != got.get(n))
+
+
+def test_outputs_match_the_golden_digests():
+    differ = differing_outputs(1)
     assert not differ, f"outputs differ from golden.json: {differ}"
 
 
-def test_network_model_holds_at_two_blas_threads(tmp_path):
-    """`train --method deepreflecs` writes the pinned model file under two
-    OpenBLAS threads too. The grid CNN's products sum in a thread-dependent
-    order, so its file is not checked here (ROADMAP item 3)."""
-    pinned = pinned_table()
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    hashed = ("desk.jsonl", "deepreflecs.model")
-    for argv, files in commands():
-        if files[0] not in hashed:
-            continue
-        done = subprocess.run(
-            [sys.executable, "-m", "deepreflecs", *argv], cwd=tmp_path, env=blas_env(2),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr[-2000:]
-    for name in hashed:
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned["sha256"][name]
+def test_outputs_hold_at_two_blas_threads():
+    """Every pinned output is the same under two OpenBLAS threads: no
+    product of either network or of the forest sums in a thread-dependent
+    order."""
+    differ = differing_outputs(2)
+    assert not differ, f"outputs under two BLAS threads differ from golden.json: {differ}"
 
 
 if __name__ == "__main__":

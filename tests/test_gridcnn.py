@@ -10,8 +10,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepreflecs import container, datagen, gridcnn, nn
+from deepreflecs import container, datagen, evaluate, gridcnn, nn, preprocess, trainer
 from deepreflecs.preprocess import NormStats, ObjectPose, ObjectSample, Reflection
+import oracles
 from oracles import to_object_frame
 
 
@@ -204,7 +205,7 @@ class TestConvOracle:
         params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
         out, cols = gridcnn._conv(x, params)
         grad = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
-        grad_x = gridcnn._conv_grads(cols, params, g, grad)
+        grad_x = gridcnn._conv_grads(cols, params, g, grad, gridcnn._flipped(params))
         assert grad_x.shape == x.shape
         assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
         np.testing.assert_allclose(grad.bias, g.sum(axis=(0, 1, 2)), rtol=1e-12)
@@ -212,18 +213,52 @@ class TestConvOracle:
         assert np.sum(grad.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
         # a second call adds its kernel and bias gradients to the first
         first = nn.LinearParams(grad.weights.copy(), grad.bias.copy())
-        assert gridcnn._conv_grads(cols, params, g, grad, need_input_grad=False) is None
+        assert gridcnn._conv_grads(cols, params, g, grad) is None
         np.testing.assert_array_equal(grad.weights, 2 * first.weights)
         np.testing.assert_array_equal(grad.bias, 2 * first.bias)
 
+    def test_read_cells_are_the_full_convolution_and_their_gradient_its_adjoint(self):
+        # conv3 runs at the top-left 10x10 cells of an 11x11 grid only
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 11, 11, 3))
+        g = rng.normal(size=(2, 10, 10, 5))
+        params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
+        out, cols = gridcnn._conv(x, params, cells=(10, 10))
+        assert out.shape == (2, 10, 10, 5) and cols.shape == (2 * 10 * 10, 9 * 3)
+        np.testing.assert_allclose(out, gridcnn._conv(x, params)[0][:, :10, :10], rtol=1e-12)
+        grad = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
+        grad_x = gridcnn._conv_grads(
+            cols, params, g, grad, gridcnn._flipped(params), grid=(11, 11)
+        )
+        assert grad_x.shape == x.shape
+        assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
+        assert np.sum(grad.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
+        # the same as the full-grid backward of g with an 11th row and column of zeros
+        full_g = np.zeros((2, 11, 11, 5))
+        full_g[:, :10, :10] = g
+        full = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
+        expected_x = gridcnn._conv_grads(
+            gridcnn._conv(x, params)[1], params, full_g, full, gridcnn._flipped(params)
+        )
+        np.testing.assert_allclose(grad_x, expected_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad.weights, full.weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad.bias, full.bias, rtol=1e-12)
 
-def sliding_window_patches(x):
-    """Oracle im2col: one copy of a transposed 3x3 sliding-window view."""
+
+def sliding_window_patches(x, grid=None, cells=None):
+    """Oracle im2col: one copy of a transposed 3x3 sliding-window view.
+
+    x is the top-left corner of a grid (default x's size) that is zero
+    elsewhere; the patches are those of the output cells [:rows, :cols]
+    (default the whole grid).
+    """
     b, h, w, c = x.shape
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    gh, gw = grid or (h, w)
+    rows, cols = cells or (gh, gw)
+    padded = np.zeros((b, gh + 2, gw + 2, c), dtype=x.dtype)
     padded[:, 1 : h + 1, 1 : w + 1] = x
     windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+    return windows[:, :rows, :cols].transpose(0, 1, 2, 4, 5, 3).reshape(b * rows * cols, 9 * c)
 
 
 class TestPatches:
@@ -241,9 +276,22 @@ class TestPatches:
         assert got.dtype == dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "size, grid, cells",
+        [((11, 11), None, (10, 10)), ((10, 10), (11, 11), None), ((3, 4), (5, 7), (2, 6))],
+        ids=["conv3-read-cells", "conv3-input-gradient", "corner-of-5x7"],
+    )
+    def test_grid_and_cells_bitwise_equal_to_the_oracle(self, size, grid, cells, dtype):
+        x = np.random.default_rng(list(size)).normal(size=(3, *size, 4)).astype(dtype)
+        got = gridcnn._patches(x, grid=grid, cells=cells)
+        expected = sliding_window_patches(x, grid=grid, cells=cells)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_tap_index_is_cached_and_read_only(self):
-        index = gridcnn._tap_index(11, 11)
-        assert gridcnn._tap_index(11, 11) is index
+        index = gridcnn._tap_index(11, 11, 11, 11)
+        assert gridcnn._tap_index(11, 11, 11, 11) is index
         assert index.shape == (11 * 11 * 9,) and not index.flags.writeable
         with pytest.raises(ValueError):
             index[0] = 1
@@ -319,7 +367,7 @@ class TestPool:
     def test_first_winner_on_ties(self, seed):
         # values in {0, 1, 2} make ties within most windows
         rng = np.random.default_rng(seed)
-        x = rng.integers(0, 3, size=(3, 11, 11, 4)).astype(np.float64)
+        x = rng.integers(0, 3, size=(3, 10, 10, 4)).astype(np.float64)
         grad_out = rng.normal(size=(3, 5, 5, 4))
         pooled = gridcnn._pool(x)
         expected, winner = window_argmax_oracle(x)
@@ -328,7 +376,37 @@ class TestPool:
         for k, i, j, ch in np.ndindex(grad_out.shape):
             r, c = winner[k, i, j, ch]
             expected_grad[k, r, c, ch] = grad_out[k, i, j, ch]
-        np.testing.assert_array_equal(gridcnn._pool_grads(x, pooled, grad_out), expected_grad)
+        grad = gridcnn._pool_grads(x, pooled, grad_out)
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(
+            grad, oracles.first_winner_pool_grads(x, pooled, grad_out)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_untied_windows_equal_the_window_by_window_search(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(4, 10, 10, 8)).astype(dtype)
+        grad_out = rng.normal(size=(4, 5, 5, 8)).astype(dtype)
+        pooled = gridcnn._pool(x)
+        grad = gridcnn._pool_grads(x, pooled, grad_out)
+        # equal as numbers: a cell that loses gets grad_out * 0, which may be -0.0
+        assert grad.dtype == dtype
+        assert np.array_equal(grad, oracles.first_winner_pool_grads(x, pooled, grad_out))
+
+    def test_a_nan_window_beside_a_tied_window(self):
+        # the NaN window has no winner and the tied one two, so the winner
+        # count alone would match one winner per window
+        x = np.arange(4 * 10 * 10, dtype=np.float64).reshape(1, 10, 10, 4)
+        x[0, 0, 0, 0] = np.nan
+        x[0, 2:4, 2:4, 1] = 1000.0
+        grad_out = np.arange(1, 1 + 5 * 5 * 4, dtype=np.float64).reshape(1, 5, 5, 4)
+        pooled = gridcnn._pool(x)
+        grad = gridcnn._pool_grads(x, pooled, grad_out)
+        expected = oracles.first_winner_pool_grads(x, pooled, grad_out)
+        np.testing.assert_array_equal(grad, expected)
+        assert grad[0, :2, :2, 0].tolist() == [[0, 0], [0, 0]]
+        assert grad[0, 2:4, 2:4, 1].tolist() == [[grad_out[0, 1, 1, 1], 0], [0, 0]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tie_margin_of_the_stacked_windows(self, seed):
@@ -341,11 +419,15 @@ class TestPool:
         assert nn._pool_tie_margin(np.stack(gridcnn._pool_windows(x))) == expected
         assert nn._pool_tie_margin(np.stack(gridcnn._pool_windows(0 * x))) == np.inf
 
-    def test_last_row_and_column_get_no_gradient(self):
-        x = np.ones((1, 11, 11, 2))
+    def test_last_row_and_column_are_not_pooled(self):
+        x = np.random.default_rng(5).normal(size=(2, 11, 11, 3))
+        assert gridcnn._pool(x).tobytes() == gridcnn._pool(x[:, :10, :10]).tobytes()
+
+    def test_exactly_one_winner_per_tied_window(self):
+        x = np.ones((1, 10, 10, 2))
         grad = gridcnn._pool_grads(x, gridcnn._pool(x), np.ones((1, 5, 5, 2)))
-        assert grad[:, 10].sum() == 0 and grad[:, :, 10].sum() == 0
-        assert grad.sum() == 5 * 5 * 2  # exactly one winner per window
+        assert grad.sum() == 5 * 5 * 2
+        assert grad[:, ::2, ::2].sum() == 5 * 5 * 2  # the first offset wins
 
 
 class TestForwardAndTraining:
@@ -521,8 +603,8 @@ class TestBatched:
             gridcnn.build_gridcnn().stage([])
 
     def test_peak_allocation_of_a_batch_64_step(self):
-        # chunks of 4 peak at 2.9 MiB, chunks of 8 at 4.8 MiB, the whole batch
-        # at once at 31 MiB; every MiB here raises the process's peak RSS
+        # chunks of 4 peak at 3.3 MiB, chunks of 8 at 5.1 MiB, the whole batch
+        # at once at 30 MiB; every MiB here raises the process's peak RSS
         net, x, labels = desk_batch_64()
         gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(0))  # warm
         peak = traced_peak(
@@ -557,6 +639,112 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def desk_stacks():
+    """Per seed 0-2: the seed's desk grids and their labels."""
+    stacks = {}
+    for seed in range(3):
+        samples = datagen.generate_dataset(datagen.desk_genspec(seed=seed))
+        stacks[seed] = ([gridcnn.rasterize(s) for s in samples],
+                        np.array([s.class_index for s in samples]))
+    return stacks
+
+
+def assert_as_the_chunked_oracle(net, x, labels, seed):
+    """forward_grids and loss_and_grads against oracles' chunked grid CNN, dropout from seed.
+
+    Probabilities and loss are bitwise equal (NaN where the oracle's are);
+    each gradient tensor is within tol of the oracle's, scaled by its
+    largest entry, as only the order of the weight-gradient sums changed.
+    Returns the loss and gradient.
+    """
+    for start in range(0, len(x), gridcnn._CHUNK):
+        chunk = x[start : start + gridcnn._CHUNK]
+        got = gridcnn.forward_grids(net, chunk, rng=np.random.default_rng(seed))
+        expected = oracles.gridcnn_forward_grids(net, chunk, rng=np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
+    loss, grad = gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(seed))
+    expected_loss, expected = oracles.gridcnn_loss_and_grads(
+        net, x, labels, rng=np.random.default_rng(seed)
+    )
+    assert loss == expected_loss or (np.isnan(loss) and np.isnan(expected_loss))
+    assert grad.dtype == expected.dtype
+    tol = 1e-5 if grad.dtype == np.float32 else 1e-12
+    for name, g in net.params(grad).items():
+        e = net.params(expected)[name]
+        scale = np.nanmax(np.abs(e)) if not np.isnan(e).all() else 0.0
+        np.testing.assert_allclose(g, e, rtol=tol, atol=tol * scale, equal_nan=True, err_msg=name)
+    return loss, grad
+
+
+class TestAgainstTheChunkedOracle:
+    """Pool before the ReLU, conv3 at the 10x10 read cells, dense weight
+    products once per batch and weight sums in fixed blocks, against the
+    chunked ReLU-then-pool network (oracles.gridcnn_loss_and_grads)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_batches_fresh_and_after_adam_steps(self, desk_stacks, seed, dtype):
+        grids, labels = desk_stacks[seed]
+        net = gridcnn.build_gridcnn(seed=seed)
+        gridcnn.set_channel_stats(net, grids)
+        net = net.astype(dtype)
+        staged = net.stage(grids)
+        rng = np.random.default_rng(seed)
+        opt_state = None
+        for step in range(3):  # the first batch meets the fresh network
+            draw = rng.integers(0, len(staged), size=64)
+            loss, grad = assert_as_the_chunked_oracle(net, staged[draw], labels[draw], step)
+            _, opt_state = net.update(loss, grad, 0.003, opt_state)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stack", ["all-zero", "duplicated", "nan-beside-a-tie"])
+    def test_edge_stacks(self, desk_stacks, stack, dtype):
+        grids, labels = desk_stacks[0]
+        net = gridcnn.build_gridcnn(seed=3)
+        gridcnn.set_channel_stats(net, grids)
+        net = net.astype(dtype)
+        zero = gridcnn.Grid(np.zeros((11, 11, 2)), np.zeros((11, 11), dtype=np.int64))
+        nan = gridcnn.Grid(grids[7].cells.copy(), grids[7].occupancy)
+        nan.cells[5, 5, 0] = np.nan
+        # empty cells all normalize to one value, so the zero grid's conv3
+        # windows tie; the NaN spreads to the NaN grid's cells only
+        stack_grids = {
+            "all-zero": [zero] * 5,
+            "duplicated": [grids[3]] * 6,
+            "nan-beside-a-tie": [nan, zero, grids[4]],
+        }[stack]
+        stack_labels = np.arange(len(stack_grids)) % gridcnn.N_CLASSES
+        assert_as_the_chunked_oracle(net, net.stage(stack_grids), stack_labels, 0)
+
+    def test_desk_grids_tie_in_conv3_windows(self, desk_stacks):
+        """Empty cells normalize to one value, so conv3 pre-activations tie
+        within windows of grids with an empty margin: on desk data the pool
+        backward has to pick first winners, not only single ones."""
+        grids, _ = desk_stacks[0]
+        net = gridcnn.build_gridcnn(seed=0)
+        gridcnn.set_channel_stats(net, grids)
+        _, cache = gridcnn.forward_grids(net, net.stage(grids[:64]), keep_cache=True)
+        winners = sum(w == cache["m3"] for w in gridcnn._pool_windows(cache["z3"]))
+        assert (winners >= 1).all() and (winners > 1).any()
+
+    def test_pool_reorder_alone_keeps_the_model_bytes(self, desk_stacks, monkeypatch):
+        """Two epochs of 8 batch-64 steps of the seed-0 desk run train the
+        same bytes with the pool before or after conv3's ReLU."""
+        samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
+        splits = preprocess.trackwise_split(samples, seed=0)
+        config = trainer.TrainConfig(epochs=2, steps_per_epoch=8)
+        blobs = []
+        for pool_first in (False, True):
+            monkeypatch.setattr(
+                gridcnn, "loss_and_grads",
+                lambda *a, **kw: oracles.gridcnn_loss_and_grads(*a, pool_first=pool_first, **kw),
+            )
+            best, _ = evaluate._gridcnn_trained(splits, 0, config, None)
+            blobs.append(gridcnn.serialize(best))
+        assert blobs[0] == blobs[1]
 
 
 class TestStaged:

@@ -1,11 +1,15 @@
 """Tests for the reflection network: counts, invariances, training, files."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_golden import blas_env
 from deepreflecs import container, datagen, evaluate, model, nn, preprocess, trainer
 from deepreflecs.preprocess import NormStats, PaddedInput
 
@@ -503,6 +507,53 @@ class TestPoolBeforeRelu:
             trainer.train(net, inputs, labels, class_labels, val_inputs, val_labels, schedule)
         assert len(pool_calls) == 4 * 32 * 2  # two pools per step with the GCL
         assert searches == []
+
+
+# a reflection-network gradient of a batch of 1,082 rows (135 inputs of 8
+# rows and one of 2), hashed; 1,082 rows of conv2 are two weight blocks
+GRADIENT_OF_1082_ROWS = """
+import hashlib
+import numpy as np
+from deepreflecs import model, preprocess
+rng = np.random.default_rng(0)
+net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
+inputs = [preprocess.pad_and_mask(rng.standard_normal((m, 5)), 8, preprocess.NormStats.identity())
+          for m in [8] * 135 + [2]]
+batch = net.stage(inputs)
+assert batch.rows.shape[0] == 1082
+_, grad = model.loss_and_grads(net, batch, rng.integers(0, 4, size=len(inputs)))
+print(hashlib.sha256(grad.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreadCount:
+    def test_a_1082_row_gradient_is_the_same_under_one_and_two_blas_threads(self):
+        digests = []
+        for threads in (1, 2):
+            done = subprocess.run(
+                [sys.executable, "-c", GRADIENT_OF_1082_ROWS], capture_output=True, text=True,
+                env=blas_env(threads), timeout=120,
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+    def test_every_desk_batch_of_the_default_schedule_is_one_weight_block(self, monkeypatch):
+        """The default 32 x 64-step schedule on the seed-0 desk split: every
+        weight gradient is one product, so its bits are those of x.T @ g."""
+        calls = []
+        backward = nn.rowwise_linear_backward
+
+        def counted(x, params, grad_out, *args, **kwargs):
+            calls.append(x.shape[0] * x.shape[1] * grad_out.shape[1])
+            return backward(x, params, grad_out, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "rowwise_linear_backward", counted)
+        samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
+        splits = preprocess.trackwise_split(samples, seed=0)
+        evaluate._reflectnet_trained(splits, 0, trainer.TrainConfig(), None)
+        assert len(calls) == 32 * 64 * 3
+        assert max(calls) <= nn.WEIGHT_GRAD_BLOCK
 
 
 class TestSerialization:

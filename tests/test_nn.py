@@ -73,6 +73,28 @@ class TestRowwiseLinear:
         np.testing.assert_allclose(grad.weights, 2 * first.weights - start.weights)
         np.testing.assert_allclose(grad.bias, 2 * first.bias - start.bias)
 
+    @pytest.mark.parametrize("rows", [1, 535, 768])
+    def test_a_weight_gradient_of_one_block_is_one_product(self, rows):
+        # 768 rows of a 32 x 32 layer are one block: a desk batch keeps its bits
+        rng = np.random.default_rng(rows)
+        x, grad_out = rng.standard_normal((2, rows, 32)).astype(np.float32)
+        grad = nn.LinearParams(np.zeros((32, 32), np.float32), np.zeros(32, np.float32))
+        nn.rowwise_linear_backward(x, grad, grad_out, grad, need_input_grad=False)
+        assert grad.weights.tobytes() == (x.T @ grad_out).tobytes()
+
+    @pytest.mark.parametrize("rows, width", [(769, 32), (1082, 32), (2000, 32), (700, 64)])
+    def test_a_longer_weight_gradient_sums_its_blocks_in_row_order(self, rows, width):
+        rng = np.random.default_rng(rows)
+        x, grad_out = rng.standard_normal((2, rows, width)).astype(np.float32)
+        grad = nn.LinearParams(np.zeros((width, width), np.float32), np.zeros(width, np.float32))
+        nn.rowwise_linear_backward(x, grad, grad_out, grad, need_input_grad=False)
+        block = nn.WEIGHT_GRAD_BLOCK // (width * width)
+        expected = np.zeros((width, width), np.float32)
+        for start in range(0, rows, block):
+            expected += x[start : start + block].T @ grad_out[start : start + block]
+        assert rows > block and grad.weights.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(grad.weights, x.T @ grad_out, rtol=1e-4, atol=1e-3)
+
     @given(
         x=arrays(np.float32, (7, 4), elements=st.floats(-10, 10, width=32)),
         perm=st.permutations(range(7)),
@@ -257,7 +279,7 @@ class TestSegments:
         a, b = nn.Segments.single(4), nn.Segments.from_lengths([4])
         assert np.array_equal(a.starts, b.starts) and np.array_equal(a.ids, b.ids)
 
-    @pytest.mark.parametrize("lengths", [[2, 0, 1], [0]])
+    @pytest.mark.parametrize("lengths", [[2, 0, 1], [0]], ids=["2-0-1", "0"])
     def test_empty_segment_is_an_error(self, lengths):
         with pytest.raises(nn.EmptyPoolError):
             nn.Segments.from_lengths(lengths)
@@ -681,10 +703,11 @@ class TestNetwork:
 
 
 # the backward passes of both networks that get a layer's output gradient:
-# nn's serve both, gridcnn's only the grid CNN
+# nn's serve the reflection network (and relu_backward both), gridcnn's
+# only the grid CNN
 BACKWARD_PASSES = [
     (nn, "rowwise_linear_backward"), (nn, "relu_backward"),
-    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"),
+    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"), (gridcnn, "_dense_backward"),
 ]
 
 
@@ -716,7 +739,7 @@ def test_a_confident_batch_gives_no_subnormal_backward_operand(build, monkeypatc
     rng = np.random.default_rng(0)
     inputs = [net.random_input(rng) for _ in range(8)]
     net.train_step(inputs, [0] * 8, 0.01, None, rng=rng)
-    expected = {"rowwise_linear_backward", "relu_backward"}
+    expected = {"relu_backward", "rowwise_linear_backward"}
     if isinstance(net, gridcnn.GridCnnModel):
-        expected |= {"_pool_grads", "_conv_grads"}
+        expected = {"relu_backward", "_pool_grads", "_conv_grads", "_dense_backward"}
     assert subnormal == dict.fromkeys(expected, 0)

@@ -173,8 +173,12 @@ def test_missing_key_is_container_error(key):
         ("ReflectNetConfig-file", "n_classes", 4, 5),
         ("TrainConfig", "epochs", 1, 0),
         ("ClassProfile", "vr_corr", 1, 1.0000001),
-        ("ClassProfile", "reflections_range", [1, 1], [0, 1]),
-        ("forest-file", "oob", [0, 0], [0, -1]),
+        # a list value gets no id of its own, only its position
+        pytest.param(
+            "ClassProfile", "reflections_range", [1, 1], [0, 1],
+            id="ClassProfile-reflections_range-1,1-0,1",
+        ),
+        pytest.param("forest-file", "oob", [0, 0], [0, -1], id="forest-file-oob-0,0-0,-1"),
     ],
 )
 def test_bounds(key, name, inside, outside):
