@@ -2,7 +2,7 @@
 
 Every command exits 0 on success; failures print one machine-readable
 JSON object to stderr and exit nonzero. All randomness flows from the
-single --seed argument.
+single --seed argument (default 0): no config or spec file may set a seed.
 """
 
 from __future__ import annotations
@@ -38,15 +38,17 @@ def _read_json(path: str):
             raise schema.ConfigError(f"{path} is not readable JSON: {exc}") from exc
 
 
-def _load_config(path: str | None, model_config, who: str):
+def _seeded(cls, raw, what: str, seed: int):
+    """The checked `cls` built from `raw`, which may not set its seed, with the run's seed."""
+    return replace(schema.build(cls, raw, what, fixed=("seed",)), seed=seed)
+
+
+def _load_config(path: str | None, model_config, who: str, seed: int):
     """The checked 'train' and 'model' sections of a config file, both optional;
     with no `model_config` to build, `who` takes no 'model' keys."""
     raw = {} if path is None else _read_json(path)
     sections = schema.mapping(raw, ("train", "model"), "the config")
-    config = schema.build(trainer.TrainConfig, sections.get("train", {}), "the 'train' config")
-    # a partial resample_factors object updates the default factors
-    factors = {**trainer.DEFAULT_RESAMPLE, **config.resample_factors}
-    config = replace(config, resample_factors=factors)
+    config = _seeded(trainer.TrainConfig, sections.get("train", {}), "the 'train' config", seed)
     model_section = sections.get("model", {})
     if model_config is None:
         schema.mapping(model_section, (), f"the 'model' config of {who}")
@@ -63,10 +65,8 @@ def seed(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = datagen.desk_genspec(seed=args.seed)
-    if args.spec is not None:
-        raw = _read_json(args.spec)
-        spec = schema.build(datagen.GenSpec, raw, "the generation spec", base=spec, fixed=("seed",))
+    raw = {} if args.spec is None else _read_json(args.spec)
+    spec = _seeded(datagen.GenSpec, raw, "the generation spec", args.seed)
     samples = datagen.generate_dataset(spec)
     preprocess.write_dataset(samples, args.out)
     _write_json(
@@ -87,16 +87,13 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     method = evaluate.BY_NAME[args.method]
     who = f"method '{method.name}'"
-    config, model_config = _load_config(args.config, method.model_config, who)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    seed = config.seed
+    config, model_config = _load_config(args.config, method.model_config, who, args.seed)
     samples = preprocess.read_dataset(args.data)
-    splits = preprocess.trackwise_split(samples, seed=seed)
-    trained, report = method.train(splits, seed, config, model_config)
+    splits = preprocess.trackwise_split(samples, seed=args.seed)
+    trained, report = method.train(splits, config, model_config)
     with open(args.out, "wb") as fh:
         fh.write(method.serialize(trained))
-    summary = {"method": args.method, "out": args.out, "seed": seed}
+    summary = {"method": method.name, "out": args.out, "seed": args.seed}
     summary.update(method.complexity(trained))
     if report is not None:
         summary["train_report"] = report.to_json_dict()
@@ -115,9 +112,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config, _ = _load_config(args.config, None, "'benchmark'")
+    config, _ = _load_config(args.config, None, "'benchmark'", args.seed)
     methods = evaluate.METHODS if args.methods is None else args.methods.split(",")
-    report = evaluate.run_benchmark(args.data, args.seed, config, methods)
+    report = evaluate.run_benchmark(args.data, config, methods)
     _write_json(report.benchmark_json(), args.json)
     if args.timing_json:
         with open(args.timing_json, "w", encoding="utf-8") as fh:
@@ -128,8 +125,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, _ = _load_config(args.config, None, "'ablate'")
-    _write_json(evaluate.run_ablation(args.data, args.seed, config).ablation_json(), args.json)
+    config, _ = _load_config(args.config, None, "'ablate'", args.seed)
+    _write_json(evaluate.run_ablation(args.data, config).ablation_json(), args.json)
     return 0
 
 
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON with optional 'train'/'model' sections")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=seed, default=None)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")

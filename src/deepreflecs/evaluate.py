@@ -2,9 +2,9 @@
 
 Per-class accuracy is class recall: of all test samples whose true class
 is c, the fraction predicted as c. Everything downstream of (dataset
-bytes, seed) is deterministic, at any BLAS thread count: every training
-product that OpenBLAS would sum in a thread-dependent order runs in fixed
-blocks (nn.rowwise_linear_backward, gridcnn.loss_and_grads). Inference
+bytes, train config) is deterministic, at any BLAS thread count: every
+training product that OpenBLAS would sum in a thread-dependent order runs
+in fixed blocks (nn.rowwise_linear_backward, gridcnn.loss_and_grads). Inference
 timing is measured only for the benchmark, which reports it apart from the
 canonical report so repeated runs stay byte-identical; the ablation never
 times.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,11 +112,11 @@ class MethodResult:
 class Method:
     """One classification method, as both the CLI and the benchmark run it."""
 
-    name: str                    # `deepreflecs train --method` name
-    key: str                     # key in benchmark reports
+    name: str                    # CLI name, printed in `deepreflecs train` summaries
+    key: str                     # key in benchmark reports; BY_NAME takes either name
     magic: bytes                 # model file magic
     model_config: Optional[type]  # the dataclass of its 'model' config, or None
-    # (splits, seed, train config, model config or None) -> (model, TrainReport or None)
+    # (splits, train config with the seed, model config or None) -> (model, TrainReport or None)
     train: Callable
     featurize: Callable          # (model, samples) -> inputs for predict_batch
     predict_batch: Callable      # (model, inputs) -> predicted class indices
@@ -126,11 +126,11 @@ class Method:
     deserialize: Callable
 
 
-def _fit_network(net, train_inputs, splits, seed, config, featurize):
+def _fit_network(net, train_inputs, splits, config, featurize):
     train, val, _ = splits
     return trainer.train(
         net, train_inputs, _labels(train), [s.class_label for s in train],
-        featurize(net, val), _labels(val), replace(config, seed=seed),
+        featurize(net, val), _labels(val), config,
     )
 
 
@@ -138,27 +138,27 @@ def _prepare_inputs(net, samples) -> list:
     return [preprocess.prepare_input(s, net.config.pad_length, net.norm_stats) for s in samples]
 
 
-def _reflectnet_trained(splits, seed, config, model_config):
-    net = reflectnet.build_model(model_config or reflectnet.ReflectNetConfig(), seed=seed)
+def _reflectnet_trained(splits, config, model_config):
+    net = reflectnet.build_model(model_config or reflectnet.ReflectNetConfig(), seed=config.seed)
     net.norm_stats = preprocess.compute_norm_stats(splits[0])
     inputs = _prepare_inputs(net, splits[0])
-    return _fit_network(net, inputs, splits, seed, config, _prepare_inputs)
+    return _fit_network(net, inputs, splits, config, _prepare_inputs)
 
 
 def _rasterize(net, samples) -> list:
     return [gridcnn.rasterize(s) for s in samples]
 
 
-def _gridcnn_trained(splits, seed, config, model_config):
-    net = gridcnn.build_gridcnn(seed=seed)
+def _gridcnn_trained(splits, config, model_config):
+    net = gridcnn.build_gridcnn(seed=config.seed)
     grids = _rasterize(net, splits[0])
     gridcnn.set_channel_stats(net, grids)
-    return _fit_network(net, grids, splits, seed, config, _rasterize)
+    return _fit_network(net, grids, splits, config, _rasterize)
 
 
-def _forest_trained(splits, seed, config, model_config):
+def _forest_trained(splits, config, model_config):
     features = forest.extract_features(splits[0])
-    return forest.fit_forest(features, _labels(splits[0]), seed=seed), None
+    return forest.fit_forest(features, _labels(splits[0]), seed=config.seed), None
 
 
 def _predicted(net, inputs) -> np.ndarray:
@@ -192,7 +192,7 @@ TABLE = (  # in benchmark report order
     ),
 )
 METHODS = tuple(method.key for method in TABLE)
-BY_NAME = {method.name: method for method in TABLE}
+BY_NAME = {name: method for method in TABLE for name in (method.name, method.key)}
 
 
 def method_for(blob: bytes) -> Method:
@@ -218,8 +218,8 @@ def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Seque
     return MetricsReport.from_predictions(_labels(samples), predictions, n_classes), inputs
 
 
-def _train_and_test(method: Method, splits, seed, config, model_config, timed) -> MethodResult:
-    model, report = method.train(splits, seed, config, model_config)
+def _train_and_test(method: Method, splits, config, model_config, timed) -> MethodResult:
+    model, report = method.train(splits, config, model_config)
     metrics, inputs = evaluate_model(method, model, splits[2])
     extra = {} if report is None else {"best_epoch": report.best_epoch}
     took = _median_predict_time(model.predict, inputs) if timed else None
@@ -270,20 +270,19 @@ class Report:
 
 
 def _run(
-    data_path: str, seed: int, config, entries: Dict[str, Tuple[Method, object]], timed: bool,
+    data_path: str, config, entries: Dict[str, Tuple[Method, object]], timed: bool,
 ) -> Report:
     """Split once, then train and test each (method, model config) entry on those splits.
 
     timed measures each entry's single-object predict time for timing_dict.
     """
-    splits = preprocess.trackwise_split(preprocess.read_dataset(data_path), seed=seed)
-    config = config or trainer.TrainConfig()
+    splits = preprocess.trackwise_split(preprocess.read_dataset(data_path), seed=config.seed)
     return Report(
-        seed=seed,
+        seed=config.seed,
         dataset_sha256=_dataset_sha256(data_path),
         split_sizes=dict(zip(("train", "val", "test"), map(len, splits))),
         results={
-            key: _train_and_test(method, splits, seed, config, model_config, timed)
+            key: _train_and_test(method, splits, config, model_config, timed)
             for key, (method, model_config) in entries.items()
         },
     )
@@ -291,22 +290,22 @@ def _run(
 
 def run_benchmark(
     data_path: str,
-    seed: int,
-    config: trainer.TrainConfig | None = None,
+    config: trainer.TrainConfig = trainer.TrainConfig(),
     methods: Sequence[str] = METHODS,
 ) -> Report:
-    """Every requested method, under its report key, on the same splits."""
+    """Every requested method (by either name) once, under its report key, on the same splits."""
     for m in methods:
-        if m not in METHODS:
-            raise schema.ConfigError(f"unknown method {m!r} (the report keys are {list(METHODS)})")
-    entries = {method.key: (method, None) for method in TABLE if method.key in methods}
-    return _run(data_path, seed, config, entries, timed=True)
+        if m not in BY_NAME:
+            raise schema.ConfigError(f"unknown method {m!r} (the methods are {list(BY_NAME)})")
+    keys = {BY_NAME[m].key for m in methods}
+    entries = {method.key: (method, None) for method in TABLE if method.key in keys}
+    return _run(data_path, config, entries, timed=True)
 
 
-def run_ablation(data_path: str, seed: int, config: trainer.TrainConfig | None = None) -> Report:
+def run_ablation(data_path: str, config: trainer.TrainConfig = trainer.TrainConfig()) -> Report:
     """The network with and without the global context layer on the same splits."""
     net = BY_NAME["deepreflecs"]
-    return _run(data_path, seed, config, {
+    return _run(data_path, config, {
         "with_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=True)),
         "without_gcl": (net, reflectnet.ReflectNetConfig(use_gcl=False)),
     }, timed=False)

@@ -34,7 +34,8 @@ MAX_RESAMPLE_FACTOR = 1024
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; pass the full-scale values explicitly if wanted."""
+    """Desk-scale defaults; pass the full-scale values explicitly if wanted.
+    A class that resample_factors leaves out keeps its DEFAULT_RESAMPLE factor."""
 
     epochs: Annotated[int, schema.Range(1)] = 32
     steps_per_epoch: Annotated[int, schema.Range(1)] = 64
@@ -52,6 +53,8 @@ class TrainConfig:
         schema.check(self)
         if not (self.lr_start > self.lr_end > 0):
             raise schema.ConfigError("need lr_start > lr_end > 0")
+        factors = {**DEFAULT_RESAMPLE, **self.resample_factors}
+        object.__setattr__(self, "resample_factors", factors)
 
     def steps_in_epoch(self) -> int:
         """steps_per_epoch; perfbench/ counts a run's steps through this name."""
@@ -94,7 +97,7 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 def resample_indices(
     class_labels: Sequence[str], factors: Dict[str, int]
 ) -> np.ndarray:
-    """Index multiset where sample i of class c appears factors[c] times, in order."""
+    """Index multiset where sample i of class c appears factors.get(c, 1) times, in order."""
     counts = [int(factors.get(label, 1)) for label in class_labels]
     return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 

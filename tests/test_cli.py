@@ -223,7 +223,7 @@ class TestErrorSurface:
         assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("methods", ["", "forest", "craftedforest,"])
+    @pytest.mark.parametrize("methods", ["", "svm", "craftedforest,"])
     def test_bad_methods_is_config_error_before_reading_data(self, methods, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = cli.main([

@@ -5,7 +5,9 @@ import pytest
 
 from deepreflecs import datagen, evaluate, model, preprocess, trainer
 
-TINY_CONFIG = trainer.TrainConfig(epochs=2, steps_per_epoch=6, batch_size=8, seed=0)
+
+def tiny_config(seed: int) -> trainer.TrainConfig:
+    return trainer.TrainConfig(epochs=2, steps_per_epoch=6, batch_size=8, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +115,14 @@ class TestMetricsReport:
 
 class TestBenchmark:
     def test_report_contents_and_determinism(self, tiny_dataset):
-        report = evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG)
+        report = evaluate.run_benchmark(tiny_dataset, config=tiny_config(1))
         data = report.benchmark_json()
         assert data["methods"]["deepreflecs"]["param_count"] == 1284
         assert data["methods"]["gridcnn"]["param_count"] == 232628
         assert data["methods"]["craftedforest"]["node_count"] > 0
         for method in evaluate.METHODS:
             assert 0.0 <= data["methods"][method]["total_accuracy"] <= 1.0
-        again = evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG)
+        again = evaluate.run_benchmark(tiny_dataset, config=tiny_config(1))
         assert again.benchmark_json() == data
         assert report.timing_dict().keys() == {
             "deepreflecs", "craftedforest", "gridcnn"
@@ -128,7 +130,7 @@ class TestBenchmark:
 
     def test_timing_not_in_canonical_json(self, tiny_dataset):
         report = evaluate.run_benchmark(
-            tiny_dataset, seed=2, config=TINY_CONFIG, methods=["craftedforest"]
+            tiny_dataset, config=tiny_config(2), methods=["craftedforest"]
         )
         data = report.benchmark_json()
         assert "inference_time_per_sample_s" not in data["methods"]["craftedforest"]
@@ -136,18 +138,18 @@ class TestBenchmark:
 
     def test_method_subset(self, tiny_dataset):
         report = evaluate.run_benchmark(
-            tiny_dataset, seed=3, config=TINY_CONFIG, methods=["deepreflecs"]
+            tiny_dataset, config=tiny_config(3), methods=["deepreflecs"]
         )
         assert set(report.results) == {"deepreflecs"}
 
     def test_unknown_method(self, tiny_dataset):
         with pytest.raises(ValueError, match="unknown method"):
-            evaluate.run_benchmark(tiny_dataset, seed=0, methods=["svm"])
+            evaluate.run_benchmark(tiny_dataset, methods=["svm"])
 
 
 class TestAblation:
     def test_variant_param_counts_and_structure(self, tiny_dataset):
-        report = evaluate.run_ablation(tiny_dataset, seed=1, config=TINY_CONFIG)
+        report = evaluate.run_ablation(tiny_dataset, config=tiny_config(1))
         data = report.ablation_json()
         assert data["variants"]["with_gcl"]["param_count"] == 1284
         assert data["variants"]["without_gcl"]["param_count"] == 772
@@ -165,18 +167,18 @@ class TestAblation:
         monkeypatch.setattr(
             model.ReflectNetModel, "predict", lambda net, inp: calls.append(1) or predict(net, inp)
         )
-        report = evaluate.run_ablation(tiny_dataset, seed=1, config=TINY_CONFIG)
+        report = evaluate.run_ablation(tiny_dataset, config=tiny_config(1))
         assert calls == []
         assert report.timing_dict() == {"with_gcl": None, "without_gcl": None}
-        evaluate.run_benchmark(tiny_dataset, seed=1, config=TINY_CONFIG, methods=["deepreflecs"])
+        evaluate.run_benchmark(tiny_dataset, config=tiny_config(1), methods=["deepreflecs"])
         assert len(calls) >= 100
 
     def test_with_gcl_arm_is_the_benchmark_network(self, tiny_dataset):
         """Both commands share one split and one training path: the with-GCL
         variant is the benchmark's deepreflecs entry without its best epoch."""
-        ablation = evaluate.run_ablation(tiny_dataset, seed=3, config=TINY_CONFIG)
+        ablation = evaluate.run_ablation(tiny_dataset, config=tiny_config(3))
         benchmark = evaluate.run_benchmark(
-            tiny_dataset, seed=3, config=TINY_CONFIG, methods=["deepreflecs"]
+            tiny_dataset, config=tiny_config(3), methods=["deepreflecs"]
         )
         entry = dict(benchmark.benchmark_json()["methods"]["deepreflecs"])
         assert "best_epoch" in entry

@@ -742,7 +742,7 @@ class TestAgainstTheChunkedOracle:
                 gridcnn, "loss_and_grads",
                 lambda *a, **kw: oracles.gridcnn_loss_and_grads(*a, pool_first=pool_first, **kw),
             )
-            best, _ = evaluate._gridcnn_trained(splits, 0, config, None)
+            best, _ = evaluate._gridcnn_trained(splits, config, None)
             blobs.append(gridcnn.serialize(best))
         assert blobs[0] == blobs[1]
 

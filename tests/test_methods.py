@@ -53,7 +53,7 @@ def test_cli_train_writes_the_benchmark_model(method, dataset, tmp_path, capsys)
     )
     assert code == 0
     splits = preprocess.trackwise_split(preprocess.read_dataset(dataset), seed=3)
-    trained, _ = method.train(splits, 3, trainer.TrainConfig(**TINY_TRAIN), {})
+    trained, _ = method.train(splits, trainer.TrainConfig(**TINY_TRAIN, seed=3), None)
     assert out.read_bytes() == method.serialize(trained)
     assert evaluate.method_for(out.read_bytes()) is method
 
@@ -101,12 +101,15 @@ def test_model_config_a_method_does_not_take_is_named_error(
         ({"train": {"optimizer": "adam"}}, "optimizer"),
         ({"train": {"resample_factors": {"car": -1}}}, "resample_factors"),
         ({"train": {"resample_factors": {"car": 1.5}}}, "resample_factors"),
+        # the seed comes only from --seed
+        ({"train": {**TINY_TRAIN, "seed": 5}}, "['seed']"),
     ],
     ids=["unknown-key", "unknown-key-beside-known", "train-list", "train-null",
          "resample-factors-list", "resample-factors-unknown-class", "model-list",
          "unknown-section", "config-list", "epochs-string", "batch-size-float",
          "epochs-bool", "seed-string", "lr-string", "lr-infinite", "steps-are-total-int",
-         "optimizer-removed", "resample-factor-negative", "resample-factor-float"],
+         "optimizer-removed", "resample-factor-negative", "resample-factor-float",
+         "seed-set"],
 )
 @pytest.mark.parametrize("command", ["train", "benchmark", "ablate"])
 def test_malformed_config_is_named_error(command, config, named, dataset, tmp_path, capsys):
@@ -159,6 +162,83 @@ def test_benchmark_and_ablate_refuse_a_model_section(
     assert error["error"] == "ConfigError"
     assert list(model_config)[0] in error["message"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablate"])
+def test_the_report_follows_the_seed_argument(command, dataset, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [command, "--data", dataset, "--seed", "5", "--json", str(out),
+            "--config", write_config(tmp_path, {"train": TINY_TRAIN})]
+    if command == "benchmark":
+        argv += ["--methods", "deepreflecs", "--timing-json", str(tmp_path / "timing.json")]
+    code, _ = run_cli(argv, capsys)
+    assert code == 0
+    config = trainer.TrainConfig(**TINY_TRAIN, seed=5)
+    if command == "benchmark":
+        expected = evaluate.run_benchmark(dataset, config, ["deepreflecs"]).benchmark_json()
+    else:
+        expected = evaluate.run_ablation(dataset, config).ablation_json()
+    report = json.loads(out.read_text())
+    assert report["seed"] == 5
+    assert report == expected
+
+
+def test_train_takes_either_name_of_a_method(dataset, tmp_path, capsys):
+    blobs, names = [], []
+    for name in ("forest", "craftedforest"):
+        out = tmp_path / f"{name}.bin"
+        code, captured = run_cli(
+            ["train", "--method", name, "--data", dataset, "--out", str(out)], capsys
+        )
+        assert code == 0
+        blobs.append(out.read_bytes())
+        names.append(json.loads(captured.out)["method"])
+    assert blobs[0] == blobs[1]
+    assert names == ["forest", "forest"]
+
+
+def test_benchmark_takes_either_name_of_a_method(dataset, tmp_path, capsys):
+    reports = []
+    for methods in ("forest", "craftedforest", "forest,craftedforest"):
+        out = tmp_path / "report.json"
+        code, _ = run_cli(
+            ["benchmark", "--data", dataset, "--methods", methods, "--json", str(out),
+             "--timing-json", str(tmp_path / "timing.json")],
+            capsys,
+        )
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert list(json.loads(reports[0])["methods"]) == ["craftedforest"]
+
+
+def test_partial_resample_factors_mean_the_same_from_a_file_and_from_code(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    seen = []
+    train = trainer.train
+
+    def spy(*args):
+        seen.append((args[3], args[-1]))  # the class labels and the train config
+        return train(*args)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    partial = {"car": 3}
+    config = write_config(tmp_path, {"train": {**TINY_TRAIN, "resample_factors": partial}})
+    code, _ = run_cli(
+        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
+         "--out", str(tmp_path / "model.bin")],
+        capsys,
+    )
+    assert code == 0
+    [(class_labels, from_file)] = seen
+    assert set(class_labels) == set(preprocess.CLASSES)
+    from_code = trainer.TrainConfig(**TINY_TRAIN, resample_factors=partial)
+    np.testing.assert_array_equal(
+        trainer.resample_indices(class_labels, from_file.resample_factors),
+        trainer.resample_indices(class_labels, from_code.resample_factors),
+    )
+    assert from_file == from_code
 
 
 def test_resample_factors_leaving_no_samples_is_training_error(dataset, tmp_path, capsys):

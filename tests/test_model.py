@@ -551,7 +551,7 @@ class TestBlasThreadCount:
         monkeypatch.setattr(nn, "rowwise_linear_backward", counted)
         samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
         splits = preprocess.trackwise_split(samples, seed=0)
-        evaluate._reflectnet_trained(splits, 0, trainer.TrainConfig(), None)
+        evaluate._reflectnet_trained(splits, trainer.TrainConfig(), None)
         assert len(calls) == 32 * 64 * 3
         assert max(calls) <= nn.WEIGHT_GRAD_BLOCK
 

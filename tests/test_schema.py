@@ -331,9 +331,9 @@ def readme_table_keys(marker: str) -> set:
 @pytest.mark.parametrize(
     "cls, marker, not_keys",
     [
-        (trainer.TrainConfig, "`trainer.TrainConfig`", set()),
+        # every command takes the seed from --seed only
+        (trainer.TrainConfig, "`trainer.TrainConfig`", {"seed"}),
         (reflectnet.ReflectNetConfig, "`model.ReflectNetConfig`", set()),
-        # generate takes the seed from --seed only
         (datagen.GenSpec, "`datagen.GenSpec`", {"seed"}),
     ],
     ids=["TrainConfig", "ReflectNetConfig", "GenSpec"],

@@ -105,7 +105,8 @@ class TestTrainConfigChecks:
 
     def test_integral_learning_rates_and_zero_factors_are_accepted(self):
         config = trainer.TrainConfig(lr_start=1, lr_end=0.5, resample_factors={"car": 0})
-        assert config.lr_start == 1 and config.resample_factors == {"car": 0}
+        assert config.lr_start == 1
+        assert config.resample_factors == {**trainer.DEFAULT_RESAMPLE, "car": 0}
 
 
 class TestTrainLoop:
@@ -177,7 +178,7 @@ class TestTrainLoop:
         config = self.make_config(resample_factors=factors)
         with pytest.raises(nn.TrainingError, match="resample_factors") as caught:
             trainer.train(net, inputs, labels, classes, inputs, labels, config)
-        assert str(factors) in str(caught.value)
+        assert str({**trainer.DEFAULT_RESAMPLE, **factors}) in str(caught.value)
 
     @pytest.mark.parametrize(
         "cut, message",
