@@ -38,13 +38,14 @@ from typing import Annotated, Dict, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
-from .preprocess import NormStats, ObjectSample, reflection_table
+from .preprocess import NormStats, ObjectSample, flat_reflection_table
 
 MAGIC = b"GCNN"
 
 GRID_CELLS = 11
 GRID_EXTENT = 4.0  # meters, full window width
 CELL_SIZE = GRID_EXTENT / GRID_CELLS
+_CELLS_SHAPE = (GRID_CELLS, GRID_CELLS, 2)
 CONV_CHANNELS = (16, 32, 64)
 DENSE_WIDTHS = (128, 32)
 FLAT_SIZE = 5 * 5 * CONV_CHANNELS[-1]  # 11 same-padded -> 2x2 pool (floor) -> 5x5
@@ -74,22 +75,33 @@ def cell_index(coord: float) -> int:
 
 
 def rasterize(sample: ObjectSample) -> Grid:
-    """Bin a sample's reflections into the grid; out-of-window ones are dropped."""
-    rcs_sum = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.float64)
-    vr_sum = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.float64)
-    occupancy = np.zeros((GRID_CELLS, GRID_CELLS), dtype=np.int64)
-    for x_obj, y_obj, rcs, _, vr, _ in reflection_table(sample).tolist():
+    """Bin a sample's reflections into the grid; out-of-window ones are dropped.
+
+    Sums flat_reflection_table's reflections, read in sixes, into per-cell
+    [rcs, vr, count] lists in reflection order, then writes each occupied cell once.
+    """
+    bins: Dict[int, list] = {}
+    rows = iter(flat_reflection_table(sample))
+    for x_obj, y_obj, rcs, _, vr, _ in zip(rows, rows, rows, rows, rows, rows):
         ix = cell_index(x_obj)
         iy = cell_index(y_obj)
         if 0 <= ix < GRID_CELLS and 0 <= iy < GRID_CELLS:
-            rcs_sum[iy, ix] += rcs
-            vr_sum[iy, ix] += vr
-            occupancy[iy, ix] += 1
-    cells = np.zeros((GRID_CELLS, GRID_CELLS, 2), dtype=np.float64)
-    cells[:, :, 0] = rcs_sum
-    occupied = occupancy > 0
-    cells[:, :, 1][occupied] = vr_sum[occupied] / occupancy[occupied]
-    return Grid(cells=cells, occupancy=occupancy)
+            cell = iy * GRID_CELLS + ix
+            acc = bins.get(cell)
+            if acc is None:
+                # 0.0 + value, as a zeroed cell gives: -0.0 sums to 0.0
+                bins[cell] = [0.0 + rcs, 0.0 + vr, 1]
+            else:
+                acc[0] += rcs
+                acc[1] += vr
+                acc[2] += 1
+    cells = np.zeros((GRID_CELLS * GRID_CELLS, 2), dtype=np.float64)
+    occupancy = np.zeros(GRID_CELLS * GRID_CELLS, dtype=np.int64)
+    for cell, (rcs_sum, vr_sum, n) in bins.items():
+        cells[cell] = rcs_sum, vr_sum / n
+        occupancy[cell] = n
+    return Grid(cells=cells.reshape(GRID_CELLS, GRID_CELLS, 2),
+                occupancy=occupancy.reshape(GRID_CELLS, GRID_CELLS))
 
 
 @dataclass
@@ -130,10 +142,17 @@ class GridCnnModel(nn.Network):
         return forward(self, grid)
 
     def stage(self, grids: Sequence[Grid]) -> np.ndarray:
-        """Normalized cells of the grids as one (B, 11, 11, 2) stack at model precision."""
+        """Normalized cells of the grids as one (B, 11, 11, 2) stack at model precision.
+
+        Cells of another shape than (11, 11, 2) are a ShapeError naming the
+        grid. np.array stacks the checked cells, cheaper than np.stack.
+        """
         if len(grids) == 0:
             raise nn.ShapeError("cannot stage an empty list of grids")
-        cells = np.stack([g.cells for g in grids])
+        for i, grid in enumerate(grids):
+            if grid.cells.shape != _CELLS_SHAPE:
+                raise nn.ShapeError(f"grid {i} has cells {grid.cells.shape}, not (11, 11, 2)")
+        cells = np.array([g.cells for g in grids])
         x = (cells - self.norm_stats.mean) / self.norm_stats.std
         return x.astype(self.conv1.weights.dtype, copy=False)
 
@@ -332,8 +351,8 @@ def forward_grids(
 
 
 def forward(model: GridCnnModel, grid: Grid) -> nn.ClassDistribution:
-    """Inference (dropout disabled): predict_batch of a one-grid stack."""
-    return nn.distribution(model.predict_batch(model.stage([grid])))
+    """Inference (dropout disabled): forward_grids of a one-grid stack, no chunking."""
+    return nn.distribution(nn.finite(forward_grids(model, model.stage([grid]))))
 
 
 def _dense_backward(

@@ -125,24 +125,30 @@ class PaddedInput:
     m_real: int
 
 
-def reflection_table(sample: ObjectSample) -> np.ndarray:
-    """All reflections of one sample as an (M, 6) float64 table.
+def flat_reflection_table(sample: ObjectSample) -> List[float]:
+    """reflection_table's rows as one flat list of floats, six per reflection.
 
-    Columns: [x_obj, y_obj, rcs, range, vr, azimuth]. (x_obj, y_obj) is the
-    world position in the object's coordinate system: subtract the object
+    The package's one object-frame transform: subtract the object
     position, then rotate by -heading so the object's heading axis becomes
-    +x (length along +x, width along +y). One Python loop takes the
-    heading's cos/sin once.
+    +x (length along +x, width along +y). One loop takes cos/sin once.
     """
     px, py, heading = sample.pose.x, sample.pose.y, sample.pose.heading
     c = math.cos(heading)
     s = math.sin(heading)
-    rows = []
+    flat: List[float] = []
     for x, y, rcs, range_m, vr, azimuth in sample.reflections:
         dx = x - px
         dy = y - py
-        rows.append((c * dx + s * dy, -s * dx + c * dy, rcs, range_m, vr, azimuth))
-    return np.array(rows, dtype=np.float64)
+        flat += (c * dx + s * dy, -s * dx + c * dy, rcs, range_m, vr, azimuth)
+    return flat
+
+
+def reflection_table(sample: ObjectSample) -> np.ndarray:
+    """All reflections of one sample as an (M, 6) float64 table of flat_reflection_table.
+
+    Columns: [x_obj, y_obj, rcs, range, vr, azimuth].
+    """
+    return np.array(flat_reflection_table(sample), dtype=np.float64).reshape(-1, 6)
 
 
 def sample_feature_rows(sample: ObjectSample) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the grid rasterizer and the 2-D CNN baseline."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,53 @@ class TestRasterizeOracle:
             pose=ObjectPose(*position, heading), rcs=rcs.tolist(), vr=vr.tolist(),
         )
         assert_rasterized_as_the_oracle(sample)
+
+
+# object-frame coordinates of every cell edge of one axis, 2.0 (outside) included
+CELL_EDGES = [-2.0] + [k * gridcnn.CELL_SIZE - 2.0 for k in range(1, 11)] + [2.0]
+
+
+def edge_object(case):
+    """Objects whose grids a per-cell accumulator could get wrong."""
+    rng = np.random.default_rng(list(map(ord, case)))
+    if case == "negative-zero-alone-in-a-cell":
+        # a zeroed cell gives 0.0 + -0.0 = 0.0 in both channels
+        return sample_at([(0.0, 0.0), (1.0, 1.0), (1.02, 1.02)],
+                         rcs=[-0.0, 2.0, -0.0], vr=[-0.0, 0.5, -0.0])
+    if case == "cell-edges":
+        points = [(e, 0.0) for e in CELL_EDGES] + [(0.0, e) for e in CELL_EDGES]
+        points += [(e, e) for e in CELL_EDGES]
+        return sample_at(points, rcs=rng.normal(size=len(points)).tolist(),
+                         vr=rng.normal(size=len(points)).tolist())
+    if case == "fifty-in-one-cell":
+        points = [tuple(p) for p in rng.uniform(-0.15, 0.15, size=(50, 2))]
+        assert {tuple(map(gridcnn.cell_index, p)) for p in points} == {(5, 5)}
+        return sample_at(points, rcs=rng.normal(size=50).tolist(),
+                         vr=rng.normal(size=50).tolist())
+    if case == "all-outside":
+        points = [(2.0, 0.0), (-2.5, 0.0), (0.0, 2.0), (0.0, -2.01), (3.0, 3.0)]
+        return sample_at(points, rcs=[1.0] * 5, vr=[0.5] * 5)
+    assert case == "single"
+    return sample_at([(-0.7, 1.3)], rcs=[3.25], vr=[-1.5])
+
+
+class TestRasterizeEdgeObjects:
+    @pytest.mark.parametrize("case", [
+        "negative-zero-alone-in-a-cell", "cell-edges", "fifty-in-one-cell", "all-outside",
+        "single",
+    ])
+    def test_bitwise_as_the_oracle(self, case):
+        assert_rasterized_as_the_oracle(edge_object(case))
+
+    def test_the_edge_objects_are_what_they_name(self):
+        grid = gridcnn.rasterize(edge_object("negative-zero-alone-in-a-cell"))
+        assert grid.occupancy[5, 5] == 1 and grid.occupancy.sum() == 3
+        assert not np.signbit(grid.cells).any()
+        # eleven edges of each of the three lines land inside, 2.0 does not
+        assert gridcnn.rasterize(edge_object("cell-edges")).occupancy.sum() == 3 * 11
+        assert gridcnn.rasterize(edge_object("fifty-in-one-cell")).occupancy[5, 5] == 50
+        outside = gridcnn.rasterize(edge_object("all-outside"))
+        assert outside.occupancy.sum() == 0 and not outside.cells.any()
 
 
 class TestArchitecture:
@@ -601,6 +649,49 @@ class TestBatched:
     def test_staging_nothing_is_shape_error(self):
         with pytest.raises(nn.ShapeError, match="empty list"):
             gridcnn.build_gridcnn().stage([])
+
+    def test_one_grid_forward_is_bitwise_the_batch_row_on_every_desk_grid(self, desk_stacks):
+        grids, _ = desk_stacks[0]
+        net = gridcnn.build_gridcnn(seed=0)
+        gridcnn.set_channel_stats(net, grids)
+        for grid in grids:
+            got = gridcnn.forward(net, grid)
+            expected = net.predict_batch(net.stage([grid]))[0]
+            assert got.probabilities.tobytes() == expected.tobytes()
+            assert got.predicted == int(expected.argmax())
+
+
+BAD_CELL_SHAPES = [(10, 10, 2), (12, 12, 2), (13, 13, 2), (9, 9, 2), (11, 11, 3), (11, 11)]
+
+
+class TestGridShapes:
+    """A grid whose cells are not (11, 11, 2) is a ShapeError naming it, on every path."""
+
+    def bad_grid(self, shape):
+        return gridcnn.Grid(cells=np.ones(shape), occupancy=np.ones(shape[:2], dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", BAD_CELL_SHAPES, ids=str)
+    def test_predict(self, shape):
+        with pytest.raises(nn.ShapeError, match=rf"grid 0 has cells {re.escape(str(shape))}"):
+            gridcnn.build_gridcnn(seed=0).predict(self.bad_grid(shape))
+
+    @pytest.mark.parametrize("shape", BAD_CELL_SHAPES, ids=str)
+    def test_predict_batch_of_a_stack_with_one_bad_grid(self, shape):
+        net = gridcnn.build_gridcnn(seed=0)
+        grids, _ = random_grids(5, seed=3)
+        grids[2] = self.bad_grid(shape)
+        with pytest.raises(nn.ShapeError, match=rf"grid 2 has cells {re.escape(str(shape))}"):
+            net.predict_batch(net.stage(grids))
+
+    @pytest.mark.parametrize("shape", BAD_CELL_SHAPES, ids=str)
+    def test_train_step_with_one_bad_grid(self, shape):
+        net = gridcnn.build_gridcnn(seed=0)
+        before = net.vector.copy()
+        grids, labels = random_grids(6, seed=4)
+        grids[5] = self.bad_grid(shape)
+        with pytest.raises(nn.ShapeError, match=rf"grid 5 has cells {re.escape(str(shape))}"):
+            net.train_step(grids, labels, 0.01, None, rng=np.random.default_rng(0))
+        assert net.vector.tobytes() == before.tobytes()
 
     def test_peak_allocation_of_a_batch_64_step(self):
         # chunks of 4 peak at 3.3 MiB, chunks of 8 at 5.1 MiB, the whole batch
