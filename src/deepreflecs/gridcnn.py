@@ -83,8 +83,11 @@ def rasterize(sample: ObjectSample) -> Grid:
     bins: Dict[int, list] = {}
     rows = iter(flat_reflection_table(sample))
     for x_obj, y_obj, rcs, _, vr, _ in zip(rows, rows, rows, rows, rows, rows):
-        ix = cell_index(x_obj)
-        iy = cell_index(y_obj)
+        try:
+            ix = cell_index(x_obj)
+            iy = cell_index(y_obj)
+        except (OverflowError, ValueError):  # an inf or NaN coordinate: outside the window
+            continue
         if 0 <= ix < GRID_CELLS and 0 <= iy < GRID_CELLS:
             cell = iy * GRID_CELLS + ix
             acc = bins.get(cell)

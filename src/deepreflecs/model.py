@@ -12,14 +12,14 @@ bit. Pre-activations almost never tie, so the backward pass routes each
 pooled gradient to its single winning row; on a tie it falls back to the
 first winner (nn.segment_max_pool_backward).
 
-Batches are ragged: ReflectNetModel.stage concatenates the real
-reflection rows of a list of inputs into one Staged table, with segment
-offsets marking where each sample starts, and every layer runs once over
-the whole batch. Staging drops the padding rows, which makes the output
-bitwise independent of the pad length and of whatever values sit in
-padding rows. predict_batch, loss_and_grads and train_step take only a
-Staged batch; a single sample is a batch of one segment, and a training
-run stages its inputs once and gathers each batch from it by index.
+Batches are ragged: ReflectNetModel.stage concatenates the reflection
+rows of a list of inputs into one Staged table, with segment offsets
+marking where each sample starts, and every layer runs once over the
+whole batch. An input holds only its real rows, so the output does not
+depend on the pad length, which only caps how many rows an input keeps.
+predict_batch, loss_and_grads and train_step take only a Staged batch; a
+single sample is a batch of one segment, and a training run stages its
+inputs once and gathers each batch from it by index.
 
 The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
@@ -36,7 +36,7 @@ from .preprocess import CLASSES, N_FEATURES, NormStats, PaddedInput, pad_and_mas
 
 MAGIC = b"RFLN"
 
-# largest accepted pad length: prepare_input allocates pad_length rows per sample
+# largest accepted pad length, the most reflection rows an input keeps
 MAX_PAD_LENGTH = 4096
 # largest accepted layer width; README gives the array each size bound limits
 MAX_WIDTH = 1024
@@ -100,29 +100,16 @@ class ReflectNetModel(nn.Network):
         return forward(self, inp)
 
     def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
-        """The real rows of every input as one ragged batch, at model precision.
-
-        This is where padding rows are dropped, so the network never sees them.
-        """
+        """The rows of every input as one ragged batch, at model precision."""
         dtype = self.conv1.weights.dtype
         if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
-            mask = np.asarray(inputs[0].mask, dtype=bool)
-            if len(mask) != len(inputs[0].features):
-                raise nn.ShapeError("an input's mask and feature rows differ in length")
-            rows = inputs[0].features[mask].astype(dtype, copy=False)
+            rows = inputs[0].rows.astype(dtype, copy=False)
             return Staged(rows, nn.Segments.single(len(rows)), np.array([len(rows)]))
         if len(inputs) == 0:
             raise nn.ShapeError("cannot stage an empty list of inputs")
-        pad_lengths = [len(inp.mask) for inp in inputs]
-        if pad_lengths != [len(inp.features) for inp in inputs]:
-            raise nn.ShapeError("an input's mask and feature rows differ in length")
-        if min(pad_lengths) < 1:  # reduceat below would misread an empty input
-            raise nn.EmptyPoolError("an input has no rows at all")
-        mask = np.concatenate([inp.mask for inp in inputs]).astype(bool, copy=False)
-        rows = np.concatenate([inp.features for inp in inputs])[mask]
-        pad_starts = np.cumsum(pad_lengths) - pad_lengths
-        lengths = np.add.reduceat(mask, pad_starts, dtype=np.intp)
-        return Staged(rows.astype(dtype, copy=False), nn.Segments.from_lengths(lengths), lengths)
+        lengths = np.array([len(inp.rows) for inp in inputs], dtype=np.intp)
+        rows = np.concatenate([inp.rows for inp in inputs]).astype(dtype, copy=False)
+        return Staged(rows, nn.Segments.from_lengths(lengths), lengths)
 
     def predict_batch(self, staged: "Staged") -> np.ndarray:
         """The float64 (B, n_classes) probabilities of a staged batch, run as one ragged batch.
@@ -157,7 +144,7 @@ class Staged:
     at the precision of the model that staged it. Indexing with an array
     of input indices (repeats allowed) gathers those inputs, in that
     order, into a new table: a training step draws its batch with one row
-    gather instead of staging the padded inputs again.
+    gather instead of staging the inputs again.
     """
 
     rows: np.ndarray
@@ -197,7 +184,7 @@ def forward_rows(model: ReflectNetModel, batch: Staged, keep_cache: bool = False
 
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> nn.ClassDistribution:
-    """Class probabilities for one padded input: predict_batch of a one-input batch."""
+    """Class probabilities for one input: predict_batch of a one-input batch."""
     return nn.distribution(model.predict_batch(model.stage([inp])))
 
 

@@ -15,10 +15,10 @@ vector and its own state in place.
 
 Matrices are plain 2-D ndarrays (one row per list entry, one column per
 feature). A batch of lists is one matrix of all their rows plus Segments
-(where each list starts); a single padded list is a matrix plus a 1-D
-boolean mask (True = real entry, False = padding). Forward code is
-precision-agnostic: run it on float32 arrays for speed or float64 for
-gradient checks.
+(where each list starts). The masked kernels, which take one padded list
+as a matrix plus a 1-D boolean mask, serve only perfbench's trace list.
+Forward code is precision-agnostic: run it on float32 arrays for speed or
+float64 for gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors

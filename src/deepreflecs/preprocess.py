@@ -1,4 +1,4 @@
-"""Turn raw object samples into normalized, padded, masked network input.
+"""Turn raw object samples into normalized network input rows.
 
 A sample is one tracked object at one timestamp: its pose, class label,
 track id and the list of radar reflections the tracker associated to it.
@@ -112,17 +112,33 @@ class NormStats:
     @classmethod
     def of(cls, rows: np.ndarray) -> "NormStats":
         """Per-column mean and population (1/M) std of rows, the std floored
-        at STD_FLOOR so constant columns stay usable."""
-        return cls(rows.mean(axis=0), np.maximum(rows.std(axis=0), STD_FLOOR))
+        at STD_FLOOR so constant columns stay usable. A column whose mean or
+        std is not finite (finite values of 1e200 square past float64) is a
+        DatasetError, as a non-finite value is to the reader."""
+        with np.errstate(all="ignore"):
+            mean, std = rows.mean(axis=0), rows.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise DatasetError(f"column {bad[0]}: mean {mean[bad[0]]}, std {std[bad[0]]}, not finite")
+        return cls(mean, np.maximum(std, STD_FLOOR))
 
 
 @dataclass
 class PaddedInput:
-    """Fixed-size feature matrix plus validity mask feeding the network."""
+    """One sample's normalized feature rows, at most pad_length of them."""
 
-    features: np.ndarray  # (pad_length, N_FEATURES)
-    mask: np.ndarray      # (pad_length,) bool, True = real reflection
-    m_real: int
+    rows: np.ndarray  # (m_real, N_FEATURES) float64
+    pad_length: int
+
+    @property
+    def m_real(self) -> int:
+        return len(self.rows)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(pad_length,) bool, True for the first m_real rows. Only perfbench's
+        trace-mode padding counter reads it; ROADMAP item 1 removes that counter."""
+        return np.arange(self.pad_length) < len(self.rows)
 
 
 def flat_reflection_table(sample: ObjectSample) -> List[float]:
@@ -179,12 +195,10 @@ def overflow_count() -> int:
 def pad_and_mask(
     rows: np.ndarray, pad_length: int, stats: NormStats
 ) -> PaddedInput:
-    """Normalize feature rows and place them in a fixed-size masked buffer.
+    """Normalize feature rows, keeping at most pad_length of them.
 
-    Real rows come first, padding rows are zero-filled, the mask is True
-    exactly for the first m_real rows. If more rows arrive than fit, the
-    pad_length highest-RCS reflections are kept (original order preserved)
-    and the overflow counter is bumped.
+    If more rows arrive than that, the pad_length highest-RCS reflections
+    are kept (original order preserved) and the overflow counter is bumped.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != N_FEATURES:
@@ -198,18 +212,13 @@ def pad_and_mask(
         order = np.argsort(-rows[:, 2], kind="stable")[:pad_length]
         rows = rows[np.sort(order)]
 
-    m = rows.shape[0]
-    features = np.zeros((pad_length, N_FEATURES), dtype=np.float64)
-    features[:m] = (rows - stats.mean) / stats.std
-    mask = np.zeros(pad_length, dtype=bool)
-    mask[:m] = True
-    return PaddedInput(features=features, mask=mask, m_real=m)
+    return PaddedInput((rows - stats.mean) / stats.std, pad_length)
 
 
 def prepare_input(
     sample: ObjectSample, pad_length: int, stats: NormStats
 ) -> PaddedInput:
-    """Full per-sample pipeline: feature rows -> normalize -> pad and mask."""
+    """Full per-sample pipeline: feature rows -> keep at most pad_length -> normalize."""
     return pad_and_mask(sample_feature_rows(sample), pad_length, stats)
 
 

@@ -43,12 +43,7 @@ def desk_datasets(tmp_path_factory):
 
 
 def random_padded(rng, pad_length=64):
-    m = int(rng.integers(1, 31))
-    features = np.zeros((pad_length, 5))
-    features[:m] = rng.standard_normal((m, 5))
-    mask = np.zeros(pad_length, dtype=bool)
-    mask[:m] = True
-    return PaddedInput(features=features, mask=mask, m_real=m)
+    return PaddedInput(rng.standard_normal((int(rng.integers(1, 31)), 5)), pad_length)
 
 
 def test_criterion_1_parameter_counts():
@@ -76,8 +71,8 @@ def test_criterion_2_permutation_invariance():
     for _ in range(1000):
         inp = random_padded(rng)
         base = reflectnet.forward(net, inp).probabilities
-        perm = rng.permutation(inp.features.shape[0])
-        permuted = PaddedInput(inp.features[perm], inp.mask[perm], inp.m_real)
+        perm = rng.permutation(inp.m_real)
+        permuted = PaddedInput(inp.rows[perm], inp.pad_length)
         assert np.array_equal(reflectnet.forward(net, permuted).probabilities, base)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -85,23 +80,24 @@ def test_criterion_2_permutation_invariance():
 
 
 def test_criterion_3_padding_invariance():
-    """1000 random inputs: pad 64 vs 128 with garbage rows, bitwise equal."""
+    """1000 random inputs: pad m, 64 and 128, and two sets of batch
+    neighbours with garbage rows, bitwise equal."""
     start = time.perf_counter()
     rng = np.random.default_rng(2025)
     net = reflectnet.build_model(seed=7)
+    stats = NormStats.identity()
     for _ in range(1000):
         m = int(rng.integers(1, 31))
         rows = rng.standard_normal((m, 5))
-        outs = []
+        inputs = [preprocess.pad_and_mask(rows, pad, stats) for pad in (m, 64, 128)]
+        outs = [reflectnet.forward(net, inp).probabilities for inp in inputs]
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+        batched = []
         for pad in (64, 128):
-            features = rng.standard_normal((pad, 5)) * 1e3  # garbage everywhere
-            features[:m] = rows
-            mask = np.zeros(pad, dtype=bool)
-            mask[:m] = True
-            outs.append(
-                reflectnet.forward(net, PaddedInput(features, mask, m)).probabilities
-            )
-        assert np.array_equal(outs[0], outs[1])
+            garbage = [PaddedInput(rng.standard_normal((k, 5)) * 1e3, pad) for k in (1, 30)]
+            batch = net.stage([garbage[0], inputs[1], garbage[1]])
+            batched.append(net.predict_batch(batch)[1])
+        assert np.array_equal(batched[0], batched[1])
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report("criterion 3: padding invariance", f"1000 inputs bitwise ({elapsed:.1f}s)")

@@ -284,6 +284,19 @@ class TestErrorSurface:
         assert payload["error"] == "DatasetError"
         assert f"line {n_lines}" in payload["message"]
 
+    def test_overflowing_norm_stats_are_dataset_error_and_no_model(self, dataset, tmp_path, capsys):
+        # a finite rcs of 1e200 in the train split squares past float64 in the std
+        train_track = preprocess.trackwise_split(preprocess.read_dataset(dataset))[0][0].track_id
+        records = [json.loads(line) for line in Path(dataset).read_text().splitlines()]
+        next(r for r in records if r["track_id"] == train_track)["reflections"][0]["rcs"] = 1e200
+        Path(dataset).write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "net.rfln"
+        argv = ["train", "--method", "deepreflecs", "--data", dataset, "--out", str(out)]
+        assert cli.main(argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DatasetError" and "column 2" in payload["message"]
+        assert not out.exists()
+
     def test_bad_dataset_line_number_in_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"broken": true}\n')

@@ -84,7 +84,7 @@ def assert_featurization_matches_oracle(samples):
         assert_same_bits(preprocess.sample_feature_rows(sample), rows)
         padded = preprocess.prepare_input(sample, PAD_LENGTH, stats)
         expected = preprocess.pad_and_mask(rows, PAD_LENGTH, expected_stats)
-        assert_same_bits(padded.features, expected.features)
+        assert_same_bits(padded.rows, expected.rows)
         assert_same_bits(padded.mask, expected.mask)
         assert padded.m_real == expected.m_real
         assert_same_bits(forest.extract_handcrafted(sample), oracle_handcrafted(sample))
@@ -185,6 +185,21 @@ def test_featurizing_the_desk_set_peaks_under_2_mb():
         tracemalloc.stop()
     assert features.shape == (1407, forest.N_HANDCRAFTED)
     assert peak < 2 * 2**20
+
+
+def test_prepared_desk_inputs_hold_under_1_5_mb():
+    import tracemalloc
+
+    samples = desk_samples()
+    stats = preprocess.compute_norm_stats(samples)
+    tracemalloc.start()
+    try:
+        inputs = [preprocess.prepare_input(s, PAD_LENGTH, stats) for s in samples]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inputs) == 1407
+    assert held < 1.5 * 2**20
 
 
 def test_reflection_table_columns():

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestRasterize:
         )
         np.testing.assert_allclose(a.cells, b.cells, atol=1e-12)
         np.testing.assert_array_equal(a.occupancy, b.occupancy)
+
+    @pytest.mark.parametrize("far", [1.7e308, math.nan])
+    def test_coordinate_past_float_range_dropped(self, far):
+        # at heading pi/4 the object-frame x of (far, far) overflows to inf
+        pose = ObjectPose(1.0, 1.0, math.pi / 4)
+        kept = [Reflection(1.2, 0.9, 2.0, 1.5, 0.5, 0.0), Reflection(0.5, 1.5, 3.0, 1.6, -0.5, 0.0)]
+        lost = Reflection(far, far, 1.0, 1.0, 0.0, 0.0)
+        with_lost = gridcnn.rasterize(ObjectSample("t", "car", pose, [kept[0], lost, kept[1]]))
+        without = gridcnn.rasterize(ObjectSample("t", "car", pose, kept))
+        assert with_lost.cells.tobytes() == without.cells.tobytes()
+        assert np.array_equal(with_lost.occupancy, without.occupancy)
+        assert without.occupancy.sum() == 2
 
     def test_object_frame_used(self):
         pose = ObjectPose(10.0, 0.0, 0.0)
@@ -186,6 +199,14 @@ class TestRasterizeEdgeObjects:
         assert gridcnn.rasterize(edge_object("fifty-in-one-cell")).occupancy[5, 5] == 50
         outside = gridcnn.rasterize(edge_object("all-outside"))
         assert outside.occupancy.sum() == 0 and not outside.cells.any()
+
+
+def test_overflowing_channel_stats_are_dataset_error():
+    grids = [gridcnn.rasterize(sample_at([(0.0, 0.0)], rcs=[rcs])) for rcs in (1e200, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(preprocess.DatasetError, match="column 0"):
+            gridcnn.set_channel_stats(gridcnn.build_gridcnn(seed=0), grids)
 
 
 class TestArchitecture:

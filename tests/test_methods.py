@@ -285,6 +285,21 @@ def test_traced_layers_resolve(monkeypatch):
         assert callable(getattr(raw, "__func__", raw)), layers.layer_name(owner, attr)
 
 
+def test_perfbench_padding_counter_reads_prepare_input(monkeypatch):
+    # perfbench/layers.py counts (m_real, mask.size) of each prepare_input result
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    counters, stats = {}, preprocess.NormStats.identity()
+    overflows = preprocess.overflow_count()
+    for m in (3, 30):
+        reflections = [preprocess.Reflection(i, 0.0, i, 1.0, 0.0, 0.0) for i in range(m)]
+        sample = preprocess.ObjectSample("t", "car", preprocess.ObjectPose(0, 0, 0), reflections)
+        layers._count_padding(counters, (sample, 8, stats), {}, preprocess.prepare_input(sample, 8, stats))
+    assert list(counters["_padding"].values()) == [(3, 8), (8, 8)]
+    assert preprocess.overflow_count() - overflows == 1
+
+
 BENCHMARK_WORKLOADS = [
     w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
 ]

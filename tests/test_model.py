@@ -27,11 +27,7 @@ def element_count_oracle(net) -> int:
 
 def random_input(rng, pad_length=64, m=None, n_features=5):
     m = m or int(rng.integers(1, pad_length + 1))
-    features = np.zeros((pad_length, n_features))
-    features[:m] = rng.standard_normal((m, n_features))
-    mask = np.zeros(pad_length, dtype=bool)
-    mask[:m] = True
-    return PaddedInput(features=features, mask=mask, m_real=m)
+    return PaddedInput(rng.standard_normal((m, n_features)), pad_length)
 
 
 class TestParameterCounts:
@@ -76,34 +72,28 @@ class TestForward:
         inp = random_input(rng, m=9)
         base = model.forward(net, inp).probabilities
         for _ in range(20):
-            perm = rng.permutation(inp.features.shape[0])
-            permuted = PaddedInput(inp.features[perm], inp.mask[perm], inp.m_real)
+            perm = rng.permutation(inp.m_real)
+            permuted = PaddedInput(inp.rows[perm], inp.pad_length)
             assert np.array_equal(model.forward(net, permuted).probabilities, base)
 
     def test_pad_length_invariance_bitwise(self):
         rng = np.random.default_rng(6)
         net = model.build_model(seed=1)
-        m = 5
-        rows = rng.standard_normal((m, 5))
-        outs = []
-        for pad in (32, 64):
-            features = np.zeros((pad, 5))
-            features[:m] = rows
-            mask = np.zeros(pad, dtype=bool)
-            mask[:m] = True
-            outs.append(model.forward(net, PaddedInput(features, mask, m)).probabilities)
-        assert np.array_equal(outs[0], outs[1])
+        rows = rng.standard_normal((5, 5))
+        outs = [
+            model.forward(net, preprocess.pad_and_mask(rows, pad, NormStats.identity()))
+            for pad in (5, 32, 64)
+        ]
+        assert all(np.array_equal(out.probabilities, outs[0].probabilities) for out in outs)
 
     def test_masked_garbage_invariance_bitwise(self):
+        # the segments mask each input off from huge rows of its batch neighbours
         rng = np.random.default_rng(7)
         net = model.build_model(seed=1)
         inp = random_input(rng, m=4)
-        base = model.forward(net, inp).probabilities
-        garbage = inp.features.copy()
-        garbage[4:] = rng.standard_normal(garbage[4:].shape) * 1e6
-        assert np.array_equal(
-            model.forward(net, PaddedInput(garbage, inp.mask, 4)).probabilities, base
-        )
+        garbage = [PaddedInput(rng.standard_normal((m, 5)) * 1e6, 64) for m in (3, 9)]
+        base = net.predict_batch(net.stage([random_input(rng), inp, random_input(rng)]))[1]
+        assert np.array_equal(net.predict_batch(net.stage([garbage[0], inp, garbage[1]]))[1], base)
 
     def test_zero_model_is_uniform(self):
         net = model.build_model(seed=0)
@@ -124,19 +114,16 @@ class TestForward:
 
     def test_empty_mask_raises(self):
         net = model.build_model()
-        features = np.zeros((8, 5))
         with pytest.raises(nn.EmptyPoolError):
-            model.forward(
-                net, PaddedInput(features, np.zeros(8, dtype=bool), 0)
-            )
+            model.forward(net, PaddedInput(np.zeros((0, 5)), 8))
 
     def test_ablated_model_still_invariant(self):
         rng = np.random.default_rng(9)
         net = model.build_model(model.ReflectNetConfig(use_gcl=False), seed=3)
         inp = random_input(rng, m=7)
         base = model.forward(net, inp).probabilities
-        perm = rng.permutation(inp.features.shape[0])
-        permuted = PaddedInput(inp.features[perm], inp.mask[perm], inp.m_real)
+        perm = rng.permutation(inp.m_real)
+        permuted = PaddedInput(inp.rows[perm], inp.pad_length)
         assert np.array_equal(model.forward(net, permuted).probabilities, base)
 
 
@@ -166,7 +153,7 @@ class TestTrainStep:
         cfg = model.ReflectNetConfig(pad_length=4)
         net = model.build_model(cfg, seed=6)
         a = random_input(rng, pad_length=4, m=2)
-        b = PaddedInput(a.features + 3.0, a.mask.copy(), a.m_real)
+        b = PaddedInput(a.rows + 3.0, a.pad_length)
         batch, state = net.stage([a, b]), None
         for _ in range(200):
             loss, state = model.train_step(net, batch, [0, 1], 0.05, state)
@@ -184,7 +171,7 @@ class TestTrainStep:
 
 @st.composite
 def ragged_batches(draw):
-    """1-6 samples of 1-64 reflections each, padded and shuffled among garbage rows.
+    """1-6 samples of 1-64 reflections each, with pad lengths of m to m + 8.
 
     Duplicated rows put exact max-pool ties inside a sample and across the
     edge between consecutive samples.
@@ -200,13 +187,7 @@ def ragged_batches(draw):
         if previous_last is not None and draw(st.booleans()):
             rows[0] = previous_last
         previous_last = rows[-1]
-        pad = m + draw(st.integers(0, 8))
-        features = rng.standard_normal((pad, 5)) * 1e3
-        real = np.sort(rng.choice(pad, size=m, replace=False))
-        features[real] = rows
-        mask = np.zeros(pad, dtype=bool)
-        mask[real] = True
-        inputs.append(PaddedInput(features, mask, m))
+        inputs.append(PaddedInput(rows, m + draw(st.integers(0, 8))))
         labels.append(draw(st.integers(0, 3)))
     return inputs, labels
 
@@ -314,7 +295,7 @@ class TestStaged:
 
     def test_staged_set_is_the_packed_table(self):
         net, inputs, _, staged = self.staged_set(np.float32)
-        rows = np.concatenate([inp.features[inp.mask] for inp in inputs]).astype(np.float32)
+        rows = np.concatenate([inp.rows for inp in inputs]).astype(np.float32)
         assert staged.rows.tobytes() == rows.tobytes()
         np.testing.assert_array_equal(staged.segments.starts, [0, 1, 6, 8, 16])
         np.testing.assert_array_equal(staged.segments.ids, np.repeat(range(5), [1, 5, 2, 8, 3]))
@@ -350,17 +331,10 @@ class TestStaged:
     @pytest.mark.parametrize("pad", [4, 0])
     def test_empty_sample_in_batch_is_an_error(self, pad):
         rng = np.random.default_rng(16)
-        empty = PaddedInput(np.zeros((pad, 5)), np.zeros(pad, dtype=bool), 0)
+        empty = PaddedInput(np.zeros((0, 5)), pad)
         with pytest.raises(nn.EmptyPoolError):
             model.build_model().stage([random_input(rng), empty, random_input(rng)])
 
-    @pytest.mark.parametrize("n_inputs", [1, 2])  # 1: the single-input (classify) branch
-    def test_mask_and_features_of_different_length_is_an_error(self, n_inputs):
-        rng = np.random.default_rng(17)
-        bad = PaddedInput(np.zeros((4, 5)), np.ones(3, dtype=bool), 3)
-        inputs = [random_input(rng) for _ in range(n_inputs - 1)] + [bad]
-        with pytest.raises(nn.ShapeError, match="differ in length"):
-            model.build_model().stage(inputs)
 
 
 @pytest.fixture(scope="module")

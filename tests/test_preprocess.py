@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ class TestNormStats:
         with pytest.raises(DatasetError):
             preprocess.compute_norm_stats([])
 
+    @pytest.mark.parametrize("rcs", [(1e200, 0.0), (1.7e308, 1.7e308)], ids=["std", "mean"])
+    def test_overflowing_column_is_dataset_error_naming_it(self, rcs):
+        # finite values whose std or mean overflows float64; no numpy warning leaks
+        sample = one_sample(values=((0.0, rcs[0]), (2.0, rcs[1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="column 2"):
+                preprocess.compute_norm_stats([sample])
+
     def test_training_stats_normalize_training_rows(self):
         rng = np.random.default_rng(3)
         samples = [
@@ -155,10 +165,10 @@ class TestPadAndMask:
     def test_mask_layout(self):
         rows = np.ones((3, 5))
         out = preprocess.pad_and_mask(rows, 64, NormStats.identity())
-        assert out.m_real == 3
-        assert out.mask[:3].all() and not out.mask[3:].any()
-        assert out.features.shape == (64, 5)
-        np.testing.assert_array_equal(out.features[3:], 0.0)
+        assert out.m_real == 3 and out.pad_length == 64
+        assert out.mask.shape == (64,) and out.mask[:3].all() and not out.mask[3:].any()
+        assert out.rows.shape == (3, 5) and out.rows.dtype == np.float64
+        np.testing.assert_array_equal(out.rows, rows)
 
     def test_overflow_keeps_highest_rcs(self):
         before = preprocess.overflow_count()
@@ -167,7 +177,7 @@ class TestPadAndMask:
         out = preprocess.pad_and_mask(rows, 64, NormStats.identity())
         assert out.m_real == 64
         assert preprocess.overflow_count() - before == 1
-        kept_rcs = np.sort(out.features[:, 2])
+        kept_rcs = np.sort(out.rows[:, 2])
         expected = np.sort(rows[:, 2])[-64:]
         np.testing.assert_allclose(kept_rcs, expected)
 
@@ -178,7 +188,7 @@ class TestPadAndMask:
     def test_normalization_applied(self):
         stats = NormStats(np.full(5, 2.0), np.full(5, 4.0))
         out = preprocess.pad_and_mask(np.full((1, 5), 10.0), 4, stats)
-        np.testing.assert_allclose(out.features[0], 2.0)
+        np.testing.assert_allclose(out.rows, [[2.0] * 5])
 
 
 def build_tracked_dataset(n_tracks_per_class=10, samples_per_track=3):

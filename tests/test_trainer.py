@@ -13,11 +13,7 @@ def toy_data(rng, n=24, pad=4):
     for i in range(n):
         label = i % 2
         m = int(rng.integers(1, pad + 1))
-        features = np.zeros((pad, 5))
-        features[:m] = rng.normal(loc=3.0 * label, scale=0.4, size=(m, 5))
-        mask = np.zeros(pad, dtype=bool)
-        mask[:m] = True
-        inputs.append(PaddedInput(features, mask, m))
+        inputs.append(PaddedInput(rng.normal(loc=3.0 * label, scale=0.4, size=(m, 5)), pad))
         labels.append(label)
         class_labels.append("car" if label == 0 else "pedestrian")
     return inputs, np.array(labels), class_labels
