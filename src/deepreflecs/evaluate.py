@@ -35,24 +35,11 @@ class MetricsReport:
         """One count per (label, prediction) pair, by one bincount; classes
         with no samples report NaN.
 
-        Labels and predictions of different lengths, or a class index that
-        is not an integer in [0, n_classes), are a ValueError naming them,
-        and so is an empty set.
+        Labels and predictions must each pass preprocess.class_indices;
+        different lengths are a ValueError, and so is an empty set.
         """
-        pairs = []
-        for name, values in (("labels", y_true), ("predictions", y_pred)):
-            values = np.asarray(values)
-            if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
-                raise ValueError(
-                    f"{name} must be a list of class indices, got shape {values.shape} "
-                    f"of {values.dtype}"
-                )
-            if values.size and (values.min() < 0 or values.max() >= n_classes):
-                raise ValueError(
-                    f"{name} must lie in [0, {n_classes}), got {values.min()} to {values.max()}"
-                )
-            pairs.append(values.astype(np.int64))
-        y_true, y_pred = pairs
+        y_true = preprocess.class_indices(y_true, n_classes, "labels")
+        y_pred = preprocess.class_indices(y_pred, n_classes, "predictions")
         if y_true.size != y_pred.size:
             raise ValueError(f"{y_true.size} labels for {y_pred.size} predictions")
         if y_true.size == 0:

@@ -33,7 +33,7 @@ from typing import Annotated, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import container, schema
-from .preprocess import CLASSES, ObjectSample, reflection_table
+from .preprocess import CLASSES, ObjectSample, class_indices, reflection_table
 
 MAGIC = b"FRST"
 
@@ -228,20 +228,13 @@ def _check_fit_inputs(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] == 0:
         raise ValueError(f"features must be a (rows, columns) table, got shape {features.shape}")
-    raw = np.asarray(labels)
-    if raw.shape != (len(features),):
-        raise ValueError(f"labels have shape {raw.shape} for {len(features)} feature rows")
+    if np.shape(labels) != (len(features),):
+        raise ValueError(f"labels have shape {np.shape(labels)} for {len(features)} feature rows")
     if len(features) == 0:
         raise ValueError("cannot fit a forest on an empty dataset")
-    if raw.dtype.kind not in "biuf" or (
-        raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all()
-    ):
-        raise ValueError("labels must be integral class indices")
-    if (raw < 0).any() or (raw >= n_classes).any():
-        raise ValueError(f"labels must lie in [0, {n_classes}), got {raw.min()} to {raw.max()}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
-    return features, raw.astype(np.int64)
+    return features, class_indices(labels, n_classes, "labels")
 
 
 class _Columns(NamedTuple):

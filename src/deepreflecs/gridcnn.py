@@ -38,7 +38,7 @@ from typing import Annotated, Dict, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
-from .preprocess import NormStats, ObjectSample, flat_reflection_table
+from .preprocess import CLASSES, NormStats, ObjectSample, flat_reflection_table
 
 MAGIC = b"GCNN"
 
@@ -49,7 +49,7 @@ _CELLS_SHAPE = (GRID_CELLS, GRID_CELLS, 2)
 CONV_CHANNELS = (16, 32, 64)
 DENSE_WIDTHS = (128, 32)
 FLAT_SIZE = 5 * 5 * CONV_CHANNELS[-1]  # 11 same-padded -> 2x2 pool (floor) -> 5x5
-N_CLASSES = 4
+N_CLASSES = len(CLASSES)
 
 # weight shape of each layer, in initialization order; conv kernels are 3x3
 _WEIGHT_SHAPES = {

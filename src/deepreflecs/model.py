@@ -32,7 +32,7 @@ from typing import Annotated, Dict, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
-from .preprocess import CLASSES, N_FEATURES, NormStats, PaddedInput, pad_and_mask
+from .preprocess import CLASSES, N_FEATURES, NormStats, PaddedInput
 
 MAGIC = b"RFLN"
 
@@ -83,8 +83,7 @@ class ReflectNetModel(nn.Network):
     def random_input(self, rng: np.random.Generator) -> PaddedInput:
         """2 to pad_length standard-normal reflections, for gradient checks."""
         m = int(rng.integers(2, self.config.pad_length + 1))
-        rows = rng.standard_normal((m, self.config.n_features))
-        return pad_and_mask(rows, self.config.pad_length, NormStats.identity())
+        return PaddedInput(rng.standard_normal((m, self.config.n_features)), self.config.pad_length)
 
     def kink_margin(self, inp: PaddedInput) -> float:
         """nn.kink_margin of one sample's float64 forward pass."""

@@ -360,19 +360,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(p: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of the labelled class, -ln(p[label] + eps)."""
-    return float(-np.log(p[label] + CROSS_ENTROPY_EPS))
-
-
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """cross_entropy averaged over a batch of probability rows."""
+    """Mean over probability rows of each row's -ln(p[label] + eps)."""
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(picked + CROSS_ENTROPY_EPS).mean())
 
 
 def softmax_cross_entropy_grad(p: np.ndarray, label) -> np.ndarray:
-    """Gradient of cross_entropy(softmax(z), label) w.r.t. the logits z.
+    """Gradient of the cross-entropy of softmax(z) and label w.r.t. the logits z.
 
     Also takes a batch: probability rows p with one label per row.
     """
@@ -667,5 +662,7 @@ def read_network(
     layers = {
         layer: LinearParams(arrays[f"{layer}.weights"], arrays[f"{layer}.bias"]) for layer in shapes
     }
-    # copies, so that the network keeps no view of the file bytes alive
-    return config, layers, NormStats(parsed.norm_means.copy(), parsed.norm_stds.copy())
+    try:  # copies, so that the network keeps no view of the file bytes alive
+        return config, layers, NormStats(parsed.norm_means.copy(), parsed.norm_stds.copy())
+    except ValueError as exc:
+        raise container.ContainerError(f"norm-stats block: {exc}") from exc

@@ -9,7 +9,8 @@ Each reflection contributes five network features, in this order:
 where (x_obj, y_obj) is the reflection position expressed in the tracked
 object's own coordinate system (origin at the object, +x along its
 heading). The azimuth angle is carried in the data format but is not a
-network feature.
+network feature. prepare_input is the one step from a sample to a network
+input, and class_indices the one label rule of every method.
 
 Also provides the track-wise train/val/test split and JSON-lines dataset
 I/O.
@@ -42,6 +43,22 @@ class DatasetError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def class_indices(values, n_classes: int, name: str) -> np.ndarray:
+    """values as int64 class indices, the label rule of every method: anything
+    but a 1-D integer array with values in [0, n_classes) is a ValueError
+    naming it. Bools, floats and strings are refused; an empty list passes."""
+    values = np.asarray(values)
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+        raise ValueError(
+            f"{name} must be a list of class indices, got shape {values.shape} of {values.dtype}"
+        )
+    if values.size and (values.min() < 0 or values.max() >= n_classes):
+        raise ValueError(
+            f"{name} must lie in [0, {n_classes}), got {values.min()} to {values.max()}"
+        )
+    return values.astype(np.int64)
 
 
 class Reflection(NamedTuple):
@@ -92,7 +109,8 @@ class ObjectSample:
 
 @dataclass
 class NormStats:
-    """Per-feature mean and standard deviation (lengths N_FEATURES)."""
+    """Per-feature mean and standard deviation (lengths N_FEATURES). A column
+    whose mean is not finite or whose std is not finite and > 0 is a DatasetError."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -102,8 +120,9 @@ class NormStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape:
             raise ValueError("mean and std must have the same length")
-        if np.any(self.std <= 0):
-            raise ValueError("std components must be positive")
+        for i, (mean, std) in enumerate(zip(self.mean, self.std)):
+            if not (math.isfinite(mean) and 0 < std < math.inf):
+                raise DatasetError(f"column {i}: mean {mean}, std {std}; need both finite, std > 0")
 
     @classmethod
     def identity(cls, n: int = N_FEATURES) -> "NormStats":
@@ -112,14 +131,11 @@ class NormStats:
     @classmethod
     def of(cls, rows: np.ndarray) -> "NormStats":
         """Per-column mean and population (1/M) std of rows, the std floored
-        at STD_FLOOR so constant columns stay usable. A column whose mean or
-        std is not finite (finite values of 1e200 square past float64) is a
+        at STD_FLOOR so constant columns stay usable. Finite values of 1e200
+        square past float64: a column whose statistics are not finite is a
         DatasetError, as a non-finite value is to the reader."""
         with np.errstate(all="ignore"):
             mean, std = rows.mean(axis=0), rows.std(axis=0)
-        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
-        if bad.size:
-            raise DatasetError(f"column {bad[0]}: mean {mean[bad[0]]}, std {std[bad[0]]}, not finite")
         return cls(mean, np.maximum(std, STD_FLOOR))
 
 
@@ -167,18 +183,13 @@ def reflection_table(sample: ObjectSample) -> np.ndarray:
     return np.array(flat_reflection_table(sample), dtype=np.float64).reshape(-1, 6)
 
 
-def sample_feature_rows(sample: ObjectSample) -> np.ndarray:
-    """The network features of all reflections of one sample, (M, 5)."""
-    return reflection_table(sample)[:, :N_FEATURES]
-
-
 def compute_norm_stats(samples: Iterable[ObjectSample]) -> NormStats:
     """Per-feature mean/std over all real reflections of the given samples.
 
     NormStats.of their rows. Compute this on the training split only and
     reuse the result for validation and test.
     """
-    rows = [sample_feature_rows(s) for s in samples]
+    rows = [reflection_table(s)[:, :N_FEATURES] for s in samples]
     if not rows:
         raise DatasetError("cannot compute normalization stats from an empty set")
     return NormStats.of(np.concatenate(rows, axis=0))
@@ -188,38 +199,21 @@ _overflow_count = 0
 
 
 def overflow_count() -> int:
-    """Number of pad_and_mask calls that had to drop reflections so far."""
+    """Number of prepare_input calls that had to drop reflections so far."""
     return _overflow_count
 
 
-def pad_and_mask(
-    rows: np.ndarray, pad_length: int, stats: NormStats
-) -> PaddedInput:
-    """Normalize feature rows, keeping at most pad_length of them.
-
-    If more rows arrive than that, the pad_length highest-RCS reflections
-    are kept (original order preserved) and the overflow counter is bumped.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != N_FEATURES:
-        raise DatasetError(f"expected (M, {N_FEATURES}) feature rows, got {rows.shape}")
-    if rows.shape[0] < 1:
-        raise DatasetError("cannot pad an empty reflection list")
-
-    if rows.shape[0] > pad_length:
+def prepare_input(sample: ObjectSample, pad_length: int, stats: NormStats) -> PaddedInput:
+    """A sample's normalized feature rows, at most pad_length of them: of more
+    reflections it keeps the pad_length of highest RCS, in their original
+    order, and bumps the overflow counter."""
+    rows = reflection_table(sample)[:, :N_FEATURES]
+    if len(rows) > pad_length:
         global _overflow_count
         _overflow_count += 1
         order = np.argsort(-rows[:, 2], kind="stable")[:pad_length]
         rows = rows[np.sort(order)]
-
     return PaddedInput((rows - stats.mean) / stats.std, pad_length)
-
-
-def prepare_input(
-    sample: ObjectSample, pad_length: int, stats: NormStats
-) -> PaddedInput:
-    """Full per-sample pipeline: feature rows -> keep at most pad_length -> normalize."""
-    return pad_and_mask(sample_feature_rows(sample), pad_length, stats)
 
 
 def trackwise_split(

@@ -6,11 +6,12 @@ training and validation inputs once: stage() turns a list of inputs into
 the model's one batch form, indexing the staged set with an index array
 gives a batch of those inputs, and train_step and predict_batch take
 such a staged batch; predict_batch returns the (B, n_classes) probability
-matrix, whose row argmax is the predicted class. The learning rate decays
-geometrically from lr_start to lr_end across epochs, the training set is
-re-balanced by integer duplication factors per class, and the returned
-model is the parameter snapshot of the epoch with the best validation
-accuracy (earliest epoch wins ties).
+matrix, whose row argmax is the predicted class. Before any step, labels
+pass preprocess.class_indices and each class name must be CLASSES[label].
+The learning rate decays geometrically from lr_start to lr_end across
+epochs, the training set is re-balanced by integer duplication factors
+per class, and the returned model is the parameter snapshot of the epoch
+with the best validation accuracy (earliest epoch wins ties).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Annotated, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
+from .preprocess import CLASSES, class_indices
 
 # re-sampling factors balancing the class skew of the reference scenario mix
 DEFAULT_RESAMPLE = {"car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4}
@@ -108,18 +110,28 @@ def _accuracy(model, inputs, labels: np.ndarray) -> float:
 
 
 def _check_splits(train_inputs, train_labels, train_class_labels, val_inputs, val_labels):
+    """The labels through class_indices; class label i must be CLASSES[train_labels[i]]."""
+    train_labels = class_indices(train_labels, len(CLASSES), "training labels")
+    val_labels = class_indices(val_labels, len(CLASSES), "validation labels")
     lengths = (len(train_inputs), len(train_labels), len(train_class_labels))
     if len(set(lengths)) != 1:
         raise nn.TrainingError(
             "training inputs, labels and class labels differ in length: %d, %d and %d"
             % lengths
         )
+    if len(train_inputs) == 0:
+        raise nn.TrainingError("empty training set")
     if len(val_inputs) == 0:
         raise nn.TrainingError("empty validation set")
     if len(val_inputs) != len(val_labels):
         raise nn.TrainingError(
             f"{len(val_inputs)} validation inputs but {len(val_labels)} validation labels"
         )
+    for i, (label, name) in enumerate(zip(train_labels, train_class_labels)):
+        if CLASSES[label] != name:
+            raise ValueError(f"training sample {i} has label {label} ({CLASSES[label]}) "
+                             f"but class label {name!r}")
+    return train_labels, val_labels
 
 
 def train(
@@ -137,7 +149,9 @@ def train(
     The validation set is evaluated after every epoch and never re-sampled.
     """
     started = time.perf_counter()
-    _check_splits(train_inputs, train_labels, train_class_labels, val_inputs, val_labels)
+    train_labels, val_labels = _check_splits(
+        train_inputs, train_labels, train_class_labels, val_inputs, val_labels
+    )
     model = model.copy()
     rng = np.random.default_rng(config.seed)
     multiset = resample_indices(train_class_labels, config.resample_factors)
@@ -146,8 +160,6 @@ def train(
             f"resample_factors {config.resample_factors} leave no training samples "
             f"of the classes {sorted(set(train_class_labels))}"
         )
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    val_labels = np.asarray(val_labels, dtype=np.int64)
     train_set = model.stage(train_inputs)
     val_set = model.stage(val_inputs)
 

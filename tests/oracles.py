@@ -1,6 +1,7 @@
 """Reference computations that tests compare the package against.
 
-The per-reflection object frame, the track generator drawing one
+The per-reflection object frame, the rows an input keeps when a sample
+has more reflections than its pad length, the track generator drawing one
 reflection at a time, the forest grown one tree and one node at a time,
 the stacking of per-tree node arrays into a forest, the reflection
 network with each ReLU before its max pool, a count of the pool
@@ -29,6 +30,23 @@ def to_object_frame(refl, pose):
     c = math.cos(pose.heading)
     s = math.sin(pose.heading)
     return c * dx + s * dy, -s * dx + c * dy
+
+
+def kept_rows(rows, pad_length):
+    """The feature rows `preprocess.prepare_input` keeps: all of them, or the
+    pad_length of highest RCS (column 2), ties to the earlier row, in their
+    original order."""
+    if len(rows) <= pad_length:
+        return rows
+    ranked = sorted(range(len(rows)), key=lambda i: (-rows[i, 2], i))
+    return rows[sorted(ranked[:pad_length])]
+
+
+def sample_of_rows(rows, label="car"):
+    """A sample at the origin, heading along +x, whose (M, 5) feature rows
+    [x, y, rcs, range, vr] are rows (azimuth 0)."""
+    reflections = [Reflection(*map(float, row), 0.0) for row in np.asarray(rows)]
+    return ObjectSample("t0", label, ObjectPose(0.0, 0.0, 0.0), reflections)
 
 
 def object_points(rng, profile, n, length, width):

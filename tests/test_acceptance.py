@@ -19,6 +19,7 @@ import pytest
 from deepreflecs import cli, datagen, evaluate, forest, gridcnn, nn, preprocess, trainer
 from deepreflecs import model as reflectnet
 from deepreflecs.preprocess import NormStats, ObjectPose, ObjectSample, PaddedInput, Reflection
+from oracles import sample_of_rows
 from test_golden import blas_env
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
@@ -88,8 +89,8 @@ def test_criterion_3_padding_invariance():
     stats = NormStats.identity()
     for _ in range(1000):
         m = int(rng.integers(1, 31))
-        rows = rng.standard_normal((m, 5))
-        inputs = [preprocess.pad_and_mask(rows, pad, stats) for pad in (m, 64, 128)]
+        sample = sample_of_rows(rng.standard_normal((m, 5)))
+        inputs = [preprocess.prepare_input(sample, pad, stats) for pad in (m, 64, 128)]
         outs = [reflectnet.forward(net, inp).probabilities for inp in inputs]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
         batched = []
@@ -170,7 +171,7 @@ def test_criterion_5_unit_values():
     p = nn.softmax(np.array([1000.0, 0.0]))
     assert np.isfinite(p).all() and abs(p[0] - 1.0) < 1e-12
 
-    assert abs(nn.cross_entropy(np.full(4, 0.25), 1) - math.log(4.0)) < 1e-9
+    assert abs(nn.mean_cross_entropy(np.full((1, 4), 0.25), [1]) - math.log(4.0)) < 1e-9
     np.testing.assert_allclose(
         nn.softmax_cross_entropy_grad(np.full(4, 0.25), 2), [0.25, 0.25, -0.75, 0.25]
     )

@@ -1,7 +1,7 @@
 """The one-pass featurization against a per-reflection oracle, bit for bit.
 
 `preprocess.reflection_table` builds every reflection row of an object in
-one loop; `sample_feature_rows`, `prepare_input`, `compute_norm_stats` and
+one loop; `prepare_input`, `compute_norm_stats` and
 the forest's handcrafted features all read it. The oracles below build the
 same values the per-reflection way, from `oracles.to_object_frame` and one
 numpy array per reflection or per column, and every output must match them in
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from deepreflecs import datagen, forest, preprocess
 from deepreflecs.preprocess import ObjectPose, ObjectSample, Reflection
-from oracles import to_object_frame
+from oracles import kept_rows, to_object_frame
 
 PAD_LENGTH = 64
 
@@ -81,12 +81,12 @@ def assert_featurization_matches_oracle(samples):
     assert_same_bits(stats.std, expected_stats.std)
     for sample in samples:
         rows = oracle_rows(sample)
-        assert_same_bits(preprocess.sample_feature_rows(sample), rows)
+        assert_same_bits(preprocess.reflection_table(sample)[:, :preprocess.N_FEATURES], rows)
         padded = preprocess.prepare_input(sample, PAD_LENGTH, stats)
-        expected = preprocess.pad_and_mask(rows, PAD_LENGTH, expected_stats)
-        assert_same_bits(padded.rows, expected.rows)
-        assert_same_bits(padded.mask, expected.mask)
-        assert padded.m_real == expected.m_real
+        expected = (kept_rows(rows, PAD_LENGTH) - expected_stats.mean) / expected_stats.std
+        assert_same_bits(padded.rows, expected)
+        assert_same_bits(padded.mask, np.arange(PAD_LENGTH) < len(expected))
+        assert padded.m_real == len(expected) == min(len(rows), PAD_LENGTH)
         assert_same_bits(forest.extract_handcrafted(sample), oracle_handcrafted(sample))
     assert_same_bits(
         forest.extract_features(samples),

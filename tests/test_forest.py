@@ -695,9 +695,9 @@ class TestLockstepGrower:
         (np.zeros((4, 2)), [0, 1, 0], "labels have shape \\(3,\\) for 4 feature rows"),
         (np.zeros((4, 2)), [[0, 1, 0, 1]], "labels have shape \\(1, 4\\) for 4"),
         (np.zeros((0, 2)), [], "empty dataset"),
-        (np.zeros((4, 2)), [0, 1, 2.5, 1], "labels must be integral"),
-        (np.zeros((4, 2)), [0, 1, np.nan, 1], "labels must be integral"),
-        (np.zeros((4, 2)), ["a", "b", "a", "b"], "labels must be integral"),
+        (np.zeros((4, 2)), [0, 1, 2.5, 1], "labels must be a list of class indices"),
+        (np.zeros((4, 2)), [0, 1, np.nan, 1], "labels must be a list of class indices"),
+        (np.zeros((4, 2)), ["a", "b", "a", "b"], "labels must be a list of class indices"),
         (np.zeros((4, 2)), [0, 1, 4, 1], "labels must lie in \\[0, 4\\), got 0 to 4"),
         (np.zeros((4, 2)), [0, -1, 2, 1], "labels must lie in \\[0, 4\\), got -1 to 2"),
     ],

@@ -539,7 +539,7 @@ class TestForwardAndTraining:
 
         def inference_loss():
             return sum(
-                nn.cross_entropy(gridcnn.forward(net, g).probabilities, y)
+                nn.mean_cross_entropy(gridcnn.forward(net, g).probabilities[None], [y])
                 for g, y in zip(grids, labels)
             ) / len(grids)
 

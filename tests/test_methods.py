@@ -272,6 +272,45 @@ def test_unknown_magic_is_magic_error():
         evaluate.method_for(b"NOPE" + bytes(16))
 
 
+# --- one label rule for every method -----------------------------------------
+
+
+def label_consumers():
+    """Each place a list of four class labels enters the package, as a call."""
+    inputs = [preprocess.PaddedInput(np.full((2, 5), float(i)), 8) for i in range(4)]
+    names, indices = list(preprocess.CLASSES), [0, 1, 2, 3]
+    net = reflectnet.build_model(reflectnet.ReflectNetConfig(pad_length=8))
+    schedule = trainer.TrainConfig(epochs=1, steps_per_epoch=1, batch_size=4)
+    return {
+        "metrics": lambda y: evaluate.MetricsReport.from_predictions(y, indices, 4),
+        "forest": lambda y: forest.fit_forest(np.arange(8.0).reshape(4, 2), y, n_trees=2),
+        "training": lambda y: trainer.train(net, inputs, y, names, inputs, indices, schedule),
+        "validation": lambda y: trainer.train(net, inputs, indices, names, inputs, y, schedule),
+    }
+
+
+@pytest.mark.parametrize("consumer", list(label_consumers()))
+@pytest.mark.parametrize(
+    "labels, accepted",
+    [
+        ([0, 1, 2, 3], True), (np.array([0, 1, 2, 3], dtype=np.uint8), True),
+        ([0, -1, 2, 3], False), ([0, 1, 4, 3], False), ([0, 1, 2.5, 3], False),
+        ([0, 1, np.nan, 3], False), ([0.0, 1.0, 2.0, 3.0], False),
+        ([True, False, True, False], False), (list(preprocess.CLASSES), False),
+        ([[0], [1], [2], [3]], False),
+    ],
+    ids=["in-range", "uint8", "minus-one", "n-classes", "fractional", "nan",
+         "integral-floats", "bools", "strings", "table"],
+)
+def test_every_method_takes_the_same_labels(consumer, labels, accepted):
+    call = label_consumers()[consumer]
+    if accepted:
+        call(labels)
+    else:
+        with pytest.raises(ValueError, match="labels"):
+            call(labels)
+
+
 # --- the names the perf harness drives must keep resolving -------------------
 
 

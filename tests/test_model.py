@@ -79,9 +79,9 @@ class TestForward:
     def test_pad_length_invariance_bitwise(self):
         rng = np.random.default_rng(6)
         net = model.build_model(seed=1)
-        rows = rng.standard_normal((5, 5))
+        sample = oracles.sample_of_rows(rng.standard_normal((5, 5)))
         outs = [
-            model.forward(net, preprocess.pad_and_mask(rows, pad, NormStats.identity()))
+            model.forward(net, preprocess.prepare_input(sample, pad, NormStats.identity()))
             for pad in (5, 32, 64)
         ]
         assert all(np.array_equal(out.probabilities, outs[0].probabilities) for out in outs)
@@ -376,8 +376,8 @@ def assert_pools_as_relu_first(net, batch, labels):
 
 
 def padded(rows, pad_length=8):
-    """Unnormalized feature rows as one padded input."""
-    return preprocess.pad_and_mask(np.asarray(rows), pad_length, NormStats.identity())
+    """Unnormalized feature rows, at most pad_length of them, as one input."""
+    return PaddedInput(np.asarray(rows, dtype=np.float64), pad_length)
 
 
 class TestPoolBeforeRelu:
@@ -491,8 +491,7 @@ import numpy as np
 from deepreflecs import model, preprocess
 rng = np.random.default_rng(0)
 net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
-inputs = [preprocess.pad_and_mask(rng.standard_normal((m, 5)), 8, preprocess.NormStats.identity())
-          for m in [8] * 135 + [2]]
+inputs = [preprocess.PaddedInput(rng.standard_normal((m, 5)), 8) for m in [8] * 135 + [2]]
 batch = net.stage(inputs)
 assert batch.rows.shape[0] == 1082
 _, grad = model.loss_and_grads(net, batch, rng.integers(0, 4, size=len(inputs)))
@@ -592,15 +591,17 @@ class TestSerialization:
             model.deserialize(blob)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, match",
         [
-            lambda means, stds, arrays: stds.__setitem__(2, 0.0),
-            lambda means, stds, arrays: means.__setitem__(0, np.nan),
-            lambda means, stds, arrays: arrays["conv2.weights"].__setitem__((3, 1), np.nan),
+            (lambda means, stds, arrays: stds.__setitem__(2, 0.0), "^norm-stats block: column 2:"),
+            (lambda means, stds, arrays: stds.__setitem__(3, np.inf), "^norm-stats block: column 3:"),
+            (lambda means, stds, arrays: means.__setitem__(0, np.nan), "^norm-stats block: column 0:"),
+            (lambda means, stds, arrays: arrays["conv2.weights"].__setitem__((3, 1), np.nan),
+             "'conv2.weights' holds a value that is not finite"),
         ],
-        ids=["zero-norm-std", "nan-norm-mean", "nan-weight"],
+        ids=["zero-norm-std", "inf-norm-std", "nan-norm-mean", "nan-weight"],
     )
-    def test_bad_numbers_are_container_error(self, edit):
+    def test_bad_numbers_are_container_error(self, edit, match):
         parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
         # parsed arrays are read-only views of the file: edit copies
         means, stds = parsed.norm_means.copy(), parsed.norm_stds.copy()
@@ -609,7 +610,7 @@ class TestSerialization:
         blob = container.write_container(
             model.MAGIC, parsed.config, (means, stds), list(arrays.items())
         )
-        with pytest.raises(container.ContainerError):
+        with pytest.raises(container.ContainerError, match=match):
             model.deserialize(blob)
 
     def test_save_load_files(self, tmp_path):

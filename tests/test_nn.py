@@ -448,12 +448,12 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_confident_correct_is_zero(self):
-        assert abs(nn.cross_entropy(np.array([1.0, 0.0, 0.0, 0.0]), 0)) < 1e-9
+        assert abs(nn.mean_cross_entropy(np.array([[1.0, 0.0, 0.0, 0.0]]), [0])) < 1e-9
 
     def test_uniform_closed_form(self):
         p = np.full(4, 0.25)
         for label in range(4):
-            assert abs(nn.cross_entropy(p, label) - math.log(4.0)) < 1e-9
+            assert abs(nn.mean_cross_entropy(p[None], [label]) - math.log(4.0)) < 1e-9
 
     def test_gradient_is_p_minus_onehot(self):
         p = np.full(4, 0.25)
@@ -468,7 +468,7 @@ class TestCrossEntropy:
         grad = nn.softmax_cross_entropy_grad(p, labels)
         for i, label in enumerate(labels):
             assert np.array_equal(grad[i], nn.softmax_cross_entropy_grad(p[i], label))
-        expected = np.mean([nn.cross_entropy(p[i], y) for i, y in enumerate(labels)])
+        expected = np.mean([nn.mean_cross_entropy(p[i : i + 1], [y]) for i, y in enumerate(labels)])
         assert nn.mean_cross_entropy(p, labels) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

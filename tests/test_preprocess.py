@@ -17,6 +17,7 @@ from deepreflecs.preprocess import (
     ObjectSample,
     Reflection,
 )
+from oracles import sample_of_rows
 
 
 def refl(x=0.0, y=0.0, rcs=0.0, range_m=10.0, vr=0.0, azimuth=0.0):
@@ -86,7 +87,8 @@ class TestFeatureVector:
         r = refl(x=1, y=2, rcs=5, range_m=10, vr=-1, azimuth=2.7)
         sample = ObjectSample(track_id="t", class_label="car", pose=ObjectPose(0, 0, 0),
                               reflections=[r])
-        np.testing.assert_array_equal(preprocess.sample_feature_rows(sample), [[1, 2, 5, 10, -1]])
+        rows = preprocess.prepare_input(sample, 64, NormStats.identity()).rows
+        np.testing.assert_array_equal(rows, [[1, 2, 5, 10, -1]])
 
     def test_pose_shift_only_moves_positions(self):
         r = refl(x=1, y=2, rcs=5, range_m=10, vr=-1)
@@ -108,6 +110,18 @@ def one_sample(track="t0", label="car", values=((0.0, 0.0), (2.0, 2.0))):
 
 
 class TestNormStats:
+    @pytest.mark.parametrize(
+        "column, mean, std",
+        [(2, 0.0, 0.0), (1, 0.0, -1.0), (4, 0.0, np.nan), (0, 0.0, np.inf),
+         (3, np.nan, 1.0), (2, -np.inf, 1.0)],
+        ids=["zero-std", "negative-std", "nan-std", "inf-std", "nan-mean", "inf-mean"],
+    )
+    def test_bad_entry_is_dataset_error_naming_its_column(self, column, mean, std):
+        means, stds = np.zeros(5), np.ones(5)
+        means[column], stds[column] = mean, std
+        with pytest.raises(DatasetError, match=f"^column {column}: mean {mean}, std {std};"):
+            NormStats(means, stds)
+
     def test_constant_feature_hits_std_floor(self):
         sample = one_sample(values=((3.0, 1.0), (3.0, 1.0)))
         stats = preprocess.compute_norm_stats([sample])
@@ -155,16 +169,17 @@ class TestNormStats:
             for i in range(10)
         ]
         stats = preprocess.compute_norm_stats(samples)
-        rows = np.concatenate([preprocess.sample_feature_rows(s) for s in samples])
-        normalized = (rows - stats.mean) / stats.std
+        normalized = np.concatenate([preprocess.prepare_input(s, 64, stats).rows for s in samples])
         np.testing.assert_allclose(normalized.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normalized.std(axis=0), 1.0, atol=1e-6)
 
 
 class TestPadAndMask:
+    """prepare_input's pad-length rule: keep at most pad_length rows."""
+
     def test_mask_layout(self):
         rows = np.ones((3, 5))
-        out = preprocess.pad_and_mask(rows, 64, NormStats.identity())
+        out = preprocess.prepare_input(sample_of_rows(rows), 64, NormStats.identity())
         assert out.m_real == 3 and out.pad_length == 64
         assert out.mask.shape == (64,) and out.mask[:3].all() and not out.mask[3:].any()
         assert out.rows.shape == (3, 5) and out.rows.dtype == np.float64
@@ -174,20 +189,16 @@ class TestPadAndMask:
         before = preprocess.overflow_count()
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((70, 5))
-        out = preprocess.pad_and_mask(rows, 64, NormStats.identity())
+        out = preprocess.prepare_input(sample_of_rows(rows), 64, NormStats.identity())
         assert out.m_real == 64
         assert preprocess.overflow_count() - before == 1
         kept_rcs = np.sort(out.rows[:, 2])
         expected = np.sort(rows[:, 2])[-64:]
         np.testing.assert_allclose(kept_rcs, expected)
 
-    def test_zero_rows_raises(self):
-        with pytest.raises(DatasetError):
-            preprocess.pad_and_mask(np.zeros((0, 5)), 8, NormStats.identity())
-
     def test_normalization_applied(self):
         stats = NormStats(np.full(5, 2.0), np.full(5, 4.0))
-        out = preprocess.pad_and_mask(np.full((1, 5), 10.0), 4, stats)
+        out = preprocess.prepare_input(sample_of_rows(np.full((1, 5), 10.0)), 4, stats)
         np.testing.assert_allclose(out.rows, [[2.0] * 5])
 
 
@@ -222,9 +233,8 @@ class TestPaddingEndToEnd:
         )
         stats = NormStats(np.zeros(5), np.ones(5) * 2.0)
         net = model.build_model(seed=9)
-        rows = preprocess.sample_feature_rows(sample)
-        out64 = model.forward(net, preprocess.pad_and_mask(rows, 64, stats))
-        out128 = model.forward(net, preprocess.pad_and_mask(rows, 128, stats))
+        out64 = model.forward(net, preprocess.prepare_input(sample, 64, stats))
+        out128 = model.forward(net, preprocess.prepare_input(sample, 128, stats))
         assert np.array_equal(out64.probabilities, out128.probabilities)
 
 

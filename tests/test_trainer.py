@@ -179,6 +179,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize(
         "cut, message",
         [
+            (dict(train_inputs=0, train_labels=0, train_class_labels=0), "empty training set"),
             (dict(val_inputs=0, val_labels=0), "empty validation set"),
             (dict(val_labels=-1), "validation labels"),
             (dict(val_inputs=-1), "validation labels"),
@@ -186,7 +187,7 @@ class TestTrainLoop:
             (dict(train_class_labels=-1), "differ in length"),
             (dict(train_inputs=-1), "differ in length"),
         ],
-        ids=["empty-val", "val-labels-short", "val-inputs-short", "train-labels-short",
+        ids=["empty-train", "empty-val", "val-labels-short", "val-inputs-short", "train-labels-short",
              "class-labels-short", "train-inputs-short"],
     )
     def test_bad_split_is_training_error_before_any_step(self, cut, message, monkeypatch):
@@ -200,6 +201,15 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "train_step", None)  # no step may run
         with pytest.raises(nn.TrainingError, match=message):
             trainer.train(net, config=self.make_config(), **split)
+
+    def test_class_labels_that_do_not_name_the_labels_are_value_error(self, monkeypatch):
+        inputs, labels, classes = toy_data(np.random.default_rng(6))
+        classes[3] = "cyclist"  # sample 3 is labelled 1, a pedestrian
+        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=6)
+        monkeypatch.setattr(model, "train_step", None)  # no step may run
+        match = "training sample 3 has label 1 \\(pedestrian\\) but class label 'cyclist'"
+        with pytest.raises(ValueError, match=match):
+            trainer.train(net, inputs, labels, classes, inputs, labels, self.make_config())
 
     @pytest.mark.parametrize("epochs, steps", [(1, 1), (3, 5)])
     def test_inputs_are_packed_once_per_run(self, epochs, steps, monkeypatch):
