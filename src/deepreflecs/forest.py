@@ -228,13 +228,14 @@ def _check_fit_inputs(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] == 0:
         raise ValueError(f"features must be a (rows, columns) table, got shape {features.shape}")
-    if np.shape(labels) != (len(features),):
-        raise ValueError(f"labels have shape {np.shape(labels)} for {len(features)} feature rows")
+    labels = class_indices(labels, n_classes, "labels")
+    if labels.shape != (len(features),):
+        raise ValueError(f"labels have shape {labels.shape} for {len(features)} feature rows")
     if len(features) == 0:
         raise ValueError("cannot fit a forest on an empty dataset")
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
-    return features, class_indices(labels, n_classes, "labels")
+    return features, labels
 
 
 class _Columns(NamedTuple):

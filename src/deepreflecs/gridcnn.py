@@ -8,11 +8,11 @@ same-padded 3x3 convolutions (16, 32, 64 channels, ReLU), one 2x2 max
 pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout on the two
 hidden dense layers during training. 232,628 learnable parameters.
 
-A batch is a stack of normalized grids (B, 11, 11, 2), made by
-GridCnnModel.stage, that forward_grids runs through every layer at once;
-predict_batch, loss_and_grads and train_step take only such a stack and
-feed it _CHUNK grids at a time. A training run stages its grids once and
-draws each batch from the stack by index.
+A batch is a stack of normalized grids (B, 11, 11, 2), made and checked
+by GridCnnModel.stage, that forward_grids runs through every layer at
+once; predict_batch, loss_and_grads (which checks the labels) and
+train_step take only such a stack, _CHUNK grids at a time. A training
+run stages its grids once and draws each batch from the stack by index.
 
 The pool reads rows and columns 0-9 of conv3's output, so conv3 is
 computed at those 10x10 cells only. The pool takes conv3's
@@ -38,7 +38,7 @@ from typing import Annotated, Dict, Sequence, Tuple
 import numpy as np
 
 from . import nn, schema
-from .preprocess import CLASSES, NormStats, ObjectSample, flat_reflection_table
+from .preprocess import CLASSES, DatasetError, NormStats, ObjectSample, flat_reflection_table
 
 MAGIC = b"GCNN"
 
@@ -419,7 +419,7 @@ def loss_and_grads(
     """
     if len(batch) == 0:
         raise nn.TrainingError("empty training batch")
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = nn.batch_labels(labels, len(batch), N_CLASSES)
     n, dtype = len(batch), model.vector.dtype
     scale = 1.0 / n
     grad = np.zeros_like(model.vector)
@@ -468,6 +468,8 @@ def gradcheck_random_sample(
 
 def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:
     """Per-channel mean/std over all cells of the given (training) grids."""
+    if len(grids) == 0:
+        raise DatasetError("cannot compute channel stats from an empty set of grids")
     model.norm_stats = NormStats.of(np.stack([g.cells for g in grids]).reshape(-1, 2))
 
 

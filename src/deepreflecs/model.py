@@ -12,14 +12,14 @@ bit. Pre-activations almost never tie, so the backward pass routes each
 pooled gradient to its single winning row; on a tie it falls back to the
 first winner (nn.segment_max_pool_backward).
 
-Batches are ragged: ReflectNetModel.stage concatenates the reflection
-rows of a list of inputs into one Staged table, with segment offsets
+Batches are ragged: ReflectNetModel.stage checks a list of inputs and
+concatenates their rows into one Staged table, with segment offsets
 marking where each sample starts, and every layer runs once over the
 whole batch. An input holds only its real rows, so the output does not
 depend on the pad length, which only caps how many rows an input keeps.
-predict_batch, loss_and_grads and train_step take only a Staged batch; a
-single sample is a batch of one segment, and a training run stages its
-inputs once and gathers each batch from it by index.
+predict_batch, loss_and_grads (which checks the labels) and train_step
+take only a Staged batch; a single sample is a batch of one segment, and
+a training run stages its inputs once and gathers each batch by index.
 
 The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
@@ -99,13 +99,21 @@ class ReflectNetModel(nn.Network):
         return forward(self, inp)
 
     def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
-        """The rows of every input as one ragged batch, at model precision."""
+        """The rows of every input as one ragged batch, at model precision; rows not
+        (m >= 1, n_features) are a ShapeError or EmptyPoolError naming the input."""
+        if len(inputs) == 0:
+            raise nn.ShapeError("cannot stage an empty list of inputs")
+        width = self.config.n_features
+        for i, inp in enumerate(inputs):
+            if inp.rows.ndim != 2 or inp.rows.shape[1] != width:
+                raise nn.ShapeError(f"input {i} has rows {inp.rows.shape}, not (m, {width})")
+            if len(inp.rows) == 0:
+                raise nn.EmptyPoolError(f"input {i} has no rows")
         dtype = self.conv1.weights.dtype
         if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
             rows = inputs[0].rows.astype(dtype, copy=False)
-            return Staged(rows, nn.Segments.single(len(rows)), np.array([len(rows)]))
-        if len(inputs) == 0:
-            raise nn.ShapeError("cannot stage an empty list of inputs")
+            one = nn.Segments(np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp))
+            return Staged(rows, one, np.array([len(rows)]))
         lengths = np.array([len(inp.rows) for inp in inputs], dtype=np.intp)
         rows = np.concatenate([inp.rows for inp in inputs]).astype(dtype, copy=False)
         return Staged(rows, nn.Segments.from_lengths(lengths), lengths)
@@ -140,10 +148,10 @@ class Staged:
     """A set of inputs staged once into one ragged table, for repeated use.
 
     Input b is rows[segments.starts[b] : segments.starts[b] + lengths[b]],
-    at the precision of the model that staged it. Indexing with an array
-    of input indices (repeats allowed) gathers those inputs, in that
-    order, into a new table: a training step draws its batch with one row
-    gather instead of staging the inputs again.
+    at the precision of the model that staged it. Indexing with a 1-D,
+    non-empty array of input indices (repeats allowed; else a ShapeError)
+    gathers those inputs, in that order, into a new table: a training step
+    draws its batch with one row gather instead of staging them again.
     """
 
     rows: np.ndarray
@@ -155,6 +163,8 @@ class Staged:
 
     def __getitem__(self, indices) -> "Staged":
         indices = np.asarray(indices, dtype=np.intp)
+        if indices.ndim != 1 or indices.size == 0:
+            raise nn.ShapeError(f"need a 1-D, non-empty index array, got {indices.shape}")
         lengths = self.lengths[indices]
         segments = nn.Segments.from_lengths(lengths)
         shift = self.segments.starts[indices] - segments.starts
@@ -193,9 +203,9 @@ def loss_and_grads(
     labels: Sequence[int],
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy over a staged batch and its gradient, laid out like model.vector."""
+    labels = nn.batch_labels(labels, len(batch), model.config.n_classes)
     segments = batch.segments
     probs, cache = forward_rows(model, batch, keep_cache=True)
-    labels = np.asarray(labels, dtype=np.intp)
     scale = 1.0 / len(batch)  # stage refuses an empty batch, and so does indexing a Staged
     d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
     grad = np.zeros_like(model.vector)

@@ -13,12 +13,12 @@ with parameters adds their gradients into the layer's slot of a gradient
 vector instead of returning them, and the Adam step updates a parameter
 vector and its own state in place.
 
-Matrices are plain 2-D ndarrays (one row per list entry, one column per
-feature). A batch of lists is one matrix of all their rows plus Segments
-(where each list starts). The masked kernels, which take one padded list
-as a matrix plus a 1-D boolean mask, serve only perfbench's trace list.
-Forward code is precision-agnostic: run it on float32 arrays for speed or
-float64 for gradient checks.
+Matrices are 2-D ndarrays (a row per list entry, a column per feature); a
+batch of lists is one matrix of all their rows plus Segments. The masked
+kernels (one padded list and its mask) serve only perfbench's trace list.
+A network's stage checks its inputs and loss_and_grads its labels
+(batch_labels); no layer re-checks them. Forward code runs on float32
+arrays for speed or on float64 for gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import container, schema
-from .preprocess import NormStats
+from .preprocess import NormStats, class_indices
 
 CROSS_ENTROPY_EPS = 1e-12
 # logit-gradient entries below this are zeroed: in float32 they would be
@@ -64,11 +64,11 @@ WEIGHT_GRAD_BLOCK = 768 * 32 * 32
 
 
 class ShapeError(ValueError):
-    """Operand shapes do not satisfy the layer contract."""
+    """An operand's shape, or its count of labels, does not fit the network."""
 
 
 class EmptyPoolError(ValueError):
-    """A masked reduction was asked to pool zero valid rows."""
+    """An input, or a masked list, has no rows to pool."""
 
 
 class TrainingError(RuntimeError):
@@ -108,24 +108,13 @@ def distribution(probs: np.ndarray) -> ClassDistribution:
 class LinearParams:
     """Weights and bias of a linear map, shared across all list entries.
 
-    weights has shape (..., in_features, out_features), bias
-    (out_features,): (in, out) for a row-wise or dense layer, (3, 3, in,
-    out) for a 3x3 convolution kernel.
+    weights (..., in, out) and bias (out,): (in, out) for a row-wise or
+    dense layer, (3, 3, in, out) for a 3x3 kernel. The shapes come from a
+    layer table, and container.check_contents holds model files to it.
     """
 
     weights: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights)
-        self.bias = np.asarray(self.bias)
-        if self.weights.ndim < 2 or self.bias.ndim != 1:
-            raise ShapeError("weights must be at least 2-D and bias 1-D")
-        if self.weights.shape[-1] != self.bias.shape[0]:
-            raise ShapeError(
-                f"bias length {self.bias.shape[0]} does not match "
-                f"{self.weights.shape[-1]} output features"
-            )
 
     @property
     def in_features(self) -> int:
@@ -138,13 +127,6 @@ def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
     x: (M, in_features) -> (M, out_features). Rows are processed
     independently, so the op is exactly equivariant to row permutations.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-D input, got shape {x.shape}")
-    if x.shape[1] != params.in_features:
-        raise ShapeError(
-            f"input has {x.shape[1]} features, layer expects {params.in_features}"
-        )
     return x @ params.weights + params.bias
 
 
@@ -184,7 +166,7 @@ class Segments(NamedTuple):
 
     Segment b covers rows starts[b] up to (not including) starts[b + 1],
     the last one runs to the final row; ids[r] is the segment of row r.
-    Every segment holds at least one row.
+    Every segment holds at least one row, as the network's stage checks.
     """
 
     starts: np.ndarray  # (B,) intp, starts[0] == 0, strictly increasing
@@ -193,18 +175,7 @@ class Segments(NamedTuple):
     @classmethod
     def from_lengths(cls, lengths) -> "Segments":
         lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.ndim != 1 or lengths.size == 0:
-            raise ShapeError("need a 1-D, non-empty list of segment lengths")
-        if lengths.min() < 1:
-            raise EmptyPoolError("cannot pool a segment with no rows")
         return cls(np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths))
-
-    @classmethod
-    def single(cls, n_rows: int) -> "Segments":
-        """All n_rows rows as one segment (cheaper than from_lengths([n_rows]))."""
-        if n_rows < 1:
-            raise EmptyPoolError("cannot pool a segment with no rows")
-        return cls(np.zeros(1, dtype=np.intp), np.zeros(n_rows, dtype=np.intp))
 
 
 def segment_max_pool(x: np.ndarray, segments: Segments) -> np.ndarray:
@@ -290,7 +261,7 @@ def masked_global_max_pool(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     touched, so their content cannot leak into the result.
     """
     valid = x[_valid_rows(x, mask)]
-    return segment_max_pool(valid, Segments.single(valid.shape[0]))[0]
+    return segment_max_pool(valid, Segments.from_lengths([valid.shape[0]]))[0]
 
 
 def masked_global_max_pool_backward(
@@ -300,7 +271,7 @@ def masked_global_max_pool_backward(
     rows = np.flatnonzero(_valid_rows(x, mask))
     grad_x = np.zeros_like(x)
     grad_x[rows] = segment_max_pool_backward(
-        x[rows], Segments.single(rows.size), np.asarray(grad_out)[None]
+        x[rows], Segments.from_lengths([rows.size]), np.asarray(grad_out)[None]
     )
     return grad_x
 
@@ -358,6 +329,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def batch_labels(labels, batch_size: int, n_classes: int) -> np.ndarray:
+    """class_indices of a batch's labels; a count other than batch_size is a ShapeError."""
+    labels = class_indices(labels, n_classes, "labels")
+    if labels.size != batch_size:
+        raise ShapeError(f"{labels.size} labels for a batch of size {batch_size}")
+    return labels
 
 
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -595,7 +574,6 @@ def gradcheck(
     wide = net.astype(np.float64)
     staged = wide.stage(batch)
     analytic = wide.params(loss_and_grads(wide, staged, labels)[1])
-    labels = np.asarray(labels, dtype=np.intp)
     rng = np.random.default_rng(seed)
 
     def nudged_loss(flat: np.ndarray, i: int, value: float) -> float:

@@ -48,8 +48,12 @@ class DatasetError(ValueError):
 def class_indices(values, n_classes: int, name: str) -> np.ndarray:
     """values as int64 class indices, the label rule of every method: anything
     but a 1-D integer array with values in [0, n_classes) is a ValueError
-    naming it. Bools, floats and strings are refused; an empty list passes."""
-    values = np.asarray(values)
+    naming it. Bools, floats, strings and ragged lists are refused; an empty
+    list passes."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged list
+        raise ValueError(f"{name} must be a list of class indices, got a ragged list") from None
     if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
         raise ValueError(
             f"{name} must be a list of class indices, got shape {values.shape} of {values.dtype}"

@@ -693,17 +693,19 @@ class TestLockstepGrower:
         (np.arange(4.0), [0, 1, 0, 1], "features must be a \\(rows, columns\\) table"),
         (np.zeros((4, 0)), [0, 1, 0, 1], "features must be a \\(rows, columns\\) table"),
         (np.zeros((4, 2)), [0, 1, 0], "labels have shape \\(3,\\) for 4 feature rows"),
-        (np.zeros((4, 2)), [[0, 1, 0, 1]], "labels have shape \\(1, 4\\) for 4"),
+        (np.zeros((4, 2)), [[0, 1, 0, 1]],
+         "labels must be a list of class indices, got shape \\(1, 4\\)"),
         (np.zeros((0, 2)), [], "empty dataset"),
         (np.zeros((4, 2)), [0, 1, 2.5, 1], "labels must be a list of class indices"),
         (np.zeros((4, 2)), [0, 1, np.nan, 1], "labels must be a list of class indices"),
         (np.zeros((4, 2)), ["a", "b", "a", "b"], "labels must be a list of class indices"),
         (np.zeros((4, 2)), [0, 1, 4, 1], "labels must lie in \\[0, 4\\), got 0 to 4"),
         (np.zeros((4, 2)), [0, -1, 2, 1], "labels must lie in \\[0, 4\\), got -1 to 2"),
+        (np.zeros((2, 2)), [[0], [1, 2]], "labels must be a list of class indices, got a ragged"),
     ],
     ids=["one-dimensional", "no-columns", "fewer-labels", "label-table", "empty",
          "fractional-label", "nan-label", "string-labels", "label-past-classes",
-         "negative-label"],
+         "negative-label", "ragged-labels"],
 )
 def test_bad_fit_input_is_value_error_naming_it(features, labels, match):
     with pytest.raises(ValueError, match=match):

@@ -209,6 +209,11 @@ def test_overflowing_channel_stats_are_dataset_error():
             gridcnn.set_channel_stats(gridcnn.build_gridcnn(seed=0), grids)
 
 
+def test_channel_stats_of_no_grids_are_dataset_error():
+    with pytest.raises(preprocess.DatasetError, match="empty set of grids"):
+        gridcnn.set_channel_stats(gridcnn.build_gridcnn(seed=0), [])
+
+
 class TestArchitecture:
     def test_total_parameter_count(self):
         assert gridcnn.build_gridcnn().vector.size == 232628

@@ -254,6 +254,12 @@ class TestRaggedBatch:
         with pytest.raises(nn.ShapeError, match="empty list"):
             model.build_model().stage([])
 
+    def test_rows_of_another_width_are_shape_error_naming_the_input(self):
+        rng = np.random.default_rng(17)
+        inputs = [random_input(rng), random_input(rng, m=2, n_features=3)]
+        with pytest.raises(nn.ShapeError, match=r"input 1 has rows \(2, 3\), not \(m, 5\)"):
+            model.build_model().stage(inputs)
+
 
 class TestStaged:
     """Batches drawn from a staged set against staging the same inputs again."""
@@ -284,6 +290,12 @@ class TestStaged:
         assert loss == expected_loss
         assert grad.dtype == dtype and grad.shape == net.vector.shape
         assert grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("draw", [[], [[0, 1]], 2], ids=["empty", "2-d", "scalar"])
+    def test_an_index_that_is_empty_or_not_1d_is_shape_error(self, draw):
+        _, _, _, staged = self.staged_set(np.float32)
+        with pytest.raises(nn.ShapeError, match="1-D, non-empty index array"):
+            staged[draw]
 
     def test_batch_predicts_bitwise_as_its_list(self):
         net, inputs, _, staged = self.staged_set(np.float32)

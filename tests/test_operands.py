@@ -1,0 +1,162 @@
+"""Each network checks its operands once, where they enter it.
+
+Inputs are checked by the network's stage, labels at the top of its
+loss_and_grads. A bad operand ends in a ShapeError, an EmptyPoolError or
+a ValueError that names the input or the labels, on every public path,
+and a refused train step leaves the weights as they were. The layers in
+nn re-check nothing: an AST scan lists the only package functions that
+raise ShapeError or EmptyPoolError.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import deepreflecs
+from deepreflecs import gridcnn, nn
+from deepreflecs import model as reflectnet
+from deepreflecs.preprocess import PaddedInput
+
+PACKAGE = Path(deepreflecs.__file__).resolve().parent
+
+# network name: (its module, its builder)
+NETWORKS = {
+    "deepreflecs": (reflectnet, reflectnet.build_model),
+    "gridcnn": (gridcnn, gridcnn.build_gridcnn),
+}
+
+
+def rows(shape):
+    return PaddedInput(np.ones(shape), 64)
+
+
+def cells(shape):
+    return gridcnn.Grid(cells=np.ones(shape), occupancy=np.ones(shape[:2], dtype=np.int64))
+
+
+# (network, case id, the bad input or None for an empty list, error, message
+# with {i} for the input's index)
+INPUT_CASES = [
+    ("deepreflecs", "empty-list", None, nn.ShapeError, "cannot stage an empty list of inputs"),
+    ("gridcnn", "empty-list", None, nn.ShapeError, "cannot stage an empty list of grids"),
+    ("deepreflecs", "no-rows", rows((0, 5)), nn.EmptyPoolError, "input {i} has no rows"),
+    ("deepreflecs", "4-columns", rows((3, 4)), nn.ShapeError,
+     r"input {i} has rows \(3, 4\), not \(m, 5\)"),
+    ("deepreflecs", "1-d-rows", rows((5,)), nn.ShapeError,
+     r"input {i} has rows \(5,\), not \(m, 5\)"),
+    ("gridcnn", "10x10-cells", cells((10, 10, 2)), nn.ShapeError,
+     r"grid {i} has cells \(10, 10, 2\), not \(11, 11, 2\)"),
+]
+
+# (case id, labels of a one-input batch, error, message)
+LABEL_CASES = [
+    ("minus-1", [-1], ValueError, r"labels must lie in \[0, 4\), got -1 to -1"),
+    ("4", [4], ValueError, r"labels must lie in \[0, 4\), got 4 to 4"),
+    ("2.5", [2.5], ValueError, "labels must be a list of class indices"),
+    ("too-few", [], nn.ShapeError, "0 labels for a batch of size 1"),
+    ("too-many", [0, 1], nn.ShapeError, "2 labels for a batch of size 1"),
+]
+
+
+def input_paths(module, net, inputs, bad):
+    """(path id, call, index of the bad input on that path) of every path an input takes."""
+    labels = [0] * len(inputs)
+    paths = [
+        ("predict_batch", lambda: net.predict_batch(net.stage(inputs)), len(inputs) - 1),
+        ("train_step-list", lambda: net.train_step(inputs, labels, 0.01, None), len(inputs) - 1),
+        ("train_step-staged",
+         lambda: net.train_step(net.stage(inputs), labels, 0.01, None), len(inputs) - 1),
+        ("loss_and_grads",
+         lambda: module.loss_and_grads(net, net.stage(inputs), labels), len(inputs) - 1),
+    ]
+    if bad is not None:
+        paths.append(("predict", lambda: net.predict(bad), 0))
+    return paths
+
+
+def label_paths(module, net, inputs, labels):
+    """(path id, call) of every path labels take."""
+    return [
+        ("train_step-list", lambda: net.train_step(inputs, labels, 0.01, None)),
+        ("train_step-staged", lambda: net.train_step(net.stage(inputs), labels, 0.01, None)),
+        ("loss_and_grads", lambda: module.loss_and_grads(net, net.stage(inputs), labels)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "network, bad, error, message", [case[:1] + case[2:] for case in INPUT_CASES],
+    ids=[f"{case[0]}-{case[1]}" for case in INPUT_CASES],
+)
+def test_a_bad_input_is_refused_on_every_path_naming_it(network, bad, error, message):
+    module, build = NETWORKS[network]
+    net = build(seed=0)
+    before = net.vector.copy()
+    inputs = [] if bad is None else [net.random_input(np.random.default_rng(0)), bad]
+    for path, call, index in input_paths(module, net, inputs, bad):
+        with pytest.raises(error, match=message.format(i=index)):
+            call()
+        assert net.vector.tobytes() == before.tobytes(), path
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+@pytest.mark.parametrize(
+    "labels, error, message", [case[1:] for case in LABEL_CASES],
+    ids=[case[0] for case in LABEL_CASES],
+)
+def test_bad_labels_are_refused_on_every_training_path_naming_them(
+    network, labels, error, message
+):
+    module, build = NETWORKS[network]
+    net = build(seed=0)
+    before = net.vector.copy()
+    inputs = [net.random_input(np.random.default_rng(0))]
+    for path, call in label_paths(module, net, inputs, labels):
+        with pytest.raises(error, match=message):
+            call()
+        assert net.vector.tobytes() == before.tobytes(), path
+
+
+# the only package functions that raise ShapeError or EmptyPoolError
+CHECKERS = {
+    # the two network entries for inputs
+    ("model", "ReflectNetModel.stage"),
+    ("gridcnn", "GridCnnModel.stage"),
+    # a batch drawn from a staged set
+    ("model", "Staged.__getitem__"),
+    # labels at the top of both loss_and_grads
+    ("nn", "batch_labels"),
+    # the masked kernels and dense serve only perfbench's trace list
+    # (ROADMAP item 1 removes them)
+    ("nn", "_valid_rows"),
+    ("nn", "dense"),
+}
+
+CHECK_ERRORS = {"ShapeError", "EmptyPoolError"}
+
+
+def raisers(path: Path):
+    """(module, qualified function name) of each raise of a check error in a module."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+                if name in CHECK_ERRORS:
+                    found.add((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_the_network_entries_raise_shape_errors():
+    found = set().union(*map(raisers, sorted(PACKAGE.glob("*.py"))))
+    assert found == CHECKERS
+

@@ -504,6 +504,12 @@ def test_json_integers_load_as_float_numbers(tmp_path):
     assert all(type(v) is float for v in values)
 
 
+@pytest.mark.parametrize("values", [[[0], [1, 2]], [0, [1]]], ids=["rows", "scalar-and-row"])
+def test_a_ragged_label_list_is_value_error_naming_it(values):
+    with pytest.raises(ValueError, match="^labels must be a list of class indices, got a ragged"):
+        preprocess.class_indices(values, 4, "labels")
+
+
 def test_reflection_is_an_immutable_six_tuple():
     r = Reflection(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     x, y, rcs, range_m, vr, azimuth = r
