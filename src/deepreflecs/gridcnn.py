@@ -8,20 +8,20 @@ same-padded 3x3 convolutions (16, 32, 64 channels, ReLU), one 2x2 max
 pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout on the two
 hidden dense layers during training. 232,628 learnable parameters.
 
-A batch is a stack of normalized grids (B, 11, 11, 2), made and checked
-by GridCnnModel.stage, that forward_grids runs through every layer at
-once; predict_batch, loss_and_grads (which checks the labels) and
-train_step take only such a stack, _CHUNK grids at a time. A training
-run stages its grids once and draws each batch from the stack by index.
+A batch is a GridStack of normalized grids (B, 11, 11, 2), made and
+checked by GridCnnModel.stage; predict_batch, loss_and_grads (which
+checks the labels) and train_step take only such a stack and run its
+cells through forward_grids _CHUNK grids at a time. A training run
+stages its grids once and draws each batch from the stack by index.
 
 The pool reads rows and columns 0-9 of conv3's output, so conv3 is
 computed at those 10x10 cells only. The pool takes conv3's
 pre-activations and the ReLU follows it, which gives the same outputs,
-since ReLU is monotone. A training step sums its weight gradients in
-fixed blocks, so its bits do not depend on the BLAS thread count: a conv
-kernel's gradient is one product per grid, summed over the grids in
-order, and chunk after chunk; a dense layer's is one product over the
-whole batch, from inputs and output gradients kept in per-batch buffers.
+since ReLU is monotone. A training step's gradient is a pure function
+per chunk (_chunk_grads) plus one reduction in chunk order, whose bits
+do not depend on the BLAS thread count: a conv kernel's gradient is one
+product per grid, summed over the grids in order, chunk after chunk; a
+dense layer's is one product over the batch's stacked rows.
 
 The model is an nn.Network over the layer table _WEIGHT_SHAPES (a 3x3
 kernel is a (3, 3, in, out) nn.LinearParams), with the channel
@@ -30,7 +30,6 @@ statistics as its norm_stats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Annotated, Dict, Sequence, Tuple
@@ -67,6 +66,21 @@ class Grid:
 
     cells: np.ndarray      # (11, 11, 2) float64
     occupancy: np.ndarray  # (11, 11) int64
+
+
+@dataclass(frozen=True)
+class GridStack:
+    """GridCnnModel.stage's normalized grids (B, 11, 11, 2) at model precision; indexing
+    with grid indices (nn.batch_index) gathers those grids, in order, into a new stack."""
+
+    cells: np.ndarray
+    dtype = property(lambda self: self.cells.dtype)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, indices) -> "GridStack":
+        return GridStack(self.cells[nn.batch_index(indices, len(self))])
 
 
 def cell_index(coord: float) -> int:
@@ -135,7 +149,7 @@ class GridCnnModel(nn.Network):
     def kink_margin(self, grid: Grid) -> float:
         """nn.kink_margin of one grid's float64, dropout-off forward pass."""
         wide = self.astype(np.float64)
-        _, cache = forward_grids(wide, wide.stage([grid]), keep_cache=True)
+        _, cache = forward_grids(wide, wide.stage([grid]).cells, keep_cache=True)
         return nn.kink_margin(
             [cache[z] for z in ("z1", "z2", "z3", "zd1", "zd2")],
             [np.stack(_pool_windows(nn.relu(cache["z3"])))],
@@ -144,8 +158,8 @@ class GridCnnModel(nn.Network):
     def predict(self, grid: Grid) -> nn.ClassDistribution:
         return forward(self, grid)
 
-    def stage(self, grids: Sequence[Grid]) -> np.ndarray:
-        """Normalized cells of the grids as one (B, 11, 11, 2) stack at model precision.
+    def stage(self, grids: Sequence[Grid]) -> GridStack:
+        """Normalized cells of the grids as one (B, 11, 11, 2) GridStack at model precision.
 
         Cells of another shape than (11, 11, 2) are a ShapeError naming the
         grid. np.array stacks the checked cells, cheaper than np.stack.
@@ -157,21 +171,21 @@ class GridCnnModel(nn.Network):
                 raise nn.ShapeError(f"grid {i} has cells {grid.cells.shape}, not (11, 11, 2)")
         cells = np.array([g.cells for g in grids])
         x = (cells - self.norm_stats.mean) / self.norm_stats.std
-        return x.astype(self.conv1.weights.dtype, copy=False)
+        return GridStack(x.astype(self.vector.dtype, copy=False))
 
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+    def predict_batch(self, stack: GridStack) -> np.ndarray:
         """The float64 (B, 4) probabilities of a staged stack, run a chunk of grids at a time.
 
         Row b holds grid b's probabilities and its argmax (ties -> lowest index)
         is the predicted class, as forward gives them up to float rounding.
         """
-        return nn.finite(np.concatenate([
-            forward_grids(self, x[start : start + _CHUNK]) for start in range(0, len(x), _CHUNK)
-        ]))
+        nn.check_staged(stack, GridStack, self.vector.dtype)
+        return nn.finite(np.concatenate([forward_grids(self, stack.cells[start : start + _CHUNK])
+                                         for start in range(0, len(stack), _CHUNK)]))
 
     def train_step(self, batch, labels, lr, opt_state, rng=None):
         """train_step on a staged stack, or on a list of grids staged first."""
-        if not isinstance(batch, np.ndarray):
+        if isinstance(batch, list):
             batch = self.stage(batch)
         return train_step(self, batch, labels, lr, opt_state, rng=rng)
 
@@ -184,7 +198,7 @@ def build_gridcnn(seed: int = 0) -> GridCnnModel:
 
 
 # Grids per forward/backward pass. It bounds a step's scratch memory: a
-# float32 batch of 64 peaks at 3.3 MiB of allocations in chunks of 4, 5.1 MiB
+# float32 batch of 64 peaks at 3.4 MiB of allocations in chunks of 4, 5.1 MiB
 # in chunks of 8 and 30 MiB all at once, while larger chunks save under 10%
 # of the step time, since each chunk's patch matrices already fill a GEMM.
 _CHUNK = 4
@@ -198,49 +212,45 @@ _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _POOLED_CELLS = 10
 
 
-@functools.lru_cache(maxsize=None)  # one entry per grid shape and output window
-def _tap_index(h: int, w: int, rows: int, cols: int) -> np.ndarray:
-    """(rows*cols*9,) read-only index into the flattened (h+2)*(w+2) padded cells.
+def _tap_index(cells: int) -> np.ndarray:
+    """(cells*cells*9,) read-only index into the flattened 13x13 padded cells of a grid.
 
-    Entry ((i*cols + j)*3 + ki)*3 + kj is the padded cell under tap (ki, kj)
-    of output cell (i, j), for the output cells i < rows and j < cols.
+    Entry ((i*cells + j)*3 + ki)*3 + kj is the padded cell under tap (ki, kj)
+    of output cell (i, j), for the output cells i, j < cells.
     """
-    i, j, ki, kj = np.ix_(range(rows), range(cols), range(3), range(3))
-    index = ((i + ki) * (w + 2) + j + kj).reshape(-1)
+    i, j, ki, kj = np.ix_(range(cells), range(cells), range(3), range(3))
+    index = ((i + ki) * (GRID_CELLS + 2) + j + kj).reshape(-1)
     index.flags.writeable = False
     return index
 
 
-def _patches(x: np.ndarray, grid=None, cells=None) -> np.ndarray:
-    """(B, h, w, C) -> (B*rows*cols, 9*C) 3x3 patches of a same-padded grid stack.
+# the tap indices of all 11x11 output cells and of the 10x10 the pool reads
+_TAPS = {GRID_CELLS: _tap_index(GRID_CELLS), _POOLED_CELLS: _tap_index(_POOLED_CELLS)}
 
-    The grids are (H, W) = grid (default (h, w)) with x as their top-left
-    cells and zeros elsewhere; the patches are those of the output cells
-    i < rows, j < cols, (rows, cols) = cells (default (H, W)). Column
-    (ki*3 + kj)*C + c holds tap (ki, kj) of channel c, matching a
-    (3, 3, C, out) kernel reshaped to (9*C, out). The patches are one take
-    of the zero-padded stack over the cached tap index.
+
+def _patches(x: np.ndarray, cells: int = GRID_CELLS) -> np.ndarray:
+    """(B, h, w, C) -> (B*cells*cells, 9*C) 3x3 patches of a same-padded 11x11 grid stack.
+
+    The grids hold x (h, w <= 11) in their top-left cells and zeros
+    elsewhere; the patches are those of the output cells i, j < cells (11
+    or 10, the keys of _TAPS). Column (ki*3 + kj)*C + c holds tap (ki, kj)
+    of channel c, matching a (3, 3, C, out) kernel reshaped to (9*C, out).
+    The patches are one take of the zero-padded stack over the tap index.
     """
     b, h, w, c = x.shape
-    gh, gw = grid or (h, w)
-    rows, cols = cells or (gh, gw)
-    padded = np.zeros((b, (gh + 2) * (gw + 2), c), dtype=x.dtype)
-    padded.reshape(b, gh + 2, gw + 2, c)[:, 1 : h + 1, 1 : w + 1] = x
-    return np.take(padded, _tap_index(gh, gw, rows, cols), axis=1).reshape(b * rows * cols, 9 * c)
+    side = GRID_CELLS + 2
+    padded = np.zeros((b, side * side, c), dtype=x.dtype)
+    padded.reshape(b, side, side, c)[:, 1 : h + 1, 1 : w + 1] = x
+    return np.take(padded, _TAPS[cells], axis=1).reshape(b * cells * cells, 9 * c)
 
 
-def _conv(x: np.ndarray, params: nn.LinearParams, cells=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Same-padded 3x3 convolution of a grid stack; returns (output, patches).
-
-    With cells = (rows, cols), only the output cells i < rows, j < cols
-    are computed.
-    """
-    b, h, w, cin = x.shape
-    rows, cols = cells or (h, w)
+def _conv(x: np.ndarray, params: nn.LinearParams, cells: int = GRID_CELLS):
+    """Same-padded 3x3 convolution of an 11x11 grid stack at its output
+    cells i, j < cells; returns (output, patches)."""
     cout = params.bias.shape[0]
-    patches = _patches(x, cells=cells)
-    out = patches @ params.weights.reshape(9 * cin, cout) + params.bias
-    return out.reshape(b, rows, cols, cout), patches
+    patches = _patches(x, cells)
+    out = patches @ params.weights.reshape(-1, cout) + params.bias
+    return out.reshape(len(x), cells, cells, cout), patches
 
 
 def _flipped(params: nn.LinearParams) -> np.ndarray:
@@ -250,29 +260,25 @@ def _flipped(params: nn.LinearParams) -> np.ndarray:
     return params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
 
 
-def _conv_grads(
-    patches: np.ndarray, params: nn.LinearParams, grad_out: np.ndarray, grad: nn.LinearParams,
-    flipped: np.ndarray | None = None, grid=None,
-) -> np.ndarray | None:
-    """Add the kernel and bias gradients into grad; given flipped, return the input gradient.
+def _conv_grads(patches: np.ndarray, grad_out: np.ndarray, flipped: np.ndarray | None = None):
+    """(kernel and bias gradients, input gradient or None without flipped) of a convolution.
 
-    grad_out (B, rows, cols, out) holds the output gradient at the cells
+    grad_out (B, cells, cells, out) holds the output gradient at the cells
     the patches are of. The kernel gradient is one product per grid,
     summed over the grids in order, so its bits do not depend on the BLAS
-    thread count. The input gradient, on (H, W) = grid (default (rows,
-    cols)), is the same-padded convolution of grad_out, zero beyond its
-    cells, with flipped (_flipped(params)).
+    thread count. The input gradient, on the 11x11 grid, is the
+    same-padded convolution of grad_out, zero beyond its cells, with
+    flipped (_flipped(params)).
     """
     b, rows, cols, cout = grad_out.shape
     per_grid = patches.reshape(b, rows * cols, -1).transpose(0, 2, 1)
     g = grad_out.reshape(b, rows * cols, cout)
-    grad.weights += np.matmul(per_grid, g).sum(axis=0).reshape(params.weights.shape)
-    grad.bias += g.reshape(-1, cout).sum(axis=0)
+    kernel = np.matmul(per_grid, g).sum(axis=0).reshape(3, 3, -1, cout)
+    part = nn.LinearParams(kernel, g.reshape(-1, cout).sum(axis=0))
     del patches, per_grid  # the caller passes its last reference: free it before more patches
     if flipped is None:
-        return None
-    grid = grid or (rows, cols)
-    return (_patches(grad_out, grid=grid) @ flipped).reshape(b, *grid, -1)
+        return part, None
+    return part, (_patches(grad_out) @ flipped).reshape(b, GRID_CELLS, GRID_CELLS, -1)
 
 
 def _pool_windows(x: np.ndarray):
@@ -310,38 +316,34 @@ def _pool_grads(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.n
 def forward_grids(
     model: GridCnnModel,
     x: np.ndarray,
-    rng: np.random.Generator | None = None,
+    drops: np.ndarray | None = None,
     keep_cache: bool = False,
 ):
     """Class probabilities (B, 4) for a stack of normalized grids x (B, 11, 11, 2).
 
     conv3 is computed only at the 10x10 cells the pool reads, and the pool
     takes its pre-activations, with the ReLU after it: relu(max(z)) stands
-    for max(relu(z)), bit for bit. Given an rng (training), dropout draws
-    rng.random((B, 160)): per grid the 128 dense1 values, then the 32
-    dense2 values, as a grid-by-grid loop would. With keep_cache, returns
+    for max(relu(z)), bit for bit. Given drops (training), a (B, 160)
+    array of dropout multipliers, per grid the 128 of dense1's outputs
+    then the 32 of dense2's (see loss_and_grads). With keep_cache, returns
     (probabilities, activations) for the backward pass.
     """
-    training = rng is not None
     z1, cols1 = _conv(x, model.conv1)
     a1 = nn.relu(z1)
     z2, cols2 = _conv(a1, model.conv2)
     a2 = nn.relu(z2)
-    z3, cols3 = _conv(a2, model.conv3, cells=(_POOLED_CELLS, _POOLED_CELLS))
+    z3, cols3 = _conv(a2, model.conv3, _POOLED_CELLS)
     m3 = _pool(z3)
     flat = nn.relu(m3).reshape(x.shape[0], FLAT_SIZE)
     zd1 = nn.rowwise_linear(flat, model.dense1)
     ad1 = nn.relu(zd1)
     cache: dict = {}
-    if training:
-        keep = 1.0 - model.dropout
-        draws = rng.random((x.shape[0], sum(DENSE_WIDTHS)))
-        masks = (draws < keep).astype(x.dtype) / keep
-        cache["drop1"], cache["drop2"] = np.split(masks, [DENSE_WIDTHS[0]], axis=1)
+    if drops is not None:
+        cache["drop1"], cache["drop2"] = np.split(drops, [DENSE_WIDTHS[0]], axis=1)
         ad1 = ad1 * cache["drop1"]
     zd2 = nn.rowwise_linear(ad1, model.dense2)
     ad2 = nn.relu(zd2)
-    if training:
+    if drops is not None:
         ad2 = ad2 * cache["drop2"]
     probs = nn.softmax(nn.rowwise_linear(ad2, model.head))
     if not keep_cache:
@@ -355,73 +357,66 @@ def forward_grids(
 
 def forward(model: GridCnnModel, grid: Grid) -> nn.ClassDistribution:
     """Inference (dropout disabled): forward_grids of a one-grid stack, no chunking."""
-    return nn.distribution(nn.finite(forward_grids(model, model.stage([grid]))))
+    return nn.distribution(nn.finite(forward_grids(model, model.stage([grid]).cells)))
 
 
-def _dense_backward(
-    params: nn.LinearParams, x: np.ndarray, grad_out: np.ndarray,
-    kept: Tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """A dense layer's input gradient for one chunk.
+def _chunk_grads(model: GridCnnModel, cells, labels, drops, scale: float, flipped: dict):
+    """One chunk's share of loss_and_grads, a pure function of its arguments.
 
-    x and grad_out go to kept, the chunk's rows of the batch's buffers for
-    the layer's one weight product (see loss_and_grads).
+    cells (c, 11, 11, 2), labels and drops (or None) are the chunk's rows
+    of the batch's; scale is 1 / batch size; flipped holds the _flipped
+    conv2 and conv3 kernels. Returns (probs, conv, dense): the chunk's
+    (c, 4) probabilities, each conv layer's kernel and bias gradients over
+    the chunk, and each dense layer's inputs and output gradients, a row
+    per grid. Takes each activation out of its cache at its last use, so a
+    layer's patch matrix is freed before the next layer's gradients are built.
     """
-    kept[0][...], kept[1][...] = x, grad_out
-    # W @ g.T runs at about twice the rate of g @ W.T for dense1
-    return (params.weights @ grad_out.T).T
-
-
-def _backward(
-    model: GridCnnModel, cache: dict, d_logits: np.ndarray, slot: Dict[str, nn.LinearParams],
-    flipped: Dict[str, np.ndarray], dense: Dict[str, Tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Add one chunk's conv gradients, given its logit gradients, into slot.
-
-    dense[layer] is the chunk's rows of the dense layer's buffers (see
-    _dense_backward); flipped holds the _flipped conv2 and conv3 kernels.
-    Takes each activation out of the cache at its last use, so a layer's
-    patch matrix is freed before the next layer's gradients are built.
-    """
+    probs, cache = forward_grids(model, cells, drops, keep_cache=True)
     take = cache.pop
-    d_ad2 = _dense_backward(model.head, take("ad2"), d_logits, dense["head"])
-    if "drop2" in cache:
+    d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
+    dense = {"head": (take("ad2"), d_logits)}
+    # input gradients as W @ g.T: twice the rate of g @ W.T for dense1
+    d_ad2 = (model.head.weights @ d_logits.T).T
+    if drops is not None:
         d_ad2 = d_ad2 * take("drop2")
     d_zd2 = nn.relu_backward(take("zd2"), d_ad2)
-    d_ad1 = _dense_backward(model.dense2, take("ad1"), d_zd2, dense["dense2"])
-    if "drop1" in cache:
+    dense["dense2"] = take("ad1"), d_zd2
+    d_ad1 = (model.dense2.weights @ d_zd2.T).T
+    if drops is not None:
         d_ad1 = d_ad1 * take("drop1")
     d_zd1 = nn.relu_backward(take("zd1"), d_ad1)
-    d_flat = _dense_backward(model.dense1, take("flat"), d_zd1, dense["dense1"])
+    dense["dense1"] = take("flat"), d_zd1
     m3 = take("m3")
-    d_m3 = nn.relu_backward(m3, d_flat.reshape(m3.shape))
+    d_m3 = nn.relu_backward(m3, (model.dense1.weights @ d_zd1.T).T.reshape(m3.shape))
     d_z3 = _pool_grads(take("z3"), m3, d_m3)
-    grid = (GRID_CELLS, GRID_CELLS)
-    d_a2 = _conv_grads(take("cols3"), model.conv3, d_z3, slot["conv3"], flipped["conv3"], grid)
+    conv = {}
+    conv["conv3"], d_a2 = _conv_grads(take("cols3"), d_z3, flipped["conv3"])
     d_z2 = nn.relu_backward(take("z2"), d_a2)
-    d_a1 = _conv_grads(take("cols2"), model.conv2, d_z2, slot["conv2"], flipped["conv2"])
+    conv["conv2"], d_a1 = _conv_grads(take("cols2"), d_z2, flipped["conv2"])
     d_z1 = nn.relu_backward(take("z1"), d_a1)
-    _conv_grads(take("cols1"), model.conv1, d_z1, slot["conv1"])
+    conv["conv1"], _ = _conv_grads(take("cols1"), d_z1)
+    return probs, conv, dense
 
 
 def loss_and_grads(
     model: GridCnnModel,
-    batch: np.ndarray,
+    batch: GridStack,
     labels: Sequence[int],
     rng: np.random.Generator | None = None,
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy over a staged stack and its gradient, laid out like model.vector.
 
-    Dropout is on, drawn from rng, when an rng is given. Each chunk adds
-    its conv gradients into the one vector, in chunk order; each dense
-    layer's weight gradient is one product over the whole batch. No sum
-    depends on the BLAS thread count.
+    Dropout is on, drawn from rng for the whole batch at once, when an rng
+    is given. The chunks' conv gradients (_chunk_grads) are added into the
+    one vector in chunk order; each dense layer's weight gradient is one
+    product over the batch's rows.
     """
-    if len(batch) == 0:
-        raise nn.TrainingError("empty training batch")
+    nn.check_staged(batch, GridStack, model.vector.dtype)
     labels = nn.batch_labels(labels, len(batch), N_CLASSES)
-    n, dtype = len(batch), model.vector.dtype
-    scale = 1.0 / n
+    n, dtype, keep = len(batch), model.vector.dtype, 1.0 - model.dropout
+    drops = None
+    if rng is not None:  # 1 / keep with probability keep, else 0
+        drops = (rng.random((n, sum(DENSE_WIDTHS))) < keep).astype(dtype) / keep
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)
     flipped = {layer: _flipped(getattr(model, layer)) for layer in ("conv2", "conv3")}
@@ -432,10 +427,16 @@ def loss_and_grads(
     probs = np.empty((n, N_CLASSES))
     for start in range(0, n, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        probs[rows], cache = forward_grids(model, batch[rows], rng, keep_cache=True)
-        d_logits = nn.logit_grads(probs[rows], labels[rows], scale, dtype)
-        chunk = {layer: (inputs[rows], grads[rows]) for layer, (inputs, grads) in dense.items()}
-        _backward(model, cache, d_logits, slot, flipped, chunk)
+        probs[rows], conv, chunk = _chunk_grads(
+            model, batch.cells[rows], labels[rows], None if drops is None else drops[rows],
+            1.0 / n, flipped,
+        )
+        for layer, part in conv.items():
+            slot[layer].weights += part.weights
+            slot[layer].bias += part.bias
+        for layer, (inputs, grads) in chunk.items():
+            dense[layer][0][rows], dense[layer][1][rows] = inputs, grads
+        del conv, chunk  # free this chunk's partials before the next chunk's
     for layer, (inputs, grads) in dense.items():
         np.matmul(inputs.T, grads, out=slot[layer].weights)
         grads.sum(axis=0, out=slot[layer].bias)
@@ -444,7 +445,7 @@ def loss_and_grads(
 
 def train_step(
     model: GridCnnModel,
-    batch: np.ndarray,
+    batch: GridStack,
     labels: Sequence[int],
     lr: float,
     opt_state: nn.AdamState | None = None,

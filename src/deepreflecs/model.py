@@ -18,8 +18,9 @@ marking where each sample starts, and every layer runs once over the
 whole batch. An input holds only its real rows, so the output does not
 depend on the pad length, which only caps how many rows an input keeps.
 predict_batch, loss_and_grads (which checks the labels) and train_step
-take only a Staged batch; a single sample is a batch of one segment, and
-a training run stages its inputs once and gathers each batch by index.
+take only a Staged batch at model precision; a single sample is a batch
+of one segment, and a training run stages its inputs once and gathers
+each batch by index.
 
 The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
@@ -125,11 +126,12 @@ class ReflectNetModel(nn.Network):
         index) is the predicted class, as forward gives them up to float
         rounding: BLAS may sum a one-input batch in another order.
         """
+        nn.check_staged(staged, Staged, self.vector.dtype)
         return nn.finite(forward_rows(self, staged))
 
     def train_step(self, batch, labels, lr, opt_state, rng=None):
         """train_step on a Staged batch, or on a list of inputs staged first."""
-        if not isinstance(batch, Staged):
+        if isinstance(batch, list):
             batch = self.stage(batch)
         return train_step(self, batch, labels, lr, opt_state)
 
@@ -148,23 +150,23 @@ class Staged:
     """A set of inputs staged once into one ragged table, for repeated use.
 
     Input b is rows[segments.starts[b] : segments.starts[b] + lengths[b]],
-    at the precision of the model that staged it. Indexing with a 1-D,
-    non-empty array of input indices (repeats allowed; else a ShapeError)
-    gathers those inputs, in that order, into a new table: a training step
-    draws its batch with one row gather instead of staging them again.
+    at the precision of the model that staged it. Indexing with input
+    indices (nn.batch_index's rule; repeats allowed) gathers those inputs,
+    in that order, into a new table: a training step draws its batch with
+    one row gather instead of staging them again.
     """
 
     rows: np.ndarray
     segments: nn.Segments
     lengths: np.ndarray
 
+    dtype = property(lambda self: self.rows.dtype)
+
     def __len__(self) -> int:
         return self.lengths.size
 
     def __getitem__(self, indices) -> "Staged":
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.ndim != 1 or indices.size == 0:
-            raise nn.ShapeError(f"need a 1-D, non-empty index array, got {indices.shape}")
+        indices = nn.batch_index(indices, len(self))
         lengths = self.lengths[indices]
         segments = nn.Segments.from_lengths(lengths)
         shift = self.segments.starts[indices] - segments.starts
@@ -203,10 +205,11 @@ def loss_and_grads(
     labels: Sequence[int],
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy over a staged batch and its gradient, laid out like model.vector."""
+    nn.check_staged(batch, Staged, model.vector.dtype)
     labels = nn.batch_labels(labels, len(batch), model.config.n_classes)
     segments = batch.segments
     probs, cache = forward_rows(model, batch, keep_cache=True)
-    scale = 1.0 / len(batch)  # stage refuses an empty batch, and so does indexing a Staged
+    scale = 1.0 / len(batch)  # check_staged refuses an empty batch
     d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
     grad = np.zeros_like(model.vector)
     slot = model.layers_of(grad)

@@ -8,17 +8,17 @@ applies the ReLU after the pool (equal outputs, since ReLU is monotone);
 the pool backward routes each pooled gradient to its single winning row,
 and falls back to the first winner on ties. Every forward layer operation
 is a pure function of its inputs; backward passes take the forward inputs
-and the upstream gradient and return the input gradient. A backward pass
-with parameters adds their gradients into the layer's slot of a gradient
-vector instead of returning them, and the Adam step updates a parameter
-vector and its own state in place.
+and the upstream gradient and return the input gradient;
+rowwise_linear_backward adds its weight gradients into the layer's slot
+of a gradient vector. The Adam step updates its vector and state in place.
 
 Matrices are 2-D ndarrays (a row per list entry, a column per feature); a
 batch of lists is one matrix of all their rows plus Segments. The masked
 kernels (one padded list and its mask) serve only perfbench's trace list.
-A network's stage checks its inputs and loss_and_grads its labels
-(batch_labels); no layer re-checks them. Forward code runs on float32
-arrays for speed or on float64 for gradient checks.
+A network's stage checks its inputs into its staged type; check_staged
+admits only that type, batch_index indexes it and batch_labels checks
+labels, and no layer re-checks them. Forward code runs on float32 arrays
+for speed or on float64 for gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
@@ -329,6 +329,23 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def check_staged(batch, kind: type, dtype) -> None:
+    """A ShapeError naming what it got for anything but a non-empty kind at dtype."""
+    if not (isinstance(batch, kind) and len(batch) and batch.dtype == dtype):
+        got = f"{len(batch)} at {batch.dtype}" if isinstance(batch, kind) else type(batch).__name__
+        raise ShapeError(f"need a non-empty {kind.__name__} at {np.dtype(dtype)}, got {got}")
+
+
+def batch_index(indices, size: int) -> np.ndarray:
+    """indices as a 1-D, non-empty intp array of positions in [0, size), else a ShapeError."""
+    index = np.asarray(indices)  # a slice or scalar is 0-d, booleans and floats not "iu"
+    if (index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu"
+            or index.min() < 0 or index.max() >= size):
+        raise ShapeError(f"need a 1-D, non-empty index array of integers in [0, {size}), "
+                         f"got {index!r}")
+    return index.astype(np.intp, copy=False)
 
 
 def batch_labels(labels, batch_size: int, n_classes: int) -> np.ndarray:

@@ -329,11 +329,20 @@ def reflectnet_loss_and_grads(net, batch, labels):
     return nn.mean_cross_entropy(probs, labels), grad
 
 
+def gridcnn_dropout(net, rng, n):
+    """The (n, 160) dropout multipliers gridcnn.loss_and_grads draws from rng for n grids:
+    per grid 1 / keep for each of rng.random's draws below keep = 1 - dropout, else 0."""
+    keep = 1.0 - net.dropout
+    draws = rng.random((n, sum(gridcnn.DENSE_WIDTHS)))
+    return (draws < keep).astype(net.vector.dtype) / keep
+
+
 def gridcnn_forward_grids(net, x, rng=None, keep_cache=False, pool_first=False):
     """gridcnn.forward_grids with each ReLU before the pool and conv3 at all 11x11 cells.
 
-    With pool_first, the pool takes conv3's pre-activations and the ReLU
-    follows it (gridcnn._pool either way), and nothing else changes.
+    Dropout is drawn from rng, as gridcnn_dropout does. With pool_first,
+    the pool takes conv3's pre-activations and the ReLU follows it
+    (gridcnn._pool either way), and nothing else changes.
     """
     def conv(inp, params):
         b, h, w, cin = inp.shape
@@ -351,9 +360,7 @@ def gridcnn_forward_grids(net, x, rng=None, keep_cache=False, pool_first=False):
     ad1 = nn.relu(zd1)
     cache = {}
     if rng is not None:
-        keep = 1.0 - net.dropout
-        draws = rng.random((x.shape[0], sum(gridcnn.DENSE_WIDTHS)))
-        masks = (draws < keep).astype(x.dtype) / keep
+        masks = gridcnn_dropout(net, rng, x.shape[0])
         cache["drop1"], cache["drop2"] = np.split(masks, [gridcnn.DENSE_WIDTHS[0]], axis=1)
         ad1 = ad1 * cache["drop1"]
     zd2 = nn.rowwise_linear(ad1, net.dense2)
@@ -386,7 +393,7 @@ def first_winner_pool_grads(x, pooled, grad_out):
 
 
 def gridcnn_loss_and_grads(net, batch, labels, rng=None, pool_first=False):
-    """gridcnn.loss_and_grads over gridcnn_forward_grids, chunk by chunk.
+    """gridcnn.loss_and_grads of a GridStack over gridcnn_forward_grids, chunk by chunk.
 
     Every layer's weight gradient is added per chunk (one x.T @ g
     product), input gradients are g @ W.T and the flipped kernels are
@@ -418,7 +425,7 @@ def gridcnn_loss_and_grads(net, batch, labels, rng=None, pool_first=False):
     for start in range(0, len(batch), gridcnn._CHUNK):
         stop = start + gridcnn._CHUNK
         p, cache = gridcnn_forward_grids(
-            net, batch[start:stop], rng, keep_cache=True, pool_first=pool_first
+            net, batch.cells[start:stop], rng, keep_cache=True, pool_first=pool_first
         )
         probs.append(p)
         d_logits = nn.logit_grads(p, labels[start:stop], scale, net.vector.dtype)

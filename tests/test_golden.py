@@ -8,14 +8,18 @@ Model files and report JSONs are hashed; train summaries (wall time) and
 timing output are not. The same list in a subprocess with two BLAS
 threads must give the same digests.
 
-The digests depend on the numpy and OpenBLAS builds, which the table
-records. To re-pin after a deliberate change, run this file as a script
-from the repository root and write its output over golden.json:
+The digests depend on the numpy and OpenBLAS builds and on the kernel
+OpenBLAS picks for the CPU (SkylakeX on AVX-512 hosts, Haswell on AVX2
+ones), which the table records; on another build or kernel the tests
+report that mismatch instead of a list of digests. To re-pin after a
+deliberate change, run this file as a script from the repository root
+and write its output over golden.json:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py > tests/golden.json
 """
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -34,10 +38,21 @@ CONFIG = {"train": {"epochs": 2, "steps_per_epoch": 8}}
 METHODS = ("deepreflecs", "forest", "gridcnn")
 
 
+def openblas_kernel():
+    """The kernel name numpy's bundled OpenBLAS reports for this CPU, or None without one."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def versions() -> dict:
     return {
         "numpy": np.__version__,
         "openblas": np.__config__.CONFIG["Build Dependencies"]["blas"]["version"],
+        "openblas_kernel": openblas_kernel(),
     }
 
 
@@ -87,10 +102,10 @@ def table() -> dict:
 
 
 def pinned_table() -> dict:
-    """golden.json, once it is checked to be pinned on this numpy and OpenBLAS."""
+    """golden.json, once it is checked to be pinned on this numpy, OpenBLAS and kernel."""
     pinned = json.loads(GOLDEN.read_text())
     here = versions()
-    other = {k: (pinned[k], here[k]) for k in here if pinned[k] != here[k]}
+    other = {k: (pinned.get(k), here[k]) for k in here if pinned.get(k) != here[k]}
     assert not other, f"digests were pinned on other builds, (pinned, here): {other}"
     return pinned
 

@@ -262,13 +262,17 @@ def direct_convolution(x, w, b):
 
 class TestConvOracle:
     def test_against_direct_convolution(self):
+        # x fills the top-left 5x5 cells of an 11x11 grid that is zero elsewhere
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 5, 5, 2))
         params = nn.LinearParams(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
         out, _ = gridcnn._conv(x, params)
+        assert out.shape == (3, 11, 11, 4)
+        grids = np.zeros((3, 11, 11, 2))
+        grids[:, :5, :5] = x
         for k in range(3):
             np.testing.assert_allclose(
-                out[k], direct_convolution(x[k], params.weights, params.bias), atol=1e-12
+                out[k], direct_convolution(grids[k], params.weights, params.bias), atol=1e-12
             )
 
     def test_input_gradient_is_the_adjoint(self):
@@ -278,18 +282,20 @@ class TestConvOracle:
         g = rng.normal(size=(2, 11, 11, 5))
         params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
         out, cols = gridcnn._conv(x, params)
-        grad = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
-        grad_x = gridcnn._conv_grads(cols, params, g, grad, gridcnn._flipped(params))
+        operands = cols.tobytes(), g.tobytes()
+        part, grad_x = gridcnn._conv_grads(cols, g, gridcnn._flipped(params))
         assert grad_x.shape == x.shape
         assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
-        np.testing.assert_allclose(grad.bias, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(part.bias, g.sum(axis=(0, 1, 2)), rtol=1e-12)
         # dL/dw is linear in x as well: <dL/dw, w> = <conv(x), g>
-        assert np.sum(grad.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
-        # a second call adds its kernel and bias gradients to the first
-        first = nn.LinearParams(grad.weights.copy(), grad.bias.copy())
-        assert gridcnn._conv_grads(cols, params, g, grad) is None
-        np.testing.assert_array_equal(grad.weights, 2 * first.weights)
-        np.testing.assert_array_equal(grad.bias, 2 * first.bias)
+        assert np.sum(part.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
+        # it writes into nothing it is given: a second call, without flipped,
+        # returns the same kernel and bias gradients and no input gradient
+        assert (cols.tobytes(), g.tobytes()) == operands
+        again, no_input_grad = gridcnn._conv_grads(cols, g)
+        assert no_input_grad is None
+        assert again.weights.tobytes() == part.weights.tobytes()
+        assert again.bias.tobytes() == part.bias.tobytes()
 
     def test_read_cells_are_the_full_convolution_and_their_gradient_its_adjoint(self):
         # conv3 runs at the top-left 10x10 cells of an 11x11 grid only
@@ -297,45 +303,40 @@ class TestConvOracle:
         x = rng.normal(size=(2, 11, 11, 3))
         g = rng.normal(size=(2, 10, 10, 5))
         params = nn.LinearParams(rng.normal(size=(3, 3, 3, 5)), np.zeros(5))
-        out, cols = gridcnn._conv(x, params, cells=(10, 10))
+        out, cols = gridcnn._conv(x, params, cells=10)
         assert out.shape == (2, 10, 10, 5) and cols.shape == (2 * 10 * 10, 9 * 3)
         np.testing.assert_allclose(out, gridcnn._conv(x, params)[0][:, :10, :10], rtol=1e-12)
-        grad = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
-        grad_x = gridcnn._conv_grads(
-            cols, params, g, grad, gridcnn._flipped(params), grid=(11, 11)
-        )
+        part, grad_x = gridcnn._conv_grads(cols, g, gridcnn._flipped(params))
         assert grad_x.shape == x.shape
         assert np.sum(out * g) == pytest.approx(np.sum(x * grad_x), rel=1e-12)
-        assert np.sum(grad.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
+        assert np.sum(part.weights * params.weights) == pytest.approx(np.sum(out * g), rel=1e-12)
         # the same as the full-grid backward of g with an 11th row and column of zeros
         full_g = np.zeros((2, 11, 11, 5))
         full_g[:, :10, :10] = g
-        full = nn.LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
-        expected_x = gridcnn._conv_grads(
-            gridcnn._conv(x, params)[1], params, full_g, full, gridcnn._flipped(params)
+        full, expected_x = gridcnn._conv_grads(
+            gridcnn._conv(x, params)[1], full_g, gridcnn._flipped(params)
         )
         np.testing.assert_allclose(grad_x, expected_x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grad.weights, full.weights, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grad.bias, full.bias, rtol=1e-12)
+        np.testing.assert_allclose(part.weights, full.weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(part.bias, full.bias, rtol=1e-12)
 
 
-def sliding_window_patches(x, grid=None, cells=None):
+def sliding_window_patches(x, cells=11):
     """Oracle im2col: one copy of a transposed 3x3 sliding-window view.
 
-    x is the top-left corner of a grid (default x's size) that is zero
-    elsewhere; the patches are those of the output cells [:rows, :cols]
-    (default the whole grid).
+    x is the top-left corner of an 11x11 grid that is zero elsewhere; the
+    patches are those of the output cells [:cells, :cells].
     """
     b, h, w, c = x.shape
-    gh, gw = grid or (h, w)
-    rows, cols = cells or (gh, gw)
-    padded = np.zeros((b, gh + 2, gw + 2, c), dtype=x.dtype)
+    padded = np.zeros((b, 13, 13, c), dtype=x.dtype)
     padded[:, 1 : h + 1, 1 : w + 1] = x
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    return windows[:, :rows, :cols].transpose(0, 1, 2, 4, 5, 3).reshape(b * rows * cols, 9 * c)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (B, 11, 11, C, 3, 3)
+    return windows[:, :cells, :cells].transpose(0, 1, 2, 4, 5, 3).reshape(b * cells**2, 9 * c)
 
 
 class TestPatches:
+    """_patches of inputs at the top-left of the 11x11 grid, zero elsewhere."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 16, 64])
     @pytest.mark.parametrize(
@@ -347,28 +348,28 @@ class TestPatches:
         x = rng.normal(size=(b, *hw, c)).astype(dtype)
         got = gridcnn._patches(x)
         expected = sliding_window_patches(x)
-        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.dtype == dtype and got.shape == expected.shape == (b * 11 * 11, 9 * c)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "size, grid, cells",
-        [((11, 11), None, (10, 10)), ((10, 10), (11, 11), None), ((3, 4), (5, 7), (2, 6))],
-        ids=["conv3-read-cells", "conv3-input-gradient", "corner-of-5x7"],
+        "size, cells",
+        [((11, 11), 10), ((10, 10), 11), ((3, 4), 10)],
+        ids=["conv3-read-cells", "conv3-input-gradient", "corner-at-the-read-cells"],
     )
-    def test_grid_and_cells_bitwise_equal_to_the_oracle(self, size, grid, cells, dtype):
+    def test_read_cells_bitwise_equal_to_the_oracle(self, size, cells, dtype):
         x = np.random.default_rng(list(size)).normal(size=(3, *size, 4)).astype(dtype)
-        got = gridcnn._patches(x, grid=grid, cells=cells)
-        expected = sliding_window_patches(x, grid=grid, cells=cells)
+        got = gridcnn._patches(x, cells)
+        expected = sliding_window_patches(x, cells)
         assert got.dtype == dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
-    def test_tap_index_is_cached_and_read_only(self):
-        index = gridcnn._tap_index(11, 11, 11, 11)
-        assert gridcnn._tap_index(11, 11, 11, 11) is index
-        assert index.shape == (11 * 11 * 9,) and not index.flags.writeable
-        with pytest.raises(ValueError):
-            index[0] = 1
+    def test_the_tap_indices_are_two_read_only_constants(self):
+        assert sorted(gridcnn._TAPS) == [10, 11]
+        for cells, index in gridcnn._TAPS.items():
+            assert index.shape == (cells * cells * 9,) and not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 def desk_grids(n=17):
@@ -397,10 +398,9 @@ class TestPatchesInTheNetwork:
     @pytest.mark.parametrize("training", [False, True])
     def test_forward_grids(self, desk, monkeypatch, training):
         net, grids, _ = desk
-        x = net.stage(grids)
-        got, expected = self.both(monkeypatch, lambda: gridcnn.forward_grids(
-            net, x, rng=np.random.default_rng(0) if training else None
-        ))
+        x = net.stage(grids).cells
+        drops = oracles.gridcnn_dropout(net, np.random.default_rng(0), len(x)) if training else None
+        got, expected = self.both(monkeypatch, lambda: gridcnn.forward_grids(net, x, drops))
         assert got.tobytes() == expected.tobytes()
 
     def test_predict_batch(self, desk, monkeypatch):
@@ -589,11 +589,13 @@ class TestForwardAndTraining:
         )
         wide = net.astype(np.float64)
         x = wide.stage([grid, grid])
-        train_a = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(1))
-        train_b = gridcnn.forward_grids(wide, x, rng=np.random.default_rng(2))
+        train_a = gridcnn.forward_grids(wide, x.cells, oracles.gridcnn_dropout(
+            wide, np.random.default_rng(1), 2))
+        train_b = gridcnn.forward_grids(wide, x.cells, oracles.gridcnn_dropout(
+            wide, np.random.default_rng(2), 2))
         assert not np.array_equal(train_a, train_b)
         assert not np.array_equal(train_a[0], train_a[1])  # each grid has its own masks
-        infer = gridcnn.forward_grids(wide, x)
+        infer = gridcnn.forward_grids(wide, x.cells)
         np.testing.assert_array_equal(infer[0], infer[1])
         np.testing.assert_allclose(
             infer[0], gridcnn.forward(wide, grid).probabilities, rtol=1e-12
@@ -668,7 +670,7 @@ class TestBatched:
             single = gridcnn.forward(net, grid)
             assert row.argmax() == single.predicted
             np.testing.assert_allclose(row, single.probabilities, atol=1e-6)
-        chunks = [gridcnn.forward_grids(net, net.stage(grids[i : i + gridcnn._CHUNK]))
+        chunks = [gridcnn.forward_grids(net, net.stage(grids[i : i + gridcnn._CHUNK]).cells)
                   for i in range(0, n, gridcnn._CHUNK)]
         assert batched.tobytes() == np.concatenate(chunks).tobytes()
 
@@ -720,7 +722,7 @@ class TestGridShapes:
         assert net.vector.tobytes() == before.tobytes()
 
     def test_peak_allocation_of_a_batch_64_step(self):
-        # chunks of 4 peak at 3.3 MiB, chunks of 8 at 5.1 MiB, the whole batch
+        # chunks of 4 peak at 3.4 MiB, chunks of 8 at 5.1 MiB, the whole batch
         # at once at 30 MiB; every MiB here raises the process's peak RSS
         net, x, labels = desk_batch_64()
         gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(0))  # warm
@@ -778,8 +780,9 @@ def assert_as_the_chunked_oracle(net, x, labels, seed):
     Returns the loss and gradient.
     """
     for start in range(0, len(x), gridcnn._CHUNK):
-        chunk = x[start : start + gridcnn._CHUNK]
-        got = gridcnn.forward_grids(net, chunk, rng=np.random.default_rng(seed))
+        chunk = x.cells[start : start + gridcnn._CHUNK]
+        drops = oracles.gridcnn_dropout(net, np.random.default_rng(seed), len(chunk))
+        got = gridcnn.forward_grids(net, chunk, drops)
         expected = oracles.gridcnn_forward_grids(net, chunk, rng=np.random.default_rng(seed))
         assert got.tobytes() == expected.tobytes()
     loss, grad = gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(seed))
@@ -794,6 +797,29 @@ def assert_as_the_chunked_oracle(net, x, labels, seed):
         scale = np.nanmax(np.abs(e)) if not np.isnan(e).all() else 0.0
         np.testing.assert_allclose(g, e, rtol=tol, atol=tol * scale, equal_nan=True, err_msg=name)
     return loss, grad
+
+
+EDGE_STACKS = ["all-zero", "duplicated", "nan-beside-a-tie"]
+
+
+def edge_stack(desk_stacks, stack, dtype):
+    """A seed-3 net with the seed-0 desk channel statistics at dtype, the
+    staged edge stack named stack and its labels."""
+    grids, _ = desk_stacks[0]
+    net = gridcnn.build_gridcnn(seed=3)
+    gridcnn.set_channel_stats(net, grids)
+    net = net.astype(dtype)
+    zero = gridcnn.Grid(np.zeros((11, 11, 2)), np.zeros((11, 11), dtype=np.int64))
+    nan = gridcnn.Grid(grids[7].cells.copy(), grids[7].occupancy)
+    nan.cells[5, 5, 0] = np.nan
+    # empty cells all normalize to one value, so the zero grid's conv3
+    # windows tie; the NaN spreads to the NaN grid's cells only
+    stack_grids = {
+        "all-zero": [zero] * 5,
+        "duplicated": [grids[3]] * 6,
+        "nan-beside-a-tie": [nan, zero, grids[4]],
+    }[stack]
+    return net, net.stage(stack_grids), np.arange(len(stack_grids)) % gridcnn.N_CLASSES
 
 
 class TestAgainstTheChunkedOracle:
@@ -817,24 +843,10 @@ class TestAgainstTheChunkedOracle:
             _, opt_state = net.update(loss, grad, 0.003, opt_state)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stack", ["all-zero", "duplicated", "nan-beside-a-tie"])
+    @pytest.mark.parametrize("stack", EDGE_STACKS)
     def test_edge_stacks(self, desk_stacks, stack, dtype):
-        grids, labels = desk_stacks[0]
-        net = gridcnn.build_gridcnn(seed=3)
-        gridcnn.set_channel_stats(net, grids)
-        net = net.astype(dtype)
-        zero = gridcnn.Grid(np.zeros((11, 11, 2)), np.zeros((11, 11), dtype=np.int64))
-        nan = gridcnn.Grid(grids[7].cells.copy(), grids[7].occupancy)
-        nan.cells[5, 5, 0] = np.nan
-        # empty cells all normalize to one value, so the zero grid's conv3
-        # windows tie; the NaN spreads to the NaN grid's cells only
-        stack_grids = {
-            "all-zero": [zero] * 5,
-            "duplicated": [grids[3]] * 6,
-            "nan-beside-a-tie": [nan, zero, grids[4]],
-        }[stack]
-        stack_labels = np.arange(len(stack_grids)) % gridcnn.N_CLASSES
-        assert_as_the_chunked_oracle(net, net.stage(stack_grids), stack_labels, 0)
+        net, x, labels = edge_stack(desk_stacks, stack, dtype)
+        assert_as_the_chunked_oracle(net, x, labels, 0)
 
     def test_desk_grids_tie_in_conv3_windows(self, desk_stacks):
         """Empty cells normalize to one value, so conv3 pre-activations tie
@@ -843,7 +855,7 @@ class TestAgainstTheChunkedOracle:
         grids, _ = desk_stacks[0]
         net = gridcnn.build_gridcnn(seed=0)
         gridcnn.set_channel_stats(net, grids)
-        _, cache = gridcnn.forward_grids(net, net.stage(grids[:64]), keep_cache=True)
+        _, cache = gridcnn.forward_grids(net, net.stage(grids[:64]).cells, keep_cache=True)
         winners = sum(w == cache["m3"] for w in gridcnn._pool_windows(cache["z3"]))
         assert (winners >= 1).all() and (winners > 1).any()
 
@@ -862,6 +874,113 @@ class TestAgainstTheChunkedOracle:
             best, _ = evaluate._gridcnn_trained(splits, config, None)
             blobs.append(gridcnn.serialize(best))
         assert blobs[0] == blobs[1]
+
+
+def flipped_kernels(net):
+    return {layer: gridcnn._flipped(getattr(net, layer)) for layer in ("conv2", "conv3")}
+
+
+def reduce_chunk_grads(net, x, labels, rng=None):
+    """loss_and_grads rebuilt from one _chunk_grads call per chunk: the conv
+    partials added in chunk order, each dense layer's weight gradient one
+    product over its concatenated rows."""
+    n = len(x)
+    drops = None if rng is None else oracles.gridcnn_dropout(net, rng, n)
+    grad = np.zeros_like(net.vector)
+    slot = net.layers_of(grad)
+    probs, rows = [], {}
+    for start in range(0, n, gridcnn._CHUNK):
+        chunk = slice(start, start + gridcnn._CHUNK)
+        p, conv, dense = gridcnn._chunk_grads(
+            net, x.cells[chunk], labels[chunk], None if drops is None else drops[chunk],
+            1.0 / n, flipped_kernels(net),
+        )
+        probs.append(p)
+        for layer, part in conv.items():
+            slot[layer].weights += part.weights
+            slot[layer].bias += part.bias
+        for layer, pair in dense.items():
+            rows.setdefault(layer, []).append(pair)
+    for layer, pairs in rows.items():
+        inputs, grads = (np.concatenate(side) for side in zip(*pairs))
+        slot[layer].weights[...] = inputs.T @ grads
+        slot[layer].bias[...] = grads.sum(axis=0)
+    return nn.mean_cross_entropy(np.concatenate(probs), labels), grad
+
+
+def assert_reduction_is_loss_and_grads(net, x, labels, seed):
+    """reduce_chunk_grads equals loss_and_grads bitwise, dropout from seed; returns the latter."""
+    loss, grad = gridcnn.loss_and_grads(net, x, labels, rng=np.random.default_rng(seed))
+    reduced_loss, reduced = reduce_chunk_grads(net, x, labels, np.random.default_rng(seed))
+    assert np.float64(reduced_loss).tobytes() == np.float64(loss).tobytes()
+    assert reduced.tobytes() == grad.tobytes()
+    return loss, grad
+
+
+def chunk_bytes(out):
+    """The bytes of every array _chunk_grads returns, in a fixed order."""
+    probs, conv, dense = out
+    arrays = [probs]
+    arrays += [a for layer in sorted(conv) for a in (conv[layer].weights, conv[layer].bias)]
+    arrays += [a for layer in sorted(dense) for a in dense[layer]]
+    return [a.tobytes() for a in arrays]
+
+
+class TestChunkGrads:
+    """_chunk_grads is a pure function of its arguments, and one ordered
+    reduction of its results is loss_and_grads, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_two_calls_give_equal_bytes_and_change_nothing(self, desk_stacks, dropout, dtype):
+        grids, labels = desk_stacks[0]
+        net = gridcnn.build_gridcnn(seed=0)
+        gridcnn.set_channel_stats(net, grids)
+        net = net.astype(dtype)
+        cells = net.stage(grids[:4]).cells
+        drops = oracles.gridcnn_dropout(net, np.random.default_rng(1), 4) if dropout else None
+        flipped = flipped_kernels(net)
+        args = (net, cells, labels[:4], drops, 1.0 / 64, flipped)
+        given = [net.vector, net.norm_stats.mean, net.norm_stats.std, cells, labels]
+        given += [*flipped.values()] + ([drops] if dropout else [])
+        before = [a.tobytes() for a in given]
+        first = chunk_bytes(gridcnn._chunk_grads(*args))
+        assert chunk_bytes(gridcnn._chunk_grads(*args)) == first
+        assert [a.tobytes() for a in given] == before
+        probs, conv, dense = gridcnn._chunk_grads(*args)
+        assert probs.shape == (4, 4) and sorted(conv) == ["conv1", "conv2", "conv3"]
+        for layer, part in conv.items():
+            assert part.weights.shape == getattr(net, layer).weights.shape, layer
+        for layer, (inputs, grads) in dense.items():
+            assert (inputs.shape, grads.shape) == ((4, gridcnn._WEIGHT_SHAPES[layer][0]),
+                                                   (4, gridcnn._WEIGHT_SHAPES[layer][1])), layer
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reduction_on_desk_batches_fresh_and_after_adam_steps(self, desk_stacks, seed, dtype):
+        grids, labels = desk_stacks[seed]
+        net = gridcnn.build_gridcnn(seed=seed)
+        gridcnn.set_channel_stats(net, grids)
+        net = net.astype(dtype)
+        staged = net.stage(grids)
+        rng = np.random.default_rng(seed)
+        opt_state = None
+        for step in range(3):
+            draw = rng.integers(0, len(staged), size=64)
+            loss, grad = assert_reduction_is_loss_and_grads(
+                net, staged[draw], labels[draw], step
+            )
+            _, opt_state = net.update(loss, grad, 0.003, opt_state)
+        draw = rng.integers(0, len(staged), size=13)  # a last, partial chunk; no dropout
+        loss, grad = gridcnn.loss_and_grads(net, staged[draw], labels[draw])
+        reduced_loss, reduced = reduce_chunk_grads(net, staged[draw], labels[draw])
+        assert reduced_loss == loss and reduced.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stack", EDGE_STACKS)
+    def test_reduction_on_edge_stacks(self, desk_stacks, stack, dtype):
+        net, x, labels = edge_stack(desk_stacks, stack, dtype)
+        assert_reduction_is_loss_and_grads(net, x, labels, 0)
 
 
 class TestStaged:
@@ -892,7 +1011,7 @@ class TestStaged:
 
     def test_staged_stack_predicts_bitwise_as_its_list(self, desk):
         net, grids, _, staged = desk
-        assert staged.shape == (6, 11, 11, 2) and staged.dtype == np.float32
+        assert staged.cells.shape == (6, 11, 11, 2) and staged.dtype == np.float32
         draw = [5, 0, 5, 1, 0, 3]
         got = net.predict_batch(staged[draw])
         expected = net.predict_batch(net.stage([grids[i] for i in draw]))

@@ -1,4 +1,4 @@
-"""The package keeps no module-global mutable state beyond two known names.
+"""The package keeps no module-global mutable state beyond one known name.
 
 A `global` statement rebinds a module global, and a `functools.cache` or
 `lru_cache` decorator keeps a module-lifetime table. Each is allowed only
@@ -15,8 +15,6 @@ PACKAGE = Path(deepreflecs.__file__).resolve().parent
 ALLOWED = {
     # the pad-overflow counter that perfbench reads (ROADMAP items 1 and 3b)
     ("preprocess", "global", "_overflow_count"),
-    # one table of gather indices per grid shape; the cached arrays are read-only
-    ("gridcnn", "cache", "_tap_index"),
 }
 
 

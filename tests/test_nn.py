@@ -679,10 +679,11 @@ class TestNetwork:
 
 # the backward passes of both networks that get a layer's output gradient:
 # nn's serve the reflection network (and relu_backward both), gridcnn's
-# only the grid CNN
+# only the grid CNN; _chunk_grads returns the dense layers' output
+# gradients, which loss_and_grads multiplies into their weight gradients
 BACKWARD_PASSES = [
     (nn, "rowwise_linear_backward"), (nn, "relu_backward"),
-    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"), (gridcnn, "_dense_backward"),
+    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"), (gridcnn, "_chunk_grads"),
 ]
 
 
@@ -707,8 +708,11 @@ def test_a_confident_batch_gives_no_subnormal_backward_operand(build, monkeypatc
     for owner, name in BACKWARD_PASSES:
         def counted(*args, backward=getattr(owner, name), name=name, **kwargs):
             found = sum(subnormal_count(a) for a in (*args, *kwargs.values()))
+            out = backward(*args, **kwargs)
+            if name == "_chunk_grads":  # the dense layers' output gradients it returns
+                found += sum(subnormal_count(grads) for _, grads in out[2].values())
             subnormal[name] = subnormal.get(name, 0) + found
-            return backward(*args, **kwargs)
+            return out
 
         monkeypatch.setattr(owner, name, counted)
     rng = np.random.default_rng(0)
@@ -716,5 +720,5 @@ def test_a_confident_batch_gives_no_subnormal_backward_operand(build, monkeypatc
     net.train_step(inputs, [0] * 8, 0.01, None, rng=rng)
     expected = {"relu_backward", "rowwise_linear_backward"}
     if isinstance(net, gridcnn.GridCnnModel):
-        expected = {"relu_backward", "_pool_grads", "_conv_grads", "_dense_backward"}
+        expected = {"relu_backward", "_pool_grads", "_conv_grads", "_chunk_grads"}
     assert subnormal == dict.fromkeys(expected, 0)

@@ -1,11 +1,13 @@
 """Each network checks its operands once, where they enter it.
 
-Inputs are checked by the network's stage, labels at the top of its
-loss_and_grads. A bad operand ends in a ShapeError, an EmptyPoolError or
-a ValueError that names the input or the labels, on every public path,
-and a refused train step leaves the weights as they were. The layers in
-nn re-check nothing: an AST scan lists the only package functions that
-raise ShapeError or EmptyPoolError.
+Inputs are checked by the network's stage, which gives the network's own
+staged type; predict_batch and loss_and_grads take nothing else, and
+labels are checked at the top of loss_and_grads. A bad operand ends in a
+ShapeError, an EmptyPoolError or a ValueError that names the input, the
+staged batch or the labels, on every public path, and a refused train
+step leaves the weights as they were. The layers in nn re-check nothing:
+an AST scan lists the only package functions that raise ShapeError or
+EmptyPoolError.
 """
 
 import ast
@@ -49,6 +51,87 @@ INPUT_CASES = [
     ("gridcnn", "10x10-cells", cells((10, 10, 2)), nn.ShapeError,
      r"grid {i} has cells \(10, 10, 2\), not \(11, 11, 2\)"),
 ]
+
+def empty(net):
+    """An empty batch of the network's staged type, built around stage."""
+    if isinstance(net, gridcnn.GridCnnModel):
+        return gridcnn.GridStack(np.empty((0, 11, 11, 2), dtype=np.float32))
+    return reflectnet.Staged(
+        np.empty((0, 5), dtype=np.float32), nn.Segments.from_lengths([]), np.empty(0, np.intp)
+    )
+
+
+def other(net):
+    """A staged batch of the other network."""
+    name = "deepreflecs" if isinstance(net, gridcnn.GridCnnModel) else "gridcnn"
+    build = NETWORKS[name][1]
+    return build(seed=0).stage([build(seed=0).random_input(np.random.default_rng(0))])
+
+
+# (case id, the bad staged batch given the network and two of its inputs,
+# message naming what it got)
+STAGED_CASES = [
+    ("bare-array", lambda net, inputs: np.ones((2, 11, 11, 2), dtype=np.float32), "got ndarray"),
+    ("bare-10x10-array", lambda net, inputs: np.ones((2, 10, 10, 2), dtype=np.float32),
+     "got ndarray"),
+    ("bare-rows", lambda net, inputs: np.ones((6, 5), dtype=np.float32), "got ndarray"),
+    ("empty-stack", lambda net, inputs: empty(net), "got 0 at float32"),
+    ("float64", lambda net, inputs: net.astype(np.float64).stage(inputs), "got 2 at float64"),
+    ("other-network", lambda net, inputs: other(net), "got (GridStack|Staged)"),
+]
+
+
+def staged_paths(module, net, batch):
+    """(path id, call) of every path a staged batch takes."""
+    return [
+        ("predict_batch", lambda: net.predict_batch(batch)),
+        ("train_step", lambda: net.train_step(batch, [0, 1], 0.01, None)),
+        ("loss_and_grads", lambda: module.loss_and_grads(net, batch, [0, 1])),
+    ]
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+@pytest.mark.parametrize(
+    "make, message", [case[1:] for case in STAGED_CASES], ids=[case[0] for case in STAGED_CASES]
+)
+def test_only_the_networks_own_staged_type_gets_in(network, make, message):
+    module, build = NETWORKS[network]
+    net = build(seed=0)
+    before = net.vector.copy()
+    rng = np.random.default_rng(0)
+    batch = make(net, [net.random_input(rng), net.random_input(rng)])
+    kind = type(net.stage([net.random_input(rng)])).__name__
+    for path, call in staged_paths(module, net, batch):
+        with pytest.raises(nn.ShapeError, match=rf"need a non-empty {kind} at float32, {message}"):
+            call()
+        assert net.vector.tobytes() == before.tobytes(), path
+
+
+# (case id, an index into a staged set of 3 inputs)
+BAD_INDICES = [
+    ("booleans", [True, False, True]),
+    ("floats", [0.5, 2.9]),
+    ("slice", slice(0, 2)),
+    ("scalar", 1),
+    ("empty", []),
+    ("2-d", [[0, 1]]),
+    ("past-the-end", [5]),
+    ("negative", [-1]),
+]
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+@pytest.mark.parametrize(
+    "index", [case[1] for case in BAD_INDICES], ids=[case[0] for case in BAD_INDICES]
+)
+def test_a_staged_batch_takes_only_in_range_integer_indices(network, index):
+    net = NETWORKS[network][1](seed=0)
+    rng = np.random.default_rng(0)
+    staged = net.stage([net.random_input(rng) for _ in range(3)])
+    with pytest.raises(nn.ShapeError, match=r"need a 1-D, non-empty index array of integers"):
+        staged[index]
+    assert len(staged[np.array([2, 0, 2])]) == 3
+
 
 # (case id, labels of a one-input batch, error, message)
 LABEL_CASES = [
@@ -123,9 +206,10 @@ CHECKERS = {
     # the two network entries for inputs
     ("model", "ReflectNetModel.stage"),
     ("gridcnn", "GridCnnModel.stage"),
-    # a batch drawn from a staged set
-    ("model", "Staged.__getitem__"),
-    # labels at the top of both loss_and_grads
+    # the staged type, the index rule of a staged set, and the labels, at
+    # the top of both predict_batch and loss_and_grads
+    ("nn", "check_staged"),
+    ("nn", "batch_index"),
     ("nn", "batch_labels"),
     # the masked kernels and dense serve only perfbench's trace list
     # (ROADMAP item 1 removes them)
