@@ -76,6 +76,10 @@ class GridStack:
     cells: np.ndarray
     dtype = property(lambda self: self.cells.dtype)
 
+    def __post_init__(self):
+        if self.cells.shape[1:] != _CELLS_SHAPE:  # also refuses every ndim but 4
+            raise nn.ShapeError(f"a GridStack holds cells (B, 11, 11, 2), got {self.cells.shape}")
+
     def __len__(self) -> int:
         return len(self.cells)
 

@@ -18,9 +18,9 @@ marking where each sample starts, and every layer runs once over the
 whole batch. An input holds only its real rows, so the output does not
 depend on the pad length, which only caps how many rows an input keeps.
 predict_batch, loss_and_grads (which checks the labels) and train_step
-take only a Staged batch at model precision; a single sample is a batch
-of one segment, and a training run stages its inputs once and gathers
-each batch by index.
+take only a Staged batch at model precision; a training run stages its
+inputs once and gathers each batch by index. One input (forward) skips
+the batch bookkeeping: its rows run through forward_rows as one segment.
 
 The model is an nn.Network over the layer table ReflectNetConfig.layers().
 """
@@ -88,8 +88,8 @@ class ReflectNetModel(nn.Network):
 
     def kink_margin(self, inp: PaddedInput) -> float:
         """nn.kink_margin of one sample's float64 forward pass."""
-        wide = self.astype(np.float64)
-        _, cache = forward_rows(wide, wide.stage([inp]), keep_cache=True)
+        rows = _checked_rows(inp, 0, self.config.n_features).astype(np.float64)
+        _, cache = forward_rows(self.astype(np.float64), rows, None, keep_cache=True)
         # the tie margins of the post-ReLU pool inputs: a tie at a positive
         # maximum is a kink of either pool order
         h2 = nn.relu(cache["z2"])
@@ -100,34 +100,23 @@ class ReflectNetModel(nn.Network):
         return forward(self, inp)
 
     def stage(self, inputs: Sequence[PaddedInput]) -> "Staged":
-        """The rows of every input as one ragged batch, at model precision; rows not
-        (m >= 1, n_features) are a ShapeError or EmptyPoolError naming the input."""
+        """The rows of every input as one ragged batch, at model precision, for
+        predict_batch and training. Each input is checked as forward checks one."""
         if len(inputs) == 0:
             raise nn.ShapeError("cannot stage an empty list of inputs")
-        width = self.config.n_features
-        for i, inp in enumerate(inputs):
-            if inp.rows.ndim != 2 or inp.rows.shape[1] != width:
-                raise nn.ShapeError(f"input {i} has rows {inp.rows.shape}, not (m, {width})")
-            if len(inp.rows) == 0:
-                raise nn.EmptyPoolError(f"input {i} has no rows")
-        dtype = self.conv1.weights.dtype
-        if len(inputs) == 1:  # single-object classification: skip the batch bookkeeping
-            rows = inputs[0].rows.astype(dtype, copy=False)
-            one = nn.Segments(np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp))
-            return Staged(rows, one, np.array([len(rows)]))
-        lengths = np.array([len(inp.rows) for inp in inputs], dtype=np.intp)
-        rows = np.concatenate([inp.rows for inp in inputs]).astype(dtype, copy=False)
+        parts = [_checked_rows(inp, i, self.config.n_features) for i, inp in enumerate(inputs)]
+        lengths = np.array([len(part) for part in parts], dtype=np.intp)
+        rows = np.concatenate(parts).astype(self.vector.dtype, copy=False)
         return Staged(rows, nn.Segments.from_lengths(lengths), lengths)
 
     def predict_batch(self, staged: "Staged") -> np.ndarray:
         """The float64 (B, n_classes) probabilities of a staged batch, run as one ragged batch.
 
-        Row b holds input b's probabilities and its argmax (ties -> lowest
-        index) is the predicted class, as forward gives them up to float
-        rounding: BLAS may sum a one-input batch in another order.
+        Row b holds input b's probabilities and its argmax (ties -> lowest index) is
+        the predicted class, forward's bits if B is 1, else up to float rounding.
         """
         nn.check_staged(staged, Staged, self.vector.dtype)
-        return nn.finite(forward_rows(self, staged))
+        return nn.finite(forward_rows(self, staged.rows, staged.segments))
 
     def train_step(self, batch, labels, lr, opt_state, rng=None):
         """train_step on a Staged batch, or on a list of inputs staged first."""
@@ -162,6 +151,12 @@ class Staged:
 
     dtype = property(lambda self: self.rows.dtype)
 
+    def __post_init__(self):  # O(1), as every train step builds one
+        rows, ids, starts = self.rows.shape, self.segments.ids.shape, self.segments.starts.shape
+        if len(rows) != 2 or ids != rows[:1] or starts != self.lengths.shape:
+            raise nn.ShapeError(f"Staged rows {rows}, ids {ids}, starts {starts} and lengths "
+                                f"{self.lengths.shape} are not (R, n), (R,), (B,) and (B,)")
+
     def __len__(self) -> int:
         return self.lengths.size
 
@@ -174,29 +169,39 @@ class Staged:
         return Staged(rows, segments, lengths)
 
 
-def forward_rows(model: ReflectNetModel, batch: Staged, keep_cache: bool = False):
-    """Class probabilities (B, n_classes) for a staged ragged batch.
+def forward_rows(model: ReflectNetModel, rows, segments: nn.Segments | None, keep_cache=False):
+    """Class probabilities (B, n_classes) of rows (R, n_features) at model precision, input
+    b the rows of segment b; segments None means the rows are one input.
 
-    Each max pool takes pre-activations and the ReLU follows it, so
-    relu(max(z)) stands for max(relu(z)), bit for bit. With keep_cache,
-    returns (probabilities, activations) for the backward pass.
+    Each max pool takes pre-activations and the ReLU follows it, so relu(max(z)) stands
+    for max(relu(z)), bit for bit. With keep_cache, returns (probabilities, activations)
+    for the backward pass; without it, the ReLUs run in place.
     """
-    segments = batch.segments
-    z1 = nn.rowwise_linear(batch.rows, model.conv1)
+    z1 = nn.rowwise_linear(rows, model.conv1)
     c = nn.segment_context_layer(z1, segments) if model.config.use_gcl else z1
-    h = nn.relu(c)
+    h = nn.relu(c, out=None if keep_cache else c)
     z2 = nn.rowwise_linear(h, model.conv2)
     m2 = nn.segment_max_pool(z2, segments)
-    pooled = nn.relu(m2)
+    pooled = nn.relu(m2, out=None if keep_cache else m2)
     probs = nn.softmax(nn.rowwise_linear(pooled, model.head))
     if not keep_cache:
         return probs
     return probs, {"z1": z1, "c": c, "h": h, "z2": z2, "m2": m2, "pooled": pooled}
 
 
+def _checked_rows(inp: PaddedInput, i: int, width: int) -> np.ndarray:
+    """inp's rows if (m >= 1, width), else a ShapeError or EmptyPoolError naming input i."""
+    if inp.rows.ndim != 2 or inp.rows.shape[1] != width:
+        raise nn.ShapeError(f"input {i} has rows {inp.rows.shape}, not (m, {width})")
+    if len(inp.rows) == 0:
+        raise nn.EmptyPoolError(f"input {i} has no rows")
+    return inp.rows
+
+
 def forward(model: ReflectNetModel, inp: PaddedInput) -> nn.ClassDistribution:
-    """Class probabilities for one input: predict_batch of a one-input batch."""
-    return nn.distribution(model.predict_batch(model.stage([inp])))
+    """One input's checked rows at model precision, through forward_rows as one segment."""
+    rows = _checked_rows(inp, 0, model.config.n_features).astype(model.vector.dtype, copy=False)
+    return nn.distribution(nn.finite(forward_rows(model, rows, None)))
 
 
 def loss_and_grads(
@@ -208,7 +213,7 @@ def loss_and_grads(
     nn.check_staged(batch, Staged, model.vector.dtype)
     labels = nn.batch_labels(labels, len(batch), model.config.n_classes)
     segments = batch.segments
-    probs, cache = forward_rows(model, batch, keep_cache=True)
+    probs, cache = forward_rows(model, batch.rows, segments, keep_cache=True)
     scale = 1.0 / len(batch)  # check_staged refuses an empty batch
     d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
     grad = np.zeros_like(model.vector)

@@ -13,12 +13,12 @@ rowwise_linear_backward adds its weight gradients into the layer's slot
 of a gradient vector. The Adam step updates its vector and state in place.
 
 Matrices are 2-D ndarrays (a row per list entry, a column per feature); a
-batch of lists is one matrix of all their rows plus Segments. The masked
-kernels (one padded list and its mask) serve only perfbench's trace list.
-A network's stage checks its inputs into its staged type; check_staged
-admits only that type, batch_index indexes it and batch_labels checks
-labels, and no layer re-checks them. Forward code runs on float32 arrays
-for speed or on float64 for gradient checks.
+batch of lists is one matrix of all their rows plus Segments (None for one
+list). The masked kernels (one padded list and its mask) serve only
+perfbench's trace list. A network's stage checks its inputs into its
+staged type; check_staged admits only that type, batch_index indexes it
+and batch_labels checks labels, and no layer re-checks them. Forward code
+runs on float32 arrays for speed or on float64 for gradient checks.
 
 Network is the skeleton of the reflection network and the grid CNN, driven
 by each one's layer table: one parameter vector that every layer's tensors
@@ -127,7 +127,8 @@ def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
     x: (M, in_features) -> (M, out_features). Rows are processed
     independently, so the op is exactly equivariant to row permutations.
     """
-    return x @ params.weights + params.bias
+    out = x @ params.weights
+    return np.add(out, params.bias, out=out)
 
 
 def rowwise_linear_backward(
@@ -151,9 +152,9 @@ def rowwise_linear_backward(
     return grad_out @ params.weights.T
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), into out if given (out=x runs in place)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -178,13 +179,14 @@ class Segments(NamedTuple):
         return cls(np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths))
 
 
-def segment_max_pool(x: np.ndarray, segments: Segments) -> np.ndarray:
-    """Per-feature maximum over each segment's rows: (R, N) -> (B, N).
+def segment_max_pool(x: np.ndarray, segments: Segments | None) -> np.ndarray:
+    """Per-feature maximum over each segment's rows: (R, N) -> (B, N), (1, N) for None.
 
     Segments never mix, so the rows of one list cannot leak into the
     result of another.
     """
-    return np.maximum.reduceat(x, segments.starts, axis=0)
+    return (x.max(axis=0, keepdims=True) if segments is None
+            else np.maximum.reduceat(x, segments.starts, axis=0))
 
 
 def segment_max_pool_backward(
@@ -220,14 +222,17 @@ def _first_winner_grad(
     return grad_x
 
 
-def segment_context_layer(x: np.ndarray, segments: Segments) -> np.ndarray:
+def segment_context_layer(x: np.ndarray, segments: Segments | None) -> np.ndarray:
     """Append each segment's pooled feature vector to every row of that segment.
 
     Row r of the output is concat(x[r], g[ids[r]]) with g the per-segment
-    max pool of x. Output shape (R, 2N).
+    max pool of x (one g for None). Output shape (R, 2N).
     """
     g = segment_max_pool(x, segments)
-    return np.concatenate([x, g[segments.ids]], axis=1)
+    out = np.empty((len(x), 2 * x.shape[1]), dtype=x.dtype)
+    out[:, : x.shape[1]] = x
+    out[:, x.shape[1] :] = g if segments is None else g[segments.ids]
+    return out
 
 
 def segment_context_layer_backward(
@@ -260,8 +265,7 @@ def masked_global_max_pool(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Only valid rows participate in the reduction; padded rows are never
     touched, so their content cannot leak into the result.
     """
-    valid = x[_valid_rows(x, mask)]
-    return segment_max_pool(valid, Segments.from_lengths([valid.shape[0]]))[0]
+    return segment_max_pool(x[_valid_rows(x, mask)], None)[0]
 
 
 def masked_global_max_pool_backward(
@@ -328,7 +332,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def check_staged(batch, kind: type, dtype) -> None:

@@ -217,7 +217,8 @@ def prepare_input(sample: ObjectSample, pad_length: int, stats: NormStats) -> Pa
         _overflow_count += 1
         order = np.argsort(-rows[:, 2], kind="stable")[:pad_length]
         rows = rows[np.sort(order)]
-    return PaddedInput((rows - stats.mean) / stats.std, pad_length)
+    rows = rows - stats.mean
+    return PaddedInput(np.divide(rows, stats.std, out=rows), pad_length)
 
 
 def trackwise_split(

@@ -1,7 +1,9 @@
 """Tests for the reflection network: counts, invariances, training, files."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +224,8 @@ class TestRaggedBatch:
         # not bitwise: BLAS may take another kernel for a one-row product
         inputs, _ = batch
         net = model.build_model(seed=4)
-        probs = model.forward_rows(net, net.stage(inputs))
+        staged = net.stage(inputs)
+        probs = model.forward_rows(net, staged.rows, staged.segments)
         single = np.stack([model.forward(net, inp).probabilities for inp in inputs])
         np.testing.assert_allclose(probs, single, rtol=1e-5)
 
@@ -247,7 +250,7 @@ class TestRaggedBatch:
         staged = net.stage(inputs)
         batched = net.predict_batch(staged)
         assert batched.shape == (len(inputs), 4) and batched.dtype == np.float64
-        expected = model.forward_rows(net, staged)
+        expected = model.forward_rows(net, staged.rows, staged.segments)
         assert batched.tobytes() == expected.tobytes()
 
     def test_staging_nothing_is_shape_error(self):
@@ -378,7 +381,7 @@ def assert_pools_as_relu_first(net, batch, labels):
     Probabilities and loss are bitwise equal; gradients are equal as numbers
     (only the sign of a zero may differ). Returns the loss and gradient.
     """
-    probs = model.forward_rows(net, batch)
+    probs = model.forward_rows(net, batch.rows, batch.segments)
     assert probs.tobytes() == oracles.reflectnet_forward_rows(net, batch).tobytes()
     loss, grad = model.loss_and_grads(net, batch, labels)
     expected_loss, expected = oracles.reflectnet_loss_and_grads(net, batch, labels)
@@ -435,7 +438,7 @@ class TestPoolBeforeRelu:
         positive = padded(np.abs(rng.standard_normal((4, 5))) + 0.1)
         negative = padded(-np.abs(rng.standard_normal((3, 5))) - 0.1)
         staged = net.stage([positive, negative])
-        _, cache = model.forward_rows(net, staged, keep_cache=True)
+        _, cache = model.forward_rows(net, staged.rows, staged.segments, keep_cache=True)
         assert (cache["z1"][4:] < 0).all() and (cache["z2"][4:] < 0).all()
         assert (cache["m2"][0] > 0).any()
         _, grad = assert_pools_as_relu_first(net, staged, [1, 2])
@@ -495,6 +498,80 @@ class TestPoolBeforeRelu:
         assert searches == []
 
 
+@pytest.fixture(scope="module")
+def perfbench_trained():
+    """use_gcl -> (model trained on the deepreflecs_desk perfbench schedule, the
+    inputs of every seed-0 desk object), with the train split's norm stats."""
+    samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
+    train, val, _ = preprocess.trackwise_split(samples, seed=0)
+    stats, pad_length = preprocess.compute_norm_stats(train), model.ReflectNetConfig.pad_length
+
+    def inputs(split):
+        return [preprocess.prepare_input(s, pad_length, stats) for s in split]
+
+    def labels(split):
+        return np.array([s.class_index for s in split])
+
+    schedule = trainer.TrainConfig(epochs=4, steps_per_epoch=32, batch_size=64, seed=0)
+    trained = {}
+    for use_gcl in (True, False):
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=0)
+        net.norm_stats = stats
+        trained[use_gcl], _ = trainer.train(
+            net, inputs(train), labels(train), [s.class_label for s in train],
+            inputs(val), labels(val), schedule,
+        )
+    return trained, inputs(samples)
+
+
+# rows of each one-input edge case, given an rng
+EDGE_ROWS = {
+    "1-row": lambda rng: rng.standard_normal((1, 5)),
+    "duplicated-rows": lambda rng: np.repeat(rng.standard_normal((3, 5)), 3, axis=0),
+    "all-zero-rows": lambda rng: np.zeros((4, 5)),
+    "negative-zero-rows": lambda rng: np.full((4, 5), -0.0),
+    "pad-length-rows": lambda rng: rng.standard_normal((model.ReflectNetConfig.pad_length, 5)),
+    "magnitude-1e3": lambda rng: rng.standard_normal((6, 5)) * 1e3,
+}
+
+
+class TestOneInput:
+    """predict runs one input's rows as one segment, with no staged batch, and
+    gives bitwise predict_batch of that input staged alone."""
+
+    @staticmethod
+    def assert_predicts_as_staged_alone(net, inp):
+        single = net.predict(inp)
+        staged = net.predict_batch(net.stage([inp]))[0]
+        assert single.probabilities.tobytes() == staged.tobytes()
+        assert single.predicted == int(staged.argmax())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    def test_every_desk_object_on_a_perfbench_trained_model(self, perfbench_trained, use_gcl,
+                                                            dtype):
+        trained, inputs = perfbench_trained
+        net = trained[use_gcl].astype(dtype)
+        assert len(inputs) == 1407
+        for inp in inputs:
+            self.assert_predicts_as_staged_alone(net, inp)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("use_gcl", [True, False])
+    @pytest.mark.parametrize("case", EDGE_ROWS)
+    def test_edge_inputs(self, perfbench_trained, use_gcl, dtype, case):
+        net = perfbench_trained[0][use_gcl].astype(dtype)
+        rows = EDGE_ROWS[case](np.random.default_rng(18))
+        self.assert_predicts_as_staged_alone(net, PaddedInput(rows, net.config.pad_length))
+
+    def test_predict_leaves_its_input_rows_as_they_were(self):
+        net = model.build_model(seed=0).astype(np.float64)
+        inp = random_input(np.random.default_rng(19), m=7)
+        before = inp.rows.copy()
+        net.predict(inp)
+        assert inp.rows.tobytes() == before.tobytes()
+
+
 # a reflection-network gradient of a batch of 1,082 rows (135 inputs of 8
 # rows and one of 2), hashed; 1,082 rows of conv2 are two weight blocks
 GRADIENT_OF_1082_ROWS = """
@@ -539,6 +616,50 @@ class TestBlasThreadCount:
         evaluate._reflectnet_trained(splits, trainer.TrainConfig(), None)
         assert len(calls) == 32 * 64 * 3
         assert max(calls) <= nn.WEIGHT_GRAD_BLOCK
+
+
+# the tests whose bitwise invariances hold only on some BLAS kernels (ROADMAP item 9)
+KERNEL_INVARIANCE_TESTS = [
+    "test_acceptance.py::test_criterion_2_permutation_invariance",
+    "test_model.py::TestForward::test_permutation_invariance_bitwise",
+    "test_model.py::TestForward::test_masked_garbage_invariance_bitwise",
+    "test_model.py::TestForward::test_ablated_model_still_invariant",
+]
+KERNEL_NOT_FORCED = 77  # the child's exit code when OpenBLAS runs another kernel
+
+# run with the test directory as working directory and the test ids as arguments
+UNDER_THE_KERNEL = f"""
+import sys
+import pytest
+from test_golden import openblas_kernel
+try:
+    kernel = openblas_kernel()
+except OSError as exc:  # numpy's OpenBLAS could not be opened
+    kernel = exc
+if kernel != "Haswell":
+    print(f"OpenBLAS runs the {{kernel}} kernel")
+    sys.exit({KERNEL_NOT_FORCED})
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+class TestBlasKernel:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9b")
+    def test_invariance_tests_hold_under_the_haswell_kernel(self):
+        """The bitwise invariance tests in a child process on the kernel of an
+        AVX2 host; skipped where the kernel cannot be read or forced."""
+        done = subprocess.run(
+            [sys.executable, "-c", UNDER_THE_KERNEL, *KERNEL_INVARIANCE_TESTS],
+            capture_output=True, text=True, cwd=Path(__file__).parent, timeout=300,
+            env=dict(blas_env(1), OPENBLAS_CORETYPE="Haswell"),
+        )
+        if done.returncode == KERNEL_NOT_FORCED:
+            pytest.skip(done.stdout.strip())
+        # pytest's last line counts the tests it ran; a crashed child prints none
+        if not re.search(r"\d+ (passed|failed)", done.stdout.strip().rpartition("\n")[2]):
+            raise RuntimeError(f"the child ran no tests:\n{done.stdout[-2000:]}"
+                               f"{done.stderr[-2000:]}")
+        assert done.returncode == 0, done.stdout[-3000:]
 
 
 class TestSerialization:

@@ -107,6 +107,34 @@ def test_only_the_networks_own_staged_type_gets_in(network, make, message):
         assert net.vector.tobytes() == before.tobytes(), path
 
 
+# (case id, a staged batch built by hand around stage, message naming its shapes)
+HAND_BUILT_CASES = [
+    ("10x10-grid-stack", lambda: gridcnn.GridStack(np.ones((2, 10, 10, 2), np.float32)),
+     r"a GridStack holds cells \(B, 11, 11, 2\), got \(2, 10, 10, 2\)"),
+    ("one-grid-stack", lambda: gridcnn.GridStack(np.ones((11, 11, 2), np.float32)),
+     r"a GridStack holds cells \(B, 11, 11, 2\), got \(11, 11, 2\)"),
+    ("more-rows-than-segment-ids", lambda: reflectnet.Staged(
+        np.ones((3, 5), np.float32), nn.Segments.from_lengths([2]), np.array([2])),
+     r"Staged rows \(3, 5\), ids \(2,\), starts \(1,\) and lengths \(1,\) are not "
+     r"\(R, n\), \(R,\), \(B,\) and \(B,\)"),
+    ("1-d-rows", lambda: reflectnet.Staged(
+        np.ones(5, np.float32), nn.Segments.from_lengths([5]), np.array([5])),
+     r"Staged rows \(5,\), ids \(5,\)"),
+    ("more-starts-than-lengths", lambda: reflectnet.Staged(
+        np.ones((3, 5), np.float32), nn.Segments.from_lengths([1, 2]), np.array([3])),
+     r"starts \(2,\) and lengths \(1,\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", [case[1:] for case in HAND_BUILT_CASES],
+    ids=[case[0] for case in HAND_BUILT_CASES],
+)
+def test_a_staged_batch_built_by_hand_is_checked_at_construction(make, message):
+    with pytest.raises(nn.ShapeError, match=message):
+        make()
+
+
 # (case id, an index into a staged set of 3 inputs)
 BAD_INDICES = [
     ("booleans", [True, False, True]),
@@ -203,9 +231,14 @@ def test_bad_labels_are_refused_on_every_training_path_naming_them(
 
 # the only package functions that raise ShapeError or EmptyPoolError
 CHECKERS = {
-    # the two network entries for inputs
+    # the two network entries for inputs, and the one rule for an input's
+    # rows that the reflection network's stage and forward share
     ("model", "ReflectNetModel.stage"),
     ("gridcnn", "GridCnnModel.stage"),
+    ("model", "_checked_rows"),
+    # the shapes of a staged type built by hand, checked at construction
+    ("model", "Staged.__post_init__"),
+    ("gridcnn", "GridStack.__post_init__"),
     # the staged type, the index rule of a staged set, and the labels, at
     # the top of both predict_batch and loss_and_grads
     ("nn", "check_staged"),
