@@ -13,10 +13,10 @@ pooled gradient to its single winning row; on a tie it falls back to the
 first winner (nn.segment_max_pool_backward).
 
 Batches are ragged: ReflectNetModel.stage checks a list of inputs and
-concatenates their rows into one Staged table, with segment offsets
-marking where each sample starts, and every layer runs once over the
-whole batch. An input holds only its real rows, so the output does not
-depend on the pad length, which only caps how many rows an input keeps.
+concatenates their rows into one Staged table, segmented by the
+nn.Segments of their row counts, and every layer runs once over the whole
+batch. An input holds only its real rows, so the output does not depend
+on the pad length, which only caps how many rows an input keeps.
 predict_batch, loss_and_grads (which checks the labels) and train_step
 take only a Staged batch at model precision; a training run stages its
 inputs once and gathers each batch by index. One input (forward) skips
@@ -88,7 +88,7 @@ class ReflectNetModel(nn.Network):
 
     def kink_margin(self, inp: PaddedInput) -> float:
         """nn.kink_margin of one sample's float64 forward pass."""
-        rows = _checked_rows(inp, 0, self.config.n_features).astype(np.float64)
+        rows = _checked_rows(inp, 0).astype(np.float64)
         _, cache = forward_rows(self.astype(np.float64), rows, None, keep_cache=True)
         # the tie margins of the post-ReLU pool inputs: a tie at a positive
         # maximum is a kink of either pool order
@@ -104,10 +104,9 @@ class ReflectNetModel(nn.Network):
         predict_batch and training. Each input is checked as forward checks one."""
         if len(inputs) == 0:
             raise nn.ShapeError("cannot stage an empty list of inputs")
-        parts = [_checked_rows(inp, i, self.config.n_features) for i, inp in enumerate(inputs)]
-        lengths = np.array([len(part) for part in parts], dtype=np.intp)
+        parts = [_checked_rows(inp, i) for i, inp in enumerate(inputs)]
         rows = np.concatenate(parts).astype(self.vector.dtype, copy=False)
-        return Staged(rows, nn.Segments.from_lengths(lengths), lengths)
+        return Staged(rows, nn.Segments([len(part) for part in parts]))
 
     def predict_batch(self, staged: "Staged") -> np.ndarray:
         """The float64 (B, n_classes) probabilities of a staged batch, run as one ragged batch.
@@ -138,35 +137,32 @@ def build_model(config: ReflectNetConfig = ReflectNetConfig(), seed: int = 0) ->
 class Staged:
     """A set of inputs staged once into one ragged table, for repeated use.
 
-    Input b is rows[segments.starts[b] : segments.starts[b] + lengths[b]],
-    at the precision of the model that staged it. Indexing with input
-    indices (nn.batch_index's rule; repeats allowed) gathers those inputs,
-    in that order, into a new table: a training step draws its batch with
-    one row gather instead of staging them again.
+    Input b is the rows of segment b, at the precision of the model that
+    staged it; rows holds one (N_FEATURES,) row per segment row. Indexing
+    with input indices (nn.batch_index's rule; repeats allowed) gathers
+    those inputs, in that order, into a new table: a training step draws
+    its batch with one row gather instead of staging them again.
     """
 
     rows: np.ndarray
     segments: nn.Segments
-    lengths: np.ndarray
 
     dtype = property(lambda self: self.rows.dtype)
 
-    def __post_init__(self):  # O(1), as every train step builds one
-        rows, ids, starts = self.rows.shape, self.segments.ids.shape, self.segments.starts.shape
-        if len(rows) != 2 or ids != rows[:1] or starts != self.lengths.shape:
-            raise nn.ShapeError(f"Staged rows {rows}, ids {ids}, starts {starts} and lengths "
-                                f"{self.lengths.shape} are not (R, n), (R,), (B,) and (B,)")
+    def __post_init__(self):
+        n_rows = self.segments.ids.size
+        if self.rows.shape != (n_rows, N_FEATURES):
+            raise nn.ShapeError(f"a Staged table over {n_rows} segment rows holds rows "
+                                f"({n_rows}, {N_FEATURES}), got {self.rows.shape}")
 
     def __len__(self) -> int:
-        return self.lengths.size
+        return self.segments.lengths.size
 
     def __getitem__(self, indices) -> "Staged":
         indices = nn.batch_index(indices, len(self))
-        lengths = self.lengths[indices]
-        segments = nn.Segments.from_lengths(lengths)
+        segments = nn.Segments(self.segments.lengths[indices])
         shift = self.segments.starts[indices] - segments.starts
-        rows = self.rows[shift[segments.ids] + np.arange(segments.ids.size)]
-        return Staged(rows, segments, lengths)
+        return Staged(self.rows[shift[segments.ids] + np.arange(segments.ids.size)], segments)
 
 
 def forward_rows(model: ReflectNetModel, rows, segments: nn.Segments | None, keep_cache=False):
@@ -189,10 +185,10 @@ def forward_rows(model: ReflectNetModel, rows, segments: nn.Segments | None, kee
     return probs, {"z1": z1, "c": c, "h": h, "z2": z2, "m2": m2, "pooled": pooled}
 
 
-def _checked_rows(inp: PaddedInput, i: int, width: int) -> np.ndarray:
-    """inp's rows if (m >= 1, width), else a ShapeError or EmptyPoolError naming input i."""
-    if inp.rows.ndim != 2 or inp.rows.shape[1] != width:
-        raise nn.ShapeError(f"input {i} has rows {inp.rows.shape}, not (m, {width})")
+def _checked_rows(inp: PaddedInput, i: int) -> np.ndarray:
+    """inp's rows if (m >= 1, N_FEATURES), else a ShapeError or EmptyPoolError naming input i."""
+    if inp.rows.ndim != 2 or inp.rows.shape[1] != N_FEATURES:
+        raise nn.ShapeError(f"input {i} has rows {inp.rows.shape}, not (m, {N_FEATURES})")
     if len(inp.rows) == 0:
         raise nn.EmptyPoolError(f"input {i} has no rows")
     return inp.rows
@@ -200,7 +196,7 @@ def _checked_rows(inp: PaddedInput, i: int, width: int) -> np.ndarray:
 
 def forward(model: ReflectNetModel, inp: PaddedInput) -> nn.ClassDistribution:
     """One input's checked rows at model precision, through forward_rows as one segment."""
-    rows = _checked_rows(inp, 0, model.config.n_features).astype(model.vector.dtype, copy=False)
+    rows = _checked_rows(inp, 0).astype(model.vector.dtype, copy=False)
     return nn.distribution(nn.finite(forward_rows(model, rows, None)))
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -162,21 +162,23 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-class Segments(NamedTuple):
+class Segments:
     """A batch of lists stored as consecutive row ranges of one matrix.
 
-    Segment b covers rows starts[b] up to (not including) starts[b + 1],
-    the last one runs to the final row; ids[r] is the segment of row r.
-    Every segment holds at least one row, as the network's stage checks.
+    Built only from the lists' lengths, a 1-D list of integers >= 1 (none for
+    an empty batch), else a ShapeError: segment b covers lengths[b] rows from
+    row starts[b], and ids[r] is the segment of row r.
     """
 
-    starts: np.ndarray  # (B,) intp, starts[0] == 0, strictly increasing
-    ids: np.ndarray     # (R,) intp
-
-    @classmethod
-    def from_lengths(cls, lengths) -> "Segments":
-        lengths = np.asarray(lengths, dtype=np.intp)
-        return cls(np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths))
+    def __init__(self, lengths):
+        given = np.asarray(lengths)
+        # only integers (and an empty list) are cast, so the dtype check refuses the rest
+        lengths = given.astype(np.intp) if given.dtype.kind in "iu" or not given.size else given
+        if lengths.ndim != 1 or lengths.dtype != np.intp or lengths.min(initial=1) < 1:
+            raise ShapeError(f"segment lengths must be a 1-D list of integers >= 1, got {given!r}")
+        self.lengths = lengths
+        self.starts = np.cumsum(lengths) - lengths
+        self.ids = np.repeat(np.arange(lengths.size), lengths)
 
 
 def segment_max_pool(x: np.ndarray, segments: Segments | None) -> np.ndarray:
@@ -190,17 +192,15 @@ def segment_max_pool(x: np.ndarray, segments: Segments | None) -> np.ndarray:
 
 
 def segment_max_pool_backward(
-    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray | None = None
+    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray
 ) -> np.ndarray:
     """Route each segment's feature gradient to its winning row, at x's precision.
 
-    pooled is the forward result; pass it to save recomputing it. Where
+    pooled is the forward result, segment_max_pool(x, segments). Where
     every (segment, feature) maximum has a single winning row, as for
     untied pre-activations, each gradient goes straight to it; on a tie
     (or a NaN) it goes to the first (lowest-index) winner.
     """
-    if pooled is None:
-        pooled = segment_max_pool(x, segments)
     wins = x == pooled[segments.ids]
     # each non-NaN maximum has at least one winner, so one count shows there is exactly one
     if np.count_nonzero(wins) == pooled.size and not np.isnan(pooled).any():
@@ -236,12 +236,12 @@ def segment_context_layer(x: np.ndarray, segments: Segments | None) -> np.ndarra
 
 
 def segment_context_layer_backward(
-    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray | None = None
+    x: np.ndarray, segments: Segments, grad_out: np.ndarray, pooled: np.ndarray
 ) -> np.ndarray:
     """Identity path for the local half plus pooled path for the global half.
 
     The global-half gradients of each segment's rows are summed and pushed
-    through that segment's pooling backward (pooled as there).
+    through that segment's pooling backward; pooled is segment_max_pool(x, segments).
     """
     n = x.shape[1]
     grad_global = np.add.reduceat(grad_out[:, n:], segments.starts, axis=0)
@@ -273,9 +273,10 @@ def masked_global_max_pool_backward(
 ) -> np.ndarray:
     """Route each feature's gradient to the first (lowest-index) winning row."""
     rows = np.flatnonzero(_valid_rows(x, mask))
+    valid = x[rows]
     grad_x = np.zeros_like(x)
     grad_x[rows] = segment_max_pool_backward(
-        x[rows], Segments.from_lengths([rows.size]), np.asarray(grad_out)[None]
+        valid, Segments([rows.size]), np.asarray(grad_out)[None], valid.max(axis=0, keepdims=True)
     )
     return grad_x
 

@@ -314,7 +314,7 @@ class TestStaged:
         assert staged.rows.tobytes() == rows.tobytes()
         np.testing.assert_array_equal(staged.segments.starts, [0, 1, 6, 8, 16])
         np.testing.assert_array_equal(staged.segments.ids, np.repeat(range(5), [1, 5, 2, 8, 3]))
-        np.testing.assert_array_equal(staged.lengths, [1, 5, 2, 8, 3])
+        np.testing.assert_array_equal(staged.segments.lengths, [1, 5, 2, 8, 3])
 
     @given(batch=ragged_batches(), data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -259,20 +259,22 @@ def segmented_rows(draw, n_features=3):
 
 class TestSegments:
     def test_starts_and_ids(self):
-        seg = nn.Segments.from_lengths([2, 1, 3])
+        seg = nn.Segments([2, 1, 3])
         np.testing.assert_array_equal(seg.starts, [0, 2, 3])
         np.testing.assert_array_equal(seg.ids, [0, 0, 1, 2, 2, 2])
 
     def test_pool_keeps_segments_apart(self):
         x = np.array([[1.0, 5.0], [3.0, 2.0], [0.0, -1.0]])
-        seg = nn.Segments.from_lengths([2, 1])
+        seg = nn.Segments([2, 1])
         np.testing.assert_array_equal(nn.segment_max_pool(x, seg), [[3.0, 5.0], [0.0, -1.0]])
 
     def test_backward_routes_to_first_winner_per_segment(self):
         # equal rows 1 and 2 sit on either side of the segment edge
         x = np.array([[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [0.0, 2.0]])
-        seg = nn.Segments.from_lengths([2, 2])
-        grad = nn.segment_max_pool_backward(x, seg, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        seg = nn.Segments([2, 2])
+        grad = nn.segment_max_pool_backward(
+            x, seg, np.array([[1.0, 2.0], [3.0, 4.0]]), nn.segment_max_pool(x, seg)
+        )
         np.testing.assert_array_equal(
             grad, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]]
         )
@@ -281,10 +283,9 @@ class TestSegments:
     @settings(max_examples=200, deadline=None)
     def test_pool_and_backward_match_per_segment_oracle(self, case):
         x, lengths, grad_out = case
-        seg = nn.Segments.from_lengths(lengths)
+        seg = nn.Segments(lengths)
         pooled, grad_x = per_segment_oracle(x, lengths, grad_out)
         assert np.array_equal(nn.segment_max_pool(x, seg), pooled)
-        assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out), grad_x)
         assert np.array_equal(nn.segment_max_pool_backward(x, seg, grad_out, pooled), grad_x)
 
     @given(
@@ -297,10 +298,10 @@ class TestSegments:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((sum(lengths), 3)).astype(dtype)
         grad_out = rng.standard_normal((len(lengths), 3)).astype(dtype)
-        seg = nn.Segments.from_lengths(lengths)
+        seg = nn.Segments(lengths)
         assume(all(np.unique(col).size == col.size for col in x.T))  # no value twice: no tie
         with first_winner_searches() as calls:
-            grad_x = nn.segment_max_pool_backward(x, seg, grad_out)
+            grad_x = nn.segment_max_pool_backward(x, seg, grad_out, nn.segment_max_pool(x, seg))
         assert calls == []
         assert grad_x.dtype == dtype
         assert np.array_equal(grad_x, per_segment_oracle(x, lengths, grad_out)[1])
@@ -309,7 +310,7 @@ class TestSegments:
     @settings(max_examples=100, deadline=None)
     def test_tied_rows_take_the_first_winner_path(self, case):
         x, lengths, grad_out = case
-        seg = nn.Segments.from_lengths(lengths)
+        seg = nn.Segments(lengths)
         pooled, expected = per_segment_oracle(x, lengths, grad_out)
         tied = np.count_nonzero(x == pooled[seg.ids]) > pooled.size
         with first_winner_searches() as calls:
@@ -324,7 +325,8 @@ class TestSegments:
     def test_result_has_the_input_precision(self, x):
         x = np.array(x, dtype=np.float32)
         grad_out = np.array([[1.0 + 2.0**-40, -3.0]])  # not a float32 number
-        grad_x = nn.segment_max_pool_backward(x, nn.Segments.from_lengths([2]), grad_out)
+        seg = nn.Segments([2])
+        grad_x = nn.segment_max_pool_backward(x, seg, grad_out, nn.segment_max_pool(x, seg))
         assert grad_x.dtype == np.float32
         assert np.array_equal(grad_x, per_segment_oracle(x, [2], grad_out)[1])
 
@@ -332,9 +334,9 @@ class TestSegments:
         # feature 0 has no winner (NaN) and feature 1 two, so the count of
         # winners alone would match one winner per maximum
         x = np.array([[np.nan, 2.0], [1.0, 2.0]])
-        seg, grad_out = nn.Segments.from_lengths([2]), np.array([[5.0, 7.0]])
+        seg, grad_out = nn.Segments([2]), np.array([[5.0, 7.0]])
         with first_winner_searches() as calls:
-            grad_x = nn.segment_max_pool_backward(x, seg, grad_out)
+            grad_x = nn.segment_max_pool_backward(x, seg, grad_out, nn.segment_max_pool(x, seg))
         assert len(calls) == 1
         np.testing.assert_array_equal(grad_x, [[5.0, 7.0], [0.0, 0.0]])
 
@@ -342,12 +344,12 @@ class TestSegments:
     @settings(max_examples=100, deadline=None)
     def test_context_layer_matches_masked_layer_per_segment(self, case, data):
         x, lengths, _ = case
-        seg = nn.Segments.from_lengths(lengths)
+        seg = nn.Segments(lengths)
         grad_out = data.draw(
             arrays(np.float64, (x.shape[0], 6), elements=st.integers(-3, 3).map(float))
         )
         out = nn.segment_context_layer(x, seg)
-        grad = nn.segment_context_layer_backward(x, seg, grad_out)
+        grad = nn.segment_context_layer_backward(x, seg, grad_out, nn.segment_max_pool(x, seg))
         start = 0
         for m in lengths:
             part = slice(start, start + m)

@@ -56,9 +56,7 @@ def empty(net):
     """An empty batch of the network's staged type, built around stage."""
     if isinstance(net, gridcnn.GridCnnModel):
         return gridcnn.GridStack(np.empty((0, 11, 11, 2), dtype=np.float32))
-    return reflectnet.Staged(
-        np.empty((0, 5), dtype=np.float32), nn.Segments.from_lengths([]), np.empty(0, np.intp)
-    )
+    return reflectnet.Staged(np.empty((0, 5), dtype=np.float32), nn.Segments([]))
 
 
 def other(net):
@@ -107,22 +105,34 @@ def test_only_the_networks_own_staged_type_gets_in(network, make, message):
         assert net.vector.tobytes() == before.tobytes(), path
 
 
-# (case id, a staged batch built by hand around stage, message naming its shapes)
+# (case id, a staged batch or its segments built by hand around stage, message
+# naming what is wrong)
 HAND_BUILT_CASES = [
     ("10x10-grid-stack", lambda: gridcnn.GridStack(np.ones((2, 10, 10, 2), np.float32)),
      r"a GridStack holds cells \(B, 11, 11, 2\), got \(2, 10, 10, 2\)"),
     ("one-grid-stack", lambda: gridcnn.GridStack(np.ones((11, 11, 2), np.float32)),
      r"a GridStack holds cells \(B, 11, 11, 2\), got \(11, 11, 2\)"),
     ("more-rows-than-segment-ids", lambda: reflectnet.Staged(
-        np.ones((3, 5), np.float32), nn.Segments.from_lengths([2]), np.array([2])),
-     r"Staged rows \(3, 5\), ids \(2,\), starts \(1,\) and lengths \(1,\) are not "
-     r"\(R, n\), \(R,\), \(B,\) and \(B,\)"),
-    ("1-d-rows", lambda: reflectnet.Staged(
-        np.ones(5, np.float32), nn.Segments.from_lengths([5]), np.array([5])),
-     r"Staged rows \(5,\), ids \(5,\)"),
-    ("more-starts-than-lengths", lambda: reflectnet.Staged(
-        np.ones((3, 5), np.float32), nn.Segments.from_lengths([1, 2]), np.array([3])),
-     r"starts \(2,\) and lengths \(1,\)"),
+        np.ones((3, 5), np.float32), nn.Segments([2])),
+     r"a Staged table over 2 segment rows holds rows \(2, 5\), got \(3, 5\)"),
+    ("fewer-rows-than-segment-ids", lambda: reflectnet.Staged(
+        np.ones((3, 5), np.float32), nn.Segments([7])),
+     r"a Staged table over 7 segment rows holds rows \(7, 5\), got \(3, 5\)"),
+    ("1-d-rows", lambda: reflectnet.Staged(np.ones(5, np.float32), nn.Segments([5])),
+     r"a Staged table over 5 segment rows holds rows \(5, 5\), got \(5,\)"),
+    ("4-columns", lambda: reflectnet.Staged(np.ones((3, 4), np.float32), nn.Segments([3])),
+     r"a Staged table over 3 segment rows holds rows \(3, 5\), got \(3, 4\)"),
+] + [
+    # the segment lengths of a ragged batch: a 1-D list of integers >= 1
+    (case, lambda lengths=lengths: nn.Segments(lengths),
+     r"segment lengths must be a 1-D list of integers >= 1, got array\(")
+    for case, lengths in [
+        ("zero-length-segment", [2, 0, 1]),
+        ("negative-segment-length", [4, -1]),
+        ("2-d-segment-lengths", [[1, 2]]),
+        ("float-segment-length", [1.5]),
+        ("bool-segment-length", [True]),
+    ]
 ]
 
 
@@ -236,9 +246,11 @@ CHECKERS = {
     ("model", "ReflectNetModel.stage"),
     ("gridcnn", "GridCnnModel.stage"),
     ("model", "_checked_rows"),
-    # the shapes of a staged type built by hand, checked at construction
+    # the shapes of a staged type built by hand, checked at construction,
+    # and the segment lengths of a ragged batch, the only way to build one
     ("model", "Staged.__post_init__"),
     ("gridcnn", "GridStack.__post_init__"),
+    ("nn", "Segments.__init__"),
     # the staged type, the index rule of a staged set, and the labels, at
     # the top of both predict_batch and loss_and_grads
     ("nn", "check_staged"),
