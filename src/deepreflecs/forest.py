@@ -5,9 +5,9 @@ resolution, reflection count, presence of a stationary reflection, mean
 azimuth/RCS/range, the summed object extent in object-frame x and y, and
 interval/variance/std of both range and radial velocity. Variances use
 the population (1/M) convention and std is the square root of the
-variance. extract_features computes them in one numpy pass per group of
-objects with the same reflection count, bit for bit as for each object
-alone.
+variance. extract_features computes them from the set's object_frame_table
+in one numpy pass per group of objects with the same reflection count, bit
+for bit as extract_handcrafted does from each object's reflection_table.
 
 Trees split on Gini impurity over a random sqrt-sized feature subset per
 node and grow to purity on bootstrap draws. fit_forest grows them in
@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Annotated, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Annotated, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import container, schema
-from .preprocess import CLASSES, ObjectSample, class_indices, reflection_table
+from .preprocess import CLASSES, ObjectSample, class_indices, object_frame_table, reflection_table
 
 MAGIC = b"FRST"
 
@@ -109,13 +109,13 @@ def extract_features(
 
     Rows come back in input order; (0, 13) for no samples.
     """
-    tables = [reflection_table(s) for s in samples]
-    groups: Dict[int, List[int]] = {}
-    for i, table in enumerate(tables):
-        groups.setdefault(len(table), []).append(i)
-    out = np.empty((len(tables), N_HANDCRAFTED))
-    for rows in groups.values():
-        out[rows] = _group_features(np.stack([tables[i] for i in rows]), config)
+    table, lengths = object_frame_table(samples)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    out = np.empty((len(lengths), N_HANDCRAFTED))
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if order.size else ():
+        rows = starts[group, None] + np.arange(lengths[group[0]])
+        out[group] = _group_features(table[rows], config)
     return out
 
 

@@ -171,7 +171,10 @@ class Segments:
     """
 
     def __init__(self, lengths):
-        given = np.asarray(lengths)
+        try:
+            given = np.asarray(lengths)
+        except ValueError:  # a ragged list: kept as objects, which the dtype check refuses
+            given = np.asarray(lengths, dtype=object)
         # only integers (and an empty list) are cast, so the dtype check refuses the rest
         lengths = given.astype(np.intp) if given.dtype.kind in "iu" or not given.size else given
         if lengths.ndim != 1 or lengths.dtype != np.intp or lengths.min(initial=1) < 1:

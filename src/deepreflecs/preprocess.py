@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -164,7 +164,8 @@ class PaddedInput:
 def flat_reflection_table(sample: ObjectSample) -> List[float]:
     """reflection_table's rows as one flat list of floats, six per reflection.
 
-    The package's one object-frame transform: subtract the object
+    The one-object transform (object_frame_table is a set's, and
+    tests/test_featurize.py holds the two bitwise equal): subtract the object
     position, then rotate by -heading so the object's heading axis becomes
     +x (length along +x, width along +y). One loop takes cos/sin once.
     """
@@ -187,16 +188,40 @@ def reflection_table(sample: ObjectSample) -> np.ndarray:
     return np.array(flat_reflection_table(sample), dtype=np.float64).reshape(-1, 6)
 
 
-def compute_norm_stats(samples: Iterable[ObjectSample]) -> NormStats:
-    """Per-feature mean/std over all real reflections of the given samples.
-
-    NormStats.of their rows. Compute this on the training split only and
-    reuse the result for validation and test.
+def object_frame_table(samples: Sequence[ObjectSample]) -> Tuple[np.ndarray, np.ndarray]:
+    """The samples' reflection_tables concatenated bitwise, one (R, 6) float64
+    table, and their row counts (intp). math takes each heading's cos/sin
+    once; numpy translates and rotates column by column in the one-object
+    loop's operand order. A reflection not of six values is a ValueError.
     """
-    rows = [reflection_table(s)[:, :N_FEATURES] for s in samples]
-    if not rows:
+    reflections = [sample.reflections for sample in samples]
+    lengths = np.fromiter(map(len, reflections), np.intp, len(reflections))
+    if set(map(len, chain.from_iterable(reflections))) - {6}:
+        i, n = next((i, len(r)) for i, rs in enumerate(reflections) for r in rs if len(r) != 6)
+        raise ValueError(f"sample {i} has a reflection of {n} values, not 6")
+    values = chain.from_iterable(chain.from_iterable(reflections))
+    table = np.fromiter(values, np.float64, 6 * int(lengths.sum())).reshape(-1, 6)
+    poses = [sample.pose for sample in samples]
+    headings = [pose.heading for pose in poses]
+    px, py, c, s = np.repeat([
+        [pose.x for pose in poses], [pose.y for pose in poses],
+        list(map(math.cos, headings)), list(map(math.sin, headings)),
+    ], lengths, axis=1)
+    dx, dy = table[:, 0] - px, table[:, 1] - py
+    table[:, 0], table[:, 1] = c * dx + s * dy, -s * dx + c * dy
+    return table, lengths
+
+
+def compute_norm_stats(samples: Sequence[ObjectSample]) -> NormStats:
+    """Per-feature mean/std over all real reflections of the given samples:
+    NormStats.of their object_frame_table's first five columns (a strided
+    view, which numpy sums row by row as it would a copy). Compute this on
+    the training split only and reuse the result for validation and test.
+    """
+    table, lengths = object_frame_table(samples)
+    if not lengths.size:
         raise DatasetError("cannot compute normalization stats from an empty set")
-    return NormStats.of(np.concatenate(rows, axis=0))
+    return NormStats.of(table[:, :N_FEATURES])
 
 
 _overflow_count = 0
@@ -229,6 +254,9 @@ def trackwise_split(
     Tracks are shuffled per class with the seed and assigned by cumulative
     track count nearest SPLIT_RATIOS.
     """
+    if not samples:
+        raise DatasetError("the dataset holds no samples: the file is empty, or every object "
+                           f"lies at or beyond the {DEFAULT_RANGE_CUTOFF} m range cutoff")
     by_class: Dict[str, List[str]] = {c: [] for c in CLASSES}
     samples_by_track: Dict[str, List[ObjectSample]] = {}
     for s in samples:

@@ -297,6 +297,21 @@ class TestErrorSurface:
         assert payload["error"] == "DatasetError" and "column 2" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--method", "forest", "--out", "out"],
+        ["benchmark", "--methods", "craftedforest", "--json", "out"],
+    ], ids=["train", "benchmark"])
+    def test_empty_dataset_is_named_as_empty(self, argv, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+        assert cli.main(argv + ["--data", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "DatasetError"
+        assert "holds no samples" in payload["message"]
+        assert "75.0 m range cutoff" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_dataset_line_number_in_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"broken": true}\n')

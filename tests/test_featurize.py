@@ -1,12 +1,15 @@
-"""The one-pass featurization against a per-reflection oracle, bit for bit.
+"""The featurization against a per-reflection oracle, bit for bit.
 
-`preprocess.reflection_table` builds every reflection row of an object in
-one loop; `prepare_input`, `compute_norm_stats` and
-the forest's handcrafted features all read it. The oracles below build the
-same values the per-reflection way, from `oracles.to_object_frame` and one
-numpy array per reflection or per column, and every output must match them in
-every bit: numpy's pairwise summation groups terms in blocks of 8 and 128,
-so a reduction over differently laid-out memory could round differently.
+Two paths build object-frame rows. `preprocess.flat_reflection_table`
+rotates one object's reflections in one Python loop (`reflection_table` is
+its array); `prepare_input`, `extract_handcrafted` and `rasterize` read it.
+`preprocess.object_frame_table` rotates a whole set in numpy, one column at
+a time; `compute_norm_stats` and `forest.extract_features` read it. The set
+table must be the concatenated object tables bit for bit. The oracles below build the same values the
+per-reflection way, from `oracles.to_object_frame` and one numpy array per
+reflection or per column, and every output must match them in every bit:
+numpy's pairwise summation groups terms in blocks of 8 and 128, so a
+reduction over differently laid-out memory could round differently.
 """
 
 import math
@@ -132,13 +135,13 @@ def test_desk_objects_match_the_oracle():
 
 
 @st.composite
-def shared_count_objects(draw):
+def shared_count_objects(draw, make=objects):
     """Up to 12 objects whose reflection counts come from a few shared values, shuffled."""
     counts = draw(st.lists(
         st.one_of(st.sampled_from((1, 8, 128, 129)), st.integers(1, 140)),
         min_size=1, max_size=3, unique=True,
     ))
-    samples = draw(st.lists(objects(st.sampled_from(counts)), min_size=1, max_size=12))
+    samples = draw(st.lists(make(st.sampled_from(counts)), min_size=1, max_size=12))
     return draw(st.permutations(samples))
 
 
@@ -230,3 +233,89 @@ def test_feature_config_reaches_the_features(config):
         forest.extract_features(samples, config),
         np.stack([oracle_handcrafted(s, config) for s in samples]),
     )
+
+
+def assert_set_table_is_the_object_tables(samples):
+    table, lengths = preprocess.object_frame_table(samples)
+    assert_same_bits(table, np.concatenate([preprocess.reflection_table(s) for s in samples]))
+    assert_same_bits(lengths, np.array([len(s.reflections) for s in samples], dtype=np.intp))
+    # the per-object definition of the norm stats
+    rows = np.concatenate([preprocess.reflection_table(s)[:, :preprocess.N_FEATURES]
+                           for s in samples])
+    expected = preprocess.NormStats.of(rows)
+    stats = preprocess.compute_norm_stats(samples)
+    assert_same_bits(stats.mean, expected.mean)
+    assert_same_bits(stats.std, expected.std)
+
+
+def test_desk_set_table_is_the_object_tables():
+    assert_set_table_is_the_object_tables(desk_samples())
+
+
+# headings at and past +-pi, signed zeros and large magnitudes
+HEADINGS = st.one_of(
+    st.sampled_from((math.pi, -math.pi, 0.0, -0.0, math.pi / 2, 1e9)),
+    st.floats(-1e9, 1e9),
+)
+POSITIONS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e8, 1e8))
+
+
+@st.composite
+def frame_objects(draw, counts):
+    m = draw(counts)
+    px, py = draw(st.tuples(POSITIONS, POSITIONS))
+    # one scale per column [x, y, rcs, range, vr, azimuth], from 1e-3 to 1e8
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 8.0), min_size=6, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(m, 6)) * scales
+    values[:, 0] += px
+    values[:, 1] += py
+    values[:, 3] = np.abs(values[:, 3])
+    values[rng.random((m, 6)) < 0.1] = -0.0
+    return ObjectSample(
+        track_id="t0",
+        class_label="car",
+        pose=ObjectPose(px, py, draw(HEADINGS)),
+        reflections=preprocess.reflection_list(values.tolist()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_count_objects(frame_objects))
+def test_set_table_is_the_object_tables(samples):
+    assert_set_table_is_the_object_tables(samples)
+
+
+def test_no_samples_give_an_empty_set_table():
+    table, lengths = preprocess.object_frame_table([])
+    assert table.shape == (0, 6) and table.dtype == np.float64
+    assert lengths.shape == (0,) and lengths.dtype == np.intp
+
+
+def test_a_five_value_reflection_is_refused_by_name():
+    sample = ObjectSample(
+        track_id="t0",
+        class_label="car",
+        pose=ObjectPose(0.0, 0.0, 0.0),
+        reflections=preprocess.reflection_list([(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                                                (1.0, 2.0, 3.0, 4.0, 5.0)]),
+    )
+    good = desk_samples()[:2]
+    for featurize in (preprocess.object_frame_table, preprocess.compute_norm_stats,
+                      forest.extract_features):
+        with pytest.raises(ValueError, match="sample 2 has a reflection of 5 values, not 6"):
+            featurize(good + [sample])
+
+
+def test_set_featurizers_build_no_per_object_table(monkeypatch):
+    samples = desk_samples()
+    calls = []
+    for module, name in [(preprocess, "reflection_table"), (preprocess, "flat_reflection_table"),
+                         (forest, "reflection_table")]:
+        def counted(sample, call=getattr(module, name)):
+            calls.append(sample)
+            return call(sample)
+        monkeypatch.setattr(module, name, counted)
+    forest.extract_features(samples)
+    preprocess.compute_norm_stats(samples)
+    assert calls == []

@@ -130,6 +130,7 @@ HAND_BUILT_CASES = [
         ("zero-length-segment", [2, 0, 1]),
         ("negative-segment-length", [4, -1]),
         ("2-d-segment-lengths", [[1, 2]]),
+        ("ragged-segment-lengths", [[1], [1, 2]]),
         ("float-segment-length", [1.5]),
         ("bool-segment-length", [True]),
     ]

@@ -271,6 +271,10 @@ class TestTrackwiseSplit:
         with pytest.raises(DatasetError, match="cyclist"):
             preprocess.trackwise_split(samples)
 
+    def test_no_samples_is_named_as_an_empty_dataset(self):
+        with pytest.raises(DatasetError, match="holds no samples.*range cutoff"):
+            preprocess.trackwise_split([])
+
     def test_three_tracks_per_class_names_empty_validation_split(self):
         # 3 tracks round to 2/0/1, which would leave nothing to validate on
         samples = build_tracked_dataset(3)
