@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,10 +88,10 @@ class MethodResult:
     metrics: MetricsReport
     complexity: Dict[str, int]          # parameter or node counts
     inference_time_s: Optional[float]   # median single-object predict; None if untimed
-    extra: dict = field(default_factory=dict)
+    best_epoch: Optional[int] = None    # of a trained network; None for the forest
 
     def to_json_dict(self) -> dict:
-        """Its report entry: complexity and metrics, leaving extra to the report."""
+        """Its report entry: complexity and metrics, leaving best_epoch to the report."""
         return {**self.complexity, **self.metrics.to_json_dict()}
 
 
@@ -107,7 +107,6 @@ class Method:
     train: Callable
     featurize: Callable          # (model, samples) -> inputs for predict_batch
     predict_batch: Callable      # (model, inputs) -> predicted class indices
-    n_classes: Callable          # model -> class count
     complexity: Callable         # model -> {"param_count" or "node_count": n}
     serialize: Callable
     deserialize: Callable
@@ -157,7 +156,6 @@ TABLE = (  # in benchmark report order
         name="deepreflecs", key="deepreflecs", magic=reflectnet.MAGIC,
         model_config=reflectnet.ReflectNetConfig,
         train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
-        n_classes=lambda net: net.config.n_classes,
         complexity=lambda net: {"param_count": net.vector.size},
         serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
     ),
@@ -166,14 +164,12 @@ TABLE = (  # in benchmark report order
         train=_forest_trained,
         featurize=lambda fitted, samples: forest.extract_features(samples, fitted.feature_config),
         predict_batch=lambda fitted, features: fitted.predict_batch(features),
-        n_classes=lambda fitted: fitted.n_classes,
         complexity=lambda fitted: {"node_count": forest.count_nodes(fitted)},
         serialize=forest.serialize, deserialize=forest.deserialize,
     ),
     Method(
         name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_config=None,
         train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
-        n_classes=lambda net: gridcnn.N_CLASSES,
         complexity=lambda net: {"param_count": net.vector.size},
         serialize=gridcnn.serialize, deserialize=gridcnn.deserialize,
     ),
@@ -193,24 +189,20 @@ def method_for(blob: bytes) -> Method:
 
 def evaluate_model(method: Method, model, samples) -> Tuple[MetricsReport, Sequence]:
     """Metrics of a model on samples, plus the featurized inputs it predicted."""
-    n_classes = method.n_classes(model)
-    if n_classes != len(preprocess.CLASSES):  # a forest file may declare any count
-        raise container.ContainerError(
-            f"the model predicts {n_classes} classes, not the dataset's {list(preprocess.CLASSES)}"
-        )
     if len(samples) == 0:
-        raise preprocess.DatasetError("no samples to evaluate")
+        raise preprocess.DatasetError(preprocess.NO_SAMPLES)
     inputs = method.featurize(model, samples)
     predictions = method.predict_batch(model, inputs)
-    return MetricsReport.from_predictions(_labels(samples), predictions, n_classes), inputs
+    report = MetricsReport.from_predictions(_labels(samples), predictions, len(preprocess.CLASSES))
+    return report, inputs
 
 
 def _train_and_test(method: Method, splits, config, model_config, timed) -> MethodResult:
     model, report = method.train(splits, config, model_config)
     metrics, inputs = evaluate_model(method, model, splits[2])
-    extra = {} if report is None else {"best_epoch": report.best_epoch}
     took = _median_predict_time(model.predict, inputs) if timed else None
-    return MethodResult(metrics, method.complexity(model), took, extra)
+    best_epoch = None if report is None else report.best_epoch
+    return MethodResult(metrics, method.complexity(model), took, best_epoch)
 
 
 @dataclass
@@ -224,14 +216,16 @@ class Report:
 
     def benchmark_json(self) -> dict:
         """The canonical benchmark report; it leaves out timing, see timing_dict."""
+        methods = {}
+        for name, result in self.results.items():
+            methods[name] = result.to_json_dict()
+            if result.best_epoch is not None:
+                methods[name]["best_epoch"] = result.best_epoch
         return {
             "seed": self.seed,
             "dataset_sha256": self.dataset_sha256,
             "split_sizes": dict(self.split_sizes),
-            "methods": {
-                name: {**result.to_json_dict(), **result.extra}
-                for name, result in self.results.items()
-            },
+            "methods": methods,
         }
 
     def ablation_json(self) -> dict:

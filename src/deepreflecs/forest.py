@@ -21,6 +21,10 @@ predict_batch walks blocks of samples through all trees at once, one
 depth level per step; predict walks one sample through a table of each
 node's next row. Both take a majority vote of per-tree leaf-majority
 classes, ties broken toward the lowest class index.
+
+Every forest votes over the N_CLASSES classes of preprocess.CLASSES: its
+node table holds N_CLASSES counts per node, and a model file that declares
+another n_classes is a ContainerError at load.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ FEATURE_NAMES = (
     "vr_std",
 )
 N_HANDCRAFTED = len(FEATURE_NAMES)
+N_CLASSES = len(CLASSES)
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class Tree:
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32
     right: np.ndarray      # int32
-    counts: np.ndarray     # (n_nodes, n_classes)
+    counts: np.ndarray     # (n_nodes, classes)
 
     def predict_one(self, x: np.ndarray) -> int:
         node = 0
@@ -157,10 +162,9 @@ class ForestModel:
     threshold: np.ndarray  # float64
     left: np.ndarray       # int32, an absolute row
     right: np.ndarray      # int32, an absolute row
-    counts: np.ndarray     # (n_nodes, n_classes) int32 (int64 in older files)
+    counts: np.ndarray     # (n_nodes, N_CLASSES) int32 (int64 in older files)
     n_oob: Tuple[int, ...]  # out-of-bag sample count of each tree
     feature_config: FeatureConfig
-    n_classes: int
     seed: int
     depth: int             # steps from a root to the deepest leaf, from a checked table
 
@@ -189,7 +193,7 @@ class ForestModel:
             for _ in range(self.depth):
                 node = np.maximum(node, step.take(node))
         votes = self.counts.take(node, axis=0).argmax(axis=1)
-        return int(np.bincount(votes, minlength=self.n_classes).argmax())
+        return int(np.bincount(votes, minlength=N_CLASSES).argmax())
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         """Majority vote of the trees' leaf-majority classes, ties to the lowest class.
@@ -198,7 +202,7 @@ class ForestModel:
         step; a walk that reaches a leaf stays there and drops out.
         """
         features = self._table(features)
-        n_trees, n_classes = self.roots.size, self.n_classes
+        n_trees = self.roots.size
         leaf_class = self.counts.argmax(axis=1)  # ties -> lowest class index
         out = np.empty(len(features), dtype=np.int64)
         for start in range(0, len(features), BLOCK):
@@ -212,8 +216,8 @@ class ForestModel:
                 walking, at, feature = walking[internal], at[internal], feature[internal]
                 goes_left = x[walking // n_trees, feature] < self.threshold.take(at)  # NaN: right
                 node[walking] = np.where(goes_left, self.left.take(at), self.right.take(at))
-            votes = leaf_class.take(node) + np.arange(node.size) // n_trees * n_classes
-            tally = np.bincount(votes, minlength=len(x) * n_classes).reshape(len(x), n_classes)
+            votes = leaf_class.take(node) + np.arange(node.size) // n_trees * N_CLASSES
+            tally = np.bincount(votes, minlength=len(x) * N_CLASSES).reshape(len(x), N_CLASSES)
             out[start : start + len(x)] = tally.argmax(axis=1)
         return out
 
@@ -221,14 +225,12 @@ class ForestModel:
 FIT_ELEMENTS = 1 << 15  # (tree, row, feature) elements grown in lockstep; bounds a block's trees
 
 
-def _check_fit_inputs(
-    features, labels, n_trees: int, n_classes: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _check_fit_inputs(features, labels, n_trees: int) -> Tuple[np.ndarray, np.ndarray]:
     """The float64 table and int64 labels fit_forest grows on; ValueError naming what is wrong."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] == 0:
         raise ValueError(f"features must be a (rows, columns) table, got shape {features.shape}")
-    labels = class_indices(labels, n_classes, "labels")
+    labels = class_indices(labels, N_CLASSES, "labels")
     if labels.shape != (len(features),):
         raise ValueError(f"labels have shape {labels.shape} for {len(features)} feature rows")
     if len(features) == 0:
@@ -261,7 +263,7 @@ def _sort_columns(features: np.ndarray) -> _Columns:
 
 def _split_nodes(
     columns: _Columns, labels: np.ndarray, members: np.ndarray, start: np.ndarray,
-    size: np.ndarray, chosen: np.ndarray, n_classes: int,
+    size: np.ndarray, chosen: np.ndarray,
 ) -> Tuple[np.ndarray, ...]:
     """The best Gini split of every node, each scored on its own candidate features.
 
@@ -296,8 +298,8 @@ def _split_nodes(
     del change
     cut_seg = np.searchsorted(seg_end, cut, side="right")
     at_start = seg_start.take(cut_seg)
-    before = np.zeros((n_classes, rows.size + 1), dtype=np.int32)  # class counts before each row
-    np.equal(labels.take(rows), np.arange(n_classes)[:, None], out=before[:, 1:], casting="unsafe")
+    before = np.zeros((N_CLASSES, rows.size + 1), dtype=np.int32)  # class counts before each row
+    np.equal(labels.take(rows), np.arange(N_CLASSES)[:, None], out=before[:, 1:], casting="unsafe")
     np.cumsum(before, axis=1, out=before)
     total = before.take(seg_end, axis=1) - before.take(seg_start, axis=1)
     left = before.take(cut + 1, axis=1) - before.take(at_start, axis=1)
@@ -334,8 +336,8 @@ def _split_nodes(
 
 
 def _grow_block(
-    columns: _Columns, labels: np.ndarray, tree_ids: range, seed: int, n_classes: int,
-    n_candidates: int, first_row: int,
+    columns: _Columns, labels: np.ndarray, tree_ids: range, seed: int, n_candidates: int,
+    first_row: int,
 ) -> Tuple[np.ndarray, ...]:
     """Trees tree_ids grown in lockstep: each step splits the next depth-first node of every tree.
 
@@ -356,7 +358,7 @@ def _grow_block(
         bootstrap = rng.integers(0, n, size=n)
         members[b * n : (b + 1) * n] = bootstrap
         n_oob.append(int(n - np.count_nonzero(np.bincount(bootstrap, minlength=n))))
-        root_counts.append(np.bincount(labels[bootstrap], minlength=n_classes))
+        root_counts.append(np.bincount(labels[bootstrap], minlength=N_CLASSES))
         stacks.append([(0, b * n, n)] if np.count_nonzero(root_counts[-1]) > 1 else [])
     n_nodes = [1] * n_trees
     splits = []  # per step: (tree, node, feature, threshold, left child)
@@ -367,7 +369,7 @@ def _grow_block(
         ], axis=1)
         tree, node, start, size = (np.array(column) for column in zip(*popped))
         split, feature, threshold, n_left, left_counts, right_counts = _split_nodes(
-            columns, labels, members, start, size, chosen, n_classes
+            columns, labels, members, start, size, chosen
         )
         left = []
         for i, taken, left_impure, right_impure in zip(
@@ -385,12 +387,12 @@ def _grow_block(
         left = np.array(left, dtype=np.int64)
         splits.append((tree[split], node[split], feature, threshold, left))
         children.append((np.repeat(tree[split], 2), np.stack([left, left + 1], axis=1).ravel(),
-                         np.stack([left_counts, right_counts], axis=1).reshape(-1, n_classes)))
+                         np.stack([left_counts, right_counts], axis=1).reshape(-1, N_CLASSES)))
     offset = np.cumsum(n_nodes) - n_nodes  # tree b's nodes at [offset[b], offset[b] + n_nodes[b])
     feature = np.full(offset[-1] + n_nodes[-1], -1, dtype=np.int32)
     threshold = np.zeros(feature.size)
     left, right = np.full((2, feature.size), -1, dtype=np.int32)
-    counts = np.zeros((feature.size, n_classes), dtype=np.int32)  # none exceeds the rows
+    counts = np.zeros((feature.size, N_CLASSES), dtype=np.int32)  # none exceeds the rows
     counts[offset] = root_counts
     for b, at, feature_at, threshold_at, left_at in splits:
         row, child = offset[b] + at, first_row + offset[b] + left_at  # child: a forest row
@@ -403,8 +405,7 @@ def _grow_block(
 
 
 def fit_forest(
-    features: np.ndarray, labels: np.ndarray, n_trees: int = 100, seed: int = 0,
-    n_classes: int = len(CLASSES),
+    features: np.ndarray, labels: np.ndarray, n_trees: int = 100, seed: int = 0
 ) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown to purity; deterministic per seed.
 
@@ -412,8 +413,8 @@ def fit_forest(
     one, the trees of a block in lockstep. Each block writes its rows of
     the forest's node table; the block tables are joined once at the end.
     """
-    features, labels = _check_fit_inputs(features, labels, n_trees, n_classes)
-    if np.count_nonzero(np.bincount(labels, minlength=n_classes)) < 2:
+    features, labels = _check_fit_inputs(features, labels, n_trees)
+    if np.count_nonzero(np.bincount(labels, minlength=N_CLASSES)) < 2:
         warnings.warn(
             "training data has a single class; the forest will always predict it", stacklevel=2
         )
@@ -423,11 +424,11 @@ def fit_forest(
     blocks, n_rows = [], 0
     for first in range(0, n_trees, per_block):
         block = range(first, min(first + per_block, n_trees))
-        blocks.append(_grow_block(columns, labels, block, seed, n_classes, n_candidates, n_rows))
+        blocks.append(_grow_block(columns, labels, block, seed, n_candidates, n_rows))
         n_rows += blocks[-1][1].size
     roots, feature, threshold, left, right, counts, n_oob = map(np.concatenate, zip(*blocks))
     return ForestModel(roots, feature, threshold, left, right, counts, tuple(n_oob.tolist()),
-                       FeatureConfig(), n_classes, seed, _depth(roots, feature, left, right))
+                       FeatureConfig(), seed, _depth(roots, feature, left, right))
 
 
 def _depth(roots, feature, left, right) -> int:
@@ -446,11 +447,11 @@ def count_nodes(forest: ForestModel) -> int:
 
 @dataclass(frozen=True)
 class FileConfig:
-    """The config block of a forest model file."""
+    """The config block of a forest model file; n_classes is always N_CLASSES."""
 
     velocity_resolution: float
     stationary_threshold: float
-    n_classes: Annotated[int, schema.Range(1)]
+    n_classes: Annotated[int, schema.Range(N_CLASSES, N_CLASSES)]
     n_trees: Annotated[int, schema.Range(1)]
     seed: Annotated[int, schema.Range(0)]
     # out-of-bag sample count of each tree; empty reads as zeros
@@ -465,7 +466,7 @@ class FileConfig:
 def serialize(forest: ForestModel) -> bytes:
     config = FileConfig(
         forest.feature_config.velocity_resolution, forest.feature_config.stationary_threshold,
-        forest.n_classes, forest.roots.size, forest.seed, forest.n_oob,
+        N_CLASSES, forest.roots.size, forest.seed, forest.n_oob,
     )
     arrays = [(name, getattr(forest, name)) for name in _TABLE]
     return container.write_container(MAGIC, asdict(config), None, arrays)
@@ -504,12 +505,12 @@ def deserialize(data: bytes) -> ForestModel:
     parsed = container.read_container(data, MAGIC)
     cfg = schema.build(FileConfig, parsed.config, "forest config", error=container.ContainerError)
     n = np.size(parsed.arrays.get("feature", []))
-    specs = [(cfg.n_trees,), (n,), (n,), (n,), (n,), (n, cfg.n_classes)]
+    specs = [(cfg.n_trees,), (n,), (n,), (n,), (n,), (n, N_CLASSES)]
     container.check_contents(parsed, dict(zip(_TABLE, zip(specs, "iifiii"))), n_stats=0)
     roots, feature, threshold, left, right, counts = (parsed.arrays[name] for name in _TABLE)
     _check_nodes(roots, feature, left, right)
     return ForestModel(
         roots, feature, threshold, left, right, counts, cfg.oob or (0,) * cfg.n_trees,
-        FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold), cfg.n_classes, cfg.seed,
+        FeatureConfig(cfg.velocity_resolution, cfg.stationary_threshold), cfg.seed,
         _depth(roots, feature, left, right),
     )

@@ -5,8 +5,10 @@ object's coordinate frame (cells indexed [y, x]): channel 0 accumulates
 the RCS sum per cell, channel 1 the mean radial velocity of the
 reflections in the cell (0 where empty). The classifier is three
 same-padded 3x3 convolutions (16, 32, 64 channels, ReLU), one 2x2 max
-pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout on the two
-hidden dense layers during training. 232,628 learnable parameters.
+pool, and dense layers 1600 -> 128 -> 32 -> 4 with dropout (rate DROPOUT,
+0.5) on the two hidden dense layers during training. 232,628 learnable
+parameters. A model file records the dropout rate and the class count,
+and one that declares another value of either is a ContainerError at load.
 
 A batch is a GridStack of normalized grids (B, 11, 11, 2), made and
 checked by GridCnnModel.stage; predict_batch, loss_and_grads (which
@@ -49,6 +51,7 @@ CONV_CHANNELS = (16, 32, 64)
 DENSE_WIDTHS = (128, 32)
 FLAT_SIZE = 5 * 5 * CONV_CHANNELS[-1]  # 11 same-padded -> 2x2 pool (floor) -> 5x5
 N_CLASSES = len(CLASSES)
+DROPOUT = 0.5  # of each hidden dense unit, during training
 
 # weight shape of each layer, in initialization order; conv kernels are 3x3
 _WEIGHT_SHAPES = {
@@ -134,7 +137,6 @@ class GridCnnModel(nn.Network):
     dense2: nn.LinearParams
     head: nn.LinearParams
     norm_stats: NormStats  # per channel: RCS sum, mean vr
-    dropout: float = 0.5
 
     # With ~12k convolutional pre-activations the least distance to a ReLU
     # kink is small by sheer count, so a gradient-check grid is only
@@ -195,7 +197,7 @@ class GridCnnModel(nn.Network):
 
 
 def build_gridcnn(seed: int = 0) -> GridCnnModel:
-    """Seeded float32 init with dropout 0.5; deterministic for a given seed."""
+    """Seeded float32 init; deterministic for a given seed."""
     return GridCnnModel(
         **nn.init_layers(_WEIGHT_SHAPES, seed), norm_stats=NormStats.identity(2)
     )
@@ -416,8 +418,8 @@ def loss_and_grads(
     product over the batch's rows.
     """
     nn.check_staged(batch, GridStack, model.vector.dtype)
-    labels = nn.batch_labels(labels, len(batch), N_CLASSES)
-    n, dtype, keep = len(batch), model.vector.dtype, 1.0 - model.dropout
+    labels = nn.batch_labels(labels, len(batch))
+    n, dtype, keep = len(batch), model.vector.dtype, 1.0 - DROPOUT
     drops = None
     if rng is not None:  # 1 / keep with probability keep, else 0
         drops = (rng.random((n, sum(DENSE_WIDTHS))) < keep).astype(dtype) / keep
@@ -482,7 +484,7 @@ def set_channel_stats(model: GridCnnModel, grids: Sequence[Grid]) -> None:
 class FileConfig:
     """The config block of a grid-CNN model file."""
 
-    dropout: Annotated[float, schema.Range(0, 1, high_open=True)]
+    dropout: Annotated[float, schema.Range(DROPOUT, DROPOUT)]
     n_classes: Annotated[int, schema.Range(N_CLASSES, N_CLASSES)]
 
     def __post_init__(self):
@@ -490,11 +492,11 @@ class FileConfig:
 
 
 def serialize(model: GridCnnModel) -> bytes:
-    return nn.write_network(model, MAGIC, asdict(FileConfig(model.dropout, N_CLASSES)))
+    return nn.write_network(model, MAGIC, asdict(FileConfig(DROPOUT, N_CLASSES)))
 
 
 def deserialize(data: bytes) -> GridCnnModel:
-    cfg, layers, stats = nn.read_network(
+    _, layers, stats = nn.read_network(
         data, MAGIC, FileConfig, "grid-CNN config", lambda _: _WEIGHT_SHAPES
     )
-    return GridCnnModel(**layers, norm_stats=stats, dropout=cfg.dropout)
+    return GridCnnModel(**layers, norm_stats=stats)

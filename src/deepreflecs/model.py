@@ -207,7 +207,7 @@ def loss_and_grads(
 ) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy over a staged batch and its gradient, laid out like model.vector."""
     nn.check_staged(batch, Staged, model.vector.dtype)
-    labels = nn.batch_labels(labels, len(batch), model.config.n_classes)
+    labels = nn.batch_labels(labels, len(batch))
     segments = batch.segments
     probs, cache = forward_rows(model, batch.rows, segments, keep_cache=True)
     scale = 1.0 / len(batch)  # check_staged refuses an empty batch

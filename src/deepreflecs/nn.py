@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import container, schema
-from .preprocess import NormStats, class_indices
+from .preprocess import CLASSES, NormStats, class_indices
 
 CROSS_ENTROPY_EPS = 1e-12
 # logit-gradient entries below this are zeroed: in float32 they would be
@@ -356,9 +356,9 @@ def batch_index(indices, size: int) -> np.ndarray:
     return index.astype(np.intp, copy=False)
 
 
-def batch_labels(labels, batch_size: int, n_classes: int) -> np.ndarray:
+def batch_labels(labels, batch_size: int) -> np.ndarray:
     """class_indices of a batch's labels; a count other than batch_size is a ShapeError."""
-    labels = class_indices(labels, n_classes, "labels")
+    labels = class_indices(labels, len(CLASSES), "labels")
     if labels.size != batch_size:
         raise ShapeError(f"{labels.size} labels for a batch of size {batch_size}")
     return labels

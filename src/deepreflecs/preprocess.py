@@ -13,7 +13,8 @@ network feature. prepare_input is the one step from a sample to a network
 input, and class_indices the one label rule of every method.
 
 Also provides the track-wise train/val/test split and JSON-lines dataset
-I/O.
+I/O. read_dataset drops every object at or beyond RANGE_CUTOFF from the
+sensor, so every command sees only objects within it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ CLASSES = ("car", "pedestrian", "cyclist", "non_obstacle")
 CLASS_TO_INDEX = {name: i for i, name in enumerate(CLASSES)}
 N_FEATURES = 5
 STD_FLOOR = 1e-6
-DEFAULT_RANGE_CUTOFF = 75.0
+RANGE_CUTOFF = 75.0  # meters; read_dataset drops objects at or beyond it
+NO_SAMPLES = ("the dataset holds no samples: the file is empty, or every object lies at or "
+              f"beyond the {RANGE_CUTOFF} m range cutoff")
 # train/validation/test shares of each class's tracks
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
@@ -255,8 +258,7 @@ def trackwise_split(
     track count nearest SPLIT_RATIOS.
     """
     if not samples:
-        raise DatasetError("the dataset holds no samples: the file is empty, or every object "
-                           f"lies at or beyond the {DEFAULT_RANGE_CUTOFF} m range cutoff")
+        raise DatasetError(NO_SAMPLES)
     by_class: Dict[str, List[str]] = {c: [] for c in CLASSES}
     samples_by_track: Dict[str, List[ObjectSample]] = {}
     for s in samples:
@@ -377,14 +379,11 @@ def write_dataset(samples: Iterable[ObjectSample], path: str) -> None:
             fh.write("\n")
 
 
-def read_dataset(
-    path: str, range_cutoff: float | None = DEFAULT_RANGE_CUTOFF
-) -> List[ObjectSample]:
+def read_dataset(path: str) -> List[ObjectSample]:
     """Read a JSON-lines dataset, validating every line.
 
-    Samples whose object range is at or beyond range_cutoff are dropped
-    (pass None to keep everything). Parse problems raise DatasetError
-    with the offending line number.
+    Samples whose object range is at or beyond RANGE_CUTOFF are dropped.
+    Parse problems raise DatasetError with the offending line number.
     """
     samples: List[ObjectSample] = []
     with open(path, "rb") as fh:
@@ -397,8 +396,6 @@ def read_dataset(
             except (ValueError, RecursionError) as exc:  # bad UTF-8, a huge integer, deep nesting
                 raise DatasetError(f"invalid JSON: {exc}", lineno) from exc
             sample = _record_to_sample(record, lineno)
-            if range_cutoff is not None:
-                if math.hypot(sample.pose.x, sample.pose.y) >= range_cutoff:
-                    continue
-            samples.append(sample)
+            if math.hypot(sample.pose.x, sample.pose.y) < RANGE_CUTOFF:
+                samples.append(sample)
     return samples

@@ -229,7 +229,7 @@ def grow_tree(features, labels, n_classes, rng, n_candidates):
     )
 
 
-def fit_forest(features, labels, n_trees=100, seed=0, n_classes=len(CLASSES)):
+def fit_forest(features, labels, n_trees=100, seed=0):
     """The forest forest.fit_forest must give bit for bit, one tree and one node at a time."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -239,10 +239,12 @@ def fit_forest(features, labels, n_trees=100, seed=0, n_classes=len(CLASSES)):
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         bootstrap = rng.integers(0, n, size=n)
-        tree = grow_tree(features[bootstrap], labels[bootstrap], n_classes, rng, n_candidates)
+        tree = grow_tree(
+            features[bootstrap], labels[bootstrap], forest.N_CLASSES, rng, n_candidates
+        )
         trees.append(tree)
         n_oob.append(int(n - np.unique(bootstrap).size))
-    return stack_trees(trees, n_classes, seed, n_oob)
+    return stack_trees(trees, seed, n_oob)
 
 
 def tree_depth(tree):
@@ -253,12 +255,13 @@ def tree_depth(tree):
     return int(depth.max())
 
 
-def stack_trees(trees, n_classes, seed, n_oob=None):
+def stack_trees(trees, seed, n_oob=None):
     """The forest of these trees, their node arrays stacked into one table.
 
     Each tree's child rows shift by the row its root lands on, and a
-    leaf keeps -1. Counts are stored as int32, as fit_forest stores them;
-    n_oob defaults to zeros.
+    leaf keeps -1. Counts are stored as int32 and widened with zero
+    columns to forest.N_CLASSES, as fit_forest stores them; a trailing
+    zero column changes no node's majority class. n_oob defaults to zeros.
     """
     sizes = [tree.feature.size for tree in trees]
     roots = np.cumsum([0] + sizes[:-1]).astype(np.int32)
@@ -267,9 +270,11 @@ def stack_trees(trees, n_classes, seed, n_oob=None):
         for name in ("feature", "threshold", "left", "right", "counts")
     )
     shift = np.where(feature >= 0, np.repeat(roots, sizes), 0)
+    wide = np.zeros((len(counts), forest.N_CLASSES), dtype=np.int32)
+    wide[:, : counts.shape[1]] = counts
     return forest.ForestModel(
-        roots, feature, threshold, left + shift, right + shift, counts.astype(np.int32),
-        tuple(n_oob or [0] * len(trees)), forest.FeatureConfig(), n_classes, seed,
+        roots, feature, threshold, left + shift, right + shift, wide,
+        tuple(n_oob or [0] * len(trees)), forest.FeatureConfig(), seed,
         max(tree_depth(tree) for tree in trees),
     )
 
@@ -331,8 +336,8 @@ def reflectnet_loss_and_grads(net, batch, labels):
 
 def gridcnn_dropout(net, rng, n):
     """The (n, 160) dropout multipliers gridcnn.loss_and_grads draws from rng for n grids:
-    per grid 1 / keep for each of rng.random's draws below keep = 1 - dropout, else 0."""
-    keep = 1.0 - net.dropout
+    per grid 1 / keep for each of rng.random's draws below keep = 1 - DROPOUT, else 0."""
+    keep = 1.0 - gridcnn.DROPOUT
     draws = rng.random((n, sum(gridcnn.DENSE_WIDTHS)))
     return (draws < keep).astype(net.vector.dtype) / keep
 

@@ -337,7 +337,7 @@ def test_criterion_10_round_trips(tmp_path):
     dataset = datagen.generate_dataset(spec)
     path = tmp_path / "roundtrip.jsonl"
     preprocess.write_dataset(dataset, str(path))
-    assert preprocess.read_dataset(str(path), range_cutoff=None) == dataset
+    assert preprocess.read_dataset(str(path)) == dataset
     report(
         "criterion 10: round trips",
         f"model bitwise, dataset equal ({time.perf_counter() - start:.1f}s)",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deepreflecs
-from deepreflecs import cli, datagen, preprocess
+from deepreflecs import cli, datagen, forest, preprocess
 
 TINY_TRAIN = {"train": {"epochs": 2, "steps_per_epoch": 4, "batch_size": 8}}
 
@@ -300,11 +300,14 @@ class TestErrorSurface:
     @pytest.mark.parametrize("argv", [
         ["train", "--method", "forest", "--out", "out"],
         ["benchmark", "--methods", "craftedforest", "--json", "out"],
-    ], ids=["train", "benchmark"])
+        ["eval", "--model", "model"],
+    ], ids=["train", "benchmark", "eval"])
     def test_empty_dataset_is_named_as_empty(self, argv, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+        fitted = forest.fit_forest(np.eye(4), [0, 1, 2, 3], n_trees=2)
+        (tmp_path / "model").write_bytes(forest.serialize(fitted))
+        argv = [str(tmp_path / a) if a in ("out", "model") else a for a in argv]
         assert cli.main(argv + ["--data", str(path)]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "DatasetError"

@@ -96,14 +96,14 @@ class TestForestFit:
         assert any(
             (x[:, 0] < t).tolist() == [True, False] for t in thresholds
         )
-        fitted = forest.fit_forest(x, y, n_trees=25, seed=0, n_classes=2)
+        fitted = forest.fit_forest(x, y, n_trees=25, seed=0)
         np.testing.assert_array_equal(fitted.predict_batch(x), y)
 
     def test_single_class_degenerate_forest_warns(self):
         x = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.zeros(10, dtype=int)
         with pytest.warns(UserWarning, match="single class"):
-            fitted = forest.fit_forest(x, y, n_trees=5, seed=0, n_classes=4)
+            fitted = forest.fit_forest(x, y, n_trees=5, seed=0)
         assert set(fitted.predict_batch(x)) == {0}
 
     def test_deterministic_per_seed(self):
@@ -122,7 +122,7 @@ class TestForestFit:
         n = 2000
         x = rng.normal(size=(n, 3))
         y = rng.integers(0, 2, size=n)
-        fitted = forest.fit_forest(x, y, n_trees=30, seed=1, n_classes=2)
+        fitted = forest.fit_forest(x, y, n_trees=30, seed=1)
         fractions = [n_oob / n for n_oob in fitted.n_oob]
         assert abs(np.mean(fractions) - 1.0 / math.e) < 0.05
 
@@ -132,7 +132,7 @@ class TestForestFit:
         x1 = rng.normal(5, 1, size=(150, 4))
         x = np.vstack([x0, x1])
         y = np.array([0] * 150 + [1] * 150)
-        fitted = forest.fit_forest(x, y, n_trees=20, seed=2, n_classes=2)
+        fitted = forest.fit_forest(x, y, n_trees=20, seed=2)
         test0 = rng.normal(0, 1, size=(50, 4))
         test1 = rng.normal(5, 1, size=(50, 4))
         preds = fitted.predict_batch(np.vstack([test0, test1]))
@@ -158,9 +158,9 @@ def reference_votes(fitted, features):
     """(samples, classes) count of the trees whose Tree.predict_one gives each class."""
     trees = list(trees_of(fitted))
     return np.array([
-        np.bincount([tree.predict_one(x) for tree in trees], minlength=fitted.n_classes)
+        np.bincount([tree.predict_one(x) for tree in trees], minlength=forest.N_CLASSES)
         for x in features
-    ]).reshape(len(features), fitted.n_classes)
+    ]).reshape(len(features), forest.N_CLASSES)
 
 
 def reference_predictions(fitted, features):
@@ -194,11 +194,11 @@ def make_stump():
 
 class TestCountNodes:
     def test_stump_has_three_nodes(self):
-        stump_forest = oracles.stack_trees([make_stump()], n_classes=2, seed=0)
+        stump_forest = oracles.stack_trees([make_stump()], seed=0)
         assert forest.count_nodes(stump_forest) == 3
 
     def test_hundred_stumps(self):
-        stump_forest = oracles.stack_trees([make_stump() for _ in range(100)], n_classes=2, seed=0)
+        stump_forest = oracles.stack_trees([make_stump() for _ in range(100)], seed=0)
         assert forest.count_nodes(stump_forest) == 300
         np.testing.assert_array_equal(stump_forest.roots, np.arange(0, 300, 3))
         np.testing.assert_array_equal(stump_forest.left[3:6], [4, -1, -1])
@@ -222,7 +222,7 @@ class TestForestSerialization:
         y = rng.integers(0, 4, size=80)
         fitted = forest.fit_forest(x, y, n_trees=8, seed=9)
         restored = forest.deserialize(forest.serialize(fitted))
-        assert restored.n_classes == fitted.n_classes
+        assert restored.counts.shape == (fitted.feature.size, forest.N_CLASSES)
         assert restored.seed == fitted.seed
         assert restored.feature_config == fitted.feature_config
         assert restored.n_oob == fitted.n_oob
@@ -238,7 +238,7 @@ class TestForestSerialization:
         # a model file is read back by the magic dispatch of `deepreflecs eval`
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 1])
-        fitted = forest.fit_forest(x, y, n_trees=3, seed=0, n_classes=2)
+        fitted = forest.fit_forest(x, y, n_trees=3, seed=0)
         path = tmp_path / "forest.frst"
         path.write_bytes(forest.serialize(fitted))
         blob = path.read_bytes()
@@ -435,9 +435,7 @@ class TestStackedWalk:
     def test_vote_ties_go_to_the_lowest_class(self, n_trees, n_classes):
         rng = np.random.default_rng([n_trees, n_classes])
         x = rng.normal(size=(60, 3))
-        fitted = forest.fit_forest(
-            x, rng.integers(0, n_classes, size=60), n_trees=n_trees, seed=1, n_classes=n_classes
-        )
+        fitted = forest.fit_forest(x, rng.integers(0, n_classes, size=60), n_trees=n_trees, seed=1)
         queries = rng.normal(size=(300, 3))
         votes = reference_votes(fitted, queries)
         assert ((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
@@ -446,7 +444,7 @@ class TestStackedWalk:
     def test_tied_stumps(self):
         # x < 0.5: classes 2 and 1 tie; otherwise 0 and 2 tie; a leaf tied 2:2 votes class 1
         trees = [stump(0, 0.5, [0, 0, 3], [1, 0, 0]), stump(0, 0.5, [0, 3, 0], [0, 2, 2])]
-        fitted = oracles.stack_trees(trees, n_classes=3, seed=0)
+        fitted = oracles.stack_trees(trees, seed=0)
         x = np.array([[0.0], [1.0]])
         np.testing.assert_array_equal(fitted.predict_batch(x), [1, 0])
         assert_walk_matches_reference(fitted, x)
@@ -458,17 +456,6 @@ class TestStackedWalk:
         assert fitted.feature.size == 5 and (fitted.feature == -1).all()
         np.testing.assert_array_equal(fitted.predict_batch(x), 2)
         assert_walk_matches_reference(fitted, x)
-
-    @pytest.mark.filterwarnings("ignore:training data has a single class")
-    @pytest.mark.parametrize("n_classes", [1, 6])
-    def test_file_declaring_any_class_count(self, n_classes):
-        rng = np.random.default_rng(n_classes)
-        x = rng.normal(size=(90, forest.N_HANDCRAFTED))
-        fitted = forest.fit_forest(x, np.arange(90) % n_classes, n_trees=6, seed=2,
-                                   n_classes=n_classes)
-        loaded = forest.deserialize(forest.serialize(fitted))
-        assert loaded.n_classes == n_classes and loaded.counts.shape[1] == n_classes
-        assert_walk_matches_reference(fitted, rng.normal(size=(200, forest.N_HANDCRAFTED)))
 
     def test_batch_longer_than_a_block(self):
         rng = np.random.default_rng(9)
@@ -482,7 +469,7 @@ class TestStackedWalk:
         np.testing.assert_array_equal(fitted.predict_batch(queries), blockwise)
 
     def test_non_finite_features_go_right(self):
-        fitted = oracles.stack_trees([stump(0, 0.5, [3, 0], [0, 3])], n_classes=2, seed=0)
+        fitted = oracles.stack_trees([stump(0, 0.5, [3, 0], [0, 3])], seed=0)
         x = np.array([[np.nan], [np.inf], [-np.inf], [0.0], [0.5]])
         np.testing.assert_array_equal(fitted.predict_batch(x), [1, 1, 0, 0, 1])
         assert_walk_matches_reference(fitted, x)
@@ -519,16 +506,14 @@ class TestStackedWalk:
         assert got.shape == (0,) and got.dtype == np.int64
 
     def test_tree_deeper_than_20_levels(self):
-        fitted = oracles.stack_trees([chain(25), chain(3), chain(22)], n_classes=3, seed=0)
+        fitted = oracles.stack_trees([chain(25), chain(3), chain(22)], seed=0)
         loaded = forest.deserialize(forest.serialize(fitted))
         assert fitted.depth == loaded.depth == 25
         queries = np.arange(-1.0, 27.0)[:, None] + np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
         assert_walk_matches_reference(fitted, queries.reshape(-1, 1))
 
     def test_all_leaf_forest_has_depth_0_and_takes_rows_of_no_columns(self):
-        fitted = oracles.stack_trees(
-            [leaf([0, 2, 1]), leaf([1, 0, 3]), leaf([0, 4, 4])], n_classes=3, seed=0
-        )
+        fitted = oracles.stack_trees([leaf([0, 2, 1]), leaf([1, 0, 3]), leaf([0, 4, 4])], seed=0)
         loaded = forest.deserialize(forest.serialize(fitted))
         for model in (fitted, loaded):
             assert model.depth == 0
@@ -645,12 +630,12 @@ class TestLockstepGrower:
         assert forest.serialize(desk_forests[seed][0]) == forest.serialize(expected)
         assert_children_hold_rows(desk_forests[seed][0])
 
-    @pytest.mark.parametrize("n_classes", [2, 4, 6])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
     @pytest.mark.parametrize("n_features", [1, 2, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_awkward_tables_match_the_reference(self, seed, n_features, n_classes):
         x, y = awkward_table(seed, n_features=n_features, n_classes=n_classes)
-        fitted = assert_matches_reference(x, y, n_trees=6, seed=seed, n_classes=n_classes)
+        fitted = assert_matches_reference(x, y, n_trees=6, seed=seed)
         assert_children_hold_rows(fitted)
 
     def test_one_and_two_rows_match_the_reference(self):
@@ -680,7 +665,7 @@ class TestLockstepGrower:
         # the midpoint of these rounds to low or leaves [low, high]; high is the threshold
         x = np.array([[low], [low], [high], [high]]).repeat(3, axis=1)
         y = np.array([0, 0, 1, 1])
-        fitted = assert_matches_reference(x, y, n_trees=5, seed=0, n_classes=2)
+        fitted = assert_matches_reference(x, y, n_trees=5, seed=0)
         assert_children_hold_rows(fitted)
         internal = fitted.feature >= 0
         assert internal.any() and (fitted.threshold[internal] == high).all()

@@ -629,7 +629,6 @@ class TestBatched:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17])  # 9 and 17 span chunks
     def test_loss_and_grads_match_mean_of_single_grids(self, n, dtype):
         net = gridcnn.build_gridcnn(seed=n).astype(dtype)
-        net.dropout = 0.3
         grids, labels = random_grids(n, seed=100 + n)
         loss, grad = gridcnn.loss_and_grads(
             net, net.stage(grids), labels, rng=np.random.default_rng(n)
@@ -990,7 +989,6 @@ class TestStaged:
     def desk(self):
         grids, labels = desk_grids(6)
         net = gridcnn.build_gridcnn(seed=1)
-        net.dropout = 0.3
         gridcnn.set_channel_stats(net, grids)
         return net, grids, np.array(labels), net.stage(grids)
 
@@ -1028,19 +1026,23 @@ class TestGridCnnSerialization:
             assert np.array_equal(p, restored.params()[name])
         np.testing.assert_array_equal(restored.norm_stats.mean, net.norm_stats.mean)
         np.testing.assert_array_equal(restored.norm_stats.std, net.norm_stats.std)
-        assert restored.dropout == net.dropout
+        parsed = container.read_container(gridcnn.serialize(net), gridcnn.MAGIC)
+        assert parsed.config == {"dropout": gridcnn.DROPOUT, "n_classes": gridcnn.N_CLASSES}
 
     @pytest.mark.parametrize(
-        "config",
+        "config, match",
         [
-            {"dropout": 0.5, "n_classes": 4, "bogus": 1}, [0.5, 4],
-            {"dropout": "x", "n_classes": 4}, {"dropout": 1.5, "n_classes": 4},
-            {"dropout": 0.5, "n_classes": 7},
+            ({"dropout": 0.5, "n_classes": 4, "bogus": 1}, "bogus"), ([0.5, 4], "JSON list"),
+            ({"dropout": "x", "n_classes": 4}, "dropout"),
+            ({"dropout": 1.5, "n_classes": 4}, "dropout"),
+            ({"dropout": 0.5, "n_classes": 7}, "n_classes"),
+            ({"dropout": 0.3, "n_classes": 4},
+             re.escape("dropout must be a finite number in [0.5, 0.5], not 0.3")),
         ],
         ids=["unknown-key", "json-list", "dropout-string", "dropout-above-one",
-             "n-classes-7"],
+             "n-classes-7", "dropout-0.3"],
     )
-    def test_bad_config_is_container_error(self, config):
+    def test_bad_config_is_container_error(self, config, match):
         parsed = container.read_container(
             gridcnn.serialize(gridcnn.build_gridcnn()), gridcnn.MAGIC
         )
@@ -1048,7 +1050,7 @@ class TestGridCnnSerialization:
             gridcnn.MAGIC, config, (parsed.norm_means, parsed.norm_stds),
             list(parsed.arrays.items()),
         )
-        with pytest.raises(container.ContainerError):
+        with pytest.raises(container.ContainerError, match=match):
             gridcnn.deserialize(blob)
 
     @pytest.mark.parametrize(

@@ -442,12 +442,13 @@ def test_evaluating_no_samples_is_dataset_error(magic, tmp_path, capsys):
     model_path, data_path = tmp_path / "model.bin", tmp_path / "empty.jsonl"
     model_path.write_bytes(BLOBS[magic])
     data_path.write_text("")
-    with pytest.raises(preprocess.DatasetError, match="no samples to evaluate"):
+    with pytest.raises(preprocess.DatasetError) as err:
         evaluate.evaluate_model(evaluate.method_for(BLOBS[magic]), MODELS[magic], [])
+    assert str(err.value) == preprocess.NO_SAMPLES
     code, captured = run_cli(["eval", "--model", str(model_path), "--data", str(data_path)], capsys)
     assert code == 1
     assert json.loads(captured.err.strip().splitlines()[-1]) == {
-        "error": "DatasetError", "message": "no samples to evaluate"
+        "error": "DatasetError", "message": preprocess.NO_SAMPLES
     }
 
 
@@ -473,18 +474,20 @@ def test_a_loaded_network_keeps_no_view_of_its_file(magic):
 
 @pytest.mark.parametrize("n_classes", [2, 5])
 def test_model_of_another_class_count_is_named_error(n_classes, dataset, tmp_path, capsys):
-    rng = np.random.default_rng(n_classes)
-    fitted = forest.fit_forest(
-        rng.normal(size=(20, forest.N_HANDCRAFTED)), np.arange(20) % n_classes,
-        n_trees=2, n_classes=n_classes,
-    )
+    # a forest file declaring n_classes, with that many counts per node
+    parsed = container.read_container(BLOBS["FRST"], forest.MAGIC)
+    counts = np.zeros((parsed.arrays["counts"].shape[0], n_classes), dtype=np.int32)
     model_path = tmp_path / "model.bin"
-    model_path.write_bytes(forest.serialize(fitted))
+    model_path.write_bytes(container.write_container(
+        forest.MAGIC, {**parsed.config, "n_classes": n_classes}, None,
+        list({**parsed.arrays, "counts": counts}.items()),
+    ))
     code, captured = run_cli(["eval", "--model", str(model_path), "--data", dataset], capsys)
     assert code == 1
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "ContainerError"
-    assert f"predicts {n_classes} classes" in error["message"]
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "ContainerError",
+        "message": f"forest config: n_classes must be an integer in [4, 4], not {n_classes}",
+    }
     assert captured.out == ""
 
 
@@ -573,7 +576,7 @@ def test_resealed_byte_change_gives_a_predicting_model_or_container_error(magic,
         loaded = method.deserialize(payload + struct.pack("<I", zlib.crc32(payload)))
     except container.ContainerError:
         return
-    n_classes = method.n_classes(loaded)
+    n_classes = len(preprocess.CLASSES)
     try:
         predicted = loaded.predict(method.featurize(loaded, [SAMPLE])[0])
     except nn.NonFiniteError:

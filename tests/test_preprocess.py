@@ -380,8 +380,6 @@ class TestDatasetIO:
         preprocess.write_dataset([near, far], str(path))
         kept = preprocess.read_dataset(str(path))
         assert [s.track_id for s in kept] == ["near"]
-        both = preprocess.read_dataset(str(path), range_cutoff=None)
-        assert len(both) == 2
 
     def test_deep_nesting_reports_line(self, tmp_path):
         # json.loads hits the interpreter's recursion limit on 200,000 nested arrays
@@ -446,7 +444,7 @@ def test_fuzzed_dataset_lines_load_or_raise_dataset_error(tmp_path, seed):
     for edited in fuzzed_lines(valid, rng):
         path.write_bytes(edited + b"\n" + valid + b"\n")
         try:
-            samples = preprocess.read_dataset(str(path), range_cutoff=None)
+            samples = preprocess.read_dataset(str(path))
         except DatasetError as exc:
             assert exc.line is not None
             outcomes["error"] += 1
@@ -486,7 +484,7 @@ def test_every_wrongly_typed_field_is_a_dataset_error_naming_it(tmp_path):
             continue
         path.write_bytes(valid + b"\n" + edited + b"\n")
         with pytest.raises(DatasetError) as err:
-            preprocess.read_dataset(str(path), range_cutoff=None)
+            preprocess.read_dataset(str(path))
         assert err.value.line == 2
         assert str(err.value) == (
             f"line 2: field '{name}' must be a {wanted}, not {type(value).__name__}"

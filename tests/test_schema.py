@@ -163,7 +163,8 @@ def test_missing_key_is_container_error(key):
 @pytest.mark.parametrize(
     "key, name, inside, outside",
     [
-        ("gridcnn-file", "dropout", 0, 1),
+        ("gridcnn-file", "dropout", 0.5, 0.3),
+        ("forest-file", "n_classes", 4, 3),
         ("gridcnn-file", "n_classes", 4, 5),
         ("ReflectNetConfig-file", "pad_length", reflectnet.MAX_PAD_LENGTH, 4097),
         ("ReflectNetConfig", "n_features", 5, 3),
@@ -248,7 +249,6 @@ UNBOUNDED = {
     (datagen.GenSpec, "seed"),
     (forest.FileConfig, "seed"),
     # a forest file's counts must match the arrays the file holds
-    (forest.FileConfig, "n_classes"),
     (forest.FileConfig, "n_trees"),
     (forest.FileConfig, "oob"),
 }
