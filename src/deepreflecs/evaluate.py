@@ -2,12 +2,10 @@
 
 Per-class accuracy is class recall: of all test samples whose true class
 is c, the fraction predicted as c. Everything downstream of (dataset
-bytes, train config) is deterministic, at any BLAS thread count: every
-training product that OpenBLAS would sum in a thread-dependent order runs
-in fixed blocks (nn.rowwise_linear_backward, gridcnn.loss_and_grads). Inference
-timing is measured only for the benchmark, which reports it apart from the
-canonical report so repeated runs stay byte-identical; the ablation never
-times.
+bytes, train config) is deterministic; nn states when it also holds
+across BLAS thread counts. Inference timing is measured only for the
+benchmark, which reports it apart from the canonical report so repeated
+runs stay byte-identical; the ablation never times.
 """
 
 from __future__ import annotations

@@ -20,10 +20,8 @@ The pool reads rows and columns 0-9 of conv3's output, so conv3 is
 computed at those 10x10 cells only. The pool takes conv3's
 pre-activations and the ReLU follows it, which gives the same outputs,
 since ReLU is monotone. A training step's gradient is a pure function
-per chunk (_chunk_grads) plus one reduction in chunk order, whose bits
-do not depend on the BLAS thread count: a conv kernel's gradient is one
-product per grid, summed over the grids in order, chunk after chunk; a
-dense layer's is one product over the batch's stacked rows.
+per chunk (_chunk_grads) plus one reduction in chunk order; every matrix
+product is one of nn's, which gives the rule for its bits.
 
 The model is an nn.Network over the layer table _WEIGHT_SHAPES (a 3x3
 kernel is a (3, 3, in, out) nn.LinearParams), with the channel
@@ -255,36 +253,34 @@ def _conv(x: np.ndarray, params: nn.LinearParams, cells: int = GRID_CELLS):
     cells i, j < cells; returns (output, patches)."""
     cout = params.bias.shape[0]
     patches = _patches(x, cells)
-    out = patches @ params.weights.reshape(-1, cout) + params.bias
+    out = nn.rowwise_linear(patches, nn.LinearParams(params.weights.reshape(-1, cout), params.bias))
     return out.reshape(len(x), cells, cells, cout), patches
 
 
 def _flipped(params: nn.LinearParams) -> np.ndarray:
-    """The (9*out, in) kernel of a convolution's input gradient: rotated by
-    180 degrees, its channel axes swapped."""
+    """The (in, 9*out) weights whose input gradient is a convolution's: the
+    kernel rotated by 180 degrees, its in-channels first."""
     cout = params.bias.shape[0]
-    return params.weights[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * cout, -1)
+    return params.weights[::-1, ::-1].transpose(2, 0, 1, 3).reshape(-1, 9 * cout)
 
 
 def _conv_grads(patches: np.ndarray, grad_out: np.ndarray, flipped: np.ndarray | None = None):
     """(kernel and bias gradients, input gradient or None without flipped) of a convolution.
 
     grad_out (B, cells, cells, out) holds the output gradient at the cells
-    the patches are of. The kernel gradient is one product per grid,
-    summed over the grids in order, so its bits do not depend on the BLAS
-    thread count. The input gradient, on the 11x11 grid, is the
-    same-padded convolution of grad_out, zero beyond its cells, with
-    flipped (_flipped(params)).
+    the patches are of. The kernel gradient is nn.stacked_weight_grad over
+    the grids. The input gradient, on the 11x11 grid, is the same-padded
+    convolution of grad_out, zero beyond its cells, through flipped
+    (_flipped(params)).
     """
     b, rows, cols, cout = grad_out.shape
-    per_grid = patches.reshape(b, rows * cols, -1).transpose(0, 2, 1)
     g = grad_out.reshape(b, rows * cols, cout)
-    kernel = np.matmul(per_grid, g).sum(axis=0).reshape(3, 3, -1, cout)
-    part = nn.LinearParams(kernel, g.reshape(-1, cout).sum(axis=0))
-    del patches, per_grid  # the caller passes its last reference: free it before more patches
+    kernel = nn.stacked_weight_grad(patches.reshape(b, rows * cols, -1), g)
+    part = nn.LinearParams(kernel.reshape(3, 3, -1, cout), g.reshape(-1, cout).sum(axis=0))
+    del patches  # the caller passes its last reference: free it before more patches
     if flipped is None:
         return part, None
-    return part, (_patches(grad_out) @ flipped).reshape(b, GRID_CELLS, GRID_CELLS, -1)
+    return part, nn.input_grad(_patches(grad_out), flipped).reshape(b, GRID_CELLS, GRID_CELLS, -1)
 
 
 def _pool_windows(x: np.ndarray):
@@ -381,19 +377,18 @@ def _chunk_grads(model: GridCnnModel, cells, labels, drops, scale: float, flippe
     take = cache.pop
     d_logits = nn.logit_grads(probs, labels, scale, model.vector.dtype)
     dense = {"head": (take("ad2"), d_logits)}
-    # input gradients as W @ g.T: twice the rate of g @ W.T for dense1
-    d_ad2 = (model.head.weights @ d_logits.T).T
+    d_ad2 = nn.input_grad(d_logits, model.head.weights)
     if drops is not None:
         d_ad2 = d_ad2 * take("drop2")
     d_zd2 = nn.relu_backward(take("zd2"), d_ad2)
     dense["dense2"] = take("ad1"), d_zd2
-    d_ad1 = (model.dense2.weights @ d_zd2.T).T
+    d_ad1 = nn.input_grad(d_zd2, model.dense2.weights)
     if drops is not None:
         d_ad1 = d_ad1 * take("drop1")
     d_zd1 = nn.relu_backward(take("zd1"), d_ad1)
     dense["dense1"] = take("flat"), d_zd1
     m3 = take("m3")
-    d_m3 = nn.relu_backward(m3, (model.dense1.weights @ d_zd1.T).T.reshape(m3.shape))
+    d_m3 = nn.relu_backward(m3, nn.input_grad(d_zd1, model.dense1.weights).reshape(m3.shape))
     d_z3 = _pool_grads(take("z3"), m3, d_m3)
     conv = {}
     conv["conv3"], d_a2 = _conv_grads(take("cols3"), d_z3, flipped["conv3"])
@@ -414,8 +409,8 @@ def loss_and_grads(
 
     Dropout is on, drawn from rng for the whole batch at once, when an rng
     is given. The chunks' conv gradients (_chunk_grads) are added into the
-    one vector in chunk order; each dense layer's weight gradient is one
-    product over the batch's rows.
+    one vector in chunk order; each dense layer's weight gradient is
+    nn.add_weight_grad over the batch's rows.
     """
     nn.check_staged(batch, GridStack, model.vector.dtype)
     labels = nn.batch_labels(labels, len(batch))
@@ -444,8 +439,7 @@ def loss_and_grads(
             dense[layer][0][rows], dense[layer][1][rows] = inputs, grads
         del conv, chunk  # free this chunk's partials before the next chunk's
     for layer, (inputs, grads) in dense.items():
-        np.matmul(inputs.T, grads, out=slot[layer].weights)
-        grads.sum(axis=0, out=slot[layer].bias)
+        nn.add_weight_grad(inputs, grads, slot[layer])
     return nn.mean_cross_entropy(probs, labels), grad
 
 

@@ -8,9 +8,17 @@ applies the ReLU after the pool (equal outputs, since ReLU is monotone);
 the pool backward routes each pooled gradient to its single winning row,
 and falls back to the first winner on ties. Every forward layer operation
 is a pure function of its inputs; backward passes take the forward inputs
-and the upstream gradient and return the input gradient;
-rowwise_linear_backward adds its weight gradients into the layer's slot
-of a gradient vector. The Adam step updates its vector and state in place.
+and the upstream gradient and return the input gradient. The Adam step
+updates its vector and state in place.
+
+Every matrix product of both networks is formed here, in one of four
+functions: rowwise_linear (x @ W), input_grad (g @ W.T, or (W @ g.T).T
+for maps with more inputs than g has rows: twice the rate of the plain
+form at the grid CNN's dense1), add_weight_grad (x.T @ g, summed in
+blocks of rows) and stacked_weight_grad (one product per grid). Each
+keeps its operands, so the bits of a weight gradient do not depend on
+the BLAS thread count while its blocks stay below OpenBLAS's split point
+(see WEIGHT_GRAD_BLOCK); they do depend on the kernel OpenBLAS picks.
 
 Matrices are 2-D ndarrays (a row per list entry, a column per feature); a
 batch of lists is one matrix of all their rows plus Segments (None for one
@@ -53,14 +61,14 @@ GRADCHECK_STEP = 1e-5
 GRADCHECK_RETRY_ABOVE = 1e-4
 GRADCHECK_RETRIES = 2
 SAFE_SAMPLE_TRIES = 200
-# Multiply-adds (rows x in x out) of one block of a row-wise weight
-# gradient. OpenBLAS 0.3.31 runs a product of at most 10**6 of them on one
-# thread; above that its sums can depend on the thread count (a sweep of
-# row counts found a 32 x 32 product first differing under 1 and 2
-# threads at 977 rows). 768 rows of the 32 x 32 conv2, so a desk batch of
-# 64 objects (196-535 rows on the seed-0 default schedule) stays one
-# block and keeps its bits.
+# Multiply-adds (rows x in x out) of one block of a weight gradient, and
+# its least rows. Under the SkylakeX kernel of OpenBLAS 0.3.31, a weight
+# product first differs between 1 and 2 threads at 449 rows for the grid
+# CNN's 1600 x 128 and 128 x 32 maps and at 977 rows for a 32 x 32 map.
+# 768 rows of the 32 x 32 conv2 keep a desk batch of 64 objects (196-535
+# rows) one block; the row floor keeps a grid-CNN batch of 64 one block.
 WEIGHT_GRAD_BLOCK = 768 * 32 * 32
+WEIGHT_GRAD_ROWS = 64
 
 
 class ShapeError(ValueError):
@@ -131,25 +139,39 @@ def rowwise_linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
     return np.add(out, params.bias, out=out)
 
 
+def input_grad(grad_out: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """grad_out @ weights.T, the input gradient of a linear map with weights (in, out);
+    (weights @ grad_out.T).T where the map has more inputs than grad_out has rows."""
+    if weights.shape[0] > grad_out.shape[0]:
+        return (weights @ grad_out.T).T
+    return grad_out @ weights.T
+
+
+def add_weight_grad(x: np.ndarray, grad_out: np.ndarray, grad: LinearParams) -> None:
+    """Add x.T @ grad_out and grad_out's column sums into grad, a layer's gradient slot.
+
+    The product is added one block of rows at a time, in row order: each
+    block is max(WEIGHT_GRAD_ROWS, WEIGHT_GRAD_BLOCK // (in * out)) rows.
+    """
+    rows = max(WEIGHT_GRAD_ROWS, WEIGHT_GRAD_BLOCK // (x.shape[1] * grad_out.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        grad.weights += x[start : start + rows].T @ grad_out[start : start + rows]
+    grad.bias += grad_out.sum(axis=0)
+
+
+def stacked_weight_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """The weight gradient of one linear map over a stack of matrices x (S, M, in) with
+    output gradients (S, M, out): x[s].T @ grad_out[s] summed over s in order."""
+    return np.matmul(x.transpose(0, 2, 1), grad_out).sum(axis=0)
+
+
 def rowwise_linear_backward(
     x: np.ndarray, params: LinearParams, grad_out: np.ndarray, grad: LinearParams,
     need_input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Gradient of rowwise_linear w.r.t. its input (or None).
-
-    The weight and bias gradients are added into grad, the layer's slot of
-    a gradient vector. The weight gradient x.T @ grad_out is added one
-    block of rows at a time, in row order, each block at most
-    WEIGHT_GRAD_BLOCK multiply-adds, so its bits do not depend on the BLAS
-    thread count.
-    """
-    rows = max(1, WEIGHT_GRAD_BLOCK // (x.shape[1] * grad_out.shape[1]))
-    for start in range(0, x.shape[0], rows):
-        grad.weights += x[start : start + rows].T @ grad_out[start : start + rows]
-    grad.bias += grad_out.sum(axis=0)
-    if not need_input_grad:
-        return None
-    return grad_out @ params.weights.T
+    """add_weight_grad into grad, then the input gradient of rowwise_linear (or None)."""
+    add_weight_grad(x, grad_out, grad)
+    return input_grad(grad_out, params.weights) if need_input_grad else None
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -316,15 +338,15 @@ def dense(x: np.ndarray, params: LinearParams) -> np.ndarray:
         raise ShapeError(
             f"input of shape {x.shape} does not match {params.in_features} features"
         )
-    return x @ params.weights + params.bias
+    return rowwise_linear(x[None], params)[0]
 
 
 def dense_backward(
     x: np.ndarray, params: LinearParams, grad_out: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_x = params.weights @ grad_out
-    grad_w = np.outer(x, grad_out)
-    return grad_x, grad_w, grad_out.copy()
+    grad = LinearParams(np.zeros_like(params.weights), np.zeros_like(params.bias))
+    add_weight_grad(x[None], grad_out[None], grad)
+    return input_grad(grad_out[None], params.weights)[0], grad.weights, grad.bias
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_golden import blas_env
-from deepreflecs import container, datagen, evaluate, model, nn, preprocess, trainer
+from deepreflecs import container, datagen, evaluate, gridcnn, model, nn, preprocess, trainer
 from deepreflecs.preprocess import NormStats, PaddedInput
 
 
@@ -573,17 +573,23 @@ class TestOneInput:
 
 
 # a reflection-network gradient of a batch of 1,082 rows (135 inputs of 8
-# rows and one of 2), hashed; 1,082 rows of conv2 are two weight blocks
+# rows and one of 2), hashed; 1,082 rows of conv2 are two weight blocks.
+# Then a grid-CNN gradient of 600 grids with dropout on, hashed: 600 rows of
+# dense1 and dense2 lie past the SkylakeX kernel's thread split at 449 rows
 GRADIENT_OF_1082_ROWS = """
 import hashlib
 import numpy as np
-from deepreflecs import model, preprocess
+from deepreflecs import gridcnn, model, preprocess
 rng = np.random.default_rng(0)
 net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
 inputs = [preprocess.PaddedInput(rng.standard_normal((m, 5)), 8) for m in [8] * 135 + [2]]
 batch = net.stage(inputs)
 assert batch.rows.shape[0] == 1082
 _, grad = model.loss_and_grads(net, batch, rng.integers(0, 4, size=len(inputs)))
+print(hashlib.sha256(grad.tobytes()).hexdigest())
+cnn = gridcnn.build_gridcnn(seed=0)
+stack = cnn.stage([cnn.random_input(rng) for _ in range(600)])
+_, grad = gridcnn.loss_and_grads(cnn, stack, rng.integers(0, 4, size=600), rng=rng)
 print(hashlib.sha256(grad.tobytes()).hexdigest())
 """
 
@@ -597,25 +603,40 @@ class TestBlasThreadCount:
                 env=blas_env(threads), timeout=120,
             )
             assert done.returncode == 0, done.stderr[-2000:]
-            digests.append(done.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            digests.append(done.stdout.split())
+        assert [len(d) for d in digests[0]] == [64, 64] and digests[0] == digests[1]
 
     def test_every_desk_batch_of_the_default_schedule_is_one_weight_block(self, monkeypatch):
-        """The default 32 x 64-step schedule on the seed-0 desk split: every
-        weight gradient is one product, so its bits are those of x.T @ g."""
+        """The default 32 x 64-step schedule on the seed-0 desk split, and a
+        grid-CNN batch of 64 grids: every weight gradient is one product, so
+        its bits are those of x.T @ g."""
         calls = []
-        backward = nn.rowwise_linear_backward
+        add_weight_grad = nn.add_weight_grad
 
-        def counted(x, params, grad_out, *args, **kwargs):
+        def counted(x, grad_out, grad):
             calls.append(x.shape[0] * x.shape[1] * grad_out.shape[1])
-            return backward(x, params, grad_out, *args, **kwargs)
+            return add_weight_grad(x, grad_out, grad)
 
-        monkeypatch.setattr(nn, "rowwise_linear_backward", counted)
+        monkeypatch.setattr(nn, "add_weight_grad", counted)
         samples = datagen.generate_dataset(datagen.desk_genspec(seed=0))
         splits = preprocess.trackwise_split(samples, seed=0)
         evaluate._reflectnet_trained(splits, trainer.TrainConfig(), None)
         assert len(calls) == 32 * 64 * 3
         assert max(calls) <= nn.WEIGHT_GRAD_BLOCK
+
+        one_block = []  # per grid-CNN dense layer, whether its gradient is one product
+
+        def compared(x, grad_out, grad):
+            assert not grad.weights.any()  # a fresh slot, so it ends as the one product
+            add_weight_grad(x, grad_out, grad)
+            one_block.append(grad.weights.tobytes() == (x.T @ grad_out).tobytes())
+
+        monkeypatch.setattr(nn, "add_weight_grad", compared)
+        cnn = gridcnn.build_gridcnn(seed=0)
+        rng = np.random.default_rng(0)
+        stack = cnn.stage([cnn.random_input(rng) for _ in range(64)])
+        gridcnn.loss_and_grads(cnn, stack, rng.integers(0, 4, size=64), rng=rng)
+        assert one_block == [True] * 3
 
 
 # the tests whose bitwise invariances hold only on some BLAS kernels (ROADMAP item 9)
@@ -624,6 +645,7 @@ KERNEL_INVARIANCE_TESTS = [
     "test_model.py::TestForward::test_permutation_invariance_bitwise",
     "test_model.py::TestForward::test_masked_garbage_invariance_bitwise",
     "test_model.py::TestForward::test_ablated_model_still_invariant",
+    "test_nn.py::TestRowwiseLinear::test_permuting_rows_permutes_product_rows_bitwise",
 ]
 KERNEL_NOT_FORCED = 77  # the child's exit code when OpenBLAS runs another kernel
 

@@ -75,7 +75,7 @@ class TestRowwiseLinear:
         rng = np.random.default_rng(rows)
         x, grad_out = rng.standard_normal((2, rows, 32)).astype(np.float32)
         grad = nn.LinearParams(np.zeros((32, 32), np.float32), np.zeros(32, np.float32))
-        nn.rowwise_linear_backward(x, grad, grad_out, grad, need_input_grad=False)
+        nn.add_weight_grad(x, grad_out, grad)
         assert grad.weights.tobytes() == (x.T @ grad_out).tobytes()
 
     @pytest.mark.parametrize("rows, width", [(769, 32), (1082, 32), (2000, 32), (700, 64)])
@@ -83,13 +83,65 @@ class TestRowwiseLinear:
         rng = np.random.default_rng(rows)
         x, grad_out = rng.standard_normal((2, rows, width)).astype(np.float32)
         grad = nn.LinearParams(np.zeros((width, width), np.float32), np.zeros(width, np.float32))
-        nn.rowwise_linear_backward(x, grad, grad_out, grad, need_input_grad=False)
+        nn.add_weight_grad(x, grad_out, grad)
         block = nn.WEIGHT_GRAD_BLOCK // (width * width)
         expected = np.zeros((width, width), np.float32)
         for start in range(0, rows, block):
             expected += x[start : start + block].T @ grad_out[start : start + block]
         assert rows > block and grad.weights.tobytes() == expected.tobytes()
         np.testing.assert_allclose(grad.weights, x.T @ grad_out, rtol=1e-4, atol=1e-3)
+
+    @pytest.mark.parametrize("rows, shape, block", [
+        (64, (1600, 128), 64), (200, (1600, 128), 64), (600, (128, 32), 192),
+    ])
+    def test_a_wide_layer_sums_blocks_of_at_least_the_row_floor(self, rows, shape, block):
+        # the grid CNN's dense1 and dense2: a batch of 64 grids is one block
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, shape[0])).astype(np.float32)
+        grad_out = rng.standard_normal((rows, shape[1])).astype(np.float32)
+        grad = nn.LinearParams(np.zeros(shape, np.float32), np.zeros(shape[1], np.float32))
+        nn.add_weight_grad(x, grad_out, grad)
+        expected = np.zeros(shape, np.float32)
+        for start in range(0, rows, block):
+            expected += x[start : start + block].T @ grad_out[start : start + block]
+        assert grad.weights.tobytes() == expected.tobytes()
+        assert grad.bias.tobytes() == grad_out.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("rows, n_in", [(1, 4), (3, 4), (4, 4), (9, 4), (4, 1600)])
+    def test_input_grad_transposes_its_product_for_more_inputs_than_rows(self, rows, n_in):
+        rng = np.random.default_rng(rows)
+        grad_out, weights = rng.standard_normal((rows, 3)), rng.standard_normal((n_in, 3))
+        form = (weights @ grad_out.T).T if n_in > rows else grad_out @ weights.T
+        assert nn.input_grad(grad_out, weights).tobytes() == form.tobytes()
+        np.testing.assert_allclose(
+            nn.input_grad(grad_out, weights), naive_matmul(grad_out, weights.T, np.zeros(n_in))
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_stacked_weight_gradient_sums_one_product_per_matrix_in_order(self, dtype):
+        rng = np.random.default_rng(5)
+        x, grad_out = rng.standard_normal((5, 121, 18)), rng.standard_normal((5, 121, 16))
+        x, grad_out = x.astype(dtype), grad_out.astype(dtype)
+        expected = x[0].T @ grad_out[0]
+        for s in range(1, 5):
+            expected = expected + x[s].T @ grad_out[s]
+        assert nn.stacked_weight_grad(x, grad_out).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("product", ["rowwise_linear", "input_grad"])
+    def test_permuting_rows_permutes_product_rows_bitwise(self, product, dtype):
+        """At conv2's (m, 32) @ (32, 32), for each m in 2-69. This holds on the
+        SkylakeX kernel and fails on Haswell's (ROADMAP item 9b)."""
+        rng = np.random.default_rng(7)
+        params = nn.LinearParams(*(rng.standard_normal(s).astype(dtype) for s in ((32, 32), 32)))
+        apply = {"rowwise_linear": lambda x: nn.rowwise_linear(x, params),
+                 "input_grad": lambda g: nn.input_grad(g, params.weights)}[product]
+        moved = []  # the row counts whose product rows depend on their position
+        for m in range(2, 70):
+            x, perm = rng.standard_normal((m, 32)).astype(dtype), rng.permutation(m)
+            if apply(x)[perm].tobytes() != apply(x[perm]).tobytes():
+                moved.append(m)
+        assert moved == []
 
     @given(
         x=arrays(np.float32, (7, 4), elements=st.floats(-10, 10, width=32)),
@@ -383,6 +435,15 @@ class TestDense:
     def test_shape_mismatch(self):
         with pytest.raises(nn.ShapeError):
             nn.dense(np.zeros(3), linear(np.eye(2), [0.0, 0.0]))
+
+    def test_backward_against_the_hand_multiply_oracle(self):
+        rng = np.random.default_rng(4)
+        x, grad_out = rng.standard_normal(3), rng.standard_normal(2)
+        params = nn.LinearParams(rng.standard_normal((3, 2)), rng.standard_normal(2))
+        grad_x, grad_w, grad_b = nn.dense_backward(x, params, grad_out)
+        np.testing.assert_allclose(grad_x, naive_matmul([grad_out], params.weights.T, [0.0] * 3)[0])
+        np.testing.assert_allclose(grad_w, naive_matmul(x[:, None], [grad_out], [0.0] * 2))
+        assert grad_b.tobytes() == grad_out.tobytes()
 
 
 class TestSoftmax:
@@ -679,22 +740,13 @@ class TestNetwork:
         assert calls == [net.vector.size]
 
 
-# the backward passes of both networks that get a layer's output gradient:
-# nn's serve the reflection network (and relu_backward both), gridcnn's
-# only the grid CNN; _chunk_grads returns the dense layers' output
-# gradients, which loss_and_grads multiplies into their weight gradients
-BACKWARD_PASSES = [
-    (nn, "rowwise_linear_backward"), (nn, "relu_backward"),
-    (gridcnn, "_pool_grads"), (gridcnn, "_conv_grads"), (gridcnn, "_chunk_grads"),
-]
+# the product functions of both networks' backward passes: their first
+# two arguments are every operand of a gradient's products
+BACKWARD_PRODUCTS = ["input_grad", "add_weight_grad", "stacked_weight_grad"]
 
 
-def subnormal_count(operand) -> int:
+def subnormal_count(operand: np.ndarray) -> int:
     """Nonzero entries smaller than the least normal float of their dtype."""
-    if isinstance(operand, nn.LinearParams):
-        return subnormal_count(operand.weights) + subnormal_count(operand.bias)
-    if not (isinstance(operand, np.ndarray) and operand.dtype.kind == "f"):
-        return 0
     tiny = np.finfo(operand.dtype).tiny
     return int(np.count_nonzero((operand != 0) & (np.abs(operand) < tiny)))
 
@@ -706,21 +758,17 @@ def test_a_confident_batch_gives_no_subnormal_backward_operand(build, monkeypatc
     # probability of about 4e-44, which is subnormal in float32
     net.head.weights[...] = 0
     net.head.bias[...] = [100.0, 0.0, 0.0, 0.0]
-    subnormal = {}  # per backward pass called, its subnormal operand entries
-    for owner, name in BACKWARD_PASSES:
-        def counted(*args, backward=getattr(owner, name), name=name, **kwargs):
-            found = sum(subnormal_count(a) for a in (*args, *kwargs.values()))
-            out = backward(*args, **kwargs)
-            if name == "_chunk_grads":  # the dense layers' output gradients it returns
-                found += sum(subnormal_count(grads) for _, grads in out[2].values())
-            subnormal[name] = subnormal.get(name, 0) + found
-            return out
+    subnormal = {}  # per product function called, its subnormal operand entries
+    for name in BACKWARD_PRODUCTS:
+        def counted(*args, product=getattr(nn, name), name=name):
+            subnormal[name] = subnormal.get(name, 0) + sum(map(subnormal_count, args[:2]))
+            return product(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(nn, name, counted)
     rng = np.random.default_rng(0)
     inputs = [net.random_input(rng) for _ in range(8)]
     net.train_step(inputs, [0] * 8, 0.01, None, rng=rng)
-    expected = {"relu_backward", "rowwise_linear_backward"}
+    expected = {"input_grad", "add_weight_grad"}
     if isinstance(net, gridcnn.GridCnnModel):
-        expected = {"relu_backward", "_pool_grads", "_conv_grads", "_chunk_grads"}
+        expected.add("stacked_weight_grad")
     assert subnormal == dict.fromkeys(expected, 0)

@@ -7,7 +7,7 @@ ShapeError, an EmptyPoolError or a ValueError that names the input, the
 staged batch or the labels, on every public path, and a refused train
 step leaves the weights as they were. The layers in nn re-check nothing:
 an AST scan lists the only package functions that raise ShapeError or
-EmptyPoolError.
+EmptyPoolError. Another finds every matrix product of the package in nn.
 """
 
 import ast
@@ -290,3 +290,22 @@ def test_only_the_network_entries_raise_shape_errors():
     found = set().union(*map(raisers, sorted(PACKAGE.glob("*.py"))))
     assert found == CHECKERS
 
+
+# numpy's product functions, called as np.<name> or as an array method
+PRODUCT_CALLS = {"matmul", "dot", "outer", "einsum", "tensordot"}
+
+
+def products(path: Path):
+    """(module, line) of each matrix product in a module: an @, an @= or a product call."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in PRODUCT_CALLS or isinstance(getattr(node, "op", None), ast.MatMult):
+            found.add((path.stem, node.lineno))
+    return found
+
+
+def test_every_matrix_product_is_formed_in_nn():
+    found = set().union(*map(products, sorted(PACKAGE.glob("*.py"))))
+    assert {module for module, _ in found} == {"nn"}, sorted(found)
