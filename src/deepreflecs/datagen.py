@@ -12,7 +12,8 @@ velocity-silent; and pedestrians and cyclists are small, weak, moving
 targets that share the same RCS and radial-velocity marginals and are
 separated only by spatial extent/aspect and by joint per-reflection
 Doppler structure (swinging limbs vs wheel signature). The numbers are
-configuration, not physical truth.
+constants, not physical truth: a spec sets only how many tracks of how
+many samples to generate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Annotated, Dict, List, Literal, Tuple
+from typing import Annotated, Dict, List, Tuple
 
 import numpy as np
 
@@ -28,13 +29,12 @@ from . import schema
 from .preprocess import CLASSES, ObjectPose, ObjectSample, reflection_list
 from .schema import ClassName, Range
 
-Span = Annotated[Tuple[float, float], Range(0)]  # an ordered (low, high) pair, both >= 0
+Span = Tuple[float, float]  # an ordered (low, high) pair
 
 # upper bounds of the size fields: each keeps the largest array its field
 # drives under 1 GiB, with the other settings at their defaults (README)
 MAX_TRACKS_PER_CLASS = 10_000
 MAX_SAMPLES_PER_TRACK = 1_000
-MAX_REFLECTIONS = 1_024
 # together they must keep the generated dataset under 1 GiB at its worst case. tracemalloc
 # on 20,000 generated samples gives about 340 B per sample plus 280 B per reflection
 SAMPLE_BYTES = 400
@@ -47,35 +47,35 @@ class ClassProfile:
     """Geometry and signal statistics for one object class.
 
     Movers draw a per-track radial-velocity scale from vr_sigma_range and
-    spread it over the reflections per vr_pattern: "random" is iid noise,
-    "limbs" makes every reflection Doppler-active (|vr| near the scale,
-    random sign, like swinging limbs), "wheels" grades vr with the
-    object-frame x-position (Doppler-quiet center, hot ends; vr_corr sets
-    the coupling). The marginal vr distribution is the same for every
-    mover with the same sigma range, so only the joint per-reflection
-    structure tells movers apart.
+    spread it over the reflections per vr_pattern: "limbs" makes every
+    reflection Doppler-active (|vr| near the scale, random sign, like
+    swinging limbs), "wheels" grades vr with the object-frame x-position
+    (Doppler-quiet center, hot ends; vr_corr sets the coupling). The
+    marginal vr distribution is the same for every mover with the same
+    sigma range, so only the joint per-reflection structure tells movers
+    apart.
     """
 
-    shape: Literal["rectangle", "cluster", "ellipse"]
+    shape: str                       # "rectangle", "cluster" or "ellipse"
     length_range: Span               # object-frame x extent, meters
     width_range: Span                # object-frame y extent, meters
-    reflections_range: Annotated[Tuple[int, int], Range(1, MAX_REFLECTIONS)]
+    reflections_range: Tuple[int, int]
     rcs_mean: float                  # dBsm
-    rcs_spread: Annotated[float, Range(0)]
+    rcs_spread: float
     mover: bool                      # tangentially moving target
     vr_sigma_range: Span = (0.0, 0.0)  # movers only
-    vr_pattern: Literal["random", "limbs", "wheels"] = "random"
-    vr_corr: Annotated[float, Range(0, 1)] = 0.0  # wheels pattern: x-coupling
+    vr_pattern: str = ""             # movers only: "limbs" or "wheels"
+    vr_corr: float = 0.0             # wheels pattern: x-coupling
     vr_limb_range: Span = (0.4, 1.35)  # limbs: |vr|/sigma band
-    vr_noise: Annotated[float, Range(0)] = 0.0  # stationary targets: gaussian vr noise
-
-    def __post_init__(self):
-        schema.check(self)
+    vr_noise: float = 0.0            # stationary targets: gaussian vr noise
 
 
 POSITION_NOISE = 0.05  # meters, measurement jitter on reflection positions
 
-DEFAULT_PROFILES: Dict[str, ClassProfile] = {
+# every track approaches from START_RANGE to STOP_RANGE meters, give or take
+START_RANGE, STOP_RANGE = 70.0, 5.0
+
+PROFILES: Dict[str, ClassProfile] = {
     "car": ClassProfile(
         shape="rectangle",
         length_range=(4.2, 4.8),
@@ -128,34 +128,24 @@ DESK_TRACKS = {"car": 57, "pedestrian": 34, "cyclist": 27, "non_obstacle": 70}
 
 @dataclass(frozen=True)
 class GenSpec:
-    """What to generate: how many tracks per class, approach geometry, seed."""
+    """What to generate: how many tracks per class, how many samples per track, seed."""
 
     tracks_per_class: Annotated[Dict[ClassName, int], Range(0, MAX_TRACKS_PER_CLASS)] = field(
         default_factory=lambda: dict(DESK_TRACKS)
     )
     samples_per_track: Annotated[Tuple[int, int], Range(1, MAX_SAMPLES_PER_TRACK)] = (5, 10)
-    start_range: float = 70.0
-    stop_range: Annotated[float, Range(0)] = 5.0
     seed: Annotated[int, Range(0)] = 0
-    profiles: Dict[ClassName, ClassProfile] = field(
-        default_factory=lambda: dict(DEFAULT_PROFILES)
-    )
 
     def __post_init__(self):
         schema.check(self)
         if not any(self.tracks_per_class.values()):
             raise schema.ConfigError("tracks_per_class must give some class a track")
-        if not self.start_range > self.stop_range:
-            raise schema.ConfigError("need start_range > stop_range")
         samples = {c: n * self.samples_per_track[1] for c, n in self.tracks_per_class.items() if n}
-        unprofiled = sorted(set(samples) - set(self.profiles))
-        if unprofiled:
-            raise schema.ConfigError(f"tracks_per_class: no profile for {unprofiled}")
-        reflections = sum(n * self.profiles[c].reflections_range[1] for c, n in samples.items())
+        reflections = sum(n * PROFILES[c].reflections_range[1] for c, n in samples.items())
         worst = SAMPLE_BYTES * sum(samples.values()) + REFLECTION_BYTES * reflections
         if worst > MAX_DATASET_BYTES:
             raise schema.ConfigError(
-                f"tracks_per_class, samples_per_track and reflections_range allow up to "
+                f"tracks_per_class and samples_per_track allow up to "
                 f"{sum(samples.values()):,} samples of {reflections:,} reflections, about "
                 f"{worst / 2**30:.2f} GiB; the limit is {MAX_DATASET_BYTES / 2**30:g} GiB"
             )
@@ -179,13 +169,13 @@ def _object_points(
     pts = np.empty((n, 2))
     if profile.shape == "rectangle":
         # bumpers reflect reliably: the first two points sit at the x extremes
-        ends = min(n, 2)
-        pts[:ends, 0] = (-half_l, half_l)[:ends]
-        pts[:ends, 1] = rng.uniform(-half_w, half_w, size=ends)
+        # (a car, the one rectangle, has at least 8 reflections)
+        pts[:2, 0] = (-half_l, half_l)
+        pts[:2, 1] = rng.uniform(-half_w, half_w, size=2)
         # the rest lie at a perimeter distance t: right side, front, left side, rear
         # (at these sizes a Python branch per point beats numpy's selects)
         rows = []
-        for t in rng.uniform(0.0, 2.0 * (length + width), size=n - ends).tolist():
+        for t in rng.uniform(0.0, 2.0 * (length + width), size=n - 2).tolist():
             if t < length:
                 rows.append((t - half_l, -half_w))
             elif t < length + width:
@@ -194,29 +184,26 @@ def _object_points(
                 rows.append((t - 2 * length - width + half_l, half_w))
             else:
                 rows.append((-half_l, t - 2 * length - 2 * width + half_w))
-        if rows:
-            pts[ends:] = rows
+        pts[2:] = rows
     elif profile.shape == "ellipse":
         angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
         radius = np.sqrt(rng.uniform(0.0, 1.0, size=n))
         pts[:, 0] = half_l * radius * np.cos(angle)
         pts[:, 1] = half_w * radius * np.sin(angle)
-    else:  # cluster; ClassProfile admits no other shape
+    else:  # cluster
         pts[:, 0] = rng.uniform(-half_l, half_l, size=n)
         pts[:, 1] = rng.uniform(-half_w, half_w, size=n)
     return pts
 
 
-def _reflection_count(
-    rng: np.random.Generator, profile: ClassProfile, r: float, start: float, stop: float
-) -> int:
+def _reflection_count(rng: np.random.Generator, profile: ClassProfile, r: float) -> int:
     """Reflection count shrinks with range: full geometry close up, a few far out.
 
     The sqrt response means the count climbs quickly once the object is
     inside the first third of the approach.
     """
     lo, hi = profile.reflections_range
-    closeness = (start - r) / max(start - stop, 1e-9)
+    closeness = (START_RANGE - r) / (START_RANGE - STOP_RANGE)
     expected = lo + math.sqrt(max(closeness, 0.0)) * (hi - lo) * rng.uniform(0.7, 1.0)
     return min(max(round(expected), lo), hi)
 
@@ -231,7 +218,7 @@ def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[Objec
     noiseless stationary targets draw a uniform between two normals, whose
     raw draw counts vary, so they draw one reflection at a time.
     """
-    profile = spec.profiles[class_label]
+    profile = PROFILES[class_label]
     rng = _track_rng(spec.seed, track_id)
 
     heading = rng.uniform(-math.pi, math.pi)
@@ -243,17 +230,17 @@ def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[Objec
     # structure/noise split keeps the marginal vr std at exactly vr_sigma
     # (object-frame x over the sampled geometries has variance ~ (L/2)^2 / 4)
     vr_gain = 2.0 * profile.vr_corr * vr_sigma
-    vr_noise_sigma = vr_sigma * math.sqrt(max(1.0 - profile.vr_corr**2, 0.0))
-    wheels = profile.mover and profile.vr_pattern == "wheels"
+    vr_noise_sigma = vr_sigma * math.sqrt(1.0 - profile.vr_corr**2)
+    wheels = profile.vr_pattern == "wheels"
     # the scale of a Gaussian vr; None where a uniform draw gives vr
     if profile.mover:
-        vr_scale = {"random": vr_sigma, "wheels": vr_noise_sigma}.get(profile.vr_pattern)
+        vr_scale = vr_noise_sigma if wheels else None
     else:
         vr_scale = profile.vr_noise or None
 
     n_samples = int(rng.integers(spec.samples_per_track[0], spec.samples_per_track[1] + 1))
-    start = rng.uniform(0.85 * spec.start_range, spec.start_range)
-    stop = rng.uniform(spec.stop_range, spec.stop_range + 4.0)
+    start = rng.uniform(0.85 * START_RANGE, START_RANGE)
+    stop = rng.uniform(STOP_RANGE, STOP_RANGE + 4.0)
     ranges = np.linspace(start, stop, n_samples)
 
     counts: List[int] = []
@@ -261,7 +248,7 @@ def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[Objec
     rcs: List[float] = []
     vr: List[float] = []
     for r in ranges.tolist():
-        n = _reflection_count(rng, profile, r, spec.start_range, spec.stop_range)
+        n = _reflection_count(rng, profile, r)
         pts = _object_points(rng, profile, n, length, width)
         pts += rng.normal(0.0, POSITION_NOISE, size=pts.shape)
         counts.append(n)
@@ -284,7 +271,7 @@ def generate_track(class_label: str, track_id: str, spec: GenSpec) -> List[Objec
         z = np.concatenate(normals)
         signal = np.array([profile.rcs_mean, 0.0]) + np.array([profile.rcs_spread, vr_scale]) * z
         if wheels:
-            signal[:, 1] += vr_direction * vr_gain * (pts[:, 0] / max(length / 2.0, 1e-6))
+            signal[:, 1] += vr_direction * vr_gain * (pts[:, 0] / (length / 2.0))
         rcs, vr = signal.T.tolist()
     # object frame -> world: rotate by +heading, then translate, as
     # (center + x_obj * (cos, sin)) - y_obj * (sin, -cos)

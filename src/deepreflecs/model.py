@@ -39,18 +39,17 @@ MAGIC = b"RFLN"
 
 # largest accepted pad length, the most reflection rows an input keeps
 MAX_PAD_LENGTH = 4096
-# largest accepted layer width; README gives the array each size bound limits
-MAX_WIDTH = 1024
 
 
 @dataclass(frozen=True)
 class ReflectNetConfig:
     """Architecture knobs; defaults give the 1,284-parameter build."""
 
-    # the five reflection features and the four classes, each its only value
+    # the five reflection features, the layer widths of the 1,284-parameter
+    # build and the four classes, each its only value
     n_features: Annotated[int, schema.Range(N_FEATURES, N_FEATURES)] = N_FEATURES
-    width1: Annotated[int, schema.Range(1, MAX_WIDTH)] = 16
-    width2: Annotated[int, schema.Range(1, MAX_WIDTH)] = 32
+    width1: Annotated[int, schema.Range(16, 16)] = 16
+    width2: Annotated[int, schema.Range(32, 32)] = 32
     n_classes: Annotated[int, schema.Range(len(CLASSES), len(CLASSES))] = len(CLASSES)
     pad_length: Annotated[int, schema.Range(1, MAX_PAD_LENGTH)] = 64
     use_gcl: bool = True  # the ablation switch

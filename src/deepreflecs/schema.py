@@ -54,8 +54,6 @@ def checker(hint, bound: Range | None = None):
     """(what a field of this annotation takes, a test of a value); TypeError
     for an annotation the schema has no check for."""
     hint, origin, args, bound = _parts(hint, bound)
-    if origin is Literal:
-        return f"one of {list(args)}", lambda v: v in args
     if origin is tuple and (args[1:] == (...,) or args == (args[0],) * 2):
         text, test = checker(args[0], bound)
         if args[1:] == (...,):
@@ -68,9 +66,8 @@ def checker(hint, bound: Range | None = None):
         return f"an object keyed by class name, each value {text}", lambda v: (
             isinstance(v, dict) and all(k in CLASSES and test(x) for k, x in v.items())
         )
-    if hint is bool or (origin is None and dataclasses.is_dataclass(hint)):
-        text = "true or false" if hint is bool else f"a {hint.__name__}"
-        return text, lambda v: isinstance(v, hint)
+    if hint is bool:
+        return "true or false", lambda v: isinstance(v, bool)
     if hint not in (int, float):
         raise TypeError(f"no check for the annotation {hint!r}")
     kinds = int if hint is int else (int, float)
@@ -101,45 +98,28 @@ def mapping(raw, known, what: str, error=ConfigError) -> dict:
     return raw
 
 
-def _from_json(value, hint, default, name: str):
-    """`value` as `check` expects it: a list becomes a tuple, and an object for
-    a mapping of dataclasses updates `default`, each entry built over its own."""
-    _, origin, args, _ = _parts(hint)
-    if origin is tuple and isinstance(value, list):
-        return tuple(value)
-    if origin is dict and dataclasses.is_dataclass(args[1]) and isinstance(value, dict):
-        built = {
-            key: build(args[1], item, f"{name}[{key!r}]", base=default[key])
-            if key in default else item
-            for key, item in value.items()
-        }
-        return {**default, **built}
-    return value
+def _from_json(value, hint):
+    """`value` as `check` expects it: a list for a tuple field becomes a tuple."""
+    return tuple(value) if _parts(hint)[1] is tuple and isinstance(value, list) else value
 
 
-def _default(f: dataclasses.Field, base):
-    if base is not None:
-        return getattr(base, f.name)
-    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-
-
-def build(cls, raw, what: str, *, error=ConfigError, base=None, fixed=()):
+def build(cls, raw, what: str, *, error=ConfigError, fixed=()):
     """An instance of the checked dataclass `cls` from the JSON object `raw`.
 
-    Keys left out keep their value in `base`, or else the field's default;
-    `raw` may not set the fields in `fixed`. A failure raises `error`, its
-    message starting with `what` and naming the key.
+    Keys left out keep the field's default; `raw` may not set the fields in
+    `fixed`. A failure raises `error`, its message starting with `what` and
+    naming the key.
     """
     fields = dataclasses.fields(cls)
     given = mapping(raw, [f.name for f in fields if f.name not in fixed], what, error)
     try:
-        hints = typing.get_type_hints(cls, include_extras=True)
-        values = {f.name: _default(f, base) for f in fields}
-        for name, value in given.items():
-            values[name] = _from_json(value, hints[name], values[name], name)
-        missing = [name for name, value in values.items() if value is dataclasses.MISSING]
+        missing = [
+            f.name for f in fields if f.name not in given
+            and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        ]
         if missing:
             raise ConfigError(f"lacks keys {missing}")
-        return cls(**values)
+        hints = typing.get_type_hints(cls, include_extras=True)
+        return cls(**{name: _from_json(value, hints[name]) for name, value in given.items()})
     except ConfigError as exc:
         raise error(f"{what}: {exc}") from exc

@@ -8,16 +8,17 @@ gives a batch of those inputs, and train_step and predict_batch take
 such a staged batch; predict_batch returns the (B, n_classes) probability
 matrix, whose row argmax is the predicted class. Before any step, labels
 pass preprocess.class_indices and each class name must be CLASSES[label].
-The learning rate decays geometrically from lr_start to lr_end across
-epochs, the training set is re-balanced by integer duplication factors
-per class, and the returned model is the parameter snapshot of the epoch
-with the best validation accuracy (earliest epoch wins ties).
+The learning rate decays geometrically from lr_start at the first epoch
+to lr_end at the last (a single epoch runs at lr_start), the training set
+is re-balanced by the integer duplication factors RESAMPLE per class,
+and the returned model is the parameter snapshot of the epoch with the
+best validation accuracy (earliest epoch wins ties).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -26,37 +27,28 @@ from . import nn, schema
 from .preprocess import CLASSES, class_indices
 
 # re-sampling factors balancing the class skew of the reference scenario mix
-DEFAULT_RESAMPLE = {"car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4}
+RESAMPLE = {"car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4}
 
-# upper bounds of the size fields: each keeps the largest array its field
-# drives under 1 GiB, with the other settings at their defaults (README)
+# upper bound of batch_size: it keeps the largest array the field drives
+# under 1 GiB, with the other settings at their defaults (README)
 MAX_BATCH_SIZE = 2**15
-MAX_RESAMPLE_FACTOR = 1024
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; pass the full-scale values explicitly if wanted.
-    A class that resample_factors leaves out keeps its DEFAULT_RESAMPLE factor."""
+    """Desk-scale defaults; pass the full-scale values explicitly if wanted."""
 
     epochs: Annotated[int, schema.Range(1)] = 32
     steps_per_epoch: Annotated[int, schema.Range(1)] = 64
     batch_size: Annotated[int, schema.Range(1, MAX_BATCH_SIZE)] = 64
     lr_start: float = 0.01
     lr_end: float = 0.0001
-    resample_factors: Annotated[
-        Dict[schema.ClassName, int], schema.Range(0, MAX_RESAMPLE_FACTOR)
-    ] = field(
-        default_factory=lambda: dict(DEFAULT_RESAMPLE)
-    )
     seed: Annotated[int, schema.Range(0)] = 0
 
     def __post_init__(self):
         schema.check(self)
         if not (self.lr_start > self.lr_end > 0):
             raise schema.ConfigError("need lr_start > lr_end > 0")
-        factors = {**DEFAULT_RESAMPLE, **self.resample_factors}
-        object.__setattr__(self, "resample_factors", factors)
 
     def steps_in_epoch(self) -> int:
         """steps_per_epoch; perfbench/ counts a run's steps through this name."""
@@ -85,7 +77,8 @@ class TrainReport:
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
-    """Geometric decay hitting lr_start at epoch 0 and lr_end at the last epoch."""
+    """Geometric decay hitting lr_start at epoch 0 and lr_end at the last epoch;
+    with epochs=1 the one epoch is epoch 0, at lr_start."""
     if not 0 <= epoch < config.epochs:
         raise ValueError(f"epoch {epoch} outside [0, {config.epochs})")
     if epoch == 0:
@@ -154,12 +147,7 @@ def train(
     )
     model = model.copy()
     rng = np.random.default_rng(config.seed)
-    multiset = resample_indices(train_class_labels, config.resample_factors)
-    if multiset.size == 0:
-        raise nn.TrainingError(
-            f"resample_factors {config.resample_factors} leave no training samples "
-            f"of the classes {sorted(set(train_class_labels))}"
-        )
+    multiset = resample_indices(train_class_labels, RESAMPLE)
     train_set = model.stage(train_inputs)
     val_set = model.stage(val_inputs)
 

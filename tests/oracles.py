@@ -55,9 +55,8 @@ def object_points(rng, profile, n, length, width):
     pts = np.empty((n, 2))
     if profile.shape == "rectangle":
         pts[0] = (-half_l, rng.uniform(-half_w, half_w))
-        if n > 1:
-            pts[1] = (half_l, rng.uniform(-half_w, half_w))
-        for i in range(min(n, 2), n):
+        pts[1] = (half_l, rng.uniform(-half_w, half_w))
+        for i in range(2, n):
             t = rng.uniform(0.0, 2.0 * (length + width))
             if t < length:
                 pts[i] = (t - half_l, -half_w)
@@ -78,17 +77,18 @@ def object_points(rng, profile, n, length, width):
     return pts
 
 
-def reflection_count(rng, profile, r, start, stop):
+def reflection_count(rng, profile, r):
     """One sample's reflection count, clipped to reflections_range with np.clip."""
     lo, hi = profile.reflections_range
-    closeness = (start - r) / max(start - stop, 1e-9)
+    closeness = (datagen.START_RANGE - r) / (datagen.START_RANGE - datagen.STOP_RANGE)
     expected = lo + math.sqrt(max(closeness, 0.0)) * (hi - lo) * rng.uniform(0.7, 1.0)
     return int(np.clip(round(expected), lo, hi))
 
 
 def generate_track(class_label, track_id, spec):
-    """The samples datagen.generate_track must give bit for bit, one reflection at a time."""
-    profile = spec.profiles[class_label]
+    """The samples datagen.generate_track must give bit for bit, one reflection at a time,
+    from the datagen class profiles and approach ranges."""
+    profile = datagen.PROFILES[class_label]
     rng = datagen._track_rng(spec.seed, track_id)
 
     heading = rng.uniform(-math.pi, math.pi)
@@ -98,18 +98,18 @@ def generate_track(class_label, track_id, spec):
     vr_direction = 1.0 if rng.uniform() < 0.5 else -1.0
     vr_sigma = rng.uniform(*profile.vr_sigma_range) if profile.mover else 0.0
     vr_gain = 2.0 * profile.vr_corr * vr_sigma
-    vr_noise_sigma = vr_sigma * math.sqrt(max(1.0 - profile.vr_corr**2, 0.0))
+    vr_noise_sigma = vr_sigma * math.sqrt(1.0 - profile.vr_corr**2)
 
     n_samples = int(rng.integers(spec.samples_per_track[0], spec.samples_per_track[1] + 1))
-    start = rng.uniform(0.85 * spec.start_range, spec.start_range)
-    stop = rng.uniform(spec.stop_range, spec.stop_range + 4.0)
+    start = rng.uniform(0.85 * datagen.START_RANGE, datagen.START_RANGE)
+    stop = rng.uniform(datagen.STOP_RANGE, datagen.STOP_RANGE + 4.0)
     ranges = np.linspace(start, stop, n_samples)
 
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     samples = []
     for r in ranges:
         pose = ObjectPose(x=r * math.cos(bearing), y=r * math.sin(bearing), heading=heading)
-        n = reflection_count(rng, profile, r, spec.start_range, spec.stop_range)
+        n = reflection_count(rng, profile, r)
         pts = object_points(rng, profile, n, length, width)
         pts += rng.normal(0.0, datagen.POSITION_NOISE, size=pts.shape)
 
@@ -120,13 +120,11 @@ def generate_track(class_label, track_id, spec):
             rcs = rng.normal(profile.rcs_mean, profile.rcs_spread)
             if profile.mover:
                 if profile.vr_pattern == "wheels":
-                    vr = vr_direction * vr_gain * (x_obj / max(length / 2.0, 1e-6))
+                    vr = vr_direction * vr_gain * (x_obj / (length / 2.0))
                     vr += rng.normal(0.0, vr_noise_sigma)
-                elif profile.vr_pattern == "limbs":
+                else:  # limbs
                     sign = 1.0 if rng.uniform() < 0.5 else -1.0
                     vr = sign * vr_sigma * rng.uniform(*profile.vr_limb_range)
-                else:
-                    vr = rng.normal(0.0, vr_sigma)
             elif profile.vr_noise > 0.0:
                 vr = rng.normal(0.0, profile.vr_noise)
             else:

@@ -1,12 +1,9 @@
 """Tests for the synthetic track generator."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import oracles
 from deepreflecs import datagen, forest, preprocess, schema
@@ -48,7 +45,7 @@ class TestGenerateTrack:
         assert all(r1 > r2 for r1, r2 in zip(ranges, ranges[1:]))
 
     def test_reflection_counts_respect_profile(self):
-        profile = datagen.DEFAULT_PROFILES["car"]
+        profile = datagen.PROFILES["car"]
         lo, hi = profile.reflections_range
         for sample in datagen.generate_track("car", "car-x", datagen.GenSpec(seed=9)):
             assert lo <= len(sample.reflections) <= hi
@@ -97,82 +94,10 @@ def dataset_bytes(samples, directory) -> bytes:
     return path.read_bytes()
 
 
-SPANS = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(lambda pair: tuple(sorted(pair)))
-REFLECTION_RANGES = st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]) | st.integers(1, 40).flatmap(
-    lambda lo: st.tuples(st.just(lo), st.integers(lo, 40))
-)
-# every way a profile draws vr: a mover's three patterns, a stationary target with and
-# without gaussian vr noise
-VR_BRANCHES = {
-    "random": dict(mover=True, vr_pattern="random"),
-    "limbs": dict(mover=True, vr_pattern="limbs"),
-    "wheels": dict(mover=True, vr_pattern="wheels"),
-    "vr-noise": dict(mover=False, vr_noise=0.04),
-    "no-vr-noise": dict(mover=False, vr_noise=0.0),
-}
-
-
-@st.composite
-def profiles(draw, shape, branch):
-    # a stationary target also draws a vr_pattern, which must change nothing
-    patterns = st.sampled_from(["random", "limbs", "wheels"])
-    fields = {"vr_pattern": draw(patterns), **VR_BRANCHES[branch]}
-    if fields["mover"]:
-        fields["vr_sigma_range"] = draw(st.just((0.0, 0.0)) | SPANS)
-        fields["vr_corr"] = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    elif fields["vr_noise"]:
-        fields["vr_noise"] = draw(st.floats(1e-3, 2.0))
-    return datagen.ClassProfile(
-        shape=shape,
-        length_range=draw(SPANS),
-        width_range=draw(SPANS),
-        reflections_range=draw(REFLECTION_RANGES),
-        rcs_mean=draw(st.just(0.0) | st.floats(-20.0, 20.0)),
-        rcs_spread=draw(st.just(0.0) | st.floats(0.0, 5.0)),
-        vr_limb_range=draw(SPANS),
-        **fields,
-    )
-
-
 class TestAgainstPerReflectionReference:
     """generate_track draws whole arrays; oracles.generate_track one reflection at a time.
-    The two must write the same file bytes."""
-
-    @pytest.mark.parametrize("branch", sorted(VR_BRANCHES))
-    @pytest.mark.parametrize("shape", ["rectangle", "cluster", "ellipse"])
-    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data(), seed=st.integers(0, 2**31 - 1))
-    def test_random_profiles_write_the_same_bytes(
-        self, tmp_path_factory, shape, branch, data, seed
-    ):
-        profile = data.draw(profiles(shape, branch))
-        stop = data.draw(st.floats(0.0, 20.0))
-        spec = datagen.GenSpec(
-            tracks_per_class={"car": 2},
-            samples_per_track=data.draw(st.sampled_from([(1, 1), (1, 4), (6, 12)])),
-            start_range=stop + data.draw(st.floats(0.5, 80.0)),
-            stop_range=stop,
-            seed=seed,
-            profiles={"car": profile},
-        )
-        directory = tmp_path_factory.mktemp("track")
-        got = dataset_bytes(datagen.generate_dataset(spec), directory)
-        assert got == dataset_bytes(oracles.generate_dataset(spec), directory)
-
-    @pytest.mark.parametrize(
-        "reflections", [(1, 1), (1, 2), (2, 2), (2, 3)], ids=["1-1", "1-2", "2-2", "2-3"]
-    )
-    def test_rectangles_of_one_and_two_points(self, tmp_path, reflections):
-        car = dataclasses.replace(datagen.DEFAULT_PROFILES["car"], reflections_range=reflections)
-        spec = datagen.GenSpec(
-            tracks_per_class={"car": 4}, profiles={**datagen.DEFAULT_PROFILES, "car": car}
-        )
-        samples = datagen.generate_dataset(spec)
-        lo, hi = reflections
-        assert {len(s.reflections) for s in samples} == set(range(lo, hi + 1))
-        assert dataset_bytes(samples, tmp_path) == dataset_bytes(
-            oracles.generate_dataset(spec), tmp_path
-        )
+    The two must write the same file bytes. The desk sets hold every class, so
+    every shape and vr branch of the class profiles."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_desk_sets_write_the_same_bytes(self, tmp_path, seed):
@@ -274,45 +199,41 @@ class TestSeparabilityDesign:
             assert max(lo_p, lo_c) < min(hi_p, hi_c)
 
 
-def worst_case_bytes(tracks, samples, reflections):
-    """The size model of car tracks of up to `samples` samples of up to `reflections` each."""
-    n_samples = tracks * samples
-    return n_samples * (datagen.SAMPLE_BYTES + reflections * datagen.REFLECTION_BYTES)
+def worst_case_bytes(label, tracks, samples):
+    """The size model of `tracks` tracks of class `label` of up to `samples` samples."""
+    reflections = datagen.PROFILES[label].reflections_range[1]
+    return tracks * samples * (datagen.SAMPLE_BYTES + reflections * datagen.REFLECTION_BYTES)
 
 
-def car_spec(tracks, samples, reflections):
-    """(JSON spec, constructor kwargs) of car tracks of these worst-case sizes."""
-    raw = {
-        "tracks_per_class": {"car": tracks},
-        "samples_per_track": [samples, samples],
-        "profiles": {"car": {"reflections_range": [1, reflections]}},
-    }
-    car = dataclasses.replace(datagen.DEFAULT_PROFILES["car"], reflections_range=(1, reflections))
-    kwargs = {"tracks_per_class": {"car": tracks}, "samples_per_track": (samples, samples),
-              "profiles": {**datagen.DEFAULT_PROFILES, "car": car}}
+def class_spec(label, tracks, samples):
+    """(JSON spec, constructor kwargs) of `tracks` tracks of class `label` of `samples` samples."""
+    raw = {"tracks_per_class": {label: tracks}, "samples_per_track": [samples, samples]}
+    kwargs = {"tracks_per_class": {label: tracks}, "samples_per_track": (samples, samples)}
     return raw, kwargs
 
 
 class TestWorstCaseSize:
     """A spec whose worst-case dataset passes 1 GiB is a ConfigError naming its fields."""
 
+    # the class's most reflections per sample enter the total: a car has up to 30,
+    # a non-obstacle up to 3
     @pytest.mark.parametrize(
         "sizes",
-        [lambda n: (n, 1000, 30), lambda n: (1000, n, 30), lambda n: (100, 1000, n)],
-        ids=["tracks", "samples", "reflections"],
+        [lambda n: ("car", n, 1000), lambda n: ("car", 1000, n),
+         lambda n: ("non_obstacle", n, 1000)],
+        ids=["tracks", "samples", "few-reflections"],
     )
     def test_one_past_the_limit_is_named_error(self, sizes):
-        # the size is affine in n: the largest n that fits, from its value at 0 and 1
-        at_0 = worst_case_bytes(*sizes(0))
-        fits = (datagen.MAX_DATASET_BYTES - at_0) // (worst_case_bytes(*sizes(1)) - at_0)
-        raw, kwargs = car_spec(*sizes(fits))
+        # the size is linear in n: the largest n that fits, from its value at 1
+        fits = datagen.MAX_DATASET_BYTES // worst_case_bytes(*sizes(1))
+        raw, kwargs = class_spec(*sizes(fits))
         assert schema.build(datagen.GenSpec, raw, "the spec") == datagen.GenSpec(**kwargs)
-        raw, kwargs = car_spec(*sizes(fits + 1))
+        raw, kwargs = class_spec(*sizes(fits + 1))
         with pytest.raises(schema.ConfigError, match="GiB") as err:
             schema.build(datagen.GenSpec, raw, "the spec")
-        for name in ("tracks_per_class", "samples_per_track", "reflections_range"):
+        for name in ("tracks_per_class", "samples_per_track"):
             assert name in str(err.value)
-        with pytest.raises(schema.ConfigError, match="tracks_per_class, samples_per_track"):
+        with pytest.raises(schema.ConfigError, match="tracks_per_class and samples_per_track"):
             datagen.GenSpec(**kwargs)
 
     def test_fields_at_their_bounds_together_are_refused(self):
@@ -321,7 +242,3 @@ class TestWorstCaseSize:
                 tracks_per_class={c: datagen.MAX_TRACKS_PER_CLASS for c in preprocess.CLASSES},
                 samples_per_track=(1, datagen.MAX_SAMPLES_PER_TRACK),
             )
-
-    def test_a_class_without_a_profile_is_named_error(self):
-        with pytest.raises(schema.ConfigError, match="no profile for"):
-            datagen.GenSpec(tracks_per_class={"car": 1}, profiles={})

@@ -86,8 +86,7 @@ def test_model_config_a_method_does_not_take_is_named_error(
         ({"train": {"epochs": 2, "lr": 0.1}}, "lr"),
         ({"train": [1]}, "'train'"),
         ({"train": None}, "'train'"),
-        ({"train": {"resample_factors": [1]}}, "resample_factors"),
-        ({"train": {**TINY_TRAIN, "resample_factors": {"pedestrain": 2}}}, "pedestrain"),
+        ({"train": {**TINY_TRAIN, "resample_factors": {"car": 1}}}, "resample_factors"),
         ({"model": [1]}, "'model'"),
         ({"train": TINY_TRAIN, "trian": {"epochs": 2}}, "trian"),
         ([{"train": {}}], "config"),
@@ -99,17 +98,14 @@ def test_model_config_a_method_does_not_take_is_named_error(
         ({"train": {"lr_start": float("inf")}}, "lr_start"),
         ({"train": {"steps_are_total": 1}}, "steps_are_total"),
         ({"train": {"optimizer": "adam"}}, "optimizer"),
-        ({"train": {"resample_factors": {"car": -1}}}, "resample_factors"),
-        ({"train": {"resample_factors": {"car": 1.5}}}, "resample_factors"),
         # the seed comes only from --seed
         ({"train": {**TINY_TRAIN, "seed": 5}}, "['seed']"),
     ],
     ids=["unknown-key", "unknown-key-beside-known", "train-list", "train-null",
-         "resample-factors-list", "resample-factors-unknown-class", "model-list",
+         "resample-factors-removed", "model-list",
          "unknown-section", "config-list", "epochs-string", "batch-size-float",
          "epochs-bool", "seed-string", "lr-string", "lr-infinite", "steps-are-total-int",
-         "optimizer-removed", "resample-factor-negative", "resample-factor-float",
-         "seed-set"],
+         "optimizer-removed", "seed-set"],
 )
 @pytest.mark.parametrize("command", ["train", "benchmark", "ablate"])
 def test_malformed_config_is_named_error(command, config, named, dataset, tmp_path, capsys):
@@ -210,50 +206,6 @@ def test_benchmark_takes_either_name_of_a_method(dataset, tmp_path, capsys):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert list(json.loads(reports[0])["methods"]) == ["craftedforest"]
-
-
-def test_partial_resample_factors_mean_the_same_from_a_file_and_from_code(
-    dataset, tmp_path, capsys, monkeypatch
-):
-    seen = []
-    train = trainer.train
-
-    def spy(*args):
-        seen.append((args[3], args[-1]))  # the class labels and the train config
-        return train(*args)
-
-    monkeypatch.setattr(trainer, "train", spy)
-    partial = {"car": 3}
-    config = write_config(tmp_path, {"train": {**TINY_TRAIN, "resample_factors": partial}})
-    code, _ = run_cli(
-        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
-         "--out", str(tmp_path / "model.bin")],
-        capsys,
-    )
-    assert code == 0
-    [(class_labels, from_file)] = seen
-    assert set(class_labels) == set(preprocess.CLASSES)
-    from_code = trainer.TrainConfig(**TINY_TRAIN, resample_factors=partial)
-    np.testing.assert_array_equal(
-        trainer.resample_indices(class_labels, from_file.resample_factors),
-        trainer.resample_indices(class_labels, from_code.resample_factors),
-    )
-    assert from_file == from_code
-
-
-def test_resample_factors_leaving_no_samples_is_training_error(dataset, tmp_path, capsys):
-    zero = {c: 0 for c in preprocess.CLASSES}
-    config = write_config(tmp_path, {"train": {**TINY_TRAIN, "resample_factors": zero}})
-    code, captured = run_cli(
-        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
-         "--out", str(tmp_path / "model.bin")],
-        capsys,
-    )
-    assert code == 1
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "TrainingError"
-    assert "resample_factors" in error["message"] and str(zero) in error["message"]
-    assert not (tmp_path / "model.bin").exists()
 
 
 def test_model_config_reaches_the_network(dataset, tmp_path, capsys):

@@ -38,13 +38,6 @@ class TestParameterCounts:
         assert net.vector.size == 1284
         assert element_count_oracle(net) == 1284
 
-    def test_small_config_matches_oracle(self):
-        cfg = model.ReflectNetConfig(n_features=5, width1=8, width2=16, n_classes=4)
-        net = model.build_model(cfg)
-        # 5*8+8 + 16*16+16 + 16*4+4
-        assert net.vector.size == 388
-        assert element_count_oracle(net) == 388
-
     def test_ablated_build_matches_oracle(self):
         # removing the context layer halves conv2's input width (16 instead
         # of 32), all other widths fixed: 96 + 544 + 132

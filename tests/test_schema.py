@@ -11,7 +11,7 @@ import pkgutil
 import re
 import typing
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Literal, Tuple, Union
 
 import numpy as np
 import pytest
@@ -63,10 +63,6 @@ TABLE = {
     "GenSpec": (
         datagen.GenSpec, json_of(datagen.GenSpec()), from_json(datagen.GenSpec),
         schema.ConfigError,
-    ),
-    "ClassProfile": (
-        datagen.ClassProfile, json_of(datagen.DEFAULT_PROFILES["cyclist"]),
-        from_json(datagen.ClassProfile), schema.ConfigError,
     ),
     "forest-file": (forest.FileConfig, FOREST_CONFIG, LOAD_FOREST, container.ContainerError),
     "gridcnn-file": (gridcnn.FileConfig, GRIDCNN_CONFIG, LOAD_GRIDCNN, container.ContainerError),
@@ -127,7 +123,7 @@ def test_valid_json_loads(key):
     load(valid)
 
 
-@pytest.mark.parametrize("key", ["TrainConfig", "GenSpec", "ClassProfile"])
+@pytest.mark.parametrize("key", ["TrainConfig", "GenSpec"])
 @pytest.mark.parametrize("extra", [{"bogus": 1}, {"Seed": 0}], ids=["bogus", "Seed"])
 def test_unknown_key_is_named_error(key, extra):
     _, valid, load, error = TABLE[key]
@@ -140,9 +136,10 @@ def test_unknown_key_is_named_error(key, extra):
     [
         ("TrainConfig", "steps_are_total"),
         ("TrainConfig", "optimizer"),
-        ("ClassProfile", "alt_fraction"),
-        ("ClassProfile", "alt_length_range"),
-        ("ClassProfile", "alt_width_range"),
+        ("TrainConfig", "resample_factors"),
+        ("GenSpec", "profiles"),
+        ("GenSpec", "start_range"),
+        ("GenSpec", "stop_range"),
     ],
 )
 def test_a_removed_key_is_named_error(key, name):
@@ -172,13 +169,10 @@ def test_missing_key_is_container_error(key):
         ("ReflectNetConfig", "n_classes", 4, 5),
         ("ReflectNetConfig-file", "n_features", 5, 6),
         ("ReflectNetConfig-file", "n_classes", 4, 5),
+        ("ReflectNetConfig", "width1", 16, 8),
+        ("ReflectNetConfig-file", "width2", 32, 64),
         ("TrainConfig", "epochs", 1, 0),
-        ("ClassProfile", "vr_corr", 1, 1.0000001),
         # a list value gets no id of its own, only its position
-        pytest.param(
-            "ClassProfile", "reflections_range", [1, 1], [0, 1],
-            id="ClassProfile-reflections_range-1,1-0,1",
-        ),
         pytest.param("forest-file", "oob", [0, 0], [0, -1], id="forest-file-oob-0,0-0,-1"),
     ],
 )
@@ -189,19 +183,11 @@ def test_bounds(key, name, inside, outside):
         load({**valid, name: outside})
 
 
-def test_json_lists_become_tuples_and_profiles_update_the_defaults():
+def test_json_lists_become_tuples_and_keys_left_out_keep_their_defaults():
     spec = schema.build(
-        datagen.GenSpec,
-        {"samples_per_track": [2, 3], "profiles": {"car": {"length_range": [4, 5]}}},
-        "the spec", base=datagen.GenSpec(seed=7), fixed=("seed",),
+        datagen.GenSpec, {"samples_per_track": [2, 3]}, "the spec", fixed=("seed",)
     )
-    assert spec.samples_per_track == (2, 3) and spec.seed == 7
-    assert spec.profiles["car"] == dataclasses.replace(
-        datagen.DEFAULT_PROFILES["car"], length_range=(4, 5)
-    )
-    assert {k: v for k, v in spec.profiles.items() if k != "car"} == {
-        k: v for k, v in datagen.DEFAULT_PROFILES.items() if k != "car"
-    }
+    assert spec == datagen.GenSpec(samples_per_track=(2, 3))
     with pytest.raises(schema.ConfigError, match="seed"):
         schema.build(datagen.GenSpec, {"seed": 1}, "the spec", fixed=("seed",))
 
@@ -345,7 +331,8 @@ def test_the_readme_table_lists_exactly_the_config_keys(cls, marker, not_keys):
 
 @pytest.mark.parametrize(
     "hint", [str, list, dict, Dict[str, int], List[int], Tuple[int, str], Tuple[int],
-             Union[int, str], Union[int, None], typing.Any],
+             Union[int, str], Union[int, None], typing.Any, Literal["a", "b"],
+             forest.FeatureConfig],
     ids=str,
 )
 def test_an_annotation_the_schema_cannot_check_is_type_error(hint):

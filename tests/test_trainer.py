@@ -41,6 +41,12 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             trainer.lr_at(4, config)
 
+    def test_a_single_epoch_runs_at_lr_start(self):
+        config = trainer.TrainConfig(epochs=1)
+        assert trainer.lr_at(0, config) == 0.01
+        with pytest.raises(ValueError):
+            trainer.lr_at(1, config)
+
     def test_desk_defaults_hit_endpoints_too(self):
         config = trainer.TrainConfig()
         assert trainer.lr_at(0, config) == 0.01
@@ -73,8 +79,8 @@ class TestResample:
         multiset = trainer.resample_indices([], {"car": 2})
         assert multiset.dtype == np.int64 and multiset.size == 0
 
-    def test_default_factors(self):
-        assert trainer.DEFAULT_RESAMPLE == {
+    def test_training_factors(self):
+        assert trainer.RESAMPLE == {
             "car": 1, "pedestrian": 2, "cyclist": 2, "non_obstacle": 4
         }
 
@@ -88,21 +94,15 @@ class TestTrainConfigChecks:
             ("seed", False), ("seed", -1),
             ("lr_start", "0.01"), ("lr_start", True), ("lr_start", float("inf")),
             ("lr_end", float("nan")),
-            # a list or dict value gets no id of its own, only its position
-            pytest.param("resample_factors", [1], id="resample_factors-list"),
-            pytest.param("resample_factors", {"car": -1}, id="resample_factors-negative"),
-            pytest.param("resample_factors", {"car": 1.5}, id="resample_factors-fraction"),
-            pytest.param("resample_factors", {"car": True}, id="resample_factors-bool"),
         ],
     )
     def test_bad_value_is_value_error_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             trainer.TrainConfig(**{field: value})
 
-    def test_integral_learning_rates_and_zero_factors_are_accepted(self):
-        config = trainer.TrainConfig(lr_start=1, lr_end=0.5, resample_factors={"car": 0})
+    def test_integral_learning_rates_are_accepted(self):
+        config = trainer.TrainConfig(lr_start=1, lr_end=0.5)
         assert config.lr_start == 1
-        assert config.resample_factors == {**trainer.DEFAULT_RESAMPLE, "car": 0}
 
 
 class TestTrainLoop:
@@ -149,7 +149,7 @@ class TestTrainLoop:
 
         replay = net.copy()
         replay_rng = np.random.default_rng(config.seed)
-        multiset = trainer.resample_indices(classes, config.resample_factors)
+        multiset = trainer.resample_indices(classes, trainer.RESAMPLE)
         state = None
         for epoch in range(report.best_epoch + 1):
             lr = trainer.lr_at(epoch, config)
@@ -162,19 +162,6 @@ class TestTrainLoop:
                 )
         for name, p in best.params().items():
             assert np.array_equal(p, replay.params()[name])
-
-    @pytest.mark.parametrize(
-        "factors",
-        [{"car": 0, "pedestrian": 0}, {"car": 0, "pedestrian": 0, "cyclist": 3}],
-        ids=["all-zero", "zero-for-the-classes-present"],
-    )
-    def test_empty_resampled_set_is_training_error(self, factors):
-        inputs, labels, classes = toy_data(np.random.default_rng(5))
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=5)
-        config = self.make_config(resample_factors=factors)
-        with pytest.raises(nn.TrainingError, match="resample_factors") as caught:
-            trainer.train(net, inputs, labels, classes, inputs, labels, config)
-        assert str({**trainer.DEFAULT_RESAMPLE, **factors}) in str(caught.value)
 
     @pytest.mark.parametrize(
         "cut, message",
