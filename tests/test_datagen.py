@@ -1,5 +1,6 @@
 """Tests for the synthetic track generator."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,50 @@ def object_frame_extents(sample):
         [to_object_frame(r, sample.pose) for r in sample.reflections]
     )
     return xy[:, 0].max() - xy[:, 0].min(), xy[:, 1].max() - xy[:, 1].min()
+
+
+def ordered(pair, low=0.0) -> bool:
+    """A finite (low, high) pair with low <= high, from `low` up."""
+    return len(pair) == 2 and all(map(np.isfinite, pair)) and low <= pair[0] <= pair[1]
+
+
+# the values each class profile field may hold, now that no schema checks the
+# constants: the generator draws from these ranges with no guard of its own
+DOMAIN = {
+    "shape": lambda p: p.shape in ("rectangle", "cluster", "ellipse"),
+    # x positions divide by half the length (the wheels pattern)
+    "length_range": lambda p: ordered(p.length_range) and p.length_range[0] > 0,
+    "width_range": lambda p: ordered(p.width_range) and p.width_range[0] > 0,
+    # a rectangle puts its first two points on the bumpers and the rest on its sides
+    "reflections_range": lambda p: all(type(n) is int for n in p.reflections_range)
+    and ordered(p.reflections_range, low=3 if p.shape == "rectangle" else 1),
+    "rcs_mean": lambda p: np.isfinite(p.rcs_mean),
+    "rcs_spread": lambda p: np.isfinite(p.rcs_spread) and p.rcs_spread > 0,
+    "mover": lambda p: type(p.mover) is bool,
+    "vr_sigma_range": lambda p: ordered(p.vr_sigma_range)
+    and (p.vr_sigma_range[0] > 0) == p.mover,
+    # the generator reads the pattern of any class, not only of movers
+    "vr_pattern": lambda p: p.vr_pattern in (("limbs", "wheels") if p.mover else ("",)),
+    # the wheels noise scale is the sigma times sqrt(1 - vr_corr**2)
+    "vr_corr": lambda p: 0 <= p.vr_corr < 1 and (p.vr_corr > 0) == (p.vr_pattern == "wheels"),
+    "vr_limb_range": lambda p: ordered(p.vr_limb_range) and p.vr_limb_range[0] > 0,
+    "vr_noise": lambda p: np.isfinite(p.vr_noise) and p.vr_noise >= 0,
+}
+
+
+class TestProfiles:
+    def test_every_class_has_a_profile_and_every_field_a_domain(self):
+        assert list(datagen.PROFILES) == list(preprocess.CLASSES)
+        assert list(DOMAIN) == [f.name for f in dataclasses.fields(datagen.ClassProfile)]
+
+    @pytest.mark.parametrize("name", DOMAIN)
+    @pytest.mark.parametrize("label", preprocess.CLASSES)
+    def test_every_profile_value_is_in_its_domain(self, label, name):
+        assert DOMAIN[name](datagen.PROFILES[label]), getattr(datagen.PROFILES[label], name)
+
+    def test_every_track_approaches(self):
+        # the reflection count grows with (START_RANGE - r) / (START_RANGE - STOP_RANGE)
+        assert datagen.START_RANGE > datagen.STOP_RANGE > 0
 
 
 class TestGenerateTrack:

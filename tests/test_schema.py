@@ -1,6 +1,6 @@
 """The one config schema: every checked dataclass refuses a wrong value of
-every field, from JSON and from direct construction, with a named error
-that names the field."""
+every field, from JSON, from direct construction and from a file given on
+the command line, with a named error that names the field."""
 
 import dataclasses
 import importlib
@@ -17,20 +17,20 @@ import numpy as np
 import pytest
 
 import deepreflecs
-from deepreflecs import container, datagen, forest, gridcnn, schema, trainer
+from deepreflecs import cli, container, datagen, forest, gridcnn, preprocess, schema, trainer
 from deepreflecs import model as reflectnet
 
 
 def reloaded(module, model):
-    """deserialize of a model file whose config block is replaced."""
+    """A model file's config block; the bytes of the file with that block
+    replaced; deserialize of those bytes."""
     parsed = container.read_container(module.serialize(model), module.MAGIC)
     stats = (parsed.norm_means, parsed.norm_stds) if parsed.norm_means.size else None
 
-    def load(config):
-        blob = container.write_container(module.MAGIC, config, stats, list(parsed.arrays.items()))
-        return module.deserialize(blob)
+    def rewrite(config) -> bytes:
+        return container.write_container(module.MAGIC, config, stats, list(parsed.arrays.items()))
 
-    return parsed.config, load
+    return parsed.config, rewrite, lambda config: module.deserialize(rewrite(config))
 
 
 def from_json(cls):
@@ -38,9 +38,9 @@ def from_json(cls):
 
 
 FOREST = forest.fit_forest(np.arange(6.0)[:, None], np.array([0, 1, 2, 0, 1, 2]), n_trees=2)
-FOREST_CONFIG, LOAD_FOREST = reloaded(forest, FOREST)
-GRIDCNN_CONFIG, LOAD_GRIDCNN = reloaded(gridcnn, gridcnn.build_gridcnn())
-NETWORK_CONFIG, LOAD_NETWORK = reloaded(reflectnet, reflectnet.build_model())
+FOREST_CONFIG, FOREST_FILE, LOAD_FOREST = reloaded(forest, FOREST)
+GRIDCNN_CONFIG, GRIDCNN_FILE, LOAD_GRIDCNN = reloaded(gridcnn, gridcnn.build_gridcnn())
+NETWORK_CONFIG, NETWORK_FILE, LOAD_NETWORK = reloaded(reflectnet, reflectnet.build_model())
 
 
 def json_of(instance) -> dict:
@@ -115,6 +115,71 @@ def test_wrong_value_in_construction_is_config_error_naming_the_field(key, name,
     kwargs = {f.name: getattr(good, f.name) for f in dataclasses.fields(cls)}
     with pytest.raises(schema.ConfigError, match=name):
         cls(**{**kwargs, name: value})
+
+
+# --- the same wrong values from a file given on the command line -------------
+
+# the commands that read each TABLE key from a file; "train" reads the
+# deepreflecs method's 'train' and 'model' sections
+COMMANDS = {
+    "TrainConfig": ("train", "benchmark", "ablate"),
+    "ReflectNetConfig": ("train",),
+    "GenSpec": ("generate",),
+    "ReflectNetConfig-file": ("eval",),
+    "forest-file": ("eval",),
+    "gridcnn-file": ("eval",),
+}
+MODEL_FILES = {
+    "ReflectNetConfig-file": NETWORK_FILE, "forest-file": FOREST_FILE,
+    "gridcnn-file": GRIDCNN_FILE,
+}
+SECTIONS = {"TrainConfig": "train", "ReflectNetConfig": "model"}
+
+CLI_CASES = [
+    pytest.param(command, *case.values, id=f"{command}-{case.id}")
+    for case in CASES
+    for command in COMMANDS[case.values[0]]
+]
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A one-track dataset: eval reads its data before the model's config."""
+    path = tmp_path_factory.mktemp("data") / "tiny.jsonl"
+    spec = datagen.GenSpec(tracks_per_class={"car": 1}, samples_per_track=(2, 2))
+    preprocess.write_dataset(datagen.generate_dataset(spec), str(path))
+    return str(path)
+
+
+def command_line(command, key, name, value, tmp_path, dataset):
+    """argv of `command` given a file that sets `name` of TABLE[key] to `value`."""
+    if key in MODEL_FILES:
+        _, valid, _, _ = TABLE[key]
+        model = tmp_path / "model.bin"
+        model.write_bytes(MODEL_FILES[key]({**valid, name: value}))
+        return ["eval", "--model", str(model), "--data", dataset]
+    raw = {name: value} if key == "GenSpec" else {SECTIONS[key]: {name: value}}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    out = ["--out", str(tmp_path / "out")]
+    if command == "generate":
+        return ["generate", "--spec", str(path), *out]
+    argv = [command, "--data", dataset, "--config", str(path)]
+    return argv + ["--method", "deepreflecs", *out] if command == "train" else argv
+
+
+@pytest.mark.parametrize("command, key, name, value", CLI_CASES)
+def test_wrong_value_in_a_file_is_named_error_on_the_command_line(
+    command, key, name, value, tmp_path, dataset, capsys
+):
+    _, _, _, error = TABLE[key]
+    code = cli.main(command_line(command, key, name, value, tmp_path, dataset))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    reported = json.loads(captured.err.strip().splitlines()[-1])
+    assert reported["error"] == error.__name__
+    assert name in reported["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", TABLE)
