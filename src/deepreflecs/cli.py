@@ -43,17 +43,11 @@ def _seeded(cls, raw, what: str, seed: int):
     return replace(schema.build(cls, raw, what, fixed=("seed",)), seed=seed)
 
 
-def _load_config(path: str | None, model_config, who: str, seed: int):
-    """The checked 'train' and 'model' sections of a config file, both optional;
-    with no `model_config` to build, `who` takes no 'model' keys."""
+def _load_config(path: str | None, seed: int) -> trainer.TrainConfig:
+    """The checked 'train' section of a config file; the file and the section are optional."""
     raw = {} if path is None else _read_json(path)
-    sections = schema.mapping(raw, ("train", "model"), "the config")
-    config = _seeded(trainer.TrainConfig, sections.get("train", {}), "the 'train' config", seed)
-    model_section = sections.get("model", {})
-    if model_config is None:
-        schema.mapping(model_section, (), f"the 'model' config of {who}")
-        return config, None
-    return config, schema.build(model_config, model_section, "the 'model' config")
+    sections = schema.mapping(raw, ("train",), "the config")
+    return _seeded(trainer.TrainConfig, sections.get("train", {}), "the 'train' config", seed)
 
 
 def seed(text: str) -> int:
@@ -86,11 +80,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     method = evaluate.BY_NAME[args.method]
-    who = f"method '{method.name}'"
-    config, model_config = _load_config(args.config, method.model_config, who, args.seed)
+    config = _load_config(args.config, args.seed)
     samples = preprocess.read_dataset(args.data)
     splits = preprocess.trackwise_split(samples, seed=args.seed)
-    trained, report = method.train(splits, config, model_config)
+    trained, report = method.train(splits, config, None)
     with open(args.out, "wb") as fh:
         fh.write(method.serialize(trained))
     summary = {"method": method.name, "out": args.out, "seed": args.seed}
@@ -112,7 +105,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config, _ = _load_config(args.config, None, "'benchmark'", args.seed)
+    config = _load_config(args.config, args.seed)
     methods = evaluate.METHODS if args.methods is None else args.methods.split(",")
     report = evaluate.run_benchmark(args.data, config, methods)
     _write_json(report.benchmark_json(), args.json)
@@ -125,7 +118,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, _ = _load_config(args.config, None, "'ablate'", args.seed)
+    config = _load_config(args.config, args.seed)
     _write_json(evaluate.run_ablation(args.data, config).ablation_json(), args.json)
     return 0
 
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one method on a dataset")
     p.add_argument("--method", required=True, choices=list(evaluate.BY_NAME))
     p.add_argument("--data", required=True)
-    p.add_argument("--config", help="JSON with optional 'train'/'model' sections")
+    p.add_argument("--config", help="JSON with an optional 'train' section")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_train)

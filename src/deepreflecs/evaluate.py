@@ -100,7 +100,6 @@ class Method:
     name: str                    # CLI name, printed in `deepreflecs train` summaries
     key: str                     # key in benchmark reports; BY_NAME takes either name
     magic: bytes                 # model file magic
-    model_config: Optional[type]  # the dataclass of its 'model' config, or None
     # (splits, train config with the seed, model config or None) -> (model, TrainReport or None)
     train: Callable
     featurize: Callable          # (model, samples) -> inputs for predict_batch
@@ -152,22 +151,20 @@ def _predicted(net, inputs) -> np.ndarray:
 TABLE = (  # in benchmark report order
     Method(
         name="deepreflecs", key="deepreflecs", magic=reflectnet.MAGIC,
-        model_config=reflectnet.ReflectNetConfig,
         train=_reflectnet_trained, featurize=_prepare_inputs, predict_batch=_predicted,
         complexity=lambda net: {"param_count": net.vector.size},
         serialize=reflectnet.serialize, deserialize=reflectnet.deserialize,
     ),
     Method(
-        name="forest", key="craftedforest", magic=forest.MAGIC, model_config=None,
-        train=_forest_trained,
+        name="forest", key="craftedforest", magic=forest.MAGIC, train=_forest_trained,
         featurize=lambda fitted, samples: forest.extract_features(samples, fitted.feature_config),
         predict_batch=lambda fitted, features: fitted.predict_batch(features),
         complexity=lambda fitted: {"node_count": forest.count_nodes(fitted)},
         serialize=forest.serialize, deserialize=forest.deserialize,
     ),
     Method(
-        name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, model_config=None,
-        train=_gridcnn_trained, featurize=_rasterize, predict_batch=_predicted,
+        name="gridcnn", key="gridcnn", magic=gridcnn.MAGIC, train=_gridcnn_trained,
+        featurize=_rasterize, predict_batch=_predicted,
         complexity=lambda net: {"param_count": net.vector.size},
         serialize=gridcnn.serialize, deserialize=gridcnn.deserialize,
     ),

@@ -169,15 +169,8 @@ class ForestModel:
     depth: int             # steps from a root to the deepest leaf, from a checked table
 
     def _table(self, features) -> np.ndarray:
-        """features as a float64 (samples, columns) table with every column the forest splits on."""
-        features = np.asarray(features, dtype=np.float64)
-        needed = int(self.feature.max(initial=-1)) + 1  # the forest splits on column needed - 1
-        if features.ndim != 2 or features.shape[1] < needed:
-            raise ValueError(
-                f"features have shape {features.shape}; this forest needs a "
-                f"(samples, columns) table of at least {needed} columns"
-            )
-        return features
+        """_feature_table of features, holding every column the forest splits on."""
+        return _feature_table(features, int(self.feature.max(initial=-1)) + 1)
 
     def predict(self, x: np.ndarray) -> int:
         """predict_batch of the one row x, walked through a step table of its own.
@@ -186,7 +179,7 @@ class ForestModel:
         advance together depth times; a child is always a later row, so
         the maximum with a leaf's -1 keeps a finished walk in place.
         """
-        x = self._table(np.asarray(x)[None])[0]
+        x = self._table([x])[0]
         node = self.roots
         if self.depth:  # an all-leaf forest may be asked about a row of no columns
             step = np.where(x.take(self.feature) < self.threshold, self.left, self.right)
@@ -225,11 +218,22 @@ class ForestModel:
 FIT_ELEMENTS = 1 << 15  # (tree, row, feature) elements grown in lockstep; bounds a block's trees
 
 
+def _feature_table(features, columns: int) -> np.ndarray:
+    """features as a float64 (rows, columns) table of numbers with at least `columns` columns,
+    the table rule of fit and predict; anything else is a ValueError naming features."""
+    try:
+        table = np.asarray(features)
+    except ValueError:  # a ragged list
+        raise ValueError("features must be a (rows, columns) table, got a ragged list") from None
+    if table.ndim != 2 or table.shape[1] < columns or table.dtype.kind not in "biuf":
+        raise ValueError(f"features must be a (rows, columns) table of numbers, got shape "
+                         f"{table.shape} of {table.dtype}; need at least {columns} columns")
+    return table.astype(np.float64, copy=False)
+
+
 def _check_fit_inputs(features, labels, n_trees: int) -> Tuple[np.ndarray, np.ndarray]:
     """The float64 table and int64 labels fit_forest grows on; ValueError naming what is wrong."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] == 0:
-        raise ValueError(f"features must be a (rows, columns) table, got shape {features.shape}")
+    features = _feature_table(features, 1)
     labels = class_indices(labels, N_CLASSES, "labels")
     if labels.shape != (len(features),):
         raise ValueError(f"labels have shape {labels.shape} for {len(features)} feature rows")

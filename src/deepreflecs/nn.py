@@ -370,11 +370,14 @@ def check_staged(batch, kind: type, dtype) -> None:
 
 def batch_index(indices, size: int) -> np.ndarray:
     """indices as a 1-D, non-empty intp array of positions in [0, size), else a ShapeError."""
-    index = np.asarray(indices)  # a slice or scalar is 0-d, booleans and floats not "iu"
+    rule = f"need a 1-D, non-empty index array of integers in [0, {size})"
+    try:
+        index = np.asarray(indices)  # a slice or scalar is 0-d, booleans and floats not "iu"
+    except ValueError:  # a ragged list
+        raise ShapeError(f"{rule}, got a ragged list") from None
     if (index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu"
             or index.min() < 0 or index.max() >= size):
-        raise ShapeError(f"need a 1-D, non-empty index array of integers in [0, {size}), "
-                         f"got {index!r}")
+        raise ShapeError(f"{rule}, got {index!r}")
     return index.astype(np.intp, copy=False)
 
 

@@ -1,4 +1,4 @@
-"""One checked schema for every config: the `train`/`model` config file,
+"""One checked schema for every config: the `train` config file,
 the `generate --spec` file and the config block of each model file.
 
 A checked config is a frozen dataclass whose `__post_init__` calls `check`,
@@ -26,21 +26,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Range:
-    """low <= x <= high, or low <= x < high when high_open; None is unbounded."""
+    """low <= x <= high; a high of None is unbounded."""
 
-    low: float | None = None
+    low: float
     high: float | None = None
-    high_open: bool = False
 
     def __contains__(self, x) -> bool:
-        if self.low is not None and x < self.low:
-            return False
-        return self.high is None or (x < self.high if self.high_open else x <= self.high)
+        return self.low <= x and (self.high is None or x <= self.high)
 
     def __str__(self) -> str:
-        if self.high is None:
-            return f" >= {self.low}"
-        return f" in [{self.low}, {self.high}{')' if self.high_open else ']'}"
+        return f" >= {self.low}" if self.high is None else f" in [{self.low}, {self.high}]"
 
 
 def _parts(hint, bound: Range | None = None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Annotated, Dict, List, Sequence, Tuple
+from typing import Annotated, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,11 +89,9 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr_start * (config.lr_end / config.lr_start) ** fraction
 
 
-def resample_indices(
-    class_labels: Sequence[str], factors: Dict[str, int]
-) -> np.ndarray:
-    """Index multiset where sample i of class c appears factors.get(c, 1) times, in order."""
-    counts = [int(factors.get(label, 1)) for label in class_labels]
+def resample_indices(class_labels: Sequence[str]) -> np.ndarray:
+    """Index multiset where sample i of class c appears RESAMPLE[c] times, in order."""
+    counts = [RESAMPLE[label] for label in class_labels]
     return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
@@ -147,7 +145,7 @@ def train(
     )
     model = model.copy()
     rng = np.random.default_rng(config.seed)
-    multiset = resample_indices(train_class_labels, RESAMPLE)
+    multiset = resample_indices(train_class_labels)
     train_set = model.stage(train_inputs)
     val_set = model.stage(val_inputs)
 

@@ -109,7 +109,7 @@ def gradient_fidelity() -> dict:
     the parameter count each reflection-network check covered."""
     worst_net = 0.0
     net_checked = []
-    net = reflectnet.build_model(reflectnet.ReflectNetConfig(pad_length=8), seed=3)
+    net = reflectnet.build_model(seed=3)
     rng = np.random.default_rng(11)
     for _ in range(10):
         inp, label = nn.random_safe_sample(net, rng)

@@ -500,6 +500,22 @@ class TestStackedWalk:
         expected = fitted.predict_batch(wide[:, :needed])
         np.testing.assert_array_equal(fitted.predict_batch(wide), expected)
 
+    @pytest.mark.parametrize(
+        "call, x",
+        [
+            ("predict_batch", [[0.0] * forest.N_HANDCRAFTED, [1.0]]),
+            ("predict", [[0.0], [1.0, 2.0]]),
+            ("predict_batch", [["a"] * forest.N_HANDCRAFTED]),
+            ("predict_batch", [["1.0"] * forest.N_HANDCRAFTED]),
+            ("predict", ["a"] * forest.N_HANDCRAFTED),
+        ],
+        ids=["ragged-batch", "ragged-row", "strings", "numeric-strings", "string-row"],
+    )
+    def test_a_ragged_or_string_table_is_value_error_naming_features(self, desk_forests, call, x):
+        fitted, _ = desk_forests[0]
+        with pytest.raises(ValueError, match="^features must be a \\(rows, columns\\) table"):
+            getattr(fitted, call)(x)
+
     def test_empty_batch_is_an_empty_int64_array(self, desk_forests):
         fitted, _ = desk_forests[0]
         got = fitted.predict_batch(np.empty((0, forest.N_HANDCRAFTED)))
@@ -687,10 +703,14 @@ class TestLockstepGrower:
         (np.zeros((4, 2)), [0, 1, 4, 1], "labels must lie in \\[0, 4\\), got 0 to 4"),
         (np.zeros((4, 2)), [0, -1, 2, 1], "labels must lie in \\[0, 4\\), got -1 to 2"),
         (np.zeros((2, 2)), [[0], [1, 2]], "labels must be a list of class indices, got a ragged"),
+        ([[0.0], [1.0, 2.0]], [0, 1], "features must be a \\(rows, columns\\) table, got a ragged"),
+        ([["a", "b"], ["c", "d"]], [0, 1], "features must be a .* table of numbers"),
+        ([["1", "2"], ["3", "4"]], [0, 1], "features must be a .* table of numbers"),
     ],
     ids=["one-dimensional", "no-columns", "fewer-labels", "label-table", "empty",
          "fractional-label", "nan-label", "string-labels", "label-past-classes",
-         "negative-label", "ragged-labels"],
+         "negative-label", "ragged-labels", "ragged-features", "string-features",
+         "numeric-string-features"],
 )
 def test_bad_fit_input_is_value_error_naming_it(features, labels, match):
     with pytest.raises(ValueError, match=match):

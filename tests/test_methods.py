@@ -59,27 +59,6 @@ def test_cli_train_writes_the_benchmark_model(method, dataset, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "name, model_config",
-    [("gridcnn", {"dropout": 0.3}), ("forest", {"n_trees": 5}), ("deepreflecs", {"bogus": 1})],
-    ids=["gridcnn-dropout", "forest-n_trees", "deepreflecs-bogus"],
-)
-def test_model_config_a_method_does_not_take_is_named_error(
-    name, model_config, dataset, tmp_path, capsys
-):
-    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
-    code, captured = run_cli(
-        ["train", "--method", name, "--data", dataset, "--config", config,
-         "--out", str(tmp_path / "model.bin")],
-        capsys,
-    )
-    assert code == 1
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "ConfigError"
-    assert list(model_config)[0] in error["message"]
-    assert not (tmp_path / "model.bin").exists()
-
-
-@pytest.mark.parametrize(
     "config, named",
     [
         ({"train": {"bogus": 1}}, "bogus"),
@@ -120,44 +99,30 @@ def test_malformed_config_is_named_error(command, config, named, dataset, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "model_config, named",
-    [({"width1": "16"}, "width1"), ({"use_gcl": 1}, "use_gcl"), ({"pad_length": 0}, "pad_length")],
-    ids=["width-string", "use-gcl-int", "pad-length-zero"],
-)
-def test_bad_model_value_is_config_error_before_reading_data(
-    model_config, named, tmp_path, capsys
-):
-    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
-    code, captured = run_cli(
-        ["train", "--method", "deepreflecs", "--data", str(tmp_path / "nope.jsonl"),
-         "--config", config, "--out", str(tmp_path / "model.bin")],
-        capsys,
-    )
-    assert code == 1
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "ConfigError"
-    assert named in error["message"]
-    assert not (tmp_path / "model.bin").exists()
-
-
-@pytest.mark.parametrize(
     "argv",
-    [["benchmark", "--methods", "craftedforest"], ["benchmark"], ["ablate"]],
-    ids=["benchmark-forest", "benchmark", "ablate"],
+    [["train", "--method", method.name] for method in evaluate.TABLE]
+    + [["benchmark", "--methods", "craftedforest"], ["benchmark"], ["ablate"]],
+    ids=["train-deepreflecs", "train-forest", "train-gridcnn",
+         "benchmark-forest", "benchmark", "ablate"],
 )
 @pytest.mark.parametrize(
-    "model_config", [{"bogus": 1}, {"use_gcl": False}], ids=["bogus", "use-gcl"]
+    "model_config",
+    [{"bogus": 1}, {"use_gcl": False}, {"pad_length": 64}, {"dropout": 0.3}, {"n_trees": 5}, {}],
+    ids=["bogus", "use-gcl", "pad-length", "gridcnn-dropout", "forest-n_trees", "empty"],
 )
-def test_benchmark_and_ablate_refuse_a_model_section(
-    argv, model_config, dataset, tmp_path, capsys
-):
+def test_every_command_refuses_a_model_section(argv, model_config, dataset, tmp_path, capsys):
+    out = tmp_path / "out.bin"
     config = write_config(tmp_path, {"train": TINY_TRAIN, "model": model_config})
-    code, captured = run_cli(argv + ["--data", dataset, "--config", config], capsys)
+    argv = argv + ["--data", dataset, "--config", config]
+    argv += ["--out", str(out)] if argv[0] == "train" else ["--json", str(out)]
+    code, captured = run_cli(argv, capsys)
     assert code == 1
-    error = json.loads(captured.err.strip().splitlines()[-1])
-    assert error["error"] == "ConfigError"
-    assert list(model_config)[0] in error["message"]
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "ConfigError",
+        "message": "the config has unknown keys ['model'] (it takes ['train'])",
+    }
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["benchmark", "ablate"])
@@ -208,17 +173,6 @@ def test_benchmark_takes_either_name_of_a_method(dataset, tmp_path, capsys):
     assert list(json.loads(reports[0])["methods"]) == ["craftedforest"]
 
 
-def test_model_config_reaches_the_network(dataset, tmp_path, capsys):
-    config = write_config(tmp_path, {"train": TINY_TRAIN, "model": {"use_gcl": False}})
-    code, captured = run_cli(
-        ["train", "--method", "deepreflecs", "--data", dataset, "--config", config,
-         "--out", str(tmp_path / "model.bin")],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(captured.out)["param_count"] == 772
-
-
 def test_unknown_magic_is_magic_error():
     with pytest.raises(container.MagicError):
         evaluate.method_for(b"NOPE" + bytes(16))
@@ -231,7 +185,7 @@ def label_consumers():
     """Each place a list of four class labels enters the package, as a call."""
     inputs = [preprocess.PaddedInput(np.full((2, 5), float(i)), 8) for i in range(4)]
     names, indices = list(preprocess.CLASSES), [0, 1, 2, 3]
-    net = reflectnet.build_model(reflectnet.ReflectNetConfig(pad_length=8))
+    net = reflectnet.build_model()
     schedule = trainer.TrainConfig(epochs=1, steps_per_epoch=1, batch_size=4)
     return {
         "metrics": lambda y: evaluate.MetricsReport.from_predictions(y, indices, 4),

@@ -27,7 +27,8 @@ def element_count_oracle(net) -> int:
     return total
 
 
-def random_input(rng, pad_length=64, m=None, n_features=5):
+def random_input(rng, m=None, n_features=5):
+    pad_length = model.ReflectNetConfig.pad_length
     m = m or int(rng.integers(1, pad_length + 1))
     return PaddedInput(rng.standard_normal((m, n_features)), pad_length)
 
@@ -145,9 +146,8 @@ class TestTrainStep:
 
     def test_two_point_toy_set_converges(self):
         rng = np.random.default_rng(12)
-        cfg = model.ReflectNetConfig(pad_length=4)
-        net = model.build_model(cfg, seed=6)
-        a = random_input(rng, pad_length=4, m=2)
+        net = model.build_model(seed=6)
+        a = random_input(rng, m=2)
         b = PaddedInput(a.rows + 3.0, a.pad_length)
         batch, state = net.stage([a, b]), None
         for _ in range(200):
@@ -155,8 +155,7 @@ class TestTrainStep:
         assert loss < 0.01
 
     def test_gradcheck_full_model_small_list(self):
-        cfg = model.ReflectNetConfig(pad_length=3)
-        net = model.build_model(cfg, seed=7)
+        net = model.build_model(seed=7)
         rng = np.random.default_rng(13)
         inp, label = nn.random_safe_sample(net, rng)
         report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
@@ -263,10 +262,9 @@ class TestStaged:
     @staticmethod
     def staged_set(dtype):
         rng = np.random.default_rng(7)
-        # input 3 fills all pad_length rows
-        inputs = [random_input(rng, pad_length=8, m=m) for m in (1, 5, 2, 8, 3)]
+        inputs = [random_input(rng, m=m) for m in (1, 5, 2, 8, 3)]
         labels = np.array([0, 1, 2, 3, 1])
-        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=7).astype(dtype)
+        net = model.build_model(seed=7).astype(dtype)
         return net, inputs, labels, net.stage(inputs)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -328,7 +326,7 @@ class TestStaged:
         assert state.v.tobytes() == expected_state.v.tobytes()
 
     def test_gradcheck_mean_loss_of_three_sample_batch(self):
-        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=8)
+        net = model.build_model(seed=8)
         rng = np.random.default_rng(15)
         inputs, labels = zip(*(nn.random_safe_sample(net, rng) for _ in range(3)))
         assert len({inp.m_real for inp in inputs}) > 1  # a ragged batch
@@ -413,7 +411,7 @@ class TestPoolBeforeRelu:
         rows = np.random.default_rng(12).standard_normal((3, 5))
         # input 0 is one row three times, so every feature of both pools ties
         inputs = [padded(rows[[0, 0, 0]]), padded(rows[[1, 2, 2, 0]]), padded(rows)]
-        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=12)
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=12)
         net = net.astype(dtype)
         with oracles.first_winner_searches() as calls:
             model.loss_and_grads(net, net.stage(inputs), [0, 1, 2])
@@ -423,7 +421,7 @@ class TestPoolBeforeRelu:
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
     @pytest.mark.parametrize("use_gcl", [True, False])
     def test_a_segment_of_negative_pre_activations_passes_no_gradient(self, use_gcl, dtype, tol):
-        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=13)
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=13)
         net.conv1.weights[:] = np.abs(net.conv1.weights)
         net.conv2.bias[:] = -0.5
         net = net.astype(dtype)
@@ -450,7 +448,7 @@ class TestPoolBeforeRelu:
     def test_single_row_segments_have_one_winner(self, use_gcl, dtype):
         rows = np.random.default_rng(14).standard_normal((5, 5))
         inputs = [padded(row[None]) for row in rows]
-        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=14)
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=14)
         net = net.astype(dtype)
         with oracles.first_winner_searches() as calls:
             model.loss_and_grads(net, net.stage(inputs), [0, 1, 2, 3, 0])
@@ -464,7 +462,7 @@ class TestPoolBeforeRelu:
         inputs = [padded(np.zeros((3, 5))), padded(rng.standard_normal((4, 5))),
                   padded(np.zeros((1, 5)))]
         labels = [0, 1, 3]
-        net = model.build_model(model.ReflectNetConfig(pad_length=8, use_gcl=use_gcl), seed=15)
+        net = model.build_model(model.ReflectNetConfig(use_gcl=use_gcl), seed=15)
         net = net.astype(dtype)
         staged, opt_state = net.stage(inputs), None
         for _ in range(4):  # fresh biases are zero, so zero rows give zero pre-activations
@@ -574,7 +572,7 @@ import hashlib
 import numpy as np
 from deepreflecs import gridcnn, model, preprocess
 rng = np.random.default_rng(0)
-net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
+net = model.build_model(seed=0)
 inputs = [preprocess.PaddedInput(rng.standard_normal((m, 5)), 8) for m in [8] * 135 + [2]]
 batch = net.stage(inputs)
 assert batch.rows.shape[0] == 1082
@@ -736,6 +734,15 @@ class TestSerialization:
             list(parsed.arrays.items()),
         )
         with pytest.raises(container.ContainerError):
+            model.deserialize(blob)
+
+    def test_a_file_of_another_pad_length_is_container_error_naming_it(self):
+        parsed = container.read_container(model.serialize(model.build_model()), model.MAGIC)
+        blob = container.write_container(
+            model.MAGIC, {**parsed.config, "pad_length": 32}, (parsed.norm_means, parsed.norm_stds),
+            list(parsed.arrays.items()),
+        )
+        with pytest.raises(container.ContainerError, match="pad_length"):
             model.deserialize(blob)
 
     @pytest.mark.parametrize(

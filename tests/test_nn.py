@@ -610,7 +610,7 @@ class TestVectorStep:
 
 class TestGradCheck:
     def test_report_names_every_element_in_sorted_name_order(self):
-        net = model.build_model(model.ReflectNetConfig(pad_length=3), seed=3)
+        net = model.build_model(seed=3)
         inp, label = nn.random_safe_sample(net, np.random.default_rng(4))
         report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
         names = [e[0] for e in report.per_parameter_errors]
@@ -626,7 +626,7 @@ class TestGradCheck:
     def test_head_bias_gradient_is_exact(self):
         # the head bias gradient is p - onehot itself, with no kink behind it,
         # so finite differences agree with it to rounding noise
-        net = model.build_model(model.ReflectNetConfig(pad_length=3), seed=7)
+        net = model.build_model(seed=7)
         inp, label = nn.random_safe_sample(net, np.random.default_rng(13))
         report = nn.gradcheck(net, [inp], [label], model.loss_and_grads)
         head_bias = [e for e in report.per_parameter_errors if e[0].startswith("head.bias[")]
@@ -639,7 +639,7 @@ class TestGradCheck:
             net.params(grad)["conv2.weights"][3, 5] += 0.01
             return loss, grad
 
-        net = model.build_model(model.ReflectNetConfig(pad_length=8), seed=0)
+        net = model.build_model(seed=0)
         report = nn.gradcheck_random_batch(net, 1, wrong_in_one_element)
         flagged = [e for e in report.per_parameter_errors if e[3] > 1e-4]
         assert [e[0] for e in flagged] == ["conv2.weights[3,5]"]

@@ -156,6 +156,7 @@ BAD_INDICES = [
     ("2-d", [[0, 1]]),
     ("past-the-end", [5]),
     ("negative", [-1]),
+    ("ragged", [[0], [1, 0]]),
 ]
 
 

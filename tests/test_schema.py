@@ -119,11 +119,11 @@ def test_wrong_value_in_construction_is_config_error_naming_the_field(key, name,
 
 # --- the same wrong values from a file given on the command line -------------
 
-# the commands that read each TABLE key from a file; "train" reads the
-# deepreflecs method's 'train' and 'model' sections
+# the commands that read each TABLE key from a file; a ReflectNetConfig
+# comes only from a model file, as no config section sets it
 COMMANDS = {
     "TrainConfig": ("train", "benchmark", "ablate"),
-    "ReflectNetConfig": ("train",),
+    "ReflectNetConfig": (),
     "GenSpec": ("generate",),
     "ReflectNetConfig-file": ("eval",),
     "forest-file": ("eval",),
@@ -133,7 +133,6 @@ MODEL_FILES = {
     "ReflectNetConfig-file": NETWORK_FILE, "forest-file": FOREST_FILE,
     "gridcnn-file": GRIDCNN_FILE,
 }
-SECTIONS = {"TrainConfig": "train", "ReflectNetConfig": "model"}
 
 CLI_CASES = [
     pytest.param(command, *case.values, id=f"{command}-{case.id}")
@@ -158,7 +157,7 @@ def command_line(command, key, name, value, tmp_path, dataset):
         model = tmp_path / "model.bin"
         model.write_bytes(MODEL_FILES[key]({**valid, name: value}))
         return ["eval", "--model", str(model), "--data", dataset]
-    raw = {name: value} if key == "GenSpec" else {SECTIONS[key]: {name: value}}
+    raw = {name: value} if key == "GenSpec" else {"train": {name: value}}
     path = tmp_path / "input.json"
     path.write_text(json.dumps(raw))
     out = ["--out", str(tmp_path / "out")]
@@ -228,7 +227,8 @@ def test_missing_key_is_container_error(key):
         ("gridcnn-file", "dropout", 0.5, 0.3),
         ("forest-file", "n_classes", 4, 3),
         ("gridcnn-file", "n_classes", 4, 5),
-        ("ReflectNetConfig-file", "pad_length", reflectnet.MAX_PAD_LENGTH, 4097),
+        ("ReflectNetConfig-file", "pad_length", 64, 63),
+        ("ReflectNetConfig-file", "pad_length", 64, 65),
         ("ReflectNetConfig", "n_features", 5, 3),
         ("ReflectNetConfig", "n_classes", 4, 3),
         ("ReflectNetConfig", "n_classes", 4, 5),

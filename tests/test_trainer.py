@@ -56,27 +56,26 @@ class TestLrSchedule:
 class TestResample:
     def test_duplication_factors(self):
         labels = ["pedestrian"] * 10 + ["car"] * 3
-        multiset = trainer.resample_indices(labels, {"pedestrian": 2, "car": 1})
+        multiset = trainer.resample_indices(labels)
         assert multiset.size == 23
         assert (multiset < 10).sum() == 20
 
-    def test_identity_factors(self):
-        labels = ["car", "cyclist", "car"]
-        multiset = trainer.resample_indices(labels, {"car": 1, "cyclist": 1})
+    def test_factor_one_keeps_each_sample_once(self):
+        labels = ["car", "car", "car"]
+        multiset = trainer.resample_indices(labels)
         np.testing.assert_array_equal(multiset, [0, 1, 2])
 
     def test_order_matches_per_sample_loop(self):
-        labels = ["cyclist", "car", "non_obstacle", "pedestrian", "truck", "car"]
-        factors = {"car": 3, "cyclist": 0, "non_obstacle": 2, "pedestrian": 1}
+        labels = ["cyclist", "car", "non_obstacle", "pedestrian", "non_obstacle", "car"]
         reference = []
         for i, label in enumerate(labels):
-            reference.extend([i] * factors.get(label, 1))
-        multiset = trainer.resample_indices(labels, factors)
+            reference.extend([i] * trainer.RESAMPLE[label])
+        multiset = trainer.resample_indices(labels)
         assert multiset.dtype == np.int64
         np.testing.assert_array_equal(multiset, reference)
 
     def test_no_labels_give_an_empty_multiset(self):
-        multiset = trainer.resample_indices([], {"car": 2})
+        multiset = trainer.resample_indices([])
         assert multiset.dtype == np.int64 and multiset.size == 0
 
     def test_training_factors(self):
@@ -114,7 +113,7 @@ class TestTrainLoop:
     def test_single_epoch_best_is_zero(self):
         rng = np.random.default_rng(0)
         inputs, labels, classes = toy_data(rng)
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=0)
+        net = model.build_model(seed=0)
         _, report = trainer.train(
             net, inputs, labels, classes, inputs, labels, self.make_config(epochs=1)
         )
@@ -124,7 +123,7 @@ class TestTrainLoop:
     def test_deterministic_report(self):
         rng = np.random.default_rng(1)
         inputs, labels, classes = toy_data(rng)
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=1)
+        net = model.build_model(seed=1)
         _, a = trainer.train(net, inputs, labels, classes, inputs, labels, self.make_config())
         _, b = trainer.train(net, inputs, labels, classes, inputs, labels, self.make_config())
         assert a.core() == b.core()
@@ -132,7 +131,7 @@ class TestTrainLoop:
     def test_caller_model_not_mutated(self):
         rng = np.random.default_rng(2)
         inputs, labels, classes = toy_data(rng)
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=2)
+        net = model.build_model(seed=2)
         before = {k: v.copy() for k, v in net.params().items()}
         trainer.train(net, inputs, labels, classes, inputs, labels, self.make_config())
         for name, p in net.params().items():
@@ -143,13 +142,13 @@ class TestTrainLoop:
         # optimizer steps up to the best epoch and compare parameters
         rng = np.random.default_rng(3)
         inputs, labels, classes = toy_data(rng)
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=3)
+        net = model.build_model(seed=3)
         config = self.make_config(epochs=4)
         best, report = trainer.train(net, inputs, labels, classes, inputs, labels, config)
 
         replay = net.copy()
         replay_rng = np.random.default_rng(config.seed)
-        multiset = trainer.resample_indices(classes, trainer.RESAMPLE)
+        multiset = trainer.resample_indices(classes)
         state = None
         for epoch in range(report.best_epoch + 1):
             lr = trainer.lr_at(epoch, config)
@@ -184,7 +183,7 @@ class TestTrainLoop:
             val_inputs=inputs, val_labels=labels,
         )
         split.update({name: split[name][:stop] for name, stop in cut.items()})
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=6)
+        net = model.build_model(seed=6)
         monkeypatch.setattr(model, "train_step", None)  # no step may run
         with pytest.raises(nn.TrainingError, match=message):
             trainer.train(net, config=self.make_config(), **split)
@@ -192,7 +191,7 @@ class TestTrainLoop:
     def test_class_labels_that_do_not_name_the_labels_are_value_error(self, monkeypatch):
         inputs, labels, classes = toy_data(np.random.default_rng(6))
         classes[3] = "cyclist"  # sample 3 is labelled 1, a pedestrian
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=6)
+        net = model.build_model(seed=6)
         monkeypatch.setattr(model, "train_step", None)  # no step may run
         match = "training sample 3 has label 1 \\(pedestrian\\) but class label 'cyclist'"
         with pytest.raises(ValueError, match=match):
@@ -201,7 +200,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("epochs, steps", [(1, 1), (3, 5)])
     def test_inputs_are_packed_once_per_run(self, epochs, steps, monkeypatch):
         inputs, labels, classes = toy_data(np.random.default_rng(7))
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=7)
+        net = model.build_model(seed=7)
         calls = []
         stage = model.ReflectNetModel.stage
         monkeypatch.setattr(
@@ -214,7 +213,7 @@ class TestTrainLoop:
     def test_toy_problem_learns(self):
         rng = np.random.default_rng(4)
         inputs, labels, classes = toy_data(rng, n=40)
-        net = model.build_model(model.ReflectNetConfig(pad_length=4), seed=4)
+        net = model.build_model(seed=4)
         best, report = trainer.train(
             net, inputs, labels, classes, inputs, labels,
             self.make_config(epochs=6, steps_per_epoch=16),
