@@ -119,11 +119,12 @@ def test_wrong_value_in_construction_is_config_error_naming_the_field(key, name,
 
 # --- the same wrong values from a file given on the command line -------------
 
-# the commands that read each TABLE key from a file; a ReflectNetConfig
-# comes only from a model file, as no config section sets it
+# the commands that read each TABLE key from a file; "train" is given each
+# ReflectNetConfig value in a 'model' section, which it refuses by name
+# whatever the value, as a ReflectNetConfig comes only from a model file
 COMMANDS = {
     "TrainConfig": ("train", "benchmark", "ablate"),
-    "ReflectNetConfig": (),
+    "ReflectNetConfig": ("train",),
     "GenSpec": ("generate",),
     "ReflectNetConfig-file": ("eval",),
     "forest-file": ("eval",),
@@ -132,6 +133,11 @@ COMMANDS = {
 MODEL_FILES = {
     "ReflectNetConfig-file": NETWORK_FILE, "forest-file": FOREST_FILE,
     "gridcnn-file": GRIDCNN_FILE,
+}
+SECTIONS = {"TrainConfig": "train", "ReflectNetConfig": "model"}
+MODEL_SECTION_REFUSED = {
+    "error": "ConfigError",
+    "message": "the config has unknown keys ['model'] (it takes ['train'])",
 }
 
 CLI_CASES = [
@@ -157,7 +163,7 @@ def command_line(command, key, name, value, tmp_path, dataset):
         model = tmp_path / "model.bin"
         model.write_bytes(MODEL_FILES[key]({**valid, name: value}))
         return ["eval", "--model", str(model), "--data", dataset]
-    raw = {name: value} if key == "GenSpec" else {"train": {name: value}}
+    raw = {name: value} if key == "GenSpec" else {SECTIONS[key]: {name: value}}
     path = tmp_path / "input.json"
     path.write_text(json.dumps(raw))
     out = ["--out", str(tmp_path / "out")]
@@ -176,8 +182,11 @@ def test_wrong_value_in_a_file_is_named_error_on_the_command_line(
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     reported = json.loads(captured.err.strip().splitlines()[-1])
-    assert reported["error"] == error.__name__
-    assert name in reported["message"]
+    if key == "ReflectNetConfig":
+        assert reported == MODEL_SECTION_REFUSED
+    else:
+        assert reported["error"] == error.__name__
+        assert name in reported["message"]
     assert not (tmp_path / "out").exists()
 
 
